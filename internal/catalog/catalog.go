@@ -135,7 +135,7 @@ type Database struct {
 	statsC map[string]*stats.TableStats
 	idxs   map[string][]*Index
 	// snap is the current planner catalog, rebuilt eagerly on every
-	// metadata mutation and handed out as an immutable snapshot.
+	// commit and handed out as an immutable snapshot.
 	snap *plan.Catalog
 
 	// mgr runs every mutation as a wal transaction (txn.go). Databases
@@ -366,13 +366,13 @@ func (db *Database) writeCatalog() error {
 }
 
 // BindAll loads every table of the database into an expression-language
-// environment twice over: as its materialized extended set, so the REPL
-// can query stored data symbolically (`users[{<1>}]` etc.), and as a
-// table binding, so query statements (`from users where …`) stream it
-// through the planner without materializing. It also wires the
-// database's planner catalog into the environment, making query
-// compilation cost-based; the provider re-resolves per query, so clones
-// of env see statistics refreshed by a later Analyze.
+// environment as its materialized extended set, so the REPL can query
+// stored data symbolically (`users[{<1>}]` etc.), and wires the
+// database's planner catalog into the environment, so query statements
+// (`from users where …`) resolve their tables in the current snapshot
+// and stream them through the cost-based planner without materializing.
+// The provider re-resolves per query, so clones of env see the tables,
+// indexes and statistics of every later commit.
 func (db *Database) BindAll(env *xlang.Env) error {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -385,7 +385,6 @@ func (db *Database) BindAll(env *xlang.Env) error {
 			return fmt.Errorf("catalog: binding %q: %w", name, err)
 		}
 		env.Bind(name, s)
-		env.BindTable(name, t)
 	}
 	env.BindPlanCatalog(db.PlanCatalog)
 	db.bindSysViews(env)
@@ -485,9 +484,9 @@ func (db *Database) Indexes(tbl string) []*Index {
 	return append([]*Index(nil), db.idxs[tbl]...)
 }
 
-// PlanCatalog returns the current planner catalog snapshot (statistics
-// plus built indexes). The snapshot is immutable — mutations publish a
-// fresh one — so callers may hold it across a whole query.
+// PlanCatalog returns the current planner catalog snapshot (tables,
+// statistics and built indexes). The snapshot is immutable — mutations
+// publish a fresh one — so callers may hold it across a whole query.
 func (db *Database) PlanCatalog() *plan.Catalog {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -495,10 +494,19 @@ func (db *Database) PlanCatalog() *plan.Catalog {
 }
 
 // rebuildSnapLocked republishes the planner catalog from the current
-// statistics and index structures. Always a fresh value: snapshots
-// already handed out stay internally consistent.
+// tables, statistics and index structures. Always a fresh value:
+// snapshots already handed out stay internally consistent. Reserved
+// "__"-prefixed tables stay out of it, as they do out of Names.
 func (db *Database) rebuildSnapLocked() {
-	snap := &plan.Catalog{Stats: make(stats.Catalog, len(db.statsC))}
+	snap := &plan.Catalog{
+		Tables: make(map[string]*table.Table, len(db.tables)),
+		Stats:  make(stats.Catalog, len(db.statsC)),
+	}
+	for name, t := range db.tables {
+		if !strings.HasPrefix(name, "__") {
+			snap.Tables[name] = t
+		}
+	}
 	for name, ts := range db.statsC {
 		snap.Stats[name] = ts
 	}

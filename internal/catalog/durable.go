@@ -99,10 +99,11 @@ func (db *Database) Checkpoint() error {
 // concurrent commits.
 func (db *Database) NewView() *store.View { return db.pool.NewView() }
 
-// ReadTxn pairs a pinned snapshot view with the planner catalog that
-// was current at the same instant, so a query compiled against Snap
-// never probes an index holding record ids from a commit the View
-// cannot see.
+// ReadTxn is one snapshot of the database: the pinned commit epoch and
+// the planner catalog — tables, indexes, statistics — that was current
+// at the same instant. A query that resolves its tables in Snap and runs
+// under View gets the index path on every table Snap indexes, and never
+// probes an index holding record ids from a commit the View cannot see.
 type ReadTxn struct {
 	View *store.View
 	Snap *plan.Catalog

@@ -235,3 +235,71 @@ func TestVacuumRebuildsIndexes(t *testing.T) {
 		t.Fatalf("deleted row resurfaced: rows=%d", n)
 	}
 }
+
+// TestSnapshotNamesTables: every commit publishes one catalog that
+// names the tables together with the indexes built over them, and an
+// environment bound once keeps resolving `from` in the current one — so
+// a later load costs it neither the index path nor the sight of a new
+// table.
+func TestSnapshotNamesTables(t *testing.T) {
+	db, err := Create(store.NewMemPager(), 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seedOrders(t, db, 200)
+	ctx := context.Background()
+	if _, err := db.CreateIndex(ctx, "orders", "id", IndexHash); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Analyze(ctx); err != nil {
+		t.Fatal(err)
+	}
+	env := xlang.NewEnv()
+	if err := db.BindAll(env); err != nil {
+		t.Fatal(err)
+	}
+	explain := func(src string) string {
+		t.Helper()
+		q, err := xlang.CompileQuery(env, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return plan.Explain(q.Node)
+	}
+
+	old := db.BeginRead()
+	defer old.View.Release()
+	if err := db.Load(ctx, "orders", []table.Row{{core.Int(1000), core.Str("east"), core.Int(1)}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.CreateTable(table.Schema{Name: "later", Cols: []string{"x"}}); err != nil {
+		t.Fatal(err)
+	}
+	if got := explain("from orders where id = 1000"); !strings.Contains(got, "indexscan") {
+		t.Fatalf("lookup after a load lost the index path:\n%s", got)
+	}
+	if got := explain("from later"); !strings.Contains(got, "scan(later)") {
+		t.Fatalf("table created after BindAll:\n%s", got)
+	}
+
+	snap := db.PlanCatalog()
+	cur, _ := db.Table("orders")
+	if tab, ok := snap.Table("orders"); !ok || tab != cur {
+		t.Fatal("snapshot does not name the published orders table")
+	}
+	for _, ix := range snap.Indexes {
+		if tab, _ := snap.Table(ix.Table.Schema().Name); tab != ix.Table {
+			t.Fatalf("index on %s.%s is over a table the snapshot does not name", ix.Table.Schema().Name, ix.Col)
+		}
+	}
+	if _, ok := snap.Table(metaTable); ok {
+		t.Fatal("snapshot exposes the reserved __meta table")
+	}
+	// The snapshot pinned before the commits still names its own world.
+	if tab, _ := old.Snap.Table("orders"); tab == cur || tab.Count() != 200 {
+		t.Fatalf("pinned snapshot's orders table moved with the commit (%d rows)", tab.Count())
+	}
+	if _, ok := old.Snap.Table("later"); ok {
+		t.Fatal("pinned snapshot sees a table created after it")
+	}
+}

@@ -31,15 +31,16 @@ import (
 //     fsyncs, then installs the images through store.CommitPages —
 //     which advances the MVCC epoch and parks superseded images for
 //     active snapshot views — and finally publishes the new table
-//     structs, layered indexes, and planner snapshot under db.mu, all
+//     structs, index versions, and planner snapshot under db.mu, all
 //     while a snapshot reader observes either the whole commit or none
 //     of it.
 //
 // Incremental index maintenance rides the same commit: each declared
-// index on a table that received inserts is republished as a layered
-// copy-on-write successor (index.WithInserts / BTree.Inserted), so a
-// point lookup right after a load takes the index path without waiting
-// for the next .analyze.
+// index on a table that received inserts is republished as a path-copied
+// successor (HashIndex.WithInserts / BTree.Inserted) at a cost
+// proportional to the rows committed. The planner snapshot names the new
+// table structs and the new index versions together, so every session's
+// next point lookup takes the index path, whoever committed.
 
 // txnIO adapts a wal.Txn to store.PageIO: reads resolve shadow-first
 // then fall through to the committed image in the pool; the first
@@ -105,9 +106,9 @@ type insertRec struct {
 
 // tableState is one table touched by a transaction: the writable clone
 // bound to the transaction's shadow, the rows it inserted (for index
-// layering at commit), and whether the heap was replaced outright
+// maintenance at commit), and whether the heap was replaced outright
 // (create/vacuum/meta rewrite), which forces a full index rebuild
-// instead of layering.
+// instead.
 type tableState struct {
 	t        *table.Table
 	ins      []insertRec
@@ -317,7 +318,7 @@ func (tx *Txn) Abort() {
 // Commit makes the transaction durable and visible: catalog page and
 // __meta rewrites join the shadow, the wal logs and fsyncs every
 // after-image, the buffer pool installs them under a new MVCC epoch,
-// and the table structs / layered indexes / planner snapshot publish
+// and the table structs / index versions / planner snapshot publish
 // atomically with that epoch. On error the transaction is dead (the
 // writer lock is released); the database keeps serving its last
 // committed state.
@@ -470,9 +471,9 @@ func (tx *Txn) publishLocked() {
 		db.idxs[name] = list
 	}
 	// Incremental index maintenance: tables that took inserts republish
-	// each declared index as a layered copy-on-write successor over the
-	// committed structure. Replaced heaps (create/vacuum) were already
-	// rebuilt in full via newIdxs.
+	// each declared index as a path-copied successor of the committed
+	// structure. Replaced heaps (create/vacuum) were already rebuilt in
+	// full via newIdxs.
 	for name, st := range tx.tables {
 		if st.replaced || len(st.ins) == 0 {
 			continue
@@ -486,19 +487,19 @@ func (tx *Txn) publishLocked() {
 		}
 		fresh := make([]*Index, len(old))
 		for i, ix := range old {
-			fresh[i] = layerIndex(ix, db.tables[name], st.ins)
+			fresh[i] = extendIndex(ix, db.tables[name], st.ins)
 		}
 		db.idxs[name] = fresh
 	}
 	db.rebuildSnapLocked()
 }
 
-// layerIndex derives the incremental successor of one index from the
+// extendIndex derives the incremental successor of one index from the
 // staged inserts. A row whose key cannot be derived (non-atom under a
 // btree) falls back to sharing the old structure — the same rows would
 // have failed a full rebuild, so staying stale is the conservative
 // choice.
-func layerIndex(ix *Index, t *table.Table, ins []insertRec) *Index {
+func extendIndex(ix *Index, t *table.Table, ins []insertRec) *Index {
 	col := t.Schema().Col(ix.Col)
 	if col < 0 {
 		return ix

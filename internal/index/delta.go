@@ -2,23 +2,22 @@ package index
 
 import "xst/internal/store"
 
-// Incremental index maintenance under MVCC. Published index structures
-// are immutable — plans compiled against an old planner snapshot keep
-// probing them while the catalog publishes successors — so a commit
-// cannot Insert into the structure it found. Instead it derives a new
-// version that shares almost everything with the old one:
+// Incremental index maintenance under MVCC. A published index version
+// is an immutable function from keys to postings: plans compiled against
+// an old planner snapshot keep probing it, lock-free, while the catalog
+// publishes successors, so a commit cannot Insert into the structure it
+// found. It derives the next version by path copying instead, and both
+// index kinds do it the same way:
 //
-//   - HashIndex.WithInserts layers a small delta map over the committed
-//     index (reads consult base then delta). Layers cap at
-//     maxDeltaDepth; past that the chain is flattened into one map so
-//     lookup cost stays O(depth cap), amortized by the flatten.
-//   - BTree.Inserted path-copies: each insert clones only the root-to-
-//     leaf path (and the touched posting list), leaving every other
-//     subtree shared with the committed tree.
+//   - HashIndex.WithInserts copies the trie nodes on each inserted key's
+//     root-to-leaf path (hash.go);
+//   - BTree.Inserted copies the tree nodes on each inserted key's
+//     root-to-leaf path.
 //
-// Either way the committed structure is never written, so concurrent
-// readers need no locks — the same copy-on-write discipline the buffer
-// pool applies to page images.
+// Either way a commit costs O(entries · log n) node copies, a touched
+// posting list is copied before it grows, and every untouched subtree is
+// shared with the committed version — the copy-on-write discipline the
+// buffer pool applies to page images.
 
 // Entry is one (key, rid) pair staged for incremental maintenance.
 type Entry struct {
@@ -26,51 +25,15 @@ type Entry struct {
 	RID store.RID
 }
 
-// maxDeltaDepth bounds how many delta layers may stack on a hash index
-// before WithInserts flattens the chain.
-const maxDeltaDepth = 4
-
 // WithInserts returns a new index equal to h plus the entries, without
-// modifying h. The result layers a delta over h, or flattens the whole
-// chain when the layer budget is spent.
+// modifying h.
 func (h *HashIndex) WithInserts(entries []Entry) *HashIndex {
-	if h.depth >= maxDeltaDepth {
-		return h.flattenWith(entries)
-	}
-	nw := &HashIndex{m: make(map[string][]store.RID, len(entries)), base: h, depth: h.depth + 1}
+	nw := &HashIndex{root: h.root, size: h.size, own: new(owner), mask: h.mask}
 	for _, e := range entries {
-		nw.m[e.Key] = append(nw.m[e.Key], e.RID)
-	}
-	nw.size = h.Len()
-	for k := range nw.m {
-		if h.Lookup(k) == nil {
-			nw.size++
-		}
+		nw.Insert(e.Key, e.RID)
 	}
 	return nw
 }
-
-// flattenWith merges the whole delta chain plus entries into one flat
-// index (base-first, so posting order matches insertion order).
-func (h *HashIndex) flattenWith(entries []Entry) *HashIndex {
-	var chain []*HashIndex
-	for n := h; n != nil; n = n.base {
-		chain = append(chain, n)
-	}
-	nw := NewHashIndex()
-	for i := len(chain) - 1; i >= 0; i-- {
-		for k, ps := range chain[i].m {
-			nw.m[k] = append(nw.m[k], ps...)
-		}
-	}
-	for _, e := range entries {
-		nw.m[e.Key] = append(nw.m[e.Key], e.RID)
-	}
-	return nw
-}
-
-// Depth reports the delta-layer depth (0 for a flat index; tests).
-func (h *HashIndex) Depth() int { return h.depth }
 
 // Inserted returns a new tree equal to t plus the entries, without
 // modifying t: inserts path-copy from the root down, so the two trees

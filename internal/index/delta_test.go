@@ -4,65 +4,141 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
+	"sync"
 	"testing"
 
 	"xst/internal/store"
+	"xst/internal/xtest"
 )
 
 func drid(p, s int) store.RID {
 	return store.RID{Page: store.PageID(p), Slot: uint16(s)}
 }
 
-// WithInserts must leave the base untouched, answer merged lookups, and
-// flatten once the layer budget is spent.
-func TestHashWithInserts(t *testing.T) {
-	base := NewHashIndex()
-	for i := 0; i < 100; i++ {
-		base.Insert(fmt.Sprintf("k%03d", i), drid(1, i))
-	}
-	baseLen := base.Len()
+// hashMasks are the hash bits the differential tests run under: all of
+// them, and subsets that force every collision shape — keys that agree
+// on the low digits and differ only at the top (long single-child
+// chains), keys that agree on all 64 bits (the bucket under the last
+// digit), and one hash for everything.
+var hashMasks = map[string]uint64{
+	"all bits":    ^uint64(0),
+	"top 5 bits":  0x1f << 59,
+	"low 11 bits": 0x7ff,
+	"no bits":     0,
+}
 
-	layered := base.WithInserts([]Entry{
-		{Key: "k000", RID: drid(2, 0)}, // existing key: posting grows
-		{Key: "new1", RID: drid(2, 1)}, // fresh key
-	})
-	if base.Len() != baseLen || len(base.Lookup("k000")) != 1 || base.Lookup("new1") != nil {
-		t.Fatal("WithInserts mutated the base index")
-	}
-	if got := layered.Lookup("k000"); len(got) != 2 || got[0] != drid(1, 0) || got[1] != drid(2, 0) {
-		t.Fatalf("layered lookup k000 = %v", got)
-	}
-	if got := layered.Lookup("new1"); len(got) != 1 || got[0] != drid(2, 1) {
-		t.Fatalf("layered lookup new1 = %v", got)
-	}
-	if layered.Len() != baseLen+1 {
-		t.Fatalf("layered Len = %d, want %d", layered.Len(), baseLen+1)
-	}
-	if layered.Depth() != 1 {
-		t.Fatalf("Depth = %d, want 1", layered.Depth())
-	}
+// oracle is the flat reference a HashIndex version must equal.
+type oracle map[string][]store.RID
 
-	// Stack layers past the cap: the chain must flatten, and lookups
-	// must keep answering every layer's entries in insertion order.
-	ix := base
-	for round := 0; round < maxDeltaDepth+2; round++ {
-		ix = ix.WithInserts([]Entry{{Key: "hot", RID: drid(3, round)}})
+func (o oracle) with(entries []Entry) oracle {
+	nw := make(oracle, len(o))
+	for k, ps := range o {
+		nw[k] = ps
 	}
-	if ix.Depth() > maxDeltaDepth {
-		t.Fatalf("Depth = %d, want flattened ≤ %d", ix.Depth(), maxDeltaDepth)
+	for _, e := range entries {
+		nw[e.Key] = append(append([]store.RID(nil), nw[e.Key]...), e.RID)
 	}
-	got := ix.Lookup("hot")
-	if len(got) != maxDeltaDepth+2 {
-		t.Fatalf("hot postings = %v, want %d entries", got, maxDeltaDepth+2)
+	return nw
+}
+
+// checkAgainst compares every key of the universe, present or absent:
+// same postings in insertion order, and the same distinct-key count.
+func checkAgainst(t *testing.T, what string, h *HashIndex, want oracle, universe int) {
+	t.Helper()
+	if h.Len() != len(want) {
+		t.Fatalf("%s: Len = %d, oracle has %d keys", what, h.Len(), len(want))
 	}
-	for i, r := range got {
-		if r != drid(3, i) {
-			t.Fatalf("hot postings out of order: %v", got)
+	for i := 0; i < universe; i++ {
+		k := fmt.Sprintf("k%d", i)
+		if got := h.Lookup(k); !reflect.DeepEqual(got, want[k]) {
+			t.Fatalf("%s: Lookup(%s) = %v, oracle %v", what, k, got, want[k])
 		}
 	}
-	if got := ix.Lookup("k050"); len(got) != 1 || got[0] != drid(1, 50) {
-		t.Fatalf("base key lost through flatten: %v", got)
+}
+
+// Random WithInserts sequences, with duplicate keys inside and across
+// deltas, must match the oracle at every version — and every version
+// must still match its own oracle after all its successors, including
+// two that branch from the same parent, have been derived.
+func TestHashWithInsertsDifferential(t *testing.T) {
+	const universe = 600
+	for name, mask := range hashMasks {
+		t.Run(name, func(t *testing.T) {
+			r := xtest.NewRand(11)
+			next := 0
+			delta := func() []Entry {
+				es := make([]Entry, 1+r.Intn(40))
+				for i := range es {
+					es[i] = Entry{Key: fmt.Sprintf("k%d", r.Intn(universe)), RID: drid(next/100, next%100)}
+					next++
+				}
+				return es
+			}
+			base := newHashIndex(mask)
+			want := oracle{}
+			for _, e := range delta() { // the in-place bulk build
+				base.Insert(e.Key, e.RID)
+				want = want.with([]Entry{e})
+			}
+			versions, oracles := []*HashIndex{base}, []oracle{want}
+			for round := 0; round < 60; round++ {
+				// Mostly extend the newest version, sometimes branch off an old one.
+				from := len(versions) - 1
+				if r.Intn(4) == 0 {
+					from = r.Intn(len(versions))
+				}
+				es := delta()
+				versions = append(versions, versions[from].WithInserts(es))
+				oracles = append(oracles, oracles[from].with(es))
+				checkAgainst(t, fmt.Sprintf("round %d", round), versions[len(versions)-1], oracles[len(oracles)-1], universe)
+			}
+			for i := range versions {
+				checkAgainst(t, fmt.Sprintf("version %d after its successors", i), versions[i], oracles[i], universe)
+			}
+		})
 	}
+}
+
+// Lookups on old versions must be race-free while another goroutine
+// derives new ones from them (run under -race).
+func TestHashLookupDuringDerivation(t *testing.T) {
+	const keys, rounds, readers = 2000, 200, 4
+	base := NewHashIndex()
+	for i := 0; i < keys; i++ {
+		base.Insert(fmt.Sprintf("k%d", i), drid(1, i))
+	}
+	published := make(chan *HashIndex, rounds) // holds every version: the writer never blocks
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(published)
+		cur := base
+		for round := 0; round < rounds; round++ {
+			cur = cur.WithInserts([]Entry{
+				{Key: fmt.Sprintf("k%d", round), RID: drid(2, round)}, // grows a shared posting list
+				{Key: fmt.Sprintf("new%d", round), RID: drid(3, round)},
+			})
+			published <- cur
+		}
+	}()
+	for w := 0; w < readers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for v := range published {
+				if got := base.Lookup("k0"); len(got) != 1 {
+					t.Errorf("base changed under a reader: k0 = %v", got)
+					return
+				}
+				if v.Len() <= keys || len(v.Lookup("k0")) != 2 {
+					t.Errorf("published version: Len %d, k0 = %v", v.Len(), v.Lookup("k0"))
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // Inserted must path-copy: the old tree keeps answering the old world

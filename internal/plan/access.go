@@ -50,13 +50,26 @@ type TableIndex struct {
 	BTree *index.BTree
 }
 
-// Catalog bundles what the cost-based optimizer knows beyond the plan
-// itself: collected statistics and declared indexes. A nil Catalog (or
-// one with no stats) degrades every estimate to the constant model, so
-// planning is deterministic whether or not `.analyze` has run.
+// Catalog is one published snapshot of a database as the compiler sees
+// it: the tables by name, their declared indexes and the collected
+// statistics, all from the same commit, so a query that resolves its
+// tables here plans against indexes built over exactly those tables. A
+// nil Catalog (or one with no stats) degrades every estimate to the
+// constant model, so planning is deterministic whether or not `.analyze`
+// has run.
 type Catalog struct {
+	Tables  map[string]*table.Table
 	Stats   stats.Catalog
 	Indexes []*TableIndex
+}
+
+// Table resolves a table name in the snapshot.
+func (c *Catalog) Table(name string) (*table.Table, bool) {
+	if c == nil {
+		return nil, false
+	}
+	t, ok := c.Tables[name]
+	return t, ok
 }
 
 // Estimate predicts output cardinality, preferring measured statistics.
@@ -76,7 +89,18 @@ func (c *Catalog) selOf(child Node, p Pred) float64 {
 	return predSelectivityWith(child, p, c.Stats)
 }
 
-// indexesOn lists the declared indexes over t.
+// columnStats finds the collected statistics of one column of child.
+func (c *Catalog) columnStats(child Node, col string) (stats.ColumnStats, bool) {
+	if c == nil || len(c.Stats) == 0 {
+		return stats.ColumnStats{}, false
+	}
+	return columnStats(child, col, c.Stats)
+}
+
+// indexesOn lists the declared indexes over t, by table identity: a
+// commit publishes a fresh *table.Table, and an index answers only for
+// the table version it was built over. Scans that resolve their table
+// in c.Tables always match.
 func (c *Catalog) indexesOn(t *table.Table) []*TableIndex {
 	if c == nil {
 		return nil
@@ -243,9 +267,16 @@ func hashCandidate(scan *Scan, ix *TableIndex, conjuncts []Pred, rows float64, c
 // btreeCandidate combines every range/equality conjunct on the indexed
 // column into one btree probe. Bounds must be atoms — OrderKey only
 // order-encodes atoms, so a set-valued bound would silently miss rows.
+//
+// The conjuncts bound one column, so they are anything but independent:
+// with statistics the estimate is the histogram's for the combined
+// interval, not the product of the one-sided estimates (which puts a
+// narrow range around the median at a quarter of the table). Only the
+// constant model, which knows no values, still multiplies.
 func btreeCandidate(scan *Scan, ix *TableIndex, conjuncts []Pred, rows float64, cat *Catalog) *accessCandidate {
 	acc := &IndexAccess{Idx: ix}
 	matched := map[int]bool{}
+	cs, measured := cat.columnStats(scan, ix.Col)
 	sel := 1.0
 	for i, p := range conjuncts {
 		cmp, ok := p.(Cmp)
@@ -280,10 +311,24 @@ func btreeCandidate(scan *Scan, ix *TableIndex, conjuncts []Pred, rows float64, 
 			continue
 		}
 		matched[i] = true
-		sel *= cat.selOf(scan, cmp)
+		if !measured {
+			sel *= predSelectivity(cmp)
+		}
 	}
 	if len(matched) == 0 {
 		return nil
+	}
+	if measured {
+		// SelectivityRange is lo <= col < hi; move the end points that
+		// the probe treats the other way.
+		sel = cs.SelectivityRange(acc.Lo, acc.Hi)
+		if acc.Lo != nil && !acc.LoIncl {
+			sel -= cs.SelectivityEq(acc.Lo)
+		}
+		if acc.Hi != nil && acc.HiIncl {
+			sel += cs.SelectivityEq(acc.Hi)
+		}
+		sel = clampSel(sel)
 	}
 	acc.Est = rows * sel
 	return &accessCandidate{node: acc, matched: matched, est: acc.Est}

@@ -1,8 +1,10 @@
 package server
 
 import (
+	"context"
 	"encoding/base64"
 	"encoding/json"
+	"fmt"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -84,7 +86,8 @@ func TestDurableLoadIndexedImmediately(t *testing.T) {
 	}
 
 	// Load more rows, then point-look-up a brand-new key immediately:
-	// the layered index must serve it through the index access path.
+	// the index version that commit derived must serve it through the
+	// index access path.
 	rows = rows[:0]
 	for i := 200; i < 260; i++ {
 		rows = append(rows, table.Row{core.Int(int64(i)), core.Str("b")})
@@ -153,4 +156,87 @@ func metricValue(t *testing.T, text, name string) float64 {
 	}
 	t.Fatalf("metric %s not found", name)
 	return 0
+}
+
+// One snapshot names the tables: a commit by one connection must cost
+// the others neither the index path nor the sight of what it created,
+// and a stream pinned before the commit must not see it at all.
+func TestForeignCommitKeepsIndexPath(t *testing.T) {
+	db := durableDB(t)
+	const seeded = 20_000
+	if _, err := db.CreateTable(table.Schema{Name: "events", Cols: []string{"id", "kind"}}); err != nil {
+		t.Fatal(err)
+	}
+	chunk := func(from, n int) []table.Row {
+		rows := make([]table.Row, n)
+		for i := range rows {
+			rows[i] = table.Row{core.Int(int64(from + i)), core.Str("e")}
+		}
+		return rows
+	}
+	if err := db.Load(context.Background(), "events", chunk(0, seeded)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.CreateIndex(context.Background(), "events", "id", catalog.IndexHash); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Analyze(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	_, addr := startServer(t, Config{DB: db})
+	dial := func() *Client {
+		c, err := Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		return c
+	}
+	a, b := dial(), dial()
+
+	// A commits into the indexed table; B, which has never loaded
+	// anything, looks up a row of that commit through the index.
+	loadChunk(t, a, "events", nil, chunk(seeded, 50))
+	snap, err := b.Trace(fmt.Sprintf("from events where id = %d", seeded+25))
+	if err != nil {
+		t.Fatal(err)
+	}
+	indexRows := int64(-1)
+	snap.Walk(func(sp trace.SpanSnapshot, _ int) {
+		if strings.HasPrefix(sp.Name, "indexscan(") {
+			indexRows = sp.Rows
+		}
+	})
+	if indexRows != 1 {
+		t.Fatalf("B after A's commit: indexscan rows = %d (-1: no indexscan), want 1:\n%s", indexRows, snap.Render())
+	}
+
+	// A creates a table; B can query it without reconnecting.
+	loadChunk(t, a, "fresh", []string{"id", "kind"}, chunk(0, 7))
+	if resp, err := b.Query("from fresh select id", nil); err != nil || resp.Rows != 7 {
+		t.Fatalf("B querying the table A just created: %+v, %v", resp, err)
+	}
+
+	// B streams the whole table; A commits once B's first batch is out,
+	// so B's snapshot was pinned before. B must get exactly its snapshot,
+	// and its next statement the commit as well.
+	committed := false
+	streamed := 0
+	resp, err := b.Query("from events select id", func(rows []string) error {
+		if !committed {
+			loadChunk(t, a, "events", nil, chunk(seeded+50, 50))
+			committed = true
+		}
+		streamed += len(rows)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Rows != seeded+50 || streamed != seeded+50 {
+		t.Fatalf("pinned stream returned %d rows (%d streamed), want its snapshot's %d", resp.Rows, streamed, seeded+50)
+	}
+	if resp, err := b.Query("from events select id", nil); err != nil || resp.Rows != seeded+100 {
+		t.Fatalf("B after the stream: %+v, %v, want %d rows", resp, err, seeded+100)
+	}
 }

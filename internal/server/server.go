@@ -1059,7 +1059,7 @@ func (s *Server) handleLoad(sess *session, payload string) (Response, bool) {
 		return Response{Error: fmt.Sprintf("bad .load payload: %v", err)}, false
 	}
 	if !strings.HasPrefix(lr.Table, "__") {
-		return s.loadShared(sess, lr)
+		return s.loadShared(lr)
 	}
 	t, ok := sess.scratch[lr.Table]
 	if !ok {
@@ -1096,8 +1096,10 @@ func (s *Server) handleLoad(sess *session, payload string) (Response, bool) {
 
 // loadShared loads one chunk of rows into a shared catalog table as a
 // single transaction: the rows, any table creation, the catalog page,
-// and the incremental index layers all commit under one log fsync.
-func (s *Server) loadShared(sess *session, lr loadRequest) (Response, bool) {
+// and the index maintenance all commit under one log fsync. The commit
+// publishes the table with its indexes in the planner snapshot, where
+// every session's next query — this one's included — resolves it.
+func (s *Server) loadShared(lr loadRequest) (Response, bool) {
 	if s.cfg.DB == nil {
 		return Response{Error: "(no database attached)"}, false
 	}
@@ -1106,11 +1108,9 @@ func (s *Server) loadShared(sess *session, lr loadRequest) (Response, bool) {
 		if len(lr.Cols) == 0 {
 			return Response{Error: ".load needs cols on first chunk"}, false
 		}
-		t, err := db.CreateTable(table.Schema{Name: lr.Table, Cols: lr.Cols})
-		if err != nil {
+		if _, err := db.CreateTable(table.Schema{Name: lr.Table, Cols: lr.Cols}); err != nil {
 			return Response{Error: err.Error()}, false
 		}
-		sess.env.BindTable(lr.Table, t)
 	}
 	rows := make([]table.Row, 0, len(lr.Rows))
 	for _, b64 := range lr.Rows {
@@ -1131,6 +1131,5 @@ func (s *Server) loadShared(sess *session, lr loadRequest) (Response, bool) {
 	if err != nil {
 		return Response{Error: err.Error()}, false
 	}
-	sess.env.BindTable(lr.Table, t)
 	return Response{Result: fmt.Sprintf("%s: %d rows", lr.Table, t.Count())}, false
 }

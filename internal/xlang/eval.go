@@ -16,19 +16,20 @@ import (
 // evaluate to string atoms (symbols), so `{<a,b>}` means the set holding
 // the pair of symbols a and b — matching the paper's notation. Bind a
 // name with `name := expr` to shadow the symbol reading. Stored tables
-// bound with BindTable live in a separate namespace consulted only by
-// query statements (`from …`), which stream from the table pages
-// instead of evaluating a materialized value.
+// live in a separate namespace consulted only by query statements
+// (`from …`), which stream from the table pages instead of evaluating a
+// materialized value: the planner catalog names a database's tables,
+// BindTable the ones that belong to this environment alone.
 type Env struct {
 	vars   map[string]core.Value
 	tables map[string]*table.Table
 	// virtuals are on-demand computed tables (the `__sys.*` system
 	// views); consulted by query statements after stored tables.
 	virtuals map[string]VirtualTable
-	// planCat provides the planner catalog (statistics + indexes) for
-	// query compilation. A provider rather than a snapshot: `.analyze`
-	// and CREATE INDEX update the database's catalog, and every session
-	// clone should see the refreshed one on its next query.
+	// planCat provides the planner catalog (tables + statistics +
+	// indexes) for query compilation. A provider rather than a snapshot:
+	// every commit publishes a new catalog, and every session clone
+	// should see it on its next query.
 	planCat func() *plan.Catalog
 }
 
@@ -61,9 +62,10 @@ func (e *Env) Clone() *Env {
 	return &Env{vars: vars, tables: tables, virtuals: virtuals, planCat: e.planCat}
 }
 
-// BindPlanCatalog registers a planner-catalog provider (statistics and
-// declared indexes); queries compiled against this environment become
-// cost-based. The provider is shared by clones.
+// BindPlanCatalog registers a planner-catalog provider (a database's
+// tables, statistics and declared indexes); queries compiled against
+// this environment resolve table names in it and become cost-based. The
+// provider is shared by clones.
 func (e *Env) BindPlanCatalog(fn func() *plan.Catalog) { e.planCat = fn }
 
 // PlanCatalog resolves the current planner catalog; nil when no
@@ -75,7 +77,8 @@ func (e *Env) PlanCatalog() *plan.Catalog {
 	return e.planCat()
 }
 
-// BindTable registers a stored table for query statements.
+// BindTable registers a table of the environment's own for query
+// statements. A table of the same name in the planner catalog wins.
 func (e *Env) BindTable(name string, t *table.Table) { e.tables[name] = t }
 
 // Table fetches a table bound with BindTable.

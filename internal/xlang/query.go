@@ -38,10 +38,13 @@ var aggKinds = map[string]xsp.AggKind{
 //	order  := 'order' 'by'? item ('asc'|'desc')?
 //	limit  := 'limit' INT
 //
-// Tables come from Env.BindTable (the server and REPL bind every
-// catalog table). Evaluated as an expression, a query renders its
-// result as the extended set of its row tuples — duplicate rows
-// collapse, as sets do; use Query.Run for the row stream.
+// A table name resolves in the environment's planner catalog first —
+// the snapshot of a database's tables, indexes and statistics at one
+// commit — and then among the tables bound with Env.BindTable (session
+// scratch tables, environments without a database). Evaluated as an
+// expression, a query renders its result as the extended set of its row
+// tuples — duplicate rows collapse, as sets do; use Query.Run for the
+// row stream.
 
 // IsQuery reports whether src is a query statement (leads with the
 // `from` keyword rather than binding or referencing a variable).
@@ -105,12 +108,12 @@ func CompileQuery(env *Env, src string) (*Query, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &qparser{toks: toks, env: env}
+	cat := env.PlanCatalog()
+	p := &qparser{toks: toks, env: env, cat: cat}
 	n, err := p.parse()
 	if err != nil {
 		return nil, err
 	}
-	cat := env.PlanCatalog()
 	node := plan.OptimizeCatalog(n, cat)
 	return &Query{Node: node, dop: plan.ChooseDOP(node), cat: cat}, nil
 }
@@ -138,6 +141,7 @@ type qparser struct {
 	toks []token
 	i    int
 	env  *Env
+	cat  *plan.Catalog
 }
 
 func (p *qparser) cur() token  { return p.toks[p.i] }
@@ -164,11 +168,16 @@ func (p *qparser) ident(what string) (token, error) {
 	return p.next(), nil
 }
 
-// tableNode resolves a from/join table reference. Stored tables win;
-// otherwise a bound virtual table (system view) enters the plan as a
+// tableNode resolves a from/join table reference: the catalog
+// snapshot's table of that name, else one the environment binds itself,
+// else a bound virtual table (system view), which enters the plan as a
 // Source leaf whose operator computes the rows when the query opens.
 func (p *qparser) tableNode(t token) (plan.Node, error) {
-	if tab, ok := p.env.Table(t.text); ok {
+	tab, ok := p.cat.Table(t.text)
+	if !ok {
+		tab, ok = p.env.Table(t.text)
+	}
+	if ok {
 		return &plan.Scan{Table: tab}, nil
 	}
 	if v, ok := p.env.Virtual(t.text); ok {

@@ -7,6 +7,7 @@ import (
 
 	"xst/internal/core"
 	"xst/internal/exec"
+	"xst/internal/plan"
 	"xst/internal/store"
 	"xst/internal/table"
 	"xst/internal/xtest"
@@ -262,5 +263,36 @@ func TestEnvCloneCopiesTables(t *testing.T) {
 	}
 	if len(env.TableNames()) != 2 {
 		t.Fatalf("table names = %v", env.TableNames())
+	}
+}
+
+// A table name resolves in the planner catalog before the environment's
+// own bindings: the catalog's table is the one its indexes and
+// statistics describe. Names the catalog lacks stay with the
+// environment (session scratch tables).
+func TestQueryResolvesTablesInCatalogFirst(t *testing.T) {
+	env := queryEnv(t, 5, 5)
+	stale, _ := env.Table("users")
+	pool := store.NewBufferPool(store.NewMemPager(), 8)
+	current, err := table.Create(pool, stale.Schema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	env.BindPlanCatalog(func() *plan.Catalog {
+		return &plan.Catalog{Tables: map[string]*table.Table{"users": current}}
+	})
+	scanned := func(src string) *table.Table {
+		t.Helper()
+		q, err := CompileQuery(env, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return q.Node.(*plan.Scan).Table
+	}
+	if scanned("from users") != current {
+		t.Fatal("the environment's binding shadowed the catalog's table")
+	}
+	if orders, _ := env.Table("orders"); scanned("from orders") != orders {
+		t.Fatal("a table the catalog does not name must come from the environment")
 	}
 }
