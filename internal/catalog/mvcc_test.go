@@ -7,8 +7,10 @@ import (
 	"testing"
 
 	"xst/internal/core"
+	"xst/internal/exec"
 	"xst/internal/store"
 	"xst/internal/table"
+	"xst/internal/xtest"
 )
 
 // Snapshot isolation, differentially: a view pinned before a commit
@@ -140,6 +142,98 @@ func TestSnapshotIsolationConcurrent(t *testing.T) {
 				}
 				if n%batch != 0 {
 					errs <- fmt.Errorf("reader %d saw %d rows — mid-transaction state leaked", r, n)
+					return
+				}
+			}
+		}(r)
+	}
+	close(start)
+	for b := 0; b < nBatches; b++ {
+		if err := db.Load(ctx, "ev", mvccRows(b, batch)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
+
+// TestSnapshotReadersThroughPoisonedScans runs the concurrent-reader
+// experiment through the operator tree instead of Table.Scan: each
+// reader pins a snapshot, resolves the table in it, and streams it both
+// serially and through morsel workers behind a Gather, with
+// xtest.PoisonScratch around every scan, while the writer commits. A
+// reader must see exactly the rows of its snapshot's table — whole
+// batches, every value intact although the scans reuse their slabs and
+// the pool reuses its buffers under them.
+func TestSnapshotReadersThroughPoisonedScans(t *testing.T) {
+	// More frames than the readers and the writer can pin at once (4 × 3
+	// workers + 2), fewer than the table's pages by the end, so readers
+	// also evict.
+	db, err := Create(store.NewMemPager(), 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.CreateTable(table.Schema{Name: "ev", Cols: []string{"b", "i"}}); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	const batch, nBatches, readers = 400, 30, 4
+
+	// check streams op under the read's view and verifies that batch b
+	// is there in full for every b below the snapshot's batch count.
+	check := func(rt ReadTxn, want int, op exec.Operator) error {
+		seen := make([]int, want/batch)
+		err := exec.Stream(store.WithView(ctx, rt.View), op, func(rows []table.Row) error {
+			for _, r := range rows {
+				b, ok := r[0].(core.Int)
+				if !ok || int(b) >= len(seen) {
+					return fmt.Errorf("row %v in a snapshot of %d batches", r, len(seen))
+				}
+				seen[b]++
+			}
+			return nil
+		})
+		for b, n := range seen {
+			if err == nil && n != batch {
+				err = fmt.Errorf("batch %d has %d of %d rows", b, n, batch)
+			}
+		}
+		return err
+	}
+	poisoned := func(op exec.Operator) exec.Operator { return xtest.PoisonScratch(op) }
+
+	var wg sync.WaitGroup
+	errs := make(chan error, readers)
+	start := make(chan struct{})
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			<-start
+			for k := 0; k < 8; k++ {
+				rt := db.BeginRead()
+				tab, ok := rt.Snap.Table("ev")
+				if !ok {
+					rt.View.Release()
+					errs <- fmt.Errorf("reader %d: snapshot has no table ev", r)
+					return
+				}
+				want := tab.Count()
+				err := check(rt, want, poisoned(exec.NewScan(tab, nil)))
+				if err == nil {
+					src := tab.NewMorselSource()
+					err = check(rt, want, exec.NewGather([]exec.Operator{
+						poisoned(exec.NewMorselScan(src, nil)),
+						poisoned(exec.NewMorselScan(src, nil)),
+						poisoned(exec.NewMorselScan(src, nil)),
+					}))
+				}
+				rt.View.Release()
+				if err != nil {
+					errs <- fmt.Errorf("reader %d: %w", r, err)
 					return
 				}
 			}

@@ -20,7 +20,8 @@ import (
 
 // SysTables returns the database-derived system views: WAL/MVCC health
 // (__sys.wal), pinned snapshot epochs (__sys.txns), declared indexes
-// (__sys.indexes) and per-column statistics (__sys.stats).
+// (__sys.indexes), per-column statistics (__sys.stats) and the buffer
+// pool (__sys.bufferpool).
 func (db *Database) SysTables() []*sysview.Table {
 	return []*sysview.Table{
 		sysview.Standard(sysview.Wal,
@@ -31,6 +32,11 @@ func (db *Database) SysTables() []*sysview.Table {
 			"declared indexes visible to the planner", db.indexRows),
 		sysview.Standard(sysview.Stats,
 			"per-column statistics from the last analyze", db.statRows),
+		sysview.Standard(sysview.Pool,
+			"buffer-pool occupancy and hit/miss/eviction counters",
+			func(context.Context) ([]table.Row, error) {
+				return []table.Row{sysview.PoolRow(db.Pool().Info())}, nil
+			}),
 	}
 }
 

@@ -190,6 +190,56 @@ func Decode(buf []byte) (Value, int, error) {
 	}
 }
 
+// Skip returns the number of bytes the value at the front of buf
+// occupies without building it: a reader that does not need a value
+// steps over it. Only the framing is checked, not what Decode would
+// reject inside it (a bool byte other than 0 or 1, a NaN).
+func Skip(buf []byte) (int, error) {
+	if len(buf) == 0 {
+		return 0, ErrCorrupt
+	}
+	switch buf[0] {
+	case tagBool:
+		if len(buf) < 2 {
+			return 0, ErrCorrupt
+		}
+		return 2, nil
+	case tagInt:
+		_, n := binary.Uvarint(buf[1:])
+		if n <= 0 {
+			return 0, ErrCorrupt
+		}
+		return 1 + n, nil
+	case tagFloat:
+		if len(buf) < 9 {
+			return 0, ErrCorrupt
+		}
+		return 9, nil
+	case tagString:
+		l, n := binary.Uvarint(buf[1:])
+		if n <= 0 || uint64(len(buf)) < 1+uint64(n)+l {
+			return 0, ErrCorrupt
+		}
+		return 1 + n + int(l), nil
+	case tagSet:
+		cnt, n := binary.Uvarint(buf[1:])
+		if n <= 0 || cnt > uint64(len(buf)) {
+			return 0, ErrCorrupt
+		}
+		off := 1 + n
+		for i := uint64(0); i < 2*cnt; i++ { // n × (elem, scope)
+			k, err := Skip(buf[off:])
+			if err != nil {
+				return 0, err
+			}
+			off += k
+		}
+		return off, nil
+	default:
+		return 0, ErrCorrupt
+	}
+}
+
 // DecodeFull parses buf as exactly one value with no trailing bytes.
 func DecodeFull(buf []byte) (Value, error) {
 	v, n, err := Decode(buf)

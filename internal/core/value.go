@@ -96,27 +96,9 @@ func (b Bool) String() string {
 
 func (i Int) String() string { return strconv.FormatInt(int64(i), 10) }
 
-func (f Float) String() string {
-	s := strconv.FormatFloat(float64(f), 'g', -1, 64)
-	// Keep floats visually distinct from ints so rendering round-trips.
-	if !containsAny(s, ".eE") && s != "NaN" && s != "+Inf" && s != "-Inf" {
-		s += ".0"
-	}
-	return s
-}
+func (f Float) String() string { return string(appendFloat(nil, f)) }
 
 func (s Str) String() string { return strconv.Quote(string(s)) }
-
-func containsAny(s, chars string) bool {
-	for i := 0; i < len(s); i++ {
-		for j := 0; j < len(chars); j++ {
-			if s[i] == chars[j] {
-				return true
-			}
-		}
-	}
-	return false
-}
 
 const (
 	fnvOffset = 14695981039346656037

@@ -13,13 +13,23 @@
 //     work (hash-join build side, sort buffering, aggregate
 //     accumulation). The context is retained and polled once per batch
 //     by the streaming operators.
-//   - Next returns the next batch, or (nil, nil) when exhausted. The
-//     returned slice — and, for projection-shaped operators, the rows
-//     in it — is scratch owned by the operator: consume it before the
-//     next Next call and never retain it (clone rows that must
-//     outlive the pull loop).
+//   - Next returns the next batch, or (nil, nil) when exhausted.
 //   - Close releases resources; it is idempotent and safe after a
 //     failed Open.
+//
+// Ownership — one rule, everywhere: a batch and the rows in it are
+// scratch until the producer's next Next. The slice, the row headers
+// and the rows' value slots all belong to the operator, which refills
+// them in place (a scan decodes every page into the same two slabs, a
+// join probe cuts its output from one, a projection from another); the
+// values themselves are immutable and may always be kept. So consume a
+// batch before pulling again, and copy what must outlive the pull. The
+// operators that do hold rows across pulls — Gather, HashBuild, the
+// HashJoin build, Sort — and Collect take every batch through keep,
+// which copies it into one value slab and one header slab unless the
+// producer is a Retainer: an operator that hands out fresh batches it
+// never touches again, and says so. A position the plan does not read
+// is nil in a scan's rows (see NewScan); nothing above the scan looks.
 //
 // No operator materializes its full input except HashJoin's build side,
 // Sort, and GroupAgg's accumulator table — the three places DESIGN.md
@@ -32,6 +42,7 @@ import (
 	"fmt"
 	"time"
 
+	"xst/internal/core"
 	"xst/internal/table"
 	"xst/internal/trace"
 )
@@ -61,7 +72,8 @@ type Operator interface {
 	// polled once per batch while streaming.
 	Open(ctx context.Context) error
 	// Next returns the next output batch, or (nil, nil) at end of
-	// stream. See the package comment for batch ownership rules.
+	// stream. The batch is scratch until the following Next; see the
+	// package comment.
 	Next() ([]table.Row, error)
 	// Close releases the subtree's resources.
 	Close() error
@@ -87,22 +99,60 @@ func Walk(op Operator, fn func(op Operator, depth int)) {
 	rec(op, 0)
 }
 
+// Retainer marks operators whose Next batches (slice and rows) are
+// freshly allocated and never touched again by the operator, so a
+// holder may keep them uncopied (keep). It is the single switch for
+// clone-on-exchange, and only operators that really hand out fresh
+// batches implement it: an aggregate emitting its result, a remote
+// stream decoding off the wire, an exchange that has already copied.
+type Retainer interface{ RetainableBatches() bool }
+
+// retainableBatches reports whether op's batches may be kept uncopied.
+func retainableBatches(op Operator) bool {
+	r, ok := op.(Retainer)
+	return ok && r.RetainableBatches()
+}
+
+// cloneBatch copies a batch out of operator scratch: one slab for all
+// the values and one for the row headers, whatever the row count.
+func cloneBatch(rows []table.Row) []table.Row {
+	n := 0
+	for _, r := range rows {
+		n += len(r)
+	}
+	vals := make([]core.Value, 0, n)
+	out := make([]table.Row, len(rows))
+	for i, r := range rows {
+		vals = append(vals, r...)
+		out[i] = vals[len(vals)-len(r) : len(vals) : len(vals)]
+	}
+	return out
+}
+
+// keep returns op's batch in a form that outlives op's next Next: the
+// batch itself when op vouches for it (Retainer), a copy otherwise.
+// Every operator that holds rows across pulls takes them through here.
+func keep(op Operator, rows []table.Row) []table.Row {
+	if retainableBatches(op) {
+		return rows
+	}
+	return cloneBatch(rows)
+}
+
 // Collect drains the tree into a materialized, retainable row slice
-// (rows cloned out of operator scratch). The tree is opened and closed
-// around the drain.
+// (batches copied out of operator scratch, see keep). The tree is
+// opened and closed around the drain.
 func Collect(ctx context.Context, op Operator) ([]table.Row, error) {
 	var out []table.Row
 	err := Stream(ctx, op, func(rows []table.Row) error {
-		for _, r := range rows {
-			out = append(out, r.Clone())
-		}
+		out = append(out, keep(op, rows)...)
 		return nil
 	})
 	return out, err
 }
 
-// Stream opens op, feeds every batch to emit, and closes it. Batches
-// passed to emit follow the no-retain rule.
+// Stream opens op, feeds every batch to emit, and closes it. A batch
+// passed to emit is scratch once emit returns.
 //
 // When the context carries a trace span (trace.WithSpan), Stream opens
 // an "exec" child with "open", "next" and "close" phases under it, and

@@ -73,7 +73,7 @@ func sameRows(t *testing.T, got, want []table.Row) {
 func TestScanBatchesBounded(t *testing.T) {
 	pool := newPool()
 	tbl := makeUsers(t, pool, 3000)
-	op := exec.NewScan(tbl)
+	op := exec.NewScan(tbl, nil)
 	total, batches := 0, 0
 	err := exec.Stream(context.Background(), op, func(rows []table.Row) error {
 		if len(rows) == 0 || len(rows) > exec.MaxBatchRows {
@@ -110,7 +110,7 @@ func TestTreeMatchesAlgebra(t *testing.T) {
 	restrict := exec.NewStage(&xsp.Restrict{
 		Pred: func(r table.Row) bool { return core.Equal(r[1], core.Str("boston")) },
 		Name: "city=boston",
-	}, exec.NewScan(tbl))
+	}, exec.NewScan(tbl, nil))
 	rows, err := exec.Collect(context.Background(), restrict)
 	if err != nil {
 		t.Fatal(err)
@@ -125,7 +125,7 @@ func TestTreeMatchesAlgebra(t *testing.T) {
 		t.Fatalf("tree restriction ≠ σ-Restriction:\ntree=%v\nsym=%v", eb.Set(), sym)
 	}
 
-	project := exec.NewStage(&xsp.Project{Cols: []int{0}}, exec.NewScan(tbl))
+	project := exec.NewStage(&xsp.Project{Cols: []int{0}}, exec.NewScan(tbl, nil))
 	prows, err := exec.Collect(context.Background(), project)
 	if err != nil {
 		t.Fatal(err)
@@ -166,7 +166,7 @@ func TestHashJoinMatchesRelativeProduct(t *testing.T) {
 	sym := spec.Apply(lx, rx)
 
 	for _, buildLeft := range []bool{false, true} {
-		j := exec.NewHashJoin(exec.NewScan(l), exec.NewScan(r), 0, 0, buildLeft)
+		j := exec.NewHashJoin(exec.NewScan(l, nil), exec.NewScan(r, nil), 0, 0, buildLeft)
 		rows, err := exec.Collect(context.Background(), j)
 		if err != nil {
 			t.Fatal(err)
@@ -189,7 +189,7 @@ func TestHashJoinStreamsProbe(t *testing.T) {
 	pool := newPool()
 	users := makeUsers(t, pool, 50)
 	orders := makeOrders(t, pool, 5000, 50)
-	j := exec.NewHashJoin(exec.NewScan(orders), exec.NewScan(users), 0, 0, false)
+	j := exec.NewHashJoin(exec.NewScan(orders, nil), exec.NewScan(users, nil), 0, 0, false)
 	err := exec.Stream(context.Background(), j, func(rows []table.Row) error {
 		if len(rows) > exec.MaxBatchRows {
 			t.Fatalf("join emitted %d rows in one batch (max %d)", len(rows), exec.MaxBatchRows)
@@ -216,12 +216,12 @@ func TestHashJoinBuildSidesAgree(t *testing.T) {
 	users := makeUsers(t, pool, 40)
 	orders := makeOrders(t, pool, 200, 40)
 	a, err := exec.Collect(context.Background(),
-		exec.NewHashJoin(exec.NewScan(orders), exec.NewScan(users), 0, 0, false))
+		exec.NewHashJoin(exec.NewScan(orders, nil), exec.NewScan(users, nil), 0, 0, false))
 	if err != nil {
 		t.Fatal(err)
 	}
 	b, err := exec.Collect(context.Background(),
-		exec.NewHashJoin(exec.NewScan(orders), exec.NewScan(users), 0, 0, true))
+		exec.NewHashJoin(exec.NewScan(orders, nil), exec.NewScan(users, nil), 0, 0, true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestGroupAggMatchesXSP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := exec.NewGroupAgg(exec.NewScan(tbl), 1, aggs...)
+	g := exec.NewGroupAgg(exec.NewScan(tbl, nil), 1, aggs...)
 	got, err := exec.Collect(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
@@ -265,7 +265,7 @@ func TestGroupAggMatchesXSP(t *testing.T) {
 func TestSortAndLimit(t *testing.T) {
 	pool := newPool()
 	tbl := makeUsers(t, pool, 500)
-	s := exec.NewSort(exec.NewScan(tbl), 0, true)
+	s := exec.NewSort(exec.NewScan(tbl, nil), 0, true)
 	rows, err := exec.Collect(context.Background(), exec.NewLimit(s, 7))
 	if err != nil {
 		t.Fatal(err)
@@ -284,7 +284,7 @@ func TestSortAndLimit(t *testing.T) {
 }
 
 func TestNextBeforeOpenErrors(t *testing.T) {
-	op := exec.NewScan(makeUsers(t, newPool(), 5))
+	op := exec.NewScan(makeUsers(t, newPool(), 5), nil)
 	if _, err := op.Next(); err == nil {
 		t.Fatal("Next before Open should error")
 	}
@@ -295,7 +295,7 @@ func TestJoinCancelDuringBuild(t *testing.T) {
 	users := makeUsers(t, pool, 4000)
 	orders := makeOrders(t, pool, 10, 4000)
 	xtest.AssertCancelAborts(t, 3, func(ctx context.Context) error {
-		j := exec.NewHashJoin(exec.NewScan(orders), exec.NewScan(users), 0, 0, false)
+		j := exec.NewHashJoin(exec.NewScan(orders, nil), exec.NewScan(users, nil), 0, 0, false)
 		_, err := exec.Count(ctx, j)
 		return err
 	})
@@ -306,7 +306,7 @@ func TestJoinCancelDuringProbe(t *testing.T) {
 	users := makeUsers(t, pool, 8)
 	orders := makeOrders(t, pool, 8000, 8)
 	xtest.AssertCancelAborts(t, 12, func(ctx context.Context) error {
-		j := exec.NewHashJoin(exec.NewScan(orders), exec.NewScan(users), 0, 0, false)
+		j := exec.NewHashJoin(exec.NewScan(orders, nil), exec.NewScan(users, nil), 0, 0, false)
 		_, err := exec.Count(ctx, j)
 		return err
 	})
@@ -316,7 +316,7 @@ func TestGroupAggCancel(t *testing.T) {
 	pool := newPool()
 	tbl := makeUsers(t, pool, 8000)
 	xtest.AssertCancelAborts(t, 3, func(ctx context.Context) error {
-		g := exec.NewGroupAgg(exec.NewScan(tbl), 1, xsp.Agg{Kind: xsp.Count})
+		g := exec.NewGroupAgg(exec.NewScan(tbl, nil), 1, xsp.Agg{Kind: xsp.Count})
 		_, err := exec.Count(ctx, g)
 		return err
 	})
@@ -326,7 +326,7 @@ func TestSortCancel(t *testing.T) {
 	pool := newPool()
 	tbl := makeUsers(t, pool, 8000)
 	xtest.AssertCancelAborts(t, 3, func(ctx context.Context) error {
-		s := exec.NewSort(exec.NewScan(tbl), 0, false)
+		s := exec.NewSort(exec.NewScan(tbl, nil), 0, false)
 		_, err := exec.Count(ctx, s)
 		return err
 	})

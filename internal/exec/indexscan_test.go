@@ -28,7 +28,7 @@ func buildIndexes(t testing.TB, tbl *table.Table) (*index.HashIndex, *index.BTre
 // scanWhere is the full-scan oracle: every row passing keep.
 func scanWhere(t *testing.T, tbl *table.Table, keep func(table.Row) bool) []table.Row {
 	t.Helper()
-	all, err := exec.Collect(context.Background(), exec.NewScan(tbl))
+	all, err := exec.Collect(context.Background(), exec.NewScan(tbl, nil))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,47 @@ import (
 	"xst/internal/table"
 )
 
+// joinOut is the output side of a hash-join probe, shared by HashJoin
+// and ProbeJoin: the joined rows of one probe batch, cut from one value
+// slab and queued in one header slab, both reused by the next probe
+// batch, and handed out in MaxBatchRows chunks. What it hands out is
+// scratch until the owner's next Next, like any operator's batch.
+type joinOut struct {
+	slab  []core.Value
+	queue []table.Row
+	pos   int // queue[:pos] has been handed out
+	probe int // rows in the probe batch being joined, the sizing hint
+}
+
+// drained reports whether every queued row has been handed out.
+func (o *joinOut) drained() bool { return o.pos == len(o.queue) }
+
+// refill starts the output of a probe batch of n rows.
+func (o *joinOut) refill(n int) {
+	o.slab, o.queue, o.pos, o.probe = o.slab[:0], o.queue[:0], 0, n
+}
+
+// add queues the joined row l ++ r.
+func (o *joinOut) add(l, r table.Row) {
+	n := len(l) + len(r)
+	if len(o.slab)+n > cap(o.slab) {
+		// Continue in a larger slab (a fan-out-one batch fits the first);
+		// the rows already cut keep the old one alive.
+		o.slab = make([]core.Value, 0, max(2*cap(o.slab), n*o.probe))
+	}
+	start := len(o.slab)
+	o.slab = append(append(o.slab, l...), r...)
+	o.queue = append(o.queue, o.slab[start:len(o.slab):len(o.slab)])
+}
+
+// next hands out the next chunk of queued rows.
+func (o *joinOut) next() []table.Row {
+	n := min(len(o.queue)-o.pos, MaxBatchRows)
+	out := o.queue[o.pos : o.pos+n]
+	o.pos += n
+	return out
+}
+
 // HashJoin is the Relative Product (Def 10.1) in streaming form: Open
 // drains the *build* side into a hash index — the one sanctioned
 // materialization — and Next streams probe batches against it, so the
@@ -27,7 +68,7 @@ type HashJoin struct {
 	ctx   context.Context
 	atoms map[core.AtomKey][]table.Row
 	sets  map[string][]table.Row
-	queue []table.Row
+	out   joinOut
 	done  bool
 	stats OpStats
 	open  bool
@@ -40,15 +81,16 @@ func NewHashJoin(left, right Operator, leftCol, rightCol int, buildLeft bool) *H
 }
 
 // Open implements Operator: opens both children and consumes the build
-// side into the index. Build rows are cloned out of child scratch; the
-// context is polled every few hundred rows during the build.
+// side into the index. Build batches are copied out of child scratch
+// (see keep); the context is polled every few hundred rows during the
+// build.
 func (j *HashJoin) Open(ctx context.Context) error {
 	j.stats = OpStats{}
 	defer j.stats.timed(time.Now())
 	j.ctx = ctx
 	j.atoms = map[core.AtomKey][]table.Row{}
 	j.sets = map[string][]table.Row{}
-	j.queue = nil
+	j.out = joinOut{}
 	j.done = false
 	j.open = true
 	if err := j.left.Open(ctx); err != nil {
@@ -71,7 +113,7 @@ func (j *HashJoin) Open(ctx context.Context) error {
 			return nil
 		}
 		j.stats.RowsIn += len(rows)
-		for _, r := range rows {
+		for _, r := range keep(build, rows) {
 			if steps%256 == 0 {
 				if err := ctx.Err(); err != nil {
 					return err
@@ -80,10 +122,10 @@ func (j *HashJoin) Open(ctx context.Context) error {
 			steps++
 			k := r[bcol]
 			if ak, ok := core.AtomKeyOf(k); ok {
-				j.atoms[ak] = append(j.atoms[ak], r.Clone())
+				j.atoms[ak] = append(j.atoms[ak], r)
 			} else {
 				ek := core.Key(k)
-				j.sets[ek] = append(j.sets[ek], r.Clone())
+				j.sets[ek] = append(j.sets[ek], r)
 			}
 			j.stats.HeldRows++
 		}
@@ -91,8 +133,7 @@ func (j *HashJoin) Open(ctx context.Context) error {
 }
 
 // Next implements Operator: pulls probe batches until matches
-// accumulate, then emits them in MaxBatchRows chunks. Output rows are
-// freshly allocated and retainable.
+// accumulate, then emits them in MaxBatchRows chunks.
 func (j *HashJoin) Next() ([]table.Row, error) {
 	defer j.stats.timed(time.Now())
 	if !j.open {
@@ -102,7 +143,7 @@ func (j *HashJoin) Next() ([]table.Row, error) {
 	if j.buildLeft {
 		probe, pcol = j.right, j.rightCol
 	}
-	for len(j.queue) == 0 {
+	for j.out.drained() {
 		if j.done {
 			return nil, nil
 		}
@@ -118,6 +159,7 @@ func (j *HashJoin) Next() ([]table.Row, error) {
 			return nil, nil
 		}
 		j.stats.RowsIn += len(rows)
+		j.out.refill(len(rows))
 		for _, pr := range rows {
 			k := pr[pcol]
 			var matches []table.Row
@@ -127,20 +169,15 @@ func (j *HashJoin) Next() ([]table.Row, error) {
 				matches = j.sets[core.Key(k)]
 			}
 			for _, br := range matches {
-				l, r := pr, br
 				if j.buildLeft {
-					l, r = br, pr
+					j.out.add(br, pr)
+				} else {
+					j.out.add(pr, br)
 				}
-				row := make(table.Row, 0, len(l)+len(r))
-				row = append(row, l...)
-				row = append(row, r...)
-				j.queue = append(j.queue, row)
 			}
 		}
 	}
-	n := min(len(j.queue), MaxBatchRows)
-	out := j.queue[:n]
-	j.queue = j.queue[n:]
+	out := j.out.next()
 	j.stats.emitted(out)
 	return out, nil
 }
@@ -150,7 +187,7 @@ func (j *HashJoin) Close() error {
 	j.open = false
 	j.atoms = nil
 	j.sets = nil
-	j.queue = nil
+	j.out = joinOut{}
 	lerr := j.left.Close()
 	rerr := j.right.Close()
 	if lerr != nil {

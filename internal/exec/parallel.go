@@ -40,50 +40,34 @@ func workerSpan(ctx context.Context, phase string, i int) *trace.Span {
 // N probe workers, and ParallelGroupAgg folds per-worker xsp.AggState
 // accumulators with a merge stage.
 //
-// Cross-goroutine batch ownership (see DESIGN.md §9): the serial
-// "scratch owned by the operator" rule assumes producer and consumer
-// alternate on one goroutine, which no longer holds across an exchange.
-// Gather therefore clones every batch out of worker scratch before it
-// crosses the channel — unless the worker root implements Retainer and
-// vouches that its batches are freshly allocated and never reused.
-
-// Retainer marks operators whose Next batches (slice and rows) are
-// freshly allocated and never reused by a later Next, so an exchange
-// may ship them across goroutines without cloning.
-type Retainer interface{ RetainableBatches() bool }
-
-// retainableBatches reports whether op's batches may cross goroutines
-// uncloned.
-func retainableBatches(op Operator) bool {
-	r, ok := op.(Retainer)
-	return ok && r.RetainableBatches()
-}
-
-// cloneBatch copies a batch out of operator scratch.
-func cloneBatch(rows []table.Row) []table.Row {
-	out := make([]table.Row, len(rows))
-	for i, r := range rows {
-		out[i] = r.Clone()
-	}
-	return out
-}
+// Batch ownership across goroutines (see DESIGN.md §9) is the package's
+// one rule applied at the exchange: a worker's batch is scratch until
+// that worker's next Next, which on another goroutine can be any moment
+// after the send. So Gather takes every batch through keep before it
+// crosses the channel, and what arrives belongs to Gather's consumer.
 
 // MorselScan is one parallel-scan worker: it claims heap pages (morsels)
 // from a shared table.MorselSource and emits each page's rows as
 // batches. N MorselScans over one source partition the table
-// dynamically — fast workers claim more pages. Rows are fresh decoded
-// copies and the emitted arrays are never rewritten, so batches are
-// retainable (Retainer).
+// dynamically — fast workers claim more pages. Each worker decodes into
+// its own table.PageBatch, so its batches are scratch until its next
+// Next and an exchange above it copies them; positions outside need are
+// nil (see NewScan).
 type MorselScan struct {
 	src   *table.MorselSource
+	need  []bool
+	batch table.PageBatch
 	ctx   context.Context
 	pend  []table.Row
 	stats OpStats
 	open  bool
 }
 
-// NewMorselScan returns a scan worker pulling from src.
-func NewMorselScan(src *table.MorselSource) *MorselScan { return &MorselScan{src: src} }
+// NewMorselScan returns a scan worker pulling from src, decoding the
+// positions need marks (nil: all).
+func NewMorselScan(src *table.MorselSource, need []bool) *MorselScan {
+	return &MorselScan{src: src, need: need}
+}
 
 // Open implements Operator. Bind pins the shared source to the
 // context's snapshot view (first worker wins; the others adopt its
@@ -92,9 +76,7 @@ func (s *MorselScan) Open(ctx context.Context) error {
 	s.stats = OpStats{}
 	defer s.stats.timed(time.Now())
 	s.ctx = ctx
-	if err := s.src.Bind(ctx); err != nil {
-		return err
-	}
+	s.src.Bind(ctx)
 	s.pend = nil
 	s.open = true
 	return ctx.Err()
@@ -122,7 +104,7 @@ func (s *MorselScan) Next() ([]table.Row, error) {
 		if !ok {
 			return nil, nil
 		}
-		rows, err := s.src.Table().ReadPageRows(id)
+		rows, err := s.src.Table().ReadPage(id, &s.batch, s.need)
 		if err != nil {
 			return nil, err
 		}
@@ -137,9 +119,6 @@ func (s *MorselScan) Close() error {
 	s.pend = nil
 	return nil
 }
-
-// RetainableBatches implements Retainer.
-func (s *MorselScan) RetainableBatches() bool { return true }
 
 // OutSchema implements Operator.
 func (s *MorselScan) OutSchema() table.Schema { return s.src.Table().Schema() }
@@ -164,10 +143,10 @@ func (s *MorselScan) String() string { return "morselscan(" + s.src.Table().Sche
 //     returns that error once the channel drains;
 //   - prompt shutdown: Close cancels, drains, and joins every worker
 //     goroutine before returning, so no goroutine outlives the tree;
-//   - ownership: batches are cloned out of worker scratch before they
-//     cross the channel unless the worker root is a Retainer, after
-//     which they belong to Gather's consumer under the usual serial
-//     rule.
+//   - ownership: every batch is taken through keep before it crosses
+//     the channel, so what Next returns is a fresh batch Gather never
+//     touches again — Gather is itself a Retainer, and a Sort or
+//     Collect above it does not copy a second time.
 //
 // aux operators are shared dependencies of the workers (e.g. the
 // HashBuild that ProbeJoin workers probe): Open opens them in order,
@@ -241,7 +220,6 @@ func (g *Gather) produce(i int, w Operator) {
 		g.fail(err)
 		return
 	}
-	retain := retainableBatches(w)
 	for {
 		// Poll the caller's context, not just the derived one: the
 		// derived context only observes cancellation that has already
@@ -262,10 +240,7 @@ func (g *Gather) produce(i int, w Operator) {
 		}
 		wsp.AddRows(len(rows))
 		wsp.AddBatches(1)
-		batch := rows
-		if !retain {
-			batch = cloneBatch(rows)
-		}
+		batch := keep(w, rows)
 		n := g.inFlight.Add(int64(len(batch)))
 		for {
 			p := g.peak.Load()
@@ -341,6 +316,9 @@ func (g *Gather) Close() error {
 	return first
 }
 
+// RetainableBatches implements Retainer: produce has already copied.
+func (g *Gather) RetainableBatches() bool { return true }
+
 // Workers returns the fan-out width of the exchange.
 func (g *Gather) Workers() int { return len(g.workers) }
 
@@ -367,16 +345,13 @@ func (g *Gather) String() string { return fmt.Sprintf("gather[%d]", len(g.worker
 
 // ParallelScan deals t's heap pages to n MorselScan workers behind a
 // Gather — the parallel form of Scan.
-func ParallelScan(t *table.Table, n int) (*Gather, error) {
-	src, err := t.NewMorselSource()
-	if err != nil {
-		return nil, err
-	}
+func ParallelScan(t *table.Table, n int) *Gather {
+	src := t.NewMorselSource()
 	workers := make([]Operator, n)
 	for i := range workers {
-		workers[i] = NewMorselScan(src)
+		workers[i] = NewMorselScan(src, nil)
 	}
-	return NewGather(workers), nil
+	return NewGather(workers)
 }
 
 // buildPart is one hash partition of a parallel join build.
@@ -386,8 +361,8 @@ type buildPart struct {
 }
 
 // HashBuild is the parallel build side of a partitioned hash join: Open
-// drains N builder subtrees concurrently, each routing its (cloned)
-// rows into per-partition buckets by key digest, then builds the
+// drains N builder subtrees concurrently, each routing its rows (kept,
+// see keep) into per-partition buckets by key digest, then builds the
 // partitions' hash maps in parallel — two fan-outs with a barrier
 // between, all inside Open (the sanctioned blocking phase). After Open
 // the partitions are immutable, so any number of ProbeJoin workers may
@@ -427,8 +402,8 @@ func (b *HashBuild) Open(ctx context.Context) error {
 	wctx, cancel := context.WithCancel(ctx)
 	b.cancel = cancel
 
-	// Phase 1: each builder drains its subtree, routing cloned rows
-	// into its own per-partition buckets (no shared state, no locks).
+	// Phase 1: each builder drains its subtree, routing kept rows into
+	// its own per-partition buckets (no shared state, no locks).
 	// First-error-wins: the error that triggered the cancellation is the
 	// one reported, not a sibling's resulting context.Canceled.
 	buckets := make([][][]table.Row, len(b.builders)) // [builder][partition][]row
@@ -452,7 +427,6 @@ func (b *HashBuild) Open(ctx context.Context) error {
 				fail(err)
 				return
 			}
-			retain := retainableBatches(bl)
 			for {
 				rows, err := bl.Next()
 				if err != nil {
@@ -476,10 +450,7 @@ func (b *HashBuild) Open(ctx context.Context) error {
 				}
 				bsp.AddRows(len(rows))
 				bsp.AddBatches(1)
-				for _, r := range rows {
-					if !retain {
-						r = r.Clone()
-					}
+				for _, r := range keep(bl, rows) {
 					p := int(core.Digest(r[b.col]) % uint64(nparts))
 					local[p] = append(local[p], r)
 				}
@@ -581,9 +552,8 @@ func (b *HashBuild) String() string {
 // ProbeJoin is one probe worker of a partitioned hash join: it streams
 // its probe subtree against a shared (already-opened) HashBuild.
 // buildIsLeft says which logical side the build rows are, so output is
-// always left-columns ++ right-columns like HashJoin. Output rows are
-// freshly allocated and emitted arrays are never rewritten, so batches
-// are retainable.
+// always left-columns ++ right-columns like HashJoin, and comes out of
+// the same reused joinOut slabs.
 type ProbeJoin struct {
 	probe       Operator
 	build       *HashBuild
@@ -591,7 +561,7 @@ type ProbeJoin struct {
 	buildIsLeft bool
 
 	ctx   context.Context
-	queue []table.Row
+	out   joinOut
 	done  bool
 	stats OpStats
 	open  bool
@@ -610,7 +580,7 @@ func (j *ProbeJoin) Open(ctx context.Context) error {
 	j.stats = OpStats{}
 	defer j.stats.timed(time.Now())
 	j.ctx = ctx
-	j.queue = nil
+	j.out = joinOut{}
 	j.done = false
 	j.open = true
 	if !j.build.started {
@@ -625,7 +595,7 @@ func (j *ProbeJoin) Next() ([]table.Row, error) {
 	if !j.open {
 		return nil, errOpen(j)
 	}
-	for len(j.queue) == 0 {
+	for j.out.drained() {
 		if j.done {
 			return nil, nil
 		}
@@ -641,25 +611,18 @@ func (j *ProbeJoin) Next() ([]table.Row, error) {
 			return nil, nil
 		}
 		j.stats.RowsIn += len(rows)
-		// Fresh queue array per refill: previously emitted batches alias
-		// the old array and must stay intact (RetainableBatches).
-		j.queue = nil
+		j.out.refill(len(rows))
 		for _, pr := range rows {
 			for _, br := range j.build.lookup(pr[j.probeCol]) {
-				l, r := pr, br
 				if j.buildIsLeft {
-					l, r = br, pr
+					j.out.add(br, pr)
+				} else {
+					j.out.add(pr, br)
 				}
-				row := make(table.Row, 0, len(l)+len(r))
-				row = append(row, l...)
-				row = append(row, r...)
-				j.queue = append(j.queue, row)
 			}
 		}
 	}
-	n := min(len(j.queue), MaxBatchRows)
-	out := j.queue[:n]
-	j.queue = j.queue[n:]
+	out := j.out.next()
 	j.stats.emitted(out)
 	return out, nil
 }
@@ -668,12 +631,9 @@ func (j *ProbeJoin) Next() ([]table.Row, error) {
 // build belongs to the Gather).
 func (j *ProbeJoin) Close() error {
 	j.open = false
-	j.queue = nil
+	j.out = joinOut{}
 	return j.probe.Close()
 }
-
-// RetainableBatches implements Retainer.
-func (j *ProbeJoin) RetainableBatches() bool { return true }
 
 // OutSchema implements Operator: left ++ right, like HashJoin.
 func (j *ProbeJoin) OutSchema() table.Schema {

@@ -20,15 +20,12 @@ import (
 func TestParallelScanMatchesScan(t *testing.T) {
 	pool := newPool()
 	tbl := makeUsers(t, pool, 3000)
-	want, err := exec.Collect(context.Background(), exec.NewScan(tbl))
+	want, err := exec.Collect(context.Background(), exec.NewScan(tbl, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 2, 4} {
-		g, err := exec.ParallelScan(tbl, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
+		g := exec.ParallelScan(tbl, workers)
 		if g.Workers() != workers {
 			t.Fatalf("Workers() = %d, want %d", g.Workers(), workers)
 		}
@@ -56,10 +53,7 @@ func TestGatherBoundsInFlightRows(t *testing.T) {
 	pool := newPool()
 	tbl := makeUsers(t, pool, 20000)
 	const workers = 4
-	g, err := exec.ParallelScan(tbl, workers)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := exec.ParallelScan(tbl, workers)
 	n, err := exec.Count(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
@@ -86,19 +80,16 @@ func TestGatherClonesStageBatches(t *testing.T) {
 	boston := func(r table.Row) bool { return core.Equal(r[1], core.Str("boston")) }
 
 	want, err := exec.Collect(context.Background(), exec.NewStage(
-		&xsp.Restrict{Pred: boston, Name: "city=boston"}, exec.NewScan(tbl)))
+		&xsp.Restrict{Pred: boston, Name: "city=boston"}, exec.NewScan(tbl, nil)))
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	src, err := tbl.NewMorselSource()
-	if err != nil {
-		t.Fatal(err)
-	}
+	src := tbl.NewMorselSource()
 	workers := make([]exec.Operator, 3)
 	for i := range workers {
 		workers[i] = exec.NewStage(
-			&xsp.Restrict{Pred: boston, Name: "city=boston"}, exec.NewMorselScan(src))
+			&xsp.Restrict{Pred: boston, Name: "city=boston"}, exec.NewMorselScan(src, nil))
 	}
 	got, err := exec.Collect(context.Background(), exec.NewGather(workers))
 	if err != nil {
@@ -112,22 +103,16 @@ func TestGatherClonesStageBatches(t *testing.T) {
 // ProbeJoins around it.
 func parallelJoin(t *testing.T, users, orders *table.Table, workers int) (*exec.Gather, *exec.HashBuild) {
 	t.Helper()
-	usrc, err := users.NewMorselSource()
-	if err != nil {
-		t.Fatal(err)
-	}
-	osrc, err := orders.NewMorselSource()
-	if err != nil {
-		t.Fatal(err)
-	}
+	usrc := users.NewMorselSource()
+	osrc := orders.NewMorselSource()
 	bw := make([]exec.Operator, workers)
 	for i := range bw {
-		bw[i] = exec.NewMorselScan(usrc)
+		bw[i] = exec.NewMorselScan(usrc, nil)
 	}
 	hb := exec.NewHashBuild(bw, 0) // users.id
 	pw := make([]exec.Operator, workers)
 	for i := range pw {
-		pw[i] = exec.NewProbeJoin(exec.NewMorselScan(osrc), hb, 0, false) // orders.uid
+		pw[i] = exec.NewProbeJoin(exec.NewMorselScan(osrc, nil), hb, 0, false) // orders.uid
 	}
 	return exec.NewGather(pw, hb), hb
 }
@@ -137,7 +122,7 @@ func TestParallelJoinMatchesHashJoin(t *testing.T) {
 	users := makeUsers(t, pool, 60)
 	orders := makeOrders(t, pool, 3000, 60)
 	want, err := exec.Collect(context.Background(),
-		exec.NewHashJoin(exec.NewScan(orders), exec.NewScan(users), 0, 0, false))
+		exec.NewHashJoin(exec.NewScan(orders, nil), exec.NewScan(users, nil), 0, 0, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,19 +142,16 @@ func TestParallelGroupAggMatchesGroupAgg(t *testing.T) {
 	pool := newPool()
 	tbl := makeUsers(t, pool, 999)
 	aggs := []xsp.Agg{{Kind: xsp.Count}, {Kind: xsp.Sum, Col: 2}, {Kind: xsp.Min, Col: 0}, {Kind: xsp.Max, Col: 0}}
-	serial := exec.NewGroupAgg(exec.NewScan(tbl), 1, aggs...)
+	serial := exec.NewGroupAgg(exec.NewScan(tbl, nil), 1, aggs...)
 	want, err := exec.Collect(context.Background(), serial)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	src, err := tbl.NewMorselSource()
-	if err != nil {
-		t.Fatal(err)
-	}
+	src := tbl.NewMorselSource()
 	workers := make([]exec.Operator, 4)
 	for i := range workers {
-		workers[i] = exec.NewMorselScan(src)
+		workers[i] = exec.NewMorselScan(src, nil)
 	}
 	pg := exec.NewParallelGroupAgg(workers, nil, 1, aggs...)
 	got, err := exec.Collect(context.Background(), pg)
@@ -189,8 +171,8 @@ func TestProbeBeforeBuildOpenErrors(t *testing.T) {
 	pool := newPool()
 	users := makeUsers(t, pool, 30)
 	orders := makeOrders(t, pool, 30, 30)
-	hb := exec.NewHashBuild([]exec.Operator{exec.NewScan(users)}, 0)
-	pj := exec.NewProbeJoin(exec.NewScan(orders), hb, 0, false)
+	hb := exec.NewHashBuild([]exec.Operator{exec.NewScan(users, nil)}, 0)
+	pj := exec.NewProbeJoin(exec.NewScan(orders, nil), hb, 0, false)
 	if err := pj.Open(context.Background()); err == nil {
 		pj.Close()
 		t.Fatal("ProbeJoin.Open succeeded against an unopened HashBuild")
@@ -198,10 +180,7 @@ func TestProbeBeforeBuildOpenErrors(t *testing.T) {
 }
 
 func TestGatherNextBeforeOpenErrors(t *testing.T) {
-	g, err := exec.ParallelScan(makeUsers(t, newPool(), 10), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := exec.ParallelScan(makeUsers(t, newPool(), 10), 2)
 	if _, err := g.Next(); err == nil {
 		t.Fatal("Next before Open should error")
 	}
@@ -244,17 +223,14 @@ func TestGatherFirstErrorWins(t *testing.T) {
 	tbl := makeUsers(t, pool, 20000)
 	boom := errors.New("boom")
 	xtest.AssertErrorAborts(t, boom, func(ctx context.Context) error {
-		src, err := tbl.NewMorselSource()
-		if err != nil {
-			return err
-		}
+		src := tbl.NewMorselSource()
 		workers := []exec.Operator{
-			exec.NewMorselScan(src),
-			exec.NewMorselScan(src),
-			exec.NewMorselScan(src),
+			exec.NewMorselScan(src, nil),
+			exec.NewMorselScan(src, nil),
+			exec.NewMorselScan(src, nil),
 			&failOp{after: 1, err: boom},
 		}
-		_, err = exec.Count(ctx, exec.NewGather(workers))
+		_, err := exec.Count(ctx, exec.NewGather(workers))
 		return err
 	})
 }
@@ -266,16 +242,13 @@ func TestParallelGroupAggFirstErrorWins(t *testing.T) {
 	tbl := makeUsers(t, pool, 20000)
 	boom := errors.New("boom")
 	xtest.AssertErrorAborts(t, boom, func(ctx context.Context) error {
-		src, err := tbl.NewMorselSource()
-		if err != nil {
-			return err
-		}
+		src := tbl.NewMorselSource()
 		workers := []exec.Operator{
-			exec.NewMorselScan(src),
-			exec.NewMorselScan(src),
+			exec.NewMorselScan(src, nil),
+			exec.NewMorselScan(src, nil),
 			&failOp{after: 1, err: boom},
 		}
-		_, err = exec.Count(ctx, exec.NewParallelGroupAgg(workers, nil, 1, xsp.Agg{Kind: xsp.Count}))
+		_, err := exec.Count(ctx, exec.NewParallelGroupAgg(workers, nil, 1, xsp.Agg{Kind: xsp.Count}))
 		return err
 	})
 }
@@ -284,11 +257,8 @@ func TestParallelScanCancel(t *testing.T) {
 	pool := newPool()
 	tbl := makeUsers(t, pool, 8000)
 	xtest.AssertCancelAborts(t, 3, func(ctx context.Context) error {
-		g, err := exec.ParallelScan(tbl, 4)
-		if err != nil {
-			return err
-		}
-		_, err = exec.Count(ctx, g)
+		g := exec.ParallelScan(tbl, 4)
+		_, err := exec.Count(ctx, g)
 		return err
 	})
 }
@@ -308,15 +278,12 @@ func TestParallelGroupAggCancel(t *testing.T) {
 	pool := newPool()
 	tbl := makeUsers(t, pool, 8000)
 	xtest.AssertCancelAborts(t, 3, func(ctx context.Context) error {
-		src, err := tbl.NewMorselSource()
-		if err != nil {
-			return err
-		}
+		src := tbl.NewMorselSource()
 		workers := make([]exec.Operator, 4)
 		for i := range workers {
-			workers[i] = exec.NewMorselScan(src)
+			workers[i] = exec.NewMorselScan(src, nil)
 		}
-		_, err = exec.Count(ctx, exec.NewParallelGroupAgg(workers, nil, 1, xsp.Agg{Kind: xsp.Count}))
+		_, err := exec.Count(ctx, exec.NewParallelGroupAgg(workers, nil, 1, xsp.Agg{Kind: xsp.Count}))
 		return err
 	})
 }
@@ -328,10 +295,7 @@ func TestGatherEarlyClose(t *testing.T) {
 	pool := newPool()
 	tbl := makeUsers(t, pool, 20000)
 	xtest.AssertCancelAborts(t, 1000, func(ctx context.Context) error {
-		g, err := exec.ParallelScan(tbl, 4)
-		if err != nil {
-			return err
-		}
+		g := exec.ParallelScan(tbl, 4)
 		if err := g.Open(ctx); err != nil {
 			g.Close()
 			return err

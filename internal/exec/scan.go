@@ -12,9 +12,12 @@ import (
 // table.BatchCursor — the pull form of the set-processing access path.
 // The consumer paces the scan: one page is pinned, decoded, and
 // unpinned per Next, and the stored context is polled per batch so a
-// deadline aborts between pages.
+// deadline aborts between pages. The cursor decodes every page into
+// the same two slabs, so a batch is scratch until the next Next like
+// any other operator's, and positions outside need are nil.
 type Scan struct {
 	tab   *table.Table
+	need  []bool
 	cur   *table.BatchCursor
 	ctx   context.Context
 	pend  []table.Row
@@ -22,8 +25,10 @@ type Scan struct {
 	open  bool
 }
 
-// NewScan returns a scan operator over t.
-func NewScan(t *table.Table) *Scan { return &Scan{tab: t} }
+// NewScan returns a scan operator over t that decodes the column
+// positions need marks (nil: all) and leaves the others nil — the
+// planner passes the positions the operators above it read.
+func NewScan(t *table.Table, need []bool) *Scan { return &Scan{tab: t, need: need} }
 
 // Open implements Operator. When the context carries a snapshot view
 // (store.WithView), the cursor is pinned to that view's commit epoch,
@@ -37,7 +42,7 @@ func (s *Scan) Open(ctx context.Context) error {
 	if v := store.ViewFrom(ctx); v != nil {
 		tab = tab.At(v)
 	}
-	s.cur = tab.NewBatchCursor()
+	s.cur = tab.NewBatchCursor(s.need)
 	s.pend = nil
 	s.open = true
 	return ctx.Err()

@@ -28,8 +28,8 @@ func NewSort(child Operator, col int, desc bool) *Sort {
 }
 
 // Open implements Operator, buffering and sorting the whole child
-// stream; rows are cloned out of child scratch and the context is
-// polled every few hundred rows.
+// stream; batches are copied out of child scratch (see keep) and the
+// context is polled once per batch.
 func (s *Sort) Open(ctx context.Context) error {
 	s.stats = OpStats{}
 	defer s.stats.timed(time.Now())
@@ -38,7 +38,6 @@ func (s *Sort) Open(ctx context.Context) error {
 		return err
 	}
 	s.queue = s.queue[:0]
-	steps := 0
 	for {
 		rows, err := s.child.Next()
 		if err != nil {
@@ -47,16 +46,11 @@ func (s *Sort) Open(ctx context.Context) error {
 		if rows == nil {
 			break
 		}
-		s.stats.RowsIn += len(rows)
-		for _, r := range rows {
-			if steps%256 == 0 {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-			}
-			steps++
-			s.queue = append(s.queue, r.Clone())
+		if err := ctx.Err(); err != nil {
+			return err
 		}
+		s.stats.RowsIn += len(rows)
+		s.queue = append(s.queue, keep(s.child, rows)...)
 	}
 	s.stats.HeldRows = len(s.queue)
 	col, desc := s.col, s.desc

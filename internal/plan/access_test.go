@@ -85,6 +85,27 @@ func fullCatalog(t testing.TB, u, o, it *table.Table) *Catalog {
 // planner's soundness net: whatever access path or join order the cost
 // model picks, the answer may not change.
 func TestIndexDifferentialEquivalence(t *testing.T) {
+	queries, cat := differentialQueries(t)
+	for i, q := range queries {
+		naive, nsch, err := Execute(Optimize(q))
+		if err != nil {
+			t.Fatalf("query %d heuristic: %v", i+1, err)
+		}
+		costed, csch, err := Execute(OptimizeCatalog(q, cat))
+		if err != nil {
+			t.Fatalf("query %d cost-based: %v", i+1, err)
+		}
+		if strings.Join(nsch.Cols, ",") != strings.Join(csch.Cols, ",") {
+			t.Fatalf("query %d: schema changed %v vs %v", i+1, nsch.Cols, csch.Cols)
+		}
+		sameRows(t, naive, costed)
+	}
+}
+
+// differentialQueries is the 24-query suite with the catalog (indexes
+// and statistics on every table) the cost-based optimizer plans it on.
+func differentialQueries(t *testing.T) ([]Node, *Catalog) {
+	t.Helper()
 	u, o, it := testTables3(t, 60, 400, 900)
 	cat := fullCatalog(t, u, o, it)
 
@@ -132,20 +153,7 @@ func TestIndexDifferentialEquivalence(t *testing.T) {
 	if len(queries) != 24 {
 		t.Fatalf("suite holds %d queries, want 24", len(queries))
 	}
-	for i, q := range queries {
-		naive, nsch, err := Execute(Optimize(q))
-		if err != nil {
-			t.Fatalf("query %d heuristic: %v", i+1, err)
-		}
-		costed, csch, err := Execute(OptimizeCatalog(q, cat))
-		if err != nil {
-			t.Fatalf("query %d cost-based: %v", i+1, err)
-		}
-		if strings.Join(nsch.Cols, ",") != strings.Join(csch.Cols, ",") {
-			t.Fatalf("query %d: schema changed %v vs %v", i+1, nsch.Cols, csch.Cols)
-		}
-		sameRows(t, naive, costed)
-	}
+	return queries, cat
 }
 
 // TestAccessPathChoice pins the crossover: a point lookup on a

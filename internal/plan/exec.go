@@ -55,10 +55,28 @@ type ExecStats struct {
 // colliding column names are rejected rather than silently
 // misresolved. The returned tree is single-use: compile a fresh one
 // per execution.
-func Compile(n Node) (exec.Operator, error) {
+func Compile(n Node) (exec.Operator, error) { return compile(n, nil) }
+
+// leafHook, set only by this package's tests, wraps every operator
+// lowering builds whose batches are scratch it refills in place — the
+// scans and the join probes — so the differential suites can run with
+// xtest.PoisonScratch around each of them.
+var leafHook func(exec.Operator) exec.Operator
+
+// leaf passes a freshly built scratch-batch operator through leafHook.
+func leaf(op exec.Operator) exec.Operator {
+	if leafHook != nil {
+		return leafHook(op)
+	}
+	return op
+}
+
+// compile lowers n for consumers that read the positions need of its
+// output (nil: all; see need.go).
+func compile(n Node, need []bool) (exec.Operator, error) {
 	switch x := n.(type) {
 	case *Scan:
-		return exec.NewScan(x.Table), nil
+		return leaf(exec.NewScan(x.Table, need)), nil
 	case *IndexAccess:
 		if x.Idx.Kind == HashIdx {
 			if x.Idx.Hash == nil {
@@ -71,7 +89,7 @@ func Compile(n Node) (exec.Operator, error) {
 		}
 		return exec.NewBTreeIndexScan(x.Idx.Table, x.Idx.BTree, x.Lo, x.Hi, x.LoIncl, x.HiIncl, x.Desc()), nil
 	case *Select:
-		child, err := Compile(x.Child)
+		child, err := compile(x.Child, needBelow(x, need))
 		if err != nil {
 			return nil, err
 		}
@@ -81,7 +99,7 @@ func Compile(n Node) (exec.Operator, error) {
 			Name: pred.String(),
 		}, child), nil
 	case *Project:
-		child, err := Compile(x.Child)
+		child, err := compile(x.Child, needBelow(x, need))
 		if err != nil {
 			return nil, err
 		}
@@ -94,11 +112,12 @@ func Compile(n Node) (exec.Operator, error) {
 		}
 		return exec.NewStage(&xsp.Project{Cols: idx}, child), nil
 	case *Join:
-		left, err := Compile(x.Left)
+		lneed, rneed := needOfJoin(x, need)
+		left, err := compile(x.Left, lneed)
 		if err != nil {
 			return nil, err
 		}
-		right, err := Compile(x.Right)
+		right, err := compile(x.Right, rneed)
 		if err != nil {
 			return nil, err
 		}
@@ -115,15 +134,15 @@ func Compile(n Node) (exec.Operator, error) {
 			return nil, err
 		}
 		buildLeft := EstimateRows(x.Left) < EstimateRows(x.Right)
-		return exec.NewHashJoin(left, right, li, ri, buildLeft), nil
+		return leaf(exec.NewHashJoin(left, right, li, ri, buildLeft)), nil
 	case *Distinct:
-		child, err := Compile(x.Child)
+		child, err := compile(x.Child, needBelow(x, need))
 		if err != nil {
 			return nil, err
 		}
 		return exec.NewStage(&xsp.Distinct{}, child), nil
 	case *Sort:
-		child, err := Compile(x.Child)
+		child, err := compile(x.Child, needBelow(x, need))
 		if err != nil {
 			return nil, err
 		}
@@ -134,7 +153,7 @@ func Compile(n Node) (exec.Operator, error) {
 		}
 		return exec.NewSort(child, idx, x.Desc), nil
 	case *Limit:
-		child, err := Compile(x.Child)
+		child, err := compile(x.Child, needBelow(x, need))
 		if err != nil {
 			return nil, err
 		}
@@ -142,7 +161,7 @@ func Compile(n Node) (exec.Operator, error) {
 	case *Source:
 		return x.New()
 	case *Rename:
-		child, err := Compile(x.Child)
+		child, err := compile(x.Child, needBelow(x, need))
 		if err != nil {
 			return nil, err
 		}
@@ -152,7 +171,7 @@ func Compile(n Node) (exec.Operator, error) {
 		}
 		return exec.NewRename(child, x.Cols), nil
 	case *GroupBy:
-		child, err := Compile(x.Child)
+		child, err := compile(x.Child, needBelow(x, need))
 		if err != nil {
 			return nil, err
 		}

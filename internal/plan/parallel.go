@@ -115,7 +115,7 @@ func CompileDOP(n Node, dop int) (exec.Operator, error) {
 	}
 	switch x := n.(type) {
 	case *GroupBy:
-		ws, aux, ok, err := compileWorkers(x.Child, dop)
+		ws, aux, ok, err := compileWorkers(x.Child, dop, needBelow(x, nil))
 		if err != nil {
 			return nil, err
 		}
@@ -163,7 +163,7 @@ func CompileDOP(n Node, dop int) (exec.Operator, error) {
 		}
 		return exec.NewLimit(child, x.N), nil
 	default:
-		ws, aux, ok, err := compileWorkers(n, dop)
+		ws, aux, ok, err := compileWorkers(n, dop, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -189,21 +189,19 @@ func closeOps(groups ...[]exec.Operator) {
 // (HashBuilds, ordered dependencies-first so an enclosing
 // Gather/ParallelGroupAgg can open them in slice order). ok is false
 // for shapes the spine cannot absorb (sorts, nested aggregates, …):
-// the caller falls back to the serial tree.
-func compileWorkers(n Node, dop int) (workers, aux []exec.Operator, ok bool, err error) {
+// the caller falls back to the serial tree. need marks the positions
+// of n's output its consumers read (nil: all; see need.go).
+func compileWorkers(n Node, dop int, need []bool) (workers, aux []exec.Operator, ok bool, err error) {
 	switch x := n.(type) {
 	case *Scan:
-		src, err := x.Table.NewMorselSource()
-		if err != nil {
-			return nil, nil, false, err
-		}
+		src := x.Table.NewMorselSource()
 		workers = make([]exec.Operator, dop)
 		for i := range workers {
-			workers[i] = exec.NewMorselScan(src)
+			workers[i] = leaf(exec.NewMorselScan(src, need))
 		}
 		return workers, nil, true, nil
 	case *Select:
-		ws, aux, ok, err := compileWorkers(x.Child, dop)
+		ws, aux, ok, err := compileWorkers(x.Child, dop, needBelow(x, need))
 		if err != nil || !ok {
 			return nil, nil, ok, err
 		}
@@ -218,7 +216,7 @@ func compileWorkers(n Node, dop int) (workers, aux []exec.Operator, ok bool, err
 		}
 		return ws, aux, true, nil
 	case *Project:
-		ws, aux, ok, err := compileWorkers(x.Child, dop)
+		ws, aux, ok, err := compileWorkers(x.Child, dop, needBelow(x, need))
 		if err != nil || !ok {
 			return nil, nil, ok, err
 		}
@@ -237,11 +235,13 @@ func compileWorkers(n Node, dop int) (workers, aux []exec.Operator, ok bool, err
 		return ws, aux, true, nil
 	case *Join:
 		buildNode, probeNode := x.Right, x.Left
+		pneed, bneed := needOfJoin(x, need)
 		buildIsLeft := EstimateRows(x.Left) < EstimateRows(x.Right)
 		if buildIsLeft {
 			buildNode, probeNode = x.Left, x.Right
+			pneed, bneed = bneed, pneed
 		}
-		pw, paux, pok, err := compileWorkers(probeNode, dop)
+		pw, paux, pok, err := compileWorkers(probeNode, dop, pneed)
 		if err != nil {
 			return nil, nil, false, err
 		}
@@ -251,13 +251,13 @@ func compileWorkers(n Node, dop int) (workers, aux []exec.Operator, ok bool, err
 		}
 		// Build side: partitioned parallel build when its own spine fans
 		// out, else one serial builder chain.
-		bw, baux, bok, err := compileWorkers(buildNode, dop)
+		bw, baux, bok, err := compileWorkers(buildNode, dop, bneed)
 		if err != nil {
 			closeOps(pw, paux)
 			return nil, nil, false, err
 		}
 		if !bok {
-			serial, err := Compile(buildNode)
+			serial, err := compile(buildNode, bneed)
 			if err != nil {
 				closeOps(pw, paux)
 				return nil, nil, false, err
@@ -284,7 +284,7 @@ func compileWorkers(n Node, dop int) (workers, aux []exec.Operator, ok bool, err
 		}
 		hb := exec.NewHashBuild(bw, bcol)
 		for i, w := range pw {
-			pw[i] = exec.NewProbeJoin(w, hb, pcol, buildIsLeft)
+			pw[i] = leaf(exec.NewProbeJoin(w, hb, pcol, buildIsLeft))
 		}
 		aux = append(aux, baux...)
 		aux = append(aux, hb)

@@ -82,21 +82,7 @@ func TestCompileDOPMatchesSerial(t *testing.T) {
 // partial aggregation and the serial operators (sort, distinct, limit)
 // stacked above a parallel spine.
 func TestCompileDOPBreakerPlans(t *testing.T) {
-	u, o := testTables(t, 60, 400)
-	join := func() *Join {
-		return &Join{Left: &Scan{Table: o}, Right: &Scan{Table: u}, LeftCol: "ouid", RightCol: "uid"}
-	}
-	plans := []Node{
-		&GroupBy{Child: join(), Key: "city",
-			Aggs: []AggSpec{{Kind: xsp.Count}, {Kind: xsp.Sum, Col: "amount"}, {Kind: xsp.Max, Col: "score"}}},
-		&GroupBy{Child: &Scan{Table: u}, Key: "city", Aggs: []AggSpec{{Kind: xsp.Count}}},
-		// Sort/Limit on the unique oid so the parallel tree's arbitrary
-		// interleaving cannot change which rows survive.
-		&Sort{Child: join(), Col: "oid", Desc: true},
-		&Limit{Child: &Sort{Child: join(), Col: "oid"}, N: 7},
-		&Distinct{Child: &Project{Child: &Scan{Table: u}, Cols: []string{"city"}}},
-	}
-	for i, p := range plans {
+	for i, p := range breakerPlans(t) {
 		serial, err := Compile(p)
 		if err != nil {
 			t.Fatalf("plan %d compile: %v", i, err)
@@ -114,6 +100,26 @@ func TestCompileDOPBreakerPlans(t *testing.T) {
 			t.Fatalf("plan %d parallel: %v", i, err)
 		}
 		sameRows(t, got, want)
+	}
+}
+
+// breakerPlans are the pipeline-breaker shapes: aggregates, sorts,
+// limits and distincts above a spine that can fan out.
+func breakerPlans(t *testing.T) []Node {
+	t.Helper()
+	u, o := testTables(t, 60, 400)
+	join := func() *Join {
+		return &Join{Left: &Scan{Table: o}, Right: &Scan{Table: u}, LeftCol: "ouid", RightCol: "uid"}
+	}
+	return []Node{
+		&GroupBy{Child: join(), Key: "city",
+			Aggs: []AggSpec{{Kind: xsp.Count}, {Kind: xsp.Sum, Col: "amount"}, {Kind: xsp.Max, Col: "score"}}},
+		&GroupBy{Child: &Scan{Table: u}, Key: "city", Aggs: []AggSpec{{Kind: xsp.Count}}},
+		// Sort/Limit on the unique oid so the parallel tree's arbitrary
+		// interleaving cannot change which rows survive.
+		&Sort{Child: join(), Col: "oid", Desc: true},
+		&Limit{Child: &Sort{Child: join(), Col: "oid"}, N: 7},
+		&Distinct{Child: &Project{Child: &Scan{Table: u}, Cols: []string{"city"}}},
 	}
 }
 

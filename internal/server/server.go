@@ -186,7 +186,7 @@ type Snapshot struct {
 	InFlight        int64                `json:"in_flight"`
 	WorkerTokens    int64                `json:"worker_tokens"`
 	Latency         metrics.HistSnapshot `json:"latency"`
-	Pool            *store.Stats         `json:"pool,omitempty"`
+	Pool            *store.PoolInfo      `json:"pool,omitempty"`
 }
 
 // Server is a concurrent xlang query server. Create with New, start
@@ -381,6 +381,13 @@ func (s *Server) registerMetrics() error {
 		gaugeFn("xstd_wal_bytes_since_checkpoint", "log bytes appended since the last checkpoint", func() int64 {
 			return mgr.LoggedBytes()
 		})
+		// The buffer pool, read through: the series of __sys.bufferpool.
+		for i, col := range sysview.StandardCols[sysview.Pool] {
+			i := i
+			gaugeFn("xstd_pool_"+col, "buffer pool: "+col+" (see __sys.bufferpool)", func() int64 {
+				return int64(sysview.PoolRow(pool.Info())[i].(core.Int))
+			})
+		}
 	}
 	return err
 }
@@ -471,8 +478,8 @@ func (s *Server) MetricsSnapshot() Snapshot {
 		Latency:         s.m.Latency.Snapshot(),
 	}
 	if s.cfg.DB != nil {
-		st := s.cfg.DB.Pool().Stats()
-		snap.Pool = &st
+		in := s.cfg.DB.Pool().Info()
+		snap.Pool = &in
 	}
 	return snap
 }
@@ -845,7 +852,7 @@ func (s *Server) finishTrace(root *trace.Span, elapsed time.Duration) {
 // table codec (base64) instead of rendered text.
 func (s *Server) streamQuery(ctx context.Context, q Query, req Request, lq *liveQuery, send func(Response) error) (int, error) {
 	rows := 0
-	var enc []byte
+	var enc []byte // one buffer for every row: a row costs its string
 	_, err := q.Run(ctx, func(batch []table.Row) error {
 		out := make([]string, len(batch))
 		for i, r := range batch {
@@ -853,7 +860,8 @@ func (s *Server) streamQuery(ctx context.Context, q Query, req Request, lq *live
 				enc = table.EncodeRow(enc[:0], r)
 				out[i] = base64.StdEncoding.EncodeToString(enc)
 			} else {
-				out[i] = fmt.Sprint(r.Tuple())
+				enc = core.AppendTuple(enc[:0], r)
+				out[i] = string(enc)
 			}
 		}
 		rows += len(batch)
@@ -1034,7 +1042,7 @@ func (s *Server) handleSchema() (Response, bool) {
 // sampleRowBytes averages the encoded size of the table's first heap
 // page of rows — enough signal for the coordinator's byte-cost model.
 func sampleRowBytes(t *table.Table) int {
-	_, rows, ok, err := t.NewBatchCursor().Next()
+	_, rows, ok, err := t.NewBatchCursor(nil).Next()
 	if err != nil || !ok || len(rows) == 0 {
 		return 0
 	}

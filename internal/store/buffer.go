@@ -15,6 +15,17 @@ type Stats struct {
 	Misses    uint64 // page read from the pager
 	Evictions uint64 // frames reclaimed
 	Writes    uint64 // dirty pages written back
+	Recycled  uint64 // evicted page buffers reused for the incoming page
+}
+
+// PoolInfo is one consistent reading of a pool: its counters and its
+// occupancy, taken under one latch — the row `__sys.bufferpool`, the
+// `xstd_pool_*` gauges and `.stats` all report.
+type PoolInfo struct {
+	Stats
+	Frames   int // pages resident
+	Capacity int // frame budget
+	Pinned   int // resident pages with at least one pin
 }
 
 // ErrPoolExhausted reports that every frame is pinned.
@@ -138,15 +149,14 @@ func (bp *BufferPool) getLocked(id PageID) (*Frame, error) {
 		return f, nil
 	}
 	bp.stats.Misses++
-	if len(bp.frames) >= bp.cap {
-		if err := bp.evictLocked(); err != nil {
-			return nil, err
-		}
-	}
-	f := &Frame{id: id, data: make([]byte, PageSize), pins: 1, pool: bp}
-	if err := bp.pager.ReadPage(id, f.data); err != nil {
+	buf, err := bp.bufferLocked()
+	if err != nil {
 		return nil, err
 	}
+	if err := bp.pager.ReadPage(id, buf); err != nil {
+		return nil, err
+	}
+	f := &Frame{id: id, data: buf, pins: 1, pool: bp}
 	bp.frames[id] = f
 	return f, nil
 }
@@ -159,33 +169,46 @@ func (bp *BufferPool) Allocate() (*Frame, error) {
 	}
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
-	if len(bp.frames) >= bp.cap {
-		if err := bp.evictLocked(); err != nil {
-			return nil, err
-		}
+	buf, err := bp.bufferLocked()
+	if err != nil {
+		return nil, err
 	}
-	f := &Frame{id: id, data: make([]byte, PageSize), pins: 1, pool: bp}
+	clear(buf) // a fresh page reads as zeros, recycled buffer or not
+	f := &Frame{id: id, data: buf, pins: 1, pool: bp}
 	bp.frames[id] = f
 	return f, nil
 }
 
-func (bp *BufferPool) evictLocked() error {
+// bufferLocked returns a page buffer for an incoming page. Below
+// capacity it is new; at capacity it is the buffer of the least
+// recently used unpinned frame, written back first if dirty. Reuse is
+// sound because a victim has no pins, so nobody may still read its
+// Data, and because the only other holders of page bytes are the
+// version lists, which own slices a commit has already swapped out of
+// their frames.
+func (bp *BufferPool) bufferLocked() ([]byte, error) {
+	if len(bp.frames) < bp.cap {
+		return make([]byte, PageSize), nil
+	}
 	front := bp.lru.Front()
 	if front == nil {
-		return ErrPoolExhausted
+		return nil, ErrPoolExhausted
 	}
 	victim := front.Value.(*Frame)
-	bp.lru.Remove(front)
-	victim.elem = nil
 	if victim.dirty {
 		if err := bp.pager.WritePage(victim.id, victim.data); err != nil {
-			return err
+			return nil, err
 		}
 		bp.stats.Writes++
 	}
+	bp.lru.Remove(front)
+	victim.elem = nil
 	delete(bp.frames, victim.id)
 	bp.stats.Evictions++
-	return nil
+	bp.stats.Recycled++
+	buf := victim.data
+	victim.data = nil
+	return buf, nil
 }
 
 // FlushAll writes every dirty frame back to the pager. Pinned frames are
@@ -206,19 +229,17 @@ func (bp *BufferPool) FlushAll() error {
 	return nil
 }
 
-// PinnedCount reports how many frames are currently pinned (for tests
-// and leak checks).
-func (bp *BufferPool) PinnedCount() int {
+// Info returns the counters and the occupancy in one reading.
+func (bp *BufferPool) Info() PoolInfo {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
-	n := 0
-	for _, f := range bp.frames {
-		if f.pins > 0 {
-			n++
-		}
-	}
-	return n
+	// Every resident frame is either pinned or on the LRU list.
+	return PoolInfo{Stats: bp.stats, Frames: len(bp.frames), Capacity: bp.cap, Pinned: len(bp.frames) - bp.lru.Len()}
 }
+
+// PinnedCount reports how many frames are currently pinned (for tests
+// and leak checks).
+func (bp *BufferPool) PinnedCount() int { return bp.Info().Pinned }
 
 func (bp *BufferPool) String() string {
 	bp.mu.Lock()

@@ -57,12 +57,11 @@ func (c *HeapCursor) Reset() {
 }
 
 // PageCursor is a pull-style page cursor over a heap file: each Next
-// call pins one page, hands its live records to fn, and unpins before
-// returning — the set-at-a-time access discipline in pull form, so a
-// batch-iterator engine can pace the scan instead of being pushed
-// through a callback. The record slices passed to fn alias the pinned
-// page and must not be retained past fn's return; decode or copy them
-// inside fn.
+// call pins one page, hands it to fn, and unpins before returning — the
+// set-at-a-time access discipline in pull form, so a batch-iterator
+// engine can pace the scan instead of being pushed through a callback.
+// The page passed to fn aliases the pinned frame and must not be
+// retained past fn's return; decode or copy its records inside fn.
 type PageCursor struct {
 	heap *HeapFile
 	page PageID
@@ -75,7 +74,7 @@ func (h *HeapFile) NewPageCursor() *PageCursor {
 
 // Next visits the next page. It returns false when the chain is
 // exhausted. An error from fn stops the cursor and is returned.
-func (c *PageCursor) Next(fn func(page PageID, recs [][]byte) error) (bool, error) {
+func (c *PageCursor) Next(fn func(id PageID, p SlottedPage) error) (bool, error) {
 	if c.page == InvalidPage {
 		return false, nil
 	}
@@ -84,14 +83,9 @@ func (c *PageCursor) Next(fn func(page PageID, recs [][]byte) error) (bool, erro
 		return false, err
 	}
 	p := SlottedPage(fr.Data())
-	var recs [][]byte
-	p.Each(func(_ int, rec []byte) bool {
-		recs = append(recs, rec)
-		return true
-	})
 	id := c.page
 	c.page = p.Next()
-	err = fn(id, recs)
+	err = fn(id, p)
 	fr.Unpin()
 	return true, err
 }

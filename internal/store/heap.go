@@ -24,11 +24,20 @@ var ErrNoRecord = errors.New("store: no such record")
 // stored extended sets. The source is usually a buffer pool, but the
 // same heap code also runs against a wal transaction shadow
 // (uncommitted writes) or an epoch-pinned snapshot view — see WithIO.
+//
+// The heap keeps the page ids of its chain in order (pages): filled by
+// the walk OpenHeap makes anyway, extended in place when Append grows
+// the chain, and shared by WithIO clones capped at their own length.
+// That is sound because heaps are append-only and a published snapshot
+// table is immutable, so a scan that needs the whole chain up front (a
+// morsel source) reads the list instead of fetching every page just to
+// follow its next pointer.
 type HeapFile struct {
 	io    PageIO
 	first PageID
 	last  PageID
 	count int
+	pages []PageID
 }
 
 // CreateHeap starts a heap file with one empty page.
@@ -41,7 +50,7 @@ func CreateHeap(io PageIO) (*HeapFile, error) {
 	f.MarkDirty()
 	id := f.ID()
 	f.Unpin()
-	return &HeapFile{io: io, first: id, last: id}, nil
+	return &HeapFile{io: io, first: id, last: id, pages: []PageID{id}}, nil
 }
 
 // OpenHeap reattaches to an existing chain headed at first. The record
@@ -58,6 +67,7 @@ func OpenHeap(io PageIO, first PageID) (*HeapFile, error) {
 		p.Each(func(int, []byte) bool { h.count++; return true })
 		next := p.Next()
 		h.last = id
+		h.pages = append(h.pages, id)
 		fr.Unpin()
 		id = next
 	}
@@ -70,21 +80,10 @@ func (h *HeapFile) FirstPage() PageID { return h.first }
 // Count returns the number of live records.
 func (h *HeapFile) Count() int { return h.count }
 
-// Pages walks the chain and returns the page ids in order.
-func (h *HeapFile) Pages() ([]PageID, error) {
-	var out []PageID
-	id := h.first
-	for id != InvalidPage {
-		out = append(out, id)
-		fr, err := h.io.Page(id)
-		if err != nil {
-			return nil, err
-		}
-		id = SlottedPage(fr.Data()).Next()
-		fr.Unpin()
-	}
-	return out, nil
-}
+// Pages returns the page ids of the chain in order, without touching a
+// page. The slice is shared and must not be modified; it is capped at
+// its length, so a later Append never shows through it.
+func (h *HeapFile) Pages() []PageID { return h.pages[:len(h.pages):len(h.pages)] }
 
 // Append stores rec at the tail, growing the chain as needed.
 func (h *HeapFile) Append(rec []byte) (RID, error) {
@@ -121,6 +120,7 @@ func (h *HeapFile) Append(rec []byte) (RID, error) {
 	fr.MarkDirty()
 	fr.Unpin()
 	h.last = nf.ID()
+	h.pages = append(h.pages, h.last)
 	nf.Unpin()
 	h.count++
 	return RID{Page: h.last, Slot: uint16(slot)}, nil
@@ -186,41 +186,18 @@ func (h *HeapFile) Scan(fn func(rid RID, rec []byte) bool) error {
 	return nil
 }
 
-// ScanPages visits whole pages in chain order, the set-at-a-time access
-// path: fn receives every live record of one page in a single call.
-func (h *HeapFile) ScanPages(fn func(page PageID, recs [][]byte) bool) error {
-	id := h.first
-	for id != InvalidPage {
-		fr, err := h.io.Page(id)
-		if err != nil {
-			return err
-		}
-		p := SlottedPage(fr.Data())
-		var recs [][]byte
-		p.Each(func(_ int, rec []byte) bool {
-			recs = append(recs, rec)
-			return true
-		})
-		next := p.Next()
-		cont := fn(id, recs)
-		fr.Unpin()
-		if !cont {
-			return nil
-		}
-		id = next
-	}
-	return nil
-}
-
 // WithIO returns a shallow clone of the heap bound to a different page
 // source: a wal transaction shadow for uncommitted writes, or a
 // snapshot View for epoch-pinned reads. The clone shares page ids with
 // the original but none of its mutable bookkeeping, so appending
 // through a transactional clone leaves the committed heap untouched
-// until the transaction publishes it.
+// until the transaction publishes it: the clone's page list is capped
+// at its length, so its first chain growth copies the list instead of
+// writing into the original's.
 func (h *HeapFile) WithIO(io PageIO) *HeapFile {
 	c := *h
 	c.io = io
+	c.pages = h.Pages()
 	return &c
 }
 

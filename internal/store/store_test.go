@@ -301,10 +301,7 @@ func TestHeapGrowsAcrossPages(t *testing.T) {
 		}
 		rids = append(rids, rid)
 	}
-	pages, err := h.Pages()
-	if err != nil {
-		t.Fatal(err)
-	}
+	pages := h.Pages()
 	if len(pages) < 5 {
 		t.Fatalf("chain has %d pages, expected several", len(pages))
 	}
@@ -340,18 +337,33 @@ func TestHeapScanOrderAndEarlyStop(t *testing.T) {
 	}
 }
 
-func TestHeapScanPages(t *testing.T) {
+// pageCursorAll drains a page cursor, returning the pages visited and
+// the live records on them.
+func pageCursorAll(t *testing.T, h *HeapFile) (pages, records int) {
+	t.Helper()
+	pc := h.NewPageCursor()
+	for {
+		ok, err := pc.Next(func(_ PageID, p SlottedPage) error {
+			pages++
+			p.Each(func(int, []byte) bool { records++; return true })
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			return pages, records
+		}
+	}
+}
+
+func TestHeapPageCursor(t *testing.T) {
 	h, _ := newTestHeap(t, 8)
 	rec := bytes.Repeat([]byte("p"), 900)
 	for i := 0; i < 20; i++ {
 		h.Append(rec)
 	}
-	total, calls := 0, 0
-	h.ScanPages(func(_ PageID, recs [][]byte) bool {
-		calls++
-		total += len(recs)
-		return true
-	})
+	calls, total := pageCursorAll(t, h)
 	if total != 20 {
 		t.Fatalf("page scan saw %d records", total)
 	}
@@ -401,8 +413,7 @@ func TestNoPinLeaksAfterOperations(t *testing.T) {
 		h.Append(bytes.Repeat([]byte{1}, 200))
 	}
 	h.Scan(func(RID, []byte) bool { return true })
-	h.ScanPages(func(PageID, [][]byte) bool { return true })
-	h.Pages()
+	pageCursorAll(t, h)
 	if n := bp.PinnedCount(); n != 0 {
 		t.Fatalf("%d frames still pinned", n)
 	}

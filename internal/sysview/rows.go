@@ -3,9 +3,23 @@ package sysview
 import (
 	"xst/internal/core"
 	"xst/internal/metrics"
+	"xst/internal/store"
 	"xst/internal/table"
 	"xst/internal/trace"
 )
+
+// PoolRow is the __sys.bufferpool row of one pool reading: (frames,
+// capacity, hits, misses, evictions, writes, recycled, pinned) — the
+// same store.PoolInfo the `.stats` snapshot and the xstd_pool_* gauges
+// report, so the three agree by construction.
+func PoolRow(in store.PoolInfo) table.Row {
+	return table.Row{
+		core.Int(int64(in.Frames)), core.Int(int64(in.Capacity)),
+		core.Int(int64(in.Hits)), core.Int(int64(in.Misses)),
+		core.Int(int64(in.Evictions)), core.Int(int64(in.Writes)),
+		core.Int(int64(in.Recycled)), core.Int(int64(in.Pinned)),
+	}
+}
 
 // MetricsRows flattens a registry snapshot into __sys.metrics rows:
 // (name, kind, value), with histograms reporting their observation

@@ -10,8 +10,8 @@
 // own execution. Tables satisfy the xlang.VirtualTable interface
 // structurally (Schema/EstRows/NewOp) and enter plans as plan.Source
 // leaves; providers are registered by the layers that own the state
-// (catalog: wal/txns/indexes/stats, server: queries/metrics/slow,
-// federation coordinator: sites).
+// (catalog: wal/txns/indexes/stats/bufferpool, server:
+// queries/metrics/slow, federation coordinator: sites).
 package sysview
 
 import (
@@ -35,6 +35,7 @@ const (
 	Sites   = "__sys.sites"
 	Indexes = "__sys.indexes"
 	Stats   = "__sys.stats"
+	Pool    = "__sys.bufferpool"
 )
 
 // StandardCols fixes the column set of each standard view. Shared so
@@ -57,6 +58,8 @@ var StandardCols = map[string][]string{
 	Indexes: {"tbl", "col", "kind", "entries"},
 	// Per-column `.analyze` statistics the planner costs with.
 	Stats: {"tbl", "col", "rows", "distinct"},
+	// One row per buffer pool: occupancy and lifetime counters.
+	Pool: {"frames", "capacity", "hits", "misses", "evictions", "writes", "recycled", "pinned"},
 }
 
 // Table is one system view: a fixed schema plus a Rows function

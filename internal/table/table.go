@@ -117,6 +117,83 @@ func DecodeRow(buf []byte) (Row, error) {
 	return out, nil
 }
 
+// PageBatch is the page-decode kernel: Decode turns every live record
+// of one slotted page into rows held in two slabs the batch owns — one
+// []core.Value of all the rows' values and one []Row of windows into it
+// — both sized from the slot directory and reused by the next Decode.
+// The rows of a Decode are therefore scratch: they are overwritten by
+// the next one. The values in them are immutable and may be kept (a
+// decoded string is a copy, never an alias of the page). A scan that
+// owns one PageBatch pays per page, not per record; an entry point that
+// promises retainable rows decodes each page into a fresh PageBatch.
+//
+// DecodeRow remains the per-record codec for record-at-a-time callers
+// (Get, Cursor, the log) and is the oracle the kernel is tested against.
+type PageBatch struct {
+	vals []core.Value
+	rows []Row
+}
+
+// Decode fills the batch with the live rows of p, in slot order, and
+// returns them. need, when non-nil, marks the positions to decode: the
+// encoded bytes of a position it leaves out (or does not reach) are
+// skipped and that position stays nil, so a column no operator reads
+// costs no value. A row is a function from positions to values; an
+// unread column is a position where it is left undefined.
+func (b *PageBatch) Decode(p store.SlottedPage, need []bool) ([]Row, error) {
+	// Size both slabs from the slot directory before decoding, so the
+	// row windows never straddle a regrown value slab.
+	nrows, nvals := 0, 0
+	for slot, n := 0, p.NumSlots(); slot < n; slot++ {
+		rec, ok := p.Get(slot)
+		if !ok {
+			continue
+		}
+		arity, k := binary.Uvarint(rec)
+		if k <= 0 || arity > uint64(len(rec)) {
+			return nil, core.ErrCorrupt
+		}
+		nrows++
+		nvals += int(arity)
+	}
+	if cap(b.vals) < nvals {
+		b.vals = make([]core.Value, nvals)
+	}
+	if cap(b.rows) < nrows || b.rows == nil {
+		b.rows = make([]Row, nrows)
+	}
+	vals, rows := b.vals[:nvals], b.rows[:0]
+	for slot, n := 0, p.NumSlots(); slot < n; slot++ {
+		rec, ok := p.Get(slot)
+		if !ok {
+			continue
+		}
+		arity, off := binary.Uvarint(rec)
+		row := Row(vals[:arity:arity])
+		vals = vals[arity:]
+		for i := range row {
+			var used int
+			var err error
+			if need == nil || (i < len(need) && need[i]) {
+				row[i], used, err = core.Decode(rec[off:])
+			} else {
+				row[i] = nil
+				used, err = core.Skip(rec[off:])
+			}
+			if err != nil {
+				return nil, err
+			}
+			off += used
+		}
+		if off != len(rec) {
+			return nil, core.ErrCorrupt
+		}
+		rows = append(rows, row)
+	}
+	b.rows = rows
+	return rows, nil
+}
+
 // Table is a schema-tagged heap of rows.
 type Table struct {
 	schema Schema
@@ -245,110 +322,77 @@ func (t *Table) Scan(fn func(rid store.RID, r Row) (bool, error)) error {
 }
 
 // ScanBatches visits rows page-at-a-time (the set-processing access
-// path): fn receives all rows of one page together.
+// path): fn receives all rows of one page together, decoded into a
+// fresh PageBatch, so fn may retain them.
 func (t *Table) ScanBatches(fn func(page store.PageID, rows []Row) (bool, error)) error {
-	var outer error
-	err := t.heap.ScanPages(func(page store.PageID, recs [][]byte) bool {
-		rows := make([]Row, 0, len(recs))
-		for _, rec := range recs {
-			r, err := DecodeRow(rec)
-			if err != nil {
-				outer = err
-				return false
-			}
-			rows = append(rows, r)
+	cur := t.NewBatchCursor(nil)
+	for {
+		cur.batch = PageBatch{} // fn keeps the last page's slabs
+		id, rows, ok, err := cur.Next()
+		if err != nil || !ok {
+			return err
 		}
-		cont, err := fn(page, rows)
-		if err != nil {
-			outer = err
-			return false
+		if cont, err := fn(id, rows); err != nil || !cont {
+			return err
 		}
-		return cont
-	})
-	if outer != nil {
-		return outer
 	}
-	return err
 }
 
 // PageIDs returns the ids of the table's heap pages in chain order, for
-// partitioned (parallel) scans.
-func (t *Table) PageIDs() ([]store.PageID, error) { return t.heap.Pages() }
+// partitioned (parallel) scans. It reads the heap's own list and
+// fetches no page.
+func (t *Table) PageIDs() ([]store.PageID, error) { return t.heap.Pages(), nil }
 
-// ReadPageRows decodes every live row of one heap page, resolved
+// ReadPage decodes every live row of one heap page into b, resolved
 // through the table's page source (so snapshot clones read their
-// epoch's image).
-func (t *Table) ReadPageRows(id store.PageID) ([]Row, error) {
+// epoch's image). The rows are b's scratch; need is Decode's.
+func (t *Table) ReadPage(id store.PageID, b *PageBatch, need []bool) ([]Row, error) {
 	fr, err := t.heap.IO().Page(id)
 	if err != nil {
 		return nil, err
 	}
 	defer fr.Unpin()
-	var rows []Row
-	var derr error
-	store.SlottedPage(fr.Data()).Each(func(_ int, rec []byte) bool {
-		r, err := DecodeRow(rec)
-		if err != nil {
-			derr = err
-			return false
-		}
-		rows = append(rows, r)
-		return true
-	})
-	if derr != nil {
-		return nil, derr
-	}
-	return rows, nil
+	return b.Decode(store.SlottedPage(fr.Data()), need)
+}
+
+// ReadPageRows is ReadPage into a fresh batch: the rows may be retained.
+func (t *Table) ReadPageRows(id store.PageID) ([]Row, error) {
+	return t.ReadPage(id, new(PageBatch), nil)
 }
 
 // MorselSource deals a table's heap pages out as morsels: a shared,
 // goroutine-safe dispenser that parallel scan workers pull from, so
 // page-level work self-balances across workers (a fast worker simply
-// claims more morsels). The page list is snapshotted at construction
-// and re-snapshotted by Bind when the query runs under a snapshot
-// view, so all workers agree on one epoch-consistent chain.
+// claims more morsels). The page list is the heap's own; Bind pins the
+// table to the query's snapshot view, so all workers read one
+// epoch-consistent image of every page.
 type MorselSource struct {
-	table   *Table
-	pages   []store.PageID
-	next    atomic.Int64
-	bind    sync.Once
-	bindErr error
+	table *Table
+	pages []store.PageID
+	next  atomic.Int64
+	bind  sync.Once
 }
 
-// NewMorselSource snapshots the table's heap chain into a dispenser.
-func (t *Table) NewMorselSource() (*MorselSource, error) {
-	ids, err := t.PageIDs()
-	if err != nil {
-		return nil, err
-	}
-	return &MorselSource{table: t, pages: ids}, nil
+// NewMorselSource returns a dispenser over the table's heap chain. It
+// fetches no page: the plan is lowered before the query holds a view.
+func (t *Table) NewMorselSource() *MorselSource {
+	return &MorselSource{table: t, pages: t.heap.Pages()}
 }
 
 // Table returns the table the morsels belong to.
 func (m *MorselSource) Table() *Table { return m.table }
 
 // Bind resolves the source against the context's snapshot view, once:
-// the first worker to open re-snapshots the heap chain at the view's
-// epoch and pins the table clone every worker then reads through. The
-// sync.Once is the barrier that publishes the rebound fields to the
-// other workers. Without a view in ctx the construction-time snapshot
-// stands.
-func (m *MorselSource) Bind(ctx context.Context) error {
+// the first worker to open pins the table clone every worker then reads
+// through. The sync.Once is the barrier that publishes the rebound
+// field to the other workers. The table and the view come from one
+// snapshot (catalog.BeginRead), so the page list needs no second look.
+func (m *MorselSource) Bind(ctx context.Context) {
 	m.bind.Do(func() {
-		v := store.ViewFrom(ctx)
-		if v == nil {
-			return
+		if v := store.ViewFrom(ctx); v != nil {
+			m.table = m.table.At(v)
 		}
-		tab := m.table.At(v)
-		ids, err := tab.PageIDs()
-		if err != nil {
-			m.bindErr = err
-			return
-		}
-		m.table = tab
-		m.pages = ids
 	})
-	return m.bindErr
 }
 
 // Pages returns the total number of morsels.
@@ -392,15 +436,18 @@ func (c *Cursor) Reset() { c.hc.Reset() }
 // BatchCursor pulls one decoded page of rows per Next — the
 // set-processing access path in pull form, backing the streaming
 // operator tree (internal/exec): the consumer paces the scan, one page
-// pin per batch. Rows are decoded copies and safe to retain.
+// pin per batch. The cursor owns one PageBatch, so the rows of a Next
+// are scratch until the following Next (see PageBatch).
 type BatchCursor struct {
-	pc *store.PageCursor
+	pc    *store.PageCursor
+	batch PageBatch
+	need  []bool
 }
 
 // NewBatchCursor returns a batch cursor positioned before the first
-// page.
-func (t *Table) NewBatchCursor() *BatchCursor {
-	return &BatchCursor{pc: t.heap.NewPageCursor()}
+// page, decoding the positions need marks (nil: all; see Decode).
+func (t *Table) NewBatchCursor(need []bool) *BatchCursor {
+	return &BatchCursor{pc: t.heap.NewPageCursor(), need: need}
 }
 
 // Next returns the rows of the next heap page; ok is false at end of
@@ -408,17 +455,10 @@ func (t *Table) NewBatchCursor() *BatchCursor {
 func (c *BatchCursor) Next() (store.PageID, []Row, bool, error) {
 	var out []Row
 	var id store.PageID
-	ok, err := c.pc.Next(func(page store.PageID, recs [][]byte) error {
+	ok, err := c.pc.Next(func(page store.PageID, p store.SlottedPage) (err error) {
 		id = page
-		out = make([]Row, 0, len(recs))
-		for _, rec := range recs {
-			r, err := DecodeRow(rec)
-			if err != nil {
-				return err
-			}
-			out = append(out, r)
-		}
-		return nil
+		out, err = c.batch.Decode(p, c.need)
+		return err
 	})
 	if err != nil || !ok {
 		return 0, nil, false, err

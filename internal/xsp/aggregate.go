@@ -34,13 +34,19 @@ type Agg struct {
 // can measure what it saves; never set outside tests.
 var forceEncodedGroupKeys = false
 
+// cell is the running state of one aggregate of one group; which field
+// is live depends on the aggregate's kind.
+type cell struct {
+	count int64      // Count
+	sum   float64    // Sum
+	isInt bool       // Sum has seen only integers
+	ext   core.Value // Min or Max: the extreme so far, nil before the first row
+}
+
+// acc is one group: its key and one cell per aggregate.
 type acc struct {
-	key    core.Value
-	counts []int64
-	sums   []float64
-	isInt  []bool
-	mins   []core.Value
-	maxs   []core.Value
+	key   core.Value
+	cells []cell
 }
 
 // AggState accumulates grouped aggregates batch by batch. It is the
@@ -59,6 +65,11 @@ type AggState struct {
 	atoms  map[core.AtomKey]*acc
 	sets   map[string]*acc
 	rows   int
+	// New groups are carved from these two chunks, which double like an
+	// append when they run out: a group costs its map entry and a share
+	// of a chunk, not six objects.
+	accs  []acc
+	cells []cell
 }
 
 // NewAggState returns an empty accumulator grouping on keyCol.
@@ -80,26 +91,27 @@ func (s *AggState) Absorb(rows []table.Row) error {
 			return err
 		}
 		for i, a := range s.aggs {
+			c := &g.cells[i]
 			switch a.Kind {
 			case Count:
-				g.counts[i]++
+				c.count++
 			case Sum:
 				switch v := r[a.Col].(type) {
 				case core.Int:
-					g.sums[i] += float64(v)
+					c.sum += float64(v)
 				case core.Float:
-					g.sums[i] += float64(v)
-					g.isInt[i] = false
+					c.sum += float64(v)
+					c.isInt = false
 				default:
 					return fmt.Errorf("xsp: sum over non-numeric %v", v)
 				}
 			case Min:
-				if g.mins[i] == nil || core.Compare(r[a.Col], g.mins[i]) < 0 {
-					g.mins[i] = r[a.Col]
+				if c.ext == nil || core.Compare(r[a.Col], c.ext) < 0 {
+					c.ext = r[a.Col]
 				}
 			case Max:
-				if g.maxs[i] == nil || core.Compare(r[a.Col], g.maxs[i]) > 0 {
-					g.maxs[i] = r[a.Col]
+				if c.ext == nil || core.Compare(r[a.Col], c.ext) > 0 {
+					c.ext = r[a.Col]
 				}
 			}
 		}
@@ -130,16 +142,17 @@ func (s *AggState) group(key core.Value) (*acc, error) {
 }
 
 func (s *AggState) newAcc(key core.Value) *acc {
-	g := &acc{
-		key:    key,
-		counts: make([]int64, len(s.aggs)),
-		sums:   make([]float64, len(s.aggs)),
-		isInt:  make([]bool, len(s.aggs)),
-		mins:   make([]core.Value, len(s.aggs)),
-		maxs:   make([]core.Value, len(s.aggs)),
+	k := len(s.aggs)
+	if len(s.accs) == cap(s.accs) {
+		n := 2*cap(s.accs) + 1
+		s.accs = make([]acc, 0, n)
+		s.cells = make([]cell, n*k)
 	}
-	for i := range g.isInt {
-		g.isInt[i] = true
+	s.accs = append(s.accs, acc{key: key, cells: s.cells[:k:k]})
+	s.cells = s.cells[k:]
+	g := &s.accs[len(s.accs)-1]
+	for i := range g.cells {
+		g.cells[i].isInt = true
 	}
 	return g
 }
@@ -161,19 +174,20 @@ func (s *AggState) Merge(o *AggState) error {
 	}
 	fold := func(dst, src *acc) {
 		for i, a := range s.aggs {
+			d, o := &dst.cells[i], &src.cells[i]
 			switch a.Kind {
 			case Count:
-				dst.counts[i] += src.counts[i]
+				d.count += o.count
 			case Sum:
-				dst.sums[i] += src.sums[i]
-				dst.isInt[i] = dst.isInt[i] && src.isInt[i]
+				d.sum += o.sum
+				d.isInt = d.isInt && o.isInt
 			case Min:
-				if src.mins[i] != nil && (dst.mins[i] == nil || core.Compare(src.mins[i], dst.mins[i]) < 0) {
-					dst.mins[i] = src.mins[i]
+				if o.ext != nil && (d.ext == nil || core.Compare(o.ext, d.ext) < 0) {
+					d.ext = o.ext
 				}
 			case Max:
-				if src.maxs[i] != nil && (dst.maxs[i] == nil || core.Compare(src.maxs[i], dst.maxs[i]) > 0) {
-					dst.maxs[i] = src.maxs[i]
+				if o.ext != nil && (d.ext == nil || core.Compare(o.ext, d.ext) > 0) {
+					d.ext = o.ext
 				}
 			}
 		}
@@ -203,26 +217,29 @@ func (s *AggState) Groups() int { return len(s.atoms) + len(s.sets) }
 func (s *AggState) RowsIn() int { return s.rows }
 
 // Rows materializes the aggregate result: (key, agg1, agg2, …) rows in
-// canonical key order. The rows are freshly allocated and retainable.
+// canonical key order. The rows are freshly allocated — windows into
+// one value slab made here — and retainable.
 func (s *AggState) Rows() []table.Row {
+	width := 1 + len(s.aggs)
 	out := make([]table.Row, 0, s.Groups())
+	vals := make([]core.Value, 0, s.Groups()*width)
 	emit := func(g *acc) {
-		row := make(table.Row, 0, 1+len(s.aggs))
-		row = append(row, g.key)
+		row := vals[len(vals) : len(vals)+width : len(vals)+width]
+		vals = vals[:len(vals)+width]
+		row[0] = g.key
 		for i, a := range s.aggs {
+			c := &g.cells[i]
 			switch a.Kind {
 			case Count:
-				row = append(row, core.Int(g.counts[i]))
+				row[1+i] = core.Int(c.count)
 			case Sum:
-				if g.isInt[i] {
-					row = append(row, core.Int(int64(g.sums[i])))
+				if c.isInt {
+					row[1+i] = core.Int(int64(c.sum))
 				} else {
-					row = append(row, core.Float(g.sums[i]))
+					row[1+i] = core.Float(c.sum)
 				}
-			case Min:
-				row = append(row, g.mins[i])
-			case Max:
-				row = append(row, g.maxs[i])
+			case Min, Max:
+				row[1+i] = c.ext
 			}
 		}
 		out = append(out, row)
