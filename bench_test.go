@@ -1,8 +1,10 @@
 // Package xst's root benchmark suite: one testing.B benchmark per
 // reproduced table/figure (E1–E16, mirroring internal/bench and the
-// xstbench binary) plus micro-benchmarks and the ablations DESIGN.md
-// calls out (canonical construction, image, relative product, engine
-// scan disciplines). Run with:
+// xstbench binary) plus the engine ablations DESIGN.md calls out (scan
+// disciplines, WAL commit, tracing). The set-construction ablation lives
+// in internal/core and the image, relative-product, composition and
+// closure benchmarks in internal/algebra, beside the code they measure.
+// Run with:
 //
 //	go test -bench=. -benchmem
 package xst_test
@@ -15,7 +17,6 @@ import (
 	"testing"
 	"time"
 
-	"xst/internal/algebra"
 	"xst/internal/bench"
 	"xst/internal/catalog"
 	"xst/internal/core"
@@ -23,7 +24,6 @@ import (
 	"xst/internal/exec"
 	"xst/internal/index"
 	"xst/internal/plan"
-	"xst/internal/process"
 	"xst/internal/relational"
 	"xst/internal/server"
 	"xst/internal/stats"
@@ -143,74 +143,6 @@ func BenchmarkTracingSampled100(b *testing.B) {
 
 func BenchmarkTracingAlways(b *testing.B) {
 	benchServerLoadCfg(b, 8, server.Config{MaxWorkers: 64, TraceSample: 1})
-}
-
-// --- Core micro-benchmarks and ablations -----------------------------
-
-// BenchmarkSetConstructionBuilder vs BenchmarkSetConstructionUnion is
-// the canonical-construction ablation: one sort at the end versus
-// repeated canonicalization.
-func BenchmarkSetConstructionBuilder(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		bd := core.NewBuilder(256)
-		for j := 0; j < 256; j++ {
-			bd.AddClassical(core.Int(j * 7 % 256))
-		}
-		if bd.Set().Len() != 256 {
-			b.Fatal("bad set")
-		}
-	}
-}
-
-func BenchmarkSetConstructionUnion(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s := core.Empty()
-		for j := 0; j < 256; j++ {
-			s = core.Union(s, core.S(core.Int(j*7%256)))
-		}
-		if s.Len() != 256 {
-			b.Fatal("bad set")
-		}
-	}
-}
-
-func benchRelation(n int) *core.Set {
-	r := xtest.NewRand(99)
-	bd := core.NewBuilder(n)
-	for i := 0; i < n; i++ {
-		bd.AddClassical(core.Pair(core.Int(r.Intn(n)), core.Int(r.Intn(n))))
-	}
-	return bd.Set()
-}
-
-func BenchmarkImageStdSigma(b *testing.B) {
-	rel := benchRelation(1000)
-	in := core.S(core.Tuple(core.Int(1)), core.Tuple(core.Int(2)), core.Tuple(core.Int(3)))
-	sig := algebra.StdSigma()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		algebra.Image(rel, in, sig)
-	}
-}
-
-func BenchmarkRelativeProductCST(b *testing.B) {
-	f := benchRelation(500)
-	g := benchRelation(500)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		algebra.CSTRelativeProduct(f, g)
-	}
-}
-
-func BenchmarkComposeChain(b *testing.B) {
-	chain := workload.RandomChain(7, 4, 128)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h := process.Std(chain[0])
-		for _, c := range chain[1:] {
-			h = process.MustStdCompose(process.Std(c), h)
-		}
-	}
 }
 
 func BenchmarkEncodeDecode(b *testing.B) {

@@ -29,12 +29,21 @@ func TransitiveClosure(r *core.Set) *core.Set {
 }
 
 // TransitiveClosureCtx is TransitiveClosure under a cancellation
-// context: the pair filter polls every ctxCheckEvery members and the
-// semi-naive iteration once per round (each round is one relative
-// product — the expensive unit).
+// context: it polls once per round and every ctxCheckEvery members.
 func TransitiveClosureCtx(ctx context.Context, r *core.Set) (*core.Set, error) {
-	// Keep only the pair members.
-	pairs := core.NewBuilder(r.Len())
+	return transitiveClosure(ctx, r, allDigestBits)
+}
+
+// transitiveClosure indexes R's pairs once and joins each round's new
+// members against that one index: the relative product is associative
+// where it is defined, so every member of R⁺ is a product p1/…/pn of
+// members of R and is reached by extending a product one member of R
+// at a time. "Already found" is a digest-keyed seen-set over the one
+// growing member list, which is canonicalised once, at the end.
+func transitiveClosure(ctx context.Context, r *core.Set, mask uint64) (*core.Set, error) {
+	all := make([]core.Member, 0, r.Len())
+	seen := newDigestChains(r.Len())
+	digest := func(m core.Member) uint64 { return foldMember(0, m) & mask }
 	steps := 0
 	for _, m := range r.Members() {
 		if steps++; steps%ctxCheckEvery == 0 {
@@ -43,20 +52,45 @@ func TransitiveClosureCtx(ctx context.Context, r *core.Set) (*core.Set, error) {
 			}
 		}
 		if n, ok := core.TupLen(m.Elem); ok && n == 2 {
-			pairs.AddMember(m)
+			all = append(all, m)
+			seen.add(digest(m))
 		}
 	}
-	closure := pairs.Set()
-	delta := closure
-	for !delta.IsEmpty() {
+	cst := cstSpec()
+	j := newJoin(all, cst.Sigma, cst.Omega, mask) // reads R's pairs only, which later appends leave in place
+	var round []core.Member
+	for lo := 0; lo < len(all); {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		next := CSTRelativeProduct(delta, closure)
-		delta = core.Diff(next, closure)
-		closure = core.Union(closure, delta)
+		hi := len(all)
+		for _, m := range all[lo:hi] {
+			if steps++; steps%ctxCheckEvery == 0 {
+				if err := ctx.Err(); err != nil {
+					return nil, err
+				}
+			}
+			round = j.probe(round[:0], m)
+		found:
+			for _, z := range round {
+				if steps++; steps%ctxCheckEvery == 0 {
+					if err := ctx.Err(); err != nil {
+						return nil, err
+					}
+				}
+				d := digest(z)
+				for id := seen.first(d); id >= 0; id = seen.next[id] {
+					if memberEqual(all[id], z) {
+						continue found
+					}
+				}
+				all = append(all, z)
+				seen.add(d)
+			}
+		}
+		lo = hi
 	}
-	return closure, nil
+	return core.OwnSet(all), nil
 }
 
 // ReflexiveTransitiveClosure returns R* = R⁺ ∪ {⟨x,x⟩ : x in field(R)}.

@@ -17,16 +17,27 @@ func SigmaDomain(r *core.Set, sigma *core.Set) *core.Set {
 	if sigma.IsEmpty() {
 		return core.Empty() // Consequence 7.1(e): 𝔇_∅(R) = ∅.
 	}
-	b := core.NewBuilder(r.Len())
-	for _, m := range r.Members() {
-		x := ReScopeByScope(m.Elem, sigma)
-		if x.IsEmpty() {
+	// Every x and s is carved from one slab through one scratch; the
+	// output list is sized at the first survivor, for the members still
+	// to come, so a σ that matches nothing allocates nothing.
+	var (
+		slab    core.Slab
+		scratch []core.Member
+		out     []core.Member
+	)
+	for i, m := range r.Members() {
+		scratch = appendReScope(scratch[:0], m.Elem, sigma)
+		if len(scratch) == 0 {
 			continue
 		}
-		s := ReScopeByScope(m.Scope, sigma)
-		b.Add(x, s)
+		x := slab.Set(scratch)
+		scratch = appendReScope(scratch[:0], m.Scope, sigma)
+		if out == nil {
+			out = make([]core.Member, 0, r.Len()-i)
+		}
+		out = append(out, core.Member{Elem: x, Scope: slab.Set(scratch)})
 	}
-	return b.Set()
+	return core.OwnSet(out)
 }
 
 // Domain1 is the CST 1-domain 𝔇₁ (Def 3.4) realized as 𝔇_⟨1⟩.

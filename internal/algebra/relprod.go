@@ -1,6 +1,10 @@
 package algebra
 
-import "xst/internal/core"
+import (
+	"slices"
+
+	"xst/internal/core"
+)
 
 // RelativeProduct implements Def 10.1, the generalized relative product
 //
@@ -16,46 +20,136 @@ import "xst/internal/core"
 // Def 11.1, depending on the four scope sets — the paper's §10 lists
 // eight useful parameterizations, reproduced by experiment E3.
 //
-// The implementation is a hash join on the canonical encoding of the
-// (key-element, key-scope) pair, so it runs in O(|F| + |G| + out).
+// The implementation is a hash join on the digest of the canonical
+// (key-element, key-scope) members, so it runs in O(|F| + |G| + out),
+// and every re-scope in it is the appendReScope kernel into reused
+// scratch: the only sets built are the output's.
 func RelativeProduct(f, g *core.Set, sigma, omega Sigma) *core.Set {
+	return relativeProduct(f, g, sigma, omega, allDigestBits)
+}
+
+// allDigestBits is the digest mask outside tests, which narrow it to
+// force collisions and prove the member-wise comparison behind a
+// digest match.
+const allDigestBits = ^uint64(0)
+
+func relativeProduct(f, g *core.Set, sigma, omega Sigma, mask uint64) *core.Set {
 	if f.IsEmpty() || g.IsEmpty() {
 		return core.Empty()
 	}
-	type half struct {
-		contrib      *core.Set // x^{/σ1/} or y^{/ω2/}
-		contribScope *core.Set // s^{/σ1/} or t^{/ω2/}
-	}
-	// Build side: index G by its ω1 key.
-	build := make(map[string][]half, g.Len())
-	var keyBuf []byte
-	makeKey := func(ke, ks *core.Set) string {
-		keyBuf = keyBuf[:0]
-		keyBuf = core.AppendEncode(keyBuf, ke)
-		keyBuf = core.AppendEncode(keyBuf, ks)
-		return string(keyBuf)
-	}
-	for _, m := range g.Members() {
-		k := makeKey(ReScopeByScope(m.Elem, omega.S1), ReScopeByScope(m.Scope, omega.S1))
-		build[k] = append(build[k], half{
-			contrib:      ReScopeByScope(m.Elem, omega.S2),
-			contribScope: ReScopeByScope(m.Scope, omega.S2),
-		})
-	}
-	out := core.NewBuilder(f.Len())
+	j := newJoin(g.Members(), sigma, omega, mask)
+	out := make([]core.Member, 0, f.Len())
 	for _, m := range f.Members() {
-		k := makeKey(ReScopeByScope(m.Elem, sigma.S2), ReScopeByScope(m.Scope, sigma.S2))
-		matches := build[k]
-		if len(matches) == 0 {
+		out = j.probe(out, m)
+	}
+	return core.OwnSet(out)
+}
+
+// digestChains files int32 ids under 64-bit digests: ids are handed out
+// in insertion order, ids of one digest are chained newest first, and
+// the caller decides equality among them. It is the index under both
+// the join's build side and the closure's seen-set.
+type digestChains struct {
+	heads map[uint64]int32 // digest → 1 + its newest id
+	next  []int32          // id → the next older id of the same digest, or -1
+}
+
+func newDigestChains(n int) digestChains {
+	return digestChains{heads: make(map[uint64]int32, n), next: make([]int32, 0, n)}
+}
+
+// add files the next id under digest d.
+func (c *digestChains) add(d uint64) {
+	c.next = append(c.next, c.heads[d]-1)
+	c.heads[d] = int32(len(c.next))
+}
+
+// first returns the newest id filed under d, or -1; c.next continues.
+func (c *digestChains) first(d uint64) int32 { return c.heads[d] - 1 }
+
+// foldMember folds one member's digests into h.
+func foldMember(h uint64, m core.Member) uint64 {
+	h = (h ^ core.Digest(m.Elem)) * 0x100000001b3
+	return (h ^ core.Digest(m.Scope)) * 0x100000001b3
+}
+
+// keyDigest folds the canonical members of a key; elemLen separates its
+// key-element members from its key-scope members.
+func keyDigest(key []core.Member, elemLen int) uint64 {
+	h := uint64(elemLen) + 0x9e3779b97f4a7c15
+	for _, m := range key {
+		h = foldMember(h, m)
+	}
+	return h
+}
+
+func memberEqual(a, b core.Member) bool {
+	return core.Equal(a.Elem, b.Elem) && core.Equal(a.Scope, b.Scope)
+}
+
+// join is the build side of one relative product: G's members filed
+// under the digest of their ω1 key, the canonical key members kept for
+// the comparison a digest match still needs, and the scratch and slab
+// the probe side builds its output through. What G contributes to an
+// output member (y^{/ω2/}, t^{/ω2/}) is not built here: probe re-scopes
+// it straight into the output.
+type join struct {
+	sigma, omega Sigma
+	mask         uint64 // digest bits in use
+	g            []core.Member
+	chains       digestChains
+	keys         []core.Member // every build key, back to back
+	bounds       []int32       // id's key-element members are keys[bounds[2id]:bounds[2id+1]], its key-scope members run on to bounds[2id+2]
+	key, fe, buf []core.Member // scratch: probe key, x^{/σ1/}, one output set
+	slab         core.Slab
+}
+
+func newJoin(g []core.Member, sigma, omega Sigma, mask uint64) *join {
+	j := &join{sigma: sigma, omega: omega, mask: mask, g: g,
+		chains: newDigestChains(len(g)),
+		keys:   make([]core.Member, 0, len(g)*omega.S1.Len()),
+		bounds: make([]int32, 1, 1+2*len(g))}
+	for _, m := range g {
+		start := len(j.keys)
+		j.keys = appendKey(j.keys, m.Elem, omega.S1)
+		elemEnd := len(j.keys)
+		j.keys = appendKey(j.keys, m.Scope, omega.S1)
+		j.bounds = append(j.bounds, int32(elemEnd), int32(len(j.keys)))
+		j.chains.add(keyDigest(j.keys[start:], elemEnd-start) & mask)
+	}
+	return j
+}
+
+// appendKey appends the canonical members of a^{/σ/} to dst.
+func appendKey(dst []core.Member, a core.Value, sigma *core.Set) []core.Member {
+	from := len(dst)
+	dst = appendReScope(dst, a, sigma)
+	return dst[:from+len(core.Canonicalize(dst[from:]))]
+}
+
+// probe appends to out the member z^τ of Def 10.1 for every build-side
+// member y^t that x^s = m matches on the σ2/ω1 key.
+func (j *join) probe(out []core.Member, m core.Member) []core.Member {
+	j.key = appendKey(j.key[:0], m.Elem, j.sigma.S2)
+	elemLen := len(j.key)
+	j.key = appendKey(j.key, m.Scope, j.sigma.S2)
+	haveFe := false
+	for id := j.chains.first(keyDigest(j.key, elemLen) & j.mask); id >= 0; id = j.chains.next[id] {
+		b := j.bounds[2*id : 2*id+3]
+		if !slices.EqualFunc(j.key[:elemLen], j.keys[b[0]:b[1]], memberEqual) ||
+			!slices.EqualFunc(j.key[elemLen:], j.keys[b[1]:b[2]], memberEqual) {
 			continue
 		}
-		fe := ReScopeByScope(m.Elem, sigma.S1)
-		fs := ReScopeByScope(m.Scope, sigma.S1)
-		for _, h := range matches {
-			out.Add(core.Union(fe, h.contrib), core.Union(fs, h.contribScope))
+		if !haveFe {
+			j.fe, haveFe = appendReScope(j.fe[:0], m.Elem, j.sigma.S1), true
 		}
+		y := j.g[id]
+		j.buf = appendReScope(append(j.buf[:0], j.fe...), y.Elem, j.omega.S2)
+		z := j.slab.Set(j.buf)
+		j.buf = appendReScope(appendReScope(j.buf[:0], m.Scope, j.sigma.S1), y.Scope, j.omega.S2)
+		out = append(out, core.Member{Elem: z, Scope: j.slab.Set(j.buf)})
 	}
-	return out.Set()
+	return out
 }
 
 // RelProdSpec packages a full relative-product parameterization: the two
@@ -110,10 +204,11 @@ func Section10Specs() []RelProdSpec {
 // CSTRelativeProduct is the classical relative product F/G =
 // { ⟨a,c⟩ : ∃b ⟨a,b⟩ ∈ F & ⟨b,c⟩ ∈ G }, realized as the §10 case-1
 // parameterization σ = ⟨{1¹},{2¹}⟩, ω = ⟨{1¹},{2²}⟩.
-func CSTRelativeProduct(f, g *core.Set) *core.Set {
-	spec := RelProdSpec{
+func CSTRelativeProduct(f, g *core.Set) *core.Set { return cstSpec().Apply(f, g) }
+
+func cstSpec() RelProdSpec {
+	return RelProdSpec{
 		Sigma: NewSigma(ScopeSet([2]int{1, 1}), ScopeSet([2]int{2, 1})),
 		Omega: NewSigma(ScopeSet([2]int{1, 1}), ScopeSet([2]int{2, 2})),
 	}
-	return spec.Apply(f, g)
 }

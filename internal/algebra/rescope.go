@@ -23,13 +23,42 @@ func ReScopeByScope(a core.Value, sigma *core.Set) *core.Set {
 	if !ok || as.IsEmpty() || sigma.IsEmpty() {
 		return core.Empty()
 	}
-	b := core.NewBuilder(as.Len())
+	return core.OwnSet(appendReScope(make([]core.Member, 0, as.Len()), as, sigma))
+}
+
+// appendReScope is the re-scope kernel under every σ-parameterised
+// operation: it appends the members of A^{/σ/} to dst, un-canonicalised
+// (σ may send two members of A to the same x^w), and allocates nothing
+// beyond dst's growth. A member is a function from scopes to elements
+// and σ a small map on scopes, so re-scoping is composition with σ: one
+// walk over A, and per member the run of σ's members whose element is
+// that member's scope.
+func appendReScope(dst []core.Member, a core.Value, sigma *core.Set) []core.Member {
+	as, ok := a.(*core.Set)
+	if !ok {
+		return dst
+	}
 	for _, m := range as.Members() {
-		for _, w := range sigma.ScopesOf(m.Scope) {
-			b.Add(m.Elem, w)
+		for _, sm := range sigma.MembersOf(m.Scope) {
+			dst = append(dst, core.Member{Elem: m.Elem, Scope: sm.Scope})
 		}
 	}
-	return b.Set()
+	return dst
+}
+
+// ReScopesToEmpty reports A^{/σ/} = ∅ without building it: no scope of
+// A occurs as an element of σ.
+func ReScopesToEmpty(a core.Value, sigma *core.Set) bool {
+	as, ok := a.(*core.Set)
+	if !ok {
+		return true
+	}
+	for _, m := range as.Members() {
+		if len(sigma.MembersOf(m.Scope)) > 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // ComposeScopes returns the scope set κ with A^{/σ/}^{/τ/} = A^{/κ/}
@@ -44,8 +73,8 @@ func ReScopeByScope(a core.Value, sigma *core.Set) *core.Set {
 func ComposeScopes(sigma, tau *core.Set) *core.Set {
 	b := core.NewBuilder(sigma.Len())
 	for _, m := range sigma.Members() {
-		for _, v := range tau.ScopesOf(m.Scope) {
-			b.Add(m.Elem, v)
+		for _, tm := range tau.MembersOf(m.Scope) {
+			b.Add(m.Elem, tm.Scope)
 		}
 	}
 	return b.Set()

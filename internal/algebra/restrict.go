@@ -30,7 +30,8 @@ func SigmaRestrict(r *core.Set, sigma *core.Set, a *core.Set) *core.Set {
 			scope: ReScopeByElem(am.Scope, sigma),
 		})
 	}
-	b := core.NewBuilder(r.Len())
+	// A restriction selects: the output grows on demand, not from |R|.
+	var out []core.Member
 	for _, m := range r.Members() {
 		ze, zok := m.Elem.(*core.Set)
 		we, wok := m.Scope.(*core.Set)
@@ -43,11 +44,11 @@ func SigmaRestrict(r *core.Set, sigma *core.Set, a *core.Set) *core.Set {
 			if !p.scope.IsEmpty() && (!wok || !core.Subset(p.scope, we)) {
 				continue
 			}
-			b.AddMember(m)
+			out = append(out, m)
 			break
 		}
 	}
-	return b.Set()
+	return core.OwnSet(out)
 }
 
 // Image implements Def 3.10 / 7.1, the XST image:

@@ -141,4 +141,12 @@ func Subsets(s *Set, fn func(*Set) bool) {
 
 // Card returns the classical cardinality of s: the number of distinct
 // elements, ignoring scopes.
-func Card(s *Set) int { return len(s.Elems()) }
+func Card(s *Set) int {
+	n := 0
+	for i, m := range s.members {
+		if i == 0 || !Equal(s.members[i-1].Elem, m.Elem) {
+			n++
+		}
+	}
+	return n
+}

@@ -137,4 +137,9 @@ func TestCard(t *testing.T) {
 	if s.Len() != 3 {
 		t.Fatalf("Len = %d, want 3 (membership facts)", s.Len())
 	}
+	for _, s := range []*Set{Empty(), S(Int(7)), s, Union(s, S(Int(1), Str("x")))} {
+		if Card(s) != len(s.Elems()) {
+			t.Fatalf("Card(%v) = %d, want %d", s, Card(s), len(s.Elems()))
+		}
+	}
 }

@@ -1,6 +1,9 @@
 package core
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // Member is one scoped membership fact: Elem ∈_Scope set. Both fields are
 // arbitrary values. The classical "x ∈ A" is Member{Elem: x, Scope: ∅}.
@@ -46,10 +49,37 @@ func NewSet(members ...Member) *Set {
 // ownSet canonicalizes ms in place and wraps it. The caller must not
 // retain ms.
 func ownSet(ms []Member) *Set {
+	ms = Canonicalize(ms)
 	if len(ms) == 0 {
 		return emptySet
 	}
-	sort.Slice(ms, func(i, j int) bool { return compareMembers(ms[i], ms[j]) < 0 })
+	return &Set{members: ms, hash: hashMembers(ms)}
+}
+
+// OwnSet is NewSet without the copy: it canonicalizes ms in place and
+// the returned set keeps ms as its member sequence, so the caller must
+// neither write to nor retain ms afterwards (setmutate checks this).
+func OwnSet(ms []Member) *Set { return ownSet(ms) }
+
+// Canonicalize sorts ms into canonical member order and drops duplicate
+// (element, scope) pairs, in place, and returns the canonical prefix of
+// ms. It is the whole of set construction short of the wrapping, for
+// callers that compare or hash member sequences without keeping a set.
+func Canonicalize(ms []Member) []Member {
+	switch len(ms) {
+	case 0, 1:
+		return ms
+	case 2:
+		c := compareMembers(ms[0], ms[1])
+		if c == 0 {
+			return ms[:1]
+		}
+		if c > 0 {
+			ms[0], ms[1] = ms[1], ms[0]
+		}
+		return ms
+	}
+	slices.SortFunc(ms, compareMembers)
 	w := 1
 	for i := 1; i < len(ms); i++ {
 		if compareMembers(ms[i], ms[w-1]) != 0 {
@@ -57,13 +87,54 @@ func ownSet(ms []Member) *Set {
 			w++
 		}
 	}
-	ms = ms[:w]
+	return ms[:w]
+}
+
+// hashMembers is the digest of the set whose canonical members are ms.
+func hashMembers(ms []Member) uint64 {
 	h := hashKindUint64(KindSet, uint64(len(ms)))
 	for _, m := range ms {
 		h = hashUint64(h, m.Elem.digest())
 		h = hashUint64(h, m.Scope.digest())
 	}
-	return &Set{members: ms, hash: h}
+	return h
+}
+
+// slabChunk is the size, in headers or members, of the chunk a Slab
+// continues in once one of size prev is full: chunks double up to 1024,
+// so a small result costs a small chunk and a large one a few dozen
+// allocations instead of one per set.
+func slabChunk(prev int) int { return min(max(2*prev, 8), 1024) }
+
+// Slab builds many small sets into shared backing arrays: set headers
+// and member windows are carved from chunks that grow geometrically, so
+// an operation that emits thousands of pairs allocates a handful of
+// chunks rather than two objects per pair. The sets are ordinary
+// immutable values; the price is lifetime — any one of them keeps its
+// chunks reachable. The zero value is ready to use; a Slab must not be
+// shared between goroutines.
+type Slab struct {
+	hdrs []Set
+	ms   []Member
+}
+
+// Set canonicalizes ms in place and returns the set of its members,
+// copied into the slab: ms stays the caller's scratch to reuse.
+func (sl *Slab) Set(ms []Member) *Set {
+	ms = Canonicalize(ms)
+	if len(ms) == 0 {
+		return emptySet
+	}
+	if len(sl.hdrs) == cap(sl.hdrs) {
+		sl.hdrs = make([]Set, 0, slabChunk(cap(sl.hdrs)))
+	}
+	if len(sl.ms)+len(ms) > cap(sl.ms) {
+		sl.ms = make([]Member, 0, max(len(ms), slabChunk(cap(sl.ms))))
+	}
+	start := len(sl.ms)
+	sl.ms = append(sl.ms, ms...)
+	sl.hdrs = append(sl.hdrs, Set{members: sl.ms[start:len(sl.ms):len(sl.ms)], hash: hashMembers(ms)})
+	return &sl.hdrs[len(sl.hdrs)-1]
 }
 
 // S builds a classical set: every argument becomes a member under the
@@ -137,19 +208,18 @@ func (s *Set) lowerBoundElem(elem Value) int {
 	})
 }
 
-// ScopesOf returns every scope under which elem belongs to s, in
-// canonical order. The returned slice is subject to the same no-mutate,
-// no-retain contract as Members: today it is freshly allocated, but the
-// contract keeps a zero-copy implementation possible.
-func (s *Set) ScopesOf(elem Value) []Value {
-	var scopes []Value
-	for i := s.lowerBoundElem(elem); i < len(s.members); i++ {
-		if !Equal(s.members[i].Elem, elem) {
-			break
-		}
-		scopes = append(scopes, s.members[i].Scope)
+// MembersOf returns the members of s whose element is elem — one per
+// scope under which elem belongs to s — in canonical order. They are
+// contiguous in the canonical sequence, so the result is a window into
+// it: nothing is allocated, and the no-mutate, no-retain contract of
+// Members applies.
+func (s *Set) MembersOf(elem Value) []Member {
+	lo := s.lowerBoundElem(elem)
+	hi := lo
+	for hi < len(s.members) && Equal(s.members[hi].Elem, elem) {
+		hi++
 	}
-	return scopes
+	return s.members[lo:hi]
 }
 
 // ElemsUnder returns every element that belongs to s under scope, in

@@ -42,14 +42,22 @@ func TestScopedMembershipDistinct(t *testing.T) {
 	}
 }
 
-func TestScopesOfAndElemsUnder(t *testing.T) {
+func TestMembersOfAndElemsUnder(t *testing.T) {
 	s := NewSet(
 		M(Int(1), Str("x")), M(Int(1), Str("y")),
 		M(Int(2), Str("x")), E(Int(3)),
 	)
-	sc := s.ScopesOf(Int(1))
-	if len(sc) != 2 || !Equal(sc[0], Str("x")) || !Equal(sc[1], Str("y")) {
-		t.Fatalf("ScopesOf(1) = %v", sc)
+	run := s.MembersOf(Int(1))
+	if len(run) != 2 || !Equal(run[0].Scope, Str("x")) || !Equal(run[1].Scope, Str("y")) {
+		t.Fatalf("MembersOf(1) = %v", run)
+	}
+	for _, absent := range []Value{Int(0), Int(4), Str("x"), Empty()} {
+		if got := s.MembersOf(absent); len(got) != 0 {
+			t.Fatalf("MembersOf(%v) = %v", absent, got)
+		}
+	}
+	if got := Empty().MembersOf(Int(1)); len(got) != 0 {
+		t.Fatalf("∅.MembersOf(1) = %v", got)
 	}
 	under := s.ElemsUnder(Str("x"))
 	if len(under) != 2 || !Equal(under[0], Int(1)) || !Equal(under[1], Int(2)) {
@@ -192,5 +200,59 @@ func TestCopyMembers(t *testing.T) {
 	}
 	if &cp[0] == &s.Members()[0] {
 		t.Fatal("CopyMembers aliases the canonical slice")
+	}
+}
+
+// TestSlabSetsAreOrdinarySets: sets carved from a Slab equal, hash and
+// order like sets built one allocation at a time, across chunk
+// boundaries, and leave the caller's scratch free for reuse.
+func TestSlabSetsAreOrdinarySets(t *testing.T) {
+	var sl Slab
+	var scratch []Member
+	var got, want []*Set
+	for i := 0; i < 3*slabChunk(1024); i++ {
+		scratch = append(scratch[:0], M(Int(i), Int(2)), M(Int(i%7), Int(1)), M(Int(i), Int(2)))
+		want = append(want, NewSet(scratch...))
+		got = append(got, sl.Set(scratch))
+	}
+	for i := range got {
+		if !Equal(got[i], want[i]) || Digest(got[i]) != Digest(want[i]) || Compare(got[i], want[i]) != 0 {
+			t.Fatalf("slab set %d = %v, want %v", i, got[i], want[i])
+		}
+		if len(got[i].Members()) != cap(got[i].Members()) {
+			t.Fatalf("slab set %d: member window has spare capacity into its neighbour", i)
+		}
+	}
+	if sl.Set(scratch[:0]) != Empty() {
+		t.Fatal("empty slab set is not the interned ∅")
+	}
+	big := make([]Member, 2*slabChunk(1024))
+	for i := range big {
+		big[i] = E(Int(i))
+	}
+	if s := sl.Set(big); s.Len() != len(big) {
+		t.Fatalf("oversized slab set kept %d of %d members", s.Len(), len(big))
+	}
+}
+
+func TestCanonicalizeAndOwnSet(t *testing.T) {
+	for n := 0; n <= 6; n++ {
+		ms := make([]Member, n)
+		for i := range ms {
+			ms[i] = M(Int((n-i)%3), Int(i%2))
+		}
+		want := NewSet(ms...)
+		canon := Canonicalize(append([]Member(nil), ms...))
+		if len(canon) != want.Len() {
+			t.Fatalf("n=%d: Canonicalize kept %d members, want %d", n, len(canon), want.Len())
+		}
+		for i, m := range canon {
+			if compareMembers(m, want.Member(i)) != 0 {
+				t.Fatalf("n=%d: Canonicalize[%d] = %v, want %v", n, i, m, want.Member(i))
+			}
+		}
+		if got := OwnSet(ms); !Equal(got, want) {
+			t.Fatalf("n=%d: OwnSet = %v, want %v", n, got, want)
+		}
 	}
 }

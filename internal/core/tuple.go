@@ -41,7 +41,11 @@ func TupLen(v Value) (int, bool) {
 		return 0, false
 	}
 	n := len(s.members)
-	seen := make([]bool, n)
+	var few [64]bool // on the stack: recognizing a pair or a row allocates nothing
+	seen := few[:]
+	if n > len(few) {
+		seen = make([]bool, n)
+	}
 	for _, m := range s.members {
 		i, ok := m.Scope.(Int)
 		if !ok || i < 1 || int(i) > n || seen[i-1] {

@@ -38,6 +38,22 @@ func TestTupleSharedPositions(t *testing.T) {
 	if _, ok := TupLen(s); ok {
 		t.Fatal("position collision must not be a tuple")
 	}
+	// The same on either side of the 64 positions one word records.
+	for _, n := range []int{64, 65, 200} {
+		xs := make([]Value, n)
+		for i := range xs {
+			xs[i] = Int(i)
+		}
+		wide := Tuple(xs...)
+		if got, ok := TupLen(wide); !ok || got != n {
+			t.Fatalf("tup of a %d-tuple = %d,%v", n, got, ok)
+		}
+		ms := wide.CopyMembers()
+		ms[n-1].Scope = Int(1) // two members on position 1, none on n
+		if _, ok := TupLen(NewSet(ms...)); ok {
+			t.Fatalf("%d members with a position collision must not be a tuple", n)
+		}
+	}
 }
 
 func TestTupleElemsOrder(t *testing.T) {

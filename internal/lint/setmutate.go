@@ -16,18 +16,19 @@ var accessors = map[string]bool{
 	"Members":    true,
 	"Elems":      true,
 	"Scopes":     true,
-	"ScopesOf":   true,
+	"MembersOf":  true,
 	"ElemsUnder": true,
 }
 
 // SetMutateAnalyzer enforces the zero-copy contract of the canonical
-// accessors: a slice obtained from (*core.Set).Members/Elems/Scopes/
-// ScopesOf/ElemsUnder must never be written to, appended to, sorted in
-// place, or retained in a longer-lived structure — the backing array IS
-// the set's canonical identity, and a single write silently breaks
-// Equal/Compare/Digest for every alias. Inside internal/core it also
-// enforces ownSet's ownership transfer: a slice passed to ownSet (or
-// splatted into NewSet) must not be mutated afterwards.
+// accessors: a slice obtained from (*core.Set).Members/MembersOf/Elems/
+// Scopes/ElemsUnder must never be written to, appended to, sorted in
+// place (sort.Slice, core.Canonicalize, (*core.Slab).Set), or retained
+// in a longer-lived structure — the backing array IS the set's canonical
+// identity, and a single write silently breaks Equal/Compare/Digest for
+// every alias. It also enforces the ownership transfer of core.OwnSet
+// (and, inside internal/core, of ownSet and a splatted NewSet): a slice
+// handed over must not be mutated afterwards.
 var SetMutateAnalyzer = &Analyzer{
 	Name: "setmutate",
 	Doc:  "flags mutation or retention of canonical slices returned by (*core.Set) accessors, and use of a slice after ownSet takes ownership",
@@ -236,8 +237,10 @@ func (sm *setMutate) call(call *ast.CallExpr) {
 		return
 	}
 
-	// sort.Slice / sort.SliceStable sort their argument in place.
-	if isPkgCall(sm.pass.Info, call, "sort", "Slice", "SliceStable") && len(call.Args) > 0 {
+	// sort.Slice / sort.SliceStable, core.Canonicalize and a Slab's Set
+	// sort their argument in place.
+	if (isPkgCall(sm.pass.Info, call, "sort", "Slice", "SliceStable") ||
+		isPkgCall(sm.pass.Info, call, corePkg[0], "Canonicalize") || sm.slabSet(recv, name)) && len(call.Args) > 0 {
 		if src, ok := sm.taintSource(call.Args[0]); ok {
 			sm.pass.Reportf(call.Pos(),
 				"in-place sort of the canonical slice from (*core.Set).%s; copy it first", src)
@@ -251,9 +254,12 @@ func (sm *setMutate) call(call *ast.CallExpr) {
 		return
 	}
 
-	// Ownership transfer inside internal/core: ownSet(ms) canonicalizes in
-	// place and keeps ms; NewSet(ms...) is the splat form.
-	if sm.inCore && recv == nil && (name == "ownSet" || (name == "NewSet" && call.Ellipsis != token.NoPos)) && len(call.Args) == 1 {
+	// Ownership transfer: core.OwnSet(ms) — inside internal/core also
+	// ownSet(ms) and the splat form NewSet(ms...) — canonicalizes in place
+	// and keeps ms.
+	owns := isPkgCall(sm.pass.Info, call, corePkg[0], "OwnSet") ||
+		sm.inCore && recv == nil && (name == "ownSet" || name == "OwnSet" || (name == "NewSet" && call.Ellipsis != token.NoPos))
+	if owns && len(call.Args) == 1 {
 		if src, ok := sm.taintSource(call.Args[0]); ok {
 			sm.pass.Reportf(call.Pos(),
 				"canonical slice from (*core.Set).%s passed to %s, which canonicalizes in place", src, name)
@@ -267,6 +273,15 @@ func (sm *setMutate) call(call *ast.CallExpr) {
 			}
 		}
 	}
+}
+
+// slabSet reports whether recv.name is (*core.Slab).Set.
+func (sm *setMutate) slabSet(recv ast.Expr, name string) bool {
+	if recv == nil || name != "Set" {
+		return false
+	}
+	tv, ok := sm.pass.Info.Types[recv]
+	return ok && namedIn(tv.Type, "Slab", corePkg...)
 }
 
 // checkWrite flags assignments that write through a canonical slice:

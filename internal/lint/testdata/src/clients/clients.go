@@ -23,8 +23,11 @@ func mutations(s *core.Set) {
 	elems := s.Elems()
 	copy(elems, []core.Value{core.Int(4)}) // want `copy writes into the canonical slice from \(\*core.Set\).Elems`
 
-	direct := s.ScopesOf(core.Int(1))
-	direct[0] = core.Empty() // want `write through the canonical slice from \(\*core.Set\).ScopesOf`
+	run := s.MembersOf(core.Int(1))
+	run[0].Scope = core.Empty() // want `write through the canonical slice from \(\*core.Set\).MembersOf`
+	core.Canonicalize(run)      // want `in-place sort of the canonical slice from \(\*core.Set\).MembersOf`
+	var slab core.Slab
+	slab.Set(ms) // want `in-place sort of the canonical slice from \(\*core.Set\).Members`
 
 	s.Members()[0] = core.M(core.Int(5), core.Empty()) // want `write through the canonical slice from \(\*core.Set\).Members`
 }
@@ -32,6 +35,14 @@ func mutations(s *core.Set) {
 func retention(s *core.Set, r *registry, byKey map[int][]core.Value) {
 	r.keep = s.Members() // want `canonical slice from \(\*core.Set\).Members retained in a field or map`
 	byKey[1] = s.Elems() // want `canonical slice from \(\*core.Set\).Elems retained in a field or map`
+}
+
+func ownership(s *core.Set) *core.Set {
+	own := s.CopyMembers()
+	set := core.OwnSet(own)
+	own[0] = core.M(core.Int(6), core.Empty()) // want `write through a slice already passed to OwnSet`
+	_ = core.OwnSet(s.Members())               // want `canonical slice from \(\*core.Set\).Members passed to OwnSet`
+	return set
 }
 
 func reslicedAliasStillCanonical(s *core.Set) {

@@ -66,7 +66,7 @@ func (p Proc) IsProcess() bool {
 		return false
 	}
 	for _, m := range p.F.Members() {
-		if algebra.ReScopeByScope(m.Elem, p.Sig.S2).IsEmpty() {
+		if algebra.ReScopesToEmpty(m.Elem, p.Sig.S2) {
 			return false
 		}
 	}
