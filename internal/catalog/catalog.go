@@ -33,8 +33,8 @@ const catalogPage = store.PageID(0)
 // metaTable is the hidden system table holding collected statistics and
 // index declarations as rows ⟨kind, tbl, payload⟩. It persists through
 // the ordinary catalog entry on page 0 but is excluded from Names and
-// BindAll — "__"-prefixed names are reserved (sessions use them for
-// scratch tables, which never reach the catalog).
+// the planner snapshot — "__"-prefixed names are reserved (sessions use
+// them for scratch tables, which never reach the catalog).
 const metaTable = "__meta"
 
 // Index kinds recorded in __meta entries.
@@ -148,6 +148,22 @@ type Database struct {
 	writeMu sync.Mutex
 	// autoCk checkpoints the log once it exceeds this many bytes.
 	autoCk int64
+
+	// sets memoises each table's extended set for the expression
+	// language, one entry per name holding the version it was built
+	// from (setsMu guards the map; each entry builds once).
+	setsMu sync.Mutex
+	sets   map[string]*versionSet
+}
+
+// versionSet is one published table version's extended set. view pins
+// the version's pages from the entry's creation until its build ends.
+type versionSet struct {
+	t    *table.Table
+	view *store.View
+	once sync.Once
+	s    *core.Set
+	err  error
 }
 
 func newDatabase(pager store.Pager, pool *store.BufferPool) *Database {
@@ -158,6 +174,7 @@ func newDatabase(pager store.Pager, pool *store.BufferPool) *Database {
 		parts:  map[string]Partition{},
 		statsC: map[string]*stats.TableStats{},
 		idxs:   map[string][]*Index{},
+		sets:   map[string]*versionSet{},
 		snap:   &plan.Catalog{},
 		mgr:    wal.NewManager(pager, wal.NewNullLog()),
 		autoCk: defaultAutoCheckpoint,
@@ -365,30 +382,72 @@ func (db *Database) writeCatalog() error {
 	return nil
 }
 
-// BindAll loads every table of the database into an expression-language
-// environment as its materialized extended set, so the REPL can query
-// stored data symbolically (`users[{<1>}]` etc.), and wires the
-// database's planner catalog into the environment, so query statements
-// (`from users where …`) resolve their tables in the current snapshot
-// and stream them through the cost-based planner without materializing.
-// The provider re-resolves per query, so clones of env see the tables,
-// indexes and statistics of every later commit.
+// BindAll wires the database into an expression-language environment
+// and materialises nothing. Query statements (`from users where …`)
+// resolve their tables, indexes and statistics in the current planner
+// snapshot and stream them through the cost-based planner; an
+// identifier with no session binding that names a table of that
+// snapshot (`users[{<1>}]`, `card(users)`) evaluates to the table as
+// its extended set, built on first use and shared by every environment
+// bound to this database until a commit publishes the next version
+// (tableSet). Both providers re-resolve per statement, so clones of env
+// see every later commit and every table created after the bind.
 func (db *Database) BindAll(env *xlang.Env) error {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	for name, t := range db.tables {
-		if strings.HasPrefix(name, "__") {
-			continue
-		}
-		s, err := t.ToXST()
-		if err != nil {
-			return fmt.Errorf("catalog: binding %q: %w", name, err)
-		}
-		env.Bind(name, s)
-	}
 	env.BindPlanCatalog(db.PlanCatalog)
+	env.BindTableResolver(db.tableSet)
 	db.bindSysViews(env)
 	return nil
+}
+
+// errSuperseded reports a table version that a commit replaced before
+// its set was first built: no view can show its pages any more.
+var errSuperseded = errors.New("catalog: table changed by a commit while the statement ran; retry it")
+
+// tableSet returns the extended set of t, the version of table name that
+// a planner snapshot publishes: table.ToXST of that version, built once
+// and shared by every caller until a later version of the name is
+// resolved, which drops it. The build reads t under a view pinned while
+// t was the published version, so commits landing meanwhile stay
+// invisible; a version superseded before its first build is an error.
+func (db *Database) tableSet(name string, t *table.Table) (*core.Set, error) {
+	e, err := db.versionEntry(name, t)
+	if err != nil {
+		return nil, err
+	}
+	e.once.Do(e.build)
+	if e.err != nil {
+		db.setsMu.Lock()
+		if db.sets[name] == e {
+			delete(db.sets, name)
+		}
+		db.setsMu.Unlock()
+		return nil, fmt.Errorf("catalog: materialising %q: %w", name, e.err)
+	}
+	return e.s, nil
+}
+
+// versionEntry returns name's memo entry for version t, replacing the
+// entry of any other version.
+func (db *Database) versionEntry(name string, t *table.Table) (*versionSet, error) {
+	db.setsMu.Lock()
+	defer db.setsMu.Unlock()
+	if e := db.sets[name]; e != nil && e.t == t {
+		return e, nil
+	}
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	if db.tables[name] != t {
+		return nil, fmt.Errorf("%w: %q", errSuperseded, name)
+	}
+	e := &versionSet{t: t, view: db.pool.NewView()}
+	db.sets[name] = e
+	return e, nil
+}
+
+func (e *versionSet) build() {
+	e.s, e.err = e.t.At(e.view).ToXST()
+	e.view.Release()
+	e.view = nil
 }
 
 // Analyze collects fresh statistics for every user table, rebuilds

@@ -194,6 +194,10 @@ type Snapshot struct {
 type Server struct {
 	cfg     Config
 	baseEnv *xlang.Env
+	// current provides the database's current planner catalog; a
+	// session's provider returns to it after each query statement, which
+	// pins its own snapshot.
+	current func() *plan.Catalog
 	m       Metrics
 	// reg names every metric for the `.metrics` exposition and the HTTP
 	// /metrics endpoint.
@@ -271,6 +275,7 @@ func New(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("server: %w", err)
 	}
 	if cfg.DB != nil {
+		s.current = cfg.DB.PlanCatalog
 		s.hookWAL()
 	}
 	s.bindSysViews(base)
@@ -722,6 +727,7 @@ func (s *Server) handle(sess *session, req Request, send func(Response) error) (
 		rt = s.cfg.DB.BeginRead()
 		defer rt.View.Release()
 		sess.env.BindPlanCatalog(func() *plan.Catalog { return rt.Snap })
+		defer sess.env.BindPlanCatalog(s.current)
 	}
 
 	// Compile query statements before admission so the cost-chosen

@@ -6,10 +6,9 @@ package stats
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"xst/internal/core"
-	"xst/internal/store"
 	"xst/internal/table"
 )
 
@@ -47,49 +46,58 @@ type TableStats struct {
 	Columns []ColumnStats
 }
 
-// Collect scans the table once and builds statistics for every column.
+// Collect reads the table once, a page batch at a time, and builds
+// statistics for every column. Each column's values are sorted under
+// the canonical order (core.Compare); its distinct count is the number
+// of runs of equal values, so two values count once exactly when the
+// algebra treats them as one element.
 func Collect(t *table.Table) (*TableStats, error) {
 	arity := t.Schema().Arity()
-	values := make([][]core.Value, arity)
-	distinct := make([]map[string]bool, arity)
-	for i := range distinct {
-		distinct[i] = map[string]bool{}
+	cols := make([][]core.Value, arity)
+	for i := range cols {
+		cols[i] = make([]core.Value, 0, t.Count())
 	}
-	rows := 0
-	err := t.Scan(func(_ store.RID, r table.Row) (bool, error) {
-		rows++
-		for i, v := range r {
-			values[i] = append(values[i], v)
-			distinct[i][core.Key(v)] = true
+	ts := &TableStats{Columns: make([]ColumnStats, arity)}
+	cur := t.NewBatchCursor(nil)
+	for {
+		_, rows, ok, err := cur.Next()
+		if err != nil {
+			return nil, err
 		}
-		return true, nil
-	})
-	if err != nil {
-		return nil, err
+		if !ok {
+			break
+		}
+		ts.Rows += len(rows)
+		for _, r := range rows {
+			for i, v := range r {
+				cols[i] = append(cols[i], v)
+			}
+		}
 	}
-	ts := &TableStats{Rows: rows, Columns: make([]ColumnStats, arity)}
-	for i := range ts.Columns {
-		ts.Columns[i] = buildColumn(values[i], len(distinct[i]))
+	for i, vals := range cols {
+		ts.Columns[i] = buildColumn(vals)
 	}
 	return ts, nil
 }
 
-func buildColumn(vals []core.Value, distinct int) ColumnStats {
-	cs := ColumnStats{Distinct: distinct, rows: len(vals)}
+// buildColumn sorts vals in place and summarises them.
+func buildColumn(vals []core.Value) ColumnStats {
+	cs := ColumnStats{rows: len(vals)}
 	if len(vals) == 0 {
 		return cs
 	}
-	sorted := make([]core.Value, len(vals))
-	copy(sorted, vals)
-	sort.Slice(sorted, func(i, j int) bool { return core.Compare(sorted[i], sorted[j]) < 0 })
-	cs.Min, cs.Max = sorted[0], sorted[len(sorted)-1]
-	buckets := histogramBuckets
-	if buckets > len(sorted) {
-		buckets = len(sorted)
+	slices.SortFunc(vals, core.Compare)
+	cs.Distinct = 1
+	for i := 1; i < len(vals); i++ {
+		if core.Compare(vals[i-1], vals[i]) != 0 {
+			cs.Distinct++
+		}
 	}
+	cs.Min, cs.Max = vals[0], vals[len(vals)-1]
+	buckets := min(histogramBuckets, len(vals))
+	cs.bounds = make([]core.Value, buckets)
 	for b := 1; b <= buckets; b++ {
-		idx := b*len(sorted)/buckets - 1
-		cs.bounds = append(cs.bounds, sorted[idx])
+		cs.bounds[b-1] = vals[b*len(vals)/buckets-1]
 	}
 	return cs
 }

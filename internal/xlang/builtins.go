@@ -348,7 +348,7 @@ var builtins = map[string]builtin{
 	}},
 }
 
-func evalCall(ctx context.Context, env *Env, x *callNode) (core.Value, error) {
+func (st *stmt) call(ctx context.Context, x *callNode) (core.Value, error) {
 	b, ok := builtins[x.name]
 	if !ok {
 		return nil, evalErr(x.at, "unknown builtin %q (try one of: union, image, dom, restrict, relprod, …)", x.name)
@@ -358,7 +358,7 @@ func evalCall(ctx context.Context, env *Env, x *callNode) (core.Value, error) {
 	}
 	args := make([]core.Value, len(x.args))
 	for i, a := range x.args {
-		v, err := evalNode(ctx, env, a)
+		v, err := st.eval(ctx, a)
 		if err != nil {
 			return nil, err
 		}

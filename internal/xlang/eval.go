@@ -12,14 +12,15 @@ import (
 	"xst/internal/table"
 )
 
-// Env holds variable bindings for evaluation. Unbound identifiers
-// evaluate to string atoms (symbols), so `{<a,b>}` means the set holding
-// the pair of symbols a and b — matching the paper's notation. Bind a
-// name with `name := expr` to shadow the symbol reading. Stored tables
-// live in a separate namespace consulted only by query statements
-// (`from …`), which stream from the table pages instead of evaluating a
-// materialized value: the planner catalog names a database's tables,
-// BindTable the ones that belong to this environment alone.
+// Env holds variable bindings for evaluation. An identifier resolves in
+// three steps: a variable bound with `name := expr` (or Bind); else a
+// stored table of the statement's planner-catalog snapshot, as its
+// extended set, when a table resolver is bound; else the *symbol* — the
+// string atom — so `{<a,b>}` means the set holding the pair of symbols
+// a and b, matching the paper's notation. Query statements (`from …`)
+// stream from the table pages instead of evaluating a materialized
+// value: the planner catalog names a database's tables, BindTable the
+// ones that belong to this environment alone.
 type Env struct {
 	vars   map[string]core.Value
 	tables map[string]*table.Table
@@ -31,7 +32,14 @@ type Env struct {
 	// every commit publishes a new catalog, and every session clone
 	// should see it on its next query.
 	planCat func() *plan.Catalog
+	// tableSet materialises a stored table of the planner catalog as its
+	// extended set; shared by clones, like planCat.
+	tableSet TableResolver
 }
+
+// TableResolver turns the stored table a catalog snapshot names into
+// its extended set (a database memoises one set per published version).
+type TableResolver func(name string, t *table.Table) (*core.Set, error)
 
 // NewEnv returns an empty environment.
 func NewEnv() *Env {
@@ -59,7 +67,7 @@ func (e *Env) Clone() *Env {
 	for k, v := range e.virtuals {
 		virtuals[k] = v
 	}
-	return &Env{vars: vars, tables: tables, virtuals: virtuals, planCat: e.planCat}
+	return &Env{vars: vars, tables: tables, virtuals: virtuals, planCat: e.planCat, tableSet: e.tableSet}
 }
 
 // BindPlanCatalog registers a planner-catalog provider (a database's
@@ -67,6 +75,12 @@ func (e *Env) Clone() *Env {
 // this environment resolve table names in it and become cost-based. The
 // provider is shared by clones.
 func (e *Env) BindPlanCatalog(fn func() *plan.Catalog) { e.planCat = fn }
+
+// BindTableResolver makes the planner catalog's tables readable as sets:
+// an identifier with no variable binding that names a table in the
+// statement's catalog snapshot evaluates to fn's set for that table
+// instead of a symbol. The resolver is shared by clones.
+func (e *Env) BindTableResolver(fn TableResolver) { e.tableSet = fn }
 
 // PlanCatalog resolves the current planner catalog; nil when no
 // provider is bound (plans then use the constant cost model).
@@ -147,7 +161,32 @@ func EvalCtx(ctx context.Context, env *Env, src string) (core.Value, error) {
 	if err != nil {
 		return nil, err
 	}
-	return evalNode(ctx, env, n)
+	st := stmt{env: env}
+	return st.eval(ctx, n)
+}
+
+// stmt is one statement's evaluation: the environment plus the planner
+// catalog its table names resolve in, pinned at the first identifier
+// that reaches the resolver so every mention reads one version.
+type stmt struct {
+	env *Env
+	cat *plan.Catalog
+}
+
+// ident resolves an identifier: variable, then stored table, then symbol.
+func (st *stmt) ident(name string) (core.Value, error) {
+	if v, ok := st.env.vars[name]; ok {
+		return v, nil
+	}
+	if st.env.tableSet != nil {
+		if st.cat == nil {
+			st.cat = st.env.PlanCatalog()
+		}
+		if t, ok := st.cat.Table(name); ok {
+			return st.env.tableSet(name, t)
+		}
+	}
+	return core.Str(name), nil
 }
 
 // EvalProgram evaluates a multi-line program (one statement per line,
@@ -174,35 +213,32 @@ func EvalProgramCtx(ctx context.Context, env *Env, src string) (core.Value, erro
 	return last, nil
 }
 
-func evalNode(ctx context.Context, env *Env, n node) (core.Value, error) {
+func (st *stmt) eval(ctx context.Context, n node) (core.Value, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	switch x := n.(type) {
 	case *assignNode:
-		v, err := evalNode(ctx, env, x.expr)
+		v, err := st.eval(ctx, x.expr)
 		if err != nil {
 			return nil, err
 		}
-		env.Bind(x.name, v)
+		st.env.Bind(x.name, v)
 		return v, nil
 	case *litNode:
 		return evalLit(x)
 	case *identNode:
-		if v, ok := env.Lookup(x.name); ok {
-			return v, nil
-		}
-		return core.Str(x.name), nil
+		return st.ident(x.name)
 	case *setNode:
 		b := core.NewBuilder(len(x.members))
 		for _, m := range x.members {
-			elem, err := evalNode(ctx, env, m.elem)
+			elem, err := st.eval(ctx, m.elem)
 			if err != nil {
 				return nil, err
 			}
 			scope := core.Value(core.Empty())
 			if m.scope != nil {
-				if scope, err = evalNode(ctx, env, m.scope); err != nil {
+				if scope, err = st.eval(ctx, m.scope); err != nil {
 					return nil, err
 				}
 			}
@@ -212,7 +248,7 @@ func evalNode(ctx context.Context, env *Env, n node) (core.Value, error) {
 	case *tupleNode:
 		elems := make([]core.Value, len(x.elems))
 		for i, e := range x.elems {
-			v, err := evalNode(ctx, env, e)
+			v, err := st.eval(ctx, e)
 			if err != nil {
 				return nil, err
 			}
@@ -220,11 +256,11 @@ func evalNode(ctx context.Context, env *Env, n node) (core.Value, error) {
 		}
 		return core.Tuple(elems...), nil
 	case *binNode:
-		return evalBin(ctx, env, x)
+		return st.bin(ctx, x)
 	case *imageNode:
-		return evalImage(ctx, env, x)
+		return st.image(ctx, x)
 	case *callNode:
-		return evalCall(ctx, env, x)
+		return st.call(ctx, x)
 	default:
 		return nil, evalErr(n.pos(), "unknown node %T", n)
 	}
@@ -267,12 +303,12 @@ func asSet(pos int, v core.Value, role string) (*core.Set, error) {
 	return s, nil
 }
 
-func evalBin(ctx context.Context, env *Env, x *binNode) (core.Value, error) {
-	lv, err := evalNode(ctx, env, x.l)
+func (st *stmt) bin(ctx context.Context, x *binNode) (core.Value, error) {
+	lv, err := st.eval(ctx, x.l)
 	if err != nil {
 		return nil, err
 	}
-	rv, err := evalNode(ctx, env, x.r)
+	rv, err := st.eval(ctx, x.r)
 	if err != nil {
 		return nil, err
 	}
@@ -310,12 +346,12 @@ func evalBin(ctx context.Context, env *Env, x *binNode) (core.Value, error) {
 	}
 }
 
-func evalImage(ctx context.Context, env *Env, x *imageNode) (core.Value, error) {
-	rv, err := evalNode(ctx, env, x.rel)
+func (st *stmt) image(ctx context.Context, x *imageNode) (core.Value, error) {
+	rv, err := st.eval(ctx, x.rel)
 	if err != nil {
 		return nil, err
 	}
-	av, err := evalNode(ctx, env, x.arg)
+	av, err := st.eval(ctx, x.arg)
 	if err != nil {
 		return nil, err
 	}
@@ -329,11 +365,11 @@ func evalImage(ctx context.Context, env *Env, x *imageNode) (core.Value, error) 
 	}
 	sig := algebra.StdSigma()
 	if x.s1 != nil {
-		s1v, err := evalNode(ctx, env, x.s1)
+		s1v, err := st.eval(ctx, x.s1)
 		if err != nil {
 			return nil, err
 		}
-		s2v, err := evalNode(ctx, env, x.s2)
+		s2v, err := st.eval(ctx, x.s2)
 		if err != nil {
 			return nil, err
 		}
