@@ -22,6 +22,7 @@ import (
 	"xst/internal/core"
 	"xst/internal/dist"
 	"xst/internal/exec"
+	"xst/internal/fed"
 	"xst/internal/index"
 	"xst/internal/plan"
 	"xst/internal/relational"
@@ -31,7 +32,6 @@ import (
 	"xst/internal/table"
 	"xst/internal/wal"
 	"xst/internal/workload"
-	"xst/internal/xsp"
 	"xst/internal/xtest"
 )
 
@@ -182,7 +182,7 @@ func BenchmarkScanSetAtATime(b *testing.B) {
 	ds := benchDataset(b, 5000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		n, err := xsp.NewPipeline(ds.Users).Count()
+		n, err := exec.Count(context.Background(), exec.NewScan(ds.Users, nil))
 		if err != nil || n != 5000 {
 			b.Fatal(n, err)
 		}
@@ -234,7 +234,7 @@ func BenchmarkDistributedSemijoin(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Join(spec, dist.SemiJoin); err != nil {
+		if _, err := c.Join(context.Background(), spec, fed.SemiJoin); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -257,78 +257,15 @@ func BenchmarkSelectivitySweepSetVsRecord(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("set/1-in-%d", cities), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := xsp.NewPipeline(ds.Users, &xsp.Restrict{
+				if _, err := exec.Count(context.Background(), exec.NewStage(&exec.Restrict{
 					Pred: func(r table.Row) bool { return core.Equal(r[cityCol], target) },
 					Name: "city",
-				}).Count(); err != nil {
+				}, exec.NewScan(ds.Users, nil))); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 	}
-}
-
-// BenchmarkStreamVsMaterialize compares the two plan executors on a
-// multi-stage query (join → select → project) whose intermediate result
-// is much larger than its final one: the streaming operator tree keeps
-// at most one batch in flight between operators, while the materialized
-// baseline builds the whole join output first. Streaming must be no
-// slower while allocating measurably less (the -benchmem columns).
-func BenchmarkStreamVsMaterialize(b *testing.B) {
-	pool := store.NewBufferPool(store.NewMemPager(), 256)
-	users, err := table.Create(pool, table.Schema{Name: "users", Cols: []string{"uid", "city", "score"}})
-	if err != nil {
-		b.Fatal(err)
-	}
-	orders, err := table.Create(pool, table.Schema{Name: "orders", Cols: []string{"oid", "ouid", "amount"}})
-	if err != nil {
-		b.Fatal(err)
-	}
-	r := xtest.NewRand(7)
-	const nUsers, nOrders = 200, 20000
-	for i := 0; i < nUsers; i++ {
-		users.Insert(table.Row{core.Int(i), core.Str(fmt.Sprintf("city-%02d", r.Intn(8))), core.Int(r.Intn(100))})
-	}
-	for i := 0; i < nOrders; i++ {
-		orders.Insert(table.Row{core.Int(i), core.Int(r.Intn(nUsers)), core.Int(r.Intn(1000))})
-	}
-	query := func() plan.Node {
-		return &plan.Project{
-			Child: &plan.Select{
-				Child: &plan.Join{
-					Left: &plan.Scan{Table: orders}, Right: &plan.Scan{Table: users},
-					LeftCol: "ouid", RightCol: "uid",
-				},
-				Pred: plan.Cmp{Col: "score", Op: plan.Gt, Val: core.Int(50)},
-			},
-			Cols: []string{"city", "amount"},
-		}
-	}
-
-	b.Run("streaming", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			rows, _, st, err := plan.ExecuteStats(query())
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(rows) == 0 || st.PeakIntermediateRows > exec.MaxBatchRows {
-				b.Fatalf("rows=%d peak=%d", len(rows), st.PeakIntermediateRows)
-			}
-		}
-	})
-	b.Run("materialized", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			rows, _, err := plan.ExecuteMaterialized(query())
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(rows) == 0 {
-				b.Fatal("no rows")
-			}
-		}
-	})
 }
 
 // BenchmarkParallelScaling measures the morsel-driven scaling curve on
@@ -365,7 +302,7 @@ func BenchmarkParallelScaling(b *testing.B) {
 				Pred: plan.Cmp{Col: "amount", Op: plan.Lt, Val: core.Int(800)},
 			},
 			Key:  "city",
-			Aggs: []plan.AggSpec{{Kind: xsp.Count}, {Kind: xsp.Sum, Col: "amount"}},
+			Aggs: []plan.AggSpec{{Kind: exec.AggCount}, {Kind: exec.AggSum, Col: "amount"}},
 		}
 	}
 	baseline := -1

@@ -8,10 +8,12 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"xst/internal/core"
 	"xst/internal/dist"
+	"xst/internal/fed"
 	"xst/internal/table"
 	"xst/internal/workload"
 	"xst/internal/xtest"
@@ -58,9 +60,9 @@ func main() {
 	}
 	fmt.Println("join orders⋈users where amount < 30, by strategy:")
 	fmt.Printf("  %-11s  %10s  %6s  %6s\n", "strategy", "net bytes", "msgs", "rows")
-	for _, strat := range []dist.Strategy{dist.ShipAll, dist.Broadcast, dist.SemiJoin, dist.CoLocated} {
+	for _, strat := range []fed.Strategy{fed.ShipAll, fed.Broadcast, fed.SemiJoin, fed.CoLocated} {
 		c.Net.Reset()
-		rows, err := c.Join(spec, strat)
+		rows, err := c.Join(context.Background(), spec, strat)
 		if err != nil {
 			panic(err)
 		}

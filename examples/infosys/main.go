@@ -8,6 +8,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -15,13 +16,13 @@ import (
 
 	"xst/internal/catalog"
 	"xst/internal/core"
+	"xst/internal/exec"
 	"xst/internal/plan"
 	"xst/internal/relational"
 	"xst/internal/store"
 	"xst/internal/table"
 	"xst/internal/tableio"
 	"xst/internal/xlang"
-	"xst/internal/xsp"
 )
 
 const peopleCSV = `pid,name,city,skills
@@ -127,17 +128,17 @@ func main() {
 	}
 
 	// --- 4. Set-level query over nested fields ---------------------------
-	dbSkilled, err := xsp.NewPipeline(people, &xsp.Restrict{
+	dbSkilled, err := exec.Count(context.Background(), exec.NewStage(&exec.Restrict{
 		Pred: func(r table.Row) bool {
 			s, ok := r[3].(*core.Set)
 			return ok && s.HasClassical(core.Str("db"))
 		},
 		Name: "db ∈ skills",
-	}).Collect()
+	}, exec.NewScan(people, nil)))
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("\npeople with the db skill (nested-set query): %d\n", len(dbSkilled))
+	fmt.Printf("\npeople with the db skill (nested-set query): %d\n", dbSkilled)
 
 	// --- 5. Index point access ------------------------------------------
 	idx, err := relational.BuildHashIndex(people, people.Schema().Col("city"))

@@ -1,5 +1,5 @@
 // Queryengine runs the same queries through both engines — the
-// record-at-a-time Volcano iterators and the set-at-a-time XSP pipeline —
+// record-at-a-time Volcano iterators and the set-at-a-time exec tree —
 // over one stored dataset, verifying they agree and showing the
 // page-touch difference the paper's set-processing thesis is about.
 // Run it with:
@@ -8,14 +8,15 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"time"
 
 	"xst/internal/core"
+	"xst/internal/exec"
 	"xst/internal/relational"
 	"xst/internal/table"
 	"xst/internal/workload"
-	"xst/internal/xsp"
 )
 
 func main() {
@@ -46,10 +47,10 @@ func main() {
 
 	ds.Pool.ResetStats()
 	start = time.Now()
-	setCount, err := xsp.NewPipeline(ds.Users, &xsp.Restrict{
+	setCount, err := exec.Count(context.Background(), exec.NewStage(&exec.Restrict{
 		Pred: func(r table.Row) bool { return core.Equal(r[cityCol], city) },
 		Name: "city = " + city.String(),
-	}).Count()
+	}, exec.NewScan(ds.Users, nil)))
 	if err != nil {
 		panic(err)
 	}
@@ -75,12 +76,9 @@ func main() {
 	recJoinTime := time.Since(start)
 
 	start = time.Now()
-	setJoin := 0
-	j := &xsp.Join{Left: ds.Orders, Right: ds.Users, LeftCol: uidCol, RightCol: 0}
-	if err := j.Run(nil, nil, func(rows []table.Row) error {
-		setJoin += len(rows)
-		return nil
-	}); err != nil {
+	setJoin, err := exec.Count(context.Background(), exec.NewHashJoin(
+		exec.NewScan(ds.Orders, nil), exec.NewScan(ds.Users, nil), uidCol, 0, false))
+	if err != nil {
 		panic(err)
 	}
 	setJoinTime := time.Since(start)

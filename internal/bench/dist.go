@@ -1,10 +1,12 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 
 	"xst/internal/core"
 	"xst/internal/dist"
+	"xst/internal/fed"
 	"xst/internal/table"
 	"xst/internal/workload"
 	"xst/internal/xtest"
@@ -52,7 +54,7 @@ func E11DistributedJoin(cfg Config) Result {
 		{"50%", 500},
 		{"2%", 20},
 	}
-	strategies := []dist.Strategy{dist.ShipAll, dist.Broadcast, dist.SemiJoin, dist.CoLocated}
+	strategies := []fed.Strategy{fed.ShipAll, fed.Broadcast, fed.SemiJoin, fed.CoLocated}
 
 	pass := true
 	var rows [][]string
@@ -64,13 +66,13 @@ func E11DistributedJoin(cfg Config) Result {
 			LeftPred:     func(row table.Row) bool { return core.Compare(row[2], limit) < 0 },
 			LeftPredName: "amount<" + limit.String(),
 		}
-		bytesBy := map[dist.Strategy]uint64{}
+		bytesBy := map[fed.Strategy]uint64{}
 		var wantRows int
 		for _, strat := range strategies {
 			c.Net.Reset()
 			var got []table.Row
 			var err error
-			d := timeIt(2, func() { got, err = c.Join(spec, strat) })
+			d := timeIt(2, func() { got, err = c.Join(context.Background(), spec, strat) })
 			if err != nil {
 				return errResult("E11", err)
 			}
@@ -90,10 +92,10 @@ func E11DistributedJoin(cfg Config) Result {
 		// Expected shape at high selectivity: semijoin beats ship-all on
 		// bytes; co-located beats both base-shipping strategies.
 		if sel.limit == 20 {
-			if bytesBy[dist.SemiJoin] >= bytesBy[dist.ShipAll] {
+			if bytesBy[fed.SemiJoin] >= bytesBy[fed.ShipAll] {
 				pass = false
 			}
-			if bytesBy[dist.CoLocated] >= bytesBy[dist.Broadcast] {
+			if bytesBy[fed.CoLocated] >= bytesBy[fed.Broadcast] {
 				pass = false
 			}
 		}

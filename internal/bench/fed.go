@@ -8,7 +8,6 @@ import (
 
 	"xst/internal/catalog"
 	"xst/internal/core"
-	"xst/internal/dist"
 	"xst/internal/fed"
 	"xst/internal/table"
 )
@@ -63,18 +62,18 @@ func E15FederatedShipping(cfg Config) Result {
 	stmt := "from orders join users on uid = id where amount < 100 select oid, amount, name"
 	forced := []struct {
 		name  string
-		strat dist.Strategy
+		strat fed.Strategy
 	}{
-		{"shipall", dist.ShipAll},
-		{"broadcast", dist.Broadcast},
-		{"semijoin", dist.SemiJoin},
+		{"shipall", fed.ShipAll},
+		{"broadcast", fed.Broadcast},
+		{"semijoin", fed.SemiJoin},
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 
 	measured := map[string]uint64{}
 	rowsBy := map[string]int{}
-	var in dist.CostInputs
+	var in fed.CostInputs
 	for _, f := range forced {
 		lf, err := fed.BootLocal(ctx, 3, fed.Config{ForceStrategy: f.name}, populate)
 		if err != nil {
@@ -101,7 +100,7 @@ func E15FederatedShipping(cfg Config) Result {
 			for _, m := range lf.Coord.Tables() {
 				tabs[m.Name] = m
 			}
-			in = dist.CostInputs{
+			in = fed.CostInputs{
 				LeftRows:        tabs["orders"].Rows(),
 				RightRows:       tabs["users"].Rows(),
 				LeftRowBytes:    tabs["orders"].RowBytes,
@@ -117,7 +116,7 @@ func E15FederatedShipping(cfg Config) Result {
 
 	est := map[string]float64{}
 	for _, f := range forced {
-		est[f.name] = dist.EstimateBytes(in, f.strat)
+		est[f.name] = fed.EstimateBytes(in, f.strat)
 	}
 	pick, best := forced[0].name, forced[0].name
 	var rows [][]string

@@ -1,16 +1,17 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 
 	"xst/internal/core"
+	"xst/internal/exec"
 	"xst/internal/index"
 	"xst/internal/process"
 	"xst/internal/relational"
 	"xst/internal/store"
 	"xst/internal/table"
 	"xst/internal/workload"
-	"xst/internal/xsp"
 )
 
 // E8SetVsRecord measures the paper's central performance claim (§12,
@@ -48,10 +49,10 @@ func E8SetVsRecord(cfg Config) Result {
 			return errResult("E8", err)
 		}
 		setSelT := timeIt(reps, func() {
-			setSel, err = xsp.NewPipeline(ds.Users, &xsp.Restrict{
+			setSel, err = exec.Count(context.Background(), exec.NewStages(exec.NewScan(ds.Users, nil), &exec.Restrict{
 				Pred: func(r table.Row) bool { return core.Equal(r[cityCol], city) },
 				Name: "city",
-			}).Count()
+			}))
 		})
 		if err != nil || recSel != setSel {
 			return errResult("E8", fmt.Errorf("selection disagrees: %d vs %d (%v)", recSel, setSel, err))
@@ -69,10 +70,9 @@ func E8SetVsRecord(cfg Config) Result {
 			return errResult("E8", err)
 		}
 		setJoinT := timeIt(reps, func() {
-			j := &xsp.Join{Left: ds.Orders, Right: ds.Users,
-				LeftCol: ds.Orders.Schema().Col("uid"), RightCol: 0}
-			setJoin = 0
-			err = j.Run(nil, nil, func(rs []table.Row) error { setJoin += len(rs); return nil })
+			setJoin, err = exec.Count(context.Background(), exec.NewHashJoin(
+				exec.NewScan(ds.Orders, nil), exec.NewScan(ds.Users, nil),
+				ds.Orders.Schema().Col("uid"), 0, false))
 		})
 		if err != nil || recJoin != setJoin {
 			return errResult("E8", fmt.Errorf("join disagrees: %d vs %d (%v)", recJoin, setJoin, err))
@@ -166,23 +166,23 @@ func E9Composition(cfg Config) Result {
 	}
 	scoreCol := ds.Users.Schema().Col("score")
 	cityCol := ds.Users.Schema().Col("city")
-	ops := func() []xsp.Op {
-		return []xsp.Op{
-			&xsp.Restrict{Pred: func(r table.Row) bool {
+	ops := func() []exec.Op {
+		return []exec.Op{
+			&exec.Restrict{Pred: func(r table.Row) bool {
 				return core.Compare(r[scoreCol], core.Int(80)) < 0
 			}, Name: "score<80"},
-			&xsp.Restrict{Pred: func(r table.Row) bool {
+			&exec.Restrict{Pred: func(r table.Row) bool {
 				return core.Compare(r[scoreCol], core.Int(20)) >= 0
 			}, Name: "score>=20"},
-			&xsp.Restrict{Pred: func(r table.Row) bool {
+			&exec.Restrict{Pred: func(r table.Row) bool {
 				return !core.Equal(r[cityCol], core.Str("city-000"))
 			}, Name: "city!=0"},
-			&xsp.Project{Cols: []int{0}},
+			&exec.Project{Cols: []int{0}},
 		}
 	}
 	var stagedRows, composedRows int
 	stagedT := timeIt(3, func() {
-		out, err2 := xsp.NewPipeline(ds.Users, ops()...).RunStaged()
+		out, err2 := runStaged(ds.Users, ops())
 		if err2 != nil {
 			err = err2
 		}
@@ -192,7 +192,7 @@ func E9Composition(cfg Config) Result {
 		return errResult("E9", err)
 	}
 	composedT := timeIt(3, func() {
-		composedRows, err = xsp.NewPipeline(ds.Users, ops()...).Count()
+		composedRows, err = exec.Count(context.Background(), exec.NewStages(exec.NewScan(ds.Users, nil), ops()...))
 	})
 	if err != nil || stagedRows != composedRows {
 		return errResult("E9", fmt.Errorf("engine staged %d ≠ composed %d (%v)", stagedRows, composedRows, err))
@@ -285,10 +285,10 @@ func E10Restructuring(cfg Config) Result {
 		}
 		var batchHits int
 		batchT := timeIt(3, func() {
-			batchHits, err = xsp.NewPipeline(ds.Orders, &xsp.Restrict{
+			batchHits, err = exec.Count(context.Background(), exec.NewStages(exec.NewScan(ds.Orders, nil), &exec.Restrict{
 				Pred: func(r table.Row) bool { return keySet[core.Key(r[uidCol])] },
 				Name: "uid∈keys",
-			}).Count()
+			}))
 		})
 		if err != nil || probeHits != batchHits {
 			return errResult("E10", fmt.Errorf("q=%d: probe %d ≠ batch %d (%v)", q, probeHits, batchHits, err))
@@ -328,12 +328,12 @@ func E10Restructuring(cfg Config) Result {
 	}
 	var passRows int
 	passT := timeIt(3, func() {
-		passRows, err = xsp.NewPipeline(ds.Orders, &xsp.Restrict{
+		passRows, err = exec.Count(context.Background(), exec.NewStages(exec.NewScan(ds.Orders, nil), &exec.Restrict{
 			Pred: func(r table.Row) bool {
 				return core.Compare(r[uidCol], lo) >= 0 && core.Compare(r[uidCol], hi) < 0
 			},
 			Name: "uid range",
-		}).Count()
+		}))
 	})
 	if err != nil || rangeRows != passRows {
 		return errResult("E10", fmt.Errorf("range: btree %d ≠ pass %d (%v)", rangeRows, passRows, err))
@@ -347,6 +347,34 @@ func E10Restructuring(cfg Config) Result {
 		Lines: lines,
 		Pass:  pass,
 	}
+}
+
+// runStaged executes the same stages the pre-composition way: each
+// stage consumes the fully materialized output of the previous one.
+// This is the baseline E9 compares the composed one-pass chain against.
+func runStaged(src *table.Table, ops []exec.Op) ([]table.Row, error) {
+	cur, err := exec.Collect(context.Background(), exec.NewScan(src, nil))
+	if err != nil {
+		return nil, err
+	}
+	for _, op := range ops {
+		next := make([]table.Row, 0, len(cur))
+		// Feed the materialized intermediate through in page-sized
+		// chunks so operator scratch reuse stays comparable.
+		const chunk = 256
+		for i := 0; i < len(cur); i += chunk {
+			end := i + chunk
+			if end > len(cur) {
+				end = len(cur)
+			}
+			out := op.Process(cur[i:end])
+			for _, r := range out {
+				next = append(next, r.Clone())
+			}
+		}
+		cur = next
+	}
+	return cur, nil
 }
 
 func errResult(id string, err error) Result {

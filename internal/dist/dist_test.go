@@ -1,13 +1,15 @@
 package dist
 
 import (
+	"context"
 	"sort"
 	"testing"
 
 	"xst/internal/core"
+	"xst/internal/exec"
+	"xst/internal/fed"
 	"xst/internal/table"
 	"xst/internal/workload"
-	"xst/internal/xsp"
 	"xst/internal/xtest"
 )
 
@@ -87,7 +89,7 @@ func TestInsertRoundRobin(t *testing.T) {
 func TestScatterRestrict(t *testing.T) {
 	c := buildCluster(t, 3, 300, 0)
 	c.Net.Reset()
-	rows, err := c.ScatterRestrict("users",
+	rows, err := c.ScatterRestrict(context.Background(), "users",
 		func(r table.Row) bool { return core.Equal(r[1], core.Str("city-a")) }, "city-a")
 	if err != nil {
 		t.Fatal(err)
@@ -101,7 +103,7 @@ func TestScatterRestrict(t *testing.T) {
 	if st := c.Net.Stats(); st.Messages != 3 {
 		t.Fatalf("messages = %d, want 3", st.Messages)
 	}
-	if _, err := c.ScatterRestrict("nope", nil, ""); err == nil {
+	if _, err := c.ScatterRestrict(context.Background(), "nope", nil, ""); err == nil {
 		t.Fatal("scatter over absent table must fail")
 	}
 }
@@ -124,8 +126,8 @@ func TestAllStrategiesAgree(t *testing.T) {
 		LeftPredName: "amount<500",
 	}
 	var want []string
-	for _, strat := range []Strategy{ShipAll, Broadcast, SemiJoin, CoLocated} {
-		rows, err := c.Join(spec, strat)
+	for _, strat := range []fed.Strategy{fed.ShipAll, fed.Broadcast, fed.SemiJoin, fed.CoLocated} {
+		rows, err := c.Join(context.Background(), spec, strat)
 		if err != nil {
 			t.Fatalf("%v: %v", strat, err)
 		}
@@ -159,13 +161,13 @@ func TestSemijoinShipsLess(t *testing.T) {
 		LeftPredName: "amount<20",
 	}
 	c.Net.Reset()
-	if _, err := c.Join(spec, ShipAll); err != nil {
+	if _, err := c.Join(context.Background(), spec, fed.ShipAll); err != nil {
 		t.Fatal(err)
 	}
 	shipAll := c.Net.Stats()
 
 	c.Net.Reset()
-	if _, err := c.Join(spec, SemiJoin); err != nil {
+	if _, err := c.Join(context.Background(), spec, fed.SemiJoin); err != nil {
 		t.Fatal(err)
 	}
 	semi := c.Net.Stats()
@@ -180,14 +182,14 @@ func TestCoLocatedShipsOnlyResults(t *testing.T) {
 	spec := JoinSpec{Left: "orders", Right: "users", LeftCol: 1, RightCol: 0}
 
 	c.Net.Reset()
-	rows, err := c.Join(spec, CoLocated)
+	rows, err := c.Join(context.Background(), spec, fed.CoLocated)
 	if err != nil {
 		t.Fatal(err)
 	}
 	co := c.Net.Stats()
 
 	c.Net.Reset()
-	if _, err := c.Join(spec, ShipAll); err != nil {
+	if _, err := c.Join(context.Background(), spec, fed.ShipAll); err != nil {
 		t.Fatal(err)
 	}
 	all := c.Net.Stats()
@@ -210,7 +212,7 @@ func TestBroadcastCostsScaleWithSites(t *testing.T) {
 	measure := func(nSites int) uint64 {
 		c := buildCluster(t, nSites, 100, 300)
 		c.Net.Reset()
-		if _, err := c.Join(spec, Broadcast); err != nil {
+		if _, err := c.Join(context.Background(), spec, fed.Broadcast); err != nil {
 			t.Fatal(err)
 		}
 		return c.Net.Stats().Bytes
@@ -222,20 +224,20 @@ func TestBroadcastCostsScaleWithSites(t *testing.T) {
 
 func TestUnknownStrategy(t *testing.T) {
 	c := buildCluster(t, 2, 10, 10)
-	if _, err := c.Join(JoinSpec{Left: "orders", Right: "users"}, Strategy(99)); err == nil {
+	if _, err := c.Join(context.Background(), JoinSpec{Left: "orders", Right: "users"}, fed.Strategy(99)); err == nil {
 		t.Fatal("unknown strategy must fail")
 	}
-	if s := Strategy(99).String(); s == "" {
+	if s := fed.Strategy(99).String(); s == "" {
 		t.Fatal("strategy string")
 	}
 }
 
 func TestDistributedMatchesSingleNode(t *testing.T) {
-	// The distributed join over 4 sites equals a single-node XSP join on
+	// The distributed join over 4 sites equals a single-node hash join on
 	// the union of partitions.
 	c := buildCluster(t, 4, 120, 480)
 	spec := JoinSpec{Left: "orders", Right: "users", LeftCol: 1, RightCol: 0}
-	distRows, err := c.Join(spec, SemiJoin)
+	distRows, err := c.Join(context.Background(), spec, fed.SemiJoin)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +248,7 @@ func TestDistributedMatchesSingleNode(t *testing.T) {
 	orders, _ := single.CreateTable(workload.OrdersSchema())
 	for _, s := range c.Sites {
 		u, _ := s.Table("users")
-		rows, err := xsp.NewPipeline(u).Collect()
+		rows, err := collectLocal(context.Background(), u, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -254,7 +256,7 @@ func TestDistributedMatchesSingleNode(t *testing.T) {
 			users.Insert(r)
 		}
 		o, _ := s.Table("orders")
-		rows, err = xsp.NewPipeline(o).Collect()
+		rows, err = collectLocal(context.Background(), o, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -262,8 +264,8 @@ func TestDistributedMatchesSingleNode(t *testing.T) {
 			orders.Insert(r)
 		}
 	}
-	j := &xsp.Join{Left: orders, Right: users, LeftCol: 1, RightCol: 0}
-	localRows, err := j.Collect(nil, nil)
+	localRows, err := exec.Collect(context.Background(),
+		exec.NewHashJoin(exec.NewScan(orders, nil), exec.NewScan(users, nil), 1, 0, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,43 +280,6 @@ func TestDistributedMatchesSingleNode(t *testing.T) {
 	}
 }
 
-func TestChooseStrategyShapes(t *testing.T) {
-	base := CostInputs{
-		LeftRows: 10_000, RightRows: 1_000,
-		LeftRowBytes: 20, RightRowBytes: 20, KeyBytes: 4,
-		LeftSelectivity: 1.0, Sites: 4, JoinRows: 10_000,
-	}
-	// Co-partitioned with a big result is still cheapest when valid and
-	// the result is not blown up.
-	co := base
-	co.CoPartitioned = true
-	co.JoinRows = 1_000
-	if got := ChooseStrategy(co); got != CoLocated {
-		t.Fatalf("co-partitioned small result chose %v", got)
-	}
-	// Highly selective probe side → semijoin.
-	sel := base
-	sel.LeftSelectivity = 0.01
-	sel.JoinRows = 100
-	if got := ChooseStrategy(sel); got != SemiJoin {
-		t.Fatalf("selective probe chose %v", got)
-	}
-	// Unselective, not co-partitioned → ship-all beats broadcast for a
-	// right table of similar size.
-	if got := ChooseStrategy(base); got != ShipAll && got != SemiJoin {
-		t.Fatalf("baseline chose %v", got)
-	}
-	// CoLocated must never be chosen when invalid.
-	bad := sel
-	bad.CoPartitioned = false
-	if got := ChooseStrategy(bad); got == CoLocated {
-		t.Fatal("invalid co-located chosen")
-	}
-	if EstimateBytes(base, Strategy(99)) < 1<<59 {
-		t.Fatal("unknown strategy must be infinitely expensive")
-	}
-}
-
 // TestChooseStrategyAgreesWithMeasurement: on a real cluster workload,
 // the chooser's pick is within a small factor of the best measured
 // strategy's bytes.
@@ -325,24 +290,24 @@ func TestChooseStrategyAgreesWithMeasurement(t *testing.T) {
 		LeftPred:     func(r table.Row) bool { return core.Compare(r[2], core.Int(20)) < 0 },
 		LeftPredName: "amount<20",
 	}
-	measured := map[Strategy]uint64{}
+	measured := map[fed.Strategy]uint64{}
 	var rows int
-	for _, s := range []Strategy{ShipAll, Broadcast, SemiJoin} {
+	for _, s := range []fed.Strategy{fed.ShipAll, fed.Broadcast, fed.SemiJoin} {
 		c.Net.Reset()
-		got, err := c.Join(spec, s)
+		got, err := c.Join(context.Background(), spec, s)
 		if err != nil {
 			t.Fatal(err)
 		}
 		rows = len(got)
 		measured[s] = c.Net.Stats().Bytes
 	}
-	in := CostInputs{
+	in := fed.CostInputs{
 		LeftRows: 2000, RightRows: 400,
 		LeftRowBytes: 15, RightRowBytes: 20, KeyBytes: 3,
 		LeftSelectivity: 0.02, Sites: 4, JoinRows: rows,
 	}
-	pick := ChooseStrategy(in)
-	best := ShipAll
+	pick := fed.ChooseStrategy(in)
+	best := fed.ShipAll
 	for s, b := range measured {
 		if b < measured[best] {
 			best = s
@@ -351,76 +316,5 @@ func TestChooseStrategyAgreesWithMeasurement(t *testing.T) {
 	if measured[pick] > 3*measured[best] {
 		t.Fatalf("chooser picked %v (%d bytes), best was %v (%d bytes)",
 			pick, measured[pick], best, measured[best])
-	}
-}
-
-// TestSemiJoinKeyCoverage pins the corrected semijoin cost model: the
-// matched-right fraction is key coverage (shipped distinct keys over
-// right rows), not the left selectivity. With an unselective left side
-// over a large right table, the old model charged nearly the whole
-// right side to the semijoin and picked ShipAll; coverage-based costing
-// makes SemiJoin the clear winner.
-func TestSemiJoinKeyCoverage(t *testing.T) {
-	in := CostInputs{
-		LeftRows: 100, RightRows: 10000,
-		LeftRowBytes: 100, RightRowBytes: 20, KeyBytes: 8,
-		LeftSelectivity: 1.0, Sites: 4, JoinRows: 100,
-	}
-	// leftShip 10_000 + keyShip 100*8*4 = 3_200 + rightAll 200_000 *
-	// coverage (100/10_000 = 0.01) = 2_000.
-	if got, want := EstimateBytes(in, SemiJoin), 15200.0; got != want {
-		t.Fatalf("semijoin bytes = %v, want %v", got, want)
-	}
-	if got := ChooseStrategy(in); got != SemiJoin {
-		t.Fatalf("small-left/large-right join chose %v, want SemiJoin", got)
-	}
-	// Coverage saturates at 1: a left side with more keys than right
-	// rows cannot match more than the whole right table.
-	big := in
-	big.LeftRows = 50000
-	if got := EstimateBytes(big, SemiJoin); got < float64(big.RightRows*big.RightRowBytes) {
-		t.Fatalf("saturated coverage must still ship the whole right side, got %v", got)
-	}
-	// Degenerate empty right side must not divide by zero.
-	empty := in
-	empty.RightRows = 0
-	if got := EstimateBytes(empty, SemiJoin); got != 10000+3200 {
-		t.Fatalf("empty right side bytes = %v", got)
-	}
-}
-
-// TestSemiJoinDistinctKeyCap pins the cost model before and after
-// statistics arrive: with LeftKeyDistinct unset every restricted left
-// row ships a key (the sampled heuristic); a persisted distinct count
-// caps the shipment and can flip the chosen strategy.
-func TestSemiJoinDistinctKeyCap(t *testing.T) {
-	in := CostInputs{
-		LeftRows: 1000, RightRows: 1000,
-		LeftRowBytes: 20, RightRowBytes: 20, KeyBytes: 9,
-		LeftSelectivity: 1.0, Sites: 4,
-	}
-	// Before: leftShip 20_000 + keyShip 1000*9*4 = 36_000 + rightAll
-	// 20_000 * coverage 1 = 76_000; ShipAll (40_000) wins.
-	if got, want := EstimateBytes(in, SemiJoin), 76000.0; got != want {
-		t.Fatalf("semijoin bytes without stats = %v, want %v", got, want)
-	}
-	if got := ChooseStrategy(in); got != ShipAll {
-		t.Fatalf("without stats chose %v, want ShipAll", got)
-	}
-	// After .analyze: 50 distinct keys. keyShip 50*9*4 = 1_800,
-	// coverage 50/1000 = 0.05 → rightShip 1_000; total 22_800 beats
-	// ShipAll.
-	in.LeftKeyDistinct = 50
-	if got, want := EstimateBytes(in, SemiJoin), 22800.0; got != want {
-		t.Fatalf("semijoin bytes with stats = %v, want %v", got, want)
-	}
-	if got := ChooseStrategy(in); got != SemiJoin {
-		t.Fatalf("with stats chose %v, want SemiJoin", got)
-	}
-	// A distinct count above the restricted row estimate is ignored —
-	// there cannot be more shipped keys than surviving rows.
-	in.LeftKeyDistinct = 5000
-	if got, want := EstimateBytes(in, SemiJoin), 76000.0; got != want {
-		t.Fatalf("oversized distinct must not inflate keys: %v, want %v", got, want)
 	}
 }

@@ -1,86 +1,79 @@
 package dist
 
 import (
+	"context"
 	"fmt"
 
 	"xst/internal/core"
+	"xst/internal/exec"
+	"xst/internal/fed"
 	"xst/internal/table"
-	"xst/internal/xsp"
 )
-
-// Strategy selects a distributed join algorithm.
-type Strategy int
-
-const (
-	// ShipAll ships every partition of both tables to the coordinator
-	// and joins there — the naive baseline.
-	ShipAll Strategy = iota
-	// Broadcast ships the (smaller) right table to every left site,
-	// joins locally, and ships only results.
-	Broadcast
-	// SemiJoin ships the distinct join keys of the (filtered) left side
-	// to the right sites, which return only matching rows — the classic
-	// reducer; in XST terms the key set is an image and the reduction a
-	// restriction by it.
-	SemiJoin
-	// CoLocated joins partition-locally, valid only when both tables are
-	// hash-partitioned on the join key; ships only results.
-	CoLocated
-)
-
-func (s Strategy) String() string {
-	switch s {
-	case ShipAll:
-		return "ship-all"
-	case Broadcast:
-		return "broadcast"
-	case SemiJoin:
-		return "semijoin"
-	case CoLocated:
-		return "co-located"
-	default:
-		return fmt.Sprintf("strategy(%d)", int(s))
-	}
-}
 
 // JoinSpec describes a distributed equi-join with an optional left-side
 // restriction (the common shape: filter one side, join the other).
 type JoinSpec struct {
 	Left, Right       string // table names
 	LeftCol, RightCol int    // join columns
-	LeftPred          xsp.Pred
+	LeftPred          exec.Pred
 	LeftPredName      string
 }
 
-func (c *Cluster) leftOps(spec JoinSpec) []xsp.Op {
+func (c *Cluster) leftOps(spec JoinSpec) []exec.Op {
 	if spec.LeftPred == nil {
 		return nil
 	}
-	return []xsp.Op{&xsp.Restrict{Pred: spec.LeftPred, Name: spec.LeftPredName}}
+	return []exec.Op{&exec.Restrict{Pred: spec.LeftPred, Name: spec.LeftPredName}}
 }
 
 // Join executes the spec under the given strategy and returns the joined
 // rows (left ++ right). All strategies return the same multiset; they
-// differ in how much crosses the network.
-func (c *Cluster) Join(spec JoinSpec, strat Strategy) ([]table.Row, error) {
+// differ in how much crosses the network. ctx bounds the site-local scans.
+func (c *Cluster) Join(ctx context.Context, spec JoinSpec, strat fed.Strategy) ([]table.Row, error) {
 	switch strat {
-	case ShipAll:
-		return c.joinShipAll(spec)
-	case Broadcast:
-		return c.joinBroadcast(spec)
-	case SemiJoin:
-		return c.joinSemi(spec)
-	case CoLocated:
-		return c.joinCoLocated(spec)
+	case fed.ShipAll:
+		return c.joinShipAll(ctx, spec)
+	case fed.Broadcast:
+		return c.joinBroadcast(ctx, spec)
+	case fed.SemiJoin:
+		return c.joinSemi(ctx, spec)
+	case fed.CoLocated:
+		return c.joinCoLocated(ctx, spec)
 	default:
 		return nil, fmt.Errorf("dist: unknown strategy %v", strat)
 	}
 }
 
-// collectLocal runs ops over a partition and returns the rows without
-// network accounting (site-local work).
-func collectLocal(t *table.Table, ops []xsp.Op) ([]table.Row, error) {
-	return xsp.NewPipeline(t, ops...).Collect()
+// collectLocal runs ops over one partition and returns the surviving
+// rows without network accounting (site-local work).
+func collectLocal(ctx context.Context, t *table.Table, ops []exec.Op) ([]table.Row, error) {
+	return exec.Collect(ctx, exec.NewStages(exec.NewScan(t, nil), ops...))
+}
+
+// joinKeys is the distinct join-key set of rows: an image 𝔇 of the
+// restriction, which is all a semijoin ships.
+func joinKeys(rows []table.Row, col int) []core.Value {
+	seen := map[string]bool{}
+	var keys []core.Value
+	for _, r := range rows {
+		if k := core.Key(r[col]); !seen[k] {
+			seen[k] = true
+			keys = append(keys, r[col])
+		}
+	}
+	return keys
+}
+
+// inKeys restricts rows to those whose col is one of keys.
+func inKeys(keys []core.Value, col int) exec.Op {
+	member := make(map[string]bool, len(keys))
+	for _, k := range keys {
+		member[core.Key(k)] = true
+	}
+	return &exec.Restrict{
+		Pred: func(r table.Row) bool { return member[core.Key(r[col])] },
+		Name: "semijoin-reduce",
+	}
 }
 
 func hashJoinRows(left, right []table.Row, lcol, rcol int) []table.Row {
@@ -101,7 +94,7 @@ func hashJoinRows(left, right []table.Row, lcol, rcol int) []table.Row {
 	return out
 }
 
-func (c *Cluster) joinShipAll(spec JoinSpec) ([]table.Row, error) {
+func (c *Cluster) joinShipAll(ctx context.Context, spec JoinSpec) ([]table.Row, error) {
 	lparts, err := c.partitions(spec.Left)
 	if err != nil {
 		return nil, err
@@ -112,14 +105,14 @@ func (c *Cluster) joinShipAll(spec JoinSpec) ([]table.Row, error) {
 	}
 	var left, right []table.Row
 	for _, p := range lparts {
-		rows, err := collectLocal(p, c.leftOps(spec))
+		rows, err := collectLocal(ctx, p, c.leftOps(spec))
 		if err != nil {
 			return nil, err
 		}
 		left = append(left, c.Net.Ship(rows)...)
 	}
 	for _, p := range rparts {
-		rows, err := collectLocal(p, nil)
+		rows, err := collectLocal(ctx, p, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -128,7 +121,7 @@ func (c *Cluster) joinShipAll(spec JoinSpec) ([]table.Row, error) {
 	return hashJoinRows(left, right, spec.LeftCol, spec.RightCol), nil
 }
 
-func (c *Cluster) joinBroadcast(spec JoinSpec) ([]table.Row, error) {
+func (c *Cluster) joinBroadcast(ctx context.Context, spec JoinSpec) ([]table.Row, error) {
 	rparts, err := c.partitions(spec.Right)
 	if err != nil {
 		return nil, err
@@ -136,7 +129,7 @@ func (c *Cluster) joinBroadcast(spec JoinSpec) ([]table.Row, error) {
 	// Gather the right table once...
 	var right []table.Row
 	for _, p := range rparts {
-		rows, err := collectLocal(p, nil)
+		rows, err := collectLocal(ctx, p, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -150,7 +143,7 @@ func (c *Cluster) joinBroadcast(spec JoinSpec) ([]table.Row, error) {
 	for _, p := range lparts {
 		// ...then broadcast it to every left site (one shipment each).
 		localRight := c.Net.Ship(right)
-		left, err := collectLocal(p, c.leftOps(spec))
+		left, err := collectLocal(ctx, p, c.leftOps(spec))
 		if err != nil {
 			return nil, err
 		}
@@ -160,29 +153,22 @@ func (c *Cluster) joinBroadcast(spec JoinSpec) ([]table.Row, error) {
 	return out, nil
 }
 
-func (c *Cluster) joinSemi(spec JoinSpec) ([]table.Row, error) {
+func (c *Cluster) joinSemi(ctx context.Context, spec JoinSpec) ([]table.Row, error) {
 	lparts, err := c.partitions(spec.Left)
 	if err != nil {
 		return nil, err
 	}
-	// 1. Each left site computes its (filtered) partition and the
-	// distinct join-key set — an image 𝔇 of the restriction.
+	// 1. Each left site computes its (filtered) partition; the
+	// coordinator takes their distinct join keys.
 	var left []table.Row
-	keySet := map[string]core.Value{}
 	for _, p := range lparts {
-		rows, err := collectLocal(p, c.leftOps(spec))
+		rows, err := collectLocal(ctx, p, c.leftOps(spec))
 		if err != nil {
 			return nil, err
 		}
 		left = append(left, c.Net.Ship(rows)...)
-		for _, r := range rows {
-			keySet[core.Key(r[spec.LeftCol])] = r[spec.LeftCol]
-		}
 	}
-	keys := make([]core.Value, 0, len(keySet))
-	for _, v := range keySet {
-		keys = append(keys, v)
-	}
+	keys := joinKeys(left, spec.LeftCol)
 	// 2. Ship the key set to each right site; they return only the
 	// matching rows (a restriction by the shipped set).
 	rparts, err := c.partitions(spec.Right)
@@ -191,15 +177,7 @@ func (c *Cluster) joinSemi(spec JoinSpec) ([]table.Row, error) {
 	}
 	var right []table.Row
 	for _, p := range rparts {
-		localKeys := c.Net.ShipKeys(keys)
-		member := make(map[string]bool, len(localKeys))
-		for _, k := range localKeys {
-			member[core.Key(k)] = true
-		}
-		rows, err := collectLocal(p, []xsp.Op{&xsp.Restrict{
-			Pred: func(r table.Row) bool { return member[core.Key(r[spec.RightCol])] },
-			Name: "semijoin-reduce",
-		}})
+		rows, err := collectLocal(ctx, p, []exec.Op{inKeys(c.Net.ShipKeys(keys), spec.RightCol)})
 		if err != nil {
 			return nil, err
 		}
@@ -208,7 +186,7 @@ func (c *Cluster) joinSemi(spec JoinSpec) ([]table.Row, error) {
 	return hashJoinRows(left, right, spec.LeftCol, spec.RightCol), nil
 }
 
-func (c *Cluster) joinCoLocated(spec JoinSpec) ([]table.Row, error) {
+func (c *Cluster) joinCoLocated(ctx context.Context, spec JoinSpec) ([]table.Row, error) {
 	lparts, err := c.partitions(spec.Left)
 	if err != nil {
 		return nil, err
@@ -219,11 +197,11 @@ func (c *Cluster) joinCoLocated(spec JoinSpec) ([]table.Row, error) {
 	}
 	var out []table.Row
 	for i := range c.Sites {
-		left, err := collectLocal(lparts[i], c.leftOps(spec))
+		left, err := collectLocal(ctx, lparts[i], c.leftOps(spec))
 		if err != nil {
 			return nil, err
 		}
-		right, err := collectLocal(rparts[i], nil)
+		right, err := collectLocal(ctx, rparts[i], nil)
 		if err != nil {
 			return nil, err
 		}

@@ -7,17 +7,20 @@
 // partitions against semijoin-reduced shipping (experiment E11) without
 // real sockets. All execution is set-at-a-time: sites exchange *sets* of
 // rows, never single records, which is precisely the paper's thesis
-// applied to distribution.
+// applied to distribution. The join strategies and their byte-cost
+// model belong to the real coordinator (fed.Strategy,
+// fed.ChooseStrategy); this simulator measures what they predict.
 package dist
 
 import (
+	"context"
 	"fmt"
 	"sync"
 
 	"xst/internal/core"
+	"xst/internal/exec"
 	"xst/internal/store"
 	"xst/internal/table"
-	"xst/internal/xsp"
 )
 
 // Site is one storage node: a buffer pool and the local partitions.
@@ -190,7 +193,7 @@ func (c *Cluster) partitions(name string) ([]*table.Table, error) {
 // ScatterRestrict runs a restriction on every site in parallel and
 // gathers the shipped results at the coordinator — the distributed form
 // of the σ-Restriction.
-func (c *Cluster) ScatterRestrict(name string, pred xsp.Pred, label string) ([]table.Row, error) {
+func (c *Cluster) ScatterRestrict(ctx context.Context, name string, pred exec.Pred, label string) ([]table.Row, error) {
 	parts, err := c.partitions(name)
 	if err != nil {
 		return nil, err
@@ -202,7 +205,7 @@ func (c *Cluster) ScatterRestrict(name string, pred xsp.Pred, label string) ([]t
 	ch := make(chan resp, len(parts))
 	for _, p := range parts {
 		go func(t *table.Table) {
-			rows, err := xsp.NewPipeline(t, &xsp.Restrict{Pred: pred, Name: label}).Collect()
+			rows, err := collectLocal(ctx, t, []exec.Op{&exec.Restrict{Pred: pred, Name: label}})
 			ch <- resp{rows: rows, err: err}
 		}(p)
 	}

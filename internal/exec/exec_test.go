@@ -10,7 +10,6 @@ import (
 	"xst/internal/exec"
 	"xst/internal/store"
 	"xst/internal/table"
-	"xst/internal/xsp"
 	"xst/internal/xtest"
 )
 
@@ -107,7 +106,7 @@ func TestTreeMatchesAlgebra(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	restrict := exec.NewStage(&xsp.Restrict{
+	restrict := exec.NewStage(&exec.Restrict{
 		Pred: func(r table.Row) bool { return core.Equal(r[1], core.Str("boston")) },
 		Name: "city=boston",
 	}, exec.NewScan(tbl, nil))
@@ -125,7 +124,7 @@ func TestTreeMatchesAlgebra(t *testing.T) {
 		t.Fatalf("tree restriction ≠ σ-Restriction:\ntree=%v\nsym=%v", eb.Set(), sym)
 	}
 
-	project := exec.NewStage(&xsp.Project{Cols: []int{0}}, exec.NewScan(tbl, nil))
+	project := exec.NewStage(&exec.Project{Cols: []int{0}}, exec.NewScan(tbl, nil))
 	prows, err := exec.Collect(context.Background(), project)
 	if err != nil {
 		t.Fatal(err)
@@ -141,8 +140,8 @@ func TestTreeMatchesAlgebra(t *testing.T) {
 }
 
 // TestHashJoinMatchesRelativeProduct ties the streaming join to Def
-// 10.1 the same way the xsp engine's join is tied, for both build-side
-// choices.
+// 10.1 (§10 case 8 shape: match on key positions, concatenate the
+// rest), for both build-side choices.
 func TestHashJoinMatchesRelativeProduct(t *testing.T) {
 	pool := newPool()
 	l, _ := table.Create(pool, table.Schema{Name: "l", Cols: []string{"k", "a"}})
@@ -236,13 +235,27 @@ func TestHashJoinBuildSidesAgree(t *testing.T) {
 	}
 }
 
-func TestGroupAggMatchesXSP(t *testing.T) {
+// TestGroupAggMatchesReference checks the operator against a fold of
+// the table read record by record: count, sum(score) and max(id) per
+// city.
+func TestGroupAggMatchesReference(t *testing.T) {
 	pool := newPool()
 	tbl := makeUsers(t, pool, 99)
-	aggs := []xsp.Agg{{Kind: xsp.Count}, {Kind: xsp.Sum, Col: 2}, {Kind: xsp.Max, Col: 0}}
-	want, err := xsp.GroupAgg(xsp.NewPipeline(tbl), 1, aggs...)
-	if err != nil {
-		t.Fatal(err)
+	aggs := []exec.Agg{{Kind: exec.AggCount}, {Kind: exec.AggSum, Col: 2}, {Kind: exec.AggMax, Col: 0}}
+	byCity := map[string]table.Row{}
+	var want []table.Row
+	for _, r := range tableRows(t, tbl) {
+		w := byCity[core.Key(r[1])]
+		if w == nil {
+			w = table.Row{r[1], core.Int(0), core.Int(0), r[0]}
+			byCity[core.Key(r[1])] = w
+			want = append(want, w)
+		}
+		w[1] = w[1].(core.Int) + 1
+		w[2] = w[2].(core.Int) + r[2].(core.Int)
+		if core.Compare(r[0], w[3]) > 0 {
+			w[3] = r[0]
+		}
 	}
 	g := exec.NewGroupAgg(exec.NewScan(tbl, nil), 1, aggs...)
 	got, err := exec.Collect(context.Background(), g)
@@ -316,7 +329,7 @@ func TestGroupAggCancel(t *testing.T) {
 	pool := newPool()
 	tbl := makeUsers(t, pool, 8000)
 	xtest.AssertCancelAborts(t, 3, func(ctx context.Context) error {
-		g := exec.NewGroupAgg(exec.NewScan(tbl, nil), 1, xsp.Agg{Kind: xsp.Count})
+		g := exec.NewGroupAgg(exec.NewScan(tbl, nil), 1, exec.Agg{Kind: exec.AggCount})
 		_, err := exec.Count(ctx, g)
 		return err
 	})

@@ -11,7 +11,6 @@ import (
 	"xst/internal/core"
 	"xst/internal/table"
 	"xst/internal/trace"
-	"xst/internal/xsp"
 )
 
 // workerSpan opens a per-worker trace span ("<phase>[i]") under the
@@ -37,7 +36,7 @@ func workerSpan(ctx context.Context, phase string, i int) *trace.Span {
 // into the single-goroutine pull contract. Blocking operators
 // parallelize their own sanctioned materializations: HashBuild builds a
 // partitioned hash index from N build workers, ProbeJoin probes it from
-// N probe workers, and ParallelGroupAgg folds per-worker xsp.AggState
+// N probe workers, and ParallelGroupAgg folds per-worker AggState
 // accumulators with a merge stage.
 //
 // Batch ownership across goroutines (see DESIGN.md §9) is the package's
@@ -660,7 +659,7 @@ func (j *ProbeJoin) String() string {
 }
 
 // ParallelGroupAgg is the parallel partial-aggregate: Open drains N
-// worker subtrees concurrently, each into a private xsp.AggState, then
+// worker subtrees concurrently, each into a private AggState, then
 // folds the partials with AggState.Merge — the classic partial/final
 // aggregation split. Like GroupAgg it is a full pipeline breaker, so
 // everything happens in Open and Next just chunks the merged result.
@@ -670,7 +669,7 @@ type ParallelGroupAgg struct {
 	workers []Operator
 	aux     []Operator
 	keyCol  int
-	aggs    []xsp.Agg
+	aggs    []Agg
 
 	cancel context.CancelFunc
 	queue  []table.Row
@@ -680,7 +679,7 @@ type ParallelGroupAgg struct {
 
 // NewParallelGroupAgg aggregates the union of the workers' outputs,
 // grouping on keyCol.
-func NewParallelGroupAgg(workers []Operator, aux []Operator, keyCol int, aggs ...xsp.Agg) *ParallelGroupAgg {
+func NewParallelGroupAgg(workers []Operator, aux []Operator, keyCol int, aggs ...Agg) *ParallelGroupAgg {
 	if len(workers) == 0 {
 		panic("exec: ParallelGroupAgg needs at least one worker")
 	}
@@ -702,7 +701,7 @@ func (g *ParallelGroupAgg) Open(ctx context.Context) error {
 	}
 	// First-error-wins, as in HashBuild: report the error that caused
 	// the cancellation, not a sibling's resulting context.Canceled.
-	states := make([]*xsp.AggState, len(g.workers))
+	states := make([]*AggState, len(g.workers))
 	var once sync.Once
 	var firstErr error
 	fail := func(err error) {
@@ -718,7 +717,7 @@ func (g *ParallelGroupAgg) Open(ctx context.Context) error {
 			defer wg.Done()
 			psp := workerSpan(ctx, "partial", i)
 			defer psp.End()
-			st := xsp.NewAggState(g.keyCol, g.aggs...)
+			st := NewAggState(g.keyCol, g.aggs...)
 			if err := w.Open(wctx); err != nil {
 				fail(err)
 				return
@@ -768,7 +767,11 @@ func (g *ParallelGroupAgg) Open(ctx context.Context) error {
 			return err
 		}
 	}
-	g.queue = merged.Rows()
+	rows, err := merged.Rows()
+	if err != nil {
+		return err
+	}
+	g.queue = rows
 	g.stats.RowsIn = merged.RowsIn()
 	g.stats.HeldRows = merged.Groups()
 	return nil
@@ -824,7 +827,7 @@ func (g *ParallelGroupAgg) OutSchema() table.Schema {
 	cols := make([]string, 0, 1+len(g.aggs))
 	cols = append(cols, in.Cols[g.keyCol])
 	for _, a := range g.aggs {
-		if a.Kind == xsp.Count {
+		if a.Kind == AggCount {
 			cols = append(cols, "count")
 		} else {
 			cols = append(cols, fmt.Sprintf("%s(%s)", a.Kind, in.Cols[a.Col]))

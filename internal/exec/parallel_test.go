@@ -8,7 +8,6 @@ import (
 	"xst/internal/core"
 	"xst/internal/exec"
 	"xst/internal/table"
-	"xst/internal/xsp"
 	"xst/internal/xtest"
 )
 
@@ -80,7 +79,7 @@ func TestGatherClonesStageBatches(t *testing.T) {
 	boston := func(r table.Row) bool { return core.Equal(r[1], core.Str("boston")) }
 
 	want, err := exec.Collect(context.Background(), exec.NewStage(
-		&xsp.Restrict{Pred: boston, Name: "city=boston"}, exec.NewScan(tbl, nil)))
+		&exec.Restrict{Pred: boston, Name: "city=boston"}, exec.NewScan(tbl, nil)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +88,7 @@ func TestGatherClonesStageBatches(t *testing.T) {
 	workers := make([]exec.Operator, 3)
 	for i := range workers {
 		workers[i] = exec.NewStage(
-			&xsp.Restrict{Pred: boston, Name: "city=boston"}, exec.NewMorselScan(src, nil))
+			&exec.Restrict{Pred: boston, Name: "city=boston"}, exec.NewMorselScan(src, nil))
 	}
 	got, err := exec.Collect(context.Background(), exec.NewGather(workers))
 	if err != nil {
@@ -141,7 +140,7 @@ func TestParallelJoinMatchesHashJoin(t *testing.T) {
 func TestParallelGroupAggMatchesGroupAgg(t *testing.T) {
 	pool := newPool()
 	tbl := makeUsers(t, pool, 999)
-	aggs := []xsp.Agg{{Kind: xsp.Count}, {Kind: xsp.Sum, Col: 2}, {Kind: xsp.Min, Col: 0}, {Kind: xsp.Max, Col: 0}}
+	aggs := []exec.Agg{{Kind: exec.AggCount}, {Kind: exec.AggSum, Col: 2}, {Kind: exec.AggMin, Col: 0}, {Kind: exec.AggMax, Col: 0}}
 	serial := exec.NewGroupAgg(exec.NewScan(tbl, nil), 1, aggs...)
 	want, err := exec.Collect(context.Background(), serial)
 	if err != nil {
@@ -248,7 +247,7 @@ func TestParallelGroupAggFirstErrorWins(t *testing.T) {
 			exec.NewMorselScan(src, nil),
 			&failOp{after: 1, err: boom},
 		}
-		_, err := exec.Count(ctx, exec.NewParallelGroupAgg(workers, nil, 1, xsp.Agg{Kind: xsp.Count}))
+		_, err := exec.Count(ctx, exec.NewParallelGroupAgg(workers, nil, 1, exec.Agg{Kind: exec.AggCount}))
 		return err
 	})
 }
@@ -283,7 +282,7 @@ func TestParallelGroupAggCancel(t *testing.T) {
 		for i := range workers {
 			workers[i] = exec.NewMorselScan(src, nil)
 		}
-		_, err := exec.Count(ctx, exec.NewParallelGroupAgg(workers, nil, 1, xsp.Agg{Kind: xsp.Count}))
+		_, err := exec.Count(ctx, exec.NewParallelGroupAgg(workers, nil, 1, exec.Agg{Kind: exec.AggCount}))
 		return err
 	})
 }

@@ -8,7 +8,6 @@ import (
 	"xst/internal/exec"
 	"xst/internal/store"
 	"xst/internal/table"
-	"xst/internal/xsp"
 	"xst/internal/xtest"
 )
 
@@ -82,9 +81,9 @@ func TestScratchTreesKeepTheirAnswers(t *testing.T) {
 	orders := makeOrders(t, pool, 3000, 700)
 	boston := func(r table.Row) bool { return core.Equal(r[1], core.Str("boston")) }
 	restrict := func(child exec.Operator) exec.Operator {
-		return exec.NewStage(&xsp.Restrict{Pred: boston, Name: "city=boston"}, child)
+		return exec.NewStage(&exec.Restrict{Pred: boston, Name: "city=boston"}, child)
 	}
-	aggs := []xsp.Agg{{Kind: xsp.Count}, {Kind: xsp.Sum, Col: 1}, {Kind: xsp.Min, Col: 1}, {Kind: xsp.Max, Col: 4}}
+	aggs := []exec.Agg{{Kind: exec.AggCount}, {Kind: exec.AggSum, Col: 1}, {Kind: exec.AggMin, Col: 1}, {Kind: exec.AggMax, Col: 4}}
 	morsels := func(leaf leafFunc, tbl *table.Table, n int, need []bool) []exec.Operator {
 		src := tbl.NewMorselSource()
 		ws := make([]exec.Operator, n)
@@ -133,11 +132,11 @@ func TestScratchTreesKeepTheirAnswers(t *testing.T) {
 		{"project of masked scan under gather", func(leaf leafFunc) exec.Operator {
 			ws := morsels(leaf, users, 2, []bool{false, true, false})
 			for i, w := range ws {
-				ws[i] = exec.NewStage(&xsp.Project{Cols: []int{1}}, w)
+				ws[i] = exec.NewStage(&exec.Project{Cols: []int{1}}, w)
 			}
 			return exec.NewGather(ws)
 		}, func() exec.Operator {
-			return exec.NewStage(&xsp.Project{Cols: []int{1}}, exec.NewScan(users, nil))
+			return exec.NewStage(&exec.Project{Cols: []int{1}}, exec.NewScan(users, nil))
 		}},
 		{"hashjoin build right", func(leaf leafFunc) exec.Operator { return serialJoin(leaf, false) },
 			func() exec.Operator { return serialJoin(plain, true) }},
@@ -200,7 +199,7 @@ func TestWarmScanAllocatesPerPageNotPerRow(t *testing.T) {
 	ctx := context.Background()
 	count := func(need []bool) func() {
 		return func() {
-			op := exec.NewStage(&xsp.Restrict{
+			op := exec.NewStage(&exec.Restrict{
 				Pred: func(r table.Row) bool { return r[1] != core.Value(core.Int(3)) },
 				Name: "small != 3",
 			}, exec.NewMorselScan(tbl.NewMorselSource(), need))

@@ -1,10 +1,47 @@
-package dist
+package fed
 
-// Strategy selection: a byte-cost model over the four join strategies,
-// in the spirit of classical distributed query optimization. The
-// coordinator knows partition counts and the (estimated) selectivity of
-// the left-side restriction; each strategy's network bytes follow
-// directly.
+import "fmt"
+
+// Strategy selection: a byte-cost model over the four distributed join
+// strategies, in the spirit of classical distributed query
+// optimization. The coordinator knows partition counts and the
+// (estimated) selectivity of the left-side restriction; each strategy's
+// network bytes follow directly.
+
+// Strategy selects a distributed join algorithm.
+type Strategy int
+
+const (
+	// ShipAll ships every partition of both tables to the coordinator
+	// and joins there — the naive baseline.
+	ShipAll Strategy = iota
+	// Broadcast ships the (smaller) right table to every left site,
+	// joins locally, and ships only results.
+	Broadcast
+	// SemiJoin ships the distinct join keys of the (filtered) left side
+	// to the right sites, which return only matching rows — the classic
+	// reducer; in XST terms the key set is an image and the reduction a
+	// restriction by it.
+	SemiJoin
+	// CoLocated joins partition-locally, valid only when both tables are
+	// hash-partitioned on the join key; ships only results.
+	CoLocated
+)
+
+func (s Strategy) String() string {
+	switch s {
+	case ShipAll:
+		return "ship-all"
+	case Broadcast:
+		return "broadcast"
+	case SemiJoin:
+		return "semijoin"
+	case CoLocated:
+		return "co-located"
+	default:
+		return fmt.Sprintf("strategy(%d)", int(s))
+	}
+}
 
 // CostInputs describes a distributed equi-join for strategy selection.
 type CostInputs struct {

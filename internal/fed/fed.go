@@ -17,8 +17,8 @@
 // cancellation, first-error-wins propagation and bounded buffering are
 // the same code paths a local parallel query uses.
 //
-// Distributed equi-joins choose among dist's four strategies by the
-// byte-cost model (dist.ChooseStrategy) fed with catalog statistics;
+// Distributed equi-joins choose among four strategies by the byte-cost
+// model (ChooseStrategy, cost.go) fed with catalog statistics;
 // broadcast ships the small side to every probe site via `.load`
 // scratch tables, semijoin ships the distinct probe keys and gathers
 // only the matching right rows. Failure semantics: fragments are

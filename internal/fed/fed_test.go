@@ -9,7 +9,6 @@ import (
 
 	"xst/internal/catalog"
 	"xst/internal/core"
-	"xst/internal/dist"
 	"xst/internal/exec"
 	"xst/internal/plan"
 	"xst/internal/store"
@@ -294,12 +293,12 @@ func TestStrategyChoice(t *testing.T) {
 	lf := bootTestFed(t, 3, Config{}, d)
 
 	q, _ := runFed(t, lf, "from orders join users on uid = id select oid, amount, name")
-	if got := q.Strategies(); len(got) != 1 || got[0] == dist.CoLocated {
+	if got := q.Strategies(); len(got) != 1 || got[0] == CoLocated {
 		t.Fatalf("orders⋈users strategies = %v", got)
 	}
 
 	q, _ = runFed(t, lf, "from users join profiles on id = pid select id, score")
-	if got := q.Strategies(); len(got) != 1 || got[0] != dist.CoLocated {
+	if got := q.Strategies(); len(got) != 1 || got[0] != CoLocated {
 		t.Fatalf("co-partitioned join strategies = %v, want [CoLocated]", got)
 	}
 
@@ -307,13 +306,13 @@ func TestStrategyChoice(t *testing.T) {
 	// probes a much larger right side, and broadcast when the right side
 	// is tiny relative to the left partitions.
 	in := lf.Coord.costProbe("users", "orders", "id", "uid")
-	if got := dist.ChooseStrategy(in); got != dist.SemiJoin && got != dist.Broadcast {
+	if got := ChooseStrategy(in); got != SemiJoin && got != Broadcast {
 		t.Logf("probe inputs %+v chose %v", in, got)
 	}
 }
 
 // costProbe builds cost inputs from live table metadata (test hook).
-func (c *Coordinator) costProbe(left, right, lcol, rcol string) dist.CostInputs {
+func (c *Coordinator) costProbe(left, right, lcol, rcol string) CostInputs {
 	lf := newFragment(left, c.tables[left], table.Schema{Name: left, Cols: c.tables[left].Cols})
 	rf := newFragment(right, c.tables[right], table.Schema{Name: right, Cols: c.tables[right].Cols})
 	s := &splitter{c: c}

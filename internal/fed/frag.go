@@ -9,9 +9,9 @@ import (
 
 	"xst/internal/catalog"
 	"xst/internal/core"
+	"xst/internal/exec"
 	"xst/internal/plan"
 	"xst/internal/table"
-	"xst/internal/xsp"
 )
 
 // fragment is one per-site unit of work: a subtree of the optimized
@@ -256,7 +256,7 @@ func renderPred(p plan.Pred) (texts []string, cmps []plan.Cmp, ok bool) {
 func renderableAggs(key string, aggs []plan.AggSpec) bool {
 	seen := map[string]bool{key: true}
 	for _, a := range aggs {
-		if a.Kind != xsp.Count && !renderableIdent(a.Col) {
+		if a.Kind != exec.AggCount && !renderableIdent(a.Col) {
 			return false
 		}
 		name := a.String()

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"xst/internal/dist"
 	"xst/internal/exec"
 	"xst/internal/plan"
 	"xst/internal/table"
@@ -23,7 +22,7 @@ type Query struct {
 	c          *Coordinator
 	node       plan.Node
 	dop        int
-	strategies []dist.Strategy
+	strategies []Strategy
 	ran        bool
 }
 
@@ -56,8 +55,8 @@ func (q *Query) Plan() string { return q.node.String() }
 
 // Strategies reports each distributed join's chosen shipping strategy,
 // in plan order.
-func (q *Query) Strategies() []dist.Strategy {
-	return append([]dist.Strategy(nil), q.strategies...)
+func (q *Query) Strategies() []Strategy {
+	return append([]Strategy(nil), q.strategies...)
 }
 
 // Run executes the federated plan, streaming result batches to emit.

@@ -8,12 +8,10 @@ import (
 	"sync"
 
 	"xst/internal/core"
-	"xst/internal/dist"
 	"xst/internal/exec"
 	"xst/internal/plan"
 	"xst/internal/server"
 	"xst/internal/table"
-	"xst/internal/xsp"
 )
 
 // The splitter walks the optimized single-node plan bottom-up, growing
@@ -30,7 +28,7 @@ type splitter struct {
 	c *Coordinator
 	// strategies records each distributed join's chosen strategy, in
 	// plan order (for EXPLAIN surfacing and the cost-pinning tests).
-	strategies []dist.Strategy
+	strategies []Strategy
 	// fanout tracks the widest scatter, pricing admission at the front
 	// server.
 	fanout int
@@ -195,8 +193,8 @@ func (s *splitter) partialAgg(f *fragment, g *plan.GroupBy) plan.Node {
 		partialCols = append(partialCols, name)
 		finalCols = append(finalCols, name)
 		switch a.Kind {
-		case xsp.Count:
-			merge[i] = plan.AggSpec{Kind: xsp.Sum, Col: name}
+		case exec.AggCount:
+			merge[i] = plan.AggSpec{Kind: exec.AggSum, Col: name}
 		default:
 			merge[i] = plan.AggSpec{Kind: a.Kind, Col: name}
 		}
@@ -228,31 +226,31 @@ func (s *splitter) join(x *plan.Join) piece {
 	disjoint := disjointCols(lf.outCols(), rf.outCols()) &&
 		renderableIdents(lf.outCols()) && renderableIdents(rf.outCols())
 	in := s.costInputs(lf, rf, x.LeftCol, x.RightCol, disjoint)
-	strat := dist.ChooseStrategy(in)
+	strat := ChooseStrategy(in)
 	if forced, ok := forcedStrategy(s.c.cfg.ForceStrategy); ok {
 		strat = forced
 	}
-	if !disjoint && (strat == dist.Broadcast || strat == dist.CoLocated) {
-		strat = dist.ShipAll
+	if !disjoint && (strat == Broadcast || strat == CoLocated) {
+		strat = ShipAll
 	}
 	// CoLocated is only sound when both sides really are hash-partitioned
 	// on the join key (guards a forced override) and single-table (the
 	// merged fragment carries one join clause per strategy decision).
-	if strat == dist.CoLocated && !in.CoPartitioned {
-		strat = dist.ShipAll
+	if strat == CoLocated && !in.CoPartitioned {
+		strat = ShipAll
 	}
 	// SemiJoin renders the right side's columns around the shipped key
 	// scratch table; unrenderable names fall back to gathering both sides.
-	if strat == dist.SemiJoin && !renderableIdents(rf.outCols()) {
-		strat = dist.ShipAll
+	if strat == SemiJoin && !renderableIdents(rf.outCols()) {
+		strat = ShipAll
 	}
 	s.strategies = append(s.strategies, strat)
 	switch strat {
-	case dist.CoLocated:
+	case CoLocated:
 		return s.colocated(lf, rf, x)
-	case dist.Broadcast:
+	case Broadcast:
 		return s.broadcast(lf, rf, x)
-	case dist.SemiJoin:
+	case SemiJoin:
 		return s.semijoin(lf, rf, x)
 	default:
 		return piece{node: &plan.Join{
@@ -283,23 +281,23 @@ func disjointCols(a, b []string) bool {
 	return true
 }
 
-func forcedStrategy(s string) (dist.Strategy, bool) {
+func forcedStrategy(s string) (Strategy, bool) {
 	switch s {
 	case "shipall":
-		return dist.ShipAll, true
+		return ShipAll, true
 	case "broadcast":
-		return dist.Broadcast, true
+		return Broadcast, true
 	case "semijoin":
-		return dist.SemiJoin, true
+		return SemiJoin, true
 	case "colocated":
-		return dist.CoLocated, true
+		return CoLocated, true
 	}
 	return 0, false
 }
 
-// costInputs lifts the fragment statistics into dist's byte-cost model.
-func (s *splitter) costInputs(lf, rf *fragment, lcol, rcol string, disjoint bool) dist.CostInputs {
-	in := dist.CostInputs{
+// costInputs lifts the fragment statistics into the byte-cost model.
+func (s *splitter) costInputs(lf, rf *fragment, lcol, rcol string, disjoint bool) CostInputs {
+	in := CostInputs{
 		LeftRows:        lf.meta.Rows(),
 		RightRows:       rf.meta.Rows(),
 		LeftRowBytes:    rowBytesOr(lf.meta.RowBytes),
@@ -402,7 +400,7 @@ func (s *splitter) broadcast(lf, rf *fragment, x *plan.Join) piece {
 
 // semijoin gathers the (small, filtered) left side at the coordinator,
 // ships only its distinct join keys to the right sites, and gathers the
-// matching right rows for a coordinator-side join — dist's
+// matching right rows for a coordinator-side join — the
 // semijoin-reduced shuffle over real sockets.
 func (s *splitter) semijoin(lf, rf *fragment, x *plan.Join) piece {
 	cache := newGatherCache(s, lf)

@@ -10,7 +10,6 @@ import (
 // everything the query server's per-query deadline flows through.
 var ctxLoopPkgs = []string{
 	"xst/internal/algebra",
-	"xst/internal/xsp",
 	"xst/internal/xlang",
 	"xst/internal/exec",
 	"xst/internal/fed",
@@ -20,7 +19,7 @@ var ctxLoopPkgs = []string{
 }
 
 // CtxLoopAnalyzer keeps the deadline guarantees from the serving layer
-// from rotting as the algebra grows. In internal/{algebra,xsp,xlang,exec,fed}
+// from rotting as the algebra grows. In internal/{algebra,xlang,exec,fed,trace,dist,index}
 // it enforces two rules:
 //
 //  1. Inside any function that receives a context.Context, a loop ranging

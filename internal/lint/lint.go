@@ -10,7 +10,7 @@
 //	            to ownSet/NewSet inside internal/core are not touched
 //	            after the ownership transfer.
 //	ctxloop   — member loops inside context-carrying functions in
-//	            internal/{algebra,xsp,xlang,exec,fed,trace,dist} poll
+//	            internal/{algebra,xlang,exec,fed,trace,dist,index} poll
 //	            cancellation, and the non-Ctx convenience wrappers are
 //	            pure delegations.
 //	valueeq   — core.Value operands are compared with core.Equal (or a

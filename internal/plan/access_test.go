@@ -6,11 +6,11 @@ import (
 	"testing"
 
 	"xst/internal/core"
+	"xst/internal/exec"
 	"xst/internal/index"
 	"xst/internal/stats"
 	"xst/internal/store"
 	"xst/internal/table"
-	"xst/internal/xsp"
 	"xst/internal/xtest"
 )
 
@@ -143,7 +143,7 @@ func differentialQueries(t *testing.T) ([]Node, *Catalog) {
 		&Select{Child: uo(), Pred: Cmp{Col: "uid", Op: Eq, Val: core.Int(11)}},
 		&Select{Child: uo(), Pred: And{Cmp{Col: "score", Op: Lt, Val: core.Int(8)}, Cmp{Col: "amount", Op: Gt, Val: core.Int(900)}}},
 		&Project{Child: &Select{Child: uo(), Pred: Cmp{Col: "ouid", Op: Eq, Val: core.Int(5)}}, Cols: []string{"city", "amount"}},
-		&GroupBy{Child: &Select{Child: uo(), Pred: Cmp{Col: "score", Op: Ge, Val: core.Int(50)}}, Key: "city", Aggs: []AggSpec{{Kind: xsp.Count}}},
+		&GroupBy{Child: &Select{Child: uo(), Pred: Cmp{Col: "score", Op: Ge, Val: core.Int(50)}}, Key: "city", Aggs: []AggSpec{{Kind: exec.AggCount}}},
 		// 21-24: three-way joins exercising the reorderer.
 		uoi(),
 		&Select{Child: uoi(), Pred: Cmp{Col: "price", Op: Lt, Val: core.Int(3)}},

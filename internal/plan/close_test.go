@@ -12,7 +12,6 @@ import (
 
 	"xst/internal/exec"
 	"xst/internal/table"
-	"xst/internal/xsp"
 )
 
 // closeCountOp is a leaf operator that counts Close calls.
@@ -81,7 +80,7 @@ func TestCompileGroupByErrorClosesChild(t *testing.T) {
 	mustFailClosed(t, &GroupBy{Child: src, Key: "missing"}, op)
 
 	op2, src2 := countedLeaf("t", "a", "b")
-	mustFailClosed(t, &GroupBy{Child: src2, Key: "a", Aggs: []AggSpec{{Kind: xsp.Sum, Col: "missing"}}}, op2)
+	mustFailClosed(t, &GroupBy{Child: src2, Key: "a", Aggs: []AggSpec{{Kind: exec.AggSum, Col: "missing"}}}, op2)
 }
 
 // TestCompileDOPSortColumnErrorClosesChild drives the same unwind

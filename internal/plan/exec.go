@@ -9,7 +9,6 @@ import (
 	"xst/internal/exec"
 	"xst/internal/table"
 	"xst/internal/trace"
-	"xst/internal/xsp"
 )
 
 // Execution lowers logical plans onto the streaming operator tree
@@ -17,9 +16,9 @@ import (
 // full materializations anywhere in a run are the hash-join build side,
 // the sort buffer, and the aggregate's accumulator table —
 // ExecStats.PeakIntermediateRows verifies nothing else ever holds more
-// than one batch. The pre-streaming executor survives as
-// ExecuteMaterialized (materialize.go) for differential tests and the
-// streaming-vs-materialized benchmarks.
+// than one batch. The pre-streaming executor survives only as the
+// test oracle in materialize_test.go, for differential tests and the
+// streaming-vs-materialized benchmark.
 
 // ExecStats reports physical work done by one execution.
 type ExecStats struct {
@@ -94,7 +93,7 @@ func compile(n Node, need []bool) (exec.Operator, error) {
 			return nil, err
 		}
 		pred, sch := x.Pred, child.OutSchema()
-		return exec.NewStage(&xsp.Restrict{
+		return exec.NewStage(&exec.Restrict{
 			Pred: func(r table.Row) bool { return pred.Eval(sch, r) },
 			Name: pred.String(),
 		}, child), nil
@@ -110,7 +109,7 @@ func compile(n Node, need []bool) (exec.Operator, error) {
 				return nil, err
 			}
 		}
-		return exec.NewStage(&xsp.Project{Cols: idx}, child), nil
+		return exec.NewStage(&exec.Project{Cols: idx}, child), nil
 	case *Join:
 		lneed, rneed := needOfJoin(x, need)
 		left, err := compile(x.Left, lneed)
@@ -140,7 +139,7 @@ func compile(n Node, need []bool) (exec.Operator, error) {
 		if err != nil {
 			return nil, err
 		}
-		return exec.NewStage(&xsp.Distinct{}, child), nil
+		return exec.NewStage(&exec.Distinct{}, child), nil
 	case *Sort:
 		child, err := compile(x.Child, needBelow(x, need))
 		if err != nil {
@@ -181,10 +180,10 @@ func compile(n Node, need []bool) (exec.Operator, error) {
 			child.Close()
 			return nil, err
 		}
-		aggs := make([]xsp.Agg, len(x.Aggs))
+		aggs := make([]exec.Agg, len(x.Aggs))
 		for i, a := range x.Aggs {
-			aggs[i] = xsp.Agg{Kind: a.Kind}
-			if a.Kind != xsp.Count {
+			aggs[i] = exec.Agg{Kind: a.Kind}
+			if a.Kind != exec.AggCount {
 				if aggs[i].Col, err = colIndex(sch, a.Col, "aggregate column"); err != nil {
 					child.Close()
 					return nil, err

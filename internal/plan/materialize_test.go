@@ -1,16 +1,17 @@
 package plan
 
 import (
+	"context"
 	"fmt"
 
 	"xst/internal/core"
+	"xst/internal/exec"
 	"xst/internal/table"
-	"xst/internal/xsp"
 )
 
 // ExecuteMaterialized runs the plan the pre-streaming way: maximal
-// scan–select–project chains over one table become a single xsp
-// pipeline, but every join child and every remaining operator consumes
+// scan–select–project chains over one table become a single scan and
+// its stages, but every join child and every remaining operator consumes
 // the *fully materialized* output of the one below it. Kept as the
 // differential baseline for the streaming tree — equivalence tests and
 // BenchmarkStreamVsMaterialize run both paths over the same plans.
@@ -39,12 +40,12 @@ func execNode(n Node, st *ExecStats) ([]table.Row, table.Schema, error) {
 	// A single-table chain compiles to one pipeline.
 	if src, ops, ok := compileChain(n); ok {
 		st.Pipelines++
-		p := xsp.NewPipeline(src, ops...)
-		rows, err := p.Collect()
+		scan := exec.NewScan(src, nil)
+		rows, err := exec.Collect(context.Background(), exec.NewStages(scan, ops...))
 		if err != nil {
 			return nil, table.Schema{}, err
 		}
-		st.RowsScanned += p.Stats().RowsIn
+		st.RowsScanned += scan.Stats().RowsIn
 		st.intermediate(rows)
 		return rows, n.Schema(), nil
 	}
@@ -120,10 +121,10 @@ func execNode(n Node, st *ExecStats) ([]table.Row, table.Schema, error) {
 }
 
 // compileChain recognizes Select/Project chains rooted at a Scan and
-// compiles them into a single XSP pipeline.
-func compileChain(n Node) (*table.Table, []xsp.Op, bool) {
-	var build func(n Node) (*table.Table, table.Schema, []xsp.Op, bool)
-	build = func(n Node) (*table.Table, table.Schema, []xsp.Op, bool) {
+// compiles them into the stages of a single scan.
+func compileChain(n Node) (*table.Table, []exec.Op, bool) {
+	var build func(n Node) (*table.Table, table.Schema, []exec.Op, bool)
+	build = func(n Node) (*table.Table, table.Schema, []exec.Op, bool) {
 		switch x := n.(type) {
 		case *Scan:
 			return x.Table, x.Table.Schema(), nil, true
@@ -133,7 +134,7 @@ func compileChain(n Node) (*table.Table, []xsp.Op, bool) {
 				return nil, table.Schema{}, nil, false
 			}
 			pred, cur := x.Pred, sch
-			ops = append(ops, &xsp.Restrict{
+			ops = append(ops, &exec.Restrict{
 				Pred: func(r table.Row) bool { return pred.Eval(cur, r) },
 				Name: pred.String(),
 			})
@@ -150,7 +151,7 @@ func compileChain(n Node) (*table.Table, []xsp.Op, bool) {
 					return nil, table.Schema{}, nil, false
 				}
 			}
-			ops = append(ops, &xsp.Project{Cols: idx})
+			ops = append(ops, &exec.Project{Cols: idx})
 			return src, x.Schema(), ops, true
 		default:
 			return nil, table.Schema{}, nil, false

@@ -1,8 +1,8 @@
 package plan
 
 import (
+	"xst/internal/exec"
 	"xst/internal/table"
-	"xst/internal/xsp"
 )
 
 // Needed positions: lowering tells every scan which positions of its
@@ -48,7 +48,7 @@ func needBelow(n Node, need []bool) []bool {
 	case *GroupBy:
 		cols := []string{x.Key}
 		for _, a := range x.Aggs {
-			if a.Kind != xsp.Count {
+			if a.Kind != exec.AggCount {
 				cols = append(cols, a.Col)
 			}
 		}

@@ -5,7 +5,6 @@ import (
 
 	"xst/internal/exec"
 	"xst/internal/table"
-	"xst/internal/xsp"
 )
 
 // Parallel compilation: the cost model picks a degree of parallelism
@@ -128,10 +127,10 @@ func CompileDOP(n Node, dop int) (exec.Operator, error) {
 			closeOps(ws, aux)
 			return nil, err
 		}
-		aggs := make([]xsp.Agg, len(x.Aggs))
+		aggs := make([]exec.Agg, len(x.Aggs))
 		for i, a := range x.Aggs {
-			aggs[i] = xsp.Agg{Kind: a.Kind}
-			if a.Kind != xsp.Count {
+			aggs[i] = exec.Agg{Kind: a.Kind}
+			if a.Kind != exec.AggCount {
 				if aggs[i].Col, err = colIndex(sch, a.Col, "aggregate column"); err != nil {
 					closeOps(ws, aux)
 					return nil, err
@@ -144,7 +143,7 @@ func CompileDOP(n Node, dop int) (exec.Operator, error) {
 		if err != nil {
 			return nil, err
 		}
-		return exec.NewStage(&xsp.Distinct{}, child), nil
+		return exec.NewStage(&exec.Distinct{}, child), nil
 	case *Sort:
 		child, err := CompileDOP(x.Child, dop)
 		if err != nil {
@@ -209,7 +208,7 @@ func compileWorkers(n Node, dop int, need []bool) (workers, aux []exec.Operator,
 		for i, w := range ws {
 			// One Stage per worker: each owns its output scratch. Pred
 			// evaluation is read-only and shared safely.
-			ws[i] = exec.NewStage(&xsp.Restrict{
+			ws[i] = exec.NewStage(&exec.Restrict{
 				Pred: func(r table.Row) bool { return pred.Eval(sch, r) },
 				Name: pred.String(),
 			}, w)
@@ -229,8 +228,8 @@ func compileWorkers(n Node, dop int, need []bool) (workers, aux []exec.Operator,
 			}
 		}
 		for i, w := range ws {
-			// A fresh xsp.Project per worker: its row buffer is scratch.
-			ws[i] = exec.NewStage(&xsp.Project{Cols: append([]int(nil), idx...)}, w)
+			// A fresh exec.Project per worker: its row buffer is scratch.
+			ws[i] = exec.NewStage(&exec.Project{Cols: append([]int(nil), idx...)}, w)
 		}
 		return ws, aux, true, nil
 	case *Join:

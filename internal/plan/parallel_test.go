@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"xst/internal/exec"
-	"xst/internal/xsp"
 	"xst/internal/xtest"
 )
 
@@ -113,8 +112,8 @@ func breakerPlans(t *testing.T) []Node {
 	}
 	return []Node{
 		&GroupBy{Child: join(), Key: "city",
-			Aggs: []AggSpec{{Kind: xsp.Count}, {Kind: xsp.Sum, Col: "amount"}, {Kind: xsp.Max, Col: "score"}}},
-		&GroupBy{Child: &Scan{Table: u}, Key: "city", Aggs: []AggSpec{{Kind: xsp.Count}}},
+			Aggs: []AggSpec{{Kind: exec.AggCount}, {Kind: exec.AggSum, Col: "amount"}, {Kind: exec.AggMax, Col: "score"}}},
+		&GroupBy{Child: &Scan{Table: u}, Key: "city", Aggs: []AggSpec{{Kind: exec.AggCount}}},
 		// Sort/Limit on the unique oid so the parallel tree's arbitrary
 		// interleaving cannot change which rows survive.
 		&Sort{Child: join(), Col: "oid", Desc: true},
@@ -131,7 +130,7 @@ func TestCompileDOPFallsBackSerial(t *testing.T) {
 	p := &GroupBy{
 		Child: &Limit{Child: &Scan{Table: o}, N: 100},
 		Key:   "ouid",
-		Aggs:  []AggSpec{{Kind: xsp.Count}},
+		Aggs:  []AggSpec{{Kind: exec.AggCount}},
 	}
 	op, err := CompileDOP(p, 4)
 	if err != nil {
@@ -157,7 +156,7 @@ func TestParallelExecStats(t *testing.T) {
 	p := &GroupBy{
 		Child: &Join{Left: &Scan{Table: o}, Right: &Scan{Table: u}, LeftCol: "ouid", RightCol: "uid"},
 		Key:   "city",
-		Aggs:  []AggSpec{{Kind: xsp.Count}, {Kind: xsp.Sum, Col: "amount"}},
+		Aggs:  []AggSpec{{Kind: exec.AggCount}, {Kind: exec.AggSum, Col: "amount"}},
 	}
 	rows, _, st, err := ExecuteStats(p)
 	if err != nil {
@@ -211,7 +210,7 @@ func TestExplainAnalyzeParallel(t *testing.T) {
 			t.Fatalf("parallel ExplainAnalyze missing %q:\n%s", want, out)
 		}
 	}
-	g := &GroupBy{Child: j, Key: "city", Aggs: []AggSpec{{Kind: xsp.Count}}}
+	g := &GroupBy{Child: j, Key: "city", Aggs: []AggSpec{{Kind: exec.AggCount}}}
 	out, err = ExplainAnalyze(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)

@@ -1,5 +1,5 @@
-// Package plan implements a rule-based query planner over the XSP
-// engine: logical plans (scan / select / project / join) with
+// Package plan implements a rule-based query planner over the exec
+// operator tree: logical plans (scan / select / project / join) with
 // predicates-as-data, algebraic rewrite rules (merge selections, push
 // selections below joins, prune columns), and compilation into
 // set-at-a-time physical execution. It is the systems-level form of the
@@ -17,8 +17,8 @@ import (
 	"strings"
 
 	"xst/internal/core"
+	"xst/internal/exec"
 	"xst/internal/table"
-	"xst/internal/xsp"
 )
 
 // Node is a logical plan operator. Plans are immutable trees; rewrites
@@ -129,12 +129,12 @@ func (l *Limit) String() string { return fmt.Sprintf("limit[%d](%v)", l.N, l.Chi
 
 // AggSpec names one aggregate over a column (Col ignored for Count).
 type AggSpec struct {
-	Kind xsp.AggKind
+	Kind exec.AggKind
 	Col  string
 }
 
 func (a AggSpec) String() string {
-	if a.Kind == xsp.Count {
+	if a.Kind == exec.AggCount {
 		return "count"
 	}
 	return fmt.Sprintf("%s(%s)", a.Kind, a.Col)

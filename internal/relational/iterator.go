@@ -3,9 +3,9 @@
 // hash join, sort, limit, aggregate) over stored tables. Every operator
 // moves ONE row per Next call and the table scan touches the buffer pool
 // once per record — the "record processing" discipline the paper's set-
-// processing thesis argues against. The XSP engine (internal/xsp)
-// answers the same queries set-at-a-time; the benchmarks compare the
-// two on identical tables.
+// processing thesis argues against. The exec operator tree
+// (internal/exec) answers the same queries set-at-a-time; the
+// benchmarks compare the two on identical tables.
 package relational
 
 import (

@@ -2,7 +2,7 @@
 // query engines: a Schema names tuple positions, a Row is a flat tuple of
 // atom values, and a Table persists rows into a heap file through the
 // buffer pool. Both the record-at-a-time engine (internal/relational)
-// and the set-at-a-time XSP engine (internal/xsp) read the same tables
+// and the set-at-a-time executor (internal/exec) read the same tables
 // through the same codec, so their performance difference is purely the
 // processing discipline — exactly the comparison the paper's set-
 // processing thesis calls for.

@@ -10,12 +10,11 @@ import (
 	"xst/internal/plan"
 	"xst/internal/table"
 	"xst/internal/trace"
-	"xst/internal/xsp"
 )
 
-// aggKinds maps aggregate keywords to their xsp kinds.
-var aggKinds = map[string]xsp.AggKind{
-	"count": xsp.Count, "sum": xsp.Sum, "min": xsp.Min, "max": xsp.Max,
+// aggKinds maps aggregate keywords to their exec kinds.
+var aggKinds = map[string]exec.AggKind{
+	"count": exec.AggCount, "sum": exec.AggSum, "min": exec.AggMin, "max": exec.AggMax,
 }
 
 // Query statements are the stored-data face of the language: where the
@@ -297,7 +296,7 @@ func (p *qparser) parse() (plan.Node, error) {
 			aggs = append(aggs, spec)
 		}
 		if len(aggs) == 0 {
-			aggs = []plan.AggSpec{{Kind: xsp.Count}}
+			aggs = []plan.AggSpec{{Kind: exec.AggCount}}
 		}
 		n = &plan.GroupBy{Child: n, Key: key.text, Aggs: aggs}
 	}
@@ -421,7 +420,7 @@ func (p *qparser) aggSpec(sch table.Schema) (plan.AggSpec, bool, error) {
 		return plan.AggSpec{}, false, nil
 	}
 	name := p.next()
-	if kind == xsp.Count {
+	if kind == exec.AggCount {
 		return plan.AggSpec{Kind: kind}, true, nil
 	}
 	if p.cur().kind != tokLParen {

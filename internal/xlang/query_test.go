@@ -2,6 +2,7 @@ package xlang
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
 
@@ -183,6 +184,63 @@ func TestQueryComparisonOps(t *testing.T) {
 		if n != c.want {
 			t.Fatalf("%q returned %d rows, want %d", c.src, n, c.want)
 		}
+	}
+}
+
+// TestQueryGroupSumExact runs the integer-sum edge cases through a
+// serial `from … group by` query: exact past 2^53, a clean error when
+// the total overflows int64 but none when only an intermediate total
+// does, and float promotion unchanged.
+func TestQueryGroupSumExact(t *testing.T) {
+	cases := []struct {
+		name string
+		in   []core.Value
+		want core.Value // nil: the query must fail
+	}{
+		{"{2^53, 1}", []core.Value{core.Int(1 << 53), core.Int(1)}, core.Int(1<<53 + 1)},
+		{"{2^53+1}", []core.Value{core.Int(1<<53 + 1)}, core.Int(1<<53 + 1)},
+		{"overflow", []core.Value{core.Int(math.MaxInt64), core.Int(1)}, nil},
+		{"overflow then back", []core.Value{core.Int(math.MaxInt64), core.Int(1), core.Int(-1)}, core.Int(math.MaxInt64)},
+		{"float promotion", []core.Value{core.Int(1), core.Float(0.5)}, core.Float(1.5)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tbl, err := table.Create(store.NewBufferPool(store.NewMemPager(), 16),
+				table.Schema{Name: "m", Cols: []string{"k", "v"}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, v := range tc.in {
+				if _, err := tbl.Insert(table.Row{core.Str("a"), v}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			env := NewEnv()
+			env.BindTable("m", tbl)
+			q, err := CompileQuery(env, "from m group by k sum(v)")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var rows []table.Row
+			_, err = q.Run(context.Background(), func(batch []table.Row) error {
+				for _, r := range batch {
+					rows = append(rows, r.Clone())
+				}
+				return nil
+			})
+			if tc.want == nil {
+				if err == nil || !strings.Contains(err.Error(), "overflow") {
+					t.Fatalf("rows %v, err %v: want an overflow error", rows, err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rows) != 1 || !core.Equal(rows[0][1], tc.want) {
+				t.Fatalf("sum = %v, want %v", rows, tc.want)
+			}
+		})
 	}
 }
 

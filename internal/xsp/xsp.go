@@ -1,262 +1,16 @@
-// Package xsp implements the extended-set-processing engine: query
-// operators that consume and produce whole row *sets* (page batches)
-// instead of single records. Each operator is the executable form of one
-// XST operation on the stored extended set:
-//
-//	Restrict  — σ-Restriction (Def 7.6): keep the members matched by a
-//	            selection pattern; realized as a tight selection loop
-//	            over each page batch.
-//	Project   — σ-Domain (Def 7.4): re-scope members onto the kept
-//	            positions; realized as positional projection.
-//	Join      — Relative Product (Def 10.1): hash join on the σ2/ω1 key
-//	            positions, probing page batches.
-//	Distinct  — canonicalization: duplicate members collapse.
-//	GroupCount— image partitioning by a key position.
-//
-// The engine's claim to reproduce is §12's: managing data as sets (page
-// batches flowing through composed operations) beats managing it as
-// records (one Next call per row). The correctness anchor is that every
-// operator provably computes the same set as its symbolic counterpart in
-// internal/algebra — see TestXSPMatchesAlgebra.
+// Package xsp is what is left of the second, table-level engine after
+// its batch kernels moved into internal/exec: aliases for the two
+// aggregate kinds benchmarks/xstperf names. That frozen benchmark module
+// is its only user; nothing in the main module imports it.
 package xsp
 
-import (
-	"context"
-	"fmt"
+import "xst/internal/exec"
 
-	"xst/internal/core"
-	"xst/internal/store"
-	"xst/internal/table"
+// AggKind selects an aggregate function (exec.AggKind).
+type AggKind = exec.AggKind
+
+// Aggregate kinds benchmarks/xstperf names.
+const (
+	Count = exec.AggCount
+	Sum   = exec.AggSum
 )
-
-// Pred is a row predicate shared with the batch operators.
-type Pred func(table.Row) bool
-
-// Op is one set-at-a-time stage: a whole batch in, a whole batch out.
-type Op interface {
-	// Process filters/transforms a batch. It may return the input slice
-	// when nothing changes, or reuse scratch space; callers must not
-	// retain the output across calls.
-	Process(rows []table.Row) []table.Row
-	// OutSchema maps the input schema to the output schema.
-	OutSchema(in table.Schema) table.Schema
-	// String names the stage with its XST reading.
-	String() string
-}
-
-// Restrict is the σ-Restriction stage.
-type Restrict struct {
-	Pred Pred
-	Name string // display label, e.g. "city = chicago"
-	out  []table.Row
-}
-
-// Process implements Op with a selection loop over the batch.
-func (r *Restrict) Process(rows []table.Row) []table.Row {
-	out := r.out[:0]
-	for _, row := range rows {
-		if r.Pred(row) {
-			out = append(out, row)
-		}
-	}
-	r.out = out
-	return out
-}
-
-// OutSchema implements Op.
-func (r *Restrict) OutSchema(in table.Schema) table.Schema { return in }
-
-func (r *Restrict) String() string { return fmt.Sprintf("restrict[%s]", r.Name) }
-
-// Project is the σ-Domain stage keeping the given positions (0-based).
-type Project struct {
-	Cols []int
-	out  []table.Row
-	buf  []core.Value
-}
-
-// Process implements Op.
-func (p *Project) Process(rows []table.Row) []table.Row {
-	out := p.out[:0]
-	need := len(rows) * len(p.Cols)
-	if cap(p.buf) < need {
-		p.buf = make([]core.Value, need)
-	}
-	buf := p.buf[:0]
-	for _, row := range rows {
-		start := len(buf)
-		for _, c := range p.Cols {
-			buf = append(buf, row[c])
-		}
-		out = append(out, table.Row(buf[start:len(buf):len(buf)]))
-	}
-	p.out, p.buf = out, buf
-	return out
-}
-
-// OutSchema implements Op.
-func (p *Project) OutSchema(in table.Schema) table.Schema {
-	cols := make([]string, len(p.Cols))
-	for i, c := range p.Cols {
-		cols[i] = in.Cols[c]
-	}
-	return table.Schema{Name: in.Name, Cols: cols}
-}
-
-func (p *Project) String() string { return fmt.Sprintf("project%v", p.Cols) }
-
-// Distinct collapses duplicate rows (set semantics).
-type Distinct struct {
-	seen map[string]bool
-	out  []table.Row
-}
-
-// Process implements Op.
-func (d *Distinct) Process(rows []table.Row) []table.Row {
-	if d.seen == nil {
-		d.seen = map[string]bool{}
-	}
-	out := d.out[:0]
-	for _, row := range rows {
-		k := string(table.EncodeRow(nil, row))
-		if !d.seen[k] {
-			d.seen[k] = true
-			out = append(out, row)
-		}
-	}
-	d.out = out
-	return out
-}
-
-// OutSchema implements Op.
-func (d *Distinct) OutSchema(in table.Schema) table.Schema { return in }
-
-func (d *Distinct) String() string { return "distinct" }
-
-// Stats counts engine activity for the experiments.
-type Stats struct {
-	Batches int
-	RowsIn  int
-	RowsOut int
-}
-
-// Pipeline executes a stage chain over a stored table, page batch by
-// page batch, with no intermediate materialization — the composed form
-// of the query (§11: composition eliminates intermediates).
-type Pipeline struct {
-	Source *table.Table
-	Ops    []Op
-	stats  Stats
-}
-
-// NewPipeline builds a pipeline.
-func NewPipeline(src *table.Table, ops ...Op) *Pipeline {
-	return &Pipeline{Source: src, Ops: ops}
-}
-
-// Schema returns the output schema of the whole pipeline.
-func (p *Pipeline) Schema() table.Schema {
-	s := p.Source.Schema()
-	for _, op := range p.Ops {
-		s = op.OutSchema(s)
-	}
-	return s
-}
-
-// Stats returns the last run's counters.
-func (p *Pipeline) Stats() Stats { return p.stats }
-
-// Run streams result batches to emit.
-func (p *Pipeline) Run(emit func(rows []table.Row) error) error {
-	return p.RunCtx(context.Background(), emit)
-}
-
-// RunCtx streams result batches to emit under a cancellation context,
-// checked once per page batch — the engine's unit of work — so a query
-// deadline aborts a scan between batches with ctx.Err().
-func (p *Pipeline) RunCtx(ctx context.Context, emit func(rows []table.Row) error) error {
-	p.stats = Stats{}
-	return p.Source.ScanBatches(func(_ store.PageID, rows []table.Row) (bool, error) {
-		if err := ctx.Err(); err != nil {
-			return false, err
-		}
-		p.stats.Batches++
-		p.stats.RowsIn += len(rows)
-		for _, op := range p.Ops {
-			rows = op.Process(rows)
-			if len(rows) == 0 {
-				return true, nil
-			}
-		}
-		p.stats.RowsOut += len(rows)
-		return true, emit(rows)
-	})
-}
-
-// Collect materializes the result rows (cloned, safe to retain).
-func (p *Pipeline) Collect() ([]table.Row, error) {
-	return p.CollectCtx(context.Background())
-}
-
-// CollectCtx is Collect under a cancellation context.
-func (p *Pipeline) CollectCtx(ctx context.Context) ([]table.Row, error) {
-	var out []table.Row
-	err := p.RunCtx(ctx, func(rows []table.Row) error {
-		for _, r := range rows {
-			out = append(out, r.Clone())
-		}
-		return nil
-	})
-	return out, err
-}
-
-// Count runs the pipeline discarding rows.
-func (p *Pipeline) Count() (int, error) {
-	n := 0
-	err := p.Run(func(rows []table.Row) error {
-		n += len(rows)
-		return nil
-	})
-	return n, err
-}
-
-// RunStaged executes the same stages the pre-composition way: each stage
-// consumes the fully materialized output of the previous one. This is
-// the baseline experiment E9 compares against the composed Run.
-func (p *Pipeline) RunStaged() ([]table.Row, error) {
-	var cur []table.Row
-	err := p.Source.ScanBatches(func(_ store.PageID, rows []table.Row) (bool, error) {
-		for _, r := range rows {
-			cur = append(cur, r.Clone())
-		}
-		return true, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, op := range p.Ops {
-		next := make([]table.Row, 0, len(cur))
-		// Feed the materialized intermediate through in page-sized
-		// chunks so operator scratch reuse stays comparable.
-		const chunk = 256
-		for i := 0; i < len(cur); i += chunk {
-			end := i + chunk
-			if end > len(cur) {
-				end = len(cur)
-			}
-			out := op.Process(cur[i:end])
-			for _, r := range out {
-				next = append(next, r.Clone())
-			}
-		}
-		cur = next
-	}
-	return cur, nil
-}
-
-// GroupCount aggregates rows by a key column set-at-a-time and returns
-// (value, count) rows in canonical order. It is GroupAgg with a single
-// Count aggregate.
-func GroupCount(p *Pipeline, col int) ([]table.Row, error) {
-	return GroupAgg(p, col, Agg{Kind: Count})
-}

@@ -14,8 +14,8 @@ const Poison = core.Str("xtest: scratch row read after the next Next")
 
 // operator is exec.Operator, spelled with type parameters for the two
 // types of package exec it mentions (OpStats, and Operator itself):
-// xtest sits below exec in the import graph — the tests of xsp and
-// index, which exec imports, use it — so it cannot name them.
+// xtest sits below exec in the import graph — the tests of index,
+// which exec imports, use it — so it cannot name them.
 type operator[S, Self any] interface {
 	Open(ctx context.Context) error
 	Next() ([]table.Row, error)
