@@ -17,6 +17,9 @@ type Client struct {
 	conn net.Conn
 	sc   *bufio.Scanner
 	next uint64
+	out  []byte  // the request line being written
+	dec  scanner // reads response lines
+	err  error   // the first error of an exchange, sticky (see DoStream)
 }
 
 // Dial connects to an xstd server.
@@ -45,19 +48,25 @@ func (c *Client) Do(req Request) (Response, error) {
 // query result to fn (when non-nil) the moment it is read, instead of
 // accumulating rows. The final response's Batch holds all rows when fn
 // is nil, and only the final line's own content otherwise. If fn
-// returns an error the stream is abandoned mid-flight and the
-// connection must be closed — unread batch lines are still in it.
+// returns an error the stream is abandoned mid-flight. Any error — fn's,
+// the transport's, a line over 1 MiB, a bad response — can leave lines
+// unread, so it is sticky: every later call on c returns it at once.
 func (c *Client) DoStream(req Request, fn func(rows []string) error) (Response, error) {
+	if c.err != nil {
+		return Response{}, c.err
+	}
+	resp, err := c.exchange(req, fn)
+	c.err = err
+	return resp, err
+}
+
+func (c *Client) exchange(req Request, fn func(rows []string) error) (Response, error) {
 	if req.ID == 0 {
 		c.next++
 		req.ID = c.next
 	}
-	buf, err := json.Marshal(req)
-	if err != nil {
-		return Response{}, err
-	}
-	buf = append(buf, '\n')
-	if _, err := c.conn.Write(buf); err != nil {
+	c.out = appendRequest(c.out[:0], &req)
+	if _, err := c.conn.Write(c.out); err != nil {
 		return Response{}, err
 	}
 	var batches []string
@@ -68,8 +77,8 @@ func (c *Client) DoStream(req Request, fn func(rows []string) error) (Response, 
 			}
 			return Response{}, fmt.Errorf("server closed connection")
 		}
-		var resp Response
-		if err := json.Unmarshal(c.sc.Bytes(), &resp); err != nil {
+		resp, err := c.dec.response(c.sc.Bytes())
+		if err != nil {
 			return Response{}, fmt.Errorf("bad response %q: %w", c.sc.Text(), err)
 		}
 		if resp.ID != req.ID {
@@ -123,38 +132,26 @@ func (c *Client) MetricsText() (string, error) {
 	return c.Eval(".metrics")
 }
 
+// evalJSON evaluates an admin statement and decodes its JSON result.
+func evalJSON[T any](c *Client, stmt string) (T, error) {
+	var out T
+	res, err := c.Eval(stmt)
+	if err == nil {
+		err = json.Unmarshal([]byte(res), &out)
+	}
+	return out, err
+}
+
 // Slow fetches and decodes the server's slow-query log: the span trees
 // of recent statements over the -slow-query threshold, oldest first.
 func (c *Client) Slow() ([]trace.SpanSnapshot, error) {
-	resp, err := c.Do(Request{Stmt: ".slow"})
-	if err != nil {
-		return nil, err
-	}
-	if resp.Error != "" {
-		return nil, fmt.Errorf("%s", resp.Error)
-	}
-	var out []trace.SpanSnapshot
-	if err := json.Unmarshal([]byte(resp.Result), &out); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return evalJSON[[]trace.SpanSnapshot](c, ".slow")
 }
 
 // Trace runs stmt forcibly traced (`.trace <stmt>`) and decodes the
 // resulting span tree.
 func (c *Client) Trace(stmt string) (trace.SpanSnapshot, error) {
-	resp, err := c.Do(Request{Stmt: ".trace " + stmt})
-	if err != nil {
-		return trace.SpanSnapshot{}, err
-	}
-	if resp.Error != "" {
-		return trace.SpanSnapshot{}, fmt.Errorf("%s", resp.Error)
-	}
-	var snap trace.SpanSnapshot
-	if err := json.Unmarshal([]byte(resp.Result), &snap); err != nil {
-		return trace.SpanSnapshot{}, err
-	}
-	return snap, nil
+	return evalJSON[trace.SpanSnapshot](c, ".trace "+stmt)
 }
 
 // Schema fetches and decodes the server's table catalog (the `.schema`
@@ -162,32 +159,10 @@ func (c *Client) Trace(stmt string) (trace.SpanSnapshot, error) {
 // for every bound table. Federation coordinators use this to merge the
 // sites' sharded catalogs.
 func (c *Client) Schema() ([]TableInfo, error) {
-	resp, err := c.Do(Request{Stmt: ".schema"})
-	if err != nil {
-		return nil, err
-	}
-	if resp.Error != "" {
-		return nil, fmt.Errorf("%s", resp.Error)
-	}
-	var out []TableInfo
-	if err := json.Unmarshal([]byte(resp.Result), &out); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return evalJSON[[]TableInfo](c, ".schema")
 }
 
 // Stats fetches and decodes the server's .stats snapshot.
 func (c *Client) Stats() (Snapshot, error) {
-	resp, err := c.Do(Request{Stmt: ".stats"})
-	if err != nil {
-		return Snapshot{}, err
-	}
-	if resp.Error != "" {
-		return Snapshot{}, fmt.Errorf("%s", resp.Error)
-	}
-	var snap Snapshot
-	if err := json.Unmarshal([]byte(resp.Result), &snap); err != nil {
-		return Snapshot{}, err
-	}
-	return snap, nil
+	return evalJSON[Snapshot](c, ".stats")
 }

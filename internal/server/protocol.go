@@ -44,14 +44,15 @@
 // "schema". This is the fragment transport of federated execution —
 // rows cross the network once in their canonical encoding instead of as
 // rendered text.
+//
+// Both ends use one codec (codec.go): encoders that write the bytes
+// json.Marshal writes, HTML escaping and omitempty included, and a
+// scanner for that subset (known keys, ASCII strings, short integers).
+// Non-ASCII text, the Trace field and any line outside the subset go
+// through encoding/json, so the format is unchanged byte for byte.
 package server
 
-import (
-	"encoding/json"
-	"strings"
-
-	"xst/internal/trace"
-)
+import "xst/internal/trace"
 
 // Request is one statement to evaluate.
 type Request struct {
@@ -103,12 +104,6 @@ type Response struct {
 // ParseRequest decodes one wire line. JSON request objects and raw
 // statement lines are both accepted (see the package comment).
 func ParseRequest(line string) Request {
-	line = strings.TrimSpace(line)
-	if strings.HasPrefix(line, "{") {
-		var r Request
-		if err := json.Unmarshal([]byte(line), &r); err == nil && r.Stmt != "" {
-			return r
-		}
-	}
-	return Request{Stmt: line}
+	var l scanner
+	return l.request([]byte(line))
 }

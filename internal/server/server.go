@@ -12,6 +12,7 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/base64"
 	"encoding/json"
@@ -20,6 +21,7 @@ import (
 	"net"
 	"runtime"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -241,6 +243,11 @@ type session struct {
 	scratch map[string]*table.Table
 	pool    *store.BufferPool
 
+	// line is the response line being written; row and enc are where
+	// batchLine renders a row before quoting it; in reads request lines.
+	line, row, enc []byte
+	in             scanner
+
 	mu       sync.Mutex
 	busy     bool // evaluating a request
 	draining bool // close as soon as not busy
@@ -429,16 +436,23 @@ func (s *Server) Registry() *metrics.Registry { return s.reg }
 // acquire claims n worker tokens, waiting at most wait for all of them;
 // on timeout it refunds any partial claim and reports false. Multi-token
 // claims are serialized so concurrent parallel queries cannot deadlock
-// holding complementary halves of the pool.
+// holding complementary halves of the pool. Free tokens are claimed
+// without waiting; the deadline timer is armed only when one is not.
 func (s *Server) acquire(n int, wait time.Duration) bool {
-	deadline := time.NewTimer(wait)
-	defer deadline.Stop()
 	s.acqMu.Lock()
-	got := 0
-	for got < n {
+	var deadline *time.Timer
+	for got := 0; got < n; got++ {
 		select {
 		case <-s.sem:
-			got++
+			continue
+		default:
+		}
+		if deadline == nil {
+			deadline = time.NewTimer(wait)
+			defer deadline.Stop()
+		}
+		select {
+		case <-s.sem:
 		case <-deadline.C:
 			s.acqMu.Unlock()
 			s.release(got)
@@ -618,12 +632,12 @@ func (s *Server) serveConn(sess *session) {
 		if !sc.Scan() {
 			return // EOF, idle timeout, or closed by Shutdown
 		}
-		line := sc.Text()
+		line := sc.Bytes()
 		s.m.BytesIn.Add(uint64(len(line)) + 1)
-		if strings.TrimSpace(line) == "" {
+		if len(bytes.TrimSpace(line)) == 0 {
 			continue
 		}
-		req := ParseRequest(line)
+		req := sess.in.request(line)
 
 		sess.mu.Lock()
 		if sess.draining {
@@ -633,9 +647,9 @@ func (s *Server) serveConn(sess *session) {
 		sess.busy = true
 		sess.mu.Unlock()
 
-		send := func(r Response) error { return s.writeResponse(sess.conn, r) }
-		resp, quit := s.handle(sess, req, send)
-		err := s.writeResponse(sess.conn, resp)
+		resp, quit := s.handle(sess, req)
+		sess.line = appendResponse(sess.line[:0], &resp)
+		err := s.writeLine(sess)
 
 		sess.mu.Lock()
 		sess.busy = false
@@ -647,22 +661,22 @@ func (s *Server) serveConn(sess *session) {
 	}
 }
 
-func (s *Server) writeResponse(conn net.Conn, resp Response) error {
-	buf, err := json.Marshal(resp)
-	if err != nil {
-		buf = []byte(`{"error":"server: response encoding failed"}`)
-	}
-	buf = append(buf, '\n')
-	conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-	n, err := conn.Write(buf)
+// writeLine writes sess.line to the connection. A line buffer over 1 MiB
+// is dropped, so one huge result does not pin it for the connection.
+func (s *Server) writeLine(sess *session) error {
+	sess.conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
+	n, err := sess.conn.Write(sess.line)
 	s.m.BytesOut.Add(uint64(n))
+	if cap(sess.line) > 1<<20 {
+		sess.line = nil
+	}
 	return err
 }
 
 // handle evaluates one request, applying admission control and the
-// per-query deadline. Query statements stream intermediate batch lines
-// through send before the final response; everything else produces only
-// the returned response. quit reports that the connection should close
+// per-query deadline. Query statements write intermediate batch lines
+// to the connection before the final response; everything else produces
+// only the returned response. quit reports that the connection should close
 // after the final response is written.
 //
 // Tracing: a statement is traced when it is a `.trace <stmt>` request,
@@ -672,7 +686,7 @@ func (s *Server) writeResponse(conn net.Conn, resp Response) error {
 // compile, admission and execution; the finished tree lands in the
 // recent-traces ring, and in the slow-query log (plus one structured
 // log line) when the statement ran past the threshold.
-func (s *Server) handle(sess *session, req Request, send func(Response) error) (resp Response, quit bool) {
+func (s *Server) handle(sess *session, req Request) (resp Response, quit bool) {
 	start := time.Now()
 	var root *trace.Span
 	var lq *liveQuery
@@ -800,8 +814,8 @@ func (s *Server) handle(sess *session, req Request, send func(Response) error) (
 	var rows int
 	var err error
 	if q != nil {
-		rows, err = s.streamQuery(ctx, q, req, lq, send)
-		result = fmt.Sprintf("%d rows", rows)
+		rows, err = s.streamQuery(ctx, sess, q, req, lq)
+		result = strconv.Itoa(rows) + " rows"
 	} else {
 		var v core.Value
 		v, err = xlang.EvalCtx(ctx, sess.env, req.Stmt)
@@ -856,25 +870,15 @@ func (s *Server) finishTrace(root *trace.Span, elapsed time.Duration) {
 // first rows while the rest are still being computed, and the server
 // never holds a full result. Wire-mode requests get each row in the
 // table codec (base64) instead of rendered text.
-func (s *Server) streamQuery(ctx context.Context, q Query, req Request, lq *liveQuery, send func(Response) error) (int, error) {
+func (s *Server) streamQuery(ctx context.Context, sess *session, q Query, req Request, lq *liveQuery) (int, error) {
 	rows := 0
-	var enc []byte // one buffer for every row: a row costs its string
 	_, err := q.Run(ctx, func(batch []table.Row) error {
-		out := make([]string, len(batch))
-		for i, r := range batch {
-			if req.Wire {
-				enc = table.EncodeRow(enc[:0], r)
-				out[i] = base64.StdEncoding.EncodeToString(enc)
-			} else {
-				enc = core.AppendTuple(enc[:0], r)
-				out[i] = string(enc)
-			}
-		}
+		sess.batchLine(req.ID, batch, req.Wire)
 		rows += len(batch)
 		lq.addRows(len(batch))
 		s.m.RowsStreamed.Add(uint64(len(batch)))
 		s.m.BatchesStreamed.Inc()
-		return send(Response{ID: req.ID, Batch: out, More: true})
+		return s.writeLine(sess)
 	})
 	return rows, err
 }
@@ -945,19 +949,11 @@ func (s *Server) handleAdmin(sess *session, req Request) (Response, bool) {
 	case ".schema":
 		return s.handleSchema()
 	case ".stats":
-		buf, err := json.Marshal(s.MetricsSnapshot())
-		if err != nil {
-			return Response{Error: err.Error()}, false
-		}
-		return Response{Result: string(buf)}, false
+		return jsonResult(s.MetricsSnapshot())
 	case ".metrics":
 		return Response{Result: s.reg.Text()}, false
 	case ".slow":
-		buf, err := json.Marshal(s.slow.list())
-		if err != nil {
-			return Response{Error: err.Error()}, false
-		}
-		return Response{Result: string(buf)}, false
+		return jsonResult(s.slow.list())
 	case ".trace":
 		snap, ok := s.traces.last()
 		if !ok {
@@ -1038,7 +1034,12 @@ func (s *Server) handleSchema() (Response, bool) {
 			infos = append(infos, info)
 		}
 	}
-	buf, err := json.Marshal(infos)
+	return jsonResult(infos)
+}
+
+// jsonResult answers an admin command with v in JSON.
+func jsonResult(v any) (Response, bool) {
+	buf, err := json.Marshal(v)
 	if err != nil {
 		return Response{Error: err.Error()}, false
 	}
