@@ -116,7 +116,7 @@ func main() {
 		},
 	}
 	fmt.Println("\nlogical plan:   ", q)
-	opt := plan.OptimizeCost(q)
+	opt := plan.OptimizeCatalog(q, nil)
 	fmt.Println("optimized plan: ", opt)
 	rows, _, err := plan.Execute(opt)
 	if err != nil {

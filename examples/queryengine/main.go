@@ -77,7 +77,7 @@ func main() {
 
 	start = time.Now()
 	setJoin, err := exec.Count(context.Background(), exec.NewHashJoin(
-		exec.NewScan(ds.Orders, nil), exec.NewScan(ds.Users, nil), uidCol, 0, false))
+		exec.NewScan(ds.Orders, nil), exec.NewScan(ds.Users, nil), uidCol, 0))
 	if err != nil {
 		panic(err)
 	}

@@ -72,7 +72,7 @@ func E8SetVsRecord(cfg Config) Result {
 		setJoinT := timeIt(reps, func() {
 			setJoin, err = exec.Count(context.Background(), exec.NewHashJoin(
 				exec.NewScan(ds.Orders, nil), exec.NewScan(ds.Users, nil),
-				ds.Orders.Schema().Col("uid"), 0, false))
+				ds.Orders.Schema().Col("uid"), 0))
 		})
 		if err != nil || recJoin != setJoin {
 			return errResult("E8", fmt.Errorf("join disagrees: %d vs %d (%v)", recJoin, setJoin, err))

@@ -265,7 +265,7 @@ func TestDistributedMatchesSingleNode(t *testing.T) {
 		}
 	}
 	localRows, err := exec.Collect(context.Background(),
-		exec.NewHashJoin(exec.NewScan(orders, nil), exec.NewScan(users, nil), 1, 0, false))
+		exec.NewHashJoin(exec.NewScan(orders, nil), exec.NewScan(users, nil), 1, 0))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -139,6 +139,21 @@ func TestTreeMatchesAlgebra(t *testing.T) {
 	}
 }
 
+// swappedJoin is the tree the planner lowers when it builds a join's
+// left input: the inputs exchanged, so the left one is the build side,
+// under a projection that restores left ++ right column order.
+func swappedJoin(left, right exec.Operator, leftCol, rightCol int) exec.Operator {
+	nl, nr := left.OutSchema().Arity(), right.OutSchema().Arity()
+	cols := make([]int, 0, nl+nr)
+	for i := 0; i < nl; i++ {
+		cols = append(cols, nr+i)
+	}
+	for i := 0; i < nr; i++ {
+		cols = append(cols, i)
+	}
+	return exec.NewStage(&exec.Project{Cols: cols}, exec.NewHashJoin(right, left, rightCol, leftCol))
+}
+
 // TestHashJoinMatchesRelativeProduct ties the streaming join to Def
 // 10.1 (§10 case 8 shape: match on key positions, concatenate the
 // rest), for both build-side choices.
@@ -165,7 +180,10 @@ func TestHashJoinMatchesRelativeProduct(t *testing.T) {
 	sym := spec.Apply(lx, rx)
 
 	for _, buildLeft := range []bool{false, true} {
-		j := exec.NewHashJoin(exec.NewScan(l, nil), exec.NewScan(r, nil), 0, 0, buildLeft)
+		var j exec.Operator = exec.NewHashJoin(exec.NewScan(l, nil), exec.NewScan(r, nil), 0, 0)
+		if buildLeft {
+			j = swappedJoin(exec.NewScan(l, nil), exec.NewScan(r, nil), 0, 0)
+		}
 		rows, err := exec.Collect(context.Background(), j)
 		if err != nil {
 			t.Fatal(err)
@@ -188,7 +206,7 @@ func TestHashJoinStreamsProbe(t *testing.T) {
 	pool := newPool()
 	users := makeUsers(t, pool, 50)
 	orders := makeOrders(t, pool, 5000, 50)
-	j := exec.NewHashJoin(exec.NewScan(orders, nil), exec.NewScan(users, nil), 0, 0, false)
+	j := exec.NewHashJoin(exec.NewScan(orders, nil), exec.NewScan(users, nil), 0, 0)
 	err := exec.Stream(context.Background(), j, func(rows []table.Row) error {
 		if len(rows) > exec.MaxBatchRows {
 			t.Fatalf("join emitted %d rows in one batch (max %d)", len(rows), exec.MaxBatchRows)
@@ -215,12 +233,12 @@ func TestHashJoinBuildSidesAgree(t *testing.T) {
 	users := makeUsers(t, pool, 40)
 	orders := makeOrders(t, pool, 200, 40)
 	a, err := exec.Collect(context.Background(),
-		exec.NewHashJoin(exec.NewScan(orders, nil), exec.NewScan(users, nil), 0, 0, false))
+		exec.NewHashJoin(exec.NewScan(orders, nil), exec.NewScan(users, nil), 0, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	b, err := exec.Collect(context.Background(),
-		exec.NewHashJoin(exec.NewScan(orders, nil), exec.NewScan(users, nil), 0, 0, true))
+		swappedJoin(exec.NewScan(orders, nil), exec.NewScan(users, nil), 0, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +326,7 @@ func TestJoinCancelDuringBuild(t *testing.T) {
 	users := makeUsers(t, pool, 4000)
 	orders := makeOrders(t, pool, 10, 4000)
 	xtest.AssertCancelAborts(t, 3, func(ctx context.Context) error {
-		j := exec.NewHashJoin(exec.NewScan(orders, nil), exec.NewScan(users, nil), 0, 0, false)
+		j := exec.NewHashJoin(exec.NewScan(orders, nil), exec.NewScan(users, nil), 0, 0)
 		_, err := exec.Count(ctx, j)
 		return err
 	})
@@ -319,7 +337,7 @@ func TestJoinCancelDuringProbe(t *testing.T) {
 	users := makeUsers(t, pool, 8)
 	orders := makeOrders(t, pool, 8000, 8)
 	xtest.AssertCancelAborts(t, 12, func(ctx context.Context) error {
-		j := exec.NewHashJoin(exec.NewScan(orders, nil), exec.NewScan(users, nil), 0, 0, false)
+		j := exec.NewHashJoin(exec.NewScan(orders, nil), exec.NewScan(users, nil), 0, 0)
 		_, err := exec.Count(ctx, j)
 		return err
 	})

@@ -52,9 +52,9 @@ func (o *joinOut) next() []table.Row {
 // HashJoin is the Relative Product (Def 10.1) in streaming form: Open
 // drains the *build* side into a hash index — the one sanctioned
 // materialization — and Next streams probe batches against it, so the
-// probe side never sits in memory whole. Which side builds is the
-// caller's (cost-based) choice via buildLeft; output rows are always
-// left-columns ++ right-columns regardless.
+// probe side never sits in memory whole. The right child builds and
+// the left probes, so the planner, not this operator, decides which
+// input is held; output rows are left-columns ++ right-columns.
 //
 // The index keys atom join values (Bool/Int/Float/Str) by their
 // comparable core.AtomKey — no per-row encoding — falling back to
@@ -63,7 +63,6 @@ func (o *joinOut) next() []table.Row {
 type HashJoin struct {
 	left, right       Operator
 	leftCol, rightCol int // key positions in each child's output schema
-	buildLeft         bool
 
 	ctx   context.Context
 	atoms map[core.AtomKey][]table.Row
@@ -75,9 +74,9 @@ type HashJoin struct {
 }
 
 // NewHashJoin joins left and right on left.leftCol = right.rightCol,
-// building the hash index over the left child if buildLeft.
-func NewHashJoin(left, right Operator, leftCol, rightCol int, buildLeft bool) *HashJoin {
-	return &HashJoin{left: left, right: right, leftCol: leftCol, rightCol: rightCol, buildLeft: buildLeft}
+// building the hash index over the right child.
+func NewHashJoin(left, right Operator, leftCol, rightCol int) *HashJoin {
+	return &HashJoin{left: left, right: right, leftCol: leftCol, rightCol: rightCol}
 }
 
 // Open implements Operator: opens both children and consumes the build
@@ -99,13 +98,9 @@ func (j *HashJoin) Open(ctx context.Context) error {
 	if err := j.right.Open(ctx); err != nil {
 		return err
 	}
-	build, bcol := j.right, j.rightCol
-	if j.buildLeft {
-		build, bcol = j.left, j.leftCol
-	}
 	steps := 0
 	for {
-		rows, err := build.Next()
+		rows, err := j.right.Next()
 		if err != nil {
 			return err
 		}
@@ -113,14 +108,14 @@ func (j *HashJoin) Open(ctx context.Context) error {
 			return nil
 		}
 		j.stats.RowsIn += len(rows)
-		for _, r := range keep(build, rows) {
+		for _, r := range keep(j.right, rows) {
 			if steps%256 == 0 {
 				if err := ctx.Err(); err != nil {
 					return err
 				}
 			}
 			steps++
-			k := r[bcol]
+			k := r[j.rightCol]
 			if ak, ok := core.AtomKeyOf(k); ok {
 				j.atoms[ak] = append(j.atoms[ak], r)
 			} else {
@@ -139,10 +134,6 @@ func (j *HashJoin) Next() ([]table.Row, error) {
 	if !j.open {
 		return nil, errOpen(j)
 	}
-	probe, pcol := j.left, j.leftCol
-	if j.buildLeft {
-		probe, pcol = j.right, j.rightCol
-	}
 	for j.out.drained() {
 		if j.done {
 			return nil, nil
@@ -150,7 +141,7 @@ func (j *HashJoin) Next() ([]table.Row, error) {
 		if err := j.ctx.Err(); err != nil {
 			return nil, err
 		}
-		rows, err := probe.Next()
+		rows, err := j.left.Next()
 		if err != nil {
 			return nil, err
 		}
@@ -161,7 +152,7 @@ func (j *HashJoin) Next() ([]table.Row, error) {
 		j.stats.RowsIn += len(rows)
 		j.out.refill(len(rows))
 		for _, pr := range rows {
-			k := pr[pcol]
+			k := pr[j.leftCol]
 			var matches []table.Row
 			if ak, ok := core.AtomKeyOf(k); ok {
 				matches = j.atoms[ak]
@@ -169,11 +160,7 @@ func (j *HashJoin) Next() ([]table.Row, error) {
 				matches = j.sets[core.Key(k)]
 			}
 			for _, br := range matches {
-				if j.buildLeft {
-					j.out.add(br, pr)
-				} else {
-					j.out.add(pr, br)
-				}
+				j.out.add(pr, br)
 			}
 		}
 	}
@@ -210,9 +197,5 @@ func (j *HashJoin) Children() []Operator { return []Operator{j.left, j.right} }
 
 func (j *HashJoin) String() string {
 	l, r := j.left.OutSchema(), j.right.OutSchema()
-	side := "right"
-	if j.buildLeft {
-		side = "left"
-	}
-	return "hashjoin[" + l.Cols[j.leftCol] + "=" + r.Cols[j.rightCol] + " build=" + side + "]"
+	return "hashjoin[" + l.Cols[j.leftCol] + "=" + r.Cols[j.rightCol] + "]"
 }

@@ -549,15 +549,14 @@ func (b *HashBuild) String() string {
 }
 
 // ProbeJoin is one probe worker of a partitioned hash join: it streams
-// its probe subtree against a shared (already-opened) HashBuild.
-// buildIsLeft says which logical side the build rows are, so output is
-// always left-columns ++ right-columns like HashJoin, and comes out of
-// the same reused joinOut slabs.
+// its probe subtree, the join's left input, against a shared
+// (already-opened) HashBuild of its right input, so output is
+// probe-columns ++ build-columns like HashJoin, and comes out of the
+// same reused joinOut slabs.
 type ProbeJoin struct {
-	probe       Operator
-	build       *HashBuild
-	probeCol    int
-	buildIsLeft bool
+	probe    Operator
+	build    *HashBuild
+	probeCol int
 
 	ctx   context.Context
 	out   joinOut
@@ -569,8 +568,8 @@ type ProbeJoin struct {
 // NewProbeJoin probes build with probe.probeCol. The HashBuild is a
 // shared dependency opened by the enclosing Gather (aux), not by this
 // operator; it appears in the Gather's children, not here.
-func NewProbeJoin(probe Operator, build *HashBuild, probeCol int, buildIsLeft bool) *ProbeJoin {
-	return &ProbeJoin{probe: probe, build: build, probeCol: probeCol, buildIsLeft: buildIsLeft}
+func NewProbeJoin(probe Operator, build *HashBuild, probeCol int) *ProbeJoin {
+	return &ProbeJoin{probe: probe, build: build, probeCol: probeCol}
 }
 
 // Open implements Operator: opens only the probe subtree; the shared
@@ -613,11 +612,7 @@ func (j *ProbeJoin) Next() ([]table.Row, error) {
 		j.out.refill(len(rows))
 		for _, pr := range rows {
 			for _, br := range j.build.lookup(pr[j.probeCol]) {
-				if j.buildIsLeft {
-					j.out.add(br, pr)
-				} else {
-					j.out.add(pr, br)
-				}
+				j.out.add(pr, br)
 			}
 		}
 	}
@@ -634,11 +629,8 @@ func (j *ProbeJoin) Close() error {
 	return j.probe.Close()
 }
 
-// OutSchema implements Operator: left ++ right, like HashJoin.
+// OutSchema implements Operator: probe ++ build, like HashJoin.
 func (j *ProbeJoin) OutSchema() table.Schema {
-	if j.buildIsLeft {
-		return table.JoinSchema(j.build.OutSchema(), j.probe.OutSchema())
-	}
 	return table.JoinSchema(j.probe.OutSchema(), j.build.OutSchema())
 }
 
@@ -650,12 +642,7 @@ func (j *ProbeJoin) Stats() OpStats { return j.stats }
 func (j *ProbeJoin) Children() []Operator { return []Operator{j.probe} }
 
 func (j *ProbeJoin) String() string {
-	side := "right"
-	if j.buildIsLeft {
-		side = "left"
-	}
-	return fmt.Sprintf("probejoin[%s build=%s]",
-		j.probe.OutSchema().Cols[j.probeCol], side)
+	return "probejoin[" + j.probe.OutSchema().Cols[j.probeCol] + "]"
 }
 
 // ParallelGroupAgg is the parallel partial-aggregate: Open drains N

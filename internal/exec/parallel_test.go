@@ -111,7 +111,7 @@ func parallelJoin(t *testing.T, users, orders *table.Table, workers int) (*exec.
 	hb := exec.NewHashBuild(bw, 0) // users.id
 	pw := make([]exec.Operator, workers)
 	for i := range pw {
-		pw[i] = exec.NewProbeJoin(exec.NewMorselScan(osrc, nil), hb, 0, false) // orders.uid
+		pw[i] = exec.NewProbeJoin(exec.NewMorselScan(osrc, nil), hb, 0) // orders.uid
 	}
 	return exec.NewGather(pw, hb), hb
 }
@@ -121,7 +121,7 @@ func TestParallelJoinMatchesHashJoin(t *testing.T) {
 	users := makeUsers(t, pool, 60)
 	orders := makeOrders(t, pool, 3000, 60)
 	want, err := exec.Collect(context.Background(),
-		exec.NewHashJoin(exec.NewScan(orders, nil), exec.NewScan(users, nil), 0, 0, false))
+		exec.NewHashJoin(exec.NewScan(orders, nil), exec.NewScan(users, nil), 0, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestProbeBeforeBuildOpenErrors(t *testing.T) {
 	users := makeUsers(t, pool, 30)
 	orders := makeOrders(t, pool, 30, 30)
 	hb := exec.NewHashBuild([]exec.Operator{exec.NewScan(users, nil)}, 0)
-	pj := exec.NewProbeJoin(exec.NewScan(orders, nil), hb, 0, false)
+	pj := exec.NewProbeJoin(exec.NewScan(orders, nil), hb, 0)
 	if err := pj.Open(context.Background()); err == nil {
 		pj.Close()
 		t.Fatal("ProbeJoin.Open succeeded against an unopened HashBuild")

@@ -97,12 +97,15 @@ func TestScratchTreesKeepTheirAnswers(t *testing.T) {
 		hb = exec.NewHashBuild(morsels(leaf, users, n, nil), 0)
 		workers = morsels(leaf, orders, n, nil)
 		for i, w := range workers {
-			workers[i] = leaf(exec.NewProbeJoin(w, hb, 0, false))
+			workers[i] = leaf(exec.NewProbeJoin(w, hb, 0))
 		}
 		return workers, hb
 	}
 	serialJoin := func(leaf leafFunc, buildLeft bool) exec.Operator {
-		return leaf(exec.NewHashJoin(leaf(exec.NewScan(orders, nil)), leaf(exec.NewScan(users, nil)), 0, 0, buildLeft))
+		if buildLeft {
+			return leaf(swappedJoin(leaf(exec.NewScan(orders, nil)), leaf(exec.NewScan(users, nil)), 0, 0))
+		}
+		return leaf(exec.NewHashJoin(leaf(exec.NewScan(orders, nil)), leaf(exec.NewScan(users, nil)), 0, 0))
 	}
 	plain := func(op exec.Operator) exec.Operator { return op }
 

@@ -285,6 +285,57 @@ func TestForcedStrategyEquivalence(t *testing.T) {
 	}
 }
 
+// TestCoordinatorBuildsSmallerSide: the coordinator plans on zero-row
+// stubs, so its joins are sided over the fragments' estimated sizes.
+// With the larger input written on the right and both sides shipped,
+// the coordinator must build the smaller one; a self-join, whose inputs
+// share every column name, must keep its columns apart through the
+// swap.
+func TestCoordinatorBuildsSmallerSide(t *testing.T) {
+	d := makeData(41, 60, 600)
+	lf := bootTestFed(t, 3, Config{ForceStrategy: "shipall"}, d)
+	env := mirrorEnv(t, d)
+	young := 0
+	for _, r := range d.users {
+		if core.Compare(r[2], core.Int(5)) < 0 {
+			young++
+		}
+	}
+	for _, tc := range []struct {
+		stmt  string
+		build int
+	}{
+		{"from users join orders on id = uid select name, amount", len(d.users)},
+		{"from users join users on age = id where age < 5", young},
+	} {
+		q, err := lf.Coord.Compile(tc.stmt)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.stmt, err)
+		}
+		var got []table.Row
+		st, err := q.Run(context.Background(), func(rows []table.Row) error {
+			for _, r := range rows {
+				got = append(got, append(table.Row(nil), r...))
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.stmt, err)
+		}
+		if st.BuildRows != tc.build {
+			t.Fatalf("%s: coordinator built %d rows, want the smaller side's %d\n%s", tc.stmt, st.BuildRows, tc.build, q.Plan())
+		}
+		single, err := xlang.CompileQuery(env, tc.stmt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g, w := strings.Join(q.Schema().Cols, ","), strings.Join(single.Schema().Cols, ","); g != w {
+			t.Fatalf("%s: columns %s, single-node %s", tc.stmt, g, w)
+		}
+		diffRows(t, tc.stmt, got, runSingle(t, env, tc.stmt), false)
+	}
+}
+
 // TestStrategyChoice pins the cost model's picks on the live metadata:
 // a broadcast-shaped join (small build side), a semijoin-shaped one
 // (selective probe into a large table) and a co-located one.

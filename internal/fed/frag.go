@@ -271,23 +271,18 @@ func renderableAggs(key string, aggs []plan.AggSpec) bool {
 // selectivity estimates the surviving fraction of the fragment's base
 // rows under its pushed predicates. Equality conjuncts use 1/distinct
 // when the sites have been analyzed (`.analyze` publishes per-column
-// distinct counts through .schema); everything else falls back to the
-// System-R constants, as plan does without statistics.
+// distinct counts through .schema); everything else falls back to
+// plan.DefaultSelectivity, as plan does without statistics.
 func (f *fragment) selectivity() float64 {
 	s := 1.0
 	for _, p := range f.preds {
-		switch p.Op {
-		case plan.Eq:
+		sel := plan.DefaultSelectivity(p)
+		if p.Op == plan.Eq {
 			if d := f.distinctOf(p.Col); d > 0 {
-				s *= 1 / float64(d)
-			} else {
-				s *= 0.1
+				sel = 1 / float64(d)
 			}
-		case plan.Lt, plan.Le, plan.Gt, plan.Ge:
-			s *= 0.3
-		default:
-			s *= 0.5
 		}
+		s *= sel
 	}
 	return s
 }
@@ -316,7 +311,9 @@ func (f *fragment) estRows() float64 {
 	}
 	est := rows * f.selectivity()
 	if f.groupKey != "" {
-		est *= 0.1
+		// One row per key, guessed as an equality's selectivity, as plan
+		// estimates a GroupBy without statistics.
+		est *= plan.DefaultSelectivity(plan.Cmp{Col: f.groupKey, Op: plan.Eq})
 	}
 	if f.limit >= 0 && float64(f.limit) < est {
 		est = float64(f.limit)

@@ -34,7 +34,10 @@ func (c *Coordinator) Compile(stmt string) (*Query, error) {
 		return nil, err
 	}
 	sp := &splitter{c: c}
-	node := sp.split(xq.Node)
+	// The coordinator planned against zero-row stubs; the assembled
+	// plan's Source leaves carry the fragments' estimated sizes, so the
+	// coordinator-side joins are sided here, over those.
+	node := plan.ChooseJoinSides(sp.split(xq.Node), nil)
 	dop := sp.fanout
 	if dop < 1 {
 		dop = 1

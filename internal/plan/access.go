@@ -72,31 +72,6 @@ func (c *Catalog) Table(name string) (*table.Table, bool) {
 	return t, ok
 }
 
-// Estimate predicts output cardinality, preferring measured statistics.
-func (c *Catalog) Estimate(n Node) float64 {
-	if c == nil || len(c.Stats) == 0 {
-		return EstimateRows(n)
-	}
-	return EstimateRowsWith(n, c.Stats)
-}
-
-// selOf estimates one predicate's selectivity against child's column
-// statistics, falling back to the System-R constants.
-func (c *Catalog) selOf(child Node, p Pred) float64 {
-	if c == nil || len(c.Stats) == 0 {
-		return predSelectivity(p)
-	}
-	return predSelectivityWith(child, p, c.Stats)
-}
-
-// columnStats finds the collected statistics of one column of child.
-func (c *Catalog) columnStats(child Node, col string) (stats.ColumnStats, bool) {
-	if c == nil || len(c.Stats) == 0 {
-		return stats.ColumnStats{}, false
-	}
-	return columnStats(child, col, c.Stats)
-}
-
 // indexesOn lists the declared indexes over t, by table identity: a
 // commit publishes a fresh *table.Table, and an index answers only for
 // the table version it was built over. Scans that resolve their table
@@ -166,35 +141,15 @@ func (a *IndexAccess) Desc() string {
 // pruned random fetch beats the sequential scan. Unmatched conjuncts
 // remain in a residual Select above the index leaf.
 func chooseAccessPaths(n Node, cat *Catalog) Node {
-	switch x := n.(type) {
-	case *Select:
+	if x, ok := n.(*Select); ok {
 		if scan, ok := x.Child.(*Scan); ok {
 			if out, ok := indexAccessFor(scan, x.Pred, cat); ok {
 				return out
 			}
 			return x
 		}
-		return &Select{Child: chooseAccessPaths(x.Child, cat), Pred: x.Pred}
-	case *Project:
-		return &Project{Child: chooseAccessPaths(x.Child, cat), Cols: x.Cols}
-	case *Join:
-		return &Join{
-			Left: chooseAccessPaths(x.Left, cat), Right: chooseAccessPaths(x.Right, cat),
-			LeftCol: x.LeftCol, RightCol: x.RightCol,
-		}
-	case *Distinct:
-		return &Distinct{Child: chooseAccessPaths(x.Child, cat)}
-	case *Sort:
-		return &Sort{Child: chooseAccessPaths(x.Child, cat), Col: x.Col, Desc: x.Desc}
-	case *Limit:
-		return &Limit{Child: chooseAccessPaths(x.Child, cat), N: x.N}
-	case *GroupBy:
-		return &GroupBy{Child: chooseAccessPaths(x.Child, cat), Key: x.Key, Aggs: x.Aggs}
-	case *Rename:
-		return &Rename{Child: chooseAccessPaths(x.Child, cat), Cols: x.Cols}
-	default:
-		return n
 	}
+	return withChildren(n, func(k Node) Node { return chooseAccessPaths(k, cat) })
 }
 
 // accessCandidate is one way an index could answer some conjuncts.
@@ -312,7 +267,7 @@ func btreeCandidate(scan *Scan, ix *TableIndex, conjuncts []Pred, rows float64, 
 		}
 		matched[i] = true
 		if !measured {
-			sel *= predSelectivity(cmp)
+			sel *= DefaultSelectivity(cmp)
 		}
 	}
 	if len(matched) == 0 {
@@ -349,18 +304,14 @@ func tighterHi(v core.Value, incl bool, cur core.Value, curIncl bool) bool {
 	return c < 0 || (c == 0 && curIncl && !incl)
 }
 
-// OptimizeCatalog is the full cost-based pipeline: rule rewrites, join
-// ordering, build-side selection, and access-path selection, all driven
-// by the catalog's statistics when present. A nil catalog yields the
-// same plans as OptimizeCost plus (index-free) join ordering.
+// OptimizeCatalog is the cost-based optimizer: rule rewrites, join
+// ordering, build-side selection and access-path selection, every
+// estimate from cat.Estimate. A nil catalog plans on the constant model
+// and chooses no index.
 func OptimizeCatalog(n Node, cat *Catalog) Node {
 	n = Optimize(n)
 	n = orderJoins(n, cat)
-	if cat != nil && len(cat.Stats) > 0 {
-		n = chooseJoinSidesWith(n, cat.Stats)
-	} else {
-		n = ChooseJoinSides(n)
-	}
+	n = ChooseJoinSides(n, cat)
 	n = Optimize(n)
 	return chooseAccessPaths(n, cat)
 }

@@ -49,8 +49,9 @@ type ExecStats struct {
 	Workers int
 }
 
-// Compile lowers a logical plan to a streaming operator tree. Join
-// build sides are cost-chosen here (EstimateRows); join inputs with
+// Compile lowers a logical plan to a streaming operator tree. Every
+// join builds its right input, the side ChooseJoinSides picked, so
+// lowering makes no cost decision of its own; join inputs with
 // colliding column names are rejected rather than silently
 // misresolved. The returned tree is single-use: compile a fresh one
 // per execution.
@@ -132,8 +133,7 @@ func compile(n Node, need []bool) (exec.Operator, error) {
 			right.Close()
 			return nil, err
 		}
-		buildLeft := EstimateRows(x.Left) < EstimateRows(x.Right)
-		return leaf(exec.NewHashJoin(left, right, li, ri, buildLeft)), nil
+		return leaf(exec.NewHashJoin(left, right, li, ri)), nil
 	case *Distinct:
 		child, err := compile(x.Child, needBelow(x, need))
 		if err != nil {
@@ -337,29 +337,6 @@ func AttachOpSpansEst(parent *trace.Span, op exec.Operator, est map[exec.Operato
 	rec(parent, op)
 }
 
-// OpEstimates pairs a compiled operator tree with its logical plan and
-// returns the per-operator cardinality estimates the planner chose the
-// plan on. Serial trees compile one operator per plan node, so the
-// pairing is positional; when a subtree's shapes diverge (parallel
-// fan-outs compile one logical node into many operators) the walk stops
-// there — those operators simply carry no estimate.
-func OpEstimates(n Node, op exec.Operator, cat *Catalog) map[exec.Operator]float64 {
-	m := map[exec.Operator]float64{}
-	var rec func(n Node, o exec.Operator)
-	rec = func(n Node, o exec.Operator) {
-		m[o] = cat.Estimate(n)
-		kids, okids := children(n), o.Children()
-		if len(kids) != len(okids) {
-			return
-		}
-		for i := range kids {
-			rec(kids[i], okids[i])
-		}
-	}
-	rec(n, op)
-	return m
-}
-
 // RenderOpSpans formats an operator span tree (the children attached
 // by AttachOpSpans) in EXPLAIN ANALYZE's layout.
 func RenderOpSpans(root trace.SpanSnapshot) string {
@@ -381,7 +358,7 @@ func RenderOpSpans(root trace.SpanSnapshot) string {
 // ExplainAnalyze compiles the plan, drains it under ctx, and renders
 // the physical tree with actual per-operator counters:
 //
-//	hashjoin[ouid=uid build=right]  rows=60 batches=1 maxbatch=60 held=20 time=0s
+//	hashjoin[ouid=uid]              rows=60 batches=1 maxbatch=60 held=20 time=0s
 //	   scan(orders)                 rows=60 batches=1 maxbatch=60 time=0s
 //	   scan(users)                  rows=20 batches=1 maxbatch=20 time=0s
 //

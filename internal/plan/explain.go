@@ -3,6 +3,8 @@ package plan
 import (
 	"fmt"
 	"strings"
+
+	"xst/internal/exec"
 )
 
 // Explain renders the plan as an indented tree with estimated
@@ -19,9 +21,32 @@ func Explain(n Node) string {
 	return b.String()
 }
 
+// OpEstimates pairs a compiled operator tree with its logical plan and
+// returns the per-operator cardinality estimates the planner chose the
+// plan on. Serial trees compile one operator per plan node, so the
+// pairing is positional; when a subtree's shapes diverge (parallel
+// fan-outs compile one logical node into many operators) the walk stops
+// there — those operators simply carry no estimate.
+func OpEstimates(n Node, op exec.Operator, cat *Catalog) map[exec.Operator]float64 {
+	m := map[exec.Operator]float64{}
+	var rec func(n Node, o exec.Operator)
+	rec = func(n Node, o exec.Operator) {
+		m[o] = cat.Estimate(n)
+		kids, okids := children(n), o.Children()
+		if len(kids) != len(okids) {
+			return
+		}
+		for i := range kids {
+			rec(kids[i], okids[i])
+		}
+	}
+	rec(n, op)
+	return m
+}
+
 func explain(b *strings.Builder, n Node, prefix string, last, top bool) {
 	label := nodeLabel(n)
-	est := EstimateRows(n)
+	est := (*Catalog)(nil).Estimate(n)
 	var line string
 	switch {
 	case top:
@@ -100,4 +125,48 @@ func children(n Node) []Node {
 	default:
 		return nil
 	}
+}
+
+// withChildren rebuilds n over its children, in children(n) order,
+// each mapped through f; leaves come back as they are. When f returns
+// every child unchanged so does withChildren, so a pass that rewrites
+// nothing allocates nothing, and an f that only inspects its argument
+// makes withChildren a visitor.
+func withChildren(n Node, f func(Node) Node) Node {
+	switch x := n.(type) {
+	case *Select:
+		if c := f(x.Child); c != x.Child {
+			return &Select{Child: c, Pred: x.Pred}
+		}
+	case *Project:
+		if c := f(x.Child); c != x.Child {
+			return &Project{Child: c, Cols: x.Cols}
+		}
+	case *Join:
+		l, r := f(x.Left), f(x.Right)
+		if l != x.Left || r != x.Right {
+			return &Join{Left: l, Right: r, LeftCol: x.LeftCol, RightCol: x.RightCol}
+		}
+	case *Distinct:
+		if c := f(x.Child); c != x.Child {
+			return &Distinct{Child: c}
+		}
+	case *Sort:
+		if c := f(x.Child); c != x.Child {
+			return &Sort{Child: c, Col: x.Col, Desc: x.Desc}
+		}
+	case *Limit:
+		if c := f(x.Child); c != x.Child {
+			return &Limit{Child: c, N: x.N}
+		}
+	case *GroupBy:
+		if c := f(x.Child); c != x.Child {
+			return &GroupBy{Child: c, Key: x.Key, Aggs: x.Aggs}
+		}
+	case *Rename:
+		if c := f(x.Child); c != x.Child {
+			return &Rename{Child: c, Cols: x.Cols}
+		}
+	}
+	return n
 }

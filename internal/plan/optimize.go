@@ -16,51 +16,32 @@ func Optimize(n Node) Node {
 }
 
 func rewrite(n Node) (Node, bool) {
+	changed := false
+	n = withChildren(n, func(k Node) Node {
+		k, c := rewrite(k)
+		changed = changed || c
+		return k
+	})
 	switch x := n.(type) {
-	case *Scan:
-		return x, false
 	case *Select:
-		child, changed := rewrite(x.Child)
-		n := &Select{Child: child, Pred: x.Pred}
-		if out, ok := mergeSelects(n); ok {
+		if out, ok := mergeSelects(x); ok {
 			return out, true
 		}
-		if out, ok := pushSelectBelowJoin(n); ok {
+		if out, ok := pushSelectBelowJoin(x); ok {
 			return out, true
 		}
-		if out, ok := pushSelectBelowProject(n); ok {
+		if out, ok := pushSelectBelowProject(x); ok {
 			return out, true
 		}
-		return n, changed
 	case *Project:
-		child, changed := rewrite(x.Child)
-		n := &Project{Child: child, Cols: x.Cols}
-		if out, ok := collapseProjects(n); ok {
+		if out, ok := collapseProjects(x); ok {
 			return out, true
 		}
-		if out, ok := pruneJoinColumns(n); ok {
+		if out, ok := pruneJoinColumns(x); ok {
 			return out, true
 		}
-		return n, changed
-	case *Join:
-		l, lc := rewrite(x.Left)
-		r, rc := rewrite(x.Right)
-		return &Join{Left: l, Right: r, LeftCol: x.LeftCol, RightCol: x.RightCol}, lc || rc
-	case *Distinct:
-		child, changed := rewrite(x.Child)
-		return &Distinct{Child: child}, changed
-	case *Sort:
-		child, changed := rewrite(x.Child)
-		return &Sort{Child: child, Col: x.Col, Desc: x.Desc}, changed
-	case *Limit:
-		child, changed := rewrite(x.Child)
-		return &Limit{Child: child, N: x.N}, changed
-	case *GroupBy:
-		child, changed := rewrite(x.Child)
-		return &GroupBy{Child: child, Key: x.Key, Aggs: x.Aggs}, changed
-	default:
-		return n, false
 	}
+	return n, changed
 }
 
 // mergeSelects flattens Select(Select(x, p), q) into Select(x, q ∧ p):

@@ -28,26 +28,10 @@ type joinEdge struct {
 
 // orderJoins walks the plan and reorders every maximal join subtree.
 func orderJoins(n Node, cat *Catalog) Node {
-	switch x := n.(type) {
-	case *Select:
-		return &Select{Child: orderJoins(x.Child, cat), Pred: x.Pred}
-	case *Project:
-		return &Project{Child: orderJoins(x.Child, cat), Cols: x.Cols}
-	case *Distinct:
-		return &Distinct{Child: orderJoins(x.Child, cat)}
-	case *Sort:
-		return &Sort{Child: orderJoins(x.Child, cat), Col: x.Col, Desc: x.Desc}
-	case *Limit:
-		return &Limit{Child: orderJoins(x.Child, cat), N: x.N}
-	case *GroupBy:
-		return &GroupBy{Child: orderJoins(x.Child, cat), Key: x.Key, Aggs: x.Aggs}
-	case *Rename:
-		return &Rename{Child: orderJoins(x.Child, cat), Cols: x.Cols}
-	case *Join:
-		return reorderJoinTree(x, cat)
-	default:
-		return n
+	if j, ok := n.(*Join); ok {
+		return reorderJoinTree(j, cat)
 	}
+	return withChildren(n, func(k Node) Node { return orderJoins(k, cat) })
 }
 
 // reorderJoinTree rebuilds one maximal join subtree by estimated

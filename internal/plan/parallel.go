@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"fmt"
 	"runtime"
 
 	"xst/internal/exec"
@@ -68,39 +69,20 @@ func ChooseDOP(n Node) int {
 // the plan — the driver of parallel benefit, since morsels are dealt
 // from base-table pages.
 func largestScanRows(n Node) int {
-	max := 0
-	var rec func(Node)
-	rec = func(n Node) {
-		switch x := n.(type) {
-		case *Scan:
-			if c := x.Table.Count(); c > max {
-				max = c
-			}
-		case *IndexAccess:
-			// An index leaf feeds only its estimated matches; a pruned
-			// probe should not trigger fan-out on the base table's size.
-			if c := int(x.Est); c > max {
-				max = c
-			}
-		case *Select:
-			rec(x.Child)
-		case *Project:
-			rec(x.Child)
-		case *Join:
-			rec(x.Left)
-			rec(x.Right)
-		case *Distinct:
-			rec(x.Child)
-		case *Sort:
-			rec(x.Child)
-		case *Limit:
-			rec(x.Child)
-		case *GroupBy:
-			rec(x.Child)
-		}
+	switch x := n.(type) {
+	case *Scan:
+		return x.Table.Count()
+	case *IndexAccess:
+		// An index leaf feeds only its estimated matches; a pruned
+		// probe should not trigger fan-out on the base table's size.
+		return int(x.Est)
 	}
-	rec(n)
-	return max
+	most := 0
+	withChildren(n, func(k Node) Node {
+		most = max(most, largestScanRows(k))
+		return k
+	})
+	return most
 }
 
 // CompileDOP lowers a logical plan to a streaming operator tree with up
@@ -232,15 +214,26 @@ func compileWorkers(n Node, dop int, need []bool) (workers, aux []exec.Operator,
 			ws[i] = exec.NewStage(&exec.Project{Cols: append([]int(nil), idx...)}, w)
 		}
 		return ws, aux, true, nil
-	case *Join:
-		buildNode, probeNode := x.Right, x.Left
-		pneed, bneed := needOfJoin(x, need)
-		buildIsLeft := EstimateRows(x.Left) < EstimateRows(x.Right)
-		if buildIsLeft {
-			buildNode, probeNode = x.Left, x.Right
-			pneed, bneed = bneed, pneed
+	case *Rename:
+		// ChooseJoinSides puts one above a swapped join whose inputs share
+		// column names; relabelling is per worker, like a projection.
+		ws, aux, ok, err := compileWorkers(x.Child, dop, needBelow(x, need))
+		if err != nil || !ok {
+			return nil, nil, ok, err
 		}
-		pw, paux, pok, err := compileWorkers(probeNode, dop, pneed)
+		if got, want := ws[0].OutSchema().Arity(), len(x.Cols); got != want {
+			closeOps(ws, aux)
+			return nil, nil, false, fmt.Errorf("plan: rename arity %d over child arity %d", want, got)
+		}
+		for i, w := range ws {
+			ws[i] = exec.NewRename(w, x.Cols)
+		}
+		return ws, aux, true, nil
+	case *Join:
+		// The right input builds; ChooseJoinSides has already put the
+		// smaller one there.
+		pneed, bneed := needOfJoin(x, need)
+		pw, paux, pok, err := compileWorkers(x.Left, dop, pneed)
 		if err != nil {
 			return nil, nil, false, err
 		}
@@ -250,40 +243,32 @@ func compileWorkers(n Node, dop int, need []bool) (workers, aux []exec.Operator,
 		}
 		// Build side: partitioned parallel build when its own spine fans
 		// out, else one serial builder chain.
-		bw, baux, bok, err := compileWorkers(buildNode, dop, bneed)
+		bw, baux, bok, err := compileWorkers(x.Right, dop, bneed)
 		if err != nil {
 			closeOps(pw, paux)
 			return nil, nil, false, err
 		}
 		if !bok {
-			serial, err := compile(buildNode, bneed)
+			serial, err := compile(x.Right, bneed)
 			if err != nil {
 				closeOps(pw, paux)
 				return nil, nil, false, err
 			}
 			bw, baux = []exec.Operator{serial}, nil
 		}
-		lsch, rsch := pw[0].OutSchema(), bw[0].OutSchema()
-		if buildIsLeft {
-			lsch, rsch = bw[0].OutSchema(), pw[0].OutSchema()
-		}
-		li, err := colIndex(lsch, x.LeftCol, "join column")
+		pcol, err := colIndex(pw[0].OutSchema(), x.LeftCol, "join column")
 		if err != nil {
 			closeOps(pw, paux, bw, baux)
 			return nil, nil, false, err
 		}
-		ri, err := colIndex(rsch, x.RightCol, "join column")
+		bcol, err := colIndex(bw[0].OutSchema(), x.RightCol, "join column")
 		if err != nil {
 			closeOps(pw, paux, bw, baux)
 			return nil, nil, false, err
-		}
-		bcol, pcol := ri, li
-		if buildIsLeft {
-			bcol, pcol = li, ri
 		}
 		hb := exec.NewHashBuild(bw, bcol)
 		for i, w := range pw {
-			pw[i] = leaf(exec.NewProbeJoin(w, hb, pcol, buildIsLeft))
+			pw[i] = leaf(exec.NewProbeJoin(w, hb, pcol))
 		}
 		aux = append(aux, baux...)
 		aux = append(aux, hb)

@@ -220,9 +220,11 @@ func TestPruneJoinColumns(t *testing.T) {
 	}
 }
 
-func TestOptimizePreservesResults(t *testing.T) {
+// optimizePlans are the rule-rewrite corpus: pushdown through a join
+// and a projection, and stacked selections.
+func optimizePlans(t *testing.T) []Node {
 	u, o := testTables(t, 30, 120)
-	plans := []Node{
+	return []Node{
 		&Select{
 			Child: &Join{Left: &Scan{Table: o}, Right: &Scan{Table: u}, LeftCol: "ouid", RightCol: "uid"},
 			Pred: And{
@@ -245,7 +247,10 @@ func TestOptimizePreservesResults(t *testing.T) {
 			Pred: Cmp{Col: "score", Op: Lt, Val: core.Int(95)},
 		},
 	}
-	for i, p := range plans {
+}
+
+func TestOptimizePreservesResults(t *testing.T) {
+	for i, p := range optimizePlans(t) {
 		naive, _, err := Execute(p)
 		if err != nil {
 			t.Fatalf("plan %d naive: %v", i, err)

@@ -23,8 +23,8 @@ import (
 type Source struct {
 	// Sch is the declared output schema of the constructed operator.
 	Sch table.Schema
-	// Rows is the cardinality estimate EstimateRows reports, letting
-	// cost-based join-side selection see through the leaf.
+	// Rows is the cardinality Catalog.Estimate reports for the leaf,
+	// letting ChooseJoinSides see through it.
 	Rows float64
 	// Label renders the leaf in plans, EXPLAIN output and span trees.
 	Label string

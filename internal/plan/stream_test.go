@@ -55,7 +55,7 @@ func TestStreamingMatchesMaterialized(t *testing.T) {
 		if strings.Join(ssch.Cols, ",") != strings.Join(msch.Cols, ",") {
 			t.Fatalf("plan %d schemas differ: %v vs %v", i, ssch.Cols, msch.Cols)
 		}
-		orows, _, err := Execute(OptimizeCost(p))
+		orows, _, err := Execute(OptimizeCatalog(p, nil))
 		if err != nil {
 			t.Fatalf("plan %d optimized: %v", i, err)
 		}
@@ -149,7 +149,7 @@ func TestGroupSortLimitPlan(t *testing.T) {
 		t.Fatalf("not sorted desc by count: %v", rows)
 	}
 	// Optimizer must pass the new nodes through unchanged semantics.
-	orows, _, err := Execute(OptimizeCost(p))
+	orows, _, err := Execute(OptimizeCatalog(p, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestExplainAnalyze(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"hashjoin[ouid=uid build=", "scan(orders)", "scan(users)", "rows=", "batches="} {
+	for _, want := range []string{"hashjoin[ouid=uid]", "scan(orders)", "scan(users)", "rows=", "batches="} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("ExplainAnalyze output missing %q:\n%s", want, out)
 		}

@@ -1,7 +1,8 @@
 // Package stats collects per-table, per-column statistics — row counts,
 // exact distinct counts, min/max and equi-depth histograms — and answers
-// selectivity questions. The planner uses these to replace its
-// System-R-style constants with measured estimates (plan.EstimateRowsWith).
+// selectivity questions. The planner's one estimator,
+// plan.(*Catalog).Estimate, answers from these where a column has them
+// and from its System-R constants where it does not.
 package stats
 
 import (

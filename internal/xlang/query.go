@@ -93,9 +93,10 @@ func (q *Query) Run(ctx context.Context, emit func(rows []table.Row) error) (pla
 	if err != nil {
 		return plan.ExecStats{}, err
 	}
-	est := plan.OpEstimates(q.Node, op, q.cat)
 	err = exec.Stream(ctx, op, emit)
-	plan.AttachOpSpansEst(trace.SpanOf(ctx), op, est)
+	if sp := trace.SpanOf(ctx); sp != nil {
+		plan.AttachOpSpansEst(sp, op, plan.OpEstimates(q.Node, op, q.cat))
+	}
 	return plan.TreeStats(op), err
 }
 
