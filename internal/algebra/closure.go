@@ -42,7 +42,7 @@ func TransitiveClosureCtx(ctx context.Context, r *core.Set) (*core.Set, error) {
 // growing member list, which is canonicalised once, at the end.
 func transitiveClosure(ctx context.Context, r *core.Set, mask uint64) (*core.Set, error) {
 	all := make([]core.Member, 0, r.Len())
-	seen := newDigestChains(r.Len())
+	seen := core.NewChains(r.Len())
 	digest := func(m core.Member) uint64 { return foldMember(0, m) & mask }
 	steps := 0
 	for _, m := range r.Members() {
@@ -53,7 +53,7 @@ func transitiveClosure(ctx context.Context, r *core.Set, mask uint64) (*core.Set
 		}
 		if n, ok := core.TupLen(m.Elem); ok && n == 2 {
 			all = append(all, m)
-			seen.add(digest(m))
+			seen.Add(digest(m))
 		}
 	}
 	cst := cstSpec()
@@ -79,13 +79,13 @@ func transitiveClosure(ctx context.Context, r *core.Set, mask uint64) (*core.Set
 					}
 				}
 				d := digest(z)
-				for id := seen.first(d); id >= 0; id = seen.next[id] {
+				for id := seen.First(d); id >= 0; id = seen.Next(id) {
 					if memberEqual(all[id], z) {
 						continue found
 					}
 				}
 				all = append(all, z)
-				seen.add(d)
+				seen.Add(d)
 			}
 		}
 		lo = hi

@@ -45,28 +45,6 @@ func relativeProduct(f, g *core.Set, sigma, omega Sigma, mask uint64) *core.Set 
 	return core.OwnSet(out)
 }
 
-// digestChains files int32 ids under 64-bit digests: ids are handed out
-// in insertion order, ids of one digest are chained newest first, and
-// the caller decides equality among them. It is the index under both
-// the join's build side and the closure's seen-set.
-type digestChains struct {
-	heads map[uint64]int32 // digest → 1 + its newest id
-	next  []int32          // id → the next older id of the same digest, or -1
-}
-
-func newDigestChains(n int) digestChains {
-	return digestChains{heads: make(map[uint64]int32, n), next: make([]int32, 0, n)}
-}
-
-// add files the next id under digest d.
-func (c *digestChains) add(d uint64) {
-	c.next = append(c.next, c.heads[d]-1)
-	c.heads[d] = int32(len(c.next))
-}
-
-// first returns the newest id filed under d, or -1; c.next continues.
-func (c *digestChains) first(d uint64) int32 { return c.heads[d] - 1 }
-
 // foldMember folds one member's digests into h.
 func foldMember(h uint64, m core.Member) uint64 {
 	h = (h ^ core.Digest(m.Elem)) * 0x100000001b3
@@ -97,7 +75,7 @@ type join struct {
 	sigma, omega Sigma
 	mask         uint64 // digest bits in use
 	g            []core.Member
-	chains       digestChains
+	chains       core.Chains
 	keys         []core.Member // every build key, back to back
 	bounds       []int32       // id's key-element members are keys[bounds[2id]:bounds[2id+1]], its key-scope members run on to bounds[2id+2]
 	key, fe, buf []core.Member // scratch: probe key, x^{/σ1/}, one output set
@@ -106,7 +84,7 @@ type join struct {
 
 func newJoin(g []core.Member, sigma, omega Sigma, mask uint64) *join {
 	j := &join{sigma: sigma, omega: omega, mask: mask, g: g,
-		chains: newDigestChains(len(g)),
+		chains: core.NewChains(len(g)),
 		keys:   make([]core.Member, 0, len(g)*omega.S1.Len()),
 		bounds: make([]int32, 1, 1+2*len(g))}
 	for _, m := range g {
@@ -115,7 +93,7 @@ func newJoin(g []core.Member, sigma, omega Sigma, mask uint64) *join {
 		elemEnd := len(j.keys)
 		j.keys = appendKey(j.keys, m.Scope, omega.S1)
 		j.bounds = append(j.bounds, int32(elemEnd), int32(len(j.keys)))
-		j.chains.add(keyDigest(j.keys[start:], elemEnd-start) & mask)
+		j.chains.Add(keyDigest(j.keys[start:], elemEnd-start) & mask)
 	}
 	return j
 }
@@ -134,7 +112,7 @@ func (j *join) probe(out []core.Member, m core.Member) []core.Member {
 	elemLen := len(j.key)
 	j.key = appendKey(j.key, m.Scope, j.sigma.S2)
 	haveFe := false
-	for id := j.chains.first(keyDigest(j.key, elemLen) & j.mask); id >= 0; id = j.chains.next[id] {
+	for id := j.chains.First(keyDigest(j.key, elemLen) & j.mask); id >= 0; id = j.chains.Next(id) {
 		b := j.bounds[2*id : 2*id+3]
 		if !slices.EqualFunc(j.key[:elemLen], j.keys[b[0]:b[1]], memberEqual) ||
 			!slices.EqualFunc(j.key[elemLen:], j.keys[b[1]:b[2]], memberEqual) {

@@ -521,7 +521,7 @@ func extendIndex(ix *Index, t *table.Table, ins []insertRec) *Index {
 		}
 		entries := make([]index.Entry, 0, len(ins))
 		for _, in := range ins {
-			if _, ok := core.AtomKeyOf(in.row[col]); !ok {
+			if in.row[col].Kind() == core.KindSet {
 				return ix
 			}
 			entries = append(entries, index.Entry{Key: core.OrderKey(in.row[col]), RID: in.rid})

@@ -34,10 +34,6 @@ type Agg struct {
 	Col  int // ignored for AggCount
 }
 
-// forceEncodedGroupKeys disables the atom-key fast path so benchmarks
-// can measure what it saves; never set outside tests.
-var forceEncodedGroupKeys = false
-
 // cell is the running state of one aggregate of one group; which field
 // is live depends on the aggregate's kind.
 type cell struct {
@@ -107,21 +103,17 @@ type acc struct {
 
 // AggState accumulates grouped aggregates batch by batch. It is the
 // core of the GroupAgg and ParallelGroupAgg operators: feed batches
-// through Absorb, then read the result rows once with Rows.
-//
-// Grouping keys: atom values (Bool/Int/Float/Str) group by their
-// comparable core.AtomKey — no per-row encoding. Set-valued keys fall
-// back to a second map keyed by the canonical encoding; keeping the two
-// maps separate is what makes the fast path sound, since a Str key
-// could otherwise collide with an encoded set's byte string.
+// through Absorb, then read the result rows once with Rows. Groups are
+// filed by the digest of their key in one core.Chains, atoms and sets
+// alike.
 type AggState struct {
 	keyCol int
 	aggs   []Agg
-	atoms  map[core.AtomKey]*acc
-	sets   map[string]*acc
+	chains core.Chains
+	groups []*acc // id → group
 	rows   int
 	// New groups are carved from these two chunks, which double like an
-	// append when they run out: a group costs its map entry and a share
+	// append when they run out: a group costs its table entry and a share
 	// of a chunk, not six objects.
 	accs  []acc
 	cells []cell
@@ -129,22 +121,14 @@ type AggState struct {
 
 // NewAggState returns an empty accumulator grouping on keyCol.
 func NewAggState(keyCol int, aggs ...Agg) *AggState {
-	return &AggState{
-		keyCol: keyCol,
-		aggs:   append([]Agg(nil), aggs...),
-		atoms:  map[core.AtomKey]*acc{},
-		sets:   map[string]*acc{},
-	}
+	return &AggState{keyCol: keyCol, aggs: append([]Agg(nil), aggs...)}
 }
 
 // Absorb folds one batch into the accumulators. Rows are not retained
 // (only their immutable values), so callers may pass operator scratch.
 func (s *AggState) Absorb(rows []table.Row) error {
 	for _, r := range rows {
-		g, err := s.group(r[s.keyCol])
-		if err != nil {
-			return err
-		}
+		g := s.group(r[s.keyCol])
 		for i, a := range s.aggs {
 			c := &g.cells[i]
 			switch a.Kind {
@@ -177,24 +161,17 @@ func (s *AggState) Absorb(rows []table.Row) error {
 }
 
 // group finds or creates the accumulator for one key value.
-func (s *AggState) group(key core.Value) (*acc, error) {
-	if !forceEncodedGroupKeys {
-		if ak, ok := core.AtomKeyOf(key); ok {
-			g := s.atoms[ak]
-			if g == nil {
-				g = s.newAcc(key)
-				s.atoms[ak] = g
-			}
-			return g, nil
+func (s *AggState) group(key core.Value) *acc {
+	d := keyDigest(key)
+	for id := s.chains.First(d); id >= 0; id = s.chains.Next(id) {
+		if g := s.groups[id]; core.Equal(g.key, key) {
+			return g
 		}
 	}
-	k := core.Key(key)
-	g := s.sets[k]
-	if g == nil {
-		g = s.newAcc(key)
-		s.sets[k] = g
-	}
-	return g, nil
+	g := s.newAcc(key)
+	s.chains.Add(d)
+	s.groups = append(s.groups, g)
+	return g
 }
 
 func (s *AggState) newAcc(key core.Value) *acc {
@@ -215,7 +192,7 @@ func (s *AggState) newAcc(key core.Value) *acc {
 
 // Merge folds another accumulator built over the same keyCol and aggs
 // into s, so partial aggregates computed by independent workers can be
-// combined into one result. o must not be used after the merge. All
+// combined into one result. o is read, not changed. All
 // four aggregate kinds are decomposable: counts and sums add, min/max
 // re-compare, and a Sum stays an exact integer only if both sides
 // stayed integral.
@@ -228,42 +205,28 @@ func (s *AggState) Merge(o *AggState) error {
 			return fmt.Errorf("exec: merging incompatible aggregate states")
 		}
 	}
-	fold := func(dst, src *acc) error {
+	for _, src := range o.groups {
+		dst := s.group(src.key)
 		for i, a := range s.aggs {
-			d, o := &dst.cells[i], &src.cells[i]
+			d, c := &dst.cells[i], &src.cells[i]
 			switch a.Kind {
 			case AggCount:
-				d.count += o.count
+				d.count += c.count
 			case AggSum:
-				if !o.isInt {
-					d.addFloat(o.sum)
-				} else if err := d.addInt(o.hi, o.count); err != nil {
+				if !c.isInt {
+					d.addFloat(c.sum)
+				} else if err := d.addInt(c.hi, c.count); err != nil {
 					return err
 				}
 			case AggMin:
-				if o.ext != nil && (d.ext == nil || core.Compare(o.ext, d.ext) < 0) {
-					d.ext = o.ext
+				if c.ext != nil && (d.ext == nil || core.Compare(c.ext, d.ext) < 0) {
+					d.ext = c.ext
 				}
 			case AggMax:
-				if o.ext != nil && (d.ext == nil || core.Compare(o.ext, d.ext) > 0) {
-					d.ext = o.ext
+				if c.ext != nil && (d.ext == nil || core.Compare(c.ext, d.ext) > 0) {
+					d.ext = c.ext
 				}
 			}
-		}
-		return nil
-	}
-	for ak, src := range o.atoms {
-		if dst := s.atoms[ak]; dst == nil {
-			s.atoms[ak] = src
-		} else if err := fold(dst, src); err != nil {
-			return err
-		}
-	}
-	for k, src := range o.sets {
-		if dst := s.sets[k]; dst == nil {
-			s.sets[k] = src
-		} else if err := fold(dst, src); err != nil {
-			return err
 		}
 	}
 	s.rows += o.rows
@@ -271,7 +234,7 @@ func (s *AggState) Merge(o *AggState) error {
 }
 
 // Groups returns the number of distinct keys seen so far.
-func (s *AggState) Groups() int { return len(s.atoms) + len(s.sets) }
+func (s *AggState) Groups() int { return len(s.groups) }
 
 // RowsIn returns the number of rows absorbed so far.
 func (s *AggState) RowsIn() int { return s.rows }
@@ -284,7 +247,7 @@ func (s *AggState) Rows() ([]table.Row, error) {
 	width := 1 + len(s.aggs)
 	out := make([]table.Row, 0, s.Groups())
 	vals := make([]core.Value, 0, s.Groups()*width)
-	emit := func(g *acc) error {
+	for _, g := range s.groups {
 		row := vals[len(vals) : len(vals)+width : len(vals)+width]
 		vals = vals[:len(vals)+width]
 		row[0] = g.key
@@ -296,7 +259,7 @@ func (s *AggState) Rows() ([]table.Row, error) {
 			case AggSum:
 				v, err := c.total()
 				if err != nil {
-					return err
+					return nil, err
 				}
 				row[1+i] = v
 			case AggMin, AggMax:
@@ -304,17 +267,6 @@ func (s *AggState) Rows() ([]table.Row, error) {
 			}
 		}
 		out = append(out, row)
-		return nil
-	}
-	for _, g := range s.atoms {
-		if err := emit(g); err != nil {
-			return nil, err
-		}
-	}
-	for _, g := range s.sets {
-		if err := emit(g); err != nil {
-			return nil, err
-		}
 	}
 	sort.Slice(out, func(i, j int) bool { return core.Compare(out[i][0], out[j][0]) < 0 })
 	return out, nil

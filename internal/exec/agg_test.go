@@ -182,35 +182,10 @@ func TestAggSumExactOverInts(t *testing.T) {
 	}
 }
 
-// BenchmarkGroupAggKeys measures the atom-key fast path against the
-// canonical-encoding fallback it replaced: grouping interned scalar
-// keys through map[core.AtomKey] skips the per-row core.Key string
-// build entirely, which the allocs/op column makes visible.
-//
-//	go test -bench=GroupAggKeys -benchmem ./internal/exec/
-func BenchmarkGroupAggKeys(b *testing.B) {
-	pool := newPool()
-	tbl := makeUsers(b, pool, 20000)
-	run := func(b *testing.B, forced bool) {
-		defer exec.ForceEncodedGroupKeys(forced)()
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			rows, err := groupAgg(tbl, 1, exec.Agg{Kind: exec.AggCount}, exec.Agg{Kind: exec.AggSum, Col: 2})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(rows) != 3 {
-				b.Fatalf("groups = %d", len(rows))
-			}
-		}
-	}
-	b.Run("atoms", func(b *testing.B) { run(b, false) })
-	b.Run("encoded", func(b *testing.B) { run(b, true) })
-}
-
-// TestGroupAggKeyPathsAgree pins the fast path to the fallback: both
-// keying strategies must produce identical groups, including when atom
-// keys and set-valued keys mix in one column.
+// TestGroupAggKeyPathsAgree groups a mix of atom, set and tuple keys
+// that look alike through GroupAgg's one keyed table — with the full
+// digest and with every key on one chain — and checks it against the
+// keying that files atoms and encoded sets in two maps.
 func TestGroupAggKeyPathsAgree(t *testing.T) {
 	pool := newPool()
 	tbl, err := table.Create(pool, table.Schema{Name: "mixed", Cols: []string{"k", "v"}})
@@ -224,28 +199,49 @@ func TestGroupAggKeyPathsAgree(t *testing.T) {
 		core.Tuple(core.Int(1)), // tuple key
 		core.Str("1"),           // string that looks like an int
 	}
+	var rows []table.Row
 	for i := 0; i < 80; i++ {
-		if _, err := tbl.Insert(table.Row{keys[i%len(keys)], core.Int(i)}); err != nil {
+		r := table.Row{keys[i%len(keys)], core.Int(i)}
+		if _, err := tbl.Insert(r); err != nil {
 			t.Fatal(err)
 		}
+		rows = append(rows, r)
 	}
-	run := func(forced bool) []table.Row {
-		defer exec.ForceEncodedGroupKeys(forced)()
-		rows, err := groupAgg(tbl, 0, exec.Agg{Kind: exec.AggCount}, exec.Agg{Kind: exec.AggSum, Col: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rows
+	want := refGroupAgg([][]table.Row{rows}, 0, 1)
+	if len(want) != len(keys) {
+		t.Fatalf("reference groups = %d, want %d", len(want), len(keys))
 	}
-	fast, slow := run(false), run(true)
-	if len(fast) != len(keys) || len(slow) != len(keys) {
-		t.Fatalf("group counts: fast=%d slow=%d, want %d", len(fast), len(slow), len(keys))
-	}
-	for i := range fast {
-		for j := range fast[i] {
-			if !core.Equal(fast[i][j], slow[i][j]) {
-				t.Fatalf("row %d differs: fast=%v slow=%v", i, fast[i], slow[i])
+	for name, mask := range map[string]uint64{"full digest": ^uint64(0), "one chain": 0} {
+		t.Run(name, func(t *testing.T) {
+			defer exec.SetDigestMask(mask)()
+			got, err := groupAgg(tbl, 0,
+				exec.Agg{Kind: exec.AggCount}, exec.Agg{Kind: exec.AggSum, Col: 1},
+				exec.Agg{Kind: exec.AggMin, Col: 1}, exec.Agg{Kind: exec.AggMax, Col: 1})
+			if err != nil {
+				t.Fatal(err)
 			}
+			sameRows(t, got, want)
+		})
+	}
+}
+
+// BenchmarkGroupAggKeys groups 20 000 rows on an interned scalar key
+// through AggState's keyed table; the allocs/op column shows a group
+// costs a table entry, not a per-row key string.
+//
+//	go test -bench=GroupAggKeys -benchmem ./internal/exec/
+func BenchmarkGroupAggKeys(b *testing.B) {
+	pool := newPool()
+	tbl := makeUsers(b, pool, 20000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rows, err := groupAgg(tbl, 1, exec.Agg{Kind: exec.AggCount}, exec.Agg{Kind: exec.AggSum, Col: 2})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(rows) != 3 {
+			b.Fatalf("groups = %d", len(rows))
 		}
 	}
 }

@@ -131,7 +131,8 @@ func cloneBatch(rows []table.Row) []table.Row {
 
 // keep returns op's batch in a form that outlives op's next Next: the
 // batch itself when op vouches for it (Retainer), a copy otherwise.
-// Every operator that holds rows across pulls takes them through here.
+// Every operator that holds rows across pulls takes them through here,
+// but HashJoin, which copies its build side into one value slab.
 func keep(op Operator, rows []table.Row) []table.Row {
 	if retainableBatches(op) {
 		return rows

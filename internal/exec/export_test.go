@@ -1,9 +1,10 @@
 package exec
 
-// ForceEncodedGroupKeys turns AggState's atom-key fast path off (on =
-// true) for the external tests and returns the func that restores it.
-func ForceEncodedGroupKeys(on bool) (restore func()) {
-	prev := forceEncodedGroupKeys
-	forceEncodedGroupKeys = on
-	return func() { forceEncodedGroupKeys = prev }
+// SetDigestMask narrows the digest every keyed table files its keys
+// under to mask, forcing collisions, for the external tests, and
+// returns the func that restores it.
+func SetDigestMask(mask uint64) (restore func()) {
+	prev := digestMask
+	digestMask = mask
+	return func() { digestMask = prev }
 }

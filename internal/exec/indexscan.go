@@ -93,7 +93,7 @@ func (s *IndexScan) Open(ctx context.Context) error {
 // or an inclusive hi into the right half-open bound.
 func (s *IndexScan) rangeKeys() (lo, hi string, err error) {
 	if s.lo != nil {
-		if _, ok := core.AtomKeyOf(s.lo); !ok {
+		if s.lo.Kind() == core.KindSet {
 			return "", "", fmt.Errorf("exec: indexscan bound %v is not an atom", s.lo)
 		}
 		lo = core.OrderKey(s.lo)
@@ -102,7 +102,7 @@ func (s *IndexScan) rangeKeys() (lo, hi string, err error) {
 		}
 	}
 	if s.hi != nil {
-		if _, ok := core.AtomKeyOf(s.hi); !ok {
+		if s.hi.Kind() == core.KindSet {
 			return "", "", fmt.Errorf("exec: indexscan bound %v is not an atom", s.hi)
 		}
 		hi = core.OrderKey(s.hi)

@@ -49,24 +49,63 @@ func (o *joinOut) next() []table.Row {
 	return out
 }
 
+// digestMask is the key-digest mask outside tests, which narrow it to
+// force collisions and prove the Equal comparison behind a digest match.
+var digestMask = ^uint64(0)
+
+// keyDigest is the digest a keyed table files key value v under.
+func keyDigest(v core.Value) uint64 { return core.Digest(v) & digestMask }
+
+// keyedRows is a hash join's build side: the kept build rows, filed by
+// the digest of their key column in one core.Chains. Atom and set keys
+// take the one path; Equal tells them apart.
+type keyedRows struct {
+	col    int
+	rows   []table.Row
+	chains core.Chains
+}
+
+// fileRows files rows under their key column col, in Chains sized for
+// them.
+func fileRows(rows []table.Row, col int) keyedRows {
+	t := keyedRows{col: col, rows: rows, chains: core.NewChains(len(rows))}
+	for _, r := range rows {
+		t.chains.Add(keyDigest(r[col]))
+	}
+	return t
+}
+
+// cutRows cuts vals into its n rows of one width.
+func cutRows(vals []core.Value, n, width int) []table.Row {
+	rows := make([]table.Row, n)
+	for i := range rows {
+		rows[i] = vals[i*width : (i+1)*width : (i+1)*width]
+	}
+	return rows
+}
+
+// join queues probe row pr joined with every build row whose key
+// equals pr's key k.
+func (t *keyedRows) join(out *joinOut, pr table.Row, k core.Value) {
+	for id := t.chains.First(keyDigest(k)); id >= 0; id = t.chains.Next(id) {
+		if br := t.rows[id]; core.Equal(br[t.col], k) {
+			out.add(pr, br)
+		}
+	}
+}
+
 // HashJoin is the Relative Product (Def 10.1) in streaming form: Open
-// drains the *build* side into a hash index — the one sanctioned
+// drains the *build* side into a keyed table — the one sanctioned
 // materialization — and Next streams probe batches against it, so the
 // probe side never sits in memory whole. The right child builds and
 // the left probes, so the planner, not this operator, decides which
 // input is held; output rows are left-columns ++ right-columns.
-//
-// The index keys atom join values (Bool/Int/Float/Str) by their
-// comparable core.AtomKey — no per-row encoding — falling back to
-// canonical encoding for set-valued keys in a separate map, so an
-// encoded set can never collide with a Str key.
 type HashJoin struct {
 	left, right       Operator
 	leftCol, rightCol int // key positions in each child's output schema
 
 	ctx   context.Context
-	atoms map[core.AtomKey][]table.Row
-	sets  map[string][]table.Row
+	build keyedRows
 	out   joinOut
 	done  bool
 	stats OpStats
@@ -80,15 +119,14 @@ func NewHashJoin(left, right Operator, leftCol, rightCol int) *HashJoin {
 }
 
 // Open implements Operator: opens both children and consumes the build
-// side into the index. Build batches are copied out of child scratch
-// (see keep); the context is polled every few hundred rows during the
-// build.
+// side into the index. Build rows are copied out of child scratch into
+// one value slab, then filed at once; the context is polled every few
+// hundred rows during the build.
 func (j *HashJoin) Open(ctx context.Context) error {
 	j.stats = OpStats{}
 	defer j.stats.timed(time.Now())
 	j.ctx = ctx
-	j.atoms = map[core.AtomKey][]table.Row{}
-	j.sets = map[string][]table.Row{}
+	j.build = keyedRows{}
 	j.out = joinOut{}
 	j.done = false
 	j.open = true
@@ -98,33 +136,30 @@ func (j *HashJoin) Open(ctx context.Context) error {
 	if err := j.right.Open(ctx); err != nil {
 		return err
 	}
-	steps := 0
+	var vals []core.Value // the build rows, back to back; rows of one stream share a width
+	n, width := 0, 0
 	for {
 		rows, err := j.right.Next()
 		if err != nil {
 			return err
 		}
 		if rows == nil {
-			return nil
+			break
 		}
 		j.stats.RowsIn += len(rows)
-		for _, r := range keep(j.right, rows) {
-			if steps%256 == 0 {
+		for _, r := range rows {
+			if n%256 == 0 {
 				if err := ctx.Err(); err != nil {
 					return err
 				}
 			}
-			steps++
-			k := r[j.rightCol]
-			if ak, ok := core.AtomKeyOf(k); ok {
-				j.atoms[ak] = append(j.atoms[ak], r)
-			} else {
-				ek := core.Key(k)
-				j.sets[ek] = append(j.sets[ek], r)
-			}
-			j.stats.HeldRows++
+			n, width = n+1, len(r)
+			vals = append(vals, r...)
 		}
 	}
+	j.build = fileRows(cutRows(vals, n, width), j.rightCol)
+	j.stats.HeldRows = n
+	return nil
 }
 
 // Next implements Operator: pulls probe batches until matches
@@ -152,16 +187,7 @@ func (j *HashJoin) Next() ([]table.Row, error) {
 		j.stats.RowsIn += len(rows)
 		j.out.refill(len(rows))
 		for _, pr := range rows {
-			k := pr[j.leftCol]
-			var matches []table.Row
-			if ak, ok := core.AtomKeyOf(k); ok {
-				matches = j.atoms[ak]
-			} else {
-				matches = j.sets[core.Key(k)]
-			}
-			for _, br := range matches {
-				j.out.add(pr, br)
-			}
+			j.build.join(&j.out, pr, pr[j.leftCol])
 		}
 	}
 	out := j.out.next()
@@ -172,8 +198,7 @@ func (j *HashJoin) Next() ([]table.Row, error) {
 // Close implements Operator.
 func (j *HashJoin) Close() error {
 	j.open = false
-	j.atoms = nil
-	j.sets = nil
+	j.build = keyedRows{}
 	j.out = joinOut{}
 	lerr := j.left.Close()
 	rerr := j.right.Close()

@@ -353,16 +353,10 @@ func ParallelScan(t *table.Table, n int) *Gather {
 	return NewGather(workers)
 }
 
-// buildPart is one hash partition of a parallel join build.
-type buildPart struct {
-	atoms map[core.AtomKey][]table.Row
-	sets  map[string][]table.Row
-}
-
 // HashBuild is the parallel build side of a partitioned hash join: Open
 // drains N builder subtrees concurrently, each routing its rows (kept,
 // see keep) into per-partition buckets by key digest, then builds the
-// partitions' hash maps in parallel — two fan-outs with a barrier
+// partitions' keyed tables in parallel — two fan-outs with a barrier
 // between, all inside Open (the sanctioned blocking phase). After Open
 // the partitions are immutable, so any number of ProbeJoin workers may
 // probe them concurrently without locks.
@@ -375,7 +369,7 @@ type HashBuild struct {
 	col      int
 
 	cancel  context.CancelFunc
-	parts   []buildPart
+	parts   []keyedRows
 	started bool
 	stats   OpStats
 	open    bool
@@ -450,7 +444,7 @@ func (b *HashBuild) Open(ctx context.Context) error {
 				bsp.AddRows(len(rows))
 				bsp.AddBatches(1)
 				for _, r := range keep(bl, rows) {
-					p := int(core.Digest(r[b.col]) % uint64(nparts))
+					p := int(keyDigest(r[b.col]) % uint64(nparts))
 					local[p] = append(local[p], r)
 				}
 			}
@@ -464,50 +458,37 @@ func (b *HashBuild) Open(ctx context.Context) error {
 		return err
 	}
 
-	// Phase 2: one goroutine per partition builds its hash maps from
-	// every builder's bucket for that partition.
-	b.parts = make([]buildPart, nparts)
-	held := make([]int, nparts)
+	// Phase 2: one goroutine per partition files every builder's bucket
+	// for that partition into the partition's keyed table.
+	b.parts = make([]keyedRows, nparts)
 	for p := range b.parts {
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
-			part := buildPart{
-				atoms: map[core.AtomKey][]table.Row{},
-				sets:  map[string][]table.Row{},
-			}
+			n := 0
 			for _, local := range buckets {
-				for _, r := range local[p] {
-					k := r[b.col]
-					if ak, ok := core.AtomKeyOf(k); ok {
-						part.atoms[ak] = append(part.atoms[ak], r)
-					} else {
-						ek := core.Key(k)
-						part.sets[ek] = append(part.sets[ek], r)
-					}
-					held[p]++
-				}
+				n += len(local[p])
 			}
-			b.parts[p] = part
+			rows := make([]table.Row, 0, n)
+			for _, local := range buckets {
+				rows = append(rows, local[p]...)
+			}
+			b.parts[p] = fileRows(rows, b.col)
 		}(p)
 	}
 	wg.Wait()
-	for _, h := range held {
-		b.stats.HeldRows += h
+	for p := range b.parts {
+		b.stats.HeldRows += len(b.parts[p].rows)
 	}
 	b.stats.RowsIn = b.stats.HeldRows
 	b.started = true
 	return ctx.Err()
 }
 
-// lookup returns the build rows matching key k. Read-only after Open;
-// safe for concurrent probes.
-func (b *HashBuild) lookup(k core.Value) []table.Row {
-	part := &b.parts[int(core.Digest(k)%uint64(len(b.parts)))]
-	if ak, ok := core.AtomKeyOf(k); ok {
-		return part.atoms[ak]
-	}
-	return part.sets[core.Key(k)]
+// join queues probe row pr joined with the build rows matching its key
+// k. Read-only after Open; safe for concurrent probes.
+func (b *HashBuild) join(out *joinOut, pr table.Row, k core.Value) {
+	b.parts[int(keyDigest(k)%uint64(len(b.parts)))].join(out, pr, k)
 }
 
 // Next implements Operator: a build emits nothing.
@@ -611,9 +592,7 @@ func (j *ProbeJoin) Next() ([]table.Row, error) {
 		j.stats.RowsIn += len(rows)
 		j.out.refill(len(rows))
 		for _, pr := range rows {
-			for _, br := range j.build.lookup(pr[j.probeCol]) {
-				j.out.add(pr, br)
-			}
+			j.build.join(&j.out, pr, pr[j.probeCol])
 		}
 	}
 	out := j.out.next()

@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"xst/internal/core"
@@ -89,24 +90,34 @@ func (p *Project) OutSchema(in table.Schema) table.Schema {
 
 func (p *Project) String() string { return fmt.Sprintf("project%v", p.Cols) }
 
-// Distinct collapses duplicate rows (set semantics).
+// Distinct collapses duplicate rows (set semantics). The rows it has
+// seen are kept back to back in one value slab — rows of one stream
+// share a width — and filed under a fold of their values' digests.
 type Distinct struct {
-	seen map[string]bool
+	seen core.Chains
+	vals []core.Value // id's row is vals[id·w : (id+1)·w]
 	out  []table.Row
 }
 
 // Process implements Op.
 func (d *Distinct) Process(rows []table.Row) []table.Row {
-	if d.seen == nil {
-		d.seen = map[string]bool{}
-	}
 	out := d.out[:0]
+rows:
 	for _, row := range rows {
-		k := string(table.EncodeRow(nil, row))
-		if !d.seen[k] {
-			d.seen[k] = true
-			out = append(out, row)
+		w := len(row)
+		h := uint64(w) + 0x9e3779b97f4a7c15
+		for _, v := range row {
+			h = (h ^ core.Digest(v)) * 0x100000001b3
 		}
+		h &= digestMask
+		for id := d.seen.First(h); id >= 0; id = d.seen.Next(id) {
+			if slices.EqualFunc(row, d.vals[int(id)*w:int(id+1)*w], core.Equal) {
+				continue rows
+			}
+		}
+		d.seen.Add(h)
+		d.vals = append(d.vals, row...)
+		out = append(out, row)
 	}
 	d.out = out
 	return out

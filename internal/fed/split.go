@@ -569,18 +569,22 @@ func (g *gatherCache) distinctKeys(ctx context.Context, idx int) ([]table.Row, e
 	if g.keysd {
 		return g.keysv, nil
 	}
-	seen := make(map[string]bool, len(rows))
+	seen := core.NewChains(len(rows))
 	out := []table.Row{}
+keys:
 	for _, r := range rows {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		k := core.Key(r[idx])
-		if seen[k] {
-			continue
+		k := r[idx]
+		d := core.Digest(k)
+		for id := seen.First(d); id >= 0; id = seen.Next(id) {
+			if core.Equal(out[id][0], k) {
+				continue keys
+			}
 		}
-		seen[k] = true
-		out = append(out, table.Row{r[idx]})
+		seen.Add(d)
+		out = append(out, table.Row{k})
 	}
 	g.keysd = true
 	g.keysv = out

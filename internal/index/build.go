@@ -50,7 +50,7 @@ func BuildBTree(ctx context.Context, t *table.Table, col int) (*BTree, error) {
 		if steps%buildPollEvery == 0 && ctx.Err() != nil {
 			return false, ctx.Err()
 		}
-		if _, ok := core.AtomKeyOf(r[col]); !ok {
+		if r[col].Kind() == core.KindSet {
 			return false, fmt.Errorf("index: column %q holds non-atom %v; btree needs atoms",
 				t.Schema().Cols[col], r[col])
 		}

@@ -238,7 +238,7 @@ func btreeCandidate(scan *Scan, ix *TableIndex, conjuncts []Pred, rows float64, 
 		if !ok || cmp.Col != ix.Col {
 			continue
 		}
-		if _, atom := core.AtomKeyOf(cmp.Val); !atom {
+		if cmp.Val.Kind() == core.KindSet {
 			continue
 		}
 		switch cmp.Op {
