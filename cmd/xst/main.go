@@ -9,7 +9,8 @@
 //	xst -e '{1,2}+{3}'   # evaluate one expression and exit
 //	xst script.xst       # evaluate a file, one statement per line
 //
-// REPL commands: .help (builtins), .vars (bindings), .quit.
+// REPL commands: .help (builtins), .vars (bindings), .tables (alias for
+// `from __sys.tables`), .quit.
 package main
 
 import (
@@ -70,7 +71,7 @@ func run() int {
 			status = 1
 		}
 	default:
-		repl(env, db)
+		repl(env)
 	}
 	if db != nil {
 		if err := db.Close(); err != nil {
@@ -111,7 +112,7 @@ func runScript(env *xlang.Env, path string) error {
 	return sc.Err()
 }
 
-func repl(env *xlang.Env, db *catalog.Database) {
+func repl(env *xlang.Env) {
 	fmt.Println("xst — extended set theory calculator (.help for builtins, .quit to exit)")
 	sc := bufio.NewScanner(os.Stdin)
 	for {
@@ -121,19 +122,13 @@ func repl(env *xlang.Env, db *catalog.Database) {
 			return
 		}
 		line := strings.TrimSpace(sc.Text())
+		if line == ".tables" {
+			line = "from __sys.tables" // the catalog's own view, bound by BindAll
+		}
 		switch {
 		case line == "":
 		case line == ".quit" || line == ".exit":
 			return
-		case line == ".tables":
-			if db == nil {
-				fmt.Println("no database open (use -db)")
-				continue
-			}
-			for _, n := range db.Names() {
-				t, _ := db.Table(n)
-				fmt.Printf("  %-16s %6d rows  (%s)\n", n, t.Count(), strings.Join(t.Schema().Cols, ", "))
-			}
 		case line == ".help":
 			for _, b := range xlang.Builtins() {
 				fmt.Println(" ", b)

@@ -18,7 +18,7 @@
 //
 // drives an xstd server with -conns concurrent connections issuing
 // -queries statements each, then prints client-side throughput/latency
-// and the server's own .stats ledger.
+// and the server's own ledger, read as `from __sys.metrics`.
 //
 // Federation mode:
 //
@@ -35,7 +35,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
 	"xst/internal/bench"
@@ -110,28 +109,27 @@ func clientMode(addr, stmt string, conns, queries int) int {
 		return 1
 	}
 	defer c.Close()
-	snap, err := c.Stats()
-	if err != nil {
+	// The server's ledger is a query of its metrics view: one
+	// <name,value> row per series, histograms counting observations.
+	ledger := map[string]int64{}
+	if _, err := c.Query("from __sys.metrics select name, value", func(rows []string) error {
+		for _, r := range rows {
+			var name string
+			var v int64
+			if _, err := fmt.Sscanf(r, "<%q,%d>", &name, &v); err != nil {
+				return fmt.Errorf("__sys.metrics row %s: %w", r, err)
+			}
+			ledger[name] = v
+		}
+		return nil
+	}); err != nil {
 		fmt.Fprintln(os.Stderr, "xstbench:", err)
 		return 1
 	}
-	fmt.Printf("server:  ok=%d err=%d timeout=%d rejected=%d conns=%d\n",
-		snap.QueriesOK, snap.QueriesErr, snap.QueriesTimeout,
-		snap.Rejected, snap.ConnsTotal)
-	// Server-side latency quantiles come from the registry's
-	// xstd_query_latency_seconds histogram (the same series /metrics
-	// exports), not from client-side timestamps — so they include queue
-	// wait but exclude network time.
-	l := snap.Latency
-	fmt.Printf("server:  latency p50 %v p90 %v p99 %v max %v mean %v (n=%d)\n",
-		l.P50.Round(time.Microsecond), l.P90.Round(time.Microsecond),
-		l.P99.Round(time.Microsecond), l.Max.Round(time.Microsecond),
-		l.Mean.Round(time.Microsecond), l.Count)
-	text, err := c.MetricsText()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "xstbench:", err)
-		return 1
-	}
-	fmt.Printf("server:  %d metric series via .metrics\n", strings.Count(text, "# TYPE"))
+	fmt.Printf("server:  ok=%d err=%d timeout=%d rejected=%d conns=%d latency n=%d\n",
+		ledger["xstd_queries_ok_total"], ledger["xstd_queries_err_total"],
+		ledger["xstd_queries_timeout_total"], ledger["xstd_rejected_total"],
+		ledger["xstd_conns_total"], ledger["xstd_query_latency_seconds"])
+	fmt.Printf("server:  %d metric series via __sys.metrics\n", len(ledger))
 	return 0
 }

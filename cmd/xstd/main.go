@@ -13,9 +13,11 @@
 // -http starts a sidecar HTTP listener serving the Prometheus-style
 // /metrics exposition and the standard net/http/pprof profiling
 // endpoints under /debug/pprof/. -slow-query arms the slow-query log
-// (span trees of over-threshold queries, also retrievable with the
-// `.slow` admin command); -trace-sample N traces 1-in-N statements for
-// the `.trace` admin command.
+// (span trees of over-threshold queries, logged and listed by
+// `from __sys.slow`, alias `.slow`); -trace-sample N traces 1-in-N
+// statements for the `.trace` admin command. The admin read commands
+// (.stats .metrics .slow .tables .schema) are aliases for `__sys` view
+// queries; see internal/server.
 //
 // SIGINT/SIGTERM trigger a graceful shutdown: the listener closes,
 // in-flight queries drain (up to -grace), then the database is synced

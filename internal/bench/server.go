@@ -150,15 +150,7 @@ func E14ServerThroughput(cfg Config) Result {
 	}
 
 	// The server's own ledger must agree with the clients'.
-	c, err := server.Dial(addr)
-	if err != nil {
-		return errResult(id, err)
-	}
-	defer c.Close()
-	snap, err := c.Stats()
-	if err != nil {
-		return errResult(id, err)
-	}
+	snap := srv.MetricsSnapshot()
 	if snap.QueriesOK != uint64(total) {
 		pass = false
 	}

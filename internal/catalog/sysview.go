@@ -3,6 +3,7 @@ package catalog
 import (
 	"context"
 	"sort"
+	"strings"
 	"time"
 
 	"xst/internal/core"
@@ -18,12 +19,14 @@ import (
 // at query open, so `from __sys.wal` always answers for *now*, not for
 // when the server started.
 
-// SysTables returns the database-derived system views: WAL/MVCC health
-// (__sys.wal), pinned snapshot epochs (__sys.txns), declared indexes
-// (__sys.indexes), per-column statistics (__sys.stats) and the buffer
-// pool (__sys.bufferpool).
+// SysTables returns the database-derived system views: the stored
+// tables (__sys.tables), WAL/MVCC health (__sys.wal), pinned snapshot
+// epochs (__sys.txns), declared indexes (__sys.indexes), per-column
+// statistics (__sys.stats) and the buffer pool (__sys.bufferpool).
 func (db *Database) SysTables() []*sysview.Table {
 	return []*sysview.Table{
+		sysview.Standard(sysview.Tables,
+			"stored tables: columns, rows, sampled row bytes, partition spec", db.tableRows),
 		sysview.Standard(sysview.Wal,
 			"write-ahead-log and MVCC version-chain health", db.walRows),
 		sysview.Standard(sysview.Txns,
@@ -38,6 +41,57 @@ func (db *Database) SysTables() []*sysview.Table {
 				return []table.Row{sysview.PoolRow(db.Pool().Info())}, nil
 			}),
 	}
+}
+
+// tableRows is one row per stored table, read in one snapshot: name,
+// columns, row count, sampled row bytes and the partition spec, whose
+// bounds are the ⟨bounds…⟩ tuple the catalog set stores on page 0.
+// Distinct counts are __sys.stats's.
+func (db *Database) tableRows(ctx context.Context) ([]table.Row, error) {
+	rt := db.BeginRead()
+	defer rt.View.Release()
+	names := make([]string, 0, len(rt.Snap.Tables))
+	for n := range rt.Snap.Tables {
+		if !strings.HasPrefix(n, "__") {
+			names = append(names, n)
+		}
+	}
+	sort.Strings(names)
+	out := make([]table.Row, 0, len(names))
+	for _, name := range names {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		t := rt.Snap.Tables[name].At(rt.View)
+		cols := make([]core.Value, len(t.Schema().Cols))
+		for i, c := range t.Schema().Cols {
+			cols[i] = core.Str(c)
+		}
+		p, _ := db.Partition(name)
+		out = append(out, table.Row{
+			core.Str(name), core.Tuple(cols...),
+			core.Int(int64(t.Count())), core.Int(int64(sampleRowBytes(t))),
+			core.Str(p.Kind), core.Str(p.Col),
+			core.Int(int64(p.Site)), core.Int(int64(p.Sites)), core.Tuple(p.Bounds...),
+		})
+	}
+	return out, nil
+}
+
+// sampleRowBytes averages the encoded size of the table's first heap
+// page of rows — enough signal for a coordinator's byte-cost model.
+func sampleRowBytes(t *table.Table) int {
+	_, rows, ok, err := t.NewBatchCursor(nil).Next()
+	if err != nil || !ok || len(rows) == 0 {
+		return 0
+	}
+	total := 0
+	var enc []byte
+	for _, r := range rows {
+		enc = table.EncodeRow(enc[:0], r)
+		total += len(enc)
+	}
+	return total / len(rows)
 }
 
 // walRows is one row of durability health: commit epoch, log bytes

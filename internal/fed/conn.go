@@ -92,7 +92,7 @@ func (st *site) put(conn *siteConn) {
 	st.mu.Unlock()
 }
 
-// admin runs one non-streaming round trip (".schema", ".load …") under
+// admin runs one non-streaming round trip (".load …") under
 // a flat deadline, counting its bytes against the site. The deadline is
 // the tighter of ctx's and the admin timeout; it is cleared afterwards
 // so the connection can host long-streaming fragments.

@@ -3,10 +3,12 @@
 // or range-partitions of the stored tables (ROADMAP "one listener, N
 // backend sites").
 //
-// The coordinator connects to every site, reads its `.schema` catalog
-// (columns, row counts, partition specs), and compiles incoming `from …`
-// statements with the ordinary single-node planner against a stub
-// environment of schema-only tables. The optimized logical tree is then
+// The coordinator connects to every site, reads its catalog through the
+// site's own system views (`from __sys.tables` for columns, row counts
+// and partition specs, `from __sys.stats` for distinct counts), and
+// compiles incoming `from …` statements with the ordinary single-node
+// planner against a stub environment of schema-only tables. The
+// optimized logical tree is then
 // split: maximal per-site subtrees — restrict / project / partial
 // aggregate / co-located or broadcast join chains — are decompiled back
 // into query text and shipped to the owning sites as fragments over the
@@ -31,9 +33,8 @@ package fed
 
 import (
 	"context"
-	"encoding/base64"
-	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -41,8 +42,8 @@ import (
 
 	"xst/internal/core"
 	"xst/internal/metrics"
-	"xst/internal/server"
 	"xst/internal/store"
+	"xst/internal/sysview"
 	"xst/internal/table"
 	"xst/internal/xlang"
 )
@@ -54,8 +55,8 @@ type Config struct {
 	Sites []string
 	// DialTimeout bounds one site connection attempt (default 5s).
 	DialTimeout time.Duration
-	// AdminTimeout bounds one admin round trip — .schema at connect,
-	// .load during joins (default 10s).
+	// AdminTimeout bounds one site's catalog read at connect and one
+	// .load round trip during joins (default 10s).
 	AdminTimeout time.Duration
 	// Retries is how many times a fragment that failed before its first
 	// row is re-sent (default 2). Fragments that already streamed rows
@@ -178,9 +179,7 @@ type Metrics struct {
 }
 
 // Connect dials every site, reads its catalog, and validates that the
-// federation is coherent: every table present on all sites with the
-// same columns, partition specs (when present) agreeing in kind, column
-// and site count, with each site holding its own ordinal.
+// federation is coherent (see mergeCatalogs).
 func Connect(ctx context.Context, cfg Config) (*Coordinator, error) {
 	cfg.fill()
 	if len(cfg.Sites) == 0 {
@@ -192,7 +191,7 @@ func Connect(ctx context.Context, cfg Config) (*Coordinator, error) {
 	c.m.siteFrags = make([]metrics.Counter, len(cfg.Sites))
 	c.m.siteErrs = make([]metrics.Counter, len(cfg.Sites))
 	c.m.siteRetries = make([]metrics.Counter, len(cfg.Sites))
-	perSite := make([]map[string]server.TableInfo, len(cfg.Sites))
+	perSite := make([]map[string]*siteTable, len(cfg.Sites))
 	for i, addr := range cfg.Sites {
 		st := &site{
 			id: i, addr: addr,
@@ -201,15 +200,12 @@ func Connect(ctx context.Context, cfg Config) (*Coordinator, error) {
 			retries: &c.m.siteRetries[i],
 		}
 		c.sites = append(c.sites, st)
-		infos, err := c.fetchSchema(ctx, st)
+		cat, err := c.readCatalog(ctx, st)
 		if err != nil {
 			c.Close()
 			return nil, fmt.Errorf("fed: site %d (%s): %w", i, addr, err)
 		}
-		perSite[i] = map[string]server.TableInfo{}
-		for _, ti := range infos {
-			perSite[i][ti.Name] = ti
-		}
+		perSite[i] = cat
 	}
 	if err := c.mergeCatalogs(perSite); err != nil {
 		c.Close()
@@ -227,28 +223,109 @@ func Connect(ctx context.Context, cfg Config) (*Coordinator, error) {
 	return c, nil
 }
 
-// fetchSchema reads one site's `.schema` catalog over a fresh pooled
-// connection.
-func (c *Coordinator) fetchSchema(ctx context.Context, st *site) ([]server.TableInfo, error) {
-	conn, err := c.getConn(ctx, st)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.admin(ctx, st, conn, server.Request{Stmt: ".schema"})
-	if err != nil {
-		conn.close()
-		return nil, err
-	}
-	st.put(conn)
-	var infos []server.TableInfo
-	if err := json.Unmarshal([]byte(resp.Result), &infos); err != nil {
-		return nil, fmt.Errorf("bad .schema payload: %w", err)
-	}
-	return infos, nil
+// siteTable is one table as one site reports it: its __sys.tables row
+// and the distinct counts of its __sys.stats rows.
+type siteTable struct {
+	cols        []string
+	rows, bytes int
+	distinct    map[string]int
+	part        *PartSpec
+	site, sites int
 }
 
-// mergeCatalogs folds the per-site .schema snapshots into TableMetas.
-func (c *Coordinator) mergeCatalogs(perSite []map[string]server.TableInfo) error {
+// readCatalog reads one site's catalog through its system views, in
+// wire mode over a pooled connection, under the admin timeout.
+func (c *Coordinator) readCatalog(ctx context.Context, st *site) (map[string]*siteTable, error) {
+	ctx, cancel := context.WithTimeout(ctx, c.cfg.AdminTimeout)
+	defer cancel()
+	tables, err := c.sysFrom(ctx, st, sysview.Tables, len(sysview.StandardCols[sysview.Tables]))
+	if err != nil {
+		return nil, err
+	}
+	stats, err := c.sysFrom(ctx, st, sysview.Stats, len(sysview.StandardCols[sysview.Stats]))
+	if err != nil {
+		return nil, err
+	}
+	return parseCatalog(tables, stats)
+}
+
+// parseCatalog files a site's __sys.tables rows by table name and adds
+// the distinct counts of its __sys.stats rows.
+func parseCatalog(tables, stats []table.Row) (map[string]*siteTable, error) {
+	out := make(map[string]*siteTable, len(tables))
+	for _, r := range tables {
+		v := rowReader{r: r, ok: true}
+		ti := &siteTable{cols: v.strs(1), rows: v.int(2), bytes: v.int(3), site: v.int(6), sites: v.int(7)}
+		if kind := v.str(4); kind != "" {
+			ti.part = &PartSpec{Kind: kind, Col: v.str(5)}
+			if b := v.tuple(8); len(b) > 0 { // a hash spec has none
+				ti.part.Bounds = b
+			}
+		}
+		if !v.ok {
+			return nil, fmt.Errorf("bad %s row %v", sysview.Tables, r)
+		}
+		out[v.str(0)] = ti
+	}
+	for _, r := range stats {
+		v := rowReader{r: r, ok: true}
+		tbl, col, d := v.str(0), v.str(1), v.int(3)
+		if !v.ok {
+			return nil, fmt.Errorf("bad %s row %v", sysview.Stats, r)
+		}
+		if ti := out[tbl]; ti != nil {
+			if ti.distinct == nil {
+				ti.distinct = map[string]int{}
+			}
+			ti.distinct[col] = d
+		}
+	}
+	return out, nil
+}
+
+// rowReader reads typed fields of a system-view row; ok turns false at
+// the first field of the wrong type.
+type rowReader struct {
+	r  table.Row
+	ok bool
+}
+
+func (v *rowReader) str(i int) string {
+	s, ok := v.r[i].(core.Str)
+	v.ok = v.ok && ok
+	return string(s)
+}
+
+func (v *rowReader) int(i int) int {
+	n, ok := v.r[i].(core.Int)
+	v.ok = v.ok && ok
+	return int(n)
+}
+
+func (v *rowReader) tuple(i int) []core.Value {
+	elems, ok := core.TupleElems(v.r[i])
+	v.ok = v.ok && ok
+	return elems
+}
+
+func (v *rowReader) strs(i int) []string {
+	elems := v.tuple(i)
+	out := make([]string, len(elems))
+	for j := range elems {
+		s, ok := elems[j].(core.Str)
+		v.ok = v.ok && ok
+		out[j] = string(s)
+	}
+	return out
+}
+
+// mergeCatalogs folds the per-site catalogs into TableMetas. Every site
+// must hold every table with the same columns and the same placement
+// rule — both unpartitioned, or one kind, column and set of range
+// bounds — and a partitioned table must span the federation with each
+// site at its own ordinal. A rule one site lacks would prune that
+// site's rows out of equality probes.
+func (c *Coordinator) mergeCatalogs(perSite []map[string]*siteTable) error {
 	names := map[string]bool{}
 	for _, m := range perSite {
 		for n := range m {
@@ -267,42 +344,30 @@ func (c *Coordinator) mergeCatalogs(perSite []map[string]server.TableInfo) error
 			if !ok {
 				return fmt.Errorf("fed: table %q missing on site %d", name, i)
 			}
-			if meta.Cols == nil {
-				meta.Cols = ti.Cols
-			} else if !equalCols(meta.Cols, ti.Cols) {
+			if ti.part != nil && ti.sites != len(c.sites) {
+				return fmt.Errorf("fed: table %q partitioned over %d sites, federation has %d",
+					name, ti.sites, len(c.sites))
+			}
+			if ti.part != nil && ti.site != i {
+				return fmt.Errorf("fed: table %q on site %d claims partition ordinal %d",
+					name, i, ti.site)
+			}
+			switch {
+			case i == 0:
+				meta.Cols, meta.Part = ti.cols, ti.part
+			case !slices.Equal(meta.Cols, ti.cols):
 				return fmt.Errorf("fed: table %q schema differs on site %d: %v vs %v",
-					name, i, ti.Cols, meta.Cols)
+					name, i, ti.cols, meta.Cols)
+			case !samePart(meta.Part, ti.part):
+				return fmt.Errorf("fed: table %q partition spec differs on site %d", name, i)
 			}
-			meta.SiteRows[i] = ti.Rows
-			if ti.RowBytes > meta.RowBytes {
-				meta.RowBytes = ti.RowBytes
-			}
-			for col, d := range ti.Distinct {
+			meta.SiteRows[i] = ti.rows
+			meta.RowBytes = max(meta.RowBytes, ti.bytes)
+			for col, d := range ti.distinct {
 				if meta.Distinct == nil {
 					meta.Distinct = map[string]int{}
 				}
-				if d > meta.Distinct[col] {
-					meta.Distinct[col] = d
-				}
-			}
-			if ti.Part != nil {
-				spec, err := decodePartInfo(ti.Part)
-				if err != nil {
-					return fmt.Errorf("fed: table %q site %d: %w", name, i, err)
-				}
-				if ti.Part.Sites != len(c.sites) {
-					return fmt.Errorf("fed: table %q partitioned over %d sites, federation has %d",
-						name, ti.Part.Sites, len(c.sites))
-				}
-				if ti.Part.Site != i {
-					return fmt.Errorf("fed: table %q on site %d claims partition ordinal %d",
-						name, i, ti.Part.Site)
-				}
-				if meta.Part == nil {
-					meta.Part = spec
-				} else if meta.Part.Kind != spec.Kind || meta.Part.Col != spec.Col {
-					return fmt.Errorf("fed: table %q partition spec differs across sites", name)
-				}
+				meta.Distinct[col] = max(meta.Distinct[col], d)
 			}
 		}
 		c.tables[name] = meta
@@ -310,32 +375,13 @@ func (c *Coordinator) mergeCatalogs(perSite []map[string]server.TableInfo) error
 	return nil
 }
 
-func decodePartInfo(pi *server.PartInfo) (*PartSpec, error) {
-	spec := &PartSpec{Kind: pi.Kind, Col: pi.Col}
-	for _, b64 := range pi.Bounds {
-		raw, err := base64.StdEncoding.DecodeString(b64)
-		if err != nil {
-			return nil, fmt.Errorf("bad partition bound: %w", err)
-		}
-		v, _, err := core.Decode(raw)
-		if err != nil {
-			return nil, fmt.Errorf("bad partition bound: %w", err)
-		}
-		spec.Bounds = append(spec.Bounds, v)
+// samePart reports whether two sites record one placement rule.
+func samePart(a, b *PartSpec) bool {
+	if a == nil || b == nil {
+		return a == b
 	}
-	return spec, nil
-}
-
-func equalCols(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return a.Kind == b.Kind && a.Col == b.Col &&
+		slices.EqualFunc(a.Bounds, b.Bounds, core.Equal)
 }
 
 // buildStubEnv binds a schema-only, zero-row stand-in for every

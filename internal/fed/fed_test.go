@@ -479,7 +479,11 @@ func TestFedMetrics(t *testing.T) {
 	if m.SitesUp.Value() != 3 {
 		t.Fatalf("sites up = %d, want 3", m.SitesUp.Value())
 	}
-	text := lf.Registry.Text()
+	var b strings.Builder
+	if err := lf.Registry.WriteText(&b); err != nil {
+		t.Fatal(err)
+	}
+	text := b.String()
 	for _, series := range []string{
 		"xstd_fed_fragments_total", "xstd_fed_bytes_shipped_total",
 		"xstd_fed_rows_shipped_total", "xstd_fed_fragment_latency_seconds",

@@ -271,7 +271,7 @@ func renderableAggs(key string, aggs []plan.AggSpec) bool {
 // selectivity estimates the surviving fraction of the fragment's base
 // rows under its pushed predicates. Equality conjuncts use 1/distinct
 // when the sites have been analyzed (`.analyze` publishes per-column
-// distinct counts through .schema); everything else falls back to
+// distinct counts through __sys.stats); everything else falls back to
 // plan.DefaultSelectivity, as plan does without statistics.
 func (f *fragment) selectivity() float64 {
 	s := 1.0

@@ -426,7 +426,8 @@ func (s *splitter) semijoin(lf, rf *fragment, x *plan.Join) piece {
 		Rows:  lf.estRows(),
 		Label: fmt.Sprintf("fedgather[%s]", lf.render()),
 		New: func() (exec.Operator, error) {
-			return &replayOp{cache: cache, sch: lf.outSchema()}, nil
+			sch := lf.outSchema()
+			return exec.NewMaterialized("fedgather["+sch.Name+"]", sch, cache.rows), nil
 		},
 	}
 	reduced := lf.estRows()
@@ -590,61 +591,3 @@ keys:
 	g.keysv = out
 	return out, nil
 }
-
-// replayOp replays a gatherCache's rows as an operator leaf (the
-// already-materialized probe side of a semijoin).
-type replayOp struct {
-	cache *gatherCache
-	sch   table.Schema
-
-	ctx   context.Context
-	rows  []table.Row
-	pos   int
-	stats exec.OpStats
-	open  bool
-}
-
-func (m *replayOp) Open(ctx context.Context) error {
-	m.stats = exec.OpStats{}
-	m.ctx = ctx
-	m.pos = 0
-	m.open = true
-	rows, err := m.cache.rows(ctx)
-	if err != nil {
-		return err
-	}
-	m.rows = rows
-	return nil
-}
-
-func (m *replayOp) Next() ([]table.Row, error) {
-	if !m.open {
-		return nil, fmt.Errorf("exec: %s: Next before Open", m)
-	}
-	if err := m.ctx.Err(); err != nil {
-		return nil, err
-	}
-	if m.pos >= len(m.rows) {
-		return nil, nil
-	}
-	end := m.pos + exec.MaxBatchRows
-	if end > len(m.rows) {
-		end = len(m.rows)
-	}
-	batch := m.rows[m.pos:end]
-	m.pos = end
-	m.stats.RowsIn += len(batch)
-	opEmitted(&m.stats, batch)
-	return batch, nil
-}
-
-func (m *replayOp) Close() error {
-	m.open = false
-	return nil
-}
-
-func (m *replayOp) OutSchema() table.Schema   { return m.sch }
-func (m *replayOp) Stats() exec.OpStats       { return m.stats }
-func (m *replayOp) Children() []exec.Operator { return nil }
-func (m *replayOp) RetainableBatches() bool   { return true }
-func (m *replayOp) String() string            { return "fedgather[" + m.sch.Name + "]" }

@@ -24,6 +24,7 @@ import (
 var fedViews = []string{
 	sysview.Queries, sysview.Metrics, sysview.Slow,
 	sysview.Txns, sysview.Wal, sysview.Indexes, sysview.Stats, sysview.Pool,
+	sysview.Tables,
 }
 
 // bindSysViews registers the federated system views in the stub

@@ -63,6 +63,21 @@ func TestFedSysUnion(t *testing.T) {
 	if len(rows) != 1 || siteOf(t, rows[0]) != 1 {
 		t.Fatalf("site predicate returned %d rows (first site %v)", len(rows), rows)
 	}
+
+	// A coordinator's __sys.tables (its `.tables`) is the tagged union of
+	// the site catalogs: each site's shard of a partitioned table, at its
+	// own ordinal, with the rows the merged catalog counted there.
+	_, rows = runFed(t, lf, `from __sys.tables where tbl = "orders"`)
+	meta := lf.Coord.tables["orders"]
+	if len(rows) != 3 {
+		t.Fatalf("federated __sys.tables has %d orders rows, want one per site", len(rows))
+	}
+	for _, r := range rows {
+		site := siteOf(t, r)
+		if r[3] != core.Int(meta.SiteRows[site]) || r[5] != core.Str("range") || r[7] != core.Int(site) {
+			t.Fatalf("site %d orders row %v disagrees with the merged catalog %+v", site, r, *meta)
+		}
+	}
 }
 
 // TestFedSysQueriesRemote: the site-local query log is visible through

@@ -1,5 +1,5 @@
 // Package metrics provides the lock-cheap instrumentation primitives
-// the query server reports through its `.stats` admin command: atomic
+// the query server reports through __sys.metrics and /metrics: atomic
 // counters and gauges, and a fixed-bucket log-spaced latency histogram
 // with quantile estimation. The package has no dependencies beyond the
 // standard library so every layer (server, store, bench) can publish

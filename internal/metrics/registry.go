@@ -60,9 +60,9 @@ func (e *entry) value() int64 {
 // Registry names and enumerates a process's metrics, replacing ad-hoc
 // struct-field access with one authoritative, introspectable catalog:
 // every Counter, Gauge and Histogram the server publishes is reachable
-// by name, renderable as a Prometheus-style text exposition (the
-// `.metrics` admin command and the xstd HTTP listener), and
-// snapshottable for programmatic consumers. Registration and
+// by name, renderable as a Prometheus-style text exposition (the xstd
+// HTTP listener), and snapshottable for programmatic consumers and the
+// __sys.metrics view. Registration and
 // enumeration are safe for concurrent use; reads of the registered
 // metrics stay lock-free atomics as before — the registry holds
 // pointers, it does not intercept updates.
@@ -225,14 +225,6 @@ func formatLE(secs float64) string {
 // sanitizeHelp keeps HELP lines single-line.
 func sanitizeHelp(s string) string {
 	return strings.ReplaceAll(strings.ReplaceAll(s, "\\", `\\`), "\n", `\n`)
-}
-
-// Text renders the exposition to a string (the `.metrics` admin
-// command's payload).
-func (r *Registry) Text() string {
-	var b strings.Builder
-	r.WriteText(&b)
-	return b.String()
 }
 
 // Histogram returns the registered histogram by name, or nil — used by

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"fmt"
+	"io"
 	"strings"
 	"sync"
 	"testing"
@@ -52,7 +53,11 @@ func TestRegistryTextExposition(t *testing.T) {
 	r.RegisterGauge("xstd_in_flight", "evaluating now", &g)
 	r.RegisterHistogram("xstd_query_latency_seconds", "per-query latency", &h)
 
-	text := r.Text()
+	var b strings.Builder
+	if err := r.WriteText(&b); err != nil {
+		t.Fatal(err)
+	}
+	text := b.String()
 	for _, want := range []string{
 		"# HELP xstd_queries_ok_total queries answered",
 		"# TYPE xstd_queries_ok_total counter",
@@ -107,7 +112,7 @@ func TestRegistryConcurrent(t *testing.T) {
 			for i := 0; i < 20; i++ {
 				_ = r.Names()
 				_ = r.Snapshot()
-				_ = r.Text()
+				_ = r.WriteText(io.Discard)
 			}
 		}()
 	}

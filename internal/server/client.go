@@ -126,43 +126,13 @@ func (c *Client) Eval(stmt string) (string, error) {
 	return resp.Result, nil
 }
 
-// MetricsText fetches the server's Prometheus-style text exposition
-// (the `.metrics` admin command).
-func (c *Client) MetricsText() (string, error) {
-	return c.Eval(".metrics")
-}
-
-// evalJSON evaluates an admin statement and decodes its JSON result.
-func evalJSON[T any](c *Client, stmt string) (T, error) {
-	var out T
-	res, err := c.Eval(stmt)
-	if err == nil {
-		err = json.Unmarshal([]byte(res), &out)
-	}
-	return out, err
-}
-
-// Slow fetches and decodes the server's slow-query log: the span trees
-// of recent statements over the -slow-query threshold, oldest first.
-func (c *Client) Slow() ([]trace.SpanSnapshot, error) {
-	return evalJSON[[]trace.SpanSnapshot](c, ".slow")
-}
-
 // Trace runs stmt forcibly traced (`.trace <stmt>`) and decodes the
 // resulting span tree.
 func (c *Client) Trace(stmt string) (trace.SpanSnapshot, error) {
-	return evalJSON[trace.SpanSnapshot](c, ".trace "+stmt)
-}
-
-// Schema fetches and decodes the server's table catalog (the `.schema`
-// admin command): name, columns, row statistics and partition metadata
-// for every bound table. Federation coordinators use this to merge the
-// sites' sharded catalogs.
-func (c *Client) Schema() ([]TableInfo, error) {
-	return evalJSON[[]TableInfo](c, ".schema")
-}
-
-// Stats fetches and decodes the server's .stats snapshot.
-func (c *Client) Stats() (Snapshot, error) {
-	return evalJSON[Snapshot](c, ".stats")
+	var snap trace.SpanSnapshot
+	res, err := c.Eval(".trace " + stmt)
+	if err == nil {
+		err = json.Unmarshal([]byte(res), &snap)
+	}
+	return snap, err
 }

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -115,19 +114,16 @@ func TestDurableLoadIndexedImmediately(t *testing.T) {
 	}
 
 	// The WAL observed all of it, and `.checkpoint` folds the log.
-	metrics, err := c.MetricsText()
-	if err != nil {
-		t.Fatal(err)
-	}
+	metrics := metricsOf(t, c)
 	for _, m := range []string{"xstd_wal_appends_total", "xstd_txn_commit_total", "xstd_wal_fsync_seconds"} {
-		if !strings.Contains(metrics, m) {
+		if _, ok := metrics[m]; !ok {
 			t.Fatalf("metric %s missing from registry", m)
 		}
 	}
-	if v := metricValue(t, metrics, "xstd_txn_commit_total"); v == 0 {
+	if metrics["xstd_txn_commit_total"] == 0 {
 		t.Fatal("no transactions counted")
 	}
-	if v := metricValue(t, metrics, "xstd_wal_appends_total"); v == 0 {
+	if metrics["xstd_wal_appends_total"] == 0 {
 		t.Fatal("no WAL appends counted")
 	}
 	if got, err := c.Eval(".checkpoint"); err != nil || got != "checkpoint complete" {
@@ -136,26 +132,9 @@ func TestDurableLoadIndexedImmediately(t *testing.T) {
 	if db.WAL().LoggedBytes() != 0 {
 		t.Fatalf("log not truncated after checkpoint: %d bytes", db.WAL().LoggedBytes())
 	}
-	metrics, _ = c.MetricsText()
-	if v := metricValue(t, metrics, "xstd_checkpoints_total"); v == 0 {
+	if metricsOf(t, c)["xstd_checkpoints_total"] == 0 {
 		t.Fatal("checkpoint not counted")
 	}
-}
-
-// metricValue extracts one counter's value from the text exposition.
-func metricValue(t *testing.T, text, name string) float64 {
-	t.Helper()
-	for _, line := range strings.Split(text, "\n") {
-		if strings.HasPrefix(line, name+" ") {
-			v, err := strconv.ParseFloat(strings.TrimSpace(strings.TrimPrefix(line, name+" ")), 64)
-			if err != nil {
-				t.Fatalf("parsing %s: %v", line, err)
-			}
-			return v
-		}
-	}
-	t.Fatalf("metric %s not found", name)
-	return 0
 }
 
 // One snapshot names the tables: a commit by one connection must cost

@@ -9,18 +9,24 @@
 //     JSON object), e.g.  {1,2}+{3}  — set literals are not valid JSON,
 //     so the two forms never collide.
 //
-// Statements beginning with '.' are admin commands handled by the
-// server itself (.ping, .stats, .metrics, .slow, .trace, .tables,
-// .schema, .load, .quit); everything else is evaluated in the
-// connection's session environment. `.trace <stmt>` is the one admin
-// form that evaluates: it runs stmt forcibly traced and answers with
-// the query's span tree as JSON instead of the rendered result.
-// `.schema` describes every catalog table as JSON (columns, row count,
-// average encoded row bytes, partition spec) — what a federation
-// coordinator reads at connect time. `.load <json>` creates or extends
-// a session-private scratch table (name must start with "__") from
-// wire-encoded rows; federated joins use it to ship key sets and
-// broadcast build sides to a site.
+// Statements beginning with '.' are admin commands. The read commands
+// are aliases for system-view queries and answer exactly as those
+// queries do (streamed rows, admission, a __sys.queries entry):
+//
+//	.stats, .metrics   from __sys.metrics
+//	.slow              from __sys.slow
+//	.tables, .schema   from __sys.tables
+//
+// The server itself handles the commands that act: .ping, .trace,
+// .load, .analyze, .createindex, .checkpoint and .quit. Everything else
+// is evaluated in the connection's session environment. `.trace <stmt>`
+// runs stmt forcibly traced and answers with the query's span tree as
+// JSON instead of the rendered result. `.load <json>` creates or
+// extends a session-private scratch table (name must start with "__")
+// from wire-encoded rows; federated joins use it to ship key sets and
+// broadcast build sides to a site. A federation coordinator reads each
+// site's catalog as the wire-mode rows of `from __sys.tables` and
+// `from __sys.stats`.
 //
 // Every request produces exactly one *final* response line:
 //

@@ -7,7 +7,9 @@
 // per-query deadlines (context cancellation threaded through the
 // evaluator and the algebra hot loops), and graceful shutdown that
 // drains in-flight queries. Activity is published through
-// internal/metrics and reported by the `.stats` admin command.
+// internal/metrics and read back through the `__sys.*` system views;
+// the admin read commands (.stats .metrics .slow .tables .schema) are
+// aliases for queries of those views, not a second encoding.
 package server
 
 import (
@@ -20,7 +22,6 @@ import (
 	"fmt"
 	"net"
 	"runtime"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -49,7 +50,7 @@ type Config struct {
 	Addr string
 	// DB, when set, is the shared database: its tables are bound into
 	// every session's environment at startup and its buffer-pool stats
-	// appear in .stats. The server never writes table data; `.analyze`
+	// appear in MetricsSnapshot. The server never writes table data; `.analyze`
 	// and `.createindex` update its statistics/index metadata.
 	DB *catalog.Database
 	// MaxWorkers bounds concurrently evaluating queries (default 64).
@@ -71,8 +72,8 @@ type Config struct {
 	MaxLineBytes int
 	// SlowQuery, when positive, traces every statement and logs those
 	// whose total time meets or exceeds it — one structured JSON line
-	// (the span tree) through Logf, retrievable via the `.slow` admin
-	// command. Zero disables the slow-query log.
+	// (the span tree) through Logf, with one __sys.slow row (the `.slow`
+	// alias) per statement. Zero disables the slow-query log.
 	SlowQuery time.Duration
 	// TraceSample, when positive, traces 1-in-N statements even without
 	// SlowQuery; sampled traces feed the `.trace` admin command. Zero
@@ -168,8 +169,9 @@ type Metrics struct {
 	PruneBatch    metrics.Histogram
 }
 
-// Snapshot is a point-in-time view of the server's metrics, the payload
-// of the `.stats` admin command.
+// Snapshot is a point-in-time view of the server's metrics, for
+// in-process callers that own the server; clients read the same
+// counters from __sys.metrics.
 type Snapshot struct {
 	QueriesOK       uint64               `json:"queries_ok"`
 	QueriesErr      uint64               `json:"queries_err"`
@@ -201,8 +203,8 @@ type Server struct {
 	// pins its own snapshot.
 	current func() *plan.Catalog
 	m       Metrics
-	// reg names every metric for the `.metrics` exposition and the HTTP
-	// /metrics endpoint.
+	// reg names every metric for __sys.metrics and the HTTP /metrics
+	// endpoint.
 	reg *metrics.Registry
 	// tracer samples 1-in-N statements for always-on tracing.
 	tracer trace.Tracer
@@ -292,8 +294,7 @@ func New(cfg Config) (*Server, error) {
 // bindSysViews registers the server-owned system views — live/recent
 // statements, the flattened metrics registry, and the slow-query ring —
 // alongside whatever database views BindAll already installed. Each
-// Rows function snapshots at query open, so the view and the matching
-// admin command (.metrics, .slow) agree on the same instant's state.
+// Rows function snapshots at query open.
 func (s *Server) bindSysViews(env *xlang.Env) {
 	env.BindVirtual(sysview.Queries, sysview.Standard(sysview.Queries,
 		"in-flight and recently finished statements",
@@ -307,7 +308,7 @@ func (s *Server) bindSysViews(env *xlang.Env) {
 }
 
 // registerMetrics names every server metric in the registry, the
-// catalog behind `.metrics` and the HTTP /metrics endpoint.
+// catalog behind __sys.metrics and the HTTP /metrics endpoint.
 func (s *Server) registerMetrics() error {
 	s.reg = metrics.NewRegistry()
 	var err error
@@ -712,6 +713,9 @@ func (s *Server) handle(sess *session, req Request) (resp Response, quit bool) {
 		forceTrace = true
 		req.Stmt = strings.TrimSpace(rest)
 	}
+	if q, ok := viewAliases[strings.TrimSpace(req.Stmt)]; ok {
+		req.Stmt = q
+	}
 
 	if strings.HasPrefix(req.Stmt, ".") {
 		s.m.AdminCmds.Inc()
@@ -883,33 +887,6 @@ func (s *Server) streamQuery(ctx context.Context, sess *session, q Query, req Re
 	return rows, err
 }
 
-// TableInfo describes one catalog table for the `.schema` admin
-// command — what a federation coordinator reads at connect time.
-type TableInfo struct {
-	Name string   `json:"name"`
-	Cols []string `json:"cols"`
-	Rows int      `json:"rows"`
-	// RowBytes is the average encoded row size, sampled from the first
-	// heap page (0 for an empty table).
-	RowBytes int `json:"row_bytes"`
-	// Distinct maps column name → exact distinct count from the last
-	// `.analyze`; absent until statistics have been collected. Federation
-	// coordinators feed these into their join cost model.
-	Distinct map[string]int `json:"distinct,omitempty"`
-	// Part is the recorded partition spec, if any.
-	Part *PartInfo `json:"part,omitempty"`
-}
-
-// PartInfo is the wire form of catalog.Partition; range bounds are
-// base64 of the canonical value encoding.
-type PartInfo struct {
-	Kind   string   `json:"kind"`
-	Col    string   `json:"col"`
-	Site   int      `json:"site"`
-	Sites  int      `json:"sites"`
-	Bounds []string `json:"bounds,omitempty"`
-}
-
 // loadRequest is the payload of `.load`: wire-encoded rows for a
 // session-private scratch table.
 type loadRequest struct {
@@ -918,7 +895,18 @@ type loadRequest struct {
 	Rows  []string `json:"rows"`
 }
 
-// handleAdmin serves the '.' commands.
+// viewAliases are the admin read commands. Each is sugar for a query of
+// the system view that holds its facts, so it streams, takes admission
+// and shows in __sys.queries like any statement.
+var viewAliases = map[string]string{
+	".stats":   "from " + sysview.Metrics,
+	".metrics": "from " + sysview.Metrics,
+	".slow":    "from " + sysview.Slow,
+	".tables":  "from " + sysview.Tables,
+	".schema":  "from " + sysview.Tables,
+}
+
+// handleAdmin serves the '.' commands that act.
 func (s *Server) handleAdmin(sess *session, req Request) (Response, bool) {
 	if rest, ok := strings.CutPrefix(strings.TrimSpace(req.Stmt), ".load "); ok {
 		return s.handleLoad(sess, rest)
@@ -946,40 +934,16 @@ func (s *Server) handleAdmin(sess *session, req Request) (Response, bool) {
 		return Response{Result: "checkpoint complete"}, false
 	case ".ping":
 		return Response{Result: "pong"}, false
-	case ".schema":
-		return s.handleSchema()
-	case ".stats":
-		return jsonResult(s.MetricsSnapshot())
-	case ".metrics":
-		return Response{Result: s.reg.Text()}, false
-	case ".slow":
-		return jsonResult(s.slow.list())
 	case ".trace":
 		snap, ok := s.traces.last()
 		if !ok {
 			return Response{Error: "no traces recorded (use `.trace <stmt>`, -trace-sample or -slow-query)"}, false
 		}
 		return Response{Result: snap.JSON()}, false
-	case ".tables":
-		if s.cfg.DB == nil {
-			return Response{Result: "(no database attached)"}, false
-		}
-		names := s.cfg.DB.Names()
-		sort.Strings(names)
-		lines := make([]string, 0, len(names))
-		for _, n := range names {
-			t, err := s.cfg.DB.Table(n)
-			if err != nil {
-				continue
-			}
-			lines = append(lines, fmt.Sprintf("%s(%s) %d rows",
-				n, strings.Join(t.Schema().Cols, ","), t.Count()))
-		}
-		return Response{Result: strings.Join(lines, "; ")}, false
 	case ".quit", ".close", ".exit":
 		return Response{Result: "bye"}, true
 	default:
-		return Response{Error: fmt.Sprintf("unknown admin command %q (try .ping .stats .metrics .slow .trace .tables .schema .load .analyze .createindex .checkpoint .quit)", cmd)}, false
+		return Response{Error: fmt.Sprintf("unknown admin command %q (try .ping .trace .load .analyze .createindex .checkpoint .quit, or the view aliases .stats .metrics .slow .tables .schema)", cmd)}, false
 	}
 }
 
@@ -999,67 +963,6 @@ func (s *Server) handleCreateIndex(args string) (Response, bool) {
 		return Response{Error: err.Error()}, false
 	}
 	return Response{Result: fmt.Sprintf("index created: %s.%s (%s)", ix.Table, ix.Col, ix.Kind)}, false
-}
-
-// handleSchema renders every catalog table as a TableInfo JSON array.
-func (s *Server) handleSchema() (Response, bool) {
-	infos := []TableInfo{}
-	if s.cfg.DB != nil {
-		for _, name := range s.cfg.DB.Names() {
-			t, err := s.cfg.DB.Table(name)
-			if err != nil {
-				continue
-			}
-			info := TableInfo{
-				Name:     name,
-				Cols:     append([]string(nil), t.Schema().Cols...),
-				Rows:     t.Count(),
-				RowBytes: sampleRowBytes(t),
-			}
-			if ts, ok := s.cfg.DB.Stats(name); ok {
-				info.Distinct = make(map[string]int, len(ts.Columns))
-				for i, c := range ts.Columns {
-					if i < len(t.Schema().Cols) {
-						info.Distinct[t.Schema().Cols[i]] = c.Distinct
-					}
-				}
-			}
-			if p, ok := s.cfg.DB.Partition(name); ok {
-				pi := &PartInfo{Kind: p.Kind, Col: p.Col, Site: p.Site, Sites: p.Sites}
-				for _, b := range p.Bounds {
-					pi.Bounds = append(pi.Bounds, base64.StdEncoding.EncodeToString(core.Encode(b)))
-				}
-				info.Part = pi
-			}
-			infos = append(infos, info)
-		}
-	}
-	return jsonResult(infos)
-}
-
-// jsonResult answers an admin command with v in JSON.
-func jsonResult(v any) (Response, bool) {
-	buf, err := json.Marshal(v)
-	if err != nil {
-		return Response{Error: err.Error()}, false
-	}
-	return Response{Result: string(buf)}, false
-}
-
-// sampleRowBytes averages the encoded size of the table's first heap
-// page of rows — enough signal for the coordinator's byte-cost model.
-func sampleRowBytes(t *table.Table) int {
-	_, rows, ok, err := t.NewBatchCursor(nil).Next()
-	if err != nil || !ok || len(rows) == 0 {
-		return 0
-	}
-	total := 0
-	var enc []byte
-	for _, r := range rows {
-		enc = table.EncodeRow(enc[:0], r)
-		total += len(enc)
-	}
-	return total / len(rows)
 }
 
 // handleLoad routes wire-encoded rows to one of two destinations. A

@@ -303,7 +303,8 @@ func TestGracefulShutdown(t *testing.T) {
 	}
 }
 
-// TestAdminCommands covers .ping, .stats, .tables and .quit.
+// TestAdminCommands covers .ping, .tables, .stats and .quit. The read
+// commands stream view rows like any query.
 func TestAdminCommands(t *testing.T) {
 	_, addr := startServer(t, Config{DB: testDB(t)})
 	c, err := Dial(addr)
@@ -315,21 +316,18 @@ func TestAdminCommands(t *testing.T) {
 	if got, err := c.Eval(".ping"); err != nil || got != "pong" {
 		t.Fatalf(".ping = %q, %v", got, err)
 	}
-	if got, err := c.Eval(".tables"); err != nil || !strings.Contains(got, "cities(id,name) 3 rows") {
-		t.Fatalf(".tables = %q, %v", got, err)
+	if got := queryRows(t, c, ".tables"); len(got) != 1 || !strings.HasPrefix(got[0], `<"cities",<"id","name">,3,`) {
+		t.Fatalf(".tables = %q", got)
 	}
 	if _, err := c.Eval("card(cities)"); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := c.Stats()
-	if err != nil {
-		t.Fatal(err)
+	ledger := metricsOf(t, c)
+	if ledger["xstd_queries_ok_total"] == 0 || ledger["xstd_query_latency_seconds"] == 0 {
+		t.Fatalf(".stats shows no traffic: %v", ledger)
 	}
-	if snap.QueriesOK == 0 || snap.Latency.Count == 0 {
-		t.Fatalf(".stats shows no traffic: %+v", snap)
-	}
-	if snap.Pool == nil {
-		t.Fatal(".stats missing buffer-pool section with a database attached")
+	if _, ok := ledger["xstd_pool_capacity"]; !ok {
+		t.Fatal(".stats missing buffer-pool series with a database attached")
 	}
 	resp, err := c.Do(Request{Stmt: ".quit"})
 	if err != nil || resp.Result != "bye" {
@@ -355,7 +353,7 @@ func TestParseRequest(t *testing.T) {
 }
 
 // TestAnalyzeAndCreateIndex covers the statistics/index admin surface:
-// .analyze persists stats (visible in .schema's distinct counts),
+// .analyze persists stats (visible in __sys.stats's distinct counts),
 // .createindex builds an index, and a traced point query shows the
 // planner choosing the index access path with its estimate attached.
 func TestAnalyzeAndCreateIndex(t *testing.T) {
@@ -393,13 +391,10 @@ func TestAnalyzeAndCreateIndex(t *testing.T) {
 		t.Fatalf(".analyze = %q, %v", got, err)
 	}
 
-	// Statistics show up in the coordinator-facing schema.
-	infos, err := c.Schema()
-	if err != nil || len(infos) != 1 {
-		t.Fatalf("Schema = %+v, %v", infos, err)
-	}
-	if infos[0].Distinct["id"] != 200 || infos[0].Distinct["kind"] != 2 {
-		t.Fatalf("schema distinct = %+v", infos[0].Distinct)
+	// Statistics show up in the view a coordinator reads.
+	stats := queryRows(t, c, `from __sys.stats where tbl = "events"`)
+	if len(stats) != 2 || stats[0] != `<"events","id",200,200>` || stats[1] != `<"events","kind",200,2>` {
+		t.Fatalf("__sys.stats = %q", stats)
 	}
 
 	// A traced point query must run through the index, estimate attached.

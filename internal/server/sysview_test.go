@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -33,6 +34,22 @@ func fieldsOf(row string) []string {
 		parts[i] = strings.Trim(strings.TrimSpace(p), `"`)
 	}
 	return parts
+}
+
+// metricsOf reads the server's ledger through the `.metrics` alias:
+// series name → value (a histogram's observation count).
+func metricsOf(t *testing.T, c *Client) map[string]int64 {
+	t.Helper()
+	out := map[string]int64{}
+	for _, r := range queryRows(t, c, ".metrics") {
+		f := fieldsOf(r)
+		v, err := strconv.ParseInt(f[2], 10, 64)
+		if err != nil {
+			t.Fatalf("metrics row %s: %v", r, err)
+		}
+		out[f[0]] = v
+	}
+	return out
 }
 
 // findRow returns the first rendered row whose fields contain every
@@ -139,43 +156,81 @@ func TestSysMetricsAgree(t *testing.T) {
 	}
 }
 
-// TestSysSlowAgree: __sys.slow and the .slow admin command project the
-// same ring — the view's rows are the admin snapshots' root notes, in
-// order (the admin call sees one more entry: the view query itself,
-// logged after it finished streaming).
-func TestSysSlowAgree(t *testing.T) {
+// TestAdminReadsAreViews: each admin read command is its view's query.
+// The alias answers the view's rows (up to what the statement between
+// the two reads moved: metric values, one more slow entry), shows in
+// __sys.queries as that query, and the view composes with a restriction
+// like any table.
+func TestAdminReadsAreViews(t *testing.T) {
 	_, addr := startServer(t, Config{DB: testDB(t), SlowQuery: time.Nanosecond})
 	c, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-
-	queryRows(t, c, "from cities")
 	queryRows(t, c, "from cities where id > 1")
 
-	rows := queryRows(t, c, "from __sys.slow")
-	snaps, err := c.Slow()
+	firsts := func(rows []string) []string {
+		out := make([]string, len(rows))
+		for i, r := range rows {
+			out[i] = fieldsOf(r)[0]
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		alias, view string
+		key         func([]string) []string // the part both reads share
+		extra       []string                // what the alias itself adds
+	}{
+		{".stats", "from __sys.metrics", firsts, nil},
+		{".metrics", "from __sys.metrics", firsts, nil},
+		{".slow", "from __sys.slow", firsts, []string{"from __sys.slow"}},
+		{".tables", "from __sys.tables", nil, nil},
+		{".schema", "from __sys.tables", nil, nil},
+	} {
+		got, want := queryRows(t, c, tc.alias), queryRows(t, c, tc.view)
+		if len(got) == 0 {
+			t.Fatalf("%s answered no rows", tc.alias)
+		}
+		if tc.key != nil {
+			got, want = tc.key(got), tc.key(want)
+		}
+		got = append(got, tc.extra...)
+		if strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Fatalf("%s = %q, %s = %q", tc.alias, got, tc.view, want)
+		}
+	}
+
+	if r := findRow(queryRows(t, c, "from __sys.queries"), "from __sys.tables", "ok", "done"); r == "" {
+		t.Fatal(".tables did not run as a query of __sys.tables")
+	}
+	all := queryRows(t, c, ".tables")
+	if got := queryRows(t, c, `from __sys.tables where tbl = "cities" and part_kind = ""`); len(got) != 1 || got[0] != all[0] {
+		t.Fatalf("restricted __sys.tables = %q, want %q", got, all[0])
+	}
+	if got := queryRows(t, c, "from __sys.tables where rows > 3"); len(got) != 0 {
+		t.Fatalf("restriction on __sys.tables ignored: %q", got)
+	}
+}
+
+// TestTablesWithoutDatabase: with no database attached, `.tables` fails
+// as cleanly as any other database view, while the server's own views
+// still answer.
+func TestTablesWithoutDatabase(t *testing.T) {
+	_, addr := startServer(t, Config{})
+	c, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(snaps) != len(rows)+1 {
-		t.Fatalf(".slow has %d entries, view had %d rows (want view+1)", len(snaps), len(rows))
+	defer c.Close()
+	_, err = c.Query(".tables", nil)
+	_, viewErr := c.Query("from __sys.tables", nil)
+	if err == nil || viewErr == nil || err.Error() != viewErr.Error() {
+		t.Fatalf(".tables error %v, from __sys.tables error %v", err, viewErr)
 	}
-	for i, r := range rows {
-		if !strings.Contains(r, snaps[i].Note) {
-			t.Fatalf("view row %d %q does not carry .slow stmt %q", i, r, snaps[i].Note)
-		}
-		f := fieldsOf(r)
-		if len(f) != 5 {
-			t.Fatalf("__sys.slow row has %d fields, want 5: %s", len(f), r)
-		}
-		if f[3] == "0" {
-			t.Fatalf("slow row records dop 0: %s", r)
-		}
-	}
-	if snaps[len(snaps)-1].Note != "from __sys.slow" {
-		t.Fatalf("last .slow entry is %q, want the view query", snaps[len(snaps)-1].Note)
+	t.Log(err)
+	if len(queryRows(t, c, ".stats")) == 0 {
+		t.Fatal(".stats answered nothing without a database")
 	}
 }
 

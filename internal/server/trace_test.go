@@ -133,7 +133,8 @@ func TestTraceParallelSpanTree(t *testing.T) {
 }
 
 // TestSlowQueryLog: with a threshold every query beats, the span tree
-// lands in the `.slow` ring and one structured log line is emitted.
+// lands in the slow ring (read back through `.slow`) and one structured
+// log line is emitted.
 func TestSlowQueryLog(t *testing.T) {
 	var mu sync.Mutex
 	var logs []string
@@ -157,19 +158,17 @@ func TestSlowQueryLog(t *testing.T) {
 	if _, err := c.Query(stmt, nil); err != nil {
 		t.Fatal(err)
 	}
-	slow, err := c.Slow()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(slow) != 1 {
-		t.Fatalf("slow log holds %d entries, want 1", len(slow))
-	}
-	if slow[0].Note != stmt || slow[0].Find("exec") == nil {
-		t.Fatalf("slow entry = %s, want note %q with exec span", slow[0].JSON(), stmt)
-	}
 	snap := srv.MetricsSnapshot()
 	if snap.SlowQueries != 1 || snap.TracedQueries != 1 {
 		t.Fatalf("slow=%d traced=%d, want 1/1", snap.SlowQueries, snap.TracedQueries)
+	}
+	slow := queryRows(t, c, ".slow")
+	if len(slow) != 1 {
+		t.Fatalf("slow log holds %d entries, want 1", len(slow))
+	}
+	// stmt dur_us rows dop epoch: the rows come from the exec span.
+	if f := fieldsOf(slow[0]); len(f) != 5 || f[0] != stmt || f[2] != "29" || f[3] == "0" {
+		t.Fatalf("slow entry = %s, want stmt %q with its 29 rows and a dop", slow[0], stmt)
 	}
 	mu.Lock()
 	defer mu.Unlock()
@@ -195,15 +194,12 @@ func TestSlowLogRingEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	slow, err := c.Slow()
-	if err != nil {
-		t.Fatal(err)
-	}
+	slow := queryRows(t, c, ".slow")
 	if len(slow) != 2 {
 		t.Fatalf("ring holds %d entries, want 2", len(slow))
 	}
-	if slow[0].Note != "card({2})" || slow[1].Note != "card({3})" {
-		t.Fatalf("ring kept %q/%q, want the two newest", slow[0].Note, slow[1].Note)
+	if fieldsOf(slow[0])[0] != "card({2})" || fieldsOf(slow[1])[0] != "card({3})" {
+		t.Fatalf("ring kept %q, want the two newest", slow)
 	}
 }
 
@@ -252,10 +248,10 @@ func TestTraceEmptyRing(t *testing.T) {
 	}
 }
 
-// TestMetricsExposition: `.metrics` serves well-formed Prometheus text
-// covering the whole registry.
+// TestMetricsExposition: the registry's exposition (what HTTP /metrics
+// serves) is well-formed Prometheus text covering the whole registry.
 func TestMetricsExposition(t *testing.T) {
-	_, addr := startServer(t, Config{DB: streamDB(t, 200)})
+	srv, addr := startServer(t, Config{DB: streamDB(t, 200)})
 	c, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -265,10 +261,11 @@ func TestMetricsExposition(t *testing.T) {
 	if _, err := c.Query("from nums where mod = 1 select n", nil); err != nil {
 		t.Fatal(err)
 	}
-	text, err := c.MetricsText()
-	if err != nil {
+	var b strings.Builder
+	if err := srv.Registry().WriteText(&b); err != nil {
 		t.Fatal(err)
 	}
+	text := b.String()
 	for _, want := range []string{
 		"# TYPE xstd_queries_ok_total counter",
 		"xstd_queries_ok_total 1",

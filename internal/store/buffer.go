@@ -19,8 +19,8 @@ type Stats struct {
 }
 
 // PoolInfo is one consistent reading of a pool: its counters and its
-// occupancy, taken under one latch — the row `__sys.bufferpool`, the
-// `xstd_pool_*` gauges and `.stats` all report.
+// occupancy, taken under one latch — the row `__sys.bufferpool` and the
+// `xstd_pool_*` gauges both report.
 type PoolInfo struct {
 	Stats
 	Frames   int // pages resident

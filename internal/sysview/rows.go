@@ -10,8 +10,8 @@ import (
 
 // PoolRow is the __sys.bufferpool row of one pool reading: (frames,
 // capacity, hits, misses, evictions, writes, recycled, pinned) — the
-// same store.PoolInfo the `.stats` snapshot and the xstd_pool_* gauges
-// report, so the three agree by construction.
+// same store.PoolInfo the xstd_pool_* gauges report, so the two agree
+// by construction.
 func PoolRow(in store.PoolInfo) table.Row {
 	return table.Row{
 		core.Int(int64(in.Frames)), core.Int(int64(in.Capacity)),
@@ -23,8 +23,8 @@ func PoolRow(in store.PoolInfo) table.Row {
 
 // MetricsRows flattens a registry snapshot into __sys.metrics rows:
 // (name, kind, value), with histograms reporting their observation
-// count — the same Value the registry's JSON snapshot carries, so the
-// view and the `.metrics` admin snapshot agree by construction.
+// count — the same Value the registry's Prometheus exposition counts.
+// The `.stats` and `.metrics` admin commands are this view.
 func MetricsRows(snap []metrics.MetricSnapshot) []table.Row {
 	out := make([]table.Row, 0, len(snap))
 	for _, m := range snap {
@@ -36,15 +36,15 @@ func MetricsRows(snap []metrics.MetricSnapshot) []table.Row {
 // SlowRows projects the slow-query ring's span trees into __sys.slow
 // rows: (stmt, dur_us, rows, dop, epoch). The statement is the root
 // span's note; row counts come from the root or, when the root carries
-// none, its exec child — the same tree the `.slow` admin command
-// returns, so the view and the admin snapshot agree by construction.
+// none, the exec span's "next" phase, which counts the rows streamed.
+// The `.slow` admin command is this view.
 func SlowRows(snaps []trace.SpanSnapshot) []table.Row {
 	out := make([]table.Row, 0, len(snaps))
 	for i := range snaps {
 		s := &snaps[i]
 		rows := s.Rows
 		if rows == 0 {
-			if e := s.Find("exec"); e != nil {
+			if e := s.Find("next"); e != nil {
 				rows = e.Rows
 			}
 		}

@@ -10,15 +10,15 @@
 // own execution. Tables satisfy the xlang.VirtualTable interface
 // structurally (Schema/EstRows/NewOp) and enter plans as plan.Source
 // leaves; providers are registered by the layers that own the state
-// (catalog: wal/txns/indexes/stats/bufferpool, server:
-// queries/metrics/slow, federation coordinator: sites).
+// (catalog: tables/wal/txns/indexes/stats/bufferpool, server:
+// queries/metrics/slow, federation coordinator: sites). The server's
+// admin read commands (.stats .metrics .slow .tables .schema) are sugar
+// for queries of these views, so there is one introspection path.
 package sysview
 
 import (
 	"context"
 	"fmt"
-	"sort"
-	"sync"
 
 	"xst/internal/exec"
 	"xst/internal/table"
@@ -36,6 +36,7 @@ const (
 	Indexes = "__sys.indexes"
 	Stats   = "__sys.stats"
 	Pool    = "__sys.bufferpool"
+	Tables  = "__sys.tables"
 )
 
 // StandardCols fixes the column set of each standard view. Shared so
@@ -60,6 +61,11 @@ var StandardCols = map[string][]string{
 	Stats: {"tbl", "col", "rows", "distinct"},
 	// One row per buffer pool: occupancy and lifetime counters.
 	Pool: {"frames", "capacity", "hits", "misses", "evictions", "writes", "recycled", "pinned"},
+	// One row per stored table: its columns as one tuple, row count,
+	// sampled encoded row bytes, and the partition spec — part_kind is ""
+	// for an unpartitioned table, part_bounds the ⟨bounds…⟩ tuple of a
+	// range one. (Not "site": a coordinator's union prepends that.)
+	Tables: {"tbl", "cols", "rows", "row_bytes", "part_kind", "part_col", "part_site", "part_sites", "part_bounds"},
 }
 
 // Table is one system view: a fixed schema plus a Rows function
@@ -95,7 +101,13 @@ func (t *Table) NewOp() (exec.Operator, error) {
 	if t.Rows == nil {
 		return nil, fmt.Errorf("sysview: %s has no row producer", t.Name)
 	}
-	return &op{t: t}, nil
+	return exec.NewMaterialized("sysview("+t.Name+")", t.Schema(), func(ctx context.Context) ([]table.Row, error) {
+		rows, err := t.Rows(ctx)
+		if err != nil {
+			return nil, fmt.Errorf("sysview: %s: %w", t.Name, err)
+		}
+		return rows, nil
+	}), nil
 }
 
 // Standard returns a Table with the canonical columns for name. It
@@ -107,116 +119,3 @@ func Standard(name, help string, rows func(ctx context.Context) ([]table.Row, er
 	}
 	return &Table{Name: name, Help: help, Cols: cols, Rows: rows}
 }
-
-// Registry collects the views one process serves. Registration happens
-// at construction time (catalog open, server start, coordinator
-// connect); reads are per-query.
-type Registry struct {
-	mu     sync.RWMutex
-	byName map[string]*Table
-}
-
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{byName: map[string]*Table{}}
-}
-
-// Register adds t, rejecting duplicates and empty names.
-func (r *Registry) Register(t *Table) error {
-	if t.Name == "" {
-		return fmt.Errorf("sysview: empty view name")
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, dup := r.byName[t.Name]; dup {
-		return fmt.Errorf("sysview: duplicate view %q", t.Name)
-	}
-	r.byName[t.Name] = t
-	return nil
-}
-
-// Get fetches a registered view by name.
-func (r *Registry) Get(name string) (*Table, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	t, ok := r.byName[name]
-	return t, ok
-}
-
-// Tables returns the registered views sorted by name.
-func (r *Registry) Tables() []*Table {
-	r.mu.RLock()
-	out := make([]*Table, 0, len(r.byName))
-	for _, t := range r.byName {
-		out = append(out, t)
-	}
-	r.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// op materializes one view at Open and streams it out in batches. The
-// emitted batches alias the materialized slice — scratch per the exec
-// contract, owned by this operator until Close.
-type op struct {
-	t      *Table
-	ctx    context.Context
-	buf    []table.Row
-	off    int
-	opened bool
-	st     exec.OpStats
-}
-
-// Open computes the view's rows.
-func (o *op) Open(ctx context.Context) error {
-	o.st = exec.OpStats{}
-	rows, err := o.t.Rows(ctx)
-	if err != nil {
-		return fmt.Errorf("sysview: %s: %w", o.t.Name, err)
-	}
-	o.ctx, o.buf, o.off, o.opened = ctx, rows, 0, true
-	o.st.HeldRows = len(rows)
-	return nil
-}
-
-// Next emits the next batch of materialized rows.
-func (o *op) Next() ([]table.Row, error) {
-	if !o.opened {
-		return nil, fmt.Errorf("exec: %s: Next before Open", o)
-	}
-	if err := o.ctx.Err(); err != nil {
-		return nil, err
-	}
-	if o.off >= len(o.buf) {
-		return nil, nil
-	}
-	end := o.off + exec.MaxBatchRows
-	if end > len(o.buf) {
-		end = len(o.buf)
-	}
-	out := o.buf[o.off:end]
-	o.off = end
-	o.st.RowsOut += len(out)
-	o.st.Batches++
-	if len(out) > o.st.MaxBatch {
-		o.st.MaxBatch = len(out)
-	}
-	return out, nil
-}
-
-// Close releases the materialized rows.
-func (o *op) Close() error {
-	o.buf, o.opened = nil, false
-	return nil
-}
-
-// OutSchema implements exec.Operator.
-func (o *op) OutSchema() table.Schema { return o.t.Schema() }
-
-// Stats implements exec.Operator.
-func (o *op) Stats() exec.OpStats { return o.st }
-
-// Children implements exec.Operator.
-func (o *op) Children() []exec.Operator { return nil }
-
-func (o *op) String() string { return "sysview(" + o.t.Name + ")" }

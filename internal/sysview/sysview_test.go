@@ -24,23 +24,6 @@ func TestStandardPanicsOnUnknownView(t *testing.T) {
 	sysview.Standard("__sys.nope", "", nil)
 }
 
-func TestRegistryRejectsDuplicates(t *testing.T) {
-	r := sysview.NewRegistry()
-	rows := func(context.Context) ([]table.Row, error) { return nil, nil }
-	if err := r.Register(sysview.Standard(sysview.Pool, "", rows)); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Register(sysview.Standard(sysview.Pool, "", rows)); err == nil {
-		t.Fatal("duplicate view registered")
-	}
-	if err := r.Register(&sysview.Table{}); err == nil {
-		t.Fatal("nameless view registered")
-	}
-	if got, ok := r.Get(sysview.Pool); !ok || got.Name != sysview.Pool || len(r.Tables()) != 1 {
-		t.Fatalf("Get = %v, %v; Tables = %d", got, ok, len(r.Tables()))
-	}
-}
-
 // TestPoolRowFollowsTheSchema pins __sys.bufferpool's columns and ties
 // each one to the store.PoolInfo field it reports.
 func TestPoolRowFollowsTheSchema(t *testing.T) {
@@ -59,8 +42,8 @@ func TestPoolRowFollowsTheSchema(t *testing.T) {
 
 // TestBufferPoolViewThroughServer asks a served database about its own
 // pool in its own query language: the pool is smaller than the table,
-// so after one scan `where misses > 0` holds, the row agrees with the
-// `.stats` snapshot, and /metrics carries the same series.
+// so after one scan `where misses > 0` holds and a restriction the row
+// fails filters it out.
 func TestBufferPoolViewThroughServer(t *testing.T) {
 	const frames = 8
 	db, err := catalog.Create(store.NewMemPager(), frames)
@@ -130,24 +113,4 @@ func TestBufferPoolViewThroughServer(t *testing.T) {
 		t.Fatalf("restriction on the view ignored: %v", none)
 	}
 
-	// The same reading through the two older doors.
-	st, err := c.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Pool == nil || st.Pool.Capacity != frames || st.Pool.Misses < misses || st.Pool.Recycled < recycled {
-		t.Fatalf(".stats pool = %+v, behind the view's %q", st.Pool, got[0])
-	}
-	text, err := c.MetricsText()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, col := range sysview.StandardCols[sysview.Pool] {
-		if !strings.Contains(text, "\nxstd_pool_"+col+" ") {
-			t.Fatalf("/metrics lacks xstd_pool_%s", col)
-		}
-	}
-	if !strings.Contains(text, fmt.Sprintf("\nxstd_pool_capacity %d\n", frames)) {
-		t.Fatal("/metrics reports a different pool capacity")
-	}
 }
