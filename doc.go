@@ -6,7 +6,8 @@
 //
 // The implementation lives under internal/; see README.md for the
 // architecture, DESIGN.md for the system inventory, and EXPERIMENTS.md
-// for the paper-vs-measured record. The root package holds the
-// benchmark suite (bench_test.go) regenerating every evaluation
-// artifact as testing.B benchmarks.
+// for the paper-vs-measured record. Each experiment is a test and a
+// benchmark beside the code it measures; EXPERIMENTS.md gives the
+// command that regenerates each number. The root package re-exports
+// the value model, the algebra and the process layer (api.go).
 package xst

@@ -1,8 +1,9 @@
 // Distributed demonstrates the paper's title claim — extended set
 // processing as the model for a *distributed* backend information
-// system: one dataset hash-partitioned over four sites, the same join
-// executed under four shipping strategies, with the simulated network
-// bytes each strategy moves. Run it with:
+// system: one dataset hash-partitioned over four in-process xstd sites,
+// the same join run through the federation coordinator under each of
+// its four shipping strategies, with the wire bytes each one moves.
+// Run it with:
 //
 //	go run ./examples/distributed
 package main
@@ -11,63 +12,58 @@ import (
 	"context"
 	"fmt"
 
+	"xst/internal/catalog"
 	"xst/internal/core"
-	"xst/internal/dist"
 	"xst/internal/fed"
 	"xst/internal/table"
-	"xst/internal/workload"
 	"xst/internal/xtest"
 )
 
 func main() {
-	const sites, users, orders = 4, 2_000, 10_000
+	const sites, nUsers, nOrders = 4, 2_000, 10_000
 
-	c := dist.NewCluster(sites, 256)
-	if err := c.CreateTable(workload.UsersSchema()); err != nil {
-		panic(err)
-	}
-	if err := c.CreateTable(workload.OrdersSchema()); err != nil {
-		panic(err)
-	}
 	r := xtest.NewRand(42)
-	for i := 0; i < users; i++ {
-		row := table.Row{core.Int(i), core.Str(fmt.Sprintf("city-%02d", r.Intn(20))), core.Int(r.Intn(100))}
-		if err := c.InsertHash("users", 0, row); err != nil {
-			panic(err)
+	users := make([]table.Row, nUsers)
+	for i := range users {
+		users[i] = table.Row{core.Int(i), core.Str(fmt.Sprintf("city-%02d", r.Intn(20))), core.Int(r.Intn(100))}
+	}
+	orders := make([]table.Row, nOrders)
+	for i := range orders {
+		orders[i] = table.Row{core.Int(i), core.Int(r.Intn(nUsers)), core.Int(r.Intn(1000))}
+	}
+	// Users hash on id and orders hash on uid: the join below is
+	// co-partitioned, so every strategy, co-located included, applies.
+	populate := func(dbs []*catalog.Database) error {
+		if err := fed.CreateSharded(dbs, table.Schema{Name: "users", Cols: []string{"id", "city", "score"}},
+			&catalog.Partition{Kind: catalog.PartHash, Col: "id"}, users); err != nil {
+			return err
 		}
+		return fed.CreateSharded(dbs, table.Schema{Name: "orders", Cols: []string{"oid", "uid", "amount"}},
+			&catalog.Partition{Kind: catalog.PartHash, Col: "uid"}, orders)
 	}
-	for i := 0; i < orders; i++ {
-		row := table.Row{core.Int(i), core.Int(r.Intn(users)), core.Int(r.Intn(1000))}
-		if err := c.InsertHash("orders", 1, row); err != nil {
-			panic(err)
-		}
-	}
-	fmt.Printf("cluster: %d sites, %d users + %d orders hash-partitioned\n",
-		sites, c.Count("users"), c.Count("orders"))
-	for _, s := range c.Sites {
-		u, _ := s.Table("users")
-		o, _ := s.Table("orders")
-		fmt.Printf("  site %d: %5d users, %5d orders\n", s.ID, u.Count(), o.Count())
-	}
-	fmt.Println()
 
 	// A selective query: join cheap orders to their users.
-	spec := dist.JoinSpec{
-		Left: "orders", Right: "users",
-		LeftCol: 1, RightCol: 0,
-		LeftPred:     func(row table.Row) bool { return core.Compare(row[2], core.Int(30)) < 0 },
-		LeftPredName: "amount < 30",
-	}
-	fmt.Println("join orders⋈users where amount < 30, by strategy:")
-	fmt.Printf("  %-11s  %10s  %6s  %6s\n", "strategy", "net bytes", "msgs", "rows")
-	for _, strat := range []fed.Strategy{fed.ShipAll, fed.Broadcast, fed.SemiJoin, fed.CoLocated} {
-		c.Net.Reset()
-		rows, err := c.Join(context.Background(), spec, strat)
+	const stmt = "from orders join users on uid = id where amount < 30 select oid, amount, city"
+	fmt.Printf("%d sites, %d users + %d orders hash-partitioned\n", sites, nUsers, nOrders)
+	fmt.Printf("%s, by strategy:\n", stmt)
+	fmt.Printf("  %-10s  %10s  %6s\n", "strategy", "wire bytes", "rows")
+	ctx := context.Background()
+	for _, force := range []string{"shipall", "broadcast", "semijoin", "colocated"} {
+		lf, err := fed.BootLocal(ctx, sites, fed.Config{ForceStrategy: force}, populate)
 		if err != nil {
 			panic(err)
 		}
-		st := c.Net.Stats()
-		fmt.Printf("  %-11s  %10d  %6d  %6d\n", strat, st.Bytes, st.Messages, len(rows))
+		q, err := lf.Coord.Compile(stmt)
+		if err != nil {
+			panic(err)
+		}
+		before := lf.Coord.Metrics().BytesShipped.Value()
+		rows := 0
+		if _, err := q.Run(ctx, func(b []table.Row) error { rows += len(b); return nil }); err != nil {
+			panic(err)
+		}
+		fmt.Printf("  %-10s  %10d  %6d\n", force, lf.Coord.Metrics().BytesShipped.Value()-before, rows)
+		lf.Shutdown(ctx)
 	}
 	fmt.Println()
 	fmt.Println("semijoin ships the probe-side key *set* (an XST image) instead of")

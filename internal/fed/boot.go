@@ -15,8 +15,8 @@ import (
 
 // LocalFed is an in-process federation: N xstd servers over in-memory
 // databases on loopback listeners, plus a connected coordinator — the
-// harness behind `xstbench -sites`, the differential equivalence suite
-// and the CI federation smoke job.
+// harness behind the differential equivalence suite, the shipping
+// experiments (E11, E15) and examples/distributed.
 type LocalFed struct {
 	Coord *Coordinator
 	// Registry carries the coordinator's xstd_fed_* series.

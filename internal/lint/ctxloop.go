@@ -14,12 +14,11 @@ var ctxLoopPkgs = []string{
 	"xst/internal/exec",
 	"xst/internal/fed",
 	"xst/internal/trace",
-	"xst/internal/dist",
 	"xst/internal/index",
 }
 
 // CtxLoopAnalyzer keeps the deadline guarantees from the serving layer
-// from rotting as the algebra grows. In internal/{algebra,xlang,exec,fed,trace,dist,index}
+// from rotting as the algebra grows. In internal/{algebra,xlang,exec,fed,trace,index}
 // it enforces two rules:
 //
 //  1. Inside any function that receives a context.Context, a loop ranging

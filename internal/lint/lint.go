@@ -10,7 +10,7 @@
 //	            to ownSet/NewSet inside internal/core are not touched
 //	            after the ownership transfer.
 //	ctxloop   — member loops inside context-carrying functions in
-//	            internal/{algebra,xlang,exec,fed,trace,dist,index} poll
+//	            internal/{algebra,xlang,exec,fed,trace,index} poll
 //	            cancellation, and the non-Ctx convenience wrappers are
 //	            pure delegations.
 //	valueeq   — core.Value operands are compared with core.Equal (or a
@@ -18,7 +18,7 @@
 //	lockheld  — no channel sends, net.Conn writes, xlang.Eval* calls, or
 //	            calls to (transitively) blocking functions while a
 //	            sync.Mutex/RWMutex is held in
-//	            internal/{server,catalog,store,fed,trace,dist}.
+//	            internal/{server,catalog,store,fed,trace}.
 //	atomicmix — struct fields accessed through sync/atomic are never
 //	            also read or written plainly.
 //	spanclose — trace spans (trace.NewRoot / Span.Start) are ended on

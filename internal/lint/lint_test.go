@@ -111,10 +111,6 @@ func TestLockHeldTrace(t *testing.T) {
 	linttest.Run(t, loader(t), lint.LockHeldAnalyzer, "trace")
 }
 
-func TestCtxLoopDist(t *testing.T) {
-	linttest.Run(t, loader(t), lint.CtxLoopAnalyzer, "dist")
-}
-
 func TestCtxLoopIndex(t *testing.T) {
 	linttest.Run(t, loader(t), lint.CtxLoopAnalyzer, "index")
 }
@@ -165,7 +161,6 @@ func TestRunnerConcurrent(t *testing.T) {
 		{"opclose", "plan"},
 		{"connclose", "fed"},
 		{"trace", "trace"},
-		{"dist", "dist"},
 	}
 	r := lint.NewRunner(lint.All())
 	var pkgs []*lint.LoadedPackage

@@ -14,7 +14,6 @@ var lockHeldPkgs = []string{
 	"xst/internal/store",
 	"xst/internal/fed",
 	"xst/internal/trace",
-	"xst/internal/dist",
 }
 
 // LockHeldAnalyzer enforces lock discipline in the serving path: while a

@@ -227,9 +227,9 @@ func sanitizeHelp(s string) string {
 	return strings.ReplaceAll(strings.ReplaceAll(s, "\\", `\\`), "\n", `\n`)
 }
 
-// Histogram returns the registered histogram by name, or nil — used by
-// consumers (xstbench) that want quantiles for one specific series out
-// of a registry snapshot.
+// Histogram returns the registered histogram by name, or nil — for
+// callers that want quantiles for one specific series out of a
+// registry.
 func (r *Registry) Histogram(name string) *Histogram {
 	r.mu.RLock()
 	defer r.mu.RUnlock()

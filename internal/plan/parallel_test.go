@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"xst/internal/exec"
+	"xst/internal/table"
 	"xst/internal/xtest"
 )
 
@@ -47,9 +48,10 @@ func TestChooseDOP(t *testing.T) {
 	}
 }
 
-// TestCompileDOPMatchesSerial is the parallel refactor's safety net:
-// every corpus plan must produce the same row multiset from the
-// parallel tree, the serial tree, and the materialized baseline.
+// TestCompileDOPMatchesSerial is the parallel refactor's safety net,
+// and E13's check at quick scale: every corpus plan must produce the
+// same row multiset from the parallel tree at 2, 4 and 8 workers, the
+// serial tree, and the materialized baseline.
 func TestCompileDOPMatchesSerial(t *testing.T) {
 	for i, p := range streamPlans(t) {
 		serial, err := Compile(p)
@@ -60,15 +62,17 @@ func TestCompileDOPMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatalf("plan %d serial: %v", i, err)
 		}
-		par, err := CompileDOP(p, 4)
-		if err != nil {
-			t.Fatalf("plan %d compile dop=4: %v", i, err)
+		var got []table.Row
+		for _, dop := range []int{2, 4, 8} {
+			par, err := CompileDOP(p, dop)
+			if err != nil {
+				t.Fatalf("plan %d compile dop=%d: %v", i, dop, err)
+			}
+			if got, err = exec.Collect(context.Background(), par); err != nil {
+				t.Fatalf("plan %d dop=%d: %v", i, dop, err)
+			}
+			sameRows(t, got, want)
 		}
-		got, err := exec.Collect(context.Background(), par)
-		if err != nil {
-			t.Fatalf("plan %d parallel: %v", i, err)
-		}
-		sameRows(t, got, want)
 		mrows, _, err := ExecuteMaterialized(p)
 		if err != nil {
 			t.Fatalf("plan %d materialized: %v", i, err)

@@ -1,10 +1,13 @@
 package process
 
 import (
+	"fmt"
 	"testing"
+	"time"
 
 	"xst/internal/algebra"
 	"xst/internal/core"
+	"xst/internal/workload"
 	"xst/internal/xtest"
 )
 
@@ -190,5 +193,48 @@ func TestComposeInverseYieldsIdentityBehavior(t *testing.T) {
 	dom := core.S(core.Tuple(core.Str("a")), core.Tuple(core.Str("b")))
 	if !h.Equivalent(Identity(dom)) {
 		t.Fatalf("f⁻¹∘f must be I_A, got carrier %v", h.F)
+	}
+}
+
+// BenchmarkComposedChainApply is E9's symbolic half at full scale (§11,
+// Thm 11.2 as an optimization): a chain of k standard processes over
+// 256 values applied to 64 inputs stage by stage (base) against the
+// chain composed once into one carrier and applied once (variant);
+// build-ns is the one-off composition. The claim: for k ≥ 3 the
+// composed apply is not slower.
+func BenchmarkComposedChainApply(b *testing.B) {
+	const domain, inputs = 256, 64
+	in := core.NewBuilder(inputs)
+	for i := 0; i < inputs; i++ {
+		in.AddClassical(core.Tuple(core.Int(i * (domain / inputs))))
+	}
+	x := in.Set()
+	for _, k := range []int{2, 3, 4, 5} {
+		stages := make([]Proc, k)
+		for i, c := range workload.RandomChain(42, k, domain) {
+			stages[i] = Std(c)
+		}
+		start := time.Now()
+		h := stages[0]
+		for _, s := range stages[1:] {
+			h = MustStdCompose(s, h)
+		}
+		build := time.Since(start)
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			var staged, composed *core.Set
+			speedup := xtest.Versus(b, func() {
+				staged = x
+				for _, s := range stages {
+					staged = s.Apply(staged)
+				}
+			}, func() { composed = h.Apply(x) })
+			b.ReportMetric(float64(build.Nanoseconds()), "build-ns")
+			if !core.Equal(staged, composed) {
+				b.Fatalf("staged ≠ composed")
+			}
+			if k >= 3 && speedup < 1 {
+				b.Fatalf("composed apply %.2fx of staged: slower", speedup)
+			}
+		})
 	}
 }

@@ -17,7 +17,7 @@ import (
 
 // startServer runs a server on a loopback port and returns it with its
 // address and a stop function.
-func startServer(t *testing.T, cfg Config) (*Server, string) {
+func startServer(t testing.TB, cfg Config) (*Server, string) {
 	t.Helper()
 	cfg.Addr = "127.0.0.1:0"
 	srv, err := New(cfg)

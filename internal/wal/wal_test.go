@@ -316,3 +316,27 @@ func TestFileBackedEndToEndRecovery(t *testing.T) {
 
 func readFile(path string) ([]byte, error)  { return os.ReadFile(path) }
 func writeFile(path string, b []byte) error { return os.WriteFile(path, b, 0o644) }
+
+// BenchmarkWALCommit commits one freshly allocated full page per
+// transaction through the manager over an in-memory log.
+func BenchmarkWALCommit(b *testing.B) {
+	mgr := NewManager(store.NewMemPager(), NewMemLog())
+	payload := make([]byte, store.PageSize)
+	for i := range payload {
+		payload[i] = byte(i)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		txn := mgr.Begin()
+		id, err := txn.Allocate()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := txn.WritePage(id, payload); err != nil {
+			b.Fatal(err)
+		}
+		if err := txn.Commit(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
