@@ -129,9 +129,14 @@ func main() {
 
 	// --- 4. Set-level query over nested fields ---------------------------
 	dbSkilled, err := exec.Count(context.Background(), exec.NewStage(&exec.Restrict{
-		Pred: func(r table.Row) bool {
-			s, ok := r[3].(*core.Set)
-			return ok && s.HasClassical(core.Str("db"))
+		Filter: func(b *table.Batch, sel []int32) []int32 {
+			skills, k := &b.Cols[3], 0
+			for _, r := range sel {
+				if s, ok := skills.Value(int(r)).(*core.Set); ok && s.HasClassical(core.Str("db")) {
+					sel[k], k = r, k+1
+				}
+			}
+			return sel[:k]
 		},
 		Name: "db ∈ skills",
 	}, exec.NewScan(people, nil)))

@@ -12,10 +12,9 @@ import (
 	"fmt"
 	"time"
 
-	"xst/internal/core"
 	"xst/internal/exec"
+	"xst/internal/plan"
 	"xst/internal/relational"
-	"xst/internal/table"
 	"xst/internal/workload"
 )
 
@@ -48,8 +47,8 @@ func main() {
 	ds.Pool.ResetStats()
 	start = time.Now()
 	setCount, err := exec.Count(context.Background(), exec.NewStage(&exec.Restrict{
-		Pred: func(r table.Row) bool { return core.Equal(r[cityCol], city) },
-		Name: "city = " + city.String(),
+		Filter: plan.CompilePred(plan.Cmp{Col: "city", Op: plan.Eq, Val: city}, ds.Users.Schema()),
+		Name:   "city = " + city.String(),
 	}, exec.NewScan(ds.Users, nil)))
 	if err != nil {
 		panic(err)

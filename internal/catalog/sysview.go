@@ -81,10 +81,11 @@ func (db *Database) tableRows(ctx context.Context) ([]table.Row, error) {
 // sampleRowBytes averages the encoded size of the table's first heap
 // page of rows — enough signal for a coordinator's byte-cost model.
 func sampleRowBytes(t *table.Table) int {
-	_, rows, ok, err := t.NewBatchCursor(nil).Next()
-	if err != nil || !ok || len(rows) == 0 {
+	_, b, ok, err := t.NewBatchCursor(nil).Next()
+	if err != nil || !ok || b.Len == 0 {
 		return 0
 	}
+	rows, _ := b.AppendRows(nil, nil)
 	total := 0
 	var enc []byte
 	for _, r := range rows {

@@ -141,12 +141,11 @@ func Decode(buf []byte) (Value, int, error) {
 			return nil, 0, ErrCorrupt
 		}
 	case tagInt:
-		u, n := binary.Uvarint(buf[1:])
-		if n <= 0 {
-			return nil, 0, ErrCorrupt
+		i, n, err := DecodeInt(buf)
+		if err != nil {
+			return nil, 0, err
 		}
-		i := int64(u>>1) ^ -int64(u&1)
-		return Int(i), 1 + n, nil
+		return Int(i), n, nil
 	case tagFloat:
 		if len(buf) < 9 {
 			return nil, 0, ErrCorrupt
@@ -158,12 +157,11 @@ func Decode(buf []byte) (Value, int, error) {
 		}
 		return Float(f), 9, nil
 	case tagString:
-		l, n := binary.Uvarint(buf[1:])
-		if n <= 0 || uint64(len(buf)) < 1+uint64(n)+l {
-			return nil, 0, ErrCorrupt
+		b, n, err := DecodeStrBytes(buf)
+		if err != nil {
+			return nil, 0, err
 		}
-		start := 1 + n
-		return Str(buf[start : start+int(l)]), start + int(l), nil
+		return Str(b), n, nil
 	case tagSet:
 		cnt, n := binary.Uvarint(buf[1:])
 		if n <= 0 || cnt > uint64(len(buf)) {
@@ -188,6 +186,44 @@ func Decode(buf []byte) (Value, int, error) {
 	default:
 		return nil, 0, ErrCorrupt
 	}
+}
+
+// PeekKind reports the kind of the value encoded at the front of buf;
+// ok is false when buf does not start with a value tag.
+func PeekKind(buf []byte) (k Kind, ok bool) {
+	if len(buf) == 0 || buf[0] < tagBool || buf[0] > tagSet {
+		return 0, false
+	}
+	return [...]Kind{KindBool, KindInt, KindFloat, KindString, KindSet}[buf[0]-tagBool], true
+}
+
+// DecodeInt parses the Int encoded at the front of buf without boxing
+// it, returning its value and the bytes it occupies. buf must start
+// with an Int (see PeekKind).
+func DecodeInt(buf []byte) (int64, int, error) {
+	if len(buf) == 0 || buf[0] != tagInt {
+		return 0, 0, ErrCorrupt
+	}
+	u, n := binary.Uvarint(buf[1:])
+	if n <= 0 {
+		return 0, 0, ErrCorrupt
+	}
+	return int64(u>>1) ^ -int64(u&1), 1 + n, nil
+}
+
+// DecodeStrBytes parses the Str encoded at the front of buf without
+// copying it: the bytes it returns are a window of buf. buf must start
+// with a Str (see PeekKind).
+func DecodeStrBytes(buf []byte) ([]byte, int, error) {
+	if len(buf) == 0 || buf[0] != tagString {
+		return nil, 0, ErrCorrupt
+	}
+	l, n := binary.Uvarint(buf[1:])
+	if n <= 0 || uint64(len(buf)) < 1+uint64(n)+l {
+		return nil, 0, ErrCorrupt
+	}
+	start := 1 + n
+	return buf[start : start+int(l)], start + int(l), nil
 }
 
 // Skip returns the number of bytes the value at the front of buf

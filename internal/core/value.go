@@ -125,7 +125,7 @@ func (b Bool) digest() uint64 {
 	return hashKindUint64(KindBool, 0)
 }
 
-func (i Int) digest() uint64 { return hashKindUint64(KindInt, uint64(i)) }
+func (i Int) digest() uint64 { return DigestInt(int64(i)) }
 
 func (f Float) digest() uint64 {
 	bits := math.Float64bits(float64(f))
@@ -135,7 +135,15 @@ func (f Float) digest() uint64 {
 	return hashKindUint64(KindFloat, bits)
 }
 
-func (s Str) digest() uint64 {
+func (s Str) digest() uint64 { return digestString(s) }
+
+// DigestInt is Digest(Int(i)), for a reader holding an unboxed integer.
+func DigestInt(i int64) uint64 { return hashKindUint64(KindInt, uint64(i)) }
+
+// DigestBytes is Digest(Str(b)), for a reader holding a string's bytes.
+func DigestBytes(b []byte) uint64 { return digestString(b) }
+
+func digestString[S ~string | ~[]byte](s S) uint64 {
 	h := hashByte(fnvOffset, byte(KindString))
 	for i := 0; i < len(s); i++ {
 		h = hashByte(h, s[i])

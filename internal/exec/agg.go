@@ -105,7 +105,8 @@ type acc struct {
 // core of the GroupAgg and ParallelGroupAgg operators: feed batches
 // through Absorb, then read the result rows once with Rows. Groups are
 // filed by the digest of their key in one core.Chains, atoms and sets
-// alike.
+// alike; a key is read off its column unboxed and boxed once, when its
+// group is created.
 type AggState struct {
 	keyCol int
 	aggs   []Agg
@@ -117,6 +118,7 @@ type AggState struct {
 	// of a chunk, not six objects.
 	accs  []acc
 	cells []cell
+	of    []*acc // scratch: the group of each row of the batch being absorbed
 }
 
 // NewAggState returns an empty accumulator grouping on keyCol.
@@ -124,57 +126,98 @@ func NewAggState(keyCol int, aggs ...Agg) *AggState {
 	return &AggState{keyCol: keyCol, aggs: append([]Agg(nil), aggs...)}
 }
 
-// Absorb folds one batch into the accumulators. Rows are not retained
-// (only their immutable values), so callers may pass operator scratch.
-func (s *AggState) Absorb(rows []table.Row) error {
-	for _, r := range rows {
-		g := s.group(r[s.keyCol])
-		for i, a := range s.aggs {
-			c := &g.cells[i]
-			switch a.Kind {
-			case AggCount:
-				c.count++
-			case AggSum:
-				switch v := r[a.Col].(type) {
-				case core.Int:
-					if err := c.addInt(int32(v>>63), int64(v)); err != nil {
-						return err
-					}
-				case core.Float:
-					c.addFloat(float64(v))
-				default:
-					return fmt.Errorf("exec: sum over non-numeric %v", v)
-				}
-			case AggMin:
-				if c.ext == nil || core.Compare(r[a.Col], c.ext) < 0 {
-					c.ext = r[a.Col]
-				}
-			case AggMax:
-				if c.ext == nil || core.Compare(r[a.Col], c.ext) > 0 {
-					c.ext = r[a.Col]
-				}
-			}
+// Absorb folds one batch into the accumulators: first the group of
+// every row, then each aggregate over its column. Nothing of the batch
+// is retained, so callers may pass operator scratch.
+func (s *AggState) Absorb(b *table.Batch) error {
+	key := &b.Cols[s.keyCol]
+	of := s.of[:0]
+	for i := 0; i < b.Len; i++ {
+		of = append(of, s.group(key, i))
+	}
+	s.of = of
+	for k, a := range s.aggs {
+		if err := fold(k, a, b, of); err != nil {
+			return err
 		}
 	}
-	s.rows += len(rows)
+	s.rows += b.Len
 	return nil
 }
 
-// group finds or creates the accumulator for one key value.
-func (s *AggState) group(key core.Value) *acc {
-	d := keyDigest(key)
+// fold folds aggregate k, a, over the rows of b into their groups of.
+func fold(k int, a Agg, b *table.Batch, of []*acc) error {
+	if a.Kind == AggCount {
+		for _, g := range of {
+			g.cells[k].count++
+		}
+		return nil
+	}
+	col := &b.Cols[a.Col]
+	switch a.Kind {
+	case AggSum:
+		switch col.Kind {
+		case table.ColInt:
+			for i, g := range of {
+				x := col.Ints[i]
+				if err := g.cells[k].addInt(int32(x>>63), x); err != nil {
+					return err
+				}
+			}
+		case table.ColAny:
+			for i, g := range of {
+				switch v := col.Vals[i].(type) {
+				case core.Int:
+					if err := g.cells[k].addInt(int32(v>>63), int64(v)); err != nil {
+						return err
+					}
+				case core.Float:
+					g.cells[k].addFloat(float64(v))
+				default:
+					return fmt.Errorf("exec: sum over non-numeric %v", v)
+				}
+			}
+		default:
+			return fmt.Errorf("exec: sum over non-numeric %v", col.Value(0))
+		}
+	case AggMin, AggMax:
+		sign := 1
+		if a.Kind == AggMax {
+			sign = -1
+		}
+		for i, g := range of {
+			if c := &g.cells[k]; c.ext == nil || sign*col.Compare(i, c.ext) < 0 {
+				c.ext = col.Value(i)
+			}
+		}
+	}
+	return nil
+}
+
+// group finds or creates the group of the key at row i of column key.
+func (s *AggState) group(key *table.Col, i int) *acc {
+	d := key.Digest(i) & digestMask
+	for id := s.chains.First(d); id >= 0; id = s.chains.Next(id) {
+		if g := s.groups[id]; key.EqualValue(i, g.key) {
+			return g
+		}
+	}
+	return s.newAcc(d, key.Value(i))
+}
+
+// groupOf finds or creates the group of key.
+func (s *AggState) groupOf(key core.Value) *acc {
+	d := core.Digest(key) & digestMask
 	for id := s.chains.First(d); id >= 0; id = s.chains.Next(id) {
 		if g := s.groups[id]; core.Equal(g.key, key) {
 			return g
 		}
 	}
-	g := s.newAcc(key)
-	s.chains.Add(d)
-	s.groups = append(s.groups, g)
-	return g
+	return s.newAcc(d, key)
 }
 
-func (s *AggState) newAcc(key core.Value) *acc {
+// newAcc files a new group for key under digest d.
+func (s *AggState) newAcc(d uint64, key core.Value) *acc {
 	k := len(s.aggs)
 	if len(s.accs) == cap(s.accs) {
 		n := 2*cap(s.accs) + 1
@@ -187,6 +230,8 @@ func (s *AggState) newAcc(key core.Value) *acc {
 	for i := range g.cells {
 		g.cells[i].isInt = true
 	}
+	s.chains.Add(d)
+	s.groups = append(s.groups, g)
 	return g
 }
 
@@ -206,7 +251,7 @@ func (s *AggState) Merge(o *AggState) error {
 		}
 	}
 	for _, src := range o.groups {
-		dst := s.group(src.key)
+		dst := s.groupOf(src.key)
 		for i, a := range s.aggs {
 			d, c := &dst.cells[i], &src.cells[i]
 			switch a.Kind {
@@ -272,6 +317,19 @@ func (s *AggState) Rows() ([]table.Row, error) {
 	return out, nil
 }
 
+// nextChunk hands out the next MaxBatchRows of rows, advancing past
+// them, as a fresh batch of boxed columns of the given width; nil when
+// none are left.
+func nextChunk(rows *[]table.Row, width int) *table.Batch {
+	if len(*rows) == 0 {
+		return nil
+	}
+	n := min(len(*rows), MaxBatchRows)
+	out := table.BatchOf((*rows)[:n], width)
+	*rows = (*rows)[n:]
+	return out
+}
+
 // GroupAgg is the streaming aggregate operator: Open drains the child
 // into an AggState — accumulators only, never the input rows — and
 // Next emits the (key, agg…) result in MaxBatchRows chunks. The held
@@ -302,18 +360,18 @@ func (g *GroupAgg) Open(ctx context.Context) error {
 	}
 	st := NewAggState(g.keyCol, g.aggs...)
 	for {
-		rows, err := g.child.Next()
+		b, err := g.child.Next()
 		if err != nil {
 			return err
 		}
-		if rows == nil {
+		if b == nil {
 			break
 		}
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		g.stats.RowsIn += len(rows)
-		if err := st.Absorb(rows); err != nil {
+		g.stats.RowsIn += b.Len
+		if err := st.Absorb(b); err != nil {
 			return err
 		}
 	}
@@ -327,18 +385,15 @@ func (g *GroupAgg) Open(ctx context.Context) error {
 }
 
 // Next implements Operator.
-func (g *GroupAgg) Next() ([]table.Row, error) {
+func (g *GroupAgg) Next() (*table.Batch, error) {
 	defer g.stats.timed(time.Now())
 	if !g.open {
 		return nil, errOpen(g)
 	}
-	if len(g.queue) == 0 {
-		return nil, nil
+	out := nextChunk(&g.queue, 1+len(g.aggs))
+	if out != nil {
+		g.stats.emitted(out)
 	}
-	n := min(len(g.queue), MaxBatchRows)
-	out := g.queue[:n]
-	g.queue = g.queue[n:]
-	g.stats.emitted(out)
 	return out, nil
 }
 

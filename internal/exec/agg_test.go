@@ -148,13 +148,13 @@ func TestAggSumExactOverInts(t *testing.T) {
 			}
 
 			st := exec.NewAggState(0, sum)
-			got, err := result(st, st.Absorb(rows))
+			got, err := result(st, st.Absorb(table.BatchOf(rows, 2)))
 			checkSum(t, "absorb", got, err, tc.want)
 
 			merged := exec.NewAggState(0, sum)
 			for _, r := range rows {
 				part := exec.NewAggState(0, sum)
-				if err = part.Absorb([]table.Row{r}); err != nil {
+				if err = part.Absorb(table.BatchOf([]table.Row{r}, 2)); err != nil {
 					t.Fatal(err)
 				}
 				if err = merged.Merge(part); err != nil {

@@ -16,25 +16,41 @@ import (
 // materialized output of the one before, against the same stages
 // composed into one pass over the scan.
 
-// runStaged is the staged baseline. Its first scan is exec.Collect, and
-// each later stage sees the previous intermediate in page-sized chunks
-// so operator scratch reuse stays comparable.
+// runStaged is the staged baseline. Its first scan is copied whole into
+// one batch, and each later stage sees the previous intermediate in
+// page-sized chunks so operator scratch reuse stays comparable.
 func runStaged(src *table.Table, ops []exec.Op) ([]table.Row, error) {
-	cur, err := exec.Collect(context.Background(), exec.NewScan(src, nil))
-	if err != nil {
+	var cur table.Batch
+	scan := exec.NewScan(src, nil)
+	if err := scan.Open(context.Background()); err != nil {
 		return nil, err
 	}
+	defer scan.Close()
+	for {
+		b, err := scan.Next()
+		if err != nil {
+			return nil, err
+		}
+		if b == nil {
+			break
+		}
+		cur.AppendSel(b, nil)
+	}
 	for _, op := range ops {
-		next := make([]table.Row, 0, len(cur))
+		var next, in table.Batch
 		const chunk = 256
-		for i := 0; i < len(cur); i += chunk {
-			for _, r := range op.Process(cur[i:min(i+chunk, len(cur))]) {
-				next = append(next, r.Clone())
+		for i := 0; i < cur.Len; i += chunk {
+			var sel []int32
+			for r := i; r < min(i+chunk, cur.Len); r++ {
+				sel = append(sel, int32(r))
 			}
+			in.Gather(&cur, sel)
+			next.AppendSel(op.Process(&in), nil)
 		}
 		cur = next
 	}
-	return cur, nil
+	rows, _ := cur.AppendRows(nil, nil)
+	return rows, nil
 }
 
 // TestPipelineComposedEqualsStaged pins E9's baseline to the tree it is
@@ -49,8 +65,8 @@ func TestPipelineComposedEqualsStaged(t *testing.T) {
 	city := workload.SelectivityValue(5)
 	ops := func() []exec.Op {
 		return []exec.Op{
-			&exec.Restrict{Pred: func(r table.Row) bool { return core.Equal(r[cityCol], city) }, Name: "city"},
-			&exec.Restrict{Pred: func(r table.Row) bool { return core.Compare(r[scoreCol], core.Int(50)) < 0 }, Name: "score<50"},
+			&exec.Restrict{Filter: exec.RowPred(func(r table.Row) bool { return core.Equal(r[cityCol], city) }), Name: "city"},
+			&exec.Restrict{Filter: exec.RowPred(func(r table.Row) bool { return core.Compare(r[scoreCol], core.Int(50)) < 0 }), Name: "score<50"},
 			&exec.Project{Cols: []int{0}},
 		}
 	}
@@ -83,15 +99,15 @@ func BenchmarkStagedVsComposed(b *testing.B) {
 	scoreCol, cityCol := ds.Users.Schema().Col("score"), ds.Users.Schema().Col("city")
 	ops := func() []exec.Op {
 		return []exec.Op{
-			&exec.Restrict{Pred: func(r table.Row) bool {
+			&exec.Restrict{Filter: exec.RowPred(func(r table.Row) bool {
 				return core.Compare(r[scoreCol], core.Int(80)) < 0
-			}, Name: "score<80"},
-			&exec.Restrict{Pred: func(r table.Row) bool {
+			}), Name: "score<80"},
+			&exec.Restrict{Filter: exec.RowPred(func(r table.Row) bool {
 				return core.Compare(r[scoreCol], core.Int(20)) >= 0
-			}, Name: "score>=20"},
-			&exec.Restrict{Pred: func(r table.Row) bool {
+			}), Name: "score>=20"},
+			&exec.Restrict{Filter: exec.RowPred(func(r table.Row) bool {
 				return !core.Equal(r[cityCol], core.Str("city-000"))
-			}, Name: "city!=0"},
+			}), Name: "city!=0"},
 			&exec.Project{Cols: []int{0}},
 		}
 	}

@@ -17,19 +17,22 @@
 //   - Close releases resources; it is idempotent and safe after a
 //     failed Open.
 //
-// Ownership — one rule, everywhere: a batch and the rows in it are
-// scratch until the producer's next Next. The slice, the row headers
-// and the rows' value slots all belong to the operator, which refills
-// them in place (a scan decodes every page into the same two slabs, a
-// join probe cuts its output from one, a projection from another); the
-// values themselves are immutable and may always be kept. So consume a
-// batch before pulling again, and copy what must outlive the pull. The
-// operators that do hold rows across pulls — Gather, HashBuild, the
-// HashJoin build, Sort — and Collect take every batch through keep,
-// which copies it into one value slab and one header slab unless the
-// producer is a Retainer: an operator that hands out fresh batches it
-// never touches again, and says so. A position the plan does not read
-// is nil in a scan's rows (see NewScan); nothing above the scan looks.
+// Batches are columnar (table.Batch): one column per position, ints
+// and strings held unboxed, anything else boxed. Predicates, join and
+// group keys and sums read the columns; a value is boxed only when it
+// leaves the plan — Stream and Collect turn each output batch into rows
+// just before handing them on — or when a group is created for it.
+//
+// Ownership — one rule, everywhere: a batch and its columns are scratch
+// until the producer's next Next. The operator refills them in place (a
+// scan decodes every page into one batch, a join probe gathers its
+// output into another); a projection re-points column headers at its
+// input's arrays. So consume a batch before pulling again, and copy
+// what must outlive the pull: the operators that hold rows across pulls
+// — Gather, HashBuild, the HashJoin build, Sort, Distinct — copy the
+// rows they keep into batches of their own. A position the plan does
+// not read is a ColAbsent column in a scan's batches (see NewScan);
+// nothing above the scan looks.
 //
 // No operator materializes its full input except HashJoin's build side,
 // Sort, and GroupAgg's accumulator table — the three places DESIGN.md
@@ -71,10 +74,10 @@ type Operator interface {
 	// Open prepares the subtree under a cancellation context, which is
 	// polled once per batch while streaming.
 	Open(ctx context.Context) error
-	// Next returns the next output batch, or (nil, nil) at end of
-	// stream. The batch is scratch until the following Next; see the
-	// package comment.
-	Next() ([]table.Row, error)
+	// Next returns the next output batch, never empty, or (nil, nil)
+	// at end of stream. The batch is scratch until the following Next;
+	// see the package comment.
+	Next() (*table.Batch, error)
 	// Close releases the subtree's resources.
 	Close() error
 	// OutSchema reports the operator's output schema.
@@ -99,61 +102,21 @@ func Walk(op Operator, fn func(op Operator, depth int)) {
 	rec(op, 0)
 }
 
-// Retainer marks operators whose Next batches (slice and rows) are
-// freshly allocated and never touched again by the operator, so a
-// holder may keep them uncopied (keep). It is the single switch for
-// clone-on-exchange, and only operators that really hand out fresh
-// batches implement it: an aggregate emitting its result, a remote
-// stream decoding off the wire, an exchange that has already copied.
-type Retainer interface{ RetainableBatches() bool }
-
-// retainableBatches reports whether op's batches may be kept uncopied.
-func retainableBatches(op Operator) bool {
-	r, ok := op.(Retainer)
-	return ok && r.RetainableBatches()
-}
-
-// cloneBatch copies a batch out of operator scratch: one slab for all
-// the values and one for the row headers, whatever the row count.
-func cloneBatch(rows []table.Row) []table.Row {
-	n := 0
-	for _, r := range rows {
-		n += len(r)
-	}
-	vals := make([]core.Value, 0, n)
-	out := make([]table.Row, len(rows))
-	for i, r := range rows {
-		vals = append(vals, r...)
-		out[i] = vals[len(vals)-len(r) : len(vals) : len(vals)]
-	}
-	return out
-}
-
-// keep returns op's batch in a form that outlives op's next Next: the
-// batch itself when op vouches for it (Retainer), a copy otherwise.
-// Every operator that holds rows across pulls takes them through here,
-// but HashJoin, which copies its build side into one value slab.
-func keep(op Operator, rows []table.Row) []table.Row {
-	if retainableBatches(op) {
-		return rows
-	}
-	return cloneBatch(rows)
-}
-
-// Collect drains the tree into a materialized, retainable row slice
-// (batches copied out of operator scratch, see keep). The tree is
-// opened and closed around the drain.
+// Collect drains the tree into materialized, retainable rows: each
+// batch is boxed into a fresh value slab. The tree is opened and closed
+// around the drain.
 func Collect(ctx context.Context, op Operator) ([]table.Row, error) {
 	var out []table.Row
-	err := Stream(ctx, op, func(rows []table.Row) error {
-		out = append(out, keep(op, rows)...)
+	err := drain(ctx, op, func(b *table.Batch) error {
+		out, _ = b.AppendRows(out, nil)
 		return nil
 	})
 	return out, err
 }
 
-// Stream opens op, feeds every batch to emit, and closes it. A batch
-// passed to emit is scratch once emit returns.
+// Stream opens op, feeds every batch to emit as rows, and closes it.
+// The rows are boxed into one slab reused from batch to batch, so they
+// are scratch once emit returns (their values may be kept).
 //
 // When the context carries a trace span (trace.WithSpan), Stream opens
 // an "exec" child with "open", "next" and "close" phases under it, and
@@ -162,6 +125,17 @@ func Collect(ctx context.Context, op Operator) ([]table.Row, error) {
 // same tree. Untraced contexts cost one nil check per phase and
 // nothing per batch.
 func Stream(ctx context.Context, op Operator, emit func(rows []table.Row) error) error {
+	var rows []table.Row
+	var vals []core.Value
+	return drain(ctx, op, func(b *table.Batch) error {
+		rows, vals = b.AppendRows(rows[:0], vals[:0])
+		return emit(rows)
+	})
+}
+
+// drain is Stream without the rows: every batch goes to emit as the
+// operator produced it.
+func drain(ctx context.Context, op Operator, emit func(b *table.Batch) error) error {
 	sp := trace.SpanOf(ctx).Start("exec")
 	defer sp.End()
 	ctx = trace.WithSpan(ctx, sp)
@@ -173,16 +147,16 @@ func Stream(ctx context.Context, op Operator, emit func(rows []table.Row) error)
 	nsp := sp.Start("next")
 	defer nsp.End()
 	for {
-		rows, err := op.Next()
+		b, err := op.Next()
 		if err != nil {
 			return err
 		}
-		if rows == nil {
+		if b == nil {
 			return nil
 		}
-		nsp.AddRows(len(rows))
+		nsp.AddRows(b.Len)
 		nsp.AddBatches(1)
-		if err := emit(rows); err != nil {
+		if err := emit(b); err != nil {
 			return err
 		}
 	}
@@ -202,11 +176,12 @@ func closeSpanned(sp *trace.Span, op Operator) error {
 	return op.Close()
 }
 
-// Count drains the tree discarding rows and returns the row count.
+// Count drains the tree discarding rows, boxing none, and returns the
+// row count.
 func Count(ctx context.Context, op Operator) (int, error) {
 	n := 0
-	err := Stream(ctx, op, func(rows []table.Row) error {
-		n += len(rows)
+	err := drain(ctx, op, func(b *table.Batch) error {
+		n += b.Len
 		return nil
 	})
 	return n, err
@@ -217,11 +192,11 @@ func Count(ctx context.Context, op Operator) (int, error) {
 func (s *OpStats) timed(start time.Time) { s.Ns += time.Since(start).Nanoseconds() }
 
 // emitted records one outgoing batch.
-func (s *OpStats) emitted(rows []table.Row) {
-	s.RowsOut += len(rows)
+func (s *OpStats) emitted(b *table.Batch) {
+	s.RowsOut += b.Len
 	s.Batches++
-	if len(rows) > s.MaxBatch {
-		s.MaxBatch = len(rows)
+	if b.Len > s.MaxBatch {
+		s.MaxBatch = b.Len
 	}
 }
 

@@ -107,8 +107,8 @@ func TestTreeMatchesAlgebra(t *testing.T) {
 	}
 
 	restrict := exec.NewStage(&exec.Restrict{
-		Pred: func(r table.Row) bool { return core.Equal(r[1], core.Str("boston")) },
-		Name: "city=boston",
+		Filter: exec.RowPred(func(r table.Row) bool { return core.Equal(r[1], core.Str("boston")) }),
+		Name:   "city=boston",
 	}, exec.NewScan(tbl, nil))
 	rows, err := exec.Collect(context.Background(), restrict)
 	if err != nil {

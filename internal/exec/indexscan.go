@@ -30,29 +30,32 @@ type IndexScan struct {
 	eq             core.Value // hash point key
 	lo, hi         core.Value // btree range bounds (nil = open)
 	loIncl, hiIncl bool
-	desc           string
+	desc           fmt.Stringer
+	need           []bool
 
 	ctx   context.Context
 	src   *table.Table // tab, possibly pinned to the Open ctx's view
 	rids  []store.RID
 	pos   int
-	buf   []table.Row
+	out   table.Batch
 	stats OpStats
 	open  bool
 }
 
 // NewHashIndexScan returns a point-lookup scan of t through hash index
 // idx: rows whose indexed column equals key. desc labels the choice in
-// plans and traces (e.g. "events.id=42").
-func NewHashIndexScan(t *table.Table, idx *index.HashIndex, key core.Value, desc string) *IndexScan {
-	return &IndexScan{tab: t, hash: idx, eq: key, desc: desc}
+// plans and traces (e.g. "events.id=42"), rendered only when they ask,
+// so an untraced statement never formats it. need marks the positions
+// to decode, as for NewScan.
+func NewHashIndexScan(t *table.Table, idx *index.HashIndex, key core.Value, desc fmt.Stringer, need []bool) *IndexScan {
+	return &IndexScan{tab: t, hash: idx, eq: key, desc: desc, need: need}
 }
 
 // NewBTreeIndexScan returns a range scan of t through btree idx: rows
 // whose indexed column lies between lo and hi (each bound optional when
 // nil, inclusive when its flag is set). Bounds must be atoms.
-func NewBTreeIndexScan(t *table.Table, idx *index.BTree, lo, hi core.Value, loIncl, hiIncl bool, desc string) *IndexScan {
-	return &IndexScan{tab: t, bt: idx, lo: lo, hi: hi, loIncl: loIncl, hiIncl: hiIncl, desc: desc}
+func NewBTreeIndexScan(t *table.Table, idx *index.BTree, lo, hi core.Value, loIncl, hiIncl bool, desc fmt.Stringer, need []bool) *IndexScan {
+	return &IndexScan{tab: t, bt: idx, lo: lo, hi: hi, loIncl: loIncl, hiIncl: hiIncl, desc: desc, need: need}
 }
 
 // Open implements Operator, resolving the lookup to a RID list.
@@ -113,8 +116,9 @@ func (s *IndexScan) rangeKeys() (lo, hi string, err error) {
 	return lo, hi, nil
 }
 
-// Next implements Operator, fetching up to MaxBatchRows rows by RID.
-func (s *IndexScan) Next() ([]table.Row, error) {
+// Next implements Operator, fetching up to MaxBatchRows rows by RID
+// into the operator's batch.
+func (s *IndexScan) Next() (*table.Batch, error) {
 	defer s.stats.timed(time.Now())
 	if !s.open {
 		return nil, errOpen(s)
@@ -126,18 +130,13 @@ func (s *IndexScan) Next() ([]table.Row, error) {
 		return nil, err
 	}
 	n := min(len(s.rids)-s.pos, MaxBatchRows)
-	s.buf = s.buf[:0]
-	for _, rid := range s.rids[s.pos : s.pos+n] {
-		r, err := s.src.Get(rid)
-		if err != nil {
-			return nil, err
-		}
-		s.buf = append(s.buf, r)
+	if err := s.src.Fetch(s.rids[s.pos:s.pos+n], &s.out, s.need); err != nil {
+		return nil, err
 	}
 	s.pos += n
 	s.stats.RowsIn += n
-	s.stats.emitted(s.buf)
-	return s.buf, nil
+	s.stats.emitted(&s.out)
+	return &s.out, nil
 }
 
 // Close implements Operator.
@@ -145,7 +144,7 @@ func (s *IndexScan) Close() error {
 	s.open = false
 	s.src = nil
 	s.rids = nil
-	s.buf = nil
+	s.out = table.Batch{}
 	return nil
 }
 
@@ -158,4 +157,4 @@ func (s *IndexScan) Stats() OpStats { return s.stats }
 // Children implements Operator.
 func (s *IndexScan) Children() []Operator { return nil }
 
-func (s *IndexScan) String() string { return "indexscan(" + s.desc + ")" }
+func (s *IndexScan) String() string { return "indexscan(" + s.desc.String() + ")" }

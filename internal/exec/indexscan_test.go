@@ -11,6 +11,11 @@ import (
 	"xst/internal/xtest"
 )
 
+// label is an index scan's description.
+type label string
+
+func (l label) String() string { return string(l) }
+
 // buildIndexes builds both access paths over users.id.
 func buildIndexes(t testing.TB, tbl *table.Table) (*index.HashIndex, *index.BTree) {
 	t.Helper()
@@ -45,7 +50,7 @@ func TestHashIndexScanPoint(t *testing.T) {
 	tbl := makeUsers(t, newPool(), 3000)
 	h, _ := buildIndexes(t, tbl)
 	got, err := exec.Collect(context.Background(),
-		exec.NewHashIndexScan(tbl, h, core.Int(1234), "users.id=1234"))
+		exec.NewHashIndexScan(tbl, h, core.Int(1234), label("users.id=1234"), nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +59,7 @@ func TestHashIndexScanPoint(t *testing.T) {
 
 	// Missing key → empty, not an error.
 	got, err = exec.Collect(context.Background(),
-		exec.NewHashIndexScan(tbl, h, core.Int(-7), "users.id=-7"))
+		exec.NewHashIndexScan(tbl, h, core.Int(-7), label("users.id=-7"), nil))
 	if err != nil || len(got) != 0 {
 		t.Fatalf("missing key: rows=%d err=%v", len(got), err)
 	}
@@ -68,7 +73,7 @@ func TestHashIndexScanDuplicates(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, err := exec.Collect(context.Background(),
-		exec.NewHashIndexScan(tbl, h, core.Int(4), "users.score=4"))
+		exec.NewHashIndexScan(tbl, h, core.Int(4), label("users.score=4"), nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +115,7 @@ func TestBTreeIndexScanRanges(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			got, err := exec.Collect(context.Background(),
-				exec.NewBTreeIndexScan(tbl, bt, tc.lo, tc.hi, tc.loIncl, tc.hiIncl, "users.id range"))
+				exec.NewBTreeIndexScan(tbl, bt, tc.lo, tc.hi, tc.loIncl, tc.hiIncl, label("users.id range"), nil))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -127,8 +132,8 @@ func TestIndexScanEmptyTable(t *testing.T) {
 	}
 	h, bt := buildIndexes(t, tbl)
 	for _, op := range []exec.Operator{
-		exec.NewHashIndexScan(tbl, h, core.Int(1), "empty.x=1"),
-		exec.NewBTreeIndexScan(tbl, bt, nil, nil, false, false, "empty.x all"),
+		exec.NewHashIndexScan(tbl, h, core.Int(1), label("empty.x=1"), nil),
+		exec.NewBTreeIndexScan(tbl, bt, nil, nil, false, false, label("empty.x all"), nil),
 	} {
 		rows, err := exec.Collect(context.Background(), op)
 		if err != nil || len(rows) != 0 {
@@ -140,7 +145,7 @@ func TestIndexScanEmptyTable(t *testing.T) {
 func TestIndexScanNextBeforeOpen(t *testing.T) {
 	tbl := makeUsers(t, newPool(), 10)
 	h, _ := buildIndexes(t, tbl)
-	s := exec.NewHashIndexScan(tbl, h, core.Int(1), "users.id=1")
+	s := exec.NewHashIndexScan(tbl, h, core.Int(1), label("users.id=1"), nil)
 	if _, err := s.Next(); err == nil {
 		t.Fatal("want Next-before-Open error")
 	}
@@ -152,7 +157,7 @@ func TestIndexScanCancelMidRangeGather(t *testing.T) {
 	_, bt := buildIndexes(t, tbl)
 	xtest.AssertCancelAborts(t, 2, func(ctx context.Context) error {
 		return exec.Stream(ctx,
-			exec.NewBTreeIndexScan(tbl, bt, nil, nil, false, false, "users.id all"),
+			exec.NewBTreeIndexScan(tbl, bt, nil, nil, false, false, label("users.id all"), nil),
 			func([]table.Row) error { return nil })
 	})
 }
@@ -163,7 +168,7 @@ func TestIndexScanCancelMidFetch(t *testing.T) {
 	_, bt := buildIndexes(t, tbl)
 	xtest.AssertCancelAborts(t, 20, func(ctx context.Context) error {
 		return exec.Stream(ctx,
-			exec.NewBTreeIndexScan(tbl, bt, nil, nil, false, false, "users.id all"),
+			exec.NewBTreeIndexScan(tbl, bt, nil, nil, false, false, label("users.id all"), nil),
 			func([]table.Row) error { return nil })
 	})
 }
@@ -198,7 +203,7 @@ func TestBTreeBuildRejectsNonAtoms(t *testing.T) {
 		t.Fatal(err)
 	}
 	rows, err := exec.Collect(context.Background(),
-		exec.NewHashIndexScan(tbl, h, core.Tuple(core.Int(1), core.Int(2)), "sets.v=⟨1,2⟩"))
+		exec.NewHashIndexScan(tbl, h, core.Tuple(core.Int(1), core.Int(2)), label("sets.v=⟨1,2⟩"), nil))
 	if err != nil || len(rows) != 1 {
 		t.Fatalf("set-valued point lookup: rows=%d err=%v", len(rows), err)
 	}
@@ -207,7 +212,7 @@ func TestBTreeBuildRejectsNonAtoms(t *testing.T) {
 func TestIndexScanStatsBounded(t *testing.T) {
 	tbl := makeUsers(t, newPool(), 3000)
 	_, bt := buildIndexes(t, tbl)
-	op := exec.NewBTreeIndexScan(tbl, bt, nil, nil, false, false, "users.id all")
+	op := exec.NewBTreeIndexScan(tbl, bt, nil, nil, false, false, label("users.id all"), nil)
 	rows, err := exec.Collect(context.Background(), op)
 	if err != nil {
 		t.Fatal(err)

@@ -9,89 +9,73 @@ import (
 )
 
 // joinOut is the output side of a hash-join probe, shared by HashJoin
-// and ProbeJoin: the joined rows of one probe batch, cut from one value
-// slab and queued in one header slab, both reused by the next probe
-// batch, and handed out in MaxBatchRows chunks. What it hands out is
-// scratch until the owner's next Next, like any operator's batch.
+// and ProbeJoin: the matching (probe row, build row) pairs of one probe
+// batch, gathered MaxBatchRows at a time into one batch reused by the
+// next chunk. What it hands out is scratch until the owner's next Next,
+// like any operator's batch.
 type joinOut struct {
-	slab  []core.Value
-	queue []table.Row
-	pos   int // queue[:pos] has been handed out
-	probe int // rows in the probe batch being joined, the sizing hint
+	probe  *table.Batch
+	ps, bs []int32 // the pairs: probe row ps[k] matches build row bs[k]
+	pos    int     // pairs [:pos] have been handed out
+	batch  table.Batch
 }
 
-// drained reports whether every queued row has been handed out.
-func (o *joinOut) drained() bool { return o.pos == len(o.queue) }
+// drained reports whether every pair has been handed out.
+func (o *joinOut) drained() bool { return o.pos == len(o.ps) }
 
-// refill starts the output of a probe batch of n rows.
-func (o *joinOut) refill(n int) {
-	o.slab, o.queue, o.pos, o.probe = o.slab[:0], o.queue[:0], 0, n
-}
-
-// add queues the joined row l ++ r.
-func (o *joinOut) add(l, r table.Row) {
-	n := len(l) + len(r)
-	if len(o.slab)+n > cap(o.slab) {
-		// Continue in a larger slab (a fan-out-one batch fits the first);
-		// the rows already cut keep the old one alive.
-		o.slab = make([]core.Value, 0, max(2*cap(o.slab), n*o.probe))
+// refill pairs every row of probe batch b with the build rows whose key
+// equals its key column col; part picks the keyed table a digest is
+// filed in.
+func (o *joinOut) refill(b *table.Batch, col int, part func(d uint64) *keyedRows) {
+	o.probe, o.pos = b, 0
+	if cap(o.ps) < b.Len { // room for one match a row, the common fan-out
+		o.ps, o.bs = make([]int32, 0, b.Len), make([]int32, 0, b.Len)
 	}
-	start := len(o.slab)
-	o.slab = append(append(o.slab, l...), r...)
-	o.queue = append(o.queue, o.slab[start:len(o.slab):len(o.slab)])
+	o.ps, o.bs = o.ps[:0], o.bs[:0]
+	key := &b.Cols[col]
+	for i := 0; i < b.Len; i++ {
+		d := key.Digest(i) & digestMask
+		t := part(d)
+		for id := t.chains.First(d); id >= 0; id = t.chains.Next(id) {
+			if r := t.base + id; t.rows.Cols[t.col].Equal(int(r), key, i) {
+				o.ps, o.bs = append(o.ps, int32(i)), append(o.bs, r)
+			}
+		}
+	}
 }
 
-// next hands out the next chunk of queued rows.
-func (o *joinOut) next() []table.Row {
-	n := min(len(o.queue)-o.pos, MaxBatchRows)
-	out := o.queue[o.pos : o.pos+n]
-	o.pos += n
-	return out
+// next gathers the next chunk of pairs, probe columns then the columns
+// of build, into the output batch.
+func (o *joinOut) next(build *table.Batch) *table.Batch {
+	lo := o.pos
+	o.pos = min(len(o.ps), lo+MaxBatchRows)
+	o.batch.Join(o.probe, o.ps[lo:o.pos], build, o.bs[lo:o.pos])
+	return &o.batch
 }
 
 // digestMask is the key-digest mask outside tests, which narrow it to
 // force collisions and prove the Equal comparison behind a digest match.
 var digestMask = ^uint64(0)
 
-// keyDigest is the digest a keyed table files key value v under.
-func keyDigest(v core.Value) uint64 { return core.Digest(v) & digestMask }
-
-// keyedRows is a hash join's build side: the kept build rows, filed by
-// the digest of their key column in one core.Chains. Atom and set keys
-// take the one path; Equal tells them apart.
+// keyedRows files a run of a hash join's kept build rows — rows
+// [base, base+n) of one batch — by the digest of their key column in
+// one core.Chains. Atom and set keys take the one path; Equal tells
+// them apart.
 type keyedRows struct {
 	col    int
-	rows   []table.Row
+	rows   *table.Batch
+	base   int32
 	chains core.Chains
 }
 
-// fileRows files rows under their key column col, in Chains sized for
-// them.
-func fileRows(rows []table.Row, col int) keyedRows {
-	t := keyedRows{col: col, rows: rows, chains: core.NewChains(len(rows))}
-	for _, r := range rows {
-		t.chains.Add(keyDigest(r[col]))
+// fileRows files rows [base, base+n) of rows under their key column.
+func fileRows(rows *table.Batch, col int, base, n int) keyedRows {
+	t := keyedRows{col: col, rows: rows, base: int32(base), chains: core.NewChains(n)}
+	key := &rows.Cols[col]
+	for i := base; i < base+n; i++ {
+		t.chains.Add(key.Digest(i) & digestMask)
 	}
 	return t
-}
-
-// cutRows cuts vals into its n rows of one width.
-func cutRows(vals []core.Value, n, width int) []table.Row {
-	rows := make([]table.Row, n)
-	for i := range rows {
-		rows[i] = vals[i*width : (i+1)*width : (i+1)*width]
-	}
-	return rows
-}
-
-// join queues probe row pr joined with every build row whose key
-// equals pr's key k.
-func (t *keyedRows) join(out *joinOut, pr table.Row, k core.Value) {
-	for id := t.chains.First(keyDigest(k)); id >= 0; id = t.chains.Next(id) {
-		if br := t.rows[id]; core.Equal(br[t.col], k) {
-			out.add(pr, br)
-		}
-	}
 }
 
 // HashJoin is the Relative Product (Def 10.1) in streaming form: Open
@@ -105,12 +89,16 @@ type HashJoin struct {
 	leftCol, rightCol int // key positions in each child's output schema
 
 	ctx   context.Context
+	rows  table.Batch // the build side
 	build keyedRows
 	out   joinOut
 	done  bool
 	stats OpStats
 	open  bool
 }
+
+// one is the partition function of a serial build: its only table.
+func (j *HashJoin) one(uint64) *keyedRows { return &j.build }
 
 // NewHashJoin joins left and right on left.leftCol = right.rightCol,
 // building the hash index over the right child.
@@ -119,13 +107,13 @@ func NewHashJoin(left, right Operator, leftCol, rightCol int) *HashJoin {
 }
 
 // Open implements Operator: opens both children and consumes the build
-// side into the index. Build rows are copied out of child scratch into
-// one value slab, then filed at once; the context is polled every few
-// hundred rows during the build.
+// side into the index. Build batches are copied out of child scratch
+// into one batch, then filed at once; the context is polled per batch.
 func (j *HashJoin) Open(ctx context.Context) error {
 	j.stats = OpStats{}
 	defer j.stats.timed(time.Now())
 	j.ctx = ctx
+	j.rows.Reset()
 	j.build = keyedRows{}
 	j.out = joinOut{}
 	j.done = false
@@ -136,35 +124,28 @@ func (j *HashJoin) Open(ctx context.Context) error {
 	if err := j.right.Open(ctx); err != nil {
 		return err
 	}
-	var vals []core.Value // the build rows, back to back; rows of one stream share a width
-	n, width := 0, 0
 	for {
-		rows, err := j.right.Next()
+		b, err := j.right.Next()
 		if err != nil {
 			return err
 		}
-		if rows == nil {
+		if b == nil {
 			break
 		}
-		j.stats.RowsIn += len(rows)
-		for _, r := range rows {
-			if n%256 == 0 {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-			}
-			n, width = n+1, len(r)
-			vals = append(vals, r...)
+		if err := ctx.Err(); err != nil {
+			return err
 		}
+		j.stats.RowsIn += b.Len
+		j.rows.AppendSel(b, nil)
 	}
-	j.build = fileRows(cutRows(vals, n, width), j.rightCol)
-	j.stats.HeldRows = n
+	j.build = fileRows(&j.rows, j.rightCol, 0, j.rows.Len)
+	j.stats.HeldRows = j.rows.Len
 	return nil
 }
 
 // Next implements Operator: pulls probe batches until matches
 // accumulate, then emits them in MaxBatchRows chunks.
-func (j *HashJoin) Next() ([]table.Row, error) {
+func (j *HashJoin) Next() (*table.Batch, error) {
 	defer j.stats.timed(time.Now())
 	if !j.open {
 		return nil, errOpen(j)
@@ -176,21 +157,20 @@ func (j *HashJoin) Next() ([]table.Row, error) {
 		if err := j.ctx.Err(); err != nil {
 			return nil, err
 		}
-		rows, err := j.left.Next()
+		b, err := j.left.Next()
 		if err != nil {
 			return nil, err
 		}
-		if rows == nil {
+		if b == nil {
 			j.done = true
 			return nil, nil
 		}
-		j.stats.RowsIn += len(rows)
-		j.out.refill(len(rows))
-		for _, pr := range rows {
-			j.build.join(&j.out, pr, pr[j.leftCol])
+		j.stats.RowsIn += b.Len
+		if j.rows.Len > 0 {
+			j.out.refill(b, j.leftCol, j.one)
 		}
 	}
-	out := j.out.next()
+	out := j.out.next(&j.rows)
 	j.stats.emitted(out)
 	return out, nil
 }
@@ -198,8 +178,7 @@ func (j *HashJoin) Next() ([]table.Row, error) {
 // Close implements Operator.
 func (j *HashJoin) Close() error {
 	j.open = false
-	j.build = keyedRows{}
-	j.out = joinOut{}
+	j.rows, j.build, j.out = table.Batch{}, keyedRows{}, joinOut{}
 	lerr := j.left.Close()
 	rerr := j.right.Close()
 	if lerr != nil {

@@ -11,8 +11,9 @@ import (
 	"xst/internal/table"
 )
 
-// rowsOp streams fixed rows in batches of two: a leaf that, unlike a
-// table scan, keeps a -0.0 key as it is (the row codec normalizes it).
+// rowsOp streams fixed rows in batches of two, in boxed columns: a leaf
+// that, unlike a table scan, keeps a -0.0 key as it is (the row codec
+// normalizes it) and never holds a key unboxed.
 type rowsOp struct {
 	rows []table.Row
 	pos  int
@@ -20,7 +21,7 @@ type rowsOp struct {
 }
 
 func (o *rowsOp) Open(ctx context.Context) error { o.pos, o.open = 0, true; return ctx.Err() }
-func (o *rowsOp) Next() ([]table.Row, error) {
+func (o *rowsOp) Next() (*table.Batch, error) {
 	if !o.open {
 		return nil, fmt.Errorf("rowsOp: Next before Open")
 	}
@@ -29,7 +30,7 @@ func (o *rowsOp) Next() ([]table.Row, error) {
 	}
 	n := min(2, len(o.rows)-o.pos)
 	o.pos += n
-	return o.rows[o.pos-n : o.pos], nil
+	return table.BatchOf(o.rows[o.pos-n:o.pos], 2), nil
 }
 func (o *rowsOp) Close() error { o.open = false; return nil }
 func (o *rowsOp) OutSchema() table.Schema {
@@ -38,7 +39,6 @@ func (o *rowsOp) OutSchema() table.Schema {
 func (o *rowsOp) Stats() exec.OpStats       { return exec.OpStats{} }
 func (o *rowsOp) Children() []exec.Operator { return nil }
 func (o *rowsOp) String() string            { return "rows" }
-func (o *rowsOp) RetainableBatches() bool   { return true }
 
 // collisionKeys are keys that must stay apart though an atom and a set
 // (Int(1), S(Int(1)), Tuple(Int(1))), or a string and an encoding, may
@@ -75,7 +75,9 @@ func split(rows []table.Row, n int) []exec.Operator {
 // TestKeyedTablesUnderCollisions narrows the key digest to a few bits,
 // then to none, so that unequal keys share digests in every keyed
 // table: each operator must still answer what the two-map keying it
-// replaced answers (reference_test.go), as a multiset.
+// replaced answers (reference_test.go), as a multiset — over boxed keys
+// of every kind, and over int and string keys read unboxed from a scan
+// against the same keys boxed, probe against build and the reverse.
 func TestKeyedTablesUnderCollisions(t *testing.T) {
 	probe, build := keyRows(60, 0), keyRows(20, 100)
 	var parts [][]table.Row
@@ -116,8 +118,79 @@ func TestKeyedTablesUnderCollisions(t *testing.T) {
 			check("groupagg", exec.NewGroupAgg(&rowsOp{rows: probe}, 0, aggs...), wantGroups)
 			check("parallelgroupagg", exec.NewParallelGroupAgg(split(probe, 3), nil, 0, aggs...), wantGroups)
 			check("distinct", exec.NewStages(&rowsOp{rows: probe}, &exec.Project{Cols: []int{0}}, &exec.Distinct{}), wantDistinct)
+
+			// Typed keys: a scan holds an all-int or all-string key column
+			// unboxed, rowsOp holds the same keys boxed. Each keyed table
+			// must file and confirm a key the same way from either column.
+			for _, kind := range typedKeyKinds {
+				probe, build := typedRows(60, 0, kind.key), typedRows(20, 100, kind.key)
+				ptab, btab := storedRows(t, probe), storedRows(t, build)
+				wantJoin := refHashJoin(probe, build, 0, 0, 1)
+				check(kind.name+"/hashjoin unboxed probe", exec.NewHashJoin(exec.NewScan(ptab, nil), &rowsOp{rows: build}, 0, 0), wantJoin)
+				check(kind.name+"/hashjoin unboxed build", exec.NewHashJoin(&rowsOp{rows: probe}, exec.NewScan(btab, nil), 0, 0), wantJoin)
+				for _, unboxedBuild := range []bool{false, true} {
+					builders, probes := split(build, 2), morselScans(ptab, 2)
+					if unboxedBuild {
+						builders, probes = morselScans(btab, 2), split(probe, 2)
+					}
+					hb := exec.NewHashBuild(builders, 0)
+					for i := range probes {
+						probes[i] = exec.NewProbeJoin(probes[i], hb, 0)
+					}
+					check(fmt.Sprintf("%s/hashbuild unboxed build=%v", kind.name, unboxedBuild), exec.NewGather(probes, hb), wantJoin)
+				}
+				both := func() []exec.Operator { return []exec.Operator{exec.NewScan(ptab, nil), &rowsOp{rows: probe}} }
+				check(kind.name+"/parallelgroupagg", exec.NewParallelGroupAgg(both(), nil, 0, aggs...), refGroupAgg([][]table.Row{probe, probe}, 0, 1))
+				keys := make([]table.Row, len(probe))
+				for i, r := range probe {
+					keys[i] = r[:1]
+				}
+				check(kind.name+"/distinct", exec.NewStages(exec.NewGather(both()), &exec.Project{Cols: []int{0}}, &exec.Distinct{}), refDistinct(keys))
+			}
 		})
 	}
+}
+
+// typedKeyKinds are key columns of one kind each, which a scan holds
+// unboxed: ints that box and strings.
+var typedKeyKinds = []struct {
+	name string
+	key  func(i int) core.Value
+}{
+	{"int", func(i int) core.Value { return core.Int(int64(i%9) * 1000) }},
+	{"str", func(i int) core.Value { return core.Str(fmt.Sprintf("key-%d", i%9)) }},
+}
+
+// typedRows is n rows (key(i), Int(i+base)).
+func typedRows(n, base int, key func(int) core.Value) []table.Row {
+	rows := make([]table.Row, n)
+	for i := range rows {
+		rows[i] = table.Row{key(i), core.Int(int64(i + base))}
+	}
+	return rows
+}
+
+// storedRows writes rows to a table of their own.
+func storedRows(t *testing.T, rows []table.Row) *table.Table {
+	t.Helper()
+	tbl, err := table.Create(newPool(), table.Schema{Name: "keys", Cols: []string{"k", "v"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.InsertAll(rows); err != nil {
+		t.Fatal(err)
+	}
+	return tbl
+}
+
+// morselScans is n scan workers sharing tbl's pages.
+func morselScans(tbl *table.Table, n int) []exec.Operator {
+	src := tbl.NewMorselSource()
+	ws := make([]exec.Operator, n)
+	for i := range ws {
+		ws[i] = exec.NewMorselScan(src, nil)
+	}
+	return ws
 }
 
 // joinTables is the 4 000-user build and 40 000-order probe of the
@@ -131,11 +204,12 @@ func joinTables(t testing.TB) (users, orders *table.Table) {
 // TestKeyedBuildAllocs holds the keyed tables to a budget that does not
 // grow with the keys: a join's build side and Distinct's seen-set cost a
 // few geometric slabs and table resizes, not an object per key or row.
+// The trees are drained by Count, which boxes no result row.
 func TestKeyedBuildAllocs(t *testing.T) {
 	users, orders := joinTables(t)
 	allocs := func(mk func() exec.Operator) float64 {
 		return testing.AllocsPerRun(3, func() {
-			if err := exec.Stream(context.Background(), mk(), func([]table.Row) error { return nil }); err != nil {
+			if _, err := exec.Count(context.Background(), mk()); err != nil {
 				t.Fatal(err)
 			}
 		})

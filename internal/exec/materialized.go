@@ -10,8 +10,8 @@ import (
 // Materialized is a leaf over rows computed whole when it opens: a
 // system view's current state, or a fragment the federation coordinator
 // has already gathered. Open calls fetch; Next emits the rows in
-// MaxBatchRows windows. fetch must return retainable rows, so the leaf
-// is a Retainer and a holder keeps its windows uncopied.
+// MaxBatchRows windows, each a fresh batch of boxed columns. fetch must
+// return rows the leaf may keep.
 type Materialized struct {
 	label string
 	sch   table.Schema
@@ -19,7 +19,6 @@ type Materialized struct {
 
 	ctx  context.Context
 	rows []table.Row
-	pos  int
 	open bool
 	st   OpStats
 }
@@ -38,26 +37,23 @@ func (m *Materialized) Open(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	m.ctx, m.rows, m.pos, m.open = ctx, rows, 0, true
+	m.ctx, m.rows, m.open = ctx, rows, true
 	m.st.HeldRows = len(rows)
 	return nil
 }
 
 // Next emits the next window of the fetched rows.
-func (m *Materialized) Next() ([]table.Row, error) {
+func (m *Materialized) Next() (*table.Batch, error) {
 	if !m.open {
 		return nil, errOpen(m)
 	}
 	if err := m.ctx.Err(); err != nil {
 		return nil, err
 	}
-	if m.pos >= len(m.rows) {
-		return nil, nil
+	out := nextChunk(&m.rows, m.sch.Arity())
+	if out != nil {
+		m.st.emitted(out)
 	}
-	end := min(m.pos+MaxBatchRows, len(m.rows))
-	out := m.rows[m.pos:end:end]
-	m.pos = end
-	m.st.emitted(out)
 	return out, nil
 }
 
@@ -75,9 +71,5 @@ func (m *Materialized) Stats() OpStats { return m.st }
 
 // Children implements Operator.
 func (m *Materialized) Children() []Operator { return nil }
-
-// RetainableBatches implements Retainer: fetch hands over fresh rows and
-// the leaf never writes them.
-func (m *Materialized) RetainableBatches() bool { return true }
 
 func (m *Materialized) String() string { return m.label }

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"xst/internal/core"
 	"xst/internal/table"
 	"xst/internal/trace"
 )
@@ -42,8 +41,8 @@ func workerSpan(ctx context.Context, phase string, i int) *trace.Span {
 // Batch ownership across goroutines (see DESIGN.md §9) is the package's
 // one rule applied at the exchange: a worker's batch is scratch until
 // that worker's next Next, which on another goroutine can be any moment
-// after the send. So Gather takes every batch through keep before it
-// crosses the channel, and what arrives belongs to Gather's consumer.
+// after the send. So Gather copies every batch before it crosses the
+// channel, and what arrives belongs to Gather's consumer.
 
 // MorselScan is one parallel-scan worker: it claims heap pages (morsels)
 // from a shared table.MorselSource and emits each page's rows as
@@ -51,13 +50,12 @@ func workerSpan(ctx context.Context, phase string, i int) *trace.Span {
 // dynamically — fast workers claim more pages. Each worker decodes into
 // its own table.PageBatch, so its batches are scratch until its next
 // Next and an exchange above it copies them; positions outside need are
-// nil (see NewScan).
+// ColAbsent (see NewScan).
 type MorselScan struct {
 	src   *table.MorselSource
 	need  []bool
 	batch table.PageBatch
 	ctx   context.Context
-	pend  []table.Row
 	stats OpStats
 	open  bool
 }
@@ -76,26 +74,18 @@ func (s *MorselScan) Open(ctx context.Context) error {
 	defer s.stats.timed(time.Now())
 	s.ctx = ctx
 	s.src.Bind(ctx)
-	s.pend = nil
 	s.open = true
 	return ctx.Err()
 }
 
-// Next implements Operator: one claimed page per refill, polled against
+// Next implements Operator: one claimed page per batch, polled against
 // the context so a deadline aborts between morsels.
-func (s *MorselScan) Next() ([]table.Row, error) {
+func (s *MorselScan) Next() (*table.Batch, error) {
 	defer s.stats.timed(time.Now())
 	if !s.open {
 		return nil, errOpen(s)
 	}
 	for {
-		if len(s.pend) > 0 {
-			n := min(len(s.pend), MaxBatchRows)
-			out := s.pend[:n]
-			s.pend = s.pend[n:]
-			s.stats.emitted(out)
-			return out, nil
-		}
 		if err := s.ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -103,19 +93,21 @@ func (s *MorselScan) Next() ([]table.Row, error) {
 		if !ok {
 			return nil, nil
 		}
-		rows, err := s.src.Table().ReadPage(id, &s.batch, s.need)
+		b, err := s.src.Table().ReadPage(id, &s.batch, s.need)
 		if err != nil {
 			return nil, err
 		}
-		s.stats.RowsIn += len(rows)
-		s.pend = rows
+		s.stats.RowsIn += b.Len
+		if b.Len > 0 {
+			s.stats.emitted(b)
+			return b, nil
+		}
 	}
 }
 
 // Close implements Operator.
 func (s *MorselScan) Close() error {
 	s.open = false
-	s.pend = nil
 	return nil
 }
 
@@ -142,10 +134,8 @@ func (s *MorselScan) String() string { return "morselscan(" + s.src.Table().Sche
 //     returns that error once the channel drains;
 //   - prompt shutdown: Close cancels, drains, and joins every worker
 //     goroutine before returning, so no goroutine outlives the tree;
-//   - ownership: every batch is taken through keep before it crosses
-//     the channel, so what Next returns is a fresh batch Gather never
-//     touches again — Gather is itself a Retainer, and a Sort or
-//     Collect above it does not copy a second time.
+//   - ownership: every batch is copied before it crosses the channel,
+//     so what Next returns is a batch Gather never touches again.
 //
 // aux operators are shared dependencies of the workers (e.g. the
 // HashBuild that ProbeJoin workers probe): Open opens them in order,
@@ -157,7 +147,7 @@ type Gather struct {
 	parent   context.Context
 	ctx      context.Context
 	cancel   context.CancelFunc
-	ch       chan []table.Row
+	ch       chan *table.Batch
 	wg       sync.WaitGroup
 	errOnce  sync.Once
 	firstErr error
@@ -196,7 +186,7 @@ func (g *Gather) Open(ctx context.Context) error {
 			return err
 		}
 	}
-	g.ch = make(chan []table.Row, len(g.workers))
+	g.ch = make(chan *table.Batch, len(g.workers))
 	for i, w := range g.workers {
 		g.wg.Add(1)
 		go func(i int, w Operator) {
@@ -229,18 +219,18 @@ func (g *Gather) produce(i int, w Operator) {
 			g.fail(err)
 			return
 		}
-		rows, err := w.Next()
+		b, err := w.Next()
 		if err != nil {
 			g.fail(err)
 			return
 		}
-		if rows == nil {
+		if b == nil {
 			return
 		}
-		wsp.AddRows(len(rows))
+		wsp.AddRows(b.Len)
 		wsp.AddBatches(1)
-		batch := keep(w, rows)
-		n := g.inFlight.Add(int64(len(batch)))
+		batch := b.Clone()
+		n := g.inFlight.Add(int64(batch.Len))
 		for {
 			p := g.peak.Load()
 			if n <= p || g.peak.CompareAndSwap(p, n) {
@@ -250,7 +240,7 @@ func (g *Gather) produce(i int, w Operator) {
 		select {
 		case g.ch <- batch:
 		case <-g.ctx.Done():
-			g.inFlight.Add(-int64(len(batch)))
+			g.inFlight.Add(-int64(batch.Len))
 			g.fail(g.ctx.Err())
 			return
 		}
@@ -267,7 +257,7 @@ func (g *Gather) fail(err error) {
 
 // Next implements Operator: receives the next worker batch. Order
 // across workers is arbitrary; order within one worker is preserved.
-func (g *Gather) Next() ([]table.Row, error) {
+func (g *Gather) Next() (*table.Batch, error) {
 	defer g.stats.timed(time.Now())
 	if !g.open {
 		return nil, errOpen(g)
@@ -275,17 +265,17 @@ func (g *Gather) Next() ([]table.Row, error) {
 	if g.done {
 		return nil, g.firstErr
 	}
-	rows, ok := <-g.ch
+	b, ok := <-g.ch
 	if !ok {
 		// Channel closed after every producer exited: the closer's
 		// close(ch) orders their g.firstErr writes before this read.
 		g.done = true
 		return nil, g.firstErr
 	}
-	g.inFlight.Add(-int64(len(rows)))
-	g.stats.RowsIn += len(rows)
-	g.stats.emitted(rows)
-	return rows, nil
+	g.inFlight.Add(-int64(b.Len))
+	g.stats.RowsIn += b.Len
+	g.stats.emitted(b)
+	return b, nil
 }
 
 // Close implements Operator: cancels workers, drains the channel until
@@ -314,9 +304,6 @@ func (g *Gather) Close() error {
 	}
 	return first
 }
-
-// RetainableBatches implements Retainer: produce has already copied.
-func (g *Gather) RetainableBatches() bool { return true }
 
 // Workers returns the fan-out width of the exchange.
 func (g *Gather) Workers() int { return len(g.workers) }
@@ -354,10 +341,11 @@ func ParallelScan(t *table.Table, n int) *Gather {
 }
 
 // HashBuild is the parallel build side of a partitioned hash join: Open
-// drains N builder subtrees concurrently, each routing its rows (kept,
-// see keep) into per-partition buckets by key digest, then builds the
-// partitions' keyed tables in parallel — two fan-outs with a barrier
-// between, all inside Open (the sanctioned blocking phase). After Open
+// drains N builder subtrees concurrently, each copying its rows into
+// per-partition batches by key digest, then lays the partitions out in
+// one batch and files each partition's keyed table in parallel — two
+// fan-outs with a barrier between, all inside Open (the sanctioned
+// blocking phase). After Open
 // the partitions are immutable, so any number of ProbeJoin workers may
 // probe them concurrently without locks.
 //
@@ -369,6 +357,7 @@ type HashBuild struct {
 	col      int
 
 	cancel  context.CancelFunc
+	rows    table.Batch // every build row, partition by partition
 	parts   []keyedRows
 	started bool
 	stats   OpStats
@@ -395,11 +384,11 @@ func (b *HashBuild) Open(ctx context.Context) error {
 	wctx, cancel := context.WithCancel(ctx)
 	b.cancel = cancel
 
-	// Phase 1: each builder drains its subtree, routing kept rows into
-	// its own per-partition buckets (no shared state, no locks).
+	// Phase 1: each builder drains its subtree, copying its rows into
+	// its own per-partition batches (no shared state, no locks).
 	// First-error-wins: the error that triggered the cancellation is the
 	// one reported, not a sibling's resulting context.Canceled.
-	buckets := make([][][]table.Row, len(b.builders)) // [builder][partition][]row
+	buckets := make([][]table.Batch, len(b.builders)) // [builder][partition]
 	var once sync.Once
 	var firstErr error
 	fail := func(err error) {
@@ -415,18 +404,19 @@ func (b *HashBuild) Open(ctx context.Context) error {
 			defer wg.Done()
 			bsp := workerSpan(ctx, "build", i)
 			defer bsp.End()
-			local := make([][]table.Row, nparts)
+			local := make([]table.Batch, nparts)
+			sels := make([][]int32, nparts)
 			if err := bl.Open(wctx); err != nil {
 				fail(err)
 				return
 			}
 			for {
-				rows, err := bl.Next()
+				batch, err := bl.Next()
 				if err != nil {
 					fail(err)
 					return
 				}
-				if rows == nil {
+				if batch == nil {
 					buckets[i] = local
 					return
 				}
@@ -441,11 +431,20 @@ func (b *HashBuild) Open(ctx context.Context) error {
 					fail(err)
 					return
 				}
-				bsp.AddRows(len(rows))
+				bsp.AddRows(batch.Len)
 				bsp.AddBatches(1)
-				for _, r := range keep(bl, rows) {
-					p := int(keyDigest(r[b.col]) % uint64(nparts))
-					local[p] = append(local[p], r)
+				key := &batch.Cols[b.col]
+				for p := range sels {
+					sels[p] = sels[p][:0]
+				}
+				for r := 0; r < batch.Len; r++ {
+					p := (key.Digest(r) & digestMask) % uint64(nparts)
+					sels[p] = append(sels[p], int32(r))
+				}
+				for p, sel := range sels {
+					if len(sel) > 0 {
+						local[p].AppendSel(batch, sel)
+					}
 				}
 			}
 		}(i, bl)
@@ -458,41 +457,43 @@ func (b *HashBuild) Open(ctx context.Context) error {
 		return err
 	}
 
-	// Phase 2: one goroutine per partition files every builder's bucket
-	// for that partition into the partition's keyed table.
+	// Phase 2: lay the partitions out back to back in one batch, then
+	// file each partition's run into its keyed table, one goroutine per
+	// partition.
+	b.rows.Reset()
+	bases := make([]int, nparts+1)
+	for p := 0; p < nparts; p++ {
+		bases[p] = b.rows.Len
+		for _, local := range buckets {
+			if local[p].Len > 0 {
+				b.rows.AppendSel(&local[p], nil)
+			}
+		}
+	}
+	bases[nparts] = b.rows.Len
 	b.parts = make([]keyedRows, nparts)
-	for p := range b.parts {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			n := 0
-			for _, local := range buckets {
-				n += len(local[p])
-			}
-			rows := make([]table.Row, 0, n)
-			for _, local := range buckets {
-				rows = append(rows, local[p]...)
-			}
-			b.parts[p] = fileRows(rows, b.col)
-		}(p)
+	if b.rows.Len > 0 {
+		for p := range b.parts {
+			wg.Add(1)
+			go func(p int) {
+				defer wg.Done()
+				b.parts[p] = fileRows(&b.rows, b.col, bases[p], bases[p+1]-bases[p])
+			}(p)
+		}
+		wg.Wait()
 	}
-	wg.Wait()
-	for p := range b.parts {
-		b.stats.HeldRows += len(b.parts[p].rows)
-	}
+	b.stats.HeldRows = b.rows.Len
 	b.stats.RowsIn = b.stats.HeldRows
 	b.started = true
 	return ctx.Err()
 }
 
-// join queues probe row pr joined with the build rows matching its key
-// k. Read-only after Open; safe for concurrent probes.
-func (b *HashBuild) join(out *joinOut, pr table.Row, k core.Value) {
-	b.parts[int(keyDigest(k)%uint64(len(b.parts)))].join(out, pr, k)
-}
+// part returns the partition a key digest is filed in. Read-only after
+// Open; safe for concurrent probes.
+func (b *HashBuild) part(d uint64) *keyedRows { return &b.parts[d%uint64(len(b.parts))] }
 
 // Next implements Operator: a build emits nothing.
-func (b *HashBuild) Next() ([]table.Row, error) {
+func (b *HashBuild) Next() (*table.Batch, error) {
 	if !b.open {
 		return nil, errOpen(b)
 	}
@@ -503,7 +504,7 @@ func (b *HashBuild) Next() ([]table.Row, error) {
 func (b *HashBuild) Close() error {
 	b.open = false
 	b.started = false
-	b.parts = nil
+	b.rows, b.parts = table.Batch{}, nil
 	if b.cancel != nil {
 		b.cancel()
 	}
@@ -532,8 +533,8 @@ func (b *HashBuild) String() string {
 // ProbeJoin is one probe worker of a partitioned hash join: it streams
 // its probe subtree, the join's left input, against a shared
 // (already-opened) HashBuild of its right input, so output is
-// probe-columns ++ build-columns like HashJoin, and comes out of the
-// same reused joinOut slabs.
+// probe-columns ++ build-columns like HashJoin, gathered into the same
+// kind of reused joinOut batch.
 type ProbeJoin struct {
 	probe    Operator
 	build    *HashBuild
@@ -569,7 +570,7 @@ func (j *ProbeJoin) Open(ctx context.Context) error {
 }
 
 // Next implements Operator.
-func (j *ProbeJoin) Next() ([]table.Row, error) {
+func (j *ProbeJoin) Next() (*table.Batch, error) {
 	defer j.stats.timed(time.Now())
 	if !j.open {
 		return nil, errOpen(j)
@@ -581,21 +582,20 @@ func (j *ProbeJoin) Next() ([]table.Row, error) {
 		if err := j.ctx.Err(); err != nil {
 			return nil, err
 		}
-		rows, err := j.probe.Next()
+		b, err := j.probe.Next()
 		if err != nil {
 			return nil, err
 		}
-		if rows == nil {
+		if b == nil {
 			j.done = true
 			return nil, nil
 		}
-		j.stats.RowsIn += len(rows)
-		j.out.refill(len(rows))
-		for _, pr := range rows {
-			j.build.join(&j.out, pr, pr[j.probeCol])
+		j.stats.RowsIn += b.Len
+		if j.build.rows.Len > 0 {
+			j.out.refill(b, j.probeCol, j.build.part)
 		}
 	}
-	out := j.out.next()
+	out := j.out.next(&j.build.rows)
 	j.stats.emitted(out)
 	return out, nil
 }
@@ -689,12 +689,12 @@ func (g *ParallelGroupAgg) Open(ctx context.Context) error {
 				return
 			}
 			for {
-				rows, err := w.Next()
+				b, err := w.Next()
 				if err != nil {
 					fail(err)
 					return
 				}
-				if rows == nil {
+				if b == nil {
 					states[i] = st
 					return
 				}
@@ -709,9 +709,9 @@ func (g *ParallelGroupAgg) Open(ctx context.Context) error {
 					fail(err)
 					return
 				}
-				psp.AddRows(len(rows))
+				psp.AddRows(b.Len)
 				psp.AddBatches(1)
-				if err := st.Absorb(rows); err != nil {
+				if err := st.Absorb(b); err != nil {
 					fail(err)
 					return
 				}
@@ -744,18 +744,15 @@ func (g *ParallelGroupAgg) Open(ctx context.Context) error {
 }
 
 // Next implements Operator.
-func (g *ParallelGroupAgg) Next() ([]table.Row, error) {
+func (g *ParallelGroupAgg) Next() (*table.Batch, error) {
 	defer g.stats.timed(time.Now())
 	if !g.open {
 		return nil, errOpen(g)
 	}
-	if len(g.queue) == 0 {
-		return nil, nil
+	out := nextChunk(&g.queue, 1+len(g.aggs))
+	if out != nil {
+		g.stats.emitted(out)
 	}
-	n := min(len(g.queue), MaxBatchRows)
-	out := g.queue[:n]
-	g.queue = g.queue[n:]
-	g.stats.emitted(out)
 	return out, nil
 }
 
@@ -779,10 +776,6 @@ func (g *ParallelGroupAgg) Close() error {
 	}
 	return first
 }
-
-// RetainableBatches implements Retainer: AggState.Rows allocates fresh
-// rows and the chunked arrays are never rewritten.
-func (g *ParallelGroupAgg) RetainableBatches() bool { return true }
 
 // Workers returns the partial-aggregation fan-out width.
 func (g *ParallelGroupAgg) Workers() int { return len(g.workers) }

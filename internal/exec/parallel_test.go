@@ -70,7 +70,7 @@ func TestGatherBoundsInFlightRows(t *testing.T) {
 }
 
 // TestGatherClonesStageBatches runs workers whose roots are Stage
-// adapters (not Retainers): Gather must clone their scratch batches
+// adapters: Gather must clone their scratch batches
 // before they cross goroutines, and the result must still match the
 // serial restrict.
 func TestGatherClonesStageBatches(t *testing.T) {
@@ -79,7 +79,7 @@ func TestGatherClonesStageBatches(t *testing.T) {
 	boston := func(r table.Row) bool { return core.Equal(r[1], core.Str("boston")) }
 
 	want, err := exec.Collect(context.Background(), exec.NewStage(
-		&exec.Restrict{Pred: boston, Name: "city=boston"}, exec.NewScan(tbl, nil)))
+		&exec.Restrict{Filter: exec.RowPred(boston), Name: "city=boston"}, exec.NewScan(tbl, nil)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestGatherClonesStageBatches(t *testing.T) {
 	workers := make([]exec.Operator, 3)
 	for i := range workers {
 		workers[i] = exec.NewStage(
-			&exec.Restrict{Pred: boston, Name: "city=boston"}, exec.NewMorselScan(src, nil))
+			&exec.Restrict{Filter: exec.RowPred(boston), Name: "city=boston"}, exec.NewMorselScan(src, nil))
 	}
 	got, err := exec.Collect(context.Background(), exec.NewGather(workers))
 	if err != nil {
@@ -195,7 +195,7 @@ type failOp struct {
 }
 
 func (f *failOp) Open(ctx context.Context) error { f.n = 0; f.open = true; return ctx.Err() }
-func (f *failOp) Next() ([]table.Row, error) {
+func (f *failOp) Next() (*table.Batch, error) {
 	if !f.open {
 		return nil, errors.New("failop: next before open")
 	}
@@ -203,7 +203,7 @@ func (f *failOp) Next() ([]table.Row, error) {
 		return nil, f.err
 	}
 	f.n++
-	return []table.Row{{core.Int(f.n), core.Str("fail"), core.Int(0)}}, nil
+	return table.BatchOf([]table.Row{{core.Int(f.n), core.Str("fail"), core.Int(0)}}, 3), nil
 }
 func (f *failOp) Close() error { f.open = false; return nil }
 func (f *failOp) OutSchema() table.Schema {
@@ -212,7 +212,6 @@ func (f *failOp) OutSchema() table.Schema {
 func (f *failOp) Stats() exec.OpStats       { return exec.OpStats{} }
 func (f *failOp) Children() []exec.Operator { return nil }
 func (f *failOp) String() string            { return "failop" }
-func (f *failOp) RetainableBatches() bool   { return true }
 
 // TestGatherFirstErrorWins injects a failing worker beside healthy scan
 // workers over a large table: the injected error must surface (not the

@@ -33,17 +33,17 @@ func (r *Rename) Open(ctx context.Context) error {
 }
 
 // Next implements Operator.
-func (r *Rename) Next() ([]table.Row, error) {
+func (r *Rename) Next() (*table.Batch, error) {
 	if !r.open {
 		return nil, errOpen(r)
 	}
-	rows, err := r.child.Next()
-	if err != nil || rows == nil {
+	b, err := r.child.Next()
+	if err != nil || b == nil {
 		return nil, err
 	}
-	r.stats.RowsIn += len(rows)
-	r.stats.emitted(rows)
-	return rows, nil
+	r.stats.RowsIn += b.Len
+	r.stats.emitted(b)
+	return b, nil
 }
 
 // Close implements Operator.
@@ -62,9 +62,5 @@ func (r *Rename) Stats() OpStats { return r.stats }
 
 // Children implements Operator.
 func (r *Rename) Children() []Operator { return []Operator{r.child} }
-
-// RetainableBatches forwards the child's retention contract: renaming
-// touches only the schema, never the batches.
-func (r *Rename) RetainableBatches() bool { return retainableBatches(r.child) }
 
 func (r *Rename) String() string { return "rename[" + strings.Join(r.cols, ",") + "]" }

@@ -13,20 +13,20 @@ import (
 // The consumer paces the scan: one page is pinned, decoded, and
 // unpinned per Next, and the stored context is polled per batch so a
 // deadline aborts between pages. The cursor decodes every page into
-// the same two slabs, so a batch is scratch until the next Next like
-// any other operator's, and positions outside need are nil.
+// the same batch, so a batch is scratch until the next Next like any
+// other operator's, and positions outside need are ColAbsent. A 4 KiB
+// page holds fewer than MaxBatchRows records, so a page is one batch.
 type Scan struct {
 	tab   *table.Table
 	need  []bool
 	cur   *table.BatchCursor
 	ctx   context.Context
-	pend  []table.Row
 	stats OpStats
 	open  bool
 }
 
 // NewScan returns a scan operator over t that decodes the column
-// positions need marks (nil: all) and leaves the others nil — the
+// positions need marks (nil: all) and leaves the others ColAbsent — the
 // planner passes the positions the operators above it read.
 func NewScan(t *table.Table, need []bool) *Scan { return &Scan{tab: t, need: need} }
 
@@ -43,38 +43,29 @@ func (s *Scan) Open(ctx context.Context) error {
 		tab = tab.At(v)
 	}
 	s.cur = tab.NewBatchCursor(s.need)
-	s.pend = nil
 	s.open = true
 	return ctx.Err()
 }
 
-// Next implements Operator, emitting one page of rows (split into
-// MaxBatchRows chunks if a page somehow exceeds the cap).
-func (s *Scan) Next() ([]table.Row, error) {
+// Next implements Operator, emitting one page of rows.
+func (s *Scan) Next() (*table.Batch, error) {
 	defer s.stats.timed(time.Now())
 	if !s.open {
 		return nil, errOpen(s)
 	}
 	for {
-		if len(s.pend) > 0 {
-			n := min(len(s.pend), MaxBatchRows)
-			out := s.pend[:n]
-			s.pend = s.pend[n:]
-			s.stats.emitted(out)
-			return out, nil
-		}
 		if err := s.ctx.Err(); err != nil {
 			return nil, err
 		}
-		_, rows, ok, err := s.cur.Next()
-		if err != nil {
+		_, b, ok, err := s.cur.Next()
+		if err != nil || !ok {
 			return nil, err
 		}
-		if !ok {
-			return nil, nil
+		s.stats.RowsIn += b.Len
+		if b.Len > 0 {
+			s.stats.emitted(b)
+			return b, nil
 		}
-		s.stats.RowsIn += len(rows)
-		s.pend = rows
 	}
 }
 
@@ -82,7 +73,6 @@ func (s *Scan) Next() ([]table.Row, error) {
 func (s *Scan) Close() error {
 	s.open = false
 	s.cur = nil
-	s.pend = nil
 	return nil
 }
 

@@ -6,18 +6,19 @@ import (
 	"sort"
 	"time"
 
-	"xst/internal/core"
 	"xst/internal/table"
 )
 
 // Sort materializes its input — the final sanctioned materialization —
-// orders it by one column under the canonical order, and emits it in
-// MaxBatchRows chunks.
+// into one batch, orders a permutation of its rows by one column under
+// the canonical order, and emits it in MaxBatchRows chunks.
 type Sort struct {
 	child Operator
 	col   int
 	desc  bool
-	queue []table.Row
+	all   table.Batch
+	perm  []int32
+	out   table.Batch
 	stats OpStats
 	open  bool
 }
@@ -28,8 +29,8 @@ func NewSort(child Operator, col int, desc bool) *Sort {
 }
 
 // Open implements Operator, buffering and sorting the whole child
-// stream; batches are copied out of child scratch (see keep) and the
-// context is polled once per batch.
+// stream; batches are copied out of child scratch into one batch and
+// the context is polled once per batch.
 func (s *Sort) Open(ctx context.Context) error {
 	s.stats = OpStats{}
 	defer s.stats.timed(time.Now())
@@ -37,53 +38,59 @@ func (s *Sort) Open(ctx context.Context) error {
 	if err := s.child.Open(ctx); err != nil {
 		return err
 	}
-	s.queue = s.queue[:0]
+	s.all.Reset()
 	for {
-		rows, err := s.child.Next()
+		b, err := s.child.Next()
 		if err != nil {
 			return err
 		}
-		if rows == nil {
+		if b == nil {
 			break
 		}
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		s.stats.RowsIn += len(rows)
-		s.queue = append(s.queue, keep(s.child, rows)...)
+		s.stats.RowsIn += b.Len
+		s.all.AppendSel(b, nil)
 	}
-	s.stats.HeldRows = len(s.queue)
-	col, desc := s.col, s.desc
-	sort.SliceStable(s.queue, func(i, j int) bool {
-		c := core.Compare(s.queue[i][col], s.queue[j][col])
-		if desc {
-			return c > 0
-		}
-		return c < 0
-	})
+	s.stats.HeldRows = s.all.Len
+	s.perm = s.perm[:0]
+	for i := 0; i < s.all.Len; i++ {
+		s.perm = append(s.perm, int32(i))
+	}
+	if s.all.Len > 0 {
+		col := &s.all.Cols[s.col]
+		sort.SliceStable(s.perm, func(i, j int) bool {
+			c := col.CompareAt(int(s.perm[i]), col, int(s.perm[j]))
+			if s.desc {
+				return c > 0
+			}
+			return c < 0
+		})
+	}
 	return nil
 }
 
 // Next implements Operator.
-func (s *Sort) Next() ([]table.Row, error) {
+func (s *Sort) Next() (*table.Batch, error) {
 	defer s.stats.timed(time.Now())
 	if !s.open {
 		return nil, errOpen(s)
 	}
-	if len(s.queue) == 0 {
+	if len(s.perm) == 0 {
 		return nil, nil
 	}
-	n := min(len(s.queue), MaxBatchRows)
-	out := s.queue[:n]
-	s.queue = s.queue[n:]
-	s.stats.emitted(out)
-	return out, nil
+	n := min(len(s.perm), MaxBatchRows)
+	s.out.Gather(&s.all, s.perm[:n])
+	s.perm = s.perm[n:]
+	s.stats.emitted(&s.out)
+	return &s.out, nil
 }
 
 // Close implements Operator.
 func (s *Sort) Close() error {
 	s.open = false
-	s.queue = nil
+	s.all, s.perm, s.out = table.Batch{}, nil, table.Batch{}
 	return s.child.Close()
 }
 
@@ -111,6 +118,8 @@ type Limit struct {
 	child Operator
 	n     int
 	left  int
+	out   table.Batch
+	head  []int32
 	stats OpStats
 	open  bool
 }
@@ -130,7 +139,7 @@ func (l *Limit) Open(ctx context.Context) error {
 }
 
 // Next implements Operator.
-func (l *Limit) Next() ([]table.Row, error) {
+func (l *Limit) Next() (*table.Batch, error) {
 	defer l.stats.timed(time.Now())
 	if !l.open {
 		return nil, errOpen(l)
@@ -138,17 +147,21 @@ func (l *Limit) Next() ([]table.Row, error) {
 	if l.left <= 0 {
 		return nil, nil
 	}
-	rows, err := l.child.Next()
-	if err != nil || rows == nil {
+	b, err := l.child.Next()
+	if err != nil || b == nil {
 		return nil, err
 	}
-	l.stats.RowsIn += len(rows)
-	if len(rows) > l.left {
-		rows = rows[:l.left]
+	l.stats.RowsIn += b.Len
+	if b.Len > l.left {
+		for i := int32(len(l.head)); i < int32(l.left); i++ {
+			l.head = append(l.head, i)
+		}
+		l.out.Gather(b, l.head[:l.left])
+		b = &l.out
 	}
-	l.left -= len(rows)
-	l.stats.emitted(rows)
-	return rows, nil
+	l.left -= b.Len
+	l.stats.emitted(b)
+	return b, nil
 }
 
 // Close implements Operator.

@@ -3,15 +3,17 @@ package exec
 import (
 	"context"
 	"fmt"
-	"slices"
 	"time"
 
 	"xst/internal/core"
 	"xst/internal/table"
 )
 
-// Pred is a row predicate shared with the batch operators.
-type Pred func(table.Row) bool
+// Filter is a compiled predicate over a batch's columns: given the
+// candidate rows sel (ascending indexes into b), it returns those that
+// pass, compacted into sel's array. plan.CompilePred lowers a plan
+// predicate to one.
+type Filter func(b *table.Batch, sel []int32) []int32
 
 // Op is one set-at-a-time stage: a whole batch in, a whole batch out.
 // Each op is the executable form of one XST operation on the stored
@@ -19,33 +21,40 @@ type Pred func(table.Row) bool
 // σ-Domain (Def 7.4), Distinct canonicalization (duplicate members
 // collapse) — TestTreeMatchesAlgebra pins the first two.
 type Op interface {
-	// Process filters/transforms a batch. It may return the input slice
+	// Process filters/transforms a batch. It may return the input batch
 	// when nothing changes, or reuse scratch space; callers must not
 	// retain the output across calls.
-	Process(rows []table.Row) []table.Row
+	Process(b *table.Batch) *table.Batch
 	// OutSchema maps the input schema to the output schema.
 	OutSchema(in table.Schema) table.Schema
 	// String names the stage with its XST reading.
 	String() string
 }
 
-// Restrict is the σ-Restriction stage.
+// Restrict is the σ-Restriction stage: the filter selects, and the
+// survivors are gathered into the stage's own batch.
 type Restrict struct {
-	Pred Pred
-	Name string // display label, e.g. "city = chicago"
-	out  []table.Row
+	Filter Filter
+	Name   string // display label, e.g. "city = chicago"
+	sel    []int32
+	out    table.Batch
 }
 
-// Process implements Op with a selection loop over the batch.
-func (r *Restrict) Process(rows []table.Row) []table.Row {
-	out := r.out[:0]
-	for _, row := range rows {
-		if r.Pred(row) {
-			out = append(out, row)
-		}
+// Process implements Op.
+func (r *Restrict) Process(b *table.Batch) *table.Batch {
+	if cap(r.sel) < b.Len {
+		r.sel = make([]int32, b.Len)
 	}
-	r.out = out
-	return out
+	sel := r.sel[:b.Len]
+	for i := range sel {
+		sel[i] = int32(i)
+	}
+	sel = r.Filter(b, sel)
+	if len(sel) == b.Len {
+		return b
+	}
+	r.out.Gather(b, sel)
+	return &r.out
 }
 
 // OutSchema implements Op.
@@ -53,30 +62,24 @@ func (r *Restrict) OutSchema(in table.Schema) table.Schema { return in }
 
 func (r *Restrict) String() string { return fmt.Sprintf("restrict[%s]", r.Name) }
 
-// Project is the σ-Domain stage keeping the given positions (0-based).
+// Project is the σ-Domain stage keeping the given positions (0-based):
+// its batch re-points column headers at the input's arrays.
 type Project struct {
 	Cols []int
-	out  []table.Row
-	buf  []core.Value
+	out  table.Batch
 }
 
 // Process implements Op.
-func (p *Project) Process(rows []table.Row) []table.Row {
-	out := p.out[:0]
-	need := len(rows) * len(p.Cols)
-	if cap(p.buf) < need {
-		p.buf = make([]core.Value, need)
+func (p *Project) Process(b *table.Batch) *table.Batch {
+	p.out.Len = b.Len
+	if p.out.Cols == nil {
+		p.out.Cols = make([]table.Col, 0, len(p.Cols))
 	}
-	buf := p.buf[:0]
-	for _, row := range rows {
-		start := len(buf)
-		for _, c := range p.Cols {
-			buf = append(buf, row[c])
-		}
-		out = append(out, table.Row(buf[start:len(buf):len(buf)]))
+	p.out.Cols = p.out.Cols[:0]
+	for _, c := range p.Cols {
+		p.out.Cols = append(p.out.Cols, b.Cols[c])
 	}
-	p.out, p.buf = out, buf
-	return out
+	return &p.out
 }
 
 // OutSchema implements Op.
@@ -91,36 +94,50 @@ func (p *Project) OutSchema(in table.Schema) table.Schema {
 func (p *Project) String() string { return fmt.Sprintf("project%v", p.Cols) }
 
 // Distinct collapses duplicate rows (set semantics). The rows it has
-// seen are kept back to back in one value slab — rows of one stream
-// share a width — and filed under a fold of their values' digests.
+// seen are kept in one batch and filed under a fold of their values'
+// digests.
 type Distinct struct {
-	seen core.Chains
-	vals []core.Value // id's row is vals[id·w : (id+1)·w]
-	out  []table.Row
+	seen  core.Chains
+	kept  table.Batch // id's row is row id of kept
+	fresh []int32
+	out   table.Batch
 }
 
 // Process implements Op.
-func (d *Distinct) Process(rows []table.Row) []table.Row {
-	out := d.out[:0]
+func (d *Distinct) Process(b *table.Batch) *table.Batch {
+	fresh := d.fresh[:0]
 rows:
-	for _, row := range rows {
-		w := len(row)
-		h := uint64(w) + 0x9e3779b97f4a7c15
-		for _, v := range row {
-			h = (h ^ core.Digest(v)) * 0x100000001b3
+	for i := 0; i < b.Len; i++ {
+		h := uint64(len(b.Cols)) + 0x9e3779b97f4a7c15
+		for c := range b.Cols {
+			h = (h ^ b.Cols[c].Digest(i)) * 0x100000001b3
 		}
 		h &= digestMask
 		for id := d.seen.First(h); id >= 0; id = d.seen.Next(id) {
-			if slices.EqualFunc(row, d.vals[int(id)*w:int(id+1)*w], core.Equal) {
+			if d.sameRow(b, i, int(id)) {
 				continue rows
 			}
 		}
 		d.seen.Add(h)
-		d.vals = append(d.vals, row...)
-		out = append(out, row)
+		fresh = append(fresh, int32(i))
+		d.kept.AppendSel(b, fresh[len(fresh)-1:])
 	}
-	d.out = out
-	return out
+	d.fresh = fresh
+	if len(fresh) == b.Len {
+		return b
+	}
+	d.out.Gather(b, fresh)
+	return &d.out
+}
+
+// sameRow reports whether row i of b equals kept row id.
+func (d *Distinct) sameRow(b *table.Batch, i, id int) bool {
+	for c := range b.Cols {
+		if !b.Cols[c].Equal(i, &d.kept.Cols[c], id) {
+			return false
+		}
+	}
+	return true
 }
 
 // OutSchema implements Op.
@@ -165,19 +182,19 @@ func (s *Stage) Open(ctx context.Context) error {
 }
 
 // Next implements Operator.
-func (s *Stage) Next() ([]table.Row, error) {
+func (s *Stage) Next() (*table.Batch, error) {
 	defer s.stats.timed(time.Now())
 	if !s.open {
 		return nil, errOpen(s)
 	}
 	for {
-		rows, err := s.child.Next()
-		if err != nil || rows == nil {
+		b, err := s.child.Next()
+		if err != nil || b == nil {
 			return nil, err
 		}
-		s.stats.RowsIn += len(rows)
-		out := s.op.Process(rows)
-		if len(out) == 0 {
+		s.stats.RowsIn += b.Len
+		out := s.op.Process(b)
+		if out.Len == 0 {
 			continue
 		}
 		s.stats.emitted(out)

@@ -19,8 +19,8 @@ func TestRestrictBatch(t *testing.T) {
 	pool := newPool()
 	tbl := makeUsers(t, pool, 90)
 	s := exec.NewStage(&exec.Restrict{
-		Pred: func(r table.Row) bool { return core.Equal(r[1], core.Str("boston")) },
-		Name: "city=boston",
+		Filter: exec.RowPred(func(r table.Row) bool { return core.Equal(r[1], core.Str("boston")) }),
+		Name:   "city=boston",
 	}, exec.NewScan(tbl, nil))
 	n, err := exec.Count(context.Background(), s)
 	if err != nil {
@@ -141,10 +141,10 @@ func TestNestedSetsRoundTripThroughStorage(t *testing.T) {
 func TestQueryBySetMembership(t *testing.T) {
 	// σ(“db” ∈ tags): a membership predicate over a nested field.
 	rows, err := exec.Collect(context.Background(), stages(nestedTable(t), &exec.Restrict{
-		Pred: func(r table.Row) bool {
+		Filter: exec.RowPred(func(r table.Row) bool {
 			s, ok := r[1].(*core.Set)
 			return ok && s.HasClassical(core.Str("db"))
-		},
+		}),
 		Name: "db∈tags",
 	}))
 	if err != nil {
@@ -158,10 +158,10 @@ func TestQueryBySetMembership(t *testing.T) {
 func TestQueryBySubset(t *testing.T) {
 	want := core.S(core.Str("db"), core.Str("theory"))
 	rows, err := exec.Collect(context.Background(), stages(nestedTable(t), &exec.Restrict{
-		Pred: func(r table.Row) bool {
+		Filter: exec.RowPred(func(r table.Row) bool {
 			s, ok := r[1].(*core.Set)
 			return ok && core.Subset(want, s)
-		},
+		}),
 		Name: "{db,theory}⊆tags",
 	}))
 	if err != nil {
@@ -176,10 +176,10 @@ func TestQueryByScopedField(t *testing.T) {
 	// σ(address.city = ann-arbor): read a scoped member inside the
 	// nested set — the XST reading of a field access.
 	n, err := exec.Count(context.Background(), stages(nestedTable(t), &exec.Restrict{
-		Pred: func(r table.Row) bool {
+		Filter: exec.RowPred(func(r table.Row) bool {
 			s, ok := r[2].(*core.Set)
 			return ok && s.Has(core.Str("ann-arbor"), core.Str("city"))
-		},
+		}),
 		Name: "city=ann-arbor",
 	}))
 	if err != nil {
@@ -209,8 +209,8 @@ func TestJoinWithSidedOps(t *testing.T) {
 	users := makeUsers(t, pool, 30)
 	orders := makeOrders(t, pool, 90, 30)
 	j := exec.NewHashJoin(
-		stages(orders, &exec.Restrict{Pred: func(r table.Row) bool { return core.Compare(r[1], core.Int(45)) < 0 }, Name: "amount<45"}),
-		stages(users, &exec.Restrict{Pred: func(r table.Row) bool { return core.Equal(r[1], core.Str("boston")) }, Name: "city=boston"}),
+		stages(orders, &exec.Restrict{Filter: exec.RowPred(func(r table.Row) bool { return core.Compare(r[1], core.Int(45)) < 0 }), Name: "amount<45"}),
+		stages(users, &exec.Restrict{Filter: exec.RowPred(func(r table.Row) bool { return core.Equal(r[1], core.Str("boston")) }), Name: "city=boston"}),
 		0, 0)
 	rows, err := exec.Collect(context.Background(), j)
 	if err != nil {

@@ -77,10 +77,11 @@ func TestConnectReadsSiteCatalogs(t *testing.T) {
 // firstPageRowBytes averages the encoded rows of tab's first heap page.
 func firstPageRowBytes(t *testing.T, tab *table.Table) int {
 	t.Helper()
-	_, rows, ok, err := tab.NewBatchCursor(nil).Next()
-	if err != nil || !ok || len(rows) == 0 {
+	_, b, ok, err := tab.NewBatchCursor(nil).Next()
+	if err != nil || !ok || b.Len == 0 {
 		t.Fatalf("%s: no first page (%v)", tab.Schema().Name, err)
 	}
+	rows, _ := b.AppendRows(nil, nil)
 	total := 0
 	for _, r := range rows {
 		total += len(table.EncodeRow(nil, r))

@@ -35,9 +35,9 @@ func TestRemoteCancelDropsConn(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	rows, err := r.Next()
-	if err != nil || len(rows) == 0 {
-		t.Fatalf("first batch: %d rows, err %v", len(rows), err)
+	b, err := r.Next()
+	if err != nil || b == nil {
+		t.Fatalf("first batch: %v, err %v", b, err)
 	}
 	if r.done {
 		t.Fatal("fixture table fits one batch; grow it so cancellation lands mid-stream")
@@ -60,7 +60,7 @@ type wedgeOp struct {
 }
 
 func (w *wedgeOp) Open(ctx context.Context) error { return nil }
-func (w *wedgeOp) Next() ([]table.Row, error) {
+func (w *wedgeOp) Next() (*table.Batch, error) {
 	w.once.Do(func() { close(w.entered) })
 	<-w.release
 	return nil, nil

@@ -30,9 +30,6 @@ type fragFunc func(ctx context.Context, st *site, conn *siteConn, attempt int) (
 // retried with exponential backoff up to the configured budget; after
 // rows have streamed the query fails instead (resending would duplicate
 // output).
-//
-// Batches are freshly decoded rows, so Remote is a Retainer and its
-// output may cross goroutines uncloned — exactly what Gather wants.
 type Remote struct {
 	c     *Coordinator
 	st    *site
@@ -157,7 +154,7 @@ func (r *Remote) retry(err error) error {
 }
 
 // Next implements Operator.
-func (r *Remote) Next() ([]table.Row, error) {
+func (r *Remote) Next() (*table.Batch, error) {
 	defer opTimed(&r.stats, time.Now())
 	if !r.open {
 		return nil, errOpenRemote(r)
@@ -212,8 +209,9 @@ func (r *Remote) Next() ([]table.Row, error) {
 				continue
 			}
 			r.emitted = true
-			opEmitted(&r.stats, rows)
-			return rows, nil
+			b := table.BatchOf(rows, r.sch.Arity())
+			opEmitted(&r.stats, b)
+			return b, nil
 		}
 		// Final line: fragment complete. Graft the site's span tree
 		// (fresh local ids) under the attempt, quiesce and pool the conn.
@@ -281,10 +279,6 @@ func (r *Remote) Stats() exec.OpStats { return r.stats }
 // Children implements Operator.
 func (r *Remote) Children() []exec.Operator { return nil }
 
-// RetainableBatches implements exec.Retainer: batches are freshly
-// decoded from the wire and never reused.
-func (r *Remote) RetainableBatches() bool { return true }
-
 func (r *Remote) String() string {
 	return fmt.Sprintf("remote[s%d %s]", r.st.id, r.label)
 }
@@ -297,11 +291,11 @@ func errOpenRemote(r *Remote) error {
 // bookkeeping for out-of-package operators.
 func opTimed(s *exec.OpStats, start time.Time) { s.Ns += time.Since(start).Nanoseconds() }
 
-func opEmitted(s *exec.OpStats, rows []table.Row) {
-	s.RowsOut += len(rows)
+func opEmitted(s *exec.OpStats, b *table.Batch) {
+	s.RowsOut += b.Len
 	s.Batches++
-	if len(rows) > s.MaxBatch {
-		s.MaxBatch = len(rows)
+	if b.Len > s.MaxBatch {
+		s.MaxBatch = b.Len
 	}
 }
 

@@ -21,7 +21,7 @@ type closeCountOp struct {
 }
 
 func (c *closeCountOp) Open(ctx context.Context) error { return nil }
-func (c *closeCountOp) Next() ([]table.Row, error)     { return nil, nil }
+func (c *closeCountOp) Next() (*table.Batch, error)    { return nil, nil }
 func (c *closeCountOp) Close() error                   { c.closed++; return nil }
 func (c *closeCountOp) OutSchema() table.Schema        { return c.sch }
 func (c *closeCountOp) Stats() exec.OpStats            { return exec.OpStats{} }

@@ -82,21 +82,20 @@ func compile(n Node, need []bool) (exec.Operator, error) {
 			if x.Idx.Hash == nil {
 				return nil, fmt.Errorf("plan: hash index on %s.%s has no structure", x.Idx.Table.Schema().Name, x.Idx.Col)
 			}
-			return exec.NewHashIndexScan(x.Idx.Table, x.Idx.Hash, x.Eq, x.Desc()), nil
+			return exec.NewHashIndexScan(x.Idx.Table, x.Idx.Hash, x.Eq, accessDesc{x}, need), nil
 		}
 		if x.Idx.BTree == nil {
 			return nil, fmt.Errorf("plan: btree index on %s.%s has no structure", x.Idx.Table.Schema().Name, x.Idx.Col)
 		}
-		return exec.NewBTreeIndexScan(x.Idx.Table, x.Idx.BTree, x.Lo, x.Hi, x.LoIncl, x.HiIncl, x.Desc()), nil
+		return exec.NewBTreeIndexScan(x.Idx.Table, x.Idx.BTree, x.Lo, x.Hi, x.LoIncl, x.HiIncl, accessDesc{x}, need), nil
 	case *Select:
 		child, err := compile(x.Child, needBelow(x, need))
 		if err != nil {
 			return nil, err
 		}
-		pred, sch := x.Pred, child.OutSchema()
 		return exec.NewStage(&exec.Restrict{
-			Pred: func(r table.Row) bool { return pred.Eval(sch, r) },
-			Name: pred.String(),
+			Filter: CompilePred(x.Pred, child.OutSchema()),
+			Name:   x.Pred.String(),
 		}, child), nil
 	case *Project:
 		child, err := compile(x.Child, needBelow(x, need))
@@ -195,6 +194,12 @@ func compile(n Node, need []bool) (exec.Operator, error) {
 		return nil, fmt.Errorf("plan: cannot compile %T", n)
 	}
 }
+
+// accessDesc labels an index scan with its access path's Desc, formatted
+// only when a plan or trace prints it.
+type accessDesc struct{ a *IndexAccess }
+
+func (d accessDesc) String() string { return d.a.Desc() }
 
 // colIndex resolves a column name, erroring when it is missing or
 // appears more than once — Schema.Col silently resolves the first

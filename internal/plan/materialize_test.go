@@ -87,7 +87,7 @@ func execNode(n Node, st *ExecStats) ([]table.Row, table.Schema, error) {
 		}
 		var out []table.Row
 		for _, r := range rows {
-			if x.Pred.Eval(sch, r) {
+			if eval(x.Pred, sch, r) {
 				out = append(out, r)
 			}
 		}
@@ -133,11 +133,7 @@ func compileChain(n Node) (*table.Table, []exec.Op, bool) {
 			if !ok {
 				return nil, table.Schema{}, nil, false
 			}
-			pred, cur := x.Pred, sch
-			ops = append(ops, &exec.Restrict{
-				Pred: func(r table.Row) bool { return pred.Eval(cur, r) },
-				Name: pred.String(),
-			})
+			ops = append(ops, &exec.Restrict{Filter: evalFilter(x.Pred, sch), Name: x.Pred.String()})
 			return src, sch, ops, true
 		case *Project:
 			src, sch, ops, ok := build(x.Child)

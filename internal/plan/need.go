@@ -9,9 +9,9 @@ import (
 // rows the operators above it read — restrict predicates, project
 // lists, join and group keys, aggregate inputs, the sort column —
 // so the page kernel (table.PageBatch.Decode) skips the encoded bytes
-// of the others and leaves them nil. A mask is a []bool over a node's
-// output schema; nil means every position, which is what the root of a
-// plan needs, since its rows are the result.
+// of the others and leaves their columns ColAbsent. A mask is a []bool
+// over a node's output schema; nil means every position, which is what
+// the root of a plan needs, since its rows are the result.
 
 // needOnly marks exactly the named columns of sch.
 func needOnly(sch table.Schema, cols ...string) []bool {

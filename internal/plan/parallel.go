@@ -5,7 +5,6 @@ import (
 	"runtime"
 
 	"xst/internal/exec"
-	"xst/internal/table"
 )
 
 // Parallel compilation: the cost model picks a degree of parallelism
@@ -186,14 +185,11 @@ func compileWorkers(n Node, dop int, need []bool) (workers, aux []exec.Operator,
 		if err != nil || !ok {
 			return nil, nil, ok, err
 		}
-		pred, sch := x.Pred, ws[0].OutSchema()
+		filter := CompilePred(x.Pred, ws[0].OutSchema())
 		for i, w := range ws {
-			// One Stage per worker: each owns its output scratch. Pred
-			// evaluation is read-only and shared safely.
-			ws[i] = exec.NewStage(&exec.Restrict{
-				Pred: func(r table.Row) bool { return pred.Eval(sch, r) },
-				Name: pred.String(),
-			}, w)
+			// One Stage per worker: each owns its output scratch. The
+			// filter is read-only and shared safely.
+			ws[i] = exec.NewStage(&exec.Restrict{Filter: filter, Name: x.Pred.String()}, w)
 		}
 		return ws, aux, true, nil
 	case *Project:

@@ -13,6 +13,7 @@
 package plan
 
 import (
+	"cmp"
 	"fmt"
 	"strings"
 
@@ -169,12 +170,12 @@ func (g *GroupBy) String() string {
 
 // Pred is a predicate expression the optimizer can inspect: it reports
 // which columns it reads, so rewrites can decide which side of a join it
-// belongs to.
+// belongs to. Lowering compiles it once per operator (CompilePred).
 type Pred interface {
 	// Cols returns the column names the predicate reads.
 	Cols() []string
-	// Eval tests a row under a resolved schema.
-	Eval(sch table.Schema, r table.Row) bool
+	// filter lowers the predicate against the positions of sch.
+	filter(sch table.Schema) exec.Filter
 	String() string
 }
 
@@ -195,7 +196,20 @@ func (op CmpOp) String() string {
 	return [...]string{"=", "!=", "<", "<=", ">", ">="}[op]
 }
 
-// Cmp compares one column against a constant.
+// passes[op][c+1] says whether a comparison whose core.Compare result is
+// c satisfies op.
+var passes = [...][3]bool{
+	Eq: {false, true, false},
+	Ne: {true, false, true},
+	Lt: {true, false, false},
+	Le: {true, true, false},
+	Gt: {false, false, true},
+	Ge: {false, true, true},
+}
+
+// Cmp compares one column against a constant under core.Compare, so
+// values of different kinds order by kind rank (bool < int < float <
+// string < set) before value: amount < 10.5 holds for every Int amount.
 type Cmp struct {
 	Col string
 	Op  CmpOp
@@ -205,28 +219,32 @@ type Cmp struct {
 // Cols implements Pred.
 func (c Cmp) Cols() []string { return []string{c.Col} }
 
-// Eval implements Pred.
-func (c Cmp) Eval(sch table.Schema, r table.Row) bool {
+// filter implements Pred: the column is resolved here, once, and the
+// filter reads it unboxed — an Int column against an Int constant
+// compares int64s. A column missing from sch passes no row.
+func (c Cmp) filter(sch table.Schema) exec.Filter {
 	i := sch.Col(c.Col)
-	if i < 0 {
-		return false
+	if i < 0 || int(c.Op) >= len(passes) {
+		return func(_ *table.Batch, sel []int32) []int32 { return sel[:0] }
 	}
-	cmp := core.Compare(r[i], c.Val)
-	switch c.Op {
-	case Eq:
-		return cmp == 0
-	case Ne:
-		return cmp != 0
-	case Lt:
-		return cmp < 0
-	case Le:
-		return cmp <= 0
-	case Gt:
-		return cmp > 0
-	case Ge:
-		return cmp >= 0
-	default:
-		return false
+	pass, lit := passes[c.Op], c.Val
+	x, isInt := lit.(core.Int)
+	return func(b *table.Batch, sel []int32) []int32 {
+		col, k := &b.Cols[i], 0
+		if col.Kind == table.ColInt && isInt {
+			for _, r := range sel {
+				if pass[cmp.Compare(col.Ints[r], int64(x))+1] {
+					sel[k], k = r, k+1
+				}
+			}
+			return sel[:k]
+		}
+		for _, r := range sel {
+			if pass[col.Compare(int(r), lit)+1] {
+				sel[k], k = r, k+1
+			}
+		}
+		return sel[:k]
 	}
 }
 
@@ -244,14 +262,22 @@ func (a And) Cols() []string {
 	return out
 }
 
-// Eval implements Pred.
-func (a And) Eval(sch table.Schema, r table.Row) bool {
-	for _, p := range a {
-		if !p.Eval(sch, r) {
-			return false
-		}
+// filter implements Pred: each conjunct narrows the survivors of the
+// one before it.
+func (a And) filter(sch table.Schema) exec.Filter {
+	fs := make([]exec.Filter, len(a))
+	for i, p := range a {
+		fs[i] = p.filter(sch)
 	}
-	return true
+	return func(b *table.Batch, sel []int32) []int32 {
+		for _, f := range fs {
+			if len(sel) == 0 {
+				break
+			}
+			sel = f(b, sel)
+		}
+		return sel
+	}
 }
 
 func (a And) String() string {
@@ -261,6 +287,11 @@ func (a And) String() string {
 	}
 	return strings.Join(parts, "&")
 }
+
+// CompilePred lowers p once, with its columns resolved against sch, to
+// a filter over batches of rows of that schema. It is the one evaluator
+// of predicates: every Restrict lowering builds is one of its filters.
+func CompilePred(p Pred, sch table.Schema) exec.Filter { return p.filter(sch) }
 
 // hasCols reports whether every named column exists in the schema.
 func hasCols(sch table.Schema, cols []string) bool {

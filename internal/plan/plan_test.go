@@ -97,14 +97,19 @@ func TestCmpOperators(t *testing.T) {
 		{Gt, 4, true}, {Gt, 5, false},
 		{Ge, 5, true}, {Ge, 6, false},
 	}
+	batch := table.BatchOf([]table.Row{row}, 1)
+	passes := func(p Pred) bool { return len(CompilePred(p, sch)(batch, []int32{0})) == 1 }
 	for _, c := range cases {
 		p := Cmp{Col: "x", Op: c.op, Val: core.Int(c.val)}
 		if got := p.Eval(sch, row); got != c.want {
 			t.Errorf("5 %v %d = %v, want %v", c.op, c.val, got, c.want)
 		}
+		if got := passes(p); got != c.want {
+			t.Errorf("compiled: 5 %v %d = %v, want %v", c.op, c.val, got, c.want)
+		}
 	}
 	// Unknown column is false, not a panic.
-	if (Cmp{Col: "nope", Op: Eq, Val: core.Int(1)}).Eval(sch, row) {
+	if unknown := (Cmp{Col: "nope", Op: Eq, Val: core.Int(1)}); unknown.Eval(sch, row) || passes(unknown) {
 		t.Fatal("unknown column must evaluate false")
 	}
 }

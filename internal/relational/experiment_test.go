@@ -8,6 +8,7 @@ import (
 	"xst/internal/core"
 	"xst/internal/exec"
 	"xst/internal/index"
+	"xst/internal/plan"
 	"xst/internal/table"
 	"xst/internal/workload"
 	"xst/internal/xtest"
@@ -59,8 +60,8 @@ func (q setVsRecord) recordSelect() (int, error) {
 
 func (q setVsRecord) setSelect() (int, error) {
 	return exec.Count(context.Background(), exec.NewStages(exec.NewScan(q.ds.Users, nil), &exec.Restrict{
-		Pred: func(r table.Row) bool { return core.Equal(r[q.cityCol], q.city) },
-		Name: "city",
+		Filter: plan.CompilePred(plan.Cmp{Col: "city", Op: plan.Eq, Val: q.city}, q.ds.Users.Schema()),
+		Name:   "city",
 	}))
 }
 
@@ -175,7 +176,15 @@ func (r restructuring) pass(keys []core.Value) func() (int, error) {
 	}
 	return func() (int, error) {
 		return exec.Count(context.Background(), exec.NewStages(exec.NewScan(r.orders, nil), &exec.Restrict{
-			Pred: func(row table.Row) bool { return set[core.Key(row[r.uidCol])] },
+			Filter: func(b *table.Batch, sel []int32) []int32 {
+				uid, k := &b.Cols[r.uidCol], 0
+				for _, i := range sel {
+					if set[core.Key(uid.Value(int(i)))] {
+						sel[k], k = i, k+1
+					}
+				}
+				return sel[:k]
+			},
 			Name: "uid∈keys",
 		}))
 	}
@@ -189,11 +198,10 @@ func (r restructuring) rangeScan(bt *index.BTree, lo, hi core.Value) func() (int
 
 func (r restructuring) rangePass(lo, hi core.Value) func() (int, error) {
 	return func() (int, error) {
+		col := r.orders.Schema().Cols[r.uidCol]
 		return exec.Count(context.Background(), exec.NewStages(exec.NewScan(r.orders, nil), &exec.Restrict{
-			Pred: func(row table.Row) bool {
-				return core.Compare(row[r.uidCol], lo) >= 0 && core.Compare(row[r.uidCol], hi) < 0
-			},
-			Name: "uid range",
+			Filter: plan.CompilePred(plan.And{plan.Cmp{Col: col, Op: plan.Ge, Val: lo}, plan.Cmp{Col: col, Op: plan.Lt, Val: hi}}, r.orders.Schema()),
+			Name:   "uid range",
 		}))
 	}
 }
@@ -304,8 +312,8 @@ func BenchmarkSelectivitySweepSetVsRecord(b *testing.B) {
 		b.Run(fmt.Sprintf("set/1-in-%d", cities), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := exec.Count(context.Background(), exec.NewStage(&exec.Restrict{
-					Pred: func(r table.Row) bool { return core.Equal(r[cityCol], target) },
-					Name: "city",
+					Filter: plan.CompilePred(plan.Cmp{Col: "city", Op: plan.Eq, Val: target}, ds.Users.Schema()),
+					Name:   "city",
 				}, exec.NewScan(ds.Users, nil))); err != nil {
 					b.Fatal(err)
 				}

@@ -61,17 +61,17 @@ func Collect(t *table.Table) (*TableStats, error) {
 	ts := &TableStats{Columns: make([]ColumnStats, arity)}
 	cur := t.NewBatchCursor(nil)
 	for {
-		_, rows, ok, err := cur.Next()
+		_, b, ok, err := cur.Next()
 		if err != nil {
 			return nil, err
 		}
 		if !ok {
 			break
 		}
-		ts.Rows += len(rows)
-		for _, r := range rows {
-			for i, v := range r {
-				cols[i] = append(cols[i], v)
+		ts.Rows += b.Len
+		for i := range b.Cols {
+			for r := 0; r < b.Len; r++ {
+				cols[i] = append(cols[i], b.Cols[i].Value(r))
 			}
 		}
 	}

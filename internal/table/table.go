@@ -117,83 +117,6 @@ func DecodeRow(buf []byte) (Row, error) {
 	return out, nil
 }
 
-// PageBatch is the page-decode kernel: Decode turns every live record
-// of one slotted page into rows held in two slabs the batch owns — one
-// []core.Value of all the rows' values and one []Row of windows into it
-// — both sized from the slot directory and reused by the next Decode.
-// The rows of a Decode are therefore scratch: they are overwritten by
-// the next one. The values in them are immutable and may be kept (a
-// decoded string is a copy, never an alias of the page). A scan that
-// owns one PageBatch pays per page, not per record; an entry point that
-// promises retainable rows decodes each page into a fresh PageBatch.
-//
-// DecodeRow remains the per-record codec for record-at-a-time callers
-// (Get, Cursor, the log) and is the oracle the kernel is tested against.
-type PageBatch struct {
-	vals []core.Value
-	rows []Row
-}
-
-// Decode fills the batch with the live rows of p, in slot order, and
-// returns them. need, when non-nil, marks the positions to decode: the
-// encoded bytes of a position it leaves out (or does not reach) are
-// skipped and that position stays nil, so a column no operator reads
-// costs no value. A row is a function from positions to values; an
-// unread column is a position where it is left undefined.
-func (b *PageBatch) Decode(p store.SlottedPage, need []bool) ([]Row, error) {
-	// Size both slabs from the slot directory before decoding, so the
-	// row windows never straddle a regrown value slab.
-	nrows, nvals := 0, 0
-	for slot, n := 0, p.NumSlots(); slot < n; slot++ {
-		rec, ok := p.Get(slot)
-		if !ok {
-			continue
-		}
-		arity, k := binary.Uvarint(rec)
-		if k <= 0 || arity > uint64(len(rec)) {
-			return nil, core.ErrCorrupt
-		}
-		nrows++
-		nvals += int(arity)
-	}
-	if cap(b.vals) < nvals {
-		b.vals = make([]core.Value, nvals)
-	}
-	if cap(b.rows) < nrows || b.rows == nil {
-		b.rows = make([]Row, nrows)
-	}
-	vals, rows := b.vals[:nvals], b.rows[:0]
-	for slot, n := 0, p.NumSlots(); slot < n; slot++ {
-		rec, ok := p.Get(slot)
-		if !ok {
-			continue
-		}
-		arity, off := binary.Uvarint(rec)
-		row := Row(vals[:arity:arity])
-		vals = vals[arity:]
-		for i := range row {
-			var used int
-			var err error
-			if need == nil || (i < len(need) && need[i]) {
-				row[i], used, err = core.Decode(rec[off:])
-			} else {
-				row[i] = nil
-				used, err = core.Skip(rec[off:])
-			}
-			if err != nil {
-				return nil, err
-			}
-			off += used
-		}
-		if off != len(rec) {
-			return nil, core.ErrCorrupt
-		}
-		rows = append(rows, row)
-	}
-	b.rows = rows
-	return rows, nil
-}
-
 // Table is a schema-tagged heap of rows.
 type Table struct {
 	schema Schema
@@ -327,11 +250,11 @@ func (t *Table) Scan(fn func(rid store.RID, r Row) (bool, error)) error {
 func (t *Table) ScanBatches(fn func(page store.PageID, rows []Row) (bool, error)) error {
 	cur := t.NewBatchCursor(nil)
 	for {
-		cur.batch = PageBatch{} // fn keeps the last page's slabs
-		id, rows, ok, err := cur.Next()
+		id, b, ok, err := cur.Next()
 		if err != nil || !ok {
 			return err
 		}
+		rows, _ := b.AppendRows(nil, nil)
 		if cont, err := fn(id, rows); err != nil || !cont {
 			return err
 		}
@@ -345,8 +268,8 @@ func (t *Table) PageIDs() ([]store.PageID, error) { return t.heap.Pages(), nil }
 
 // ReadPage decodes every live row of one heap page into b, resolved
 // through the table's page source (so snapshot clones read their
-// epoch's image). The rows are b's scratch; need is Decode's.
-func (t *Table) ReadPage(id store.PageID, b *PageBatch, need []bool) ([]Row, error) {
+// epoch's image). The batch is b's scratch; need is Decode's.
+func (t *Table) ReadPage(id store.PageID, b *PageBatch, need []bool) (*Batch, error) {
 	fr, err := t.heap.IO().Page(id)
 	if err != nil {
 		return nil, err
@@ -355,9 +278,39 @@ func (t *Table) ReadPage(id store.PageID, b *PageBatch, need []bool) ([]Row, err
 	return b.Decode(store.SlottedPage(fr.Data()), need)
 }
 
-// ReadPageRows is ReadPage into a fresh batch: the rows may be retained.
+// ReadPageRows is ReadPage boxed into fresh rows, which may be retained.
 func (t *Table) ReadPageRows(id store.PageID) ([]Row, error) {
-	return t.ReadPage(id, new(PageBatch), nil)
+	b, err := t.ReadPage(id, new(PageBatch), nil)
+	if err != nil {
+		return nil, err
+	}
+	rows, _ := b.AppendRows(nil, nil)
+	return rows, nil
+}
+
+// Fetch makes b the rows at rids, in order, decoded by the page kernel
+// straight off their pinned pages (see PageBatch.Decode; need is its):
+// the record-at-a-time access path of an index probe, delivered as a
+// batch.
+func (t *Table) Fetch(rids []store.RID, b *Batch, need []bool) error {
+	b.Reset()
+	for _, rid := range rids {
+		fr, err := t.heap.IO().Page(rid.Page)
+		if err != nil {
+			return err
+		}
+		rec, ok := store.SlottedPage(fr.Data()).Get(int(rid.Slot))
+		if ok {
+			err = b.appendRecord(rec, need, len(rids))
+		} else {
+			err = fmt.Errorf("%w: %v", store.ErrNoRecord, rid)
+		}
+		fr.Unpin()
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // MorselSource deals a table's heap pages out as morsels: a shared,
@@ -433,11 +386,11 @@ func (c *Cursor) Next() (store.RID, Row, bool, error) {
 // Reset repositions the cursor at the beginning.
 func (c *Cursor) Reset() { c.hc.Reset() }
 
-// BatchCursor pulls one decoded page of rows per Next — the
-// set-processing access path in pull form, backing the streaming
-// operator tree (internal/exec): the consumer paces the scan, one page
-// pin per batch. The cursor owns one PageBatch, so the rows of a Next
-// are scratch until the following Next (see PageBatch).
+// BatchCursor pulls one decoded page per Next — the set-processing
+// access path in pull form, backing the streaming operator tree
+// (internal/exec): the consumer paces the scan, one page pin per batch.
+// The cursor owns one PageBatch, so the batch of a Next is scratch
+// until the following Next (see PageBatch).
 type BatchCursor struct {
 	pc    *store.PageCursor
 	batch PageBatch
@@ -451,9 +404,9 @@ func (t *Table) NewBatchCursor(need []bool) *BatchCursor {
 }
 
 // Next returns the rows of the next heap page; ok is false at end of
-// table. Empty pages yield an empty (non-nil) row slice.
-func (c *BatchCursor) Next() (store.PageID, []Row, bool, error) {
-	var out []Row
+// table. An empty page yields an empty batch.
+func (c *BatchCursor) Next() (store.PageID, *Batch, bool, error) {
+	var out *Batch
 	var id store.PageID
 	ok, err := c.pc.Next(func(page store.PageID, p store.SlottedPage) (err error) {
 		id = page

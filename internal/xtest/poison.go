@@ -7,10 +7,16 @@ import (
 	"xst/internal/table"
 )
 
-// Poison is what PoisonScratch writes over a batch once its successor
-// has been asked for: any result that shows it was computed from rows
-// an operator kept past its pull.
-const Poison = core.Str("xtest: scratch row read after the next Next")
+// Poison is what PoisonScratch writes over a batch's boxed values once
+// its successor has been asked for: any result that shows it was
+// computed from rows an operator kept past its pull. PoisonInt and
+// PoisonByte are what it writes over the unboxed integers and string
+// bytes.
+const (
+	Poison     = core.Str("xtest: scratch row read after the next Next")
+	PoisonInt  = -0x5c7a7c4_0000_0bad
+	PoisonByte = '#'
+)
 
 // operator is exec.Operator, spelled with type parameters for the two
 // types of package exec it mentions (OpStats, and Operator itself):
@@ -18,7 +24,7 @@ const Poison = core.Str("xtest: scratch row read after the next Next")
 // which exec imports, use it — so it cannot name them.
 type operator[S, Self any] interface {
 	Open(ctx context.Context) error
-	Next() ([]table.Row, error)
+	Next() (*table.Batch, error)
 	Close() error
 	OutSchema() table.Schema
 	Stats() S
@@ -26,13 +32,14 @@ type operator[S, Self any] interface {
 	String() string
 }
 
-// PoisonScratch wraps an operator whose batches are scratch (anything
-// that is not an exec.Retainer) and enforces the ownership rule the
-// hard way: on every Next it first overwrites the batch it returned
-// last time — each row header with nil, each value with Poison — and
-// only then pulls the next one. A consumer that copied what it needed
-// never notices; one that kept a row, a batch or a window of either
-// past its pull computes on Poison or indexes a nil row, so a
+// PoisonScratch wraps an operator whose batches are scratch and
+// enforces the ownership rule the hard way: on every Next it first
+// overwrites the batch it returned last time — every integer of its int
+// columns with PoisonInt, every byte of its string slabs with
+// PoisonByte, every boxed value with Poison — and only then pulls the
+// next one. A consumer that copied
+// what it needed never notices; one that kept a batch, a column or a
+// string aliasing the slab past its pull computes on poison, so a
 // differential test fails loudly where it would otherwise pass on
 // operators that happen to allocate fresh batches. Call it with an
 // exec.Operator; the result is one, with the wrapped operator as its
@@ -44,7 +51,7 @@ func PoisonScratch[S any, O operator[S, O]](op O) *Poisoned[S, O] {
 // Poisoned is the operator PoisonScratch returns.
 type Poisoned[S any, O operator[S, O]] struct {
 	op   O
-	prev []table.Row
+	prev *table.Batch
 }
 
 // Open implements exec.Operator.
@@ -54,16 +61,24 @@ func (p *Poisoned[S, O]) Open(ctx context.Context) error {
 }
 
 // Next implements exec.Operator.
-func (p *Poisoned[S, O]) Next() ([]table.Row, error) {
-	for i, r := range p.prev {
-		for j := range r {
-			r[j] = Poison
+func (p *Poisoned[S, O]) Next() (*table.Batch, error) {
+	if p.prev != nil {
+		for c := range p.prev.Cols {
+			col := &p.prev.Cols[c]
+			for i := range col.Ints {
+				col.Ints[i] = PoisonInt
+			}
+			for i := range col.Bytes {
+				col.Bytes[i] = PoisonByte
+			}
+			for i := range col.Vals {
+				col.Vals[i] = Poison
+			}
 		}
-		p.prev[i] = nil
 	}
-	rows, err := p.op.Next()
-	p.prev = rows
-	return rows, err
+	b, err := p.op.Next()
+	p.prev = b
+	return b, err
 }
 
 // Close implements exec.Operator.
