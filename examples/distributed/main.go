@@ -59,7 +59,7 @@ func main() {
 		}
 		before := lf.Coord.Metrics().BytesShipped.Value()
 		rows := 0
-		if _, err := q.Run(ctx, func(b []table.Row) error { rows += len(b); return nil }); err != nil {
+		if _, err := q.Run(ctx, func(b *table.Batch) error { rows += b.Len; return nil }); err != nil {
 			panic(err)
 		}
 		fmt.Printf("  %-10s  %10d  %6d\n", force, lf.Coord.Metrics().BytesShipped.Value()-before, rows)

@@ -156,8 +156,8 @@ func compileExplain(t *testing.T, db *Database, src string) (string, int) {
 		t.Fatal(err)
 	}
 	rows := 0
-	if _, err := q.Run(context.Background(), func(b []table.Row) error {
-		rows += len(b)
+	if _, err := q.Run(context.Background(), func(b *table.Batch) error {
+		rows += b.Len
 		return nil
 	}); err != nil {
 		t.Fatal(err)

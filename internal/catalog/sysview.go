@@ -85,14 +85,13 @@ func sampleRowBytes(t *table.Table) int {
 	if err != nil || !ok || b.Len == 0 {
 		return 0
 	}
-	rows, _ := b.AppendRows(nil, nil)
 	total := 0
 	var enc []byte
-	for _, r := range rows {
-		enc = table.EncodeRow(enc[:0], r)
+	for i := 0; i < b.Len; i++ {
+		enc = b.EncodeRow(enc[:0], i)
 		total += len(enc)
 	}
-	return total / len(rows)
+	return total / b.Len
 }
 
 // walRows is one row of durability health: commit epoch, log bytes

@@ -38,9 +38,7 @@ func AppendEncode(dst []byte, v Value) []byte {
 		}
 		return append(dst, 0)
 	case Int:
-		dst = append(dst, tagInt)
-		u := uint64(int64(x)<<1) ^ uint64(int64(x)>>63)
-		return binary.AppendUvarint(dst, u)
+		return AppendEncodeInt(dst, int64(x))
 	case Float:
 		dst = append(dst, tagFloat)
 		bits := math.Float64bits(float64(x))
@@ -49,9 +47,7 @@ func AppendEncode(dst []byte, v Value) []byte {
 		}
 		return binary.LittleEndian.AppendUint64(dst, bits)
 	case Str:
-		dst = append(dst, tagString)
-		dst = binary.AppendUvarint(dst, uint64(len(x)))
-		return append(dst, x...)
+		return AppendEncodeStr(dst, x)
 	case *Set:
 		dst = append(dst, tagSet)
 		dst = binary.AppendUvarint(dst, uint64(len(x.members)))
@@ -63,6 +59,19 @@ func AppendEncode(dst []byte, v Value) []byte {
 	default:
 		panic(fmt.Sprintf("core: cannot encode %T", v))
 	}
+}
+
+// AppendEncodeInt is AppendEncode(dst, Int(i)), for a reader holding
+// the integer unboxed.
+func AppendEncodeInt(dst []byte, i int64) []byte {
+	return binary.AppendUvarint(append(dst, tagInt), uint64(i<<1)^uint64(i>>63))
+}
+
+// AppendEncodeStr is AppendEncode(dst, Str(s)), for a reader holding a
+// string's bytes.
+func AppendEncodeStr[S ~string | ~[]byte](dst []byte, s S) []byte {
+	dst = binary.AppendUvarint(append(dst, tagString), uint64(len(s)))
+	return append(dst, s...)
 }
 
 // Encode returns the canonical encoding of v.

@@ -25,7 +25,7 @@ func AppendTuple(dst []byte, xs []Value) []byte {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
-		dst = appendValue(dst, x)
+		dst = AppendValue(dst, x)
 	}
 	return append(dst, '>')
 }
@@ -39,16 +39,18 @@ func appendSet(dst []byte, s *Set) []byte {
 		if i > 0 {
 			dst = append(dst, ',', ' ')
 		}
-		dst = appendValue(dst, m.Elem)
+		dst = AppendValue(dst, m.Elem)
 		if sc, ok := m.Scope.(*Set); !ok || !sc.IsEmpty() {
 			dst = append(dst, '^')
-			dst = appendValue(dst, m.Scope)
+			dst = AppendValue(dst, m.Scope)
 		}
 	}
 	return append(dst, '}')
 }
 
-func appendValue(dst []byte, v Value) []byte {
+// AppendValue appends the rendering of v to dst, byte for byte what
+// v.String() gives.
+func AppendValue(dst []byte, v Value) []byte {
 	switch x := v.(type) {
 	case Bool:
 		return strconv.AppendBool(dst, bool(x))

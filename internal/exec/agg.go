@@ -5,7 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 	"time"
 
 	"xst/internal/core"
@@ -34,57 +34,93 @@ type Agg struct {
 	Col  int // ignored for AggCount
 }
 
-// cell is the running state of one aggregate of one group; which field
-// is live depends on the aggregate's kind.
-type cell struct {
-	count int64      // Count; for Sum, the low word of the exact total while isInt
-	sum   float64    // Sum once a Float has been seen
-	isInt bool       // Sum has seen only integers
-	hi    int32      // Sum's high word while isInt (it fits isInt's padding)
-	ext   core.Value // Min or Max: the extreme so far, nil before the first row
+// aggCol is one aggregate's running state, an entry per group; which
+// arrays are live depends on the aggregate's kind.
+type aggCol struct {
+	lo []int64 // Count; for Sum, the low word of the exact total while integral
+	hi []int32 // Sum's high word while integral
+	// Sum once a group has seen a Float: its float total, and whether it
+	// has. Both stay nil until some group's does, so a sum over integers
+	// pays for neither.
+	flt   []float64
+	isFlt []bool
+	ext   []core.Value // Min or Max: the extreme so far, nil before the first row
+}
+
+// add appends the empty state of a new group.
+func (a *aggCol) add(kind AggKind) {
+	switch kind {
+	case AggCount:
+		a.lo = append(a.lo, 0)
+	case AggSum:
+		a.lo, a.hi = append(a.lo, 0), append(a.hi, 0)
+		if a.isFlt != nil {
+			a.flt, a.isFlt = append(a.flt, 0), append(a.isFlt, false)
+		}
+	default:
+		a.ext = append(a.ext, nil)
+	}
 }
 
 // errSumOverflow reports an integer sum whose total leaves int64.
 var errSumOverflow = errors.New("exec: sum overflows int64")
 
-// addInt adds the integer hi·2⁶⁴ + uint64(lo) into a Sum cell: exactly,
-// in 96 bits, while the cell is integral, so no intermediate total can
-// fail and the result does not depend on the order rows or partial
-// states arrive in; in float64 once the cell is not. Only the final
-// total must fit int64 (see total). hi itself overflows only past 2³¹
-// extreme values in one group.
-func (c *cell) addInt(hi int32, lo int64) error {
-	if !c.isInt {
-		c.sum += exactFloat(hi, lo)
+// addInt adds the integer hi·2⁶⁴ + uint64(lo) into group g's Sum:
+// exactly, in 96 bits, while the group's sum is integral, so no
+// intermediate total can fail and the result does not depend on the
+// order rows or partial states arrive in; in float64 once it is not.
+// Only the final total must fit int64 (see sumCol). hi itself
+// overflows only past 2³¹ extreme values in one group.
+func (a *aggCol) addInt(g int32, hi int32, lo int64) error {
+	if a.floated(g) {
+		a.flt[g] += exactFloat(hi, lo)
 		return nil
 	}
-	l, carry := bits.Add64(uint64(c.count), uint64(lo), 0)
-	h := int64(c.hi) + int64(hi) + int64(carry)
+	l, carry := bits.Add64(uint64(a.lo[g]), uint64(lo), 0)
+	h := int64(a.hi[g]) + int64(hi) + int64(carry)
 	if h != int64(int32(h)) {
 		return errSumOverflow
 	}
-	c.count, c.hi = int64(l), int32(h)
+	a.lo[g], a.hi[g] = int64(l), int32(h)
 	return nil
 }
 
-// addFloat adds a float into a Sum cell, promoting it at the first one.
-func (c *cell) addFloat(f float64) {
-	if c.isInt {
-		c.sum, c.isInt = exactFloat(c.hi, c.count), false
+// floated reports whether group g's Sum has seen a Float.
+func (a *aggCol) floated(g int32) bool { return a.isFlt != nil && a.isFlt[g] }
+
+// addFloat adds a float into group g's Sum, promoting it at the first one.
+func (a *aggCol) addFloat(g int32, f float64) {
+	if a.isFlt == nil {
+		a.flt, a.isFlt = make([]float64, len(a.lo)), make([]bool, len(a.lo))
 	}
-	c.sum += f
+	if !a.isFlt[g] {
+		a.flt[g], a.isFlt[g] = exactFloat(a.hi[g], a.lo[g]), true
+	}
+	a.flt[g] += f
 }
 
-// total is a Sum cell's result: an Int while integral, failing if the
-// exact total does not fit int64, else the float sum.
-func (c *cell) total() (core.Value, error) {
-	if !c.isInt {
-		return core.Float(c.sum), nil
+// sumCol is a Sum's result column over n groups: the low words
+// themselves while every total is an integer, each failing if it does
+// not fit int64; the totals boxed, Ints and Floats, once a group's is
+// not.
+func (a *aggCol) sumCol(n int) (table.Col, error) {
+	for g := int32(0); g < int32(n); g++ {
+		if !a.floated(g) && int64(a.hi[g]) != a.lo[g]>>63 {
+			return table.Col{}, errSumOverflow
+		}
 	}
-	if int64(c.hi) != c.count>>63 {
-		return nil, errSumOverflow
+	if a.isFlt == nil {
+		return table.Col{Kind: table.ColInt, Ints: a.lo}, nil
 	}
-	return core.Int(c.count), nil
+	vals := make([]core.Value, n)
+	for g := range vals {
+		if a.isFlt[g] {
+			vals[g] = core.Float(a.flt[g])
+		} else {
+			vals[g] = core.Int(a.lo[g])
+		}
+	}
+	return table.Col{Kind: table.ColAny, Vals: vals}, nil
 }
 
 // exactFloat converts the integer hi·2⁶⁴ + uint64(lo) to float64.
@@ -95,35 +131,28 @@ func exactFloat(hi int32, lo int64) float64 {
 	return float64(hi)*0x1p64 + float64(uint64(lo))
 }
 
-// acc is one group: its key and one cell per aggregate.
-type acc struct {
-	key   core.Value
-	cells []cell
-}
-
 // AggState accumulates grouped aggregates batch by batch. It is the
 // core of the GroupAgg and ParallelGroupAgg operators: feed batches
-// through Absorb, then read the result rows once with Rows. Groups are
-// filed by the digest of their key in one core.Chains, atoms and sets
-// alike; a key is read off its column unboxed and boxed once, when its
-// group is created.
+// through Absorb, then read the result once with Result. The groups are
+// columns: group id g's key is row g of one key column, which a new key
+// is appended to unboxed (and which turns ColAny, as a page's column
+// does, when keys of another kind arrive), and its state is entry g of
+// each aggregate's arrays. Keys are filed by digest in one
+// core.Chains, atoms and sets alike.
 type AggState struct {
 	keyCol int
 	aggs   []Agg
 	chains core.Chains
-	groups []*acc // id → group
+	keys   table.Col // group id → key
+	cols   []aggCol  // per aggregate
+	groups int
 	rows   int
-	// New groups are carved from these two chunks, which double like an
-	// append when they run out: a group costs its table entry and a share
-	// of a chunk, not six objects.
-	accs  []acc
-	cells []cell
-	of    []*acc // scratch: the group of each row of the batch being absorbed
+	of     []int32 // scratch: the group of each row of the batch being absorbed
 }
 
 // NewAggState returns an empty accumulator grouping on keyCol.
 func NewAggState(keyCol int, aggs ...Agg) *AggState {
-	return &AggState{keyCol: keyCol, aggs: append([]Agg(nil), aggs...)}
+	return &AggState{keyCol: keyCol, aggs: append([]Agg(nil), aggs...), cols: make([]aggCol, len(aggs))}
 }
 
 // Absorb folds one batch into the accumulators: first the group of
@@ -136,8 +165,8 @@ func (s *AggState) Absorb(b *table.Batch) error {
 		of = append(of, s.group(key, i))
 	}
 	s.of = of
-	for k, a := range s.aggs {
-		if err := fold(k, a, b, of); err != nil {
+	for k := range s.aggs {
+		if err := s.fold(k, b); err != nil {
 			return err
 		}
 	}
@@ -145,11 +174,12 @@ func (s *AggState) Absorb(b *table.Batch) error {
 	return nil
 }
 
-// fold folds aggregate k, a, over the rows of b into their groups of.
-func fold(k int, a Agg, b *table.Batch, of []*acc) error {
+// fold folds aggregate k over the rows of b into their groups, s.of.
+func (s *AggState) fold(k int, b *table.Batch) error {
+	a, st := s.aggs[k], &s.cols[k]
 	if a.Kind == AggCount {
-		for _, g := range of {
-			g.cells[k].count++
+		for _, g := range s.of {
+			st.lo[g]++
 		}
 		return nil
 	}
@@ -158,21 +188,21 @@ func fold(k int, a Agg, b *table.Batch, of []*acc) error {
 	case AggSum:
 		switch col.Kind {
 		case table.ColInt:
-			for i, g := range of {
+			for i, g := range s.of {
 				x := col.Ints[i]
-				if err := g.cells[k].addInt(int32(x>>63), x); err != nil {
+				if err := st.addInt(g, int32(x>>63), x); err != nil {
 					return err
 				}
 			}
 		case table.ColAny:
-			for i, g := range of {
+			for i, g := range s.of {
 				switch v := col.Vals[i].(type) {
 				case core.Int:
-					if err := g.cells[k].addInt(int32(v>>63), int64(v)); err != nil {
+					if err := st.addInt(g, int32(v>>63), int64(v)); err != nil {
 						return err
 					}
 				case core.Float:
-					g.cells[k].addFloat(float64(v))
+					st.addFloat(g, float64(v))
 				default:
 					return fmt.Errorf("exec: sum over non-numeric %v", v)
 				}
@@ -181,66 +211,48 @@ func fold(k int, a Agg, b *table.Batch, of []*acc) error {
 			return fmt.Errorf("exec: sum over non-numeric %v", col.Value(0))
 		}
 	case AggMin, AggMax:
-		sign := 1
-		if a.Kind == AggMax {
-			sign = -1
-		}
-		for i, g := range of {
-			if c := &g.cells[k]; c.ext == nil || sign*col.Compare(i, c.ext) < 0 {
-				c.ext = col.Value(i)
+		sign := a.sign()
+		for i, g := range s.of {
+			if e := st.ext[g]; e == nil || sign*col.Compare(i, e) < 0 {
+				st.ext[g] = col.Value(i)
 			}
 		}
 	}
 	return nil
 }
 
+// sign is 1 for Min and -1 for Max: a value v replaces the extreme e
+// when sign·Compare(v, e) < 0.
+func (a Agg) sign() int {
+	if a.Kind == AggMax {
+		return -1
+	}
+	return 1
+}
+
 // group finds or creates the group of the key at row i of column key.
-func (s *AggState) group(key *table.Col, i int) *acc {
+func (s *AggState) group(key *table.Col, i int) int32 {
 	d := key.Digest(i) & digestMask
 	for id := s.chains.First(d); id >= 0; id = s.chains.Next(id) {
-		if g := s.groups[id]; key.EqualValue(i, g.key) {
-			return g
+		if s.keys.Equal(int(id), key, i) {
+			return id
 		}
-	}
-	return s.newAcc(d, key.Value(i))
-}
-
-// groupOf finds or creates the group of key.
-func (s *AggState) groupOf(key core.Value) *acc {
-	d := core.Digest(key) & digestMask
-	for id := s.chains.First(d); id >= 0; id = s.chains.Next(id) {
-		if g := s.groups[id]; core.Equal(g.key, key) {
-			return g
-		}
-	}
-	return s.newAcc(d, key)
-}
-
-// newAcc files a new group for key under digest d.
-func (s *AggState) newAcc(d uint64, key core.Value) *acc {
-	k := len(s.aggs)
-	if len(s.accs) == cap(s.accs) {
-		n := 2*cap(s.accs) + 1
-		s.accs = make([]acc, 0, n)
-		s.cells = make([]cell, n*k)
-	}
-	s.accs = append(s.accs, acc{key: key, cells: s.cells[:k:k]})
-	s.cells = s.cells[k:]
-	g := &s.accs[len(s.accs)-1]
-	for i := range g.cells {
-		g.cells[i].isInt = true
 	}
 	s.chains.Add(d)
-	s.groups = append(s.groups, g)
-	return g
+	s.keys.Append(s.groups, key, i)
+	for k, a := range s.aggs {
+		s.cols[k].add(a.Kind)
+	}
+	s.groups++
+	return int32(s.groups - 1)
 }
 
 // Merge folds another accumulator built over the same keyCol and aggs
 // into s, so partial aggregates computed by independent workers can be
-// combined into one result. o is read, not changed. All
-// four aggregate kinds are decomposable: counts and sums add, min/max
-// re-compare, and a Sum stays an exact integer only if both sides
-// stayed integral.
+// combined into one result: each of o's keys is read off its key
+// column and grouped in s. o is read, not changed. All four aggregate
+// kinds are decomposable: counts and sums add, min/max re-compare, and
+// a Sum stays an exact integer only if both sides stayed integral.
 func (s *AggState) Merge(o *AggState) error {
 	if s.keyCol != o.keyCol || len(s.aggs) != len(o.aggs) {
 		return fmt.Errorf("exec: merging incompatible aggregate states")
@@ -250,26 +262,22 @@ func (s *AggState) Merge(o *AggState) error {
 			return fmt.Errorf("exec: merging incompatible aggregate states")
 		}
 	}
-	for _, src := range o.groups {
-		dst := s.groupOf(src.key)
-		for i, a := range s.aggs {
-			d, c := &dst.cells[i], &src.cells[i]
+	for g := int32(0); g < int32(o.groups); g++ {
+		d := s.group(&o.keys, int(g))
+		for k, a := range s.aggs {
+			dst, src := &s.cols[k], &o.cols[k]
 			switch a.Kind {
 			case AggCount:
-				d.count += c.count
+				dst.lo[d] += src.lo[g]
 			case AggSum:
-				if !c.isInt {
-					d.addFloat(c.sum)
-				} else if err := d.addInt(c.hi, c.count); err != nil {
+				if src.floated(g) {
+					dst.addFloat(d, src.flt[g])
+				} else if err := dst.addInt(d, src.hi[g], src.lo[g]); err != nil {
 					return err
 				}
-			case AggMin:
-				if c.ext != nil && (d.ext == nil || core.Compare(c.ext, d.ext) < 0) {
-					d.ext = c.ext
-				}
-			case AggMax:
-				if c.ext != nil && (d.ext == nil || core.Compare(c.ext, d.ext) > 0) {
-					d.ext = c.ext
+			case AggMin, AggMax:
+				if e := src.ext[g]; e != nil && (dst.ext[d] == nil || a.sign()*core.Compare(e, dst.ext[d]) < 0) {
+					dst.ext[d] = e
 				}
 			}
 		}
@@ -279,67 +287,77 @@ func (s *AggState) Merge(o *AggState) error {
 }
 
 // Groups returns the number of distinct keys seen so far.
-func (s *AggState) Groups() int { return len(s.groups) }
+func (s *AggState) Groups() int { return s.groups }
 
 // RowsIn returns the number of rows absorbed so far.
 func (s *AggState) RowsIn() int { return s.rows }
 
-// Rows materializes the aggregate result: (key, agg1, agg2, …) rows in
-// canonical key order. The rows are freshly allocated — windows into
-// one value slab made here — and retainable. It fails if an integer
-// sum's total does not fit int64.
-func (s *AggState) Rows() ([]table.Row, error) {
-	width := 1 + len(s.aggs)
-	out := make([]table.Row, 0, s.Groups())
-	vals := make([]core.Value, 0, s.Groups()*width)
-	for _, g := range s.groups {
-		row := vals[len(vals) : len(vals)+width : len(vals)+width]
-		vals = vals[:len(vals)+width]
-		row[0] = g.key
-		for i, a := range s.aggs {
-			c := &g.cells[i]
-			switch a.Kind {
-			case AggCount:
-				row[1+i] = core.Int(c.count)
-			case AggSum:
-				v, err := c.total()
-				if err != nil {
-					return nil, err
-				}
-				row[1+i] = v
-			case AggMin, AggMax:
-				row[1+i] = c.ext
+// Result returns the aggregate result as one batch of (key, agg1,
+// agg2, …) columns, a row per group in the order the groups were
+// created, and the permutation of its rows that puts the keys in
+// canonical order. The batch re-points the state's arrays — the key
+// column, the counts, the integral sums' low words — so nothing is
+// copied or boxed per group but a float sum; it is valid until the
+// next Absorb or Merge. It fails if an integer sum's total does not
+// fit int64.
+func (s *AggState) Result() (*table.Batch, []int32, error) {
+	b := &table.Batch{Len: s.groups, Cols: make([]table.Col, 1+len(s.aggs))}
+	b.Cols[0] = s.keys
+	for k, a := range s.aggs {
+		st := &s.cols[k]
+		switch a.Kind {
+		case AggCount:
+			b.Cols[1+k] = table.Col{Kind: table.ColInt, Ints: st.lo}
+		case AggSum:
+			col, err := st.sumCol(s.groups)
+			if err != nil {
+				return nil, nil, err
 			}
+			b.Cols[1+k] = col
+		default:
+			b.Cols[1+k] = table.Col{Kind: table.ColAny, Vals: st.ext}
 		}
-		out = append(out, row)
 	}
-	sort.Slice(out, func(i, j int) bool { return core.Compare(out[i][0], out[j][0]) < 0 })
-	return out, nil
+	perm := make([]int32, s.groups)
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	keys := &b.Cols[0]
+	slices.SortFunc(perm, func(i, j int32) int { return keys.CompareAt(int(i), keys, int(j)) })
+	return b, perm, nil
 }
 
-// nextChunk hands out the next MaxBatchRows of rows, advancing past
-// them, as a fresh batch of boxed columns of the given width; nil when
-// none are left.
-func nextChunk(rows *[]table.Row, width int) *table.Batch {
-	if len(*rows) == 0 {
+// ordered hands out the rows of a held batch in the order of a
+// permutation, MaxBatchRows at a time, gathered into one batch reused
+// from chunk to chunk: the emission of Sort and of the aggregates.
+type ordered struct {
+	all  *table.Batch
+	perm []int32
+	out  table.Batch
+}
+
+// next gathers the next chunk, or returns nil when none is left.
+func (o *ordered) next() *table.Batch {
+	if len(o.perm) == 0 {
 		return nil
 	}
-	n := min(len(*rows), MaxBatchRows)
-	out := table.BatchOf((*rows)[:n], width)
-	*rows = (*rows)[n:]
-	return out
+	n := min(len(o.perm), MaxBatchRows)
+	o.out.Gather(o.all, o.perm[:n])
+	o.perm = o.perm[n:]
+	return &o.out
 }
 
 // GroupAgg is the streaming aggregate operator: Open drains the child
 // into an AggState — accumulators only, never the input rows — and
-// Next emits the (key, agg…) result in MaxBatchRows chunks. The held
+// Next emits the (key, agg…) result batch in key order, MaxBatchRows
+// rows at a time. The held
 // state is one accumulator per distinct key, the aggregate's sanctioned
 // materialization.
 type GroupAgg struct {
 	child  Operator
 	keyCol int
 	aggs   []Agg
-	queue  []table.Row
+	out    ordered
 	stats  OpStats
 	open   bool
 }
@@ -375,11 +393,11 @@ func (g *GroupAgg) Open(ctx context.Context) error {
 			return err
 		}
 	}
-	rows, err := st.Rows()
+	res, perm, err := st.Result()
 	if err != nil {
 		return err
 	}
-	g.queue = rows
+	g.out = ordered{all: res, perm: perm}
 	g.stats.HeldRows = st.Groups()
 	return nil
 }
@@ -390,7 +408,7 @@ func (g *GroupAgg) Next() (*table.Batch, error) {
 	if !g.open {
 		return nil, errOpen(g)
 	}
-	out := nextChunk(&g.queue, 1+len(g.aggs))
+	out := g.out.next()
 	if out != nil {
 		g.stats.emitted(out)
 	}
@@ -400,17 +418,19 @@ func (g *GroupAgg) Next() (*table.Batch, error) {
 // Close implements Operator.
 func (g *GroupAgg) Close() error {
 	g.open = false
-	g.queue = nil
+	g.out = ordered{}
 	return g.child.Close()
 }
 
 // OutSchema implements Operator: (key, agg1, agg2, …) with aggregate
 // columns named kind(col).
-func (g *GroupAgg) OutSchema() table.Schema {
-	in := g.child.OutSchema()
-	cols := make([]string, 0, 1+len(g.aggs))
-	cols = append(cols, in.Cols[g.keyCol])
-	for _, a := range g.aggs {
+func (g *GroupAgg) OutSchema() table.Schema { return aggSchema(g.child.OutSchema(), g.keyCol, g.aggs) }
+
+// aggSchema is the output schema of grouping in on keyCol with aggs.
+func aggSchema(in table.Schema, keyCol int, aggs []Agg) table.Schema {
+	cols := make([]string, 0, 1+len(aggs))
+	cols = append(cols, in.Cols[keyCol])
+	for _, a := range aggs {
 		if a.Kind == AggCount {
 			cols = append(cols, "count")
 		} else {

@@ -68,18 +68,46 @@ func TestGroupAggCount(t *testing.T) {
 	}
 }
 
+// TestGroupAggSumFloatPromotion: a group's sum turns Float at its first
+// float, and only that group's, whether the float arrives in the rows
+// or in a partial state merged in, before or after other groups exist.
 func TestGroupAggSumFloatPromotion(t *testing.T) {
 	pool := newPool()
 	tbl, _ := table.Create(pool, table.Schema{Name: "m", Cols: []string{"k", "v"}})
-	tbl.Insert(table.Row{core.Str("a"), core.Int(1)})
-	tbl.Insert(table.Row{core.Str("a"), core.Float(0.5)})
+	in := []table.Row{
+		{core.Str("a"), core.Int(1)}, {core.Str("b"), core.Int(2)},
+		{core.Str("a"), core.Float(0.5)}, {core.Str("c"), core.Int(3)},
+	}
+	for _, r := range in {
+		tbl.Insert(r)
+	}
+	want := []core.Value{core.Float(1.5), core.Int(2), core.Int(3)}
+	check := func(how string, rows []table.Row, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range rows {
+			if !core.Equal(r[1], want[i]) {
+				t.Fatalf("%s: group %v sums to %v, want %v", how, r[0], r[1], want[i])
+			}
+		}
+	}
 	rows, err := groupAgg(tbl, 0, exec.Agg{Kind: exec.AggSum, Col: 1})
-	if err != nil {
+	check("absorb", rows, err)
+	sum := exec.Agg{Kind: exec.AggSum, Col: 1}
+	first, second := exec.NewAggState(0, sum), exec.NewAggState(0, sum)
+	if err := first.Absorb(table.BatchOf(in[:2], 2)); err != nil {
 		t.Fatal(err)
 	}
-	if !core.Equal(rows[0][1], core.Float(1.5)) {
-		t.Fatalf("mixed sum = %v", rows[0][1])
+	if err := second.Absorb(table.BatchOf(in[2:], 2)); err != nil {
+		t.Fatal(err)
 	}
+	if err := first.Merge(second); err != nil {
+		t.Fatal(err)
+	}
+	rows, err = exec.AggRows(first)
+	check("merge", rows, err)
 }
 
 func TestGroupAggSumNonNumeric(t *testing.T) {
@@ -144,7 +172,7 @@ func TestAggSumExactOverInts(t *testing.T) {
 				if err != nil {
 					return nil, err
 				}
-				return st.Rows()
+				return exec.AggRows(st)
 			}
 
 			st := exec.NewAggState(0, sum)

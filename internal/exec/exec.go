@@ -19,9 +19,13 @@
 //
 // Batches are columnar (table.Batch): one column per position, ints
 // and strings held unboxed, anything else boxed. Predicates, join and
-// group keys and sums read the columns; a value is boxed only when it
-// leaves the plan — Stream and Collect turn each output batch into rows
-// just before handing them on — or when a group is created for it.
+// group keys and sums read the columns, and the result leaves the plan
+// as batches too: Drain hands each output batch on as it is, and the
+// server renders its rows from the columns. Boxing is left in two
+// places: Stream and Collect, the row-at-a-time boundary for tests and
+// tools, turn each batch into rows; and Min/Max keep their extremes as
+// values. A group's key is appended to the aggregate's key column, and
+// its counts and sums are int64 arrays the result batch re-points.
 //
 // Ownership — one rule, everywhere: a batch and its columns are scratch
 // until the producer's next Next. The operator refills them in place (a
@@ -107,7 +111,7 @@ func Walk(op Operator, fn func(op Operator, depth int)) {
 // around the drain.
 func Collect(ctx context.Context, op Operator) ([]table.Row, error) {
 	var out []table.Row
-	err := drain(ctx, op, func(b *table.Batch) error {
+	err := Drain(ctx, op, func(b *table.Batch) error {
 		out, _ = b.AppendRows(out, nil)
 		return nil
 	})
@@ -127,15 +131,17 @@ func Collect(ctx context.Context, op Operator) ([]table.Row, error) {
 func Stream(ctx context.Context, op Operator, emit func(rows []table.Row) error) error {
 	var rows []table.Row
 	var vals []core.Value
-	return drain(ctx, op, func(b *table.Batch) error {
+	return Drain(ctx, op, func(b *table.Batch) error {
 		rows, vals = b.AppendRows(rows[:0], vals[:0])
 		return emit(rows)
 	})
 }
 
-// drain is Stream without the rows: every batch goes to emit as the
-// operator produced it.
-func drain(ctx context.Context, op Operator, emit func(b *table.Batch) error) error {
+// Drain is Stream without the rows: every batch goes to emit as the
+// operator produced it, scratch until emit returns (see the package
+// comment), with nothing boxed. It is how a result leaves the plan for
+// the server, which renders each row straight from the columns.
+func Drain(ctx context.Context, op Operator, emit func(b *table.Batch) error) error {
 	sp := trace.SpanOf(ctx).Start("exec")
 	defer sp.End()
 	ctx = trace.WithSpan(ctx, sp)
@@ -180,7 +186,7 @@ func closeSpanned(sp *trace.Span, op Operator) error {
 // row count.
 func Count(ctx context.Context, op Operator) (int, error) {
 	n := 0
-	err := drain(ctx, op, func(b *table.Batch) error {
+	err := Drain(ctx, op, func(b *table.Batch) error {
 		n += b.Len
 		return nil
 	})

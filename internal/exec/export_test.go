@@ -29,3 +29,15 @@ func RowPred(p func(table.Row) bool) Filter {
 		return sel[:k]
 	}
 }
+
+// AggRows boxes st's result into rows, in key order.
+func AggRows(st *AggState) ([]table.Row, error) {
+	res, perm, err := st.Result()
+	if err != nil {
+		return nil, err
+	}
+	var b table.Batch
+	b.Gather(res, perm)
+	rows, _ := b.AppendRows(nil, nil)
+	return rows, nil
+}

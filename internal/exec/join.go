@@ -37,7 +37,7 @@ func (o *joinOut) refill(b *table.Batch, col int, part func(d uint64) *keyedRows
 		d := key.Digest(i) & digestMask
 		t := part(d)
 		for id := t.chains.First(d); id >= 0; id = t.chains.Next(id) {
-			if r := t.base + id; t.rows.Cols[t.col].Equal(int(r), key, i) {
+			if r := t.row(id); t.rows.Cols[t.col].Equal(int(r), key, i) {
 				o.ps, o.bs = append(o.ps, int32(i)), append(o.bs, r)
 			}
 		}
@@ -57,25 +57,38 @@ func (o *joinOut) next(build *table.Batch) *table.Batch {
 // force collisions and prove the Equal comparison behind a digest match.
 var digestMask = ^uint64(0)
 
-// keyedRows files a run of a hash join's kept build rows — rows
-// [base, base+n) of one batch — by the digest of their key column in
-// one core.Chains. Atom and set keys take the one path; Equal tells
-// them apart.
+// keyedRows files a hash join's kept build rows — rows of one batch,
+// every row or those a list of ids names — by the digest of their key
+// column in one core.Chains. Atom and set keys take the one path;
+// Equal tells them apart.
 type keyedRows struct {
 	col    int
 	rows   *table.Batch
-	base   int32
+	ids    []int32 // chain id → row of rows; nil: the chain id is the row
 	chains core.Chains
 }
 
-// fileRows files rows [base, base+n) of rows under their key column.
-func fileRows(rows *table.Batch, col int, base, n int) keyedRows {
-	t := keyedRows{col: col, rows: rows, base: int32(base), chains: core.NewChains(n)}
+// fileRows files the rows of rows that ids names, or every row when ids
+// is nil, under their key column.
+func fileRows(rows *table.Batch, col int, ids []int32) keyedRows {
+	n := len(ids)
+	if ids == nil {
+		n = rows.Len
+	}
+	t := keyedRows{col: col, rows: rows, ids: ids, chains: core.NewChains(n)}
 	key := &rows.Cols[col]
-	for i := base; i < base+n; i++ {
-		t.chains.Add(key.Digest(i) & digestMask)
+	for id := int32(0); id < int32(n); id++ {
+		t.chains.Add(key.Digest(int(t.row(id))) & digestMask)
 	}
 	return t
+}
+
+// row is the row filed as chain id.
+func (t *keyedRows) row(id int32) int32 {
+	if t.ids == nil {
+		return id
+	}
+	return t.ids[id]
 }
 
 // HashJoin is the Relative Product (Def 10.1) in streaming form: Open
@@ -138,7 +151,7 @@ func (j *HashJoin) Open(ctx context.Context) error {
 		j.stats.RowsIn += b.Len
 		j.rows.AppendSel(b, nil)
 	}
-	j.build = fileRows(&j.rows, j.rightCol, 0, j.rows.Len)
+	j.build = fileRows(&j.rows, j.rightCol, nil)
 	j.stats.HeldRows = j.rows.Len
 	return nil
 }

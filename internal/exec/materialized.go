@@ -50,10 +50,13 @@ func (m *Materialized) Next() (*table.Batch, error) {
 	if err := m.ctx.Err(); err != nil {
 		return nil, err
 	}
-	out := nextChunk(&m.rows, m.sch.Arity())
-	if out != nil {
-		m.st.emitted(out)
+	if len(m.rows) == 0 {
+		return nil, nil
 	}
+	n := min(len(m.rows), MaxBatchRows)
+	out := table.BatchOf(m.rows[:n], m.sch.Arity())
+	m.rows = m.rows[n:]
+	m.st.emitted(out)
 	return out, nil
 }
 

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"strconv"
@@ -135,7 +136,9 @@ func (s *MorselScan) String() string { return "morselscan(" + s.src.Table().Sche
 //   - prompt shutdown: Close cancels, drains, and joins every worker
 //     goroutine before returning, so no goroutine outlives the tree;
 //   - ownership: every batch is copied before it crosses the channel,
-//     so what Next returns is a batch Gather never touches again.
+//     so what Next returns no worker touches; it is scratch until the
+//     next Next, which hands it back to a free list the producers copy
+//     into, so batches are recycled rather than allocated per batch.
 //
 // aux operators are shared dependencies of the workers (e.g. the
 // HashBuild that ProbeJoin workers probe): Open opens them in order,
@@ -148,8 +151,8 @@ type Gather struct {
 	ctx      context.Context
 	cancel   context.CancelFunc
 	ch       chan *table.Batch
-	wg       sync.WaitGroup
-	errOnce  sync.Once
+	free     chan *table.Batch // batches the consumer is done with
+	last     *table.Batch      // the batch Next handed out last
 	firstErr error
 	inFlight atomic.Int64
 	peak     atomic.Int64
@@ -167,16 +170,15 @@ func NewGather(workers []Operator, aux ...Operator) *Gather {
 	return &Gather{workers: workers, aux: aux}
 }
 
-// Open implements Operator: opens aux dependencies, then starts one
-// producer goroutine per worker plus a closer that seals the channel
-// when all producers exit.
+// Open implements Operator: opens aux dependencies, then drains the
+// workers, one producer goroutine each (drainAll), under a closer that
+// seals the channel when all producers exit.
 func (g *Gather) Open(ctx context.Context) error {
 	g.stats = OpStats{}
 	defer g.stats.timed(time.Now())
 	g.open = true
 	g.done = false
 	g.firstErr = nil
-	g.errOnce = sync.Once{}
 	g.inFlight.Store(0)
 	g.peak.Store(0)
 	g.parent = ctx
@@ -187,72 +189,51 @@ func (g *Gather) Open(ctx context.Context) error {
 		}
 	}
 	g.ch = make(chan *table.Batch, len(g.workers))
-	for i, w := range g.workers {
-		g.wg.Add(1)
-		go func(i int, w Operator) {
-			defer g.wg.Done()
-			g.produce(i, w)
-		}(i, w)
-	}
+	// Every batch in circulation is queued, being filled by a producer or
+	// held by the consumer, so this many free slots never block a send.
+	g.free = make(chan *table.Batch, 2*len(g.workers)+1)
 	go func() {
-		g.wg.Wait()
+		// The workers run under g.ctx, so Close's cancel reaches a worker
+		// blocked inside its own Next. close(ch) orders the firstErr
+		// write before Next reads it.
+		g.firstErr = drainAll(g.ctx, "worker", g.workers, g.send)
 		close(g.ch)
 	}()
 	return nil
 }
 
-// produce drains one worker subtree into the exchange channel.
-func (g *Gather) produce(i int, w Operator) {
-	wsp := workerSpan(g.parent, "worker", i)
-	defer wsp.End()
-	if err := w.Open(g.ctx); err != nil {
-		g.fail(err)
-		return
+// send copies one worker batch into a free batch, or a new one, and
+// sends it across the exchange.
+func (g *Gather) send(_ int, b *table.Batch) error {
+	// Poll the caller's context, not just the derived one: the derived
+	// context only observes cancellation that has already propagated,
+	// while deadline/countdown contexts cancel inside their own Err
+	// method — the per-batch poll the Operator contract promises.
+	if err := g.parent.Err(); err != nil {
+		return err
 	}
+	var batch *table.Batch
+	select {
+	case batch = <-g.free:
+		batch.Reset()
+	default:
+		batch = new(table.Batch)
+	}
+	batch.AppendSel(b, nil)
+	n := g.inFlight.Add(int64(batch.Len))
 	for {
-		// Poll the caller's context, not just the derived one: the
-		// derived context only observes cancellation that has already
-		// propagated, while deadline/countdown contexts cancel inside
-		// their own Err method — the per-batch poll the Operator
-		// contract promises.
-		if err := g.parent.Err(); err != nil {
-			g.fail(err)
-			return
-		}
-		b, err := w.Next()
-		if err != nil {
-			g.fail(err)
-			return
-		}
-		if b == nil {
-			return
-		}
-		wsp.AddRows(b.Len)
-		wsp.AddBatches(1)
-		batch := b.Clone()
-		n := g.inFlight.Add(int64(batch.Len))
-		for {
-			p := g.peak.Load()
-			if n <= p || g.peak.CompareAndSwap(p, n) {
-				break
-			}
-		}
-		select {
-		case g.ch <- batch:
-		case <-g.ctx.Done():
-			g.inFlight.Add(-int64(batch.Len))
-			g.fail(g.ctx.Err())
-			return
+		p := g.peak.Load()
+		if n <= p || g.peak.CompareAndSwap(p, n) {
+			break
 		}
 	}
-}
-
-// fail records the first worker error and cancels every sibling.
-func (g *Gather) fail(err error) {
-	g.errOnce.Do(func() {
-		g.firstErr = err
-		g.cancel()
-	})
+	select {
+	case g.ch <- batch:
+		return nil
+	case <-g.ctx.Done():
+		g.inFlight.Add(-int64(batch.Len))
+		return g.ctx.Err()
+	}
 }
 
 // Next implements Operator: receives the next worker batch. Order
@@ -261,6 +242,13 @@ func (g *Gather) Next() (*table.Batch, error) {
 	defer g.stats.timed(time.Now())
 	if !g.open {
 		return nil, errOpen(g)
+	}
+	if g.last != nil {
+		select {
+		case g.free <- g.last:
+		default:
+		}
+		g.last = nil
 	}
 	if g.done {
 		return nil, g.firstErr
@@ -275,6 +263,7 @@ func (g *Gather) Next() (*table.Batch, error) {
 	g.inFlight.Add(-int64(b.Len))
 	g.stats.RowsIn += b.Len
 	g.stats.emitted(b)
+	g.last = b
 	return b, nil
 }
 
@@ -291,6 +280,7 @@ func (g *Gather) Close() error {
 		}
 		g.ch = nil
 	}
+	g.free, g.last = nil, nil
 	var first error
 	for _, w := range g.workers {
 		if err := w.Close(); err != nil && first == nil {
@@ -340,12 +330,59 @@ func ParallelScan(t *table.Table, n int) *Gather {
 	return NewGather(workers)
 }
 
+// drainAll drains every op on a goroutine of its own, handing op i's
+// batches to each(i, b), and returns once all are done. The ops run
+// under a context derived from ctx and poll both per batch (deadline
+// and countdown contexts cancel inside Err, which the derived context
+// never calls). First-error-wins: the first error — an op's, each's or
+// a context's — cancels the others and is the one returned, not a
+// sibling's resulting context.Canceled. phase names the per-worker
+// trace spans.
+func drainAll(ctx context.Context, phase string, ops []Operator, each func(i int, b *table.Batch) error) error {
+	wctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	var once sync.Once
+	var firstErr error
+	var wg sync.WaitGroup
+	for i, op := range ops {
+		wg.Add(1)
+		go func(i int, op Operator) {
+			defer wg.Done()
+			sp := workerSpan(ctx, phase, i)
+			defer sp.End()
+			err := op.Open(wctx)
+			for err == nil {
+				var b *table.Batch
+				if b, err = op.Next(); err != nil || b == nil {
+					break
+				}
+				if err = cmp.Or(wctx.Err(), ctx.Err()); err == nil {
+					sp.AddRows(b.Len)
+					sp.AddBatches(1)
+					err = each(i, b)
+				}
+			}
+			if err != nil {
+				once.Do(func() {
+					firstErr = err
+					cancel()
+				})
+			}
+		}(i, op)
+	}
+	wg.Wait()
+	if firstErr != nil {
+		return firstErr
+	}
+	return ctx.Err()
+}
+
 // HashBuild is the parallel build side of a partitioned hash join: Open
-// drains N builder subtrees concurrently, each copying its rows into
-// per-partition batches by key digest, then lays the partitions out in
-// one batch and files each partition's keyed table in parallel — two
-// fan-outs with a barrier between, all inside Open (the sanctioned
-// blocking phase). After Open
+// drains N builder subtrees concurrently, each copying its rows once
+// into one shared batch and noting each row's partition by key digest,
+// then files each partition's keyed table over that batch in parallel
+// — two fan-outs with a barrier between, all inside Open (the
+// sanctioned blocking phase). After Open
 // the partitions are immutable, so any number of ProbeJoin workers may
 // probe them concurrently without locks.
 //
@@ -356,8 +393,7 @@ type HashBuild struct {
 	builders []Operator
 	col      int
 
-	cancel  context.CancelFunc
-	rows    table.Batch // every build row, partition by partition
+	rows    table.Batch // every build row, in the order the builders delivered them
 	parts   []keyedRows
 	started bool
 	stats   OpStats
@@ -381,107 +417,48 @@ func (b *HashBuild) Open(ctx context.Context) error {
 	b.open = true
 	b.started = false
 	nparts := len(b.builders)
-	wctx, cancel := context.WithCancel(ctx)
-	b.cancel = cancel
 
-	// Phase 1: each builder drains its subtree, copying its rows into
-	// its own per-partition batches (no shared state, no locks).
-	// First-error-wins: the error that triggered the cancellation is the
-	// one reported, not a sibling's resulting context.Canceled.
-	buckets := make([][]table.Batch, len(b.builders)) // [builder][partition]
-	var once sync.Once
-	var firstErr error
-	fail := func(err error) {
-		once.Do(func() {
-			firstErr = err
-			cancel()
-		})
-	}
-	var wg sync.WaitGroup
-	for i, bl := range b.builders {
-		wg.Add(1)
-		go func(i int, bl Operator) {
-			defer wg.Done()
-			bsp := workerSpan(ctx, "build", i)
-			defer bsp.End()
-			local := make([]table.Batch, nparts)
-			sels := make([][]int32, nparts)
-			if err := bl.Open(wctx); err != nil {
-				fail(err)
-				return
-			}
-			for {
-				batch, err := bl.Next()
-				if err != nil {
-					fail(err)
-					return
-				}
-				if batch == nil {
-					buckets[i] = local
-					return
-				}
-				if err := wctx.Err(); err != nil {
-					fail(err)
-					return
-				}
-				// Poll the caller's context per batch too: deadline and
-				// countdown contexts cancel inside Err, which the
-				// derived wctx never calls.
-				if err := ctx.Err(); err != nil {
-					fail(err)
-					return
-				}
-				bsp.AddRows(batch.Len)
-				bsp.AddBatches(1)
-				key := &batch.Cols[b.col]
-				for p := range sels {
-					sels[p] = sels[p][:0]
-				}
-				for r := 0; r < batch.Len; r++ {
-					p := (key.Digest(r) & digestMask) % uint64(nparts)
-					sels[p] = append(sels[p], int32(r))
-				}
-				for p, sel := range sels {
-					if len(sel) > 0 {
-						local[p].AppendSel(batch, sel)
-					}
-				}
-			}
-		}(i, bl)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return firstErr
-	}
-	if err := ctx.Err(); err != nil {
+	// Phase 1: each builder drains its subtree, appending each batch to
+	// the one shared batch of build rows and each row's position to the
+	// list of its partition, under one lock; the digests that pick the
+	// partitions are taken outside it.
+	b.rows.Reset()
+	ids := make([][]int32, nparts)            // partition → its rows of b.rows
+	scratch := make([][]int, len(b.builders)) // per builder: the partition of each row of its batch
+	var mu sync.Mutex
+	err := drainAll(ctx, "build", b.builders, func(i int, batch *table.Batch) error {
+		key, parts := &batch.Cols[b.col], scratch[i][:0]
+		for r := 0; r < batch.Len; r++ {
+			parts = append(parts, int((key.Digest(r)&digestMask)%uint64(nparts)))
+		}
+		scratch[i] = parts
+		mu.Lock()
+		defer mu.Unlock()
+		base := int32(b.rows.Len)
+		b.rows.AppendSel(batch, nil)
+		for r, p := range parts {
+			ids[p] = append(ids[p], base+int32(r))
+		}
+		return nil
+	})
+	if err != nil {
 		return err
 	}
 
-	// Phase 2: lay the partitions out back to back in one batch, then
-	// file each partition's run into its keyed table, one goroutine per
-	// partition.
-	b.rows.Reset()
-	bases := make([]int, nparts+1)
-	for p := 0; p < nparts; p++ {
-		bases[p] = b.rows.Len
-		for _, local := range buckets {
-			if local[p].Len > 0 {
-				b.rows.AppendSel(&local[p], nil)
-			}
-		}
-	}
-	bases[nparts] = b.rows.Len
+	// Phase 2: file each partition's rows into its keyed table, one
+	// goroutine per partition; an empty partition keeps the empty table.
 	b.parts = make([]keyedRows, nparts)
-	if b.rows.Len > 0 {
-		for p := range b.parts {
+	var wg sync.WaitGroup
+	for p := range b.parts {
+		if len(ids[p]) > 0 {
 			wg.Add(1)
 			go func(p int) {
 				defer wg.Done()
-				b.parts[p] = fileRows(&b.rows, b.col, bases[p], bases[p+1]-bases[p])
+				b.parts[p] = fileRows(&b.rows, b.col, ids[p])
 			}(p)
 		}
-		wg.Wait()
 	}
+	wg.Wait()
 	b.stats.HeldRows = b.rows.Len
 	b.stats.RowsIn = b.stats.HeldRows
 	b.started = true
@@ -505,9 +482,6 @@ func (b *HashBuild) Close() error {
 	b.open = false
 	b.started = false
 	b.rows, b.parts = table.Batch{}, nil
-	if b.cancel != nil {
-		b.cancel()
-	}
 	var first error
 	for _, bl := range b.builders {
 		if err := bl.Close(); err != nil && first == nil {
@@ -637,10 +611,9 @@ type ParallelGroupAgg struct {
 	keyCol  int
 	aggs    []Agg
 
-	cancel context.CancelFunc
-	queue  []table.Row
-	stats  OpStats
-	open   bool
+	out   ordered
+	stats OpStats
+	open  bool
 }
 
 // NewParallelGroupAgg aggregates the union of the workers' outputs,
@@ -658,71 +631,16 @@ func (g *ParallelGroupAgg) Open(ctx context.Context) error {
 	g.stats = OpStats{}
 	defer g.stats.timed(time.Now())
 	g.open = true
-	wctx, cancel := context.WithCancel(ctx)
-	g.cancel = cancel
 	for _, a := range g.aux {
-		if err := a.Open(wctx); err != nil {
+		if err := a.Open(ctx); err != nil {
 			return err
 		}
 	}
-	// First-error-wins, as in HashBuild: report the error that caused
-	// the cancellation, not a sibling's resulting context.Canceled.
 	states := make([]*AggState, len(g.workers))
-	var once sync.Once
-	var firstErr error
-	fail := func(err error) {
-		once.Do(func() {
-			firstErr = err
-			cancel()
-		})
+	for i := range states {
+		states[i] = NewAggState(g.keyCol, g.aggs...)
 	}
-	var wg sync.WaitGroup
-	for i, w := range g.workers {
-		wg.Add(1)
-		go func(i int, w Operator) {
-			defer wg.Done()
-			psp := workerSpan(ctx, "partial", i)
-			defer psp.End()
-			st := NewAggState(g.keyCol, g.aggs...)
-			if err := w.Open(wctx); err != nil {
-				fail(err)
-				return
-			}
-			for {
-				b, err := w.Next()
-				if err != nil {
-					fail(err)
-					return
-				}
-				if b == nil {
-					states[i] = st
-					return
-				}
-				if err := wctx.Err(); err != nil {
-					fail(err)
-					return
-				}
-				// Per-batch poll of the caller's context (deadline and
-				// countdown contexts cancel inside Err, which the
-				// derived wctx never calls).
-				if err := ctx.Err(); err != nil {
-					fail(err)
-					return
-				}
-				psp.AddRows(b.Len)
-				psp.AddBatches(1)
-				if err := st.Absorb(b); err != nil {
-					fail(err)
-					return
-				}
-			}
-		}(i, w)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return firstErr
-	}
-	if err := ctx.Err(); err != nil {
+	if err := drainAll(ctx, "partial", g.workers, func(i int, b *table.Batch) error { return states[i].Absorb(b) }); err != nil {
 		return err
 	}
 	msp := trace.SpanOf(ctx).Start("merge")
@@ -733,11 +651,11 @@ func (g *ParallelGroupAgg) Open(ctx context.Context) error {
 			return err
 		}
 	}
-	rows, err := merged.Rows()
+	res, perm, err := merged.Result()
 	if err != nil {
 		return err
 	}
-	g.queue = rows
+	g.out = ordered{all: res, perm: perm}
 	g.stats.RowsIn = merged.RowsIn()
 	g.stats.HeldRows = merged.Groups()
 	return nil
@@ -749,7 +667,7 @@ func (g *ParallelGroupAgg) Next() (*table.Batch, error) {
 	if !g.open {
 		return nil, errOpen(g)
 	}
-	out := nextChunk(&g.queue, 1+len(g.aggs))
+	out := g.out.next()
 	if out != nil {
 		g.stats.emitted(out)
 	}
@@ -759,10 +677,7 @@ func (g *ParallelGroupAgg) Next() (*table.Batch, error) {
 // Close implements Operator.
 func (g *ParallelGroupAgg) Close() error {
 	g.open = false
-	g.queue = nil
-	if g.cancel != nil {
-		g.cancel()
-	}
+	g.out = ordered{}
 	var first error
 	for _, w := range g.workers {
 		if err := w.Close(); err != nil && first == nil {
@@ -782,17 +697,7 @@ func (g *ParallelGroupAgg) Workers() int { return len(g.workers) }
 
 // OutSchema implements Operator: (key, agg1, agg2, …) like GroupAgg.
 func (g *ParallelGroupAgg) OutSchema() table.Schema {
-	in := g.workers[0].OutSchema()
-	cols := make([]string, 0, 1+len(g.aggs))
-	cols = append(cols, in.Cols[g.keyCol])
-	for _, a := range g.aggs {
-		if a.Kind == AggCount {
-			cols = append(cols, "count")
-		} else {
-			cols = append(cols, fmt.Sprintf("%s(%s)", a.Kind, in.Cols[a.Col]))
-		}
-	}
-	return table.Schema{Name: in.Name, Cols: cols}
+	return aggSchema(g.workers[0].OutSchema(), g.keyCol, g.aggs)
 }
 
 // Stats implements Operator.

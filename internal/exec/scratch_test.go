@@ -79,7 +79,9 @@ func TestPoisonScratchPoisons(t *testing.T) {
 	}
 	rows := tableRows(t, tbl)
 	boxed := table.BatchOf(rows[:3], 3)
-	op := xtest.PoisonScratch(exec.Operator(&batchesOp{batches: []*table.Batch{page, boxed, page.Clone()}}))
+	copied := new(table.Batch)
+	copied.AppendSel(page, nil)
+	op := xtest.PoisonScratch(exec.Operator(&batchesOp{batches: []*table.Batch{page, boxed, copied}}))
 	if err := op.Open(context.Background()); err != nil {
 		t.Fatal(err)
 	}

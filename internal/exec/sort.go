@@ -17,8 +17,7 @@ type Sort struct {
 	col   int
 	desc  bool
 	all   table.Batch
-	perm  []int32
-	out   table.Batch
+	out   ordered
 	stats OpStats
 	open  bool
 }
@@ -54,20 +53,21 @@ func (s *Sort) Open(ctx context.Context) error {
 		s.all.AppendSel(b, nil)
 	}
 	s.stats.HeldRows = s.all.Len
-	s.perm = s.perm[:0]
+	perm := s.out.perm[:0]
 	for i := 0; i < s.all.Len; i++ {
-		s.perm = append(s.perm, int32(i))
+		perm = append(perm, int32(i))
 	}
 	if s.all.Len > 0 {
 		col := &s.all.Cols[s.col]
-		sort.SliceStable(s.perm, func(i, j int) bool {
-			c := col.CompareAt(int(s.perm[i]), col, int(s.perm[j]))
+		sort.SliceStable(perm, func(i, j int) bool {
+			c := col.CompareAt(int(perm[i]), col, int(perm[j]))
 			if s.desc {
 				return c > 0
 			}
 			return c < 0
 		})
 	}
+	s.out.all, s.out.perm = &s.all, perm
 	return nil
 }
 
@@ -77,20 +77,17 @@ func (s *Sort) Next() (*table.Batch, error) {
 	if !s.open {
 		return nil, errOpen(s)
 	}
-	if len(s.perm) == 0 {
-		return nil, nil
+	out := s.out.next()
+	if out != nil {
+		s.stats.emitted(out)
 	}
-	n := min(len(s.perm), MaxBatchRows)
-	s.out.Gather(&s.all, s.perm[:n])
-	s.perm = s.perm[n:]
-	s.stats.emitted(&s.out)
-	return &s.out, nil
+	return out, nil
 }
 
 // Close implements Operator.
 func (s *Sort) Close() error {
 	s.open = false
-	s.all, s.perm, s.out = table.Batch{}, nil, table.Batch{}
+	s.all, s.out = table.Batch{}, ordered{}
 	return s.child.Close()
 }
 

@@ -66,7 +66,8 @@ func TestSiteKillMidQuery(t *testing.T) {
 	}
 	killed := false
 	var got int
-	_, err = q.Run(context.Background(), func(rows []table.Row) error {
+	_, err = q.Run(context.Background(), func(bat *table.Batch) error {
+		rows, _ := bat.AppendRows(nil, nil)
 		if !killed {
 			killed = true
 			lf.KillSite(cancelledCtx(), 0)
@@ -99,7 +100,7 @@ func TestCancelMidQuery(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			_, err = q.Run(ctx, func([]table.Row) error { return nil })
+			_, err = q.Run(ctx, func(*table.Batch) error { return nil })
 			return err
 		})
 	}
@@ -137,7 +138,7 @@ func TestSiteDownDegradation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = q.Run(context.Background(), func([]table.Row) error { return nil })
+	_, err = q.Run(context.Background(), func(*table.Batch) error { return nil })
 	if err == nil {
 		t.Fatal("probe to dead site succeeded")
 	}

@@ -145,7 +145,8 @@ func runFed(t *testing.T, lf *LocalFed, stmt string) (*Query, []table.Row) {
 		t.Fatalf("%s: %v", stmt, err)
 	}
 	var out []table.Row
-	_, err = q.Run(context.Background(), func(rows []table.Row) error {
+	_, err = q.Run(context.Background(), func(bat *table.Batch) error {
+		rows, _ := bat.AppendRows(nil, nil)
 		for _, r := range rows {
 			out = append(out, append(table.Row(nil), r...))
 		}
@@ -313,7 +314,8 @@ func TestCoordinatorBuildsSmallerSide(t *testing.T) {
 			t.Fatalf("%s: %v", tc.stmt, err)
 		}
 		var got []table.Row
-		st, err := q.Run(context.Background(), func(rows []table.Row) error {
+		st, err := q.Run(context.Background(), func(bat *table.Batch) error {
+			rows, _ := bat.AppendRows(nil, nil)
 			for _, r := range rows {
 				got = append(got, append(table.Row(nil), r...))
 			}

@@ -66,7 +66,7 @@ func (q *Query) Strategies() []Strategy {
 // When ctx carries a trace span the drained tree is mirrored under it,
 // so per-site remote[sN …] spans appear in `.trace` output and
 // EXPLAIN ANALYZE alike.
-func (q *Query) Run(ctx context.Context, emit func(rows []table.Row) error) (plan.ExecStats, error) {
+func (q *Query) Run(ctx context.Context, emit func(b *table.Batch) error) (plan.ExecStats, error) {
 	if q.ran {
 		return plan.ExecStats{}, fmt.Errorf("fed: query already run")
 	}
@@ -75,7 +75,7 @@ func (q *Query) Run(ctx context.Context, emit func(rows []table.Row) error) (pla
 	if err != nil {
 		return plan.ExecStats{}, err
 	}
-	err = exec.Stream(ctx, op, emit)
+	err = exec.Drain(ctx, op, emit)
 	plan.AttachOpSpans(trace.SpanOf(ctx), op)
 	return plan.TreeStats(op), err
 }

@@ -56,7 +56,7 @@ func shipped(tb testing.TB, lf *LocalFed, stmt string) (uint64, int) {
 	}
 	before := lf.Coord.Metrics().BytesShipped.Value()
 	rows := 0
-	if _, err := q.Run(context.Background(), func(b []table.Row) error { rows += len(b); return nil }); err != nil {
+	if _, err := q.Run(context.Background(), func(b *table.Batch) error { rows += b.Len; return nil }); err != nil {
 		tb.Fatalf("%s: %v", stmt, err)
 	}
 	return lf.Coord.Metrics().BytesShipped.Value() - before, rows

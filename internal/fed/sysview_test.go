@@ -147,7 +147,7 @@ func TestFedSysSites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err = q.Run(context.Background(), func([]table.Row) error { return nil }); err == nil {
+	if _, err = q.Run(context.Background(), func(*table.Batch) error { return nil }); err == nil {
 		t.Fatal("scan over killed site succeeded")
 	}
 
@@ -201,7 +201,7 @@ func runTraced(t *testing.T, lf *LocalFed, stmt string) (trace.SpanSnapshot, err
 	root := trace.NewRoot("query")
 	root.SetNote(stmt)
 	ctx := trace.WithSpan(context.Background(), root)
-	_, err = q.Run(ctx, func([]table.Row) error { return nil })
+	_, err = q.Run(ctx, func(*table.Batch) error { return nil })
 	root.End()
 	return root.Snapshot(), err
 }

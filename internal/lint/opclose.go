@@ -21,7 +21,7 @@ var opclosePkgs = []string{
 // exec.Operator (any value whose method set has Open/Next/Close) must,
 // on every path out of the function, be Closed, escape (returned,
 // stored into a struct, passed to an owning constructor), or be handed
-// to one of the sanctioned drivers — exec.Stream/Collect/Count close
+// to one of the sanctioned drivers — exec.Drain/Stream/Collect/Count close
 // their operator on all paths, a fact the summary layer knows and
 // propagates to wrappers. The paths that slip through review are
 // exactly the compile-error unwinds in internal/plan and fragment
@@ -57,7 +57,7 @@ func runOpClose(pass *Pass) error {
 				continue
 			}
 			pass.checkLifecycles(fn, parents, isOperatorType, "operator",
-				"operator %s is not closed on every return path; Close it on error unwinds or hand it to exec.Stream/Collect")
+				"operator %s is not closed on every return path; Close it on error unwinds or hand it to exec.Drain/Stream/Collect")
 		}
 	}
 	return nil

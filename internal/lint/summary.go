@@ -29,7 +29,7 @@ func inspectSync(node ast.Node, f func(ast.Node) bool) {
 // Facts are derived in two steps: AddPackage computes each function's
 // local facts (what it closes, stores, blocks on), then Finalize runs a
 // fixpoint so facts propagate through call chains (exec.Count releases
-// its operator because it calls exec.Stream, which does). A small seed
+// its operator because it calls exec.Drain, which does). A small seed
 // table covers callees whose source is outside the analyzed set.
 
 // FuncSummary is what the analyzers know about one function.
@@ -83,6 +83,7 @@ type seedSummary struct {
 // entrypoints own (open, drain and close) the operator they are handed,
 // and block for the stream's duration.
 var seedTable = []seedSummary{
+	{pkg: "xst/internal/exec", name: "Drain", sum: FuncSummary{ReleasesParams: []bool{false, true, false}, Blocking: true}},
 	{pkg: "xst/internal/exec", name: "Stream", sum: FuncSummary{ReleasesParams: []bool{false, true, false}, Blocking: true}},
 	{pkg: "xst/internal/exec", name: "Collect", sum: FuncSummary{ReleasesParams: []bool{false, true}, Blocking: true}},
 	{pkg: "xst/internal/exec", name: "Count", sum: FuncSummary{ReleasesParams: []bool{false, true}, Blocking: true}},

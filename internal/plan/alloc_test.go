@@ -57,14 +57,15 @@ func analyticShapes(o, u *table.Table) map[string]Node {
 	}
 }
 
-// runShape lowers n at dop and streams it, returning the result rows.
+// runShape lowers n at dop and drains it as the server does, batch by
+// batch with nothing boxed, returning the result rows.
 func runShape(t testing.TB, n Node, dop int) int {
 	op, err := CompileDOP(n, dop)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rows := 0
-	if err := exec.Stream(context.Background(), op, func(b []table.Row) error { rows += len(b); return nil }); err != nil {
+	if err := exec.Drain(context.Background(), op, func(b *table.Batch) error { rows += b.Len; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	return rows
@@ -72,10 +73,12 @@ func runShape(t testing.TB, n Node, dop int) int {
 
 // TestAnalyticShapesAllocs is the allocation budget of the analytic
 // workload's four shapes over a 12 000-row table, serial and at two
-// workers: O(pages + groups + output rows). Predicates, join and group
-// keys and sums read unboxed columns, so the rows a filter drops and the
-// keys a join only hashes cost nothing; what is left is boxing the
-// values of the result, a key per group, and a constant per page.
+// workers: O(pages), whatever the number of groups or result rows.
+// Predicates, join and group keys and sums read unboxed columns, so the
+// rows a filter drops and the keys a join only hashes cost nothing; the
+// aggregate keeps its groups as columns and the result leaves as
+// batches, so neither a group nor a result row is boxed; what is left
+// is a constant per page and per statement.
 func TestAnalyticShapesAllocs(t *testing.T) {
 	o, u := analyticTables(t, 12_000, 1_200)
 	opages, _ := o.PageIDs()
@@ -85,11 +88,11 @@ func TestAnalyticShapesAllocs(t *testing.T) {
 		for _, dop := range []int{1, 2} {
 			out := runShape(t, n, dop)
 			got := testing.AllocsPerRun(3, func() { runShape(t, n, dop) })
-			// Per page: the pool's LRU element, a batch copied across an
-			// exchange or into a build side. Per output row: its boxed values
-			// (a string is two objects); per group, the boxed key. Fixed: the
-			// operators, workers, contexts and trace spans of one statement.
-			budget := 4*pages + 3*out + 400
+			// Per page: the pool's LRU element and the growth of the arrays
+			// a build side or an aggregate's columns are copied into. Fixed:
+			// the operators, workers, contexts and trace spans of one
+			// statement, and the exchange's recycled batches.
+			budget := 4*pages + 300
 			t.Logf("%s dop=%d: %.0f allocations, %d pages, %d result rows, budget %d", name, dop, got, pages, out, budget)
 			if got > float64(budget) {
 				t.Errorf("%s dop=%d: %.0f allocations, budget %d (%d pages, %d result rows)", name, dop, got, budget, pages, out)

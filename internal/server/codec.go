@@ -106,27 +106,73 @@ func appendResponse(dst []byte, r *Response) []byte {
 }
 
 // batchLine writes one streamed batch into sess.line: the bytes of
-// json.Marshal(Response{ID: id, Batch: rows, More: true}) and '\n'.
-// Each row renders into sess.row (the table codec in base64 when wire
-// is set, the tuple notation otherwise) and is quoted from there, so no
-// row becomes a string.
-func (sess *session) batchLine(id uint64, batch []table.Row, wire bool) {
-	b := appendID(sess.line[:0], id)
-	if len(batch) > 0 {
-		b = append(b, `"batch":[`...)
-		for _, r := range batch {
+// json.Marshal(Response{ID: id, Batch: rows, More: true}) and '\n',
+// where a row is its tuple notation, or its table codec image in base64
+// when wire is set. Each row is written from the batch's columns into
+// sess.row (through sess.enc in wire mode) and quoted from there, so no
+// value is boxed and no row becomes a string.
+func (sess *session) batchLine(id uint64, b *table.Batch, wire bool) {
+	line := appendID(sess.line[:0], id)
+	if b.Len > 0 {
+		line = append(line, `"batch":[`...)
+		for i := 0; i < b.Len; i++ {
 			if wire {
-				sess.enc = table.EncodeRow(sess.enc[:0], r)
+				sess.enc = b.EncodeRow(sess.enc[:0], i)
 				sess.row = base64.StdEncoding.AppendEncode(sess.row[:0], sess.enc)
 			} else {
-				sess.row = core.AppendTuple(sess.row[:0], r)
+				sess.row = appendRow(sess.row[:0], b, i)
 			}
-			b = append(appendString(b, sess.row), ',')
+			line = append(appendString(line, sess.row), ',')
 		}
-		b[len(b)-1] = ']'
-		b = append(b, ',')
+		line[len(line)-1] = ']'
+		line = append(line, ',')
 	}
-	sess.line = append(b, `"more":true,"elapsed_us":0}`+"\n"...)
+	sess.line = append(line, `"more":true,"elapsed_us":0}`+"\n"...)
+}
+
+// appendRow appends the tuple notation of row i of b, written from the
+// columns: byte for byte core.AppendTuple of the row boxed.
+func appendRow(dst []byte, b *table.Batch, i int) []byte {
+	if len(b.Cols) == 0 {
+		return append(dst, '{', '}')
+	}
+	dst = append(dst, '<')
+	for c := range b.Cols {
+		if c > 0 {
+			dst = append(dst, ',')
+		}
+		switch col := &b.Cols[c]; col.Kind {
+		case table.ColInt:
+			dst = strconv.AppendInt(dst, col.Ints[i], 10)
+		case table.ColStr:
+			dst = appendQuoted(dst, col.Str(i))
+		default:
+			dst = core.AppendValue(dst, col.Value(i))
+		}
+	}
+	return append(dst, '>')
+}
+
+// appendQuoted is strconv.AppendQuote(dst, string(s)) without the copy
+// into a string: s is quoted in pieces of at most 32 bytes, which the
+// conversion holds on the stack, each cut before a rune start so a
+// rune is escaped whole, and each piece's own quotes are dropped.
+func appendQuoted(dst, s []byte) []byte {
+	dst = append(dst, '"')
+	for len(s) > 0 {
+		k := min(len(s), 32)
+		for j := k; k < len(s) && j > k-utf8.UTFMax; j-- {
+			if utf8.RuneStart(s[j]) {
+				k = j
+				break
+			}
+		}
+		mark := len(dst)
+		dst = strconv.AppendQuote(dst, string(s[:k]))
+		dst = append(dst[:mark], dst[mark+1:len(dst)-1]...)
+		s = s[k:]
+	}
+	return append(dst, '"')
 }
 
 // scanner reads the subset of JSON the encoders write: one object of

@@ -160,24 +160,119 @@ func TestEncoderMatchesJSON(t *testing.T) {
 		}
 	}
 
-	rows := wireRows()
 	var sess session
-	for _, wire := range []bool{false, true} {
-		for _, batch := range [][]table.Row{nil, rows[:1], rows[3:9], rows} {
-			text := make([]string, len(batch))
-			for i, r := range batch {
-				if wire {
-					text[i] = base64.StdEncoding.EncodeToString(table.EncodeRow(nil, r))
-				} else {
-					text[i] = string(core.AppendTuple(nil, r))
+	for width := 0; width <= 4; width++ {
+		var rows []table.Row // the rows of wireRows of this width
+		for _, r := range wireRows() {
+			if len(r) == width {
+				rows = append(rows, r)
+			}
+		}
+		for _, wire := range []bool{false, true} {
+			for _, batch := range [][]table.Row{nil, rows[:1], rows} {
+				text := make([]string, len(batch))
+				for i, r := range batch {
+					if wire {
+						text[i] = base64.StdEncoding.EncodeToString(table.EncodeRow(nil, r))
+					} else {
+						text[i] = string(core.AppendTuple(nil, r))
+					}
+				}
+				for _, b := range []*table.Batch{table.BatchOf(batch, width), columns(batch, width)} {
+					for _, id := range []uint64{0, 17} {
+						sess.batchLine(id, b, wire)
+						if want := oracleLine(Response{ID: id, Batch: text, More: true}); string(sess.line) != want {
+							t.Errorf("batch line (wire=%v, %d rows of %d)\n got %s\nwant %s", wire, len(batch), width, sess.line, want)
+						}
+					}
 				}
 			}
-			for _, id := range []uint64{0, 17} {
-				sess.batchLine(id, batch, wire)
-				if want := oracleLine(Response{ID: id, Batch: text, More: true}); string(sess.line) != want {
-					t.Errorf("batch line (wire=%v, %d rows)\n got %s\nwant %s", wire, len(batch), sess.line, want)
+		}
+	}
+}
+
+// columns lays rows out as the page kernel does: a position whose
+// values are all ints is a ColInt, all strings a ColStr, and any other
+// a ColAny, demoted by Col.Append at the first value of another kind.
+func columns(rows []table.Row, width int) *table.Batch {
+	b := &table.Batch{Len: len(rows), Cols: make([]table.Col, width)}
+	for i, r := range rows {
+		for c := range b.Cols {
+			var one table.Col // r[c] alone, in its own kind's column
+			switch v := r[c].(type) {
+			case core.Int:
+				one = table.Col{Kind: table.ColInt, Ints: []int64{int64(v)}}
+			case core.Str:
+				one = table.Col{Kind: table.ColStr, Offs: []uint32{0, uint32(len(v))}, Bytes: []byte(v)}
+			default:
+				one = table.Col{Kind: table.ColAny, Vals: []core.Value{v}}
+			}
+			b.Cols[c].Append(i, &one, 0)
+		}
+	}
+	return b
+}
+
+// renderString is a random string of pieces that quote differently —
+// escapes, controls, multi-byte runes, stray and truncated UTF-8 —
+// long enough to cross the 32-byte pieces appendQuoted cuts.
+func renderString(r *xtest.Rand) string {
+	pieces := []string{"a", "bc", `"`, `\`, "\n", "\x00", "\x7f", "é", "⟨", "日本", "\U0001F600",
+		"\u2028", "\xff", "\xc3", "\x80", "\xe2\x82", "\xed\xa0\x80", " "}
+	var sb strings.Builder
+	for n := r.Intn(40); n > 0; n-- {
+		sb.WriteString(pieces[r.Intn(len(pieces))])
+	}
+	return sb.String()
+}
+
+// TestRenderFromColumns is the render oracle: over random batches of
+// ColInt, ColStr and mixed ColAny columns, a row written from the
+// columns is byte for byte core.AppendTuple of the row boxed, and its
+// wire image is table.EncodeRow's.
+func TestRenderFromColumns(t *testing.T) {
+	r := xtest.NewRand(31)
+	cfg := xtest.DefaultConfig()
+	ints := []int64{0, 1, -1, 63, -64, 64, 1 << 40, math.MaxInt64, math.MinInt64}
+	floats := []float64{0, math.Copysign(0, -1), 2, 0.5, 1e21, 1e-7, math.Inf(1), math.Inf(-1), math.NaN()}
+	kinds := map[table.ColKind]int{}
+	for n := 0; n < 200; n++ {
+		width, size := 1+r.Intn(4), 1+r.Intn(40)
+		rows := make([]table.Row, size)
+		for i := range rows {
+			rows[i] = make(table.Row, width)
+		}
+		for c := 0; c < width; c++ {
+			mode := r.Intn(3) // all ints, all strings, or mixed
+			for i := range rows {
+				switch k := mode; {
+				case k == 0 || k == 2 && r.Intn(4) == 0:
+					rows[i][c] = core.Int(ints[r.Intn(len(ints))] + int64(r.Intn(3)))
+				case k == 1 || r.Intn(3) == 0:
+					rows[i][c] = core.Str(renderString(r))
+				case r.Intn(2) == 0:
+					rows[i][c] = core.Float(floats[r.Intn(len(floats))])
+				default:
+					rows[i][c] = cfg.Value(r) // bools, small atoms, sets and tuples
 				}
 			}
+		}
+		b := columns(rows, width)
+		for c := range b.Cols {
+			kinds[b.Cols[c].Kind]++
+		}
+		for i, row := range rows {
+			if got, want := appendRow(nil, b, i), core.AppendTuple(nil, row); string(got) != string(want) {
+				t.Fatalf("row %v:\n got %s\nwant %s", row, got, want)
+			}
+			if got, want := b.EncodeRow(nil, i), table.EncodeRow(nil, row); string(got) != string(want) {
+				t.Fatalf("row %v: image\n got %x\nwant %x", row, got, want)
+			}
+		}
+	}
+	for _, k := range []table.ColKind{table.ColInt, table.ColStr, table.ColAny} {
+		if kinds[k] == 0 {
+			t.Errorf("no column of kind %d was rendered", k)
 		}
 	}
 }
@@ -265,8 +360,20 @@ func TestWireAllocations(t *testing.T) {
 	if got := testing.AllocsPerRun(100, func() { buf = appendResponse(buf[:0], &resp) }); got != 0 {
 		t.Errorf("appendResponse: %.1f allocations, want 0", got)
 	}
+	// Every kind a result column takes: ints, strings (one past the
+	// 32 bytes appendQuoted quotes at a time) and boxed values. The text
+	// is ASCII: appendString hands non-ASCII to encoding/json.
 	var sess session
-	batch := []table.Row{{core.Int(42), core.Str("user-q"), core.Float(2.5)}, {core.Int(7), core.Bool(true)}}
+	batch := columns([]table.Row{
+		{core.Int(42), core.Str("user-q"), core.Float(2.5)},
+		{core.Int(7), core.Str("a string longer than thirty-two bytes, \"quoted\""), core.Bool(true)},
+		{core.Int(-1), core.Str("tab\there"), core.Str("mixed")},
+	}, 3)
+	for c, k := range []table.ColKind{table.ColInt, table.ColStr, table.ColAny} {
+		if batch.Cols[c].Kind != k {
+			t.Fatalf("column %d is kind %d, want %d", c, batch.Cols[c].Kind, k)
+		}
+	}
 	for _, wire := range []bool{false, true} {
 		sess.batchLine(1, batch, wire)
 		if got := testing.AllocsPerRun(100, func() { sess.batchLine(1, batch, wire) }); got != 0 {
@@ -287,7 +394,7 @@ func TestWireAllocations(t *testing.T) {
 		}
 	}
 	lookup()
-	const budget = 85
+	const budget = 62
 	if got := testing.AllocsPerRun(200, lookup); got > budget {
 		t.Errorf("point lookup round trip: %.1f allocations, budget %d", got, budget)
 	}

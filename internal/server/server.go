@@ -98,7 +98,7 @@ type Config struct {
 type Query interface {
 	DOP() int
 	Schema() table.Schema
-	Run(ctx context.Context, emit func(rows []table.Row) error) (plan.ExecStats, error)
+	Run(ctx context.Context, emit func(b *table.Batch) error) (plan.ExecStats, error)
 }
 
 func (c *Config) fill() {
@@ -876,11 +876,11 @@ func (s *Server) finishTrace(root *trace.Span, elapsed time.Duration) {
 // table codec (base64) instead of rendered text.
 func (s *Server) streamQuery(ctx context.Context, sess *session, q Query, req Request, lq *liveQuery) (int, error) {
 	rows := 0
-	_, err := q.Run(ctx, func(batch []table.Row) error {
-		sess.batchLine(req.ID, batch, req.Wire)
-		rows += len(batch)
-		lq.addRows(len(batch))
-		s.m.RowsStreamed.Add(uint64(len(batch)))
+	_, err := q.Run(ctx, func(b *table.Batch) error {
+		sess.batchLine(req.ID, b, req.Wire)
+		rows += b.Len
+		lq.addRows(b.Len)
+		s.m.RowsStreamed.Add(uint64(b.Len))
 		s.m.BatchesStreamed.Inc()
 		return s.writeLine(sess)
 	})

@@ -35,12 +35,6 @@ func (c ColumnStats) Rows() int { return c.rows }
 // returned slice is shared; callers must not mutate it.
 func (c ColumnStats) Bounds() []core.Value { return c.bounds }
 
-// NewColumnStats rebuilds a ColumnStats from previously persisted parts
-// (the inverse of the accessors above). bounds is retained, not copied.
-func NewColumnStats(distinct, rows int, min, max core.Value, bounds []core.Value) ColumnStats {
-	return ColumnStats{Distinct: distinct, Min: min, Max: max, bounds: bounds, rows: rows}
-}
-
 // TableStats summarizes one table.
 type TableStats struct {
 	Rows    int

@@ -326,14 +326,6 @@ func (bp *BufferPool) ActiveViews() int {
 	return n
 }
 
-// VersionedPages reports how many pages carry superseded images
-// retained for active views (tests, metrics).
-func (bp *BufferPool) VersionedPages() int {
-	bp.mu.Lock()
-	defer bp.mu.Unlock()
-	return len(bp.versions)
-}
-
 // viewKey carries a *View through a context.
 type viewKey struct{}
 

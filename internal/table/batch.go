@@ -16,7 +16,9 @@ import (
 // unboxed, strings as bytes in one slab, anything else boxed — chosen
 // per batch and per position from the values themselves, so a predicate,
 // a hash key or a sum reads them without building a core.Value, and a
-// value is boxed only when a row leaves the plan.
+// result leaves the plan as columns too: EncodeRow writes a row's image
+// straight from them, and a value is boxed (Value, AppendRows) only for
+// a caller that asks for rows.
 
 // ColKind says how a Col holds its values.
 type ColKind uint8
@@ -45,8 +47,9 @@ type Batch struct {
 	Cols []Col
 }
 
-// str returns the bytes of string i of a ColStr column.
-func (c *Col) str(i int) []byte { return c.Bytes[c.Offs[i]:c.Offs[i+1]] }
+// Str returns the bytes of string i of a ColStr column, a window of the
+// slab.
+func (c *Col) Str(i int) []byte { return c.Bytes[c.Offs[i]:c.Offs[i+1]] }
 
 // Value boxes value i. A string is copied out of the slab, so the value
 // outlives the batch.
@@ -55,7 +58,7 @@ func (c *Col) Value(i int) core.Value {
 	case ColInt:
 		return core.Int(c.Ints[i])
 	case ColStr:
-		return core.Str(c.str(i))
+		return core.Str(c.Str(i))
 	case ColAny:
 		return c.Vals[i]
 	default:
@@ -69,7 +72,7 @@ func (c *Col) Digest(i int) uint64 {
 	case ColInt:
 		return core.DigestInt(c.Ints[i])
 	case ColStr:
-		return core.DigestBytes(c.str(i))
+		return core.DigestBytes(c.Str(i))
 	case ColAny:
 		return core.Digest(c.Vals[i])
 	default:
@@ -88,7 +91,7 @@ func (c *Col) Compare(i int, v core.Value) int {
 		return cmp.Compare(core.KindInt, v.Kind())
 	case ColStr:
 		if x, ok := v.(core.Str); ok {
-			return compareStr(c.str(i), string(x))
+			return compareStr(c.Str(i), string(x))
 		}
 		return cmp.Compare(core.KindString, v.Kind())
 	default:
@@ -115,7 +118,7 @@ func (c *Col) CompareAt(i int, d *Col, j int) int {
 	case c.Kind == ColInt && d.Kind == ColInt:
 		return cmp.Compare(c.Ints[i], d.Ints[j])
 	case c.Kind == ColStr && d.Kind == ColStr:
-		return compareStr(c.str(i), string(d.str(j)))
+		return compareStr(c.Str(i), string(d.Str(j)))
 	case d.Kind == ColAny:
 		return c.Compare(i, d.Vals[j])
 	case c.Kind == ColAny:
@@ -131,14 +134,6 @@ func (c *Col) Equal(i int, d *Col, j int) bool {
 		return core.Equal(c.Vals[i], d.Vals[j])
 	}
 	return c.CompareAt(i, d, j) == 0
-}
-
-// EqualValue is core.Equal(c.Value(i), v).
-func (c *Col) EqualValue(i int, v core.Value) bool {
-	if c.Kind == ColAny {
-		return core.Equal(c.Vals[i], v)
-	}
-	return c.Compare(i, v) == 0
 }
 
 // start empties the column and gives it kind k, keeping its arrays.
@@ -196,7 +191,7 @@ func (c *Col) appendSel(have int, src *Col, sel []int32, n int) {
 		}
 		c.Bytes, c.Offs = grow(c.Bytes, len(c.Bytes)+size), grow(c.Offs, have+1+len(sel))
 		for _, i := range sel {
-			c.Bytes = append(c.Bytes, src.str(int(i))...)
+			c.Bytes = append(c.Bytes, src.Str(int(i))...)
 			c.Offs = append(c.Offs, uint32(len(c.Bytes)))
 		}
 	case src.Kind == ColAny && sel == nil:
@@ -212,6 +207,13 @@ func (c *Col) appendSel(have int, src *Col, sel []int32, n int) {
 			c.Vals = append(c.Vals, src.Value(int(i)))
 		}
 	}
+}
+
+// Append appends value i of src to a column holding have values,
+// demoting it to ColAny when src holds another kind, as the page kernel
+// does: an int or a string is copied unboxed.
+func (c *Col) Append(have int, src *Col, i int) {
+	c.appendSel(have, src, []int32{int32(i)}, i+1)
 }
 
 // Reset empties the batch, keeping its columns' arrays for reuse.
@@ -262,13 +264,6 @@ func (b *Batch) Join(l *Batch, ls []int32, r *Batch, rs []int32) {
 	b.Len = len(ls)
 }
 
-// Clone copies the batch into fresh arrays.
-func (b *Batch) Clone() *Batch {
-	out := new(Batch)
-	out.AppendSel(b, nil)
-	return out
-}
-
 // AppendRows boxes the batch's rows and appends them to rows as windows
 // into slab, which is reused when it has room and grown otherwise; it
 // returns both. A position that was not decoded is nil.
@@ -291,6 +286,23 @@ func (b *Batch) AppendRows(rows []Row, slab []core.Value) ([]Row, []core.Value) 
 		rows = append(rows, slab[lo:lo+w:lo+w])
 	}
 	return rows, slab
+}
+
+// EncodeRow appends the image of row i to dst, written from the
+// columns: byte for byte the package's EncodeRow of the row boxed.
+func (b *Batch) EncodeRow(dst []byte, i int) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(b.Cols)))
+	for c := range b.Cols {
+		switch col := &b.Cols[c]; col.Kind {
+		case ColInt:
+			dst = core.AppendEncodeInt(dst, col.Ints[i])
+		case ColStr:
+			dst = core.AppendEncodeStr(dst, col.Str(i))
+		default:
+			dst = core.AppendEncode(dst, col.Value(i))
+		}
+	}
+	return dst
 }
 
 // BatchOf returns a fresh batch holding rows in boxed columns of the

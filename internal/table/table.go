@@ -278,16 +278,6 @@ func (t *Table) ReadPage(id store.PageID, b *PageBatch, need []bool) (*Batch, er
 	return b.Decode(store.SlottedPage(fr.Data()), need)
 }
 
-// ReadPageRows is ReadPage boxed into fresh rows, which may be retained.
-func (t *Table) ReadPageRows(id store.PageID) ([]Row, error) {
-	b, err := t.ReadPage(id, new(PageBatch), nil)
-	if err != nil {
-		return nil, err
-	}
-	rows, _ := b.AppendRows(nil, nil)
-	return rows, nil
-}
-
 // Fetch makes b the rows at rids, in order, decoded by the page kernel
 // straight off their pinned pages (see PageBatch.Decode; need is its):
 // the record-at-a-time access path of an index probe, delivered as a

@@ -228,7 +228,7 @@ func TestCursorPull(t *testing.T) {
 	}
 }
 
-func TestPageIDsAndReadPageRows(t *testing.T) {
+func TestPageIDsAndReadPage(t *testing.T) {
 	tbl := testTable(t)
 	for i := 0; i < 300; i++ {
 		tbl.Insert(row(i, "user-with-some-padding", float64(i)))
@@ -241,17 +241,18 @@ func TestPageIDsAndReadPageRows(t *testing.T) {
 		t.Fatalf("expected multiple pages, got %d", len(ids))
 	}
 	total := 0
+	var pb PageBatch
 	for _, id := range ids {
-		rows, err := tbl.ReadPageRows(id)
+		b, err := tbl.ReadPage(id, &pb, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		total += len(rows)
+		total += b.Len
 	}
 	if total != 300 {
 		t.Fatalf("page rows sum to %d", total)
 	}
-	if _, err := tbl.ReadPageRows(store.PageID(9999)); err == nil {
+	if _, err := tbl.ReadPage(store.PageID(9999), &pb, nil); err == nil {
 		t.Fatal("bogus page read must fail")
 	}
 }

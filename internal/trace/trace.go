@@ -380,9 +380,6 @@ func (t *Tracer) SetSample(n int) {
 	t.every.Store(int64(n))
 }
 
-// SampleRate reports the current 1-in-N rate (0 = disabled).
-func (t *Tracer) SampleRate() int { return int(t.every.Load()) }
-
 // Sample reports whether the next query should be traced: every Nth
 // call returns true. Safe for concurrent use; the disabled path is one
 // atomic load.

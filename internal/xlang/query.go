@@ -88,12 +88,12 @@ func (q *Query) DOP() int {
 // under it (plan.AttachOpSpansEst) with both actual counters and the
 // plan-time estimates, so a traced query's span tree carries the same
 // per-operator data EXPLAIN ANALYZE reports.
-func (q *Query) Run(ctx context.Context, emit func(rows []table.Row) error) (plan.ExecStats, error) {
+func (q *Query) Run(ctx context.Context, emit func(b *table.Batch) error) (plan.ExecStats, error) {
 	op, err := plan.CompileDOP(q.Node, q.DOP())
 	if err != nil {
 		return plan.ExecStats{}, err
 	}
-	err = exec.Stream(ctx, op, emit)
+	err = exec.Drain(ctx, op, emit)
 	if sp := trace.SpanOf(ctx); sp != nil {
 		plan.AttachOpSpansEst(sp, op, plan.OpEstimates(q.Node, op, q.cat))
 	}
@@ -125,16 +125,20 @@ func evalQuery(ctx context.Context, env *Env, src string) (core.Value, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := core.NewBuilder(0)
-	if _, err := q.Run(ctx, func(rows []table.Row) error {
-		for _, r := range rows {
-			b.AddClassical(r.Tuple())
+	out := core.NewBuilder(0)
+	if _, err := q.Run(ctx, func(b *table.Batch) error {
+		row := make([]core.Value, len(b.Cols)) // Tuple copies it
+		for i := 0; i < b.Len; i++ {
+			for c := range b.Cols {
+				row[c] = b.Cols[c].Value(i)
+			}
+			out.AddClassical(core.Tuple(row...))
 		}
 		return nil
 	}); err != nil {
 		return nil, err
 	}
-	return b.Set(), nil
+	return out.Set(), nil
 }
 
 type qparser struct {

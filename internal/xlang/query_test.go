@@ -67,7 +67,8 @@ func TestQueryWhereSelect(t *testing.T) {
 		t.Fatalf("schema = %v", cols)
 	}
 	var rows int
-	_, err = q.Run(context.Background(), func(batch []table.Row) error {
+	_, err = q.Run(context.Background(), func(bat *table.Batch) error {
+		batch, _ := bat.AppendRows(nil, nil)
 		for _, r := range batch {
 			if core.Compare(r[1], core.Int(4)) < 0 {
 				t.Fatalf("predicate leak: %v", r)
@@ -103,7 +104,8 @@ func TestQueryJoinGroupOrderLimit(t *testing.T) {
 		t.Fatalf("schema = %v, want %s", cols, want)
 	}
 	var rows []table.Row
-	if _, err := q.Run(context.Background(), func(batch []table.Row) error {
+	if _, err := q.Run(context.Background(), func(bat *table.Batch) error {
+		batch, _ := bat.AppendRows(nil, nil)
 		for _, r := range batch {
 			rows = append(rows, r.Clone())
 		}
@@ -145,8 +147,8 @@ func TestQueryDistinct(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := 0
-	if _, err := q.Run(context.Background(), func(batch []table.Row) error {
-		n += len(batch)
+	if _, err := q.Run(context.Background(), func(b *table.Batch) error {
+		n += b.Len
 		return nil
 	}); err != nil {
 		t.Fatal(err)
@@ -175,8 +177,8 @@ func TestQueryComparisonOps(t *testing.T) {
 			t.Fatalf("%q: %v", c.src, err)
 		}
 		n := 0
-		if _, err := q.Run(context.Background(), func(batch []table.Row) error {
-			n += len(batch)
+		if _, err := q.Run(context.Background(), func(b *table.Batch) error {
+			n += b.Len
 			return nil
 		}); err != nil {
 			t.Fatalf("%q: %v", c.src, err)
@@ -222,7 +224,8 @@ func TestQueryGroupSumExact(t *testing.T) {
 				t.Fatal(err)
 			}
 			var rows []table.Row
-			_, err = q.Run(context.Background(), func(batch []table.Row) error {
+			_, err = q.Run(context.Background(), func(bat *table.Batch) error {
+				batch, _ := bat.AppendRows(nil, nil)
 				for _, r := range batch {
 					rows = append(rows, r.Clone())
 				}
@@ -271,9 +274,9 @@ func TestQueryStreamsBatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	batches := 0
-	st, err := q.Run(context.Background(), func(batch []table.Row) error {
-		if len(batch) > exec.MaxBatchRows {
-			t.Fatalf("batch of %d rows exceeds %d", len(batch), exec.MaxBatchRows)
+	st, err := q.Run(context.Background(), func(b *table.Batch) error {
+		if b.Len > exec.MaxBatchRows {
+			t.Fatalf("batch of %d rows exceeds %d", b.Len, exec.MaxBatchRows)
 		}
 		batches++
 		return nil
@@ -299,7 +302,7 @@ func TestQueryCancel(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		_, err = q.Run(ctx, func(batch []table.Row) error { return nil })
+		_, err = q.Run(ctx, func(*table.Batch) error { return nil })
 		return err
 	})
 }

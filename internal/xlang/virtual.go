@@ -36,12 +36,3 @@ func (e *Env) Virtual(name string) (VirtualTable, bool) {
 	v, ok := e.virtuals[name]
 	return v, ok
 }
-
-// VirtualNames returns the bound virtual-table names (unsorted).
-func (e *Env) VirtualNames() []string {
-	out := make([]string, 0, len(e.virtuals))
-	for k := range e.virtuals {
-		out = append(out, k)
-	}
-	return out
-}
