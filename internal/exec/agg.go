@@ -47,20 +47,35 @@ type aggCol struct {
 	ext   []core.Value // Min or Max: the extreme so far, nil before the first row
 }
 
+// reserve makes room for the state of n groups of an aggregate of kind.
+func (a *aggCol) reserve(kind AggKind, n int) {
+	switch kind {
+	case AggCount:
+		a.lo = make([]int64, 0, n)
+	case AggSum:
+		a.lo, a.hi = make([]int64, 0, n), make([]int32, 0, n)
+	default:
+		a.ext = make([]core.Value, 0, n)
+	}
+}
+
 // add appends the empty state of a new group.
 func (a *aggCol) add(kind AggKind) {
 	switch kind {
 	case AggCount:
-		a.lo = append(a.lo, 0)
+		a.lo = push(a.lo, 0)
 	case AggSum:
-		a.lo, a.hi = append(a.lo, 0), append(a.hi, 0)
+		a.lo, a.hi = push(a.lo, 0), push(a.hi, 0)
 		if a.isFlt != nil {
-			a.flt, a.isFlt = append(a.flt, 0), append(a.isFlt, false)
+			a.flt, a.isFlt = push(a.flt, 0), push(a.isFlt, false)
 		}
 	default:
-		a.ext = append(a.ext, nil)
+		a.ext = push(a.ext, nil)
 	}
 }
+
+// push appends v to s, doubling s when it must move (table.Grow).
+func push[T any](s []T, v T) []T { return append(table.Grow(s, len(s)+1), v) }
 
 // errSumOverflow reports an integer sum whose total leaves int64.
 var errSumOverflow = errors.New("exec: sum overflows int64")
@@ -137,22 +152,30 @@ func exactFloat(hi int32, lo int64) float64 {
 // columns: group id g's key is row g of one key column, which a new key
 // is appended to unboxed (and which turns ColAny, as a page's column
 // does, when keys of another kind arrive), and its state is entry g of
-// each aggregate's arrays. Keys are filed by digest in one
-// core.Chains, atoms and sets alike.
+// each aggregate's arrays, all sized once and doubling past that. Keys
+// are filed by digest in one core.Chains, atoms and sets alike.
 type AggState struct {
-	keyCol int
-	aggs   []Agg
-	chains core.Chains
-	keys   table.Col // group id → key
-	cols   []aggCol  // per aggregate
-	groups int
-	rows   int
-	of     []int32 // scratch: the group of each row of the batch being absorbed
+	keyCol   int
+	aggs     []Agg
+	expected int // groups reserved for; the key column at its first key, once its kind is known
+	chains   core.Chains
+	keys     table.Col // group id → key
+	cols     []aggCol  // per aggregate
+	groups   int
+	rows     int
+	of       []int32 // scratch: the group of each row of the batch being absorbed
 }
 
-// NewAggState returns an empty accumulator grouping on keyCol.
-func NewAggState(keyCol int, aggs ...Agg) *AggState {
-	return &AggState{keyCol: keyCol, aggs: append([]Agg(nil), aggs...), cols: make([]aggCol, len(aggs))}
+// NewAggState returns an empty accumulator grouping on keyCol, its
+// tables sized for groups keys (the planner's measured distinct count,
+// 0 when it has none); any number may arrive.
+func NewAggState(keyCol, groups int, aggs ...Agg) *AggState {
+	s := &AggState{keyCol: keyCol, aggs: append([]Agg(nil), aggs...), expected: groups,
+		chains: core.NewChains(groups), cols: make([]aggCol, len(aggs))}
+	for k, a := range aggs {
+		s.cols[k].reserve(a.Kind, groups)
+	}
+	return s
 }
 
 // Absorb folds one batch into the accumulators: first the group of
@@ -160,7 +183,7 @@ func NewAggState(keyCol int, aggs ...Agg) *AggState {
 // is retained, so callers may pass operator scratch.
 func (s *AggState) Absorb(b *table.Batch) error {
 	key := &b.Cols[s.keyCol]
-	of := s.of[:0]
+	of := table.Grow(s.of[:0], b.Len)
 	for i := 0; i < b.Len; i++ {
 		of = append(of, s.group(key, i))
 	}
@@ -239,6 +262,9 @@ func (s *AggState) group(key *table.Col, i int) int32 {
 		}
 	}
 	s.chains.Add(d)
+	if s.groups == 0 {
+		s.keys.Reserve(key.Kind, s.expected)
+	}
 	s.keys.Append(s.groups, key, i)
 	for k, a := range s.aggs {
 		s.cols[k].add(a.Kind)
@@ -356,15 +382,16 @@ func (o *ordered) next() *table.Batch {
 type GroupAgg struct {
 	child  Operator
 	keyCol int
+	groups int
 	aggs   []Agg
 	out    ordered
 	stats  OpStats
 	open   bool
 }
 
-// NewGroupAgg groups child rows on keyCol and computes aggs per group.
-func NewGroupAgg(child Operator, keyCol int, aggs ...Agg) *GroupAgg {
-	return &GroupAgg{child: child, keyCol: keyCol, aggs: aggs}
+// NewGroupAgg computes aggs per keyCol group, sized for groups keys.
+func NewGroupAgg(child Operator, keyCol, groups int, aggs ...Agg) *GroupAgg {
+	return &GroupAgg{child: child, keyCol: keyCol, groups: groups, aggs: aggs}
 }
 
 // Open implements Operator, consuming the whole child stream into the
@@ -376,7 +403,7 @@ func (g *GroupAgg) Open(ctx context.Context) error {
 	if err := g.child.Open(ctx); err != nil {
 		return err
 	}
-	st := NewAggState(g.keyCol, g.aggs...)
+	st := NewAggState(g.keyCol, g.groups, g.aggs...)
 	for {
 		b, err := g.child.Next()
 		if err != nil {

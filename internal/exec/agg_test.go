@@ -2,7 +2,9 @@ package exec_test
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -13,7 +15,7 @@ import (
 
 // groupAgg runs a GroupAgg over a scan of tbl.
 func groupAgg(tbl *table.Table, keyCol int, aggs ...exec.Agg) ([]table.Row, error) {
-	return exec.Collect(context.Background(), exec.NewGroupAgg(exec.NewScan(tbl, nil), keyCol, aggs...))
+	return exec.Collect(context.Background(), exec.NewGroupAgg(exec.NewScan(tbl, nil), keyCol, 0, aggs...))
 }
 
 func TestGroupAggCountSum(t *testing.T) {
@@ -96,7 +98,7 @@ func TestGroupAggSumFloatPromotion(t *testing.T) {
 	rows, err := groupAgg(tbl, 0, exec.Agg{Kind: exec.AggSum, Col: 1})
 	check("absorb", rows, err)
 	sum := exec.Agg{Kind: exec.AggSum, Col: 1}
-	first, second := exec.NewAggState(0, sum), exec.NewAggState(0, sum)
+	first, second := exec.NewAggState(0, 0, sum), exec.NewAggState(0, 0, sum)
 	if err := first.Absorb(table.BatchOf(in[:2], 2)); err != nil {
 		t.Fatal(err)
 	}
@@ -175,13 +177,13 @@ func TestAggSumExactOverInts(t *testing.T) {
 				return exec.AggRows(st)
 			}
 
-			st := exec.NewAggState(0, sum)
+			st := exec.NewAggState(0, 0, sum)
 			got, err := result(st, st.Absorb(table.BatchOf(rows, 2)))
 			checkSum(t, "absorb", got, err, tc.want)
 
-			merged := exec.NewAggState(0, sum)
+			merged := exec.NewAggState(0, 0, sum)
 			for _, r := range rows {
-				part := exec.NewAggState(0, sum)
+				part := exec.NewAggState(0, 0, sum)
 				if err = part.Absorb(table.BatchOf([]table.Row{r}, 2)); err != nil {
 					t.Fatal(err)
 				}
@@ -204,7 +206,7 @@ func TestAggSumExactOverInts(t *testing.T) {
 				}
 				workers[i] = exec.NewScan(tbl, nil)
 			}
-			got, err = exec.Collect(context.Background(), exec.NewParallelGroupAgg(workers, nil, 0, sum))
+			got, err = exec.Collect(context.Background(), exec.NewParallelGroupAgg(workers, nil, 0, 0, 0, sum))
 			checkSum(t, "parallel", got, err, tc.want)
 		})
 	}
@@ -270,6 +272,120 @@ func BenchmarkGroupAggKeys(b *testing.B) {
 		}
 		if len(rows) != 3 {
 			b.Fatalf("groups = %d", len(rows))
+		}
+	}
+}
+
+// TestReservedAggStateAllocs: an AggState reserved for n groups that
+// meets n distinct keys, and a second one it is merged into, allocate
+// the same number of times whatever n is — the keyed table, the key
+// column and the aggregate arrays are each made once and never move.
+func TestReservedAggStateAllocs(t *testing.T) {
+	aggs := []exec.Agg{{Kind: exec.AggCount}, {Kind: exec.AggSum, Col: 1}}
+	var want float64
+	for i, n := range []int{1 << 8, 1 << 12, 1 << 16} {
+		b := &table.Batch{Len: n, Cols: []table.Col{{Kind: table.ColInt}, {Kind: table.ColInt}}}
+		for k := 0; k < n; k++ {
+			b.Cols[0].Ints = append(b.Cols[0].Ints, int64(k*7919))
+			b.Cols[1].Ints = append(b.Cols[1].Ints, int64(k))
+		}
+		got := testing.AllocsPerRun(3, func() {
+			st, into := exec.NewAggState(0, n, aggs...), exec.NewAggState(0, n, aggs...)
+			if err := st.Absorb(b); err != nil {
+				t.Fatal(err)
+			}
+			if err := into.Merge(st); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := into.Result(); err != nil || into.Groups() != n {
+				t.Fatalf("%d groups of %d, err %v", into.Groups(), n, err)
+			}
+		})
+		if i == 0 {
+			want = got
+		}
+		t.Logf("%d groups: %.0f allocations", n, got)
+		if got != want {
+			t.Errorf("%d groups: %.0f allocations, %.0f at %d groups", n, got, want, 1<<8)
+		}
+	}
+}
+
+// TestParallelGroupAggSizesShares: grouping n distinct keys at four
+// workers reserves the full count only in the state the others merge
+// into; each other worker reserves for its quarter of the rows, so the
+// aggregate allocates well under twice what the serial one does, where
+// four full reservations would take about four times.
+func TestParallelGroupAggSizesShares(t *testing.T) {
+	const n = 1 << 15
+	rows := make([]table.Row, n)
+	for i := range rows {
+		rows[i] = table.Row{core.Int(i), core.Int(i)}
+	}
+	aggs := []exec.Agg{{Kind: exec.AggCount}, {Kind: exec.AggSum, Col: 1}}
+	bytes := func(op func() exec.Operator) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if got, err := exec.Count(context.Background(), op()); err != nil || got != n {
+			t.Fatalf("%d groups of %d, err %v", got, n, err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	serial := bytes(func() exec.Operator { return exec.NewGroupAgg(&rowsOp{rows: rows}, 0, n, aggs...) })
+	par := bytes(func() exec.Operator { return exec.NewParallelGroupAgg(split(rows, 4), nil, 0, n, n, aggs...) })
+	t.Logf("serial %d B, four workers %d B", serial, par)
+	if par > 2*serial {
+		t.Errorf("four workers allocate %d B, over twice the serial %d B", par, serial)
+	}
+}
+
+// TestGroupHintsAgree: the group count an aggregate is sized for
+// changes no answer. Hints of none, one, the true count and ten times
+// it (with input rows in proportion, so that the other workers' share
+// runs from none to all of them) give the same rows, serially and at
+// two and four workers, over
+// int keys, string keys and keys whose kinds change between batches.
+func TestGroupHintsAgree(t *testing.T) {
+	const n, groups = 3000, 500
+	aggs := []exec.Agg{{Kind: exec.AggCount}, {Kind: exec.AggSum, Col: 1}, {Kind: exec.AggMin, Col: 1}, {Kind: exec.AggMax, Col: 1}}
+	for name, key := range map[string]func(i int) core.Value{
+		"int": func(i int) core.Value { return core.Int(i % groups * 7919) },
+		"str": func(i int) core.Value { return core.Str(fmt.Sprintf("key-%d", i%groups)) },
+		"mixed": func(i int) core.Value {
+			if i%3 == 0 {
+				return collisionKeys[i%len(collisionKeys)]
+			}
+			return core.Int(i % groups)
+		},
+	} {
+		rows := make([]table.Row, n)
+		for i := range rows {
+			rows[i] = table.Row{key(i), core.Int(i)}
+		}
+		want, err := exec.Collect(context.Background(), exec.NewGroupAgg(&rowsOp{rows: rows}, 0, 0, aggs...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, hint := range []int{0, 1, groups, 10 * groups} {
+			for _, dop := range []int{1, 2, 4} {
+				var op exec.Operator = exec.NewGroupAgg(&rowsOp{rows: rows}, 0, hint, aggs...)
+				if dop > 1 {
+					op = exec.NewParallelGroupAgg(split(rows, dop), nil, 0, hint, hint*n/groups, aggs...)
+				}
+				got, err := exec.Collect(context.Background(), op)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got) != len(want) {
+					t.Fatalf("%s hint %d dop %d: %d groups, want %d", name, hint, dop, len(got), len(want))
+				}
+				for i := range got {
+					if !core.Equal(got[i].Tuple(), want[i].Tuple()) {
+						t.Fatalf("%s hint %d dop %d: row %d is %v, want %v", name, hint, dop, i, got[i], want[i])
+					}
+				}
+			}
 		}
 	}
 }

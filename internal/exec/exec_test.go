@@ -275,7 +275,7 @@ func TestGroupAggMatchesReference(t *testing.T) {
 			w[3] = r[0]
 		}
 	}
-	g := exec.NewGroupAgg(exec.NewScan(tbl, nil), 1, aggs...)
+	g := exec.NewGroupAgg(exec.NewScan(tbl, nil), 1, 0, aggs...)
 	got, err := exec.Collect(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
@@ -347,7 +347,7 @@ func TestGroupAggCancel(t *testing.T) {
 	pool := newPool()
 	tbl := makeUsers(t, pool, 8000)
 	xtest.AssertCancelAborts(t, 3, func(ctx context.Context) error {
-		g := exec.NewGroupAgg(exec.NewScan(tbl, nil), 1, exec.Agg{Kind: exec.AggCount})
+		g := exec.NewGroupAgg(exec.NewScan(tbl, nil), 1, 0, exec.Agg{Kind: exec.AggCount})
 		_, err := exec.Count(ctx, g)
 		return err
 	})

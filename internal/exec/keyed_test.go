@@ -115,8 +115,8 @@ func TestKeyedTablesUnderCollisions(t *testing.T) {
 				}
 				check(fmt.Sprintf("hashbuild x%d", n), exec.NewGather(pw, hb), refHashJoin(probe, build, 0, 0, n))
 			}
-			check("groupagg", exec.NewGroupAgg(&rowsOp{rows: probe}, 0, aggs...), wantGroups)
-			check("parallelgroupagg", exec.NewParallelGroupAgg(split(probe, 3), nil, 0, aggs...), wantGroups)
+			check("groupagg", exec.NewGroupAgg(&rowsOp{rows: probe}, 0, 0, aggs...), wantGroups)
+			check("parallelgroupagg", exec.NewParallelGroupAgg(split(probe, 3), nil, 0, 0, 0, aggs...), wantGroups)
 			check("distinct", exec.NewStages(&rowsOp{rows: probe}, &exec.Project{Cols: []int{0}}, &exec.Distinct{}), wantDistinct)
 
 			// Typed keys: a scan holds an all-int or all-string key column
@@ -140,7 +140,7 @@ func TestKeyedTablesUnderCollisions(t *testing.T) {
 					check(fmt.Sprintf("%s/hashbuild unboxed build=%v", kind.name, unboxedBuild), exec.NewGather(probes, hb), wantJoin)
 				}
 				both := func() []exec.Operator { return []exec.Operator{exec.NewScan(ptab, nil), &rowsOp{rows: probe}} }
-				check(kind.name+"/parallelgroupagg", exec.NewParallelGroupAgg(both(), nil, 0, aggs...), refGroupAgg([][]table.Row{probe, probe}, 0, 1))
+				check(kind.name+"/parallelgroupagg", exec.NewParallelGroupAgg(both(), nil, 0, 0, 0, aggs...), refGroupAgg([][]table.Row{probe, probe}, 0, 1))
 				keys := make([]table.Row, len(probe))
 				for i, r := range probe {
 					keys[i] = r[:1]

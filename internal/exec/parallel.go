@@ -437,7 +437,7 @@ func (b *HashBuild) Open(ctx context.Context) error {
 		base := int32(b.rows.Len)
 		b.rows.AppendSel(batch, nil)
 		for r, p := range parts {
-			ids[p] = append(ids[p], base+int32(r))
+			ids[p] = push(ids[p], base+int32(r))
 		}
 		return nil
 	})
@@ -606,10 +606,11 @@ func (j *ProbeJoin) String() string {
 // aux operators are shared worker dependencies (e.g. a HashBuild),
 // opened before the workers start.
 type ParallelGroupAgg struct {
-	workers []Operator
-	aux     []Operator
-	keyCol  int
-	aggs    []Agg
+	workers       []Operator
+	aux           []Operator
+	keyCol        int
+	groups, share int // keys the merged state and each other one are sized for
+	aggs          []Agg
 
 	out   ordered
 	stats OpStats
@@ -617,12 +618,14 @@ type ParallelGroupAgg struct {
 }
 
 // NewParallelGroupAgg aggregates the union of the workers' outputs,
-// grouping on keyCol.
-func NewParallelGroupAgg(workers []Operator, aux []Operator, keyCol int, aggs ...Agg) *ParallelGroupAgg {
+// grouping on keyCol. The state the others merge into is sized for
+// groups keys, each other one for what its share of rows can hold.
+func NewParallelGroupAgg(workers []Operator, aux []Operator, keyCol, groups, rows int, aggs ...Agg) *ParallelGroupAgg {
 	if len(workers) == 0 {
 		panic("exec: ParallelGroupAgg needs at least one worker")
 	}
-	return &ParallelGroupAgg{workers: workers, aux: aux, keyCol: keyCol, aggs: aggs}
+	share := min(groups, (rows+len(workers)-1)/len(workers))
+	return &ParallelGroupAgg{workers: workers, aux: aux, keyCol: keyCol, groups: groups, share: share, aggs: aggs}
 }
 
 // Open implements Operator: parallel partial aggregation, barrier,
@@ -636,9 +639,9 @@ func (g *ParallelGroupAgg) Open(ctx context.Context) error {
 			return err
 		}
 	}
-	states := make([]*AggState, len(g.workers))
-	for i := range states {
-		states[i] = NewAggState(g.keyCol, g.aggs...)
+	states := []*AggState{NewAggState(g.keyCol, g.groups, g.aggs...)}
+	for range g.workers[1:] {
+		states = append(states, NewAggState(g.keyCol, g.share, g.aggs...))
 	}
 	if err := drainAll(ctx, "partial", g.workers, func(i int, b *table.Batch) error { return states[i].Absorb(b) }); err != nil {
 		return err

@@ -141,7 +141,7 @@ func TestParallelGroupAggMatchesGroupAgg(t *testing.T) {
 	pool := newPool()
 	tbl := makeUsers(t, pool, 999)
 	aggs := []exec.Agg{{Kind: exec.AggCount}, {Kind: exec.AggSum, Col: 2}, {Kind: exec.AggMin, Col: 0}, {Kind: exec.AggMax, Col: 0}}
-	serial := exec.NewGroupAgg(exec.NewScan(tbl, nil), 1, aggs...)
+	serial := exec.NewGroupAgg(exec.NewScan(tbl, nil), 1, 0, aggs...)
 	want, err := exec.Collect(context.Background(), serial)
 	if err != nil {
 		t.Fatal(err)
@@ -152,7 +152,7 @@ func TestParallelGroupAggMatchesGroupAgg(t *testing.T) {
 	for i := range workers {
 		workers[i] = exec.NewMorselScan(src, nil)
 	}
-	pg := exec.NewParallelGroupAgg(workers, nil, 1, aggs...)
+	pg := exec.NewParallelGroupAgg(workers, nil, 1, 0, 0, aggs...)
 	got, err := exec.Collect(context.Background(), pg)
 	if err != nil {
 		t.Fatal(err)
@@ -246,7 +246,7 @@ func TestParallelGroupAggFirstErrorWins(t *testing.T) {
 			exec.NewMorselScan(src, nil),
 			&failOp{after: 1, err: boom},
 		}
-		_, err := exec.Count(ctx, exec.NewParallelGroupAgg(workers, nil, 1, exec.Agg{Kind: exec.AggCount}))
+		_, err := exec.Count(ctx, exec.NewParallelGroupAgg(workers, nil, 1, 0, 0, exec.Agg{Kind: exec.AggCount}))
 		return err
 	})
 }
@@ -281,7 +281,7 @@ func TestParallelGroupAggCancel(t *testing.T) {
 		for i := range workers {
 			workers[i] = exec.NewMorselScan(src, nil)
 		}
-		_, err := exec.Count(ctx, exec.NewParallelGroupAgg(workers, nil, 1, exec.Agg{Kind: exec.AggCount}))
+		_, err := exec.Count(ctx, exec.NewParallelGroupAgg(workers, nil, 1, 0, 0, exec.Agg{Kind: exec.AggCount}))
 		return err
 	})
 }

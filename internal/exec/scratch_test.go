@@ -195,12 +195,12 @@ func TestScratchTreesKeepTheirAnswers(t *testing.T) {
 			return exec.NewSort(exec.NewGather(ws, hb), 1, false)
 		}, func() exec.Operator { return serialJoin(plain, false) }},
 		{"groupagg over hashjoin", func(leaf leafFunc) exec.Operator {
-			return exec.NewGroupAgg(serialJoin(leaf, false), 3, aggs...)
-		}, func() exec.Operator { return exec.NewGroupAgg(serialJoin(plain, true), 3, aggs...) }},
+			return exec.NewGroupAgg(serialJoin(leaf, false), 3, 0, aggs...)
+		}, func() exec.Operator { return exec.NewGroupAgg(serialJoin(plain, true), 3, 0, aggs...) }},
 		{"parallel groupagg over probejoin", func(leaf leafFunc) exec.Operator {
 			ws, hb := probes(leaf, 4)
-			return exec.NewParallelGroupAgg(ws, []exec.Operator{hb}, 3, aggs...)
-		}, func() exec.Operator { return exec.NewGroupAgg(serialJoin(plain, false), 3, aggs...) }},
+			return exec.NewParallelGroupAgg(ws, []exec.Operator{hb}, 3, 0, 0, aggs...)
+		}, func() exec.Operator { return exec.NewGroupAgg(serialJoin(plain, false), 3, 0, aggs...) }},
 	}
 	ctx := context.Background()
 	for _, c := range cases {

@@ -148,7 +148,7 @@ func (s *splitter) rec(n plan.Node) piece {
 			renderableIdent(x.Key) && renderableAggs(x.Key, x.Aggs) {
 			return piece{node: s.partialAgg(p.frag, x)}
 		}
-		return piece{node: &plan.GroupBy{Child: s.nodeOf(p), Key: x.Key, Aggs: x.Aggs}}
+		return piece{node: &plan.GroupBy{Child: s.nodeOf(p), Key: x.Key, Aggs: x.Aggs, Groups: x.Groups, Rows: x.Rows}}
 
 	case *plan.Sort:
 		// Order is a coordinator concern: sites ship unordered partitions.
@@ -201,7 +201,7 @@ func (s *splitter) partialAgg(f *fragment, g *plan.GroupBy) plan.Node {
 	}
 	f.sch = table.Schema{Name: f.sch.Name, Cols: partialCols}
 	return &plan.Rename{
-		Child: &plan.GroupBy{Child: s.source(f), Key: g.Key, Aggs: merge},
+		Child: &plan.GroupBy{Child: s.source(f), Key: g.Key, Aggs: merge, Groups: g.Groups, Rows: g.Rows},
 		Cols:  finalCols,
 	}
 }

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"math"
 
 	"xst/internal/core"
 	"xst/internal/index"
@@ -305,13 +306,26 @@ func tighterHi(v core.Value, incl bool, cur core.Value, curIncl bool) bool {
 }
 
 // OptimizeCatalog is the cost-based optimizer: rule rewrites, join
-// ordering, build-side selection and access-path selection, every
-// estimate from cat.Estimate. A nil catalog plans on the constant model
-// and chooses no index.
+// ordering, build-side selection, access-path selection and aggregate
+// sizing, every estimate from cat.Estimate. A nil catalog plans on the
+// constant model, chooses no index and sizes no aggregate.
 func OptimizeCatalog(n Node, cat *Catalog) Node {
 	n = Optimize(n)
 	n = orderJoins(n, cat)
 	n = ChooseJoinSides(n, cat)
 	n = Optimize(n)
-	return chooseAccessPaths(n, cat)
+	return sizeGroups(chooseAccessPaths(n, cat), cat)
+}
+
+// sizeGroups records on every GroupBy its estimate where that is the
+// measured distinct count of its key (capped by the input's estimate),
+// so that, as with IndexAccess.Est, the System-R guess sizes nothing.
+func sizeGroups(n Node, cat *Catalog) Node {
+	n = withChildren(n, func(k Node) Node { return sizeGroups(k, cat) })
+	if g, ok := n.(*GroupBy); ok && cat.distinct(g.Child, g.Key) > 0 {
+		sized := *g
+		sized.Groups, sized.Rows = int(math.Ceil(cat.Estimate(g))), int(math.Ceil(cat.Estimate(g.Child)))
+		return &sized
+	}
+	return n
 }

@@ -3,10 +3,12 @@ package plan
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"xst/internal/core"
 	"xst/internal/exec"
+	"xst/internal/stats"
 	"xst/internal/store"
 	"xst/internal/table"
 )
@@ -99,6 +101,40 @@ func TestAnalyticShapesAllocs(t *testing.T) {
 			}
 		}
 	}
+
+	// Bytes of group_uid planned as the server plans it, with statistics:
+	// each worker's tables are reserved once for the measured distinct
+	// uids, so what a worker allocates per group — the keyed table's
+	// 20 bytes, the key, count and sum words, the permutation and the
+	// output chunk — is about 96 bytes, and the rest is a constant of the
+	// statement. Growing the tables from empty instead costs about twice
+	// that per group.
+	sc, err := stats.CollectAll(o, u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sized := OptimizeCatalog(analyticShapes(o, u)["group_uid"], &Catalog{Stats: sc})
+	for _, dop := range []int{1, 2} {
+		groups := runShape(t, sized, dop)
+		got := bytesPerRun(5, func() { runShape(t, sized, dop) })
+		budget := 96*groups*dop + 12<<10
+		t.Logf("group_uid sized dop=%d: %d bytes, %d groups, budget %d", dop, got, groups, budget)
+		if got > uint64(budget) {
+			t.Errorf("group_uid sized dop=%d: %d bytes, budget %d (%d groups)", dop, got, budget, groups)
+		}
+	}
+}
+
+// bytesPerRun is the mean of the bytes f allocates per call, read off
+// MemStats.TotalAlloc, so what f's goroutines allocate counts too.
+func bytesPerRun(runs int, f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
 }
 
 // BenchmarkAnalyticShapes is TestAnalyticShapesAllocs' twin: allocs/op

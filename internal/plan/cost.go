@@ -98,9 +98,10 @@ func (c *Catalog) Estimate(n Node) float64 {
 	}
 }
 
-// columnStats resolves a column's statistics through selects, projects
-// and index leaves to the scanned table; ok is false when the catalog
-// has none.
+// columnStats resolves a column's statistics through selects, projects,
+// renames and joins (by the column's position, whatever qualification a
+// join gave a shared name) and index leaves to the scanned table; ok is
+// false when the catalog has none.
 func (c *Catalog) columnStats(n Node, col string) (stats.ColumnStats, bool) {
 	switch x := n.(type) {
 	case *Scan:
@@ -119,9 +120,19 @@ func (c *Catalog) columnStats(n Node, col string) (stats.ColumnStats, bool) {
 		return c.columnStats(x.Child, col)
 	case *Project:
 		return c.columnStats(x.Child, col)
-	default:
-		return stats.ColumnStats{}, false
+	case *Rename:
+		if i, in := slices.Index(x.Cols, col), x.Child.Schema().Cols; i >= 0 && i < len(in) {
+			return c.columnStats(x.Child, in[i])
+		}
+	case *Join:
+		left := x.Left.Schema().Cols
+		if i := x.Schema().Col(col); i >= len(left) {
+			return c.columnStats(x.Right, x.Right.Schema().Cols[i-len(left)])
+		} else if i >= 0 {
+			return c.columnStats(x.Left, left[i])
+		}
 	}
+	return stats.ColumnStats{}, false
 }
 
 // distinct is a column's measured distinct count; 0 when unknown.

@@ -305,3 +305,61 @@ func abs(f float64) float64 {
 	}
 	return f
 }
+
+// TestGroupSizedThroughJoins: a group key's measured distinct count
+// resolves through the join side that owns the column and through the
+// Rename a build-side swap leaves, so grouping the analytic
+// join_group_city shape by city is estimated at the 8 cities, not the
+// System-R tenth of the join's rows, and OptimizeCatalog sizes the
+// aggregate with it — in both join orders. Without statistics nothing
+// is sized.
+func TestGroupSizedThroughJoins(t *testing.T) {
+	const nUsers, nOrders, cities = 4000, 40_000, 8
+	pool := store.NewBufferPool(store.NewMemPager(), 1024)
+	users, err := table.Create(pool, table.Schema{Name: "users", Cols: []string{"id", "city"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	orders, err := table.Create(pool, table.Schema{Name: "orders", Cols: []string{"id", "uid", "amount"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := xtest.NewRand(5)
+	for i := 0; i < nUsers; i++ {
+		users.Insert(table.Row{core.Int(i), core.Str("city-" + string(rune('a'+i%cities)))})
+	}
+	for i := 0; i < nOrders; i++ {
+		orders.Insert(table.Row{core.Int(i), core.Int(r.Intn(nUsers)), core.Int(r.Intn(1000))})
+	}
+	sc, err := stats.CollectAll(users, orders)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat := &Catalog{Stats: sc}
+	aggs := []AggSpec{{Kind: exec.AggCount}, {Kind: exec.AggSum, Col: "amount"}}
+	for _, j := range []*Join{
+		{Left: &Scan{Table: orders}, Right: &Scan{Table: users}, LeftCol: "uid", RightCol: "id"},
+		{Left: &Scan{Table: users}, Right: &Scan{Table: orders}, LeftCol: "id", RightCol: "uid"}, // swapped under a Rename
+	} {
+		q := &GroupBy{Child: j, Key: "city", Aggs: aggs}
+		n := OptimizeCatalog(q, cat)
+		g, ok := n.(*GroupBy)
+		if !ok || g.Groups != cities {
+			t.Fatalf("%v: optimized root %v, want a group sized for %d cities", j, n, cities)
+		}
+		if got := cat.Estimate(n); got != cities {
+			t.Fatalf("%v: group estimate %v, want %d", j, got, cities)
+		}
+		out, err := ExplainAnalyzeCat(context.Background(), n, cat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first := strings.SplitN(out, "\n", 2)[0]; !strings.Contains(first, "groupagg[city") ||
+			!strings.Contains(first, "est=8 ") || !strings.Contains(first, "rows=8") {
+			t.Fatalf("%v: EXPLAIN ANALYZE top line %q, want the group at est=8 rows=8\n%s", j, first, out)
+		}
+		if g := OptimizeCatalog(q, nil).(*GroupBy); g.Groups != 0 {
+			t.Fatalf("%v: sized for %d groups without statistics", j, g.Groups)
+		}
+	}
+}

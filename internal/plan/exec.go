@@ -189,7 +189,7 @@ func compile(n Node, need []bool) (exec.Operator, error) {
 				}
 			}
 		}
-		return exec.NewGroupAgg(child, key, aggs...), nil
+		return exec.NewGroupAgg(child, key, x.Groups, aggs...), nil
 	default:
 		return nil, fmt.Errorf("plan: cannot compile %T", n)
 	}

@@ -161,7 +161,7 @@ func withChildren(n Node, f func(Node) Node) Node {
 		}
 	case *GroupBy:
 		if c := f(x.Child); c != x.Child {
-			return &GroupBy{Child: c, Key: x.Key, Aggs: x.Aggs}
+			return &GroupBy{Child: c, Key: x.Key, Aggs: x.Aggs, Groups: x.Groups, Rows: x.Rows}
 		}
 	case *Rename:
 		if c := f(x.Child); c != x.Child {

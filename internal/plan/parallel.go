@@ -118,7 +118,7 @@ func CompileDOP(n Node, dop int) (exec.Operator, error) {
 				}
 			}
 		}
-		return exec.NewParallelGroupAgg(ws, aux, key, aggs...), nil
+		return exec.NewParallelGroupAgg(ws, aux, key, x.Groups, x.Rows, aggs...), nil
 	case *Distinct:
 		child, err := CompileDOP(x.Child, dop)
 		if err != nil {

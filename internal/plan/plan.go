@@ -147,6 +147,9 @@ type GroupBy struct {
 	Child Node
 	Key   string
 	Aggs  []AggSpec
+	// Groups is the measured distinct count of Key that OptimizeCatalog
+	// sizes the aggregate with, Rows the input's estimate; 0 without them.
+	Groups, Rows int
 }
 
 // Schema implements Node.

@@ -170,17 +170,17 @@ func (c *Col) appendSel(have int, src *Col, sel []int32, n int) {
 	switch {
 	case c.Kind == ColAbsent:
 	case c.Kind == ColInt && sel == nil:
-		c.Ints = append(grow(c.Ints, have+n), src.Ints[:n]...)
+		c.Ints = append(Grow(c.Ints, have+n), src.Ints[:n]...)
 	case c.Kind == ColInt:
-		c.Ints = grow(c.Ints, have+len(sel))
+		c.Ints = Grow(c.Ints, have+len(sel))
 		for _, i := range sel {
 			c.Ints = append(c.Ints, src.Ints[i])
 		}
 	case c.Kind == ColStr && sel == nil:
 		lo, hi := src.Offs[0], src.Offs[n]
 		base := uint32(len(c.Bytes)) - lo
-		c.Bytes = append(grow(c.Bytes, len(c.Bytes)+int(hi-lo)), src.Bytes[lo:hi]...)
-		c.Offs = grow(c.Offs, have+1+n)
+		c.Bytes = append(Grow(c.Bytes, len(c.Bytes)+int(hi-lo)), src.Bytes[lo:hi]...)
+		c.Offs = Grow(c.Offs, have+1+n)
 		for _, o := range src.Offs[1 : n+1] {
 			c.Offs = append(c.Offs, o+base)
 		}
@@ -189,20 +189,20 @@ func (c *Col) appendSel(have int, src *Col, sel []int32, n int) {
 		for _, i := range sel {
 			size += int(src.Offs[i+1] - src.Offs[i])
 		}
-		c.Bytes, c.Offs = grow(c.Bytes, len(c.Bytes)+size), grow(c.Offs, have+1+len(sel))
+		c.Bytes, c.Offs = Grow(c.Bytes, len(c.Bytes)+size), Grow(c.Offs, have+1+len(sel))
 		for _, i := range sel {
 			c.Bytes = append(c.Bytes, src.Str(int(i))...)
 			c.Offs = append(c.Offs, uint32(len(c.Bytes)))
 		}
 	case src.Kind == ColAny && sel == nil:
-		c.Vals = append(grow(c.Vals, have+n), src.Vals[:n]...)
+		c.Vals = append(Grow(c.Vals, have+n), src.Vals[:n]...)
 	case sel == nil:
-		c.Vals = grow(c.Vals, have+n)
+		c.Vals = Grow(c.Vals, have+n)
 		for i := 0; i < n; i++ {
 			c.Vals = append(c.Vals, src.Value(i))
 		}
 	default:
-		c.Vals = grow(c.Vals, have+len(sel))
+		c.Vals = Grow(c.Vals, have+len(sel))
 		for _, i := range sel {
 			c.Vals = append(c.Vals, src.Value(int(i)))
 		}
@@ -403,7 +403,14 @@ func (c *Col) decode(buf []byte, have, rows int) (int, error) {
 		return 0, core.ErrCorrupt
 	}
 	if have == 0 {
-		c.startSized(k, rows)
+		kind := ColAny
+		switch k {
+		case core.KindInt:
+			kind = ColInt
+		case core.KindString:
+			kind = ColStr
+		}
+		c.Reserve(kind, rows)
 	}
 	switch {
 	case k == core.KindInt && c.Kind == ColInt:
@@ -425,25 +432,25 @@ func (c *Col) decode(buf []byte, have, rows int) (int, error) {
 	return n, nil
 }
 
-// startSized starts a column for values of kind k, with room for rows.
-func (c *Col) startSized(k core.Kind, rows int) {
+// Reserve empties the column and gives it kind k with room for n
+// values, so appending that many (a string's bytes aside) never moves
+// its arrays.
+func (c *Col) Reserve(k ColKind, n int) {
 	switch k {
-	case core.KindInt:
-		c.Ints = grow(c.Ints[:0], rows)
-		c.start(ColInt)
-	case core.KindString:
-		c.Offs = grow(c.Offs[:0], rows+1)
-		c.start(ColStr)
-	default:
-		c.Vals = grow(c.Vals[:0], rows)
-		c.start(ColAny)
+	case ColInt:
+		c.Ints = Grow(c.Ints[:0], n)
+	case ColStr:
+		c.Offs = Grow(c.Offs[:0], n+1)
+	case ColAny:
+		c.Vals = Grow(c.Vals[:0], n)
 	}
+	c.start(k)
 }
 
-// grow returns s with capacity for at least n elements, at least
-// doubling it when it must move, so a column appended to batch by batch
-// moves O(log rows) times.
-func grow[T any](s []T, n int) []T {
+// Grow returns s with capacity for at least n elements, at least
+// doubling it when it must move (append grows a large slice by 1.25×),
+// so an array appended to batch by batch moves O(log rows) times.
+func Grow[T any](s []T, n int) []T {
 	if cap(s) < n {
 		return append(make([]T, 0, max(n, 2*cap(s))), s...)
 	}
