@@ -188,7 +188,7 @@ func Create(pager store.Pager, frames int) (*Database, error) {
 		return nil, fmt.Errorf("catalog: pager not empty (%d pages)", pager.NumPages())
 	}
 	pool := store.NewBufferPool(pager, frames)
-	f, err := pool.Allocate()
+	f, err := pool.AllocatePage()
 	if err != nil {
 		return nil, err
 	}
@@ -212,7 +212,7 @@ func Open(pager store.Pager, frames int) (*Database, error) {
 	pool := store.NewBufferPool(pager, frames)
 	db := newDatabase(pager, pool)
 
-	f, err := pool.Get(catalogPage)
+	f, err := pool.Page(catalogPage)
 	if err != nil {
 		return nil, err
 	}
@@ -369,7 +369,7 @@ func (db *Database) writeCatalog() error {
 	if len(enc)+4 > store.PageSize {
 		return fmt.Errorf("%w: %d bytes", ErrCatalogFull, len(enc))
 	}
-	f, err := db.pool.Get(catalogPage)
+	f, err := db.pool.Page(catalogPage)
 	if err != nil {
 		return err
 	}

@@ -43,59 +43,38 @@ import (
 // next point lookup takes the index path, whoever committed.
 
 // txnIO adapts a wal.Txn to store.PageIO: reads resolve shadow-first
-// then fall through to the committed image in the pool; the first
-// MarkDirty on a page installs its buffer into the shadow.
+// then fall through to a private copy of the committed image in the
+// pool, which joins the shadow on the frame's first MarkDirty.
 type txnIO struct {
 	tx   *wal.Txn
 	pool *store.BufferPool
 }
 
-// txnPage is one page handle inside a transaction. buf is either the
-// live shadow buffer (inShadow) or a private copy of the committed
-// image that joins the shadow on the first MarkDirty.
-type txnPage struct {
-	io       *txnIO
-	id       store.PageID
-	buf      []byte
-	inShadow bool
-}
-
-func (p *txnPage) ID() store.PageID { return p.id }
-func (p *txnPage) Data() []byte     { return p.buf }
-func (p *txnPage) Unpin()           {}
-
-func (p *txnPage) MarkDirty() {
-	if !p.inShadow {
-		p.io.tx.Install(p.id, p.buf)
-		p.inShadow = true
-	}
-}
-
 // Page implements store.PageIO.
-func (io *txnIO) Page(id store.PageID) (store.PageHandle, error) {
+func (io *txnIO) Page(id store.PageID) (store.Frame, error) {
 	if img, ok := io.tx.ShadowPage(id); ok {
-		return &txnPage{io: io, id: id, buf: img, inShadow: true}, nil
+		return store.ShadowFrame(id, img, nil), nil
 	}
-	fr, err := io.pool.Get(id)
+	fr, err := io.pool.Page(id)
 	if err != nil {
-		return nil, err
+		return store.Frame{}, err
 	}
 	buf := make([]byte, store.PageSize)
 	copy(buf, fr.Data())
 	fr.Unpin()
-	return &txnPage{io: io, id: id, buf: buf}, nil
+	return store.ShadowFrame(id, buf, io.tx), nil
 }
 
 // AllocatePage implements store.PageIO. The id comes from the base
 // pager (ids are never reused, so an abort just strands a zero page);
 // the zeroed image sits in the shadow already.
-func (io *txnIO) AllocatePage() (store.PageHandle, error) {
+func (io *txnIO) AllocatePage() (store.Frame, error) {
 	id, err := io.tx.Allocate()
 	if err != nil {
-		return nil, err
+		return store.Frame{}, err
 	}
 	img, _ := io.tx.ShadowPage(id)
-	return &txnPage{io: io, id: id, buf: img, inShadow: true}, nil
+	return store.ShadowFrame(id, img, nil), nil
 }
 
 // insertRec is one staged row for incremental index maintenance.

@@ -90,8 +90,9 @@ func TestAnalyticShapesAllocs(t *testing.T) {
 		for _, dop := range []int{1, 2} {
 			out := runShape(t, n, dop)
 			got := testing.AllocsPerRun(3, func() { runShape(t, n, dop) })
-			// Per page: the pool's LRU element and the growth of the arrays
-			// a build side or an aggregate's columns are copied into. Fixed:
+			// Per page: the growth of the arrays a build side or an
+			// aggregate's columns are copied into (a page pin allocates
+			// nothing). Fixed:
 			// the operators, workers, contexts and trace spans of one
 			// statement, and the exchange's recycled batches.
 			budget := 4*pages + 300

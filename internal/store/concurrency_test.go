@@ -1,16 +1,18 @@
 package store
 
 import (
+	"bytes"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
 )
 
 // Concurrency audit of the buffer pool (the parallel scan's shared
-// substrate). The pool keeps ONE latch: Get/Unpin/evict all serialize
+// substrate). The pool keeps ONE latch: pin/Unpin/evict all serialize
 // on bp.mu, and eviction only ever takes unpinned LRU frames, so a
 // pinned reader can never have its page stolen. Frame data is written
-// once, under the latch, before the frame becomes visible in bp.frames;
+// once, under the latch, before the frame becomes visible in bp.resident;
 // readers therefore see complete pages without holding the latch.
 // These tests pin that down under -race; BenchmarkBufferPoolParallelGet
 // measures the latch. Sharding the latch stays off the table until that
@@ -207,4 +209,103 @@ func BenchmarkBufferPoolParallelGet(b *testing.B) {
 			f.Unpin()
 		}
 	})
+}
+
+// TestViewsReadTheirEpochUnderCommits: readers hold Views over a
+// 4-frame pool and sweep its pages while a writer commits new images of
+// the same pages, so pins, evictions, version parking and pruning all
+// interleave. Every page a view reads is the image of the view's epoch,
+// the view held open across all the commits included.
+func TestViewsReadTheirEpochUnderCommits(t *testing.T) {
+	pager := NewMemPager()
+	ids := fillPages(t, pager, 12)
+	pool := NewBufferPool(pager, 4)
+	// Commit e rewrites the pages with (i+e)%3 != 0, each with stamp(i, e).
+	stamp := func(i int, e uint64) byte { return byte(i*31 + int(e)*7 + 1) }
+	image := func(i int, epoch uint64) byte {
+		for e := epoch; e > 0; e-- {
+			if (i+int(e))%3 != 0 {
+				return stamp(i, e)
+			}
+		}
+		return byte(uint32(ids[i]) * 131) // fillPages' image
+	}
+	const commits = 200
+	held := pool.NewView() // open across every commit: each one parks images
+	var wg sync.WaitGroup
+	var done atomic.Bool
+	errc := make(chan error, 5)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer done.Store(true)
+		for e := uint64(1); e <= commits; e++ {
+			pages := map[PageID][]byte{}
+			for i, id := range ids {
+				if (i+int(e))%3 != 0 {
+					pages[id] = bytes.Repeat([]byte{stamp(i, e)}, PageSize)
+				}
+			}
+			if got, err := pool.CommitPages(pages, nil); err != nil || got != e {
+				errc <- fmt.Errorf("commit %d: epoch %d, %v", e, got, err)
+				return
+			}
+		}
+	}()
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for n := 0; n < 20 || !done.Load(); n++ {
+				v := pool.NewView()
+				for sweep := 0; sweep < 2; sweep++ { // the writer moves on meanwhile
+					for k := range ids {
+						i := (k + r*5) % len(ids)
+						f, err := v.Page(ids[i])
+						if err != nil {
+							errc <- err
+							v.Release()
+							return
+						}
+						data, want := f.Data(), image(i, v.Epoch())
+						got := data[0]
+						same := got == want && data[PageSize/2] == want && data[PageSize-1] == want
+						f.Unpin()
+						if !same {
+							errc <- fmt.Errorf("page %d at epoch %d: read %#x, want %#x", i, v.Epoch(), got, want)
+							v.Release()
+							return
+						}
+					}
+				}
+				v.Release()
+			}
+		}(r)
+	}
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		t.Fatal(err)
+	}
+	for i, id := range ids {
+		f, err := held.Page(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := image(i, 0); f.Data()[0] != want || f.Data()[PageSize-1] != want {
+			t.Fatalf("page %d under the view held from epoch 0: %#x, want %#x", i, f.Data()[0], want)
+		}
+		f.Unpin()
+	}
+	held.Release()
+	if n, a := pool.PinnedCount(), pool.ActiveViews(); n != 0 || a != 0 {
+		t.Fatalf("%d frames pinned, %d views active after every reader released", n, a)
+	}
+	if st := pool.Stats(); st.Evictions == 0 {
+		t.Fatal("pool never evicted — the test no longer stresses replacement")
+	}
+	if pool.ReclaimedImages() == 0 || pool.SupersededImages() != 0 {
+		t.Fatalf("%d superseded images reclaimed, %d still parked with no view active",
+			pool.ReclaimedImages(), pool.SupersededImages())
+	}
 }

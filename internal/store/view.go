@@ -23,35 +23,17 @@ import (
 // no snapshot guarantee; a database driven through catalog
 // transactions never does.)
 
-// PageHandle is a reference to one page image: the read/write surface
-// shared by pool frames, transaction shadows, and view pages.
-type PageHandle interface {
-	// ID returns the page id.
-	ID() PageID
-	// Data returns the page bytes.
-	Data() []byte
-	// MarkDirty records a mutation (panics on read-only handles).
-	MarkDirty()
-	// Unpin releases the handle.
-	Unpin()
-}
-
-// PageIO is a source of page handles: the buffer pool (latest images),
+// PageIO is a source of page frames: the buffer pool (latest images),
 // a wal transaction shadow (uncommitted writes), or an epoch-pinned
 // View (snapshot reads). Heap files read and write through it, which
-// is what lets one heap implementation serve all three worlds.
+// is what lets one heap implementation serve all three worlds. Every
+// source hands out the same value handle, so a fetch allocates nothing.
 type PageIO interface {
 	// Page returns a handle on an existing page.
-	Page(id PageID) (PageHandle, error)
+	Page(id PageID) (Frame, error)
 	// AllocatePage creates a fresh page (read-only sources refuse).
-	AllocatePage() (PageHandle, error)
+	AllocatePage() (Frame, error)
 }
-
-// Page implements PageIO for the pool (latest images).
-func (bp *BufferPool) Page(id PageID) (PageHandle, error) { return bp.Get(id) }
-
-// AllocatePage implements PageIO for the pool.
-func (bp *BufferPool) AllocatePage() (PageHandle, error) { return bp.Allocate() }
 
 // ErrReadOnlyView reports a write through a snapshot view.
 var ErrReadOnlyView = errors.New("store: write through a read-only view")
@@ -231,50 +213,27 @@ func (bp *BufferPool) ReclaimedImages() uint64 {
 	return bp.reclaimed
 }
 
-// viewPage is a resolved snapshot page: an immutable image captured
-// under the pool mutex, plus the pinned frame when the image is the
-// frame's current one.
-type viewPage struct {
-	id   PageID
-	data []byte
-	fr   *Frame // nil when serving a superseded version
-}
-
-func (p *viewPage) ID() PageID   { return p.id }
-func (p *viewPage) Data() []byte { return p.data }
-func (p *viewPage) MarkDirty()   { panic("store: MarkDirty through a read-only view") }
-func (p *viewPage) Unpin() {
-	if p.fr != nil {
-		p.fr.Unpin()
-		p.fr = nil
-	}
-}
-
-// Page implements PageIO: the page image as of the view's epoch.
-func (v *View) Page(id PageID) (PageHandle, error) {
+// Page implements PageIO: the page image as of the view's epoch, a
+// read-only frame. A superseded image pins nothing; the current image
+// pins its pool frame, captured under the latch so that a concurrent
+// commit's pointer swap cannot slip a newer image under us.
+func (v *View) Page(id PageID) (Frame, error) {
 	bp := v.bp
 	bp.mu.Lock()
 	for _, pv := range bp.versions[id] {
 		if pv.super > v.epoch {
 			bp.mu.Unlock()
-			return &viewPage{id: id, data: pv.data}, nil
+			return Frame{id: id, slot: noSlot, readOnly: true, data: pv.data}, nil
 		}
 	}
-	// Current image: pin the frame and capture its slice while the
-	// mutex is held, so a concurrent commit's pointer swap cannot slip
-	// a newer image under us.
-	f, err := bp.getLocked(id)
-	if err != nil {
-		bp.mu.Unlock()
-		return nil, err
-	}
-	data := f.data
+	f, err := bp.pinLocked(id)
 	bp.mu.Unlock()
-	return &viewPage{id: id, data: data, fr: f}, nil
+	f.readOnly = true
+	return f, err
 }
 
 // AllocatePage implements PageIO: views are read-only.
-func (v *View) AllocatePage() (PageHandle, error) { return nil, ErrReadOnlyView }
+func (v *View) AllocatePage() (Frame, error) { return Frame{}, ErrReadOnlyView }
 
 // CommitPages atomically installs a committed transaction's page
 // after-images and advances the commit epoch. Existing pages whose
@@ -292,8 +251,8 @@ func (bp *BufferPool) CommitPages(pages map[PageID][]byte, fresh map[PageID]bool
 	for id, img := range pages {
 		if len(bp.active) > 0 && !fresh[id] {
 			var old []byte
-			if f, ok := bp.frames[id]; ok {
-				old = f.data // superseded below; immutable from here on
+			if i, ok := bp.resident[id]; ok {
+				old = bp.slots[i].data // superseded below; immutable from here on
 			} else {
 				old = make([]byte, PageSize)
 				if err := bp.pager.ReadPage(id, old); err != nil {
@@ -306,9 +265,10 @@ func (bp *BufferPool) CommitPages(pages map[PageID][]byte, fresh map[PageID]bool
 			return 0, err
 		}
 		bp.stats.Writes++
-		if f, ok := bp.frames[id]; ok {
-			f.data = img
-			f.dirty = false // base just got this image
+		if i, ok := bp.resident[id]; ok {
+			s := &bp.slots[i]
+			s.data = img
+			s.dirty = false // base just got this image
 		}
 	}
 	bp.epoch = next
