@@ -36,9 +36,10 @@ import (
 //     of it.
 //
 // Incremental index maintenance rides the same commit: each declared
-// index on a table that received inserts is republished as a path-copied
-// successor (HashIndex.WithInserts / BTree.Inserted) at a cost
-// proportional to the rows committed. The planner snapshot names the new
+// index on a table that received inserts is republished as a successor
+// at a cost proportional to the rows committed — a hash index appends
+// to the entry table its versions share (HashIndex.WithInserts), a
+// btree path-copies (BTree.Inserted). The planner snapshot names the new
 // table structs and the new index versions together, so every session's
 // next point lookup takes the index path, whoever committed.
 
@@ -92,6 +93,7 @@ type tableState struct {
 	t        *table.Table
 	ins      []insertRec
 	replaced bool
+	extended []*Index // the indexes' successors over ins, set at commit
 }
 
 // Txn is one atomic statement against the database: reads see the
@@ -321,6 +323,7 @@ func (tx *Txn) Commit(ctx context.Context) error {
 		}
 	}
 
+	tx.extendIndexes()
 	sp := trace.SpanOf(ctx).Start("wal")
 	sp.AddBatches(tx.wtx.Pages())
 	db.mu.Lock()
@@ -449,10 +452,20 @@ func (tx *Txn) publishLocked() {
 		}
 		db.idxs[name] = list
 	}
-	// Incremental index maintenance: tables that took inserts republish
-	// each declared index as a path-copied successor of the committed
-	// structure. Replaced heaps (create/vacuum) were already rebuilt in
-	// full via newIdxs.
+	for name, st := range tx.tables {
+		if st.extended != nil {
+			db.idxs[name] = st.extended
+		}
+	}
+	db.rebuildSnapLocked()
+}
+
+// extendIndexes derives the successor of each index on a table that
+// took inserts (replaced heaps were rebuilt via newIdxs). Commit calls
+// it before taking db.mu: a hash index's new entries lie beyond every
+// published version's bound, so readers go on while it grows; if the
+// commit then fails they stay invisible.
+func (tx *Txn) extendIndexes() {
 	for name, st := range tx.tables {
 		if st.replaced || len(st.ins) == 0 {
 			continue
@@ -460,17 +473,15 @@ func (tx *Txn) publishLocked() {
 		if _, staged := tx.newIdxs[name]; staged {
 			continue
 		}
-		old := db.idxs[name]
+		old := tx.db.idxs[name]
 		if len(old) == 0 {
 			continue
 		}
-		fresh := make([]*Index, len(old))
+		st.extended = make([]*Index, len(old))
 		for i, ix := range old {
-			fresh[i] = extendIndex(ix, db.tables[name], st.ins)
+			st.extended[i] = extendIndex(ix, st.t, st.ins)
 		}
-		db.idxs[name] = fresh
 	}
-	db.rebuildSnapLocked()
 }
 
 // extendIndex derives the incremental successor of one index from the
@@ -489,9 +500,9 @@ func extendIndex(ix *Index, t *table.Table, ins []insertRec) *Index {
 		if ix.Hash == nil {
 			return ix
 		}
-		entries := make([]index.Entry, 0, len(ins))
+		entries := make([]index.HashEntry, 0, len(ins))
 		for _, in := range ins {
-			entries = append(entries, index.Entry{Key: core.Key(in.row[col]), RID: in.rid})
+			entries = append(entries, index.HashEntry{Key: in.row[col], RID: in.rid})
 		}
 		out.Hash = ix.Hash.WithInserts(entries)
 	case IndexBTree:

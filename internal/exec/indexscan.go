@@ -71,7 +71,7 @@ func (s *IndexScan) Open(ctx context.Context) error {
 	s.pos = 0
 	s.open = true
 	if s.hash != nil {
-		s.rids = append(s.rids, s.hash.Lookup(core.Key(s.eq))...)
+		s.rids = s.hash.Probe(s.rids, s.eq)
 		return ctx.Err()
 	}
 	lo, hi, err := s.rangeKeys()

@@ -1,9 +1,10 @@
 // Package index provides the prestructured access paths the paper's
 // performance discussion contrasts with dynamic set restructuring: an
 // in-memory B+tree for ordered/range access and a hash index for point
-// access. Keys are canonical value encodings (core.Key), values are
-// record ids. Experiment E10 compares lookup mixes through these indexes
-// against XSP restructure-then-scan plans.
+// access. B+tree keys are order-preserving encodings (core.OrderKey),
+// hash keys are the values themselves; postings are record ids.
+// Experiment E10 compares lookup mixes through these indexes against
+// XSP restructure-then-scan plans.
 package index
 
 import "xst/internal/store"

@@ -12,21 +12,21 @@ import (
 // buildPollEvery bounds how many rows a build walks between ctx polls.
 const buildPollEvery = 256
 
-// BuildHash scans the table once and indexes column col under its
-// exact-match encoding (core.Key). The returned index answers point
-// lookups only; any value kind is indexable.
+// BuildHash scans the table once and files column col's values in a
+// hash index sized for the table's rows. The returned index answers
+// point lookups only; any value kind is indexable.
 func BuildHash(ctx context.Context, t *table.Table, col int) (*HashIndex, error) {
 	if err := checkCol(t, col); err != nil {
 		return nil, err
 	}
-	idx := NewHashIndex()
+	idx := NewHashIndex(t.Count())
 	steps := 0
 	err := t.Scan(func(rid store.RID, r table.Row) (bool, error) {
 		steps++
 		if steps%buildPollEvery == 0 && ctx.Err() != nil {
 			return false, ctx.Err()
 		}
-		idx.Insert(core.Key(r[col]), rid)
+		idx.Insert(r[col], rid)
 		return true, nil
 	})
 	if err != nil {

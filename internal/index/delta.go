@@ -1,38 +1,48 @@
 package index
 
-import "xst/internal/store"
+import (
+	"xst/internal/core"
+	"xst/internal/store"
+)
 
 // Incremental index maintenance under MVCC. A published index version
 // is an immutable function from keys to postings: plans compiled against
 // an old planner snapshot keep probing it, lock-free, while the catalog
-// publishes successors, so a commit cannot Insert into the structure it
-// found. It derives the next version by path copying instead, and both
-// index kinds do it the same way:
+// publishes successors. The two index kinds derive a successor
+// differently:
 //
-//   - HashIndex.WithInserts copies the trie nodes on each inserted key's
-//     root-to-leaf path (hash.go);
+//   - HashIndex.WithInserts appends to the entry table all versions
+//     share and returns a version whose bound takes in the new entries
+//     (hash.go). Older versions skip them by ordinal, so a commit costs
+//     its entries and one version header, whatever the index's size;
 //   - BTree.Inserted copies the tree nodes on each inserted key's
-//     root-to-leaf path.
-//
-// Either way a commit costs O(entries · log n) node copies, a touched
-// posting list is copied before it grows, and every untouched subtree is
-// shared with the committed version — the copy-on-write discipline the
-// buffer pool applies to page images.
+//     root-to-leaf path, O(entries · log n) node copies per commit, a
+//     touched posting list copied before it grows, and every untouched
+//     subtree shared with the committed version.
 
-// Entry is one (key, rid) pair staged for incremental maintenance.
+// Entry is one (key, rid) pair staged for a btree's incremental
+// maintenance, keyed by core.OrderKey.
 type Entry struct {
 	Key string
 	RID store.RID
 }
 
-// WithInserts returns a new index equal to h plus the entries, without
-// modifying h.
-func (h *HashIndex) WithInserts(entries []Entry) *HashIndex {
-	nw := &HashIndex{root: h.root, size: h.size, own: new(owner), mask: h.mask}
+// HashEntry is one (key, rid) pair staged for a hash index.
+type HashEntry struct {
+	Key core.Value
+	RID store.RID
+}
+
+// WithInserts returns a new version equal to h plus the entries, without
+// modifying h. Extending the newest version writes the entries in place
+// and allocates only the new version; extending an older one first
+// copies the entries it sees, so branching leaves its successors alone.
+func (h *HashIndex) WithInserts(entries []HashEntry) *HashIndex {
+	nw := *h
 	for _, e := range entries {
 		nw.Insert(e.Key, e.RID)
 	}
-	return nw
+	return &nw
 }
 
 // Inserted returns a new tree equal to t plus the entries, without

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"xst/internal/core"
 	"xst/internal/store"
 	"xst/internal/xtest"
 )
@@ -15,11 +16,11 @@ func drid(p, s int) store.RID {
 	return store.RID{Page: store.PageID(p), Slot: uint16(s)}
 }
 
-// hashMasks are the hash bits the differential tests run under: all of
-// them, and subsets that force every collision shape — keys that agree
-// on the low digits and differ only at the top (long single-child
-// chains), keys that agree on all 64 bits (the bucket under the last
-// digit), and one hash for everything.
+// hashMasks are the digest bits the differential tests run under: all
+// of them, and subsets that force every collision shape — a few dozen
+// digests shared by many keys, a couple of thousand digests each on a
+// bucket of its own or sharing one, and one digest (so one bucket) for
+// everything, where only core.Equal tells keys apart.
 var hashMasks = map[string]uint64{
 	"all bits":    ^uint64(0),
 	"top 5 bits":  0x1f << 59,
@@ -30,19 +31,21 @@ var hashMasks = map[string]uint64{
 // oracle is the flat reference a HashIndex version must equal.
 type oracle map[string][]store.RID
 
-func (o oracle) with(entries []Entry) oracle {
+func (o oracle) with(entries []HashEntry) oracle {
 	nw := make(oracle, len(o))
 	for k, ps := range o {
 		nw[k] = ps
 	}
 	for _, e := range entries {
-		nw[e.Key] = append(append([]store.RID(nil), nw[e.Key]...), e.RID)
+		k := string(e.Key.(core.Str))
+		nw[k] = append(append([]store.RID(nil), nw[k]...), e.RID)
 	}
 	return nw
 }
 
 // checkAgainst compares every key of the universe, present or absent:
-// same postings in insertion order, and the same distinct-key count.
+// same postings in insertion order through Probe and through the Lookup
+// adapter, and the same distinct-key count.
 func checkAgainst(t *testing.T, what string, h *HashIndex, want oracle, universe int) {
 	t.Helper()
 	if h.Len() != len(want) {
@@ -50,7 +53,10 @@ func checkAgainst(t *testing.T, what string, h *HashIndex, want oracle, universe
 	}
 	for i := 0; i < universe; i++ {
 		k := fmt.Sprintf("k%d", i)
-		if got := h.Lookup(k); !reflect.DeepEqual(got, want[k]) {
+		if got := h.Probe(nil, core.Str(k)); !reflect.DeepEqual(got, want[k]) {
+			t.Fatalf("%s: Probe(%s) = %v, oracle %v", what, k, got, want[k])
+		}
+		if got := h.Lookup(core.Key(core.Str(k))); !reflect.DeepEqual(got, want[k]) {
 			t.Fatalf("%s: Lookup(%s) = %v, oracle %v", what, k, got, want[k])
 		}
 	}
@@ -66,19 +72,19 @@ func TestHashWithInsertsDifferential(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			r := xtest.NewRand(11)
 			next := 0
-			delta := func() []Entry {
-				es := make([]Entry, 1+r.Intn(40))
+			delta := func() []HashEntry {
+				es := make([]HashEntry, 1+r.Intn(40))
 				for i := range es {
-					es[i] = Entry{Key: fmt.Sprintf("k%d", r.Intn(universe)), RID: drid(next/100, next%100)}
+					es[i] = HashEntry{Key: core.Str(fmt.Sprintf("k%d", r.Intn(universe))), RID: drid(next/100, next%100)}
 					next++
 				}
 				return es
 			}
-			base := newHashIndex(mask)
+			base := newHashIndex(0, mask)
 			want := oracle{}
 			for _, e := range delta() { // the in-place bulk build
 				base.Insert(e.Key, e.RID)
-				want = want.with([]Entry{e})
+				want = want.with([]HashEntry{e})
 			}
 			versions, oracles := []*HashIndex{base}, []oracle{want}
 			for round := 0; round < 60; round++ {
@@ -103,9 +109,10 @@ func TestHashWithInsertsDifferential(t *testing.T) {
 // derives new ones from them (run under -race).
 func TestHashLookupDuringDerivation(t *testing.T) {
 	const keys, rounds, readers = 2000, 200, 4
-	base := NewHashIndex()
+	k0 := core.Str("k0")
+	base := NewHashIndex(keys)
 	for i := 0; i < keys; i++ {
-		base.Insert(fmt.Sprintf("k%d", i), drid(1, i))
+		base.Insert(core.Str(fmt.Sprintf("k%d", i)), drid(1, i))
 	}
 	published := make(chan *HashIndex, rounds) // holds every version: the writer never blocks
 	var wg sync.WaitGroup
@@ -115,9 +122,9 @@ func TestHashLookupDuringDerivation(t *testing.T) {
 		defer close(published)
 		cur := base
 		for round := 0; round < rounds; round++ {
-			cur = cur.WithInserts([]Entry{
-				{Key: fmt.Sprintf("k%d", round), RID: drid(2, round)}, // grows a shared posting list
-				{Key: fmt.Sprintf("new%d", round), RID: drid(3, round)},
+			cur = cur.WithInserts([]HashEntry{
+				{Key: core.Str(fmt.Sprintf("k%d", round)), RID: drid(2, round)}, // another posting for a base key
+				{Key: core.Str(fmt.Sprintf("new%d", round)), RID: drid(3, round)},
 			})
 			published <- cur
 		}
@@ -127,18 +134,96 @@ func TestHashLookupDuringDerivation(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for v := range published {
-				if got := base.Lookup("k0"); len(got) != 1 {
+				if got := base.Probe(nil, k0); len(got) != 1 {
 					t.Errorf("base changed under a reader: k0 = %v", got)
 					return
 				}
-				if v.Len() <= keys || len(v.Lookup("k0")) != 2 {
-					t.Errorf("published version: Len %d, k0 = %v", v.Len(), v.Lookup("k0"))
+				if v.Len() <= keys || len(v.Probe(nil, k0)) != 2 {
+					t.Errorf("published version: Len %d, k0 = %v", v.Len(), v.Probe(nil, k0))
 					return
 				}
 			}
 		}()
 	}
 	wg.Wait()
+}
+
+// Readers pinned at old versions must see exactly their own prefix —
+// the entries the writer files meanwhile neither appear nor disturb the
+// chains they walk — while the writer keeps appending across several
+// growth steps of the shared table (run under -race).
+func TestHashPinnedReadersAcrossGrowth(t *testing.T) {
+	const rounds, readers = 400, 4
+	for name, mask := range map[string]uint64{"all bits": ^uint64(0), "low 3 bits": 0x7} {
+		t.Run(name, func(t *testing.T) {
+			dup := core.Str("dup")
+			base := newHashIndex(4, mask) // room for 8: the writer grows it 7 times
+			base.Insert(dup, drid(0, 0))
+			start := len(base.tab.lay.Load().ents)
+			// check is version i's oracle: i+1 postings of dup, the fresh
+			// keys of rounds below i, nothing of the rounds after.
+			check := func(i int, v *HashIndex) {
+				if got := v.Probe(nil, dup); len(got) != i+1 || got[i] != drid(0, i) {
+					t.Errorf("version %d: dup = %v", i, got)
+				}
+				if v.Len() != i+1 {
+					t.Errorf("version %d: Len = %d, want %d", i, v.Len(), i+1)
+				}
+				if i > 0 {
+					if got := v.Probe(nil, core.Int(int64(i-1))); len(got) != 1 || got[0] != drid(1, i-1) {
+						t.Errorf("version %d: key %d = %v", i, i-1, got)
+					}
+				}
+				if got := v.Probe(nil, core.Int(int64(i))); got != nil {
+					t.Errorf("version %d sees a later round's key: %v", i, got)
+				}
+			}
+			var (
+				mu       sync.Mutex
+				versions = []*HashIndex{base}
+				done     = make(chan struct{})
+				wg       sync.WaitGroup
+			)
+			for w := 0; w < readers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					r := xtest.NewRand(uint64(w + 1))
+					for stop := false; !stop; {
+						select {
+						case <-done:
+							stop = true // one last pass over every version
+						default:
+						}
+						mu.Lock()
+						vs := versions
+						mu.Unlock()
+						check(0, vs[0]) // pinned at the base throughout
+						i := r.Intn(len(vs))
+						check(i, vs[i])
+					}
+				}(w)
+			}
+			cur := base
+			for i := 0; i < rounds; i++ {
+				cur = cur.WithInserts([]HashEntry{
+					{Key: core.Int(int64(i)), RID: drid(1, i)},
+					{Key: dup, RID: drid(0, i+1)},
+				})
+				mu.Lock()
+				versions = append(versions, cur)
+				mu.Unlock()
+			}
+			close(done)
+			wg.Wait()
+			if end := len(cur.tab.lay.Load().ents); end < 8*start {
+				t.Fatalf("the table went from room for %d entries to %d: fewer than three growth steps", start, end)
+			}
+			for i, v := range versions {
+				check(i, v)
+			}
+		})
+	}
 }
 
 // Inserted must path-copy: the old tree keeps answering the old world

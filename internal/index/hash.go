@@ -1,199 +1,185 @@
 package index
 
 import (
-	"math/bits"
+	"math/rand/v2"
 	"slices"
+	"sync/atomic"
 
+	"xst/internal/core"
 	"xst/internal/store"
 )
 
-// HashIndex is a point-access index from encoded keys to RID postings,
-// stored as a persistent hash array mapped trie: 32-way bitmap nodes
-// indexed by successive 5-bit digits of a fixed 64-bit hash of the key,
-// with full-key comparison at the leaves and a linear bucket under the
-// last digit for keys whose hashes collide entirely.
+// HashIndex is a point-access index: a function from a key value to
+// the set of records that hold it. Every version of one index shares a
+// single append-only table of entries — digest, key, record id — in the
+// order they were filed; a version is that table restricted to the
+// entries below its bound, {e ∈ I | ord(e) < n}, and carries its own
+// distinct-key count. A lookup walks one bucket chain, skips entries
+// newer than its bound, and confirms each digest match with core.Equal,
+// as every other keyed table does (core.Chains).
 //
-// Every node carries the owner token of the index version that
-// allocated it. A version edits its own nodes in place — that is the
-// bulk build, Insert before publication — and copies any other node it
-// must change, so WithInserts (delta.go) derives a successor by copying
-// only the root-to-leaf paths it touches while every published version
-// stays immutable for its lock-free readers.
+// The table has one writer — a build before publication, then the
+// catalog's commits under its writer lock — and any number of
+// lock-free readers. An entry and its chain link are written before the
+// atomic store of the bucket head that publishes them, and neither
+// changes afterwards; growing builds a new layout and publishes it with
+// one atomic store. So WithInserts (delta.go) extends the newest
+// version in place while every published version keeps answering
+// exactly its own prefix.
 type HashIndex struct {
-	root *hnode
-	size int // distinct keys, carried per version
-	own  *owner
-	// mask selects the hash bits in use: all of them, except in tests,
-	// which clear bits to force every shape of collision.
-	mask uint64
+	tab  *hashTable
+	n    int // entries visible: ordinals below n
+	keys int // distinct keys among them
 }
 
-// owner marks the nodes one index version may edit in place. It has a
-// field because distinct zero-size allocations may share an address.
-type owner struct{ _ byte }
-
-// hnode is one trie node. A hash digit d leads to a subtree (bit d of
-// nodemap), to one entry (bit d of datamap), or nowhere; children and
-// entries hold the subtrees and the entries in digit order. Below the
-// last digit the bitmaps are unused and entries is a collision bucket.
-type hnode struct {
-	own      *owner
-	nodemap  uint32
-	datamap  uint32
-	children []*hnode
-	entries  []hentry
+// hashTable is the entry table the versions of one index share.
+type hashTable struct {
+	// mask selects the digest bits in use: all of them, except in
+	// tests, which clear bits to force every shape of collision.
+	mask  uint64
+	count int // entries filed; only the writer touches it
+	lay   atomic.Pointer[layout]
 }
 
-// hentry is one key with its postings in insertion order.
+// layout is one generation of the table's arrays: entries and links
+// at full capacity, and twice as many bucket heads.
+type layout struct {
+	heads []atomic.Int32 // bucket → 1 + its newest ordinal, 0 when empty
+	next  []int32        // ordinal → the next older ordinal of its bucket, or -1
+	ents  []hentry       // ordinal → entry
+	shift uint           // 64 − log2(len(heads)): a mixed digest's top bits pick its bucket
+}
+
+// hentry is one filed record: the key's masked digest, the key itself
+// (the row's boxed value) and the record id.
 type hentry struct {
-	key  string
-	rids []store.RID
+	dig uint64
+	key core.Value
+	rid store.RID
 }
 
-const (
-	digitBits = 5
-	digitMask = 1<<digitBits - 1
-	hashBits  = 64
-)
+// NewHashIndex returns an empty hash index with room for n entries
+// before its first growth step.
+func NewHashIndex(n int) *HashIndex { return newHashIndex(n, ^uint64(0)) }
 
-// NewHashIndex returns an empty hash index.
-func NewHashIndex() *HashIndex { return newHashIndex(^uint64(0)) }
-
-func newHashIndex(mask uint64) *HashIndex {
-	own := new(owner)
-	return &HashIndex{root: &hnode{own: own}, own: own, mask: mask}
+func newHashIndex(n int, mask uint64) *HashIndex {
+	t := &hashTable{mask: mask}
+	t.lay.Store(newLayout(n, nil))
+	return &HashIndex{tab: t}
 }
 
-// hash is the key's trie path. It calls hashKey directly rather than
-// through a func value, so a caller's temporary key stays off the heap.
-func (h *HashIndex) hash(s string) uint64 { return hashKey(s) & h.mask }
-
-// hashKey is FNV-1a over the key bytes with a final avalanche, so the
-// low digits — the top trie levels — depend on every input byte. It is
-// unseeded: the same key takes the same path in every process.
-func hashKey(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h = (h ^ uint64(s[i])) * 1099511628211
+// newLayout returns a layout with room for n entries, at least, that
+// holds ents, threaded oldest first so each chain runs newest first.
+func newLayout(n int, ents []hentry) *layout {
+	size, shift := 16, uint(60)
+	for size < 2*n {
+		size, shift = size<<1, shift-1
 	}
-	h ^= h >> 29
-	h *= 0xbf58476d1ce4e5b9
-	return h ^ h>>32
+	l := &layout{
+		heads: make([]atomic.Int32, size),
+		next:  make([]int32, size/2),
+		ents:  make([]hentry, size/2),
+		shift: shift,
+	}
+	copy(l.ents, ents)
+	for id := range ents {
+		l.link(int32(id))
+	}
+	return l
 }
 
-// Insert adds rid under key in place. Like BTree.Insert it is for
-// building an index before publication; a published index takes new
-// entries through WithInserts.
-func (h *HashIndex) Insert(key string, rid store.RID) {
-	h.root = h.put(h.root, 0, h.hash(key), key, rid)
+// bucketMul, drawn per process, keeps clients from searching offline
+// for keys that share a bucket; chains are confirmed per key, so no
+// result changes.
+var bucketMul = rand.Uint64() | 1
+
+// bucket mixes digest d into a bucket index, as core.Chains does.
+func (l *layout) bucket(d uint64) uint64 {
+	return ((d ^ d>>32) * bucketMul) >> l.shift
 }
 
-// Lookup returns the postings for key in insertion order (nil if
-// absent). It is one descent and allocates nothing; the result is
-// shared with the index and must not be modified.
+// link files the written entry id at the head of its bucket; the
+// atomic store publishes the entry and its link together.
+func (l *layout) link(id int32) {
+	b := &l.heads[l.bucket(l.ents[id].dig)]
+	l.next[id] = b.Load() - 1
+	b.Store(id + 1)
+}
+
+// Insert adds rid under key in place. It is for a version no reader
+// holds yet — a build, or the successor WithInserts derives; a
+// published index takes new entries through WithInserts. An older
+// version first moves onto a copy of its own prefix.
+func (h *HashIndex) Insert(key core.Value, rid store.RID) {
+	if h.n != h.tab.count {
+		h.branch()
+	}
+	t := h.tab
+	d := core.Digest(key) & t.mask
+	l := t.lay.Load()
+	if !h.has(l, d, key) {
+		h.keys++
+	}
+	if t.count == len(l.ents) {
+		l = newLayout(2*t.count, l.ents)
+		t.lay.Store(l)
+	}
+	l.ents[t.count] = hentry{dig: d, key: key, rid: rid}
+	l.link(int32(t.count))
+	t.count++
+	h.n = t.count
+}
+
+// branch gives h a table of its own holding h's entries, so extending
+// an older version leaves the entries its successors filed alone.
+func (h *HashIndex) branch() {
+	t := &hashTable{mask: h.tab.mask, count: h.n}
+	t.lay.Store(newLayout(2*h.n, h.tab.lay.Load().ents[:h.n]))
+	h.tab = t
+}
+
+// has reports whether h sees an entry filed under key, whose masked
+// digest is d.
+func (h *HashIndex) has(l *layout, d uint64, key core.Value) bool {
+	for id := l.heads[l.bucket(d)].Load() - 1; id >= 0; id = l.next[id] {
+		if e := &l.ents[id]; int(id) < h.n && e.dig == d && core.Equal(e.key, key) {
+			return true
+		}
+	}
+	return false
+}
+
+// Probe appends the records filed under key, in insertion order, to dst
+// and returns it. It walks one chain and allocates nothing unless dst
+// must grow.
+func (h *HashIndex) Probe(dst []store.RID, key core.Value) []store.RID {
+	d := core.Digest(key) & h.tab.mask
+	l := h.tab.lay.Load()
+	start := len(dst)
+	for id := l.heads[l.bucket(d)].Load() - 1; id >= 0; id = l.next[id] {
+		if e := &l.ents[id]; int(id) < h.n && e.dig == d && core.Equal(e.key, key) {
+			dst = append(dst, e.rid)
+		}
+	}
+	slices.Reverse(dst[start:])
+	return dst
+}
+
+// Lookup returns the records filed under the key whose canonical
+// encoding (core.Key) is key, in insertion order, or nil: it decodes
+// the key and probes. It is the form the benchmark's index micro calls.
 func (h *HashIndex) Lookup(key string) []store.RID {
-	hv := h.hash(key)
-	n := h.root
-	for shift := uint(0); shift < hashBits; shift += digitBits {
-		bit := uint32(1) << (hv >> shift & digitMask)
-		if n.nodemap&bit != 0 {
-			n = n.children[bits.OnesCount32(n.nodemap&(bit-1))]
-			continue
-		}
-		if n.datamap&bit != 0 {
-			if e := &n.entries[bits.OnesCount32(n.datamap&(bit-1))]; e.key == key {
-				return e.rids
-			}
-		}
+	v, n, err := core.Decode([]byte(key))
+	if err != nil || n != len(key) {
 		return nil
 	}
-	if i := n.find(key); i >= 0 {
-		return n.entries[i].rids
-	}
-	return nil
+	return h.Probe(nil, v)
 }
 
 // Len returns the number of distinct keys.
-func (h *HashIndex) Len() int { return h.size }
+func (h *HashIndex) Len() int { return h.keys }
 
-// Depth reports the number of delta layers a lookup consults. The trie
+// Depth reports the number of delta layers a lookup consults. The table
 // has none, so it is always 0; kept for the benchmark's
 // index.hash_depth instrument.
 func (h *HashIndex) Depth() int { return 0 }
-
-// find returns the position of key among a collision bucket's entries.
-func (n *hnode) find(key string) int {
-	for i := range n.entries {
-		if n.entries[i].key == key {
-			return i
-		}
-	}
-	return -1
-}
-
-// editable returns n itself when this version owns it, else a copy it
-// owns. The copy shares subtrees and posting lists; capping each list
-// at its length makes the first append to one reallocate instead of
-// writing into an array other versions read.
-func (h *HashIndex) editable(n *hnode) *hnode {
-	if n.own == h.own {
-		return n
-	}
-	c := &hnode{
-		own: h.own, nodemap: n.nodemap, datamap: n.datamap,
-		children: slices.Clone(n.children), entries: slices.Clone(n.entries),
-	}
-	for i := range c.entries {
-		r := c.entries[i].rids
-		c.entries[i].rids = r[:len(r):len(r)]
-	}
-	return c
-}
-
-// leaf returns a fresh node at the given hash offset holding one entry,
-// with room for the second that its caller is about to add.
-func (h *HashIndex) leaf(shift uint, e hentry) *hnode {
-	n := &hnode{own: h.own, entries: append(make([]hentry, 0, 2), e)}
-	if shift < hashBits {
-		n.datamap = 1 << (h.hash(e.key) >> shift & digitMask)
-	}
-	return n
-}
-
-// put adds rid under key in the subtree n, whose digit starts at bit
-// shift of the hash, and returns the subtree's root: n when this
-// version owns it, a copy otherwise.
-func (h *HashIndex) put(n *hnode, shift uint, hv uint64, key string, rid store.RID) *hnode {
-	n = h.editable(n)
-	if shift >= hashBits {
-		if i := n.find(key); i >= 0 {
-			n.entries[i].rids = append(n.entries[i].rids, rid)
-			return n
-		}
-		n.entries = append(n.entries, hentry{key, []store.RID{rid}})
-		h.size++
-		return n
-	}
-	bit := uint32(1) << (hv >> shift & digitMask)
-	ci := bits.OnesCount32(n.nodemap & (bit - 1))
-	ei := bits.OnesCount32(n.datamap & (bit - 1))
-	switch {
-	case n.nodemap&bit != 0:
-		n.children[ci] = h.put(n.children[ci], shift+digitBits, hv, key, rid)
-	case n.datamap&bit == 0:
-		n.entries = slices.Insert(n.entries, ei, hentry{key, []store.RID{rid}})
-		n.datamap |= bit
-		h.size++
-	case n.entries[ei].key == key:
-		n.entries[ei].rids = append(n.entries[ei].rids, rid)
-	default:
-		// Two keys share the hash up to this digit: the resident moves
-		// one level down and the new key joins it there.
-		sub := h.put(h.leaf(shift+digitBits, n.entries[ei]), shift+digitBits, hv, key, rid)
-		n.entries = slices.Delete(n.entries, ei, ei+1)
-		n.datamap &^= bit
-		n.children = slices.Insert(n.children, ci, sub)
-		n.nodemap |= bit
-	}
-	return n
-}

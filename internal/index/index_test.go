@@ -2,9 +2,12 @@ package index
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"testing"
 
+	"xst/internal/core"
 	"xst/internal/store"
 	"xst/internal/xtest"
 )
@@ -132,36 +135,62 @@ func TestBTreeSequentialAndReverseInsert(t *testing.T) {
 }
 
 func TestHashIndex(t *testing.T) {
-	h := NewHashIndex()
-	h.Insert("a", rid(1))
-	h.Insert("a", rid(2))
-	h.Insert("b", rid(3))
-	if got := h.Lookup("a"); len(got) != 2 {
-		t.Fatalf("Lookup(a) = %v", got)
+	h := NewHashIndex(0)
+	a, b := core.Str("a"), core.Str("b")
+	h.Insert(a, rid(1))
+	h.Insert(a, rid(2))
+	h.Insert(b, rid(3))
+	if got := h.Probe(nil, a); len(got) != 2 {
+		t.Fatalf("Probe(a) = %v", got)
 	}
 	if h.Len() != 2 {
 		t.Fatal("Len wrong")
 	}
-	if got := h.Lookup("a"); got[0] != rid(1) || got[1] != rid(2) {
+	if got := h.Probe(nil, a); got[0] != rid(1) || got[1] != rid(2) {
 		t.Fatalf("postings out of insertion order: %v", got)
 	}
-	if h.Lookup("c") != nil {
+	if h.Probe(nil, core.Str("c")) != nil {
 		t.Fatal("absent key must give nil")
+	}
+	// Probe appends after what dst holds; Lookup decodes a core.Key.
+	if got := h.Probe([]store.RID{rid(9)}, a); len(got) != 3 || got[0] != rid(9) || got[1] != rid(1) {
+		t.Fatalf("Probe onto a non-empty dst = %v", got)
+	}
+	if got := h.Lookup(core.Key(a)); len(got) != 2 || got[1] != rid(2) {
+		t.Fatalf("Lookup(Key(a)) = %v", got)
+	}
+	if h.Lookup("a") != nil || h.Lookup(core.Key(a)+"x") != nil {
+		t.Fatal("a string that is not exactly one encoded value must give nil")
+	}
+	// Kinds never match across: Int 1, Float 1 and Str "1" are three keys,
+	// while ±0.0 is one.
+	h.Insert(core.Int(1), rid(4))
+	h.Insert(core.Float(1), rid(5))
+	h.Insert(core.Float(0), rid(6))
+	h.Insert(core.Float(math.Copysign(0, -1)), rid(7))
+	if got := h.Probe(nil, core.Int(1)); len(got) != 1 || got[0] != rid(4) {
+		t.Fatalf("Probe(Int 1) = %v", got)
+	}
+	if got := h.Probe(nil, core.Float(0)); len(got) != 2 {
+		t.Fatalf("Probe(0.0) = %v, want both zeros", got)
+	}
+	if h.Probe(nil, core.Str("1")) != nil || h.Len() != 5 {
+		t.Fatalf("Str 1 must be absent; Len = %d, want 5", h.Len())
 	}
 }
 
 func TestBTreeHashAgree(t *testing.T) {
-	bt, h := NewBTree(), NewHashIndex()
+	bt, h := NewBTree(), NewHashIndex(0)
 	r := xtest.NewRand(3)
 	for i := 0; i < 3000; i++ {
 		k := key(r.Intn(700))
 		bt.Insert(k, rid(i))
-		h.Insert(k, rid(i))
+		h.Insert(core.Str(k), rid(i))
 	}
 	for i := 0; i < 700; i++ {
-		a, b := bt.Lookup(key(i)), h.Lookup(key(i))
-		if len(a) != len(b) {
-			t.Fatalf("key %d: btree %d vs hash %d postings", i, len(a), len(b))
+		a, b := bt.Lookup(key(i)), h.Probe(nil, core.Str(key(i)))
+		if !slices.Equal(a, b) {
+			t.Fatalf("key %d: btree %v vs hash %v postings", i, a, b)
 		}
 	}
 }

@@ -23,9 +23,9 @@ type IndexScan struct {
 
 // BuildHashIndex scans the table once and indexes the given column.
 func BuildHashIndex(t *table.Table, col int) (*index.HashIndex, error) {
-	idx := index.NewHashIndex()
+	idx := index.NewHashIndex(t.Count())
 	err := t.Scan(func(rid store.RID, r table.Row) (bool, error) {
-		idx.Insert(core.Key(r[col]), rid)
+		idx.Insert(r[col], rid)
 		return true, nil
 	})
 	if err != nil {
@@ -36,7 +36,7 @@ func BuildHashIndex(t *table.Table, col int) (*index.HashIndex, error) {
 
 // Open implements Iterator.
 func (s *IndexScan) Open() error {
-	s.rids = s.Index.Lookup(core.Key(s.Key))
+	s.rids = s.Index.Probe(s.rids[:0], s.Key)
 	s.pos = 0
 	s.open = true
 	return nil

@@ -996,18 +996,12 @@ func (s *Server) handleLoad(sess *session, payload string) (Response, bool) {
 		sess.scratch[lr.Table] = t
 		sess.env.BindTable(lr.Table, t)
 	}
-	for _, b64 := range lr.Rows {
-		raw, err := base64.StdEncoding.DecodeString(b64)
-		if err != nil {
-			return Response{Error: fmt.Sprintf("bad .load row: %v", err)}, false
-		}
-		r, err := table.DecodeRow(raw)
-		if err != nil {
-			return Response{Error: fmt.Sprintf("bad .load row: %v", err)}, false
-		}
-		if _, err := t.Insert(r); err != nil {
-			return Response{Error: err.Error()}, false
-		}
+	rows, err := decodeLoadRows(lr.Rows)
+	if err != nil {
+		return Response{Error: err.Error()}, false
+	}
+	if err := t.InsertAll(rows); err != nil {
+		return Response{Error: err.Error()}, false
 	}
 	return Response{Result: fmt.Sprintf("%s: %d rows", lr.Table, t.Count())}, false
 }
@@ -1030,17 +1024,9 @@ func (s *Server) loadShared(lr loadRequest) (Response, bool) {
 			return Response{Error: err.Error()}, false
 		}
 	}
-	rows := make([]table.Row, 0, len(lr.Rows))
-	for _, b64 := range lr.Rows {
-		raw, err := base64.StdEncoding.DecodeString(b64)
-		if err != nil {
-			return Response{Error: fmt.Sprintf("bad .load row: %v", err)}, false
-		}
-		r, err := table.DecodeRow(raw)
-		if err != nil {
-			return Response{Error: fmt.Sprintf("bad .load row: %v", err)}, false
-		}
-		rows = append(rows, r)
+	rows, err := decodeLoadRows(lr.Rows)
+	if err != nil {
+		return Response{Error: err.Error()}, false
 	}
 	if err := db.Load(context.Background(), lr.Table, rows); err != nil {
 		return Response{Error: err.Error()}, false
@@ -1050,4 +1036,24 @@ func (s *Server) loadShared(lr loadRequest) (Response, bool) {
 		return Response{Error: err.Error()}, false
 	}
 	return Response{Result: fmt.Sprintf("%s: %d rows", lr.Table, t.Count())}, false
+}
+
+// decodeLoadRows decodes a .load chunk's base64 rows through two
+// buffers the chunk reuses: table.DecodeRow copies what a row keeps.
+func decodeLoadRows(b64s []string) ([]table.Row, error) {
+	rows := make([]table.Row, 0, len(b64s))
+	var src, raw []byte
+	for _, b64 := range b64s {
+		src = append(src[:0], b64...)
+		var err error
+		if raw, err = base64.StdEncoding.AppendDecode(raw[:0], src); err != nil {
+			return nil, fmt.Errorf("bad .load row: %v", err)
+		}
+		r, err := table.DecodeRow(raw)
+		if err != nil {
+			return nil, fmt.Errorf("bad .load row: %v", err)
+		}
+		rows = append(rows, r)
+	}
+	return rows, nil
 }

@@ -197,7 +197,10 @@ func (t *Table) Insert(r Row) (store.RID, error) {
 	if len(r) != t.schema.Arity() {
 		return store.RID{}, fmt.Errorf("%w: got %d, want %d", ErrSchema, len(r), t.schema.Arity())
 	}
-	return t.heap.Append(EncodeRow(nil, r))
+	// The page copies the record, so it is encoded on the stack unless
+	// it outgrows the buffer.
+	var buf [256]byte
+	return t.heap.Append(EncodeRow(buf[:0], r))
 }
 
 // InsertAll appends many rows.

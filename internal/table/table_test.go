@@ -319,3 +319,23 @@ func BenchmarkEncodeDecode(b *testing.B) {
 		}
 	}
 }
+
+// Inserting an int+string row into a page with room allocates nothing:
+// the record is encoded on the stack and the page copies it.
+func TestInsertIntoRoomyPageAllocatesNothing(t *testing.T) {
+	tbl, err := Create(store.NewBufferPool(store.NewMemPager(), 8), Schema{Name: "t", Cols: []string{"id", "name"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := Row{core.Int(123456), core.Str("someone")}
+	if got := testing.AllocsPerRun(50, func() {
+		if _, err := tbl.Insert(row); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 0 {
+		t.Errorf("Insert into a page with room: %.1f allocations, want 0", got)
+	}
+	if tbl.Count() != 51 {
+		t.Fatalf("%d rows, want 51", tbl.Count())
+	}
+}
