@@ -1,6 +1,8 @@
 package algebra
 
 import (
+	"context"
+	"runtime"
 	"testing"
 
 	"xst/internal/core"
@@ -85,17 +87,32 @@ func BenchmarkTransitiveClosure(b *testing.B) {
 	}
 }
 
-// TestAlgebraAllocations pins what the kernel bought: a composition of
+// allocBytes is the heap bytes one run of fn allocates, averaged over
+// runs (MemStats.TotalAlloc counts every allocation, freed or not).
+func allocBytes(runs int, fn func()) uint64 {
+	var before, after runtime.MemStats
+	fn()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		fn()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
+// TestAlgebraAllocations pins what the kernels bought. A composition of
 // 2 000 pairs with 2 000 pairs and the closure of 40 chains of 16 used
 // to allocate one object per re-scope, key and union (≈ 33 000 and
-// ≈ 223 000); they now allocate their output's slab chunks, one index
-// and a few growing lists.
+// ≈ 223 000); they now allocate their output's slab, one index and a
+// few growing lists. Building them cost ≈ 394 KB and ≈ 1.3 MB before
+// the output was sized first; the count forms card(·) takes keep only
+// ids and a digest table.
 func TestAlgebraAllocations(t *testing.T) {
 	f, g := benchRelation(2000), benchRelation(2000)
 	if got := testing.AllocsPerRun(5, func() { sinkSet = CSTRelativeProduct(f, g) }); got >= 100 {
 		t.Errorf("compose 2000×2000: %.0f allocations, want < 100", got)
 	}
-	if want := refRelativeProduct(f, g, cstSpec().Sigma, cstSpec().Omega); !core.Equal(sinkSet, want) {
+	if want := refRelativeProduct(f, g, cst.Sigma, cst.Omega); !core.Equal(sinkSet, want) {
 		t.Fatal("compose 2000×2000 ≠ definition")
 	}
 	ch := benchChains(40, 16)
@@ -105,4 +122,41 @@ func TestAlgebraAllocations(t *testing.T) {
 	if sinkSet.Len() != 40*16*15/2 {
 		t.Fatalf("tclose 40×16 has %d pairs, want %d", sinkSet.Len(), 40*16*15/2)
 	}
+	if got := allocBytes(5, func() { sinkSet = CSTRelativeProduct(f, g) }); got > 352<<10 {
+		t.Errorf("compose 2000×2000: %d bytes, want ≤ 352 KiB", got)
+	}
+	if got := allocBytes(5, func() { sinkSet = TransitiveClosure(ch) }); got > 1<<20 {
+		t.Errorf("tclose 40×16: %d bytes, want ≤ 1 MiB", got)
+	}
+	ctx := context.Background()
+	card := func(d *Derived) {
+		var err error
+		if sinkN, err = d.Card(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := allocBytes(5, func() { card(DeriveRelativeProduct(f, g, cst.Sigma, cst.Omega)) }); got > 128<<10 {
+		t.Errorf("compose 2000×2000 count: %d bytes, want ≤ 128 KiB", got)
+	}
+	if want := core.Card(refRelativeProduct(f, g, cst.Sigma, cst.Omega)); sinkN != want {
+		t.Fatalf("compose 2000×2000 count %d, want %d", sinkN, want)
+	}
+	if got := allocBytes(5, func() { card(DeriveTransitiveClosure(ch)) }); got > 448<<10 {
+		t.Errorf("tclose 40×16 count: %d bytes, want ≤ 448 KiB", got)
+	}
+	if sinkN != 40*16*15/2 {
+		t.Fatalf("tclose 40×16 count %d, want %d", sinkN, 40*16*15/2)
+	}
 }
+
+// TestStdSigmaAllocs: the standard scope pair is built once.
+func TestStdSigmaAllocs(t *testing.T) {
+	if got := testing.AllocsPerRun(100, func() { sinkSigma = StdSigma() }); got != 0 {
+		t.Fatalf("StdSigma: %.0f allocations, want 0", got)
+	}
+}
+
+var (
+	sinkN     int
+	sinkSigma Sigma
+)

@@ -54,3 +54,44 @@ func TestCartesianCtxCancel(t *testing.T) {
 		return err
 	})
 }
+
+// fan builds the classical pairs ⟨i,0⟩ (from) or ⟨0,i⟩ (to), i < n: the
+// CST product fan(n, true)/fan(n, false) joins every pair with every
+// pair, so its output is n×n.
+func fan(n int, from bool) *core.Set {
+	b := core.NewBuilder(n)
+	for i := 0; i < n; i++ {
+		if from {
+			b.AddClassical(core.Pair(core.Int(i), core.Int(0)))
+		} else {
+			b.AddClassical(core.Pair(core.Int(0), core.Int(i)))
+		}
+	}
+	return b.Set()
+}
+
+func TestRelativeProductCtxCancel(t *testing.T) {
+	// 300×300 = 90 000 matches, polled every 256 with the probes: the
+	// 5th poll lands ~1.5 % of the way in, for both finishes.
+	f, g := fan(300, true), fan(300, false)
+	xtest.AssertCancelAborts(t, 5, func(ctx context.Context) error {
+		_, err := RelativeProductCtx(ctx, f, g, cst.Sigma, cst.Omega)
+		return err
+	})
+	xtest.AssertCancelAborts(t, 5, func(ctx context.Context) error {
+		_, err := DeriveRelativeProduct(f, g, cst.Sigma, cst.Omega).Card(ctx)
+		return err
+	})
+}
+
+func TestSigmaDomainCtxCancel(t *testing.T) {
+	r := chain(2000)
+	xtest.AssertCancelAborts(t, 3, func(ctx context.Context) error {
+		_, err := SigmaDomainCtx(ctx, r, Positions(2, 1))
+		return err
+	})
+	xtest.AssertCancelAborts(t, 3, func(ctx context.Context) error {
+		_, err := DeriveSigmaDomain(r, Positions(2, 1)).Card(ctx)
+		return err
+	})
+}

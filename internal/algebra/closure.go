@@ -2,6 +2,7 @@ package algebra
 
 import (
 	"context"
+	"slices"
 
 	"xst/internal/core"
 )
@@ -29,68 +30,69 @@ func TransitiveClosure(r *core.Set) *core.Set {
 }
 
 // TransitiveClosureCtx is TransitiveClosure under a cancellation
-// context: it polls once per round and every ctxCheckEvery members.
+// context: it polls every ctxCheckEvery members and matches.
 func TransitiveClosureCtx(ctx context.Context, r *core.Set) (*core.Set, error) {
-	return transitiveClosure(ctx, r, allDigestBits)
+	return DeriveTransitiveClosure(r).Set(ctx)
 }
 
-// transitiveClosure indexes R's pairs once and joins each round's new
-// members against that one index: the relative product is associative
+// DeriveTransitiveClosure derives the members of R⁺, filed distinct the
+// first time they are yielded. The relative product is associative
 // where it is defined, so every member of R⁺ is a product p1/…/pn of
-// members of R and is reached by extending a product one member of R
-// at a time. "Already found" is a digest-keyed seen-set over the one
-// growing member list, which is canonicalised once, at the end.
-func transitiveClosure(ctx context.Context, r *core.Set, mask uint64) (*core.Set, error) {
-	all := make([]core.Member, 0, r.Len())
-	seen := core.NewChains(r.Len())
-	digest := func(m core.Member) uint64 { return foldMember(0, m) & mask }
+// R's pairs, reached by extending a product one pair at a time against
+// one join over R. Under CSTSpec a product keeps position 1 of p1 and
+// position 2 of pn, in its element and in its scope, so it is named by
+// those two pairs, and it joins on its last pair's key. R's own pairs
+// stay as themselves.
+func DeriveTransitiveClosure(r *core.Set) *Derived {
+	rs := r.Members()
+	if slices.ContainsFunc(rs, notPair) {
+		rs = slices.DeleteFunc(r.CopyMembers(), notPair)
+	}
+	j := newJoin(rs, rs, cst.Sigma, cst.Omega)
+	d := &Derived{derive: j.derive, own: rs}
+	d.seen = d.table(len(rs), false)
+	closed := false
+	d.each = func(ctx context.Context, yield func(cand)) error {
+		if !closed {
+			if err := extend(ctx, j, d.seen); err != nil {
+				return err
+			}
+			closed = true
+		}
+		return d.seen.each(ctx, yield)
+	}
+	return d
+}
+
+// extend files R's pairs in seen, then every extension of a filed
+// product by a pair its last pair matches, until none is new.
+func extend(ctx context.Context, j *join, seen *table) error {
 	steps := 0
-	for _, m := range r.Members() {
-		if steps++; steps%ctxCheckEvery == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
+	for i := range j.f {
+		if err := tick(ctx, &steps); err != nil {
+			return err
 		}
-		if n, ok := core.TupLen(m.Elem); ok && n == 2 {
-			all = append(all, m)
-			seen.Add(digest(m))
+		seen.add(cand{-1, int32(i)})
+	}
+	for i := 0; i < len(seen.ids); i++ {
+		first, last := seen.ids[i][0], seen.ids[i][1]
+		if first < 0 {
+			first = last
+		}
+		j.hits = j.match(j.hits[:0], j.f[last])
+		for _, id := range j.hits {
+			if err := tick(ctx, &steps); err != nil {
+				return err
+			}
+			seen.add(cand{first, id})
 		}
 	}
-	cst := cstSpec()
-	j := newJoin(all, cst.Sigma, cst.Omega, mask) // reads R's pairs only, which later appends leave in place
-	var round []core.Member
-	for lo := 0; lo < len(all); {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		hi := len(all)
-		for _, m := range all[lo:hi] {
-			if steps++; steps%ctxCheckEvery == 0 {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-			}
-			round = j.probe(round[:0], m)
-		found:
-			for _, z := range round {
-				if steps++; steps%ctxCheckEvery == 0 {
-					if err := ctx.Err(); err != nil {
-						return nil, err
-					}
-				}
-				d := digest(z)
-				for id := seen.First(d); id >= 0; id = seen.Next(id) {
-					if memberEqual(all[id], z) {
-						continue found
-					}
-				}
-				all = append(all, z)
-				seen.Add(d)
-			}
-		}
-		lo = hi
-	}
-	return core.OwnSet(all), nil
+	return nil
+}
+
+func notPair(m core.Member) bool {
+	n, ok := core.TupLen(m.Elem)
+	return !ok || n != 2
 }
 
 // ReflexiveTransitiveClosure returns R* = R⁺ ∪ {⟨x,x⟩ : x in field(R)}.

@@ -1,0 +1,149 @@
+package algebra
+
+import (
+	"context"
+	"slices"
+
+	"xst/internal/core"
+)
+
+// digestMask is the digest bits the join and the derivation table use;
+// tests narrow it to force collisions.
+var digestMask = ^uint64(0)
+
+// cand names a candidate output by the ids it is derived from: a probe
+// and a build member of a relative product, a member of a σ-domain's R,
+// the first and last pair of a closure path. A first id of -1 names the
+// kernel's own member c[1], which stays as itself.
+type cand [2]int32
+
+// Derived is a kernel run's outputs, derived but not built: each yields
+// the candidates, ids only, and derive turns one into the canonical
+// members of its element, then of its scope, in scratch. Set builds the
+// outputs once; Card counts their distinct elements and builds nothing.
+type Derived struct {
+	each   func(ctx context.Context, yield func(cand)) error // polls ctx; repeats a candidate unless seen holds them
+	derive func(dst []core.Member, c cand) ([]core.Member, int)
+	own    []core.Member
+	seen   *table // the distinct candidates, when the kernel filed them
+	a      []core.Member
+}
+
+// runs derives c's element and scope, or reads an own member's — a
+// scope that is not a set as one member twice, a run no set has — and
+// returns them and the element's length.
+func (d *Derived) runs(dst []core.Member, c cand, elemOnly bool) ([]core.Member, int) {
+	n := 0
+	if c[0] >= 0 {
+		dst, n = d.derive(dst, c)
+	} else {
+		m := d.own[c[1]]
+		dst = append(dst, m.Elem.(*core.Set).Members()...)
+		n = len(dst)
+		if s, ok := m.Scope.(*core.Set); ok {
+			dst = append(dst, s.Members()...)
+		} else {
+			dst = append(dst, core.Member{Elem: m.Scope, Scope: core.Empty()}, core.Member{Elem: m.Scope, Scope: core.Empty()})
+		}
+	}
+	if elemOnly {
+		return dst[:n], n
+	}
+	return dst, n
+}
+
+// Set builds the outputs: one pass sizes the member list and the slab,
+// a second fills them, and OwnSet sorts the list, dropping a duplicate
+// the sort makes adjacent.
+func (d *Derived) Set(ctx context.Context) (*core.Set, error) {
+	n, sets, members := 0, 0, 0
+	err := d.each(ctx, func(c cand) {
+		if n++; c[0] >= 0 {
+			var k int
+			d.a, k = d.derive(d.a[:0], c)
+			sets, members = sets+min(k, 1)+min(len(d.a)-k, 1), members+len(d.a)
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	slab, out := core.NewSlab(sets, members), make([]core.Member, 0, n)
+	err = d.each(ctx, func(c cand) {
+		if c[0] < 0 {
+			out = append(out, d.own[c[1]])
+			return
+		}
+		var k int
+		d.a, k = d.derive(d.a[:0], c)
+		out = append(out, core.Member{Elem: slab.Set(d.a[:k]), Scope: slab.Set(d.a[k:])})
+	})
+	if err != nil {
+		return nil, err
+	}
+	return core.OwnSet(out), nil
+}
+
+// Card is core.Card of the set Set would build: the number of filed
+// outputs when none has a scope, else of candidates filed by element.
+func (d *Derived) Card(ctx context.Context) (int, error) {
+	n := 0
+	if err := d.each(ctx, func(cand) { n++ }); err != nil || d.seen != nil && !d.seen.scoped {
+		return n, err
+	}
+	t := d.table(n, true)
+	err := d.each(ctx, t.add)
+	return len(t.ids), err
+}
+
+// table files candidates under the digest of their derived members and
+// keeps only their ids: a digest match is confirmed by deriving the
+// filed candidate again and comparing members.
+type table struct {
+	d        *Derived
+	elemOnly bool // as core.Card counts
+	scoped   bool // some filed candidate has a scope other than ∅
+	chains   core.Chains
+	ids      []cand
+	a, b     []core.Member
+}
+
+func (d *Derived) table(n int, elemOnly bool) *table {
+	return &table{d: d, elemOnly: elemOnly, chains: core.NewChains(n), ids: make([]cand, 0, n)}
+}
+
+// add files c unless a candidate with the same members is filed.
+func (t *table) add(c cand) {
+	var n, m int
+	t.a, n = t.d.runs(t.a[:0], c, t.elemOnly)
+	h := keyDigest(t.a, n) & digestMask
+	for id := t.chains.First(h); id >= 0; id = t.chains.Next(id) {
+		if t.b, m = t.d.runs(t.b[:0], t.ids[id], t.elemOnly); m == n && slices.EqualFunc(t.a, t.b, memberEqual) {
+			return
+		}
+	}
+	t.chains.Add(h)
+	if len(t.ids) == cap(t.ids) {
+		t.ids = slices.Grow(t.ids, len(t.ids)) // double, as chains does
+	}
+	t.ids, t.scoped = append(t.ids, c), t.scoped || len(t.a) > n
+}
+
+// each yields the filed candidates.
+func (t *table) each(ctx context.Context, yield func(cand)) error {
+	steps := 0
+	for _, c := range t.ids {
+		if err := tick(ctx, &steps); err != nil {
+			return err
+		}
+		yield(c)
+	}
+	return nil
+}
+
+// tick counts a step and returns ctx.Err() every ctxCheckEvery steps.
+func tick(ctx context.Context, steps *int) error {
+	if *steps++; *steps%ctxCheckEvery == 0 {
+		return ctx.Err()
+	}
+	return nil
+}

@@ -1,6 +1,10 @@
 package algebra
 
-import "xst/internal/core"
+import (
+	"context"
+
+	"xst/internal/core"
+)
 
 // SigmaDomain implements Def 7.4, the σ-Domain:
 //
@@ -14,34 +18,39 @@ import "xst/internal/core"
 // With σ = ⟨2⟩ and R a set of classical pairs {x^1, y^2}, 𝔇_σ is exactly
 // the CST 2-domain (range); with σ = ⟨1⟩ it is the CST 1-domain.
 func SigmaDomain(r *core.Set, sigma *core.Set) *core.Set {
-	if sigma.IsEmpty() {
-		return core.Empty() // Consequence 7.1(e): 𝔇_∅(R) = ∅.
+	s, _ := SigmaDomainCtx(context.Background(), r, sigma)
+	return s
+}
+
+// SigmaDomainCtx is SigmaDomain under a cancellation context.
+func SigmaDomainCtx(ctx context.Context, r *core.Set, sigma *core.Set) (*core.Set, error) {
+	return DeriveSigmaDomain(r, sigma).Set(ctx)
+}
+
+// DeriveSigmaDomain derives the members of 𝔇_σ(R), each as the member of
+// R it comes from. With σ = ∅ no element re-scopes to a non-empty set
+// (Consequence 7.1(e): 𝔇_∅(R) = ∅).
+func DeriveSigmaDomain(r *core.Set, sigma *core.Set) *Derived {
+	rs := r.Members()
+	return &Derived{
+		each: func(ctx context.Context, yield func(cand)) error {
+			steps := 0
+			for i, m := range rs {
+				if err := tick(ctx, &steps); err != nil {
+					return err
+				}
+				if !ReScopesToEmpty(m.Elem, sigma) {
+					yield(cand{int32(i)})
+				}
+			}
+			return nil
+		},
+		derive: func(dst []core.Member, c cand) ([]core.Member, int) { return appendKey(dst, rs[c[0]], sigma) },
 	}
-	// Every x and s is carved from one slab through one scratch; the
-	// output list is sized at the first survivor, for the members still
-	// to come, so a σ that matches nothing allocates nothing.
-	var (
-		slab    core.Slab
-		scratch []core.Member
-		out     []core.Member
-	)
-	for i, m := range r.Members() {
-		scratch = appendReScope(scratch[:0], m.Elem, sigma)
-		if len(scratch) == 0 {
-			continue
-		}
-		x := slab.Set(scratch)
-		scratch = appendReScope(scratch[:0], m.Scope, sigma)
-		if out == nil {
-			out = make([]core.Member, 0, r.Len()-i)
-		}
-		out = append(out, core.Member{Elem: x, Scope: slab.Set(scratch)})
-	}
-	return core.OwnSet(out)
 }
 
 // Domain1 is the CST 1-domain 𝔇₁ (Def 3.4) realized as 𝔇_⟨1⟩.
-func Domain1(r *core.Set) *core.Set { return SigmaDomain(r, core.Tuple(core.Int(1))) }
+func Domain1(r *core.Set) *core.Set { return SigmaDomain(r, stdSigma.S1) }
 
 // Domain2 is the CST 2-domain 𝔇₂ (Def 3.5) realized as 𝔇_⟨2⟩.
-func Domain2(r *core.Set) *core.Set { return SigmaDomain(r, core.Tuple(core.Int(2))) }
+func Domain2(r *core.Set) *core.Set { return SigmaDomain(r, stdSigma.S2) }

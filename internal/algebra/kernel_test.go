@@ -141,27 +141,15 @@ func TestKernelMatchesDefinition(t *testing.T) {
 }
 
 // TestDigestCollisions narrows the digest to a few bits, then to none,
-// so that unequal keys (join) and unequal members (seen-set) share
-// digests: the member-wise comparison behind a digest match must keep
-// the answers those of the definitions.
+// so that unequal keys (join) and unequal outputs (derivation table)
+// share digests: the member-wise comparison behind a digest match must
+// keep both forms of every kernel those of the definitions.
 func TestDigestCollisions(t *testing.T) {
-	cfg := xtest.DefaultConfig()
 	for name, mask := range map[string]uint64{"low 2 bits": 3, "top 3 bits": 7 << 61, "no bits": 0} {
 		t.Run(name, func(t *testing.T) {
-			r := xtest.NewRand(0x18)
-			for i := 0; i < kernelTrials/2; i++ {
-				f, g, spec := randMembers(r, cfg), randMembers(r, cfg), randSpec(r, cfg)
-				want := refRelativeProduct(f, g, spec.Sigma, spec.Omega)
-				if got := relativeProduct(f, g, spec.Sigma, spec.Omega, mask); !core.Equal(got, want) {
-					t.Fatalf("F=%v G=%v σ=%v ω=%v\ngot  %v\nwant %v", f, g, spec.Sigma, spec.Omega, got, want)
-				}
-				gr := randGraph(r, cfg)
-				wantC, _ := refTransitiveClosure(context.Background(), gr)
-				gotC, err := transitiveClosure(context.Background(), gr, mask)
-				if err != nil || !core.Equal(gotC, wantC) {
-					t.Fatalf("R=%v\ngot  %v (%v)\nwant %v", gr, gotC, err, wantC)
-				}
-			}
+			defer func(m uint64) { digestMask = m }(digestMask)
+			digestMask = mask
+			checkForms(t, xtest.NewRand(0x18), kernelTrials/2)
 		})
 	}
 }

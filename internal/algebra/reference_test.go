@@ -117,7 +117,7 @@ func refTransitiveClosure(ctx context.Context, r *core.Set) (*core.Set, error) {
 	}
 	closure := pairs.Set()
 	delta := closure
-	cst := cstSpec()
+	cst := CSTSpec()
 	for !delta.IsEmpty() {
 		if err := ctx.Err(); err != nil {
 			return nil, err

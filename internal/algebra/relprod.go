@@ -1,6 +1,7 @@
 package algebra
 
 import (
+	"context"
 	"slices"
 
 	"xst/internal/core"
@@ -21,28 +22,26 @@ import (
 // eight useful parameterizations, reproduced by experiment E3.
 //
 // The implementation is a hash join on the digest of the canonical
-// (key-element, key-scope) members, so it runs in O(|F| + |G| + out),
-// and every re-scope in it is the appendReScope kernel into reused
-// scratch: the only sets built are the output's.
+// (key-element, key-scope) members, so it runs in O(|F| + |G| + out).
+// Every key and output is derived into scratch by the appendReScope
+// kernel; only the outputs are built, once, or counted (Derived).
 func RelativeProduct(f, g *core.Set, sigma, omega Sigma) *core.Set {
-	return relativeProduct(f, g, sigma, omega, allDigestBits)
+	s, _ := RelativeProductCtx(context.Background(), f, g, sigma, omega)
+	return s
 }
 
-// allDigestBits is the digest mask outside tests, which narrow it to
-// force collisions and prove the member-wise comparison behind a
-// digest match.
-const allDigestBits = ^uint64(0)
+// RelativeProductCtx is RelativeProduct under a cancellation context:
+// it polls every ctxCheckEvery probes and matches, so a product whose
+// output is |F|×|G| can still be stopped.
+func RelativeProductCtx(ctx context.Context, f, g *core.Set, sigma, omega Sigma) (*core.Set, error) {
+	return DeriveRelativeProduct(f, g, sigma, omega).Set(ctx)
+}
 
-func relativeProduct(f, g *core.Set, sigma, omega Sigma, mask uint64) *core.Set {
-	if f.IsEmpty() || g.IsEmpty() {
-		return core.Empty()
-	}
-	j := newJoin(g.Members(), sigma, omega, mask)
-	out := make([]core.Member, 0, f.Len())
-	for _, m := range f.Members() {
-		out = j.probe(out, m)
-	}
-	return core.OwnSet(out)
+// DeriveRelativeProduct derives Def 10.1's outputs, each as the (probe
+// member, build member) pair it comes from.
+func DeriveRelativeProduct(f, g *core.Set, sigma, omega Sigma) *Derived {
+	j := newJoin(f.Members(), g.Members(), sigma, omega)
+	return &Derived{derive: j.derive, each: j.each}
 }
 
 // foldMember folds one member's digests into h.
@@ -65,69 +64,80 @@ func memberEqual(a, b core.Member) bool {
 	return core.Equal(a.Elem, b.Elem) && core.Equal(a.Scope, b.Scope)
 }
 
-// join is the build side of one relative product: G's members filed
-// under the digest of their ω1 key, the canonical key members kept for
-// the comparison a digest match still needs, and the scratch and slab
-// the probe side builds its output through. What G contributes to an
-// output member (y^{/ω2/}, t^{/ω2/}) is not built here: probe re-scopes
-// it straight into the output.
+// join is one relative product's probe and build sides: G's members
+// filed under the digest of their ω1 key. No key is stored: a digest
+// match is confirmed by deriving the build member's key again.
 type join struct {
 	sigma, omega Sigma
-	mask         uint64 // digest bits in use
-	g            []core.Member
+	f, g         []core.Member
 	chains       core.Chains
-	keys         []core.Member // every build key, back to back
-	bounds       []int32       // id's key-element members are keys[bounds[2id]:bounds[2id+1]], its key-scope members run on to bounds[2id+2]
-	key, fe, buf []core.Member // scratch: probe key, x^{/σ1/}, one output set
-	slab         core.Slab
+	key, probe   []core.Member // scratch: a build key, the probe key
+	hits         []int32
 }
 
-func newJoin(g []core.Member, sigma, omega Sigma, mask uint64) *join {
-	j := &join{sigma: sigma, omega: omega, mask: mask, g: g,
-		chains: core.NewChains(len(g)),
-		keys:   make([]core.Member, 0, len(g)*omega.S1.Len()),
-		bounds: make([]int32, 1, 1+2*len(g))}
-	for _, m := range g {
-		start := len(j.keys)
-		j.keys = appendKey(j.keys, m.Elem, omega.S1)
-		elemEnd := len(j.keys)
-		j.keys = appendKey(j.keys, m.Scope, omega.S1)
-		j.bounds = append(j.bounds, int32(elemEnd), int32(len(j.keys)))
-		j.chains.Add(keyDigest(j.keys[start:], elemEnd-start) & mask)
+func newJoin(f, g []core.Member, sigma, omega Sigma) *join {
+	j := &join{sigma: sigma, omega: omega, f: f, g: g, chains: core.NewChains(len(g))}
+	for _, y := range g {
+		var n int
+		j.key, n = appendKey(j.key[:0], y, omega.S1)
+		j.chains.Add(keyDigest(j.key, n) & digestMask)
 	}
 	return j
 }
 
-// appendKey appends the canonical members of a^{/σ/} to dst.
-func appendKey(dst []core.Member, a core.Value, sigma *core.Set) []core.Member {
+// appendKey appends to dst the canonical members of m's element
+// re-scoped through σ, then of its scope, and returns dst and the
+// element part's length: the join key of m, or its σ-domain member.
+func appendKey(dst []core.Member, m core.Member, sigma *core.Set) ([]core.Member, int) {
+	dst = appendProduct(dst, m.Elem, sigma, nil, nil)
+	return appendProduct(dst, m.Scope, sigma, nil, nil), len(dst)
+}
+
+// appendProduct appends the canonical members of a^{/σ/} ∪ b^{/ω/} to dst.
+func appendProduct(dst []core.Member, a core.Value, sigma *core.Set, b core.Value, omega *core.Set) []core.Member {
 	from := len(dst)
-	dst = appendReScope(dst, a, sigma)
+	dst = appendReScope(appendReScope(dst, a, sigma), b, omega)
 	return dst[:from+len(core.Canonicalize(dst[from:]))]
 }
 
-// probe appends to out the member z^τ of Def 10.1 for every build-side
-// member y^t that x^s = m matches on the σ2/ω1 key.
-func (j *join) probe(out []core.Member, m core.Member) []core.Member {
-	j.key = appendKey(j.key[:0], m.Elem, j.sigma.S2)
-	elemLen := len(j.key)
-	j.key = appendKey(j.key, m.Scope, j.sigma.S2)
-	haveFe := false
-	for id := j.chains.First(keyDigest(j.key, elemLen) & j.mask); id >= 0; id = j.chains.Next(id) {
-		b := j.bounds[2*id : 2*id+3]
-		if !slices.EqualFunc(j.key[:elemLen], j.keys[b[0]:b[1]], memberEqual) ||
-			!slices.EqualFunc(j.key[elemLen:], j.keys[b[1]:b[2]], memberEqual) {
-			continue
+// match appends to hits every build member y^t that x^s = m matches on
+// the σ2/ω1 key.
+func (j *join) match(hits []int32, m core.Member) []int32 {
+	var n, k int
+	j.probe, n = appendKey(j.probe[:0], m, j.sigma.S2)
+	for id := j.chains.First(keyDigest(j.probe, n) & digestMask); id >= 0; id = j.chains.Next(id) {
+		if j.key, k = appendKey(j.key[:0], j.g[id], j.omega.S1); k == n && slices.EqualFunc(j.key, j.probe, memberEqual) {
+			hits = append(hits, id)
 		}
-		if !haveFe {
-			j.fe, haveFe = appendReScope(j.fe[:0], m.Elem, j.sigma.S1), true
-		}
-		y := j.g[id]
-		j.buf = appendReScope(append(j.buf[:0], j.fe...), y.Elem, j.omega.S2)
-		z := j.slab.Set(j.buf)
-		j.buf = appendReScope(appendReScope(j.buf[:0], m.Scope, j.sigma.S1), y.Scope, j.omega.S2)
-		out = append(out, core.Member{Elem: z, Scope: j.slab.Set(j.buf)})
 	}
-	return out
+	return hits
+}
+
+// each yields every (probe, build) pair that matches on the key,
+// polling ctx every ctxCheckEvery probes and matches.
+func (j *join) each(ctx context.Context, yield func(cand)) error {
+	steps := 0
+	for i, m := range j.f {
+		if err := tick(ctx, &steps); err != nil {
+			return err
+		}
+		j.hits = j.match(j.hits[:0], m)
+		for _, id := range j.hits {
+			if err := tick(ctx, &steps); err != nil {
+				return err
+			}
+			yield(cand{int32(i), id})
+		}
+	}
+	return nil
+}
+
+// derive derives the output z^τ of Def 10.1 for probe member c[0] and
+// build member c[1]: z = x^{/σ1/} ∪ y^{/ω2/}, τ = s^{/σ1/} ∪ t^{/ω2/}.
+func (j *join) derive(dst []core.Member, c cand) ([]core.Member, int) {
+	x, y := j.f[c[0]], j.g[c[1]]
+	dst = appendProduct(dst, x.Elem, j.sigma.S1, y.Elem, j.omega.S2)
+	return appendProduct(dst, x.Scope, j.sigma.S1, y.Scope, j.omega.S2), len(dst)
 }
 
 // RelProdSpec packages a full relative-product parameterization: the two
@@ -182,11 +192,10 @@ func Section10Specs() []RelProdSpec {
 // CSTRelativeProduct is the classical relative product F/G =
 // { ⟨a,c⟩ : ∃b ⟨a,b⟩ ∈ F & ⟨b,c⟩ ∈ G }, realized as the §10 case-1
 // parameterization σ = ⟨{1¹},{2¹}⟩, ω = ⟨{1¹},{2²}⟩.
-func CSTRelativeProduct(f, g *core.Set) *core.Set { return cstSpec().Apply(f, g) }
+func CSTRelativeProduct(f, g *core.Set) *core.Set { return cst.Apply(f, g) }
 
-func cstSpec() RelProdSpec {
-	return RelProdSpec{
-		Sigma: NewSigma(ScopeSet([2]int{1, 1}), ScopeSet([2]int{2, 1})),
-		Omega: NewSigma(ScopeSet([2]int{1, 1}), ScopeSet([2]int{2, 2})),
-	}
-}
+// CSTSpec is the parameterization CSTRelativeProduct applies. Its scope
+// sets are built once: ⟨1⟩ = {1¹} and ⟨2⟩ = {2¹} are StdSigma's.
+func CSTSpec() RelProdSpec { return cst }
+
+var cst = RelProdSpec{Sigma: stdSigma, Omega: NewSigma(stdSigma.S1, ScopeSet([2]int{2, 2}))}

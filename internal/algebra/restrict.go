@@ -63,6 +63,12 @@ func Image(r *core.Set, a *core.Set, sigma Sigma) *core.Set {
 	return SigmaDomain(SigmaRestrict(r, sigma.S1, a), sigma.S2)
 }
 
+// DeriveImage derives the members of R[A]_σ, each as the member of the
+// restriction it comes from.
+func DeriveImage(r *core.Set, a *core.Set, sigma Sigma) *Derived {
+	return DeriveSigmaDomain(SigmaRestrict(r, sigma.S1, a), sigma.S2)
+}
+
 // Sigma is the scope pair σ = ⟨σ1, σ2⟩ that parameterizes images,
 // processes and relative products: σ1 selects input positions, σ2 selects
 // output positions.
@@ -77,15 +83,14 @@ func NewSigma(s1, s2 *core.Set) Sigma { return Sigma{S1: s1, S2: s2} }
 // StdSigma is σ = ⟨⟨1⟩, ⟨2⟩⟩ — input matched on position 1, output taken
 // from position 2 — the scope pair under which XST processes coincide
 // with CST functions on sets of pairs.
-func StdSigma() Sigma {
-	return Sigma{S1: core.Tuple(core.Int(1)), S2: core.Tuple(core.Int(2))}
-}
+// The pair is built once and shared, as sets are immutable.
+func StdSigma() Sigma { return stdSigma }
+
+var stdSigma = Sigma{S1: core.Tuple(core.Int(1)), S2: core.Tuple(core.Int(2))}
 
 // InverseStdSigma is τ = ⟨⟨2⟩, ⟨1⟩⟩, the inverse direction of StdSigma
 // (Example 8.1(b)).
-func InverseStdSigma() Sigma {
-	return Sigma{S1: core.Tuple(core.Int(2)), S2: core.Tuple(core.Int(1))}
-}
+func InverseStdSigma() Sigma { return Sigma{S1: stdSigma.S2, S2: stdSigma.S1} }
 
 // Positions builds the scope set ⟨p1, …, pn⟩ = {p1^1, …, pn^n} used to
 // select and reorder tuple positions, e.g. Positions(3, 1) re-scopes

@@ -7,6 +7,61 @@ package core
 // reduce to the classical operations, which is the compatibility the
 // paper requires.
 
+// merge walks the canonical sequences a and b in step and calls fn, in
+// canonical order, with every distinct member and whether it is in a
+// and in b: nothing is looked up and nothing is sorted.
+func merge(a, b []Member, fn func(m Member, inA, inB bool)) {
+	for len(a) > 0 || len(b) > 0 {
+		c := 1
+		if len(b) == 0 {
+			c = -1
+		} else if len(a) > 0 {
+			c = compareMembers(a[0], b[0])
+		}
+		if c <= 0 {
+			fn(a[0], true, c == 0)
+			a = a[1:]
+		} else {
+			fn(b[0], false, true)
+		}
+		if c >= 0 {
+			b = b[1:]
+		}
+	}
+}
+
+// mergeSet is the set of the members of a and b that keep selects: one
+// list, sized by a counting walk, and no sort.
+func mergeSet(a, b *Set, keep func(inA, inB bool) bool) *Set {
+	n := mergeCount(a, b, keep, false)
+	if n == 0 {
+		return emptySet
+	}
+	ms := make([]Member, 0, n)
+	merge(a.members, b.members, func(m Member, inA, inB bool) {
+		if keep(inA, inB) {
+			ms = append(ms, m)
+		}
+	})
+	return &Set{members: ms, hash: hashMembers(ms)}
+}
+
+// mergeCount counts the members keep selects or, with elems, their
+// distinct elements (Card of mergeSet), allocating nothing.
+func mergeCount(a, b *Set, keep func(inA, inB bool) bool, elems bool) int {
+	n, last := 0, Value(nil)
+	merge(a.members, b.members, func(m Member, inA, inB bool) {
+		if keep(inA, inB) && (!elems || n == 0 || !Equal(last, m.Elem)) {
+			n, last = n+1, m.Elem
+		}
+	})
+	return n
+}
+
+func either(inA, inB bool) bool { return inA || inB }
+func both(inA, inB bool) bool   { return inA && inB }
+func onlyA(inA, inB bool) bool  { return inA && !inB }
+
 // Union returns a ∪ b.
 func Union(a, b *Set) *Set {
 	if a.IsEmpty() {
@@ -15,10 +70,7 @@ func Union(a, b *Set) *Set {
 	if b.IsEmpty() {
 		return a
 	}
-	ms := make([]Member, 0, len(a.members)+len(b.members))
-	ms = append(ms, a.members...)
-	ms = append(ms, b.members...)
-	return ownSet(ms)
+	return mergeSet(a, b, either)
 }
 
 // UnionAll returns the union of all given sets.
@@ -35,48 +87,41 @@ func UnionAll(sets ...*Set) *Set {
 }
 
 // Intersect returns a ∩ b.
-func Intersect(a, b *Set) *Set {
-	if a.IsEmpty() || b.IsEmpty() {
-		return emptySet
-	}
-	if len(b.members) < len(a.members) {
-		a, b = b, a
-	}
-	var ms []Member
-	for _, m := range a.members {
-		if b.Has(m.Elem, m.Scope) {
-			ms = append(ms, m)
-		}
-	}
-	return ownSet(ms)
-}
+func Intersect(a, b *Set) *Set { return mergeSet(a, b, both) }
 
 // Diff returns a ∼ b (set difference).
 func Diff(a, b *Set) *Set {
-	if a.IsEmpty() || b.IsEmpty() {
+	if b.IsEmpty() {
 		return a
 	}
-	var ms []Member
-	for _, m := range a.members {
-		if !b.Has(m.Elem, m.Scope) {
-			ms = append(ms, m)
-		}
-	}
-	return ownSet(ms)
+	return mergeSet(a, b, onlyA)
 }
+
+// UnionCard is Card(Union(a, b)), counted by a merge walk that
+// allocates nothing.
+func UnionCard(a, b *Set) int { return mergeCount(a, b, either, true) }
+
+// IntersectCard is Card(Intersect(a, b)), counted the same way.
+func IntersectCard(a, b *Set) int { return mergeCount(a, b, both, true) }
 
 // SymDiff returns the symmetric difference (a ∼ b) ∪ (b ∼ a).
 func SymDiff(a, b *Set) *Set { return Union(Diff(a, b), Diff(b, a)) }
 
-// Subset reports a ⊆ b.
+// Subset reports a ⊆ b: a merge that stops at the first member of a
+// missing from b.
 func Subset(a, b *Set) bool {
 	if len(a.members) > len(b.members) {
 		return false
 	}
+	bs := b.members
 	for _, m := range a.members {
-		if !b.Has(m.Elem, m.Scope) {
+		for len(bs) > 0 && compareMembers(bs[0], m) < 0 {
+			bs = bs[1:]
+		}
+		if len(bs) == 0 || compareMembers(bs[0], m) != 0 {
 			return false
 		}
+		bs = bs[1:]
 	}
 	return true
 }

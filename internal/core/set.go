@@ -100,22 +100,23 @@ func hashMembers(ms []Member) uint64 {
 	return h
 }
 
-// slabChunk is the size, in headers or members, of the chunk a Slab
-// continues in once one of size prev is full: chunks double up to 1024,
-// so a small result costs a small chunk and a large one a few dozen
-// allocations instead of one per set.
-func slabChunk(prev int) int { return min(max(2*prev, 8), 1024) }
-
-// Slab builds many small sets into shared backing arrays: set headers
-// and member windows are carved from chunks that grow geometrically, so
-// an operation that emits thousands of pairs allocates a handful of
-// chunks rather than two objects per pair. The sets are ordinary
-// immutable values; the price is lifetime — any one of them keeps its
-// chunks reachable. The zero value is ready to use; a Slab must not be
-// shared between goroutines.
+// Slab builds many small sets into two shared backing arrays, one of
+// set headers and one of member windows, so an operation that emits
+// thousands of pairs allocates two arrays rather than two objects per
+// pair. NewSlab sizes them once for an output whose size is known; past
+// that they grow as append grows them, and the sets already carved keep
+// the arrays they were carved from. The sets are ordinary immutable
+// values; the price is lifetime — any one of them keeps its arrays
+// reachable. The zero value is ready to use; a Slab must not be shared
+// between goroutines.
 type Slab struct {
 	hdrs []Set
 	ms   []Member
+}
+
+// NewSlab returns a Slab with room for sets headers and members members.
+func NewSlab(sets, members int) Slab {
+	return Slab{hdrs: make([]Set, 0, sets), ms: make([]Member, 0, members)}
 }
 
 // Set canonicalizes ms in place and returns the set of its members,
@@ -124,12 +125,6 @@ func (sl *Slab) Set(ms []Member) *Set {
 	ms = Canonicalize(ms)
 	if len(ms) == 0 {
 		return emptySet
-	}
-	if len(sl.hdrs) == cap(sl.hdrs) {
-		sl.hdrs = make([]Set, 0, slabChunk(cap(sl.hdrs)))
-	}
-	if len(sl.ms)+len(ms) > cap(sl.ms) {
-		sl.ms = make([]Member, 0, max(len(ms), slabChunk(cap(sl.ms))))
 	}
 	start := len(sl.ms)
 	sl.ms = append(sl.ms, ms...)

@@ -204,13 +204,13 @@ func TestCopyMembers(t *testing.T) {
 }
 
 // TestSlabSetsAreOrdinarySets: sets carved from a Slab equal, hash and
-// order like sets built one allocation at a time, across chunk
-// boundaries, and leave the caller's scratch free for reuse.
+// order like sets built one allocation at a time, past the room the
+// slab was made with, and leave the caller's scratch free for reuse.
 func TestSlabSetsAreOrdinarySets(t *testing.T) {
-	var sl Slab
+	sl := NewSlab(1024, 1024)
 	var scratch []Member
 	var got, want []*Set
-	for i := 0; i < 3*slabChunk(1024); i++ {
+	for i := 0; i < 3*1024; i++ {
 		scratch = append(scratch[:0], M(Int(i), Int(2)), M(Int(i%7), Int(1)), M(Int(i), Int(2)))
 		want = append(want, NewSet(scratch...))
 		got = append(got, sl.Set(scratch))
@@ -226,7 +226,7 @@ func TestSlabSetsAreOrdinarySets(t *testing.T) {
 	if sl.Set(scratch[:0]) != Empty() {
 		t.Fatal("empty slab set is not the interned ∅")
 	}
-	big := make([]Member, 2*slabChunk(1024))
+	big := make([]Member, 2*1024)
 	for i := range big {
 		big[i] = E(Int(i))
 	}

@@ -39,7 +39,11 @@ func set1(pos int, v core.Value, name string) (*core.Set, error) {
 func sets(pos int, args []core.Value, name string) ([]*core.Set, error) {
 	out := make([]*core.Set, len(args))
 	for i, a := range args {
-		s, err := asSet(pos, a, fmt.Sprintf("%s argument %d", name, i+1))
+		role := fmt.Sprintf("%s argument %d", name, i+1)
+		if len(args) == 1 {
+			role = name + " argument" // as set1 names it
+		}
+		s, err := asSet(pos, a, role)
 		if err != nil {
 			return nil, err
 		}
@@ -131,27 +135,9 @@ var builtins = map[string]builtin{
 		}
 		return algebra.ReScopeByElem(a[0], s), nil
 	}},
-	"dom": {"dom", 2, "σ-domain 𝔇_σ(R) (Def 7.4)", func(ctx context.Context, pos int, a []core.Value) (core.Value, error) {
-		ss, err := sets(pos, a, "dom")
-		if err != nil {
-			return nil, err
-		}
-		return algebra.SigmaDomain(ss[0], ss[1]), nil
-	}},
-	"dom1": {"dom1", 1, "CST 1-domain", func(ctx context.Context, pos int, a []core.Value) (core.Value, error) {
-		s, err := set1(pos, a[0], "dom1")
-		if err != nil {
-			return nil, err
-		}
-		return algebra.Domain1(s), nil
-	}},
-	"dom2": {"dom2", 1, "CST 2-domain", func(ctx context.Context, pos int, a []core.Value) (core.Value, error) {
-		s, err := set1(pos, a[0], "dom2")
-		if err != nil {
-			return nil, err
-		}
-		return algebra.Domain2(s), nil
-	}},
+	"dom":  {"dom", 2, "σ-domain 𝔇_σ(R) (Def 7.4)", nil},
+	"dom1": {"dom1", 1, "CST 1-domain", nil},
+	"dom2": {"dom2", 1, "CST 2-domain", nil},
 	"restrict": {"restrict", 3, "R |_σ A (Def 7.6)", func(ctx context.Context, pos int, a []core.Value) (core.Value, error) {
 		ss, err := sets(pos, a, "restrict")
 		if err != nil {
@@ -159,13 +145,7 @@ var builtins = map[string]builtin{
 		}
 		return algebra.SigmaRestrict(ss[0], ss[1], ss[2]), nil
 	}},
-	"image": {"image", 4, "R[A]_{⟨σ1,σ2⟩} (Def 7.1)", func(ctx context.Context, pos int, a []core.Value) (core.Value, error) {
-		ss, err := sets(pos, a, "image")
-		if err != nil {
-			return nil, err
-		}
-		return algebra.Image(ss[0], ss[1], algebra.NewSigma(ss[2], ss[3])), nil
-	}},
+	"image": {"image", 4, "R[A]_{⟨σ1,σ2⟩} (Def 7.1)", nil},
 	"cross": {"cross", 2, "A ⊗ B (Def 9.3)", func(ctx context.Context, pos int, a []core.Value) (core.Value, error) {
 		ss, err := sets(pos, a, "cross")
 		if err != nil {
@@ -209,25 +189,8 @@ var builtins = map[string]builtin{
 		}
 		return v, nil
 	}},
-	"relprod": {"relprod", 6, "F /_{⟨σ1,σ2⟩}^{⟨ω1,ω2⟩} G (Def 10.1)", func(ctx context.Context, pos int, a []core.Value) (core.Value, error) {
-		ss, err := sets(pos, a, "relprod")
-		if err != nil {
-			return nil, err
-		}
-		return algebra.RelativeProduct(ss[0], ss[1],
-			algebra.NewSigma(ss[2], ss[3]), algebra.NewSigma(ss[4], ss[5])), nil
-	}},
-	"compose": {"compose", 2, "g∘f for standard pair processes (Def 11.1)", func(ctx context.Context, pos int, a []core.Value) (core.Value, error) {
-		ss, err := sets(pos, a, "compose")
-		if err != nil {
-			return nil, err
-		}
-		h, err := process.StdCompose(process.Std(ss[0]), process.Std(ss[1]))
-		if err != nil {
-			return nil, evalErr(pos, "compose: %v", err)
-		}
-		return h.F, nil
-	}},
+	"relprod": {"relprod", 6, "F /_{⟨σ1,σ2⟩}^{⟨ω1,ω2⟩} G (Def 10.1)", nil},
+	"compose": {"compose", 2, "g∘f for standard pair processes (Def 11.1)", nil},
 	"id": {"id", 1, "identity carrier on A", func(ctx context.Context, pos int, a []core.Value) (core.Value, error) {
 		s, err := set1(pos, a[0], "id")
 		if err != nil {
@@ -314,13 +277,7 @@ var builtins = map[string]builtin{
 		}
 		return algebra.BigUnion(s), nil
 	}},
-	"tclose": {"tclose", 1, "transitive closure R⁺ of a pair set", func(ctx context.Context, pos int, a []core.Value) (core.Value, error) {
-		s, err := set1(pos, a[0], "tclose")
-		if err != nil {
-			return nil, err
-		}
-		return algebra.TransitiveClosureCtx(ctx, s)
-	}},
+	"tclose": {"tclose", 1, "transitive closure R⁺ of a pair set", nil},
 	"rtclose": {"rtclose", 1, "reflexive transitive closure R*", func(ctx context.Context, pos int, a []core.Value) (core.Value, error) {
 		s, err := set1(pos, a[0], "rtclose")
 		if err != nil {
@@ -328,13 +285,7 @@ var builtins = map[string]builtin{
 		}
 		return algebra.ReflexiveTransitiveClosureCtx(ctx, s)
 	}},
-	"inverse": {"inverse", 1, "swap pair components: {⟨y,x⟩ : ⟨x,y⟩ ∈ R}", func(ctx context.Context, pos int, a []core.Value) (core.Value, error) {
-		s, err := set1(pos, a[0], "inverse")
-		if err != nil {
-			return nil, err
-		}
-		return algebra.SigmaDomain(s, algebra.Positions(2, 1)), nil
-	}},
+	"inverse": {"inverse", 1, "swap pair components: {⟨y,x⟩ : ⟨x,y⟩ ∈ R}", nil},
 	"pos": {"pos", -1, "positions scope set ⟨p1,…,pn⟩", func(ctx context.Context, pos int, a []core.Value) (core.Value, error) {
 		ps := make([]int, len(a))
 		for i, v := range a {
@@ -348,21 +299,104 @@ var builtins = map[string]builtin{
 	}},
 }
 
+// derivers are the builtins whose entry above has no fn: each runs an
+// algebra kernel up to its outputs, derived but not built, so that a
+// call builds them and card of a call counts them.
+var derivers = map[string]func(ss []*core.Set) *algebra.Derived{
+	"dom":     func(ss []*core.Set) *algebra.Derived { return algebra.DeriveSigmaDomain(ss[0], ss[1]) },
+	"dom1":    func(ss []*core.Set) *algebra.Derived { return algebra.DeriveSigmaDomain(ss[0], algebra.StdSigma().S1) },
+	"dom2":    func(ss []*core.Set) *algebra.Derived { return algebra.DeriveSigmaDomain(ss[0], algebra.StdSigma().S2) },
+	"inverse": func(ss []*core.Set) *algebra.Derived { return algebra.DeriveSigmaDomain(ss[0], swap) },
+	"image": func(ss []*core.Set) *algebra.Derived {
+		return algebra.DeriveImage(ss[0], ss[1], algebra.NewSigma(ss[2], ss[3]))
+	},
+	"relprod": func(ss []*core.Set) *algebra.Derived {
+		return algebra.DeriveRelativeProduct(ss[0], ss[1], algebra.NewSigma(ss[2], ss[3]), algebra.NewSigma(ss[4], ss[5]))
+	},
+	// compose(g, f) is process.StdCompose(Std(g), Std(f)): f/g.
+	"compose": func(ss []*core.Set) *algebra.Derived {
+		return algebra.DeriveRelativeProduct(ss[1], ss[0], algebra.CSTSpec().Sigma, algebra.CSTSpec().Omega)
+	},
+	"tclose": func(ss []*core.Set) *algebra.Derived { return algebra.DeriveTransitiveClosure(ss[0]) },
+}
+
+// swap is ⟨2,1⟩, the scope set inverse re-scopes through.
+var swap = algebra.Positions(2, 1)
+
 func (st *stmt) call(ctx context.Context, x *callNode) (core.Value, error) {
+	if x.name == "card" && len(x.args) == 1 { // counted, never built, when it can be
+		if u, ok := x.args[0].(*binNode); ok && (u.op == tokPlus || u.op == tokAmp) {
+			return st.bin(ctx, u, true)
+		}
+		if n, ok, err := st.derived(ctx, x.args[0], true); ok {
+			return n, err
+		}
+	}
+	b, args, err := st.args(ctx, x)
+	if err != nil {
+		return nil, err
+	}
+	return b.fn(ctx, x.at, args)
+}
+
+// args looks x's builtin up, checks its arity and evaluates its
+// arguments.
+func (st *stmt) args(ctx context.Context, x *callNode) (builtin, []core.Value, error) {
 	b, ok := builtins[x.name]
 	if !ok {
-		return nil, evalErr(x.at, "unknown builtin %q (try one of: union, image, dom, restrict, relprod, …)", x.name)
+		return b, nil, evalErr(x.at, "unknown builtin %q (try one of: union, image, dom, restrict, relprod, …)", x.name)
 	}
 	if b.arity >= 0 && len(x.args) != b.arity {
-		return nil, evalErr(x.at, "%s expects %d arguments, found %d", x.name, b.arity, len(x.args))
+		return b, nil, evalErr(x.at, "%s expects %d arguments, found %d", x.name, b.arity, len(x.args))
 	}
 	args := make([]core.Value, len(x.args))
 	for i, a := range x.args {
 		v, err := st.eval(ctx, a)
 		if err != nil {
-			return nil, err
+			return b, nil, err
 		}
 		args[i] = v
 	}
-	return b.fn(ctx, x.at, args)
+	return b, args, nil
+}
+
+// derived evaluates n, a deriver's call or an image, through its
+// kernel's derivation: built, or with count, counted. ok is false for
+// any other node.
+func (st *stmt) derived(ctx context.Context, n node, count bool) (v core.Value, ok bool, err error) {
+	var d *algebra.Derived
+	switch x := n.(type) {
+	case *callNode:
+		derive := derivers[x.name]
+		if derive == nil {
+			return nil, false, nil
+		}
+		_, args, err := st.args(ctx, x)
+		if err != nil {
+			return nil, true, err
+		}
+		ss, err := sets(x.at, args, x.name)
+		if err != nil {
+			return nil, true, err
+		}
+		d = derive(ss)
+	case *imageNode:
+		if d, err = st.image(ctx, x); err != nil {
+			return nil, true, err
+		}
+	default:
+		return nil, false, nil
+	}
+	if count {
+		c, err := d.Card(ctx)
+		if err != nil {
+			return nil, true, err
+		}
+		return core.Int(c), true, nil
+	}
+	s, err := d.Set(ctx)
+	if err != nil {
+		return nil, true, err
+	}
+	return s, true, nil
 }

@@ -256,11 +256,12 @@ func (st *stmt) eval(ctx context.Context, n node) (core.Value, error) {
 		}
 		return core.Tuple(elems...), nil
 	case *binNode:
-		return st.bin(ctx, x)
-	case *imageNode:
-		return st.image(ctx, x)
-	case *callNode:
-		return st.call(ctx, x)
+		return st.bin(ctx, x, false)
+	case *imageNode, *callNode:
+		if v, ok, err := st.derived(ctx, x, false); ok {
+			return v, err
+		}
+		return st.call(ctx, x.(*callNode))
 	default:
 		return nil, evalErr(n.pos(), "unknown node %T", n)
 	}
@@ -303,7 +304,9 @@ func asSet(pos int, v core.Value, role string) (*core.Set, error) {
 	return s, nil
 }
 
-func (st *stmt) bin(ctx context.Context, x *binNode) (core.Value, error) {
+// bin evaluates a binary operator; with count, + and & return the
+// cardinality of their result, counted without building it.
+func (st *stmt) bin(ctx context.Context, x *binNode, count bool) (core.Value, error) {
 	lv, err := st.eval(ctx, x.l)
 	if err != nil {
 		return nil, err
@@ -334,19 +337,25 @@ func (st *stmt) bin(ctx context.Context, x *binNode) (core.Value, error) {
 	if err != nil {
 		return nil, err
 	}
-	switch x.op {
-	case tokPlus:
+	switch {
+	case x.op == tokPlus && count:
+		return core.Int(core.UnionCard(ls, rs)), nil
+	case x.op == tokAmp && count:
+		return core.Int(core.IntersectCard(ls, rs)), nil
+	case x.op == tokPlus:
 		return core.Union(ls, rs), nil
-	case tokTilde:
+	case x.op == tokTilde:
 		return core.Diff(ls, rs), nil
-	case tokAmp:
+	case x.op == tokAmp:
 		return core.Intersect(ls, rs), nil
 	default:
 		return nil, evalErr(x.at, "unknown operator %v", x.op)
 	}
 }
 
-func (st *stmt) image(ctx context.Context, x *imageNode) (core.Value, error) {
+// image evaluates the operands of R[A] or R[A]_{σ1,σ2}: the image is
+// the σ2-domain of the σ1-restriction (Def 7.1), derived but not built.
+func (st *stmt) image(ctx context.Context, x *imageNode) (*algebra.Derived, error) {
 	rv, err := st.eval(ctx, x.rel)
 	if err != nil {
 		return nil, err
@@ -383,5 +392,5 @@ func (st *stmt) image(ctx context.Context, x *imageNode) (core.Value, error) {
 		}
 		sig = algebra.NewSigma(s1, s2)
 	}
-	return algebra.Image(r, a, sig), nil
+	return algebra.DeriveImage(r, a, sig), nil
 }
