@@ -19,12 +19,17 @@ func tuples(n int) *core.Set {
 }
 
 func TestTransitiveClosureCtxCancel(t *testing.T) {
-	// 2000 pairs: the pair filter alone polls ~7 times (every 256
-	// members), and each semi-naive round polls once more — the 3rd poll
-	// must abort the operation long before the quadratic closure builds.
+	// 2000 pairs: interning their 4000 join keys alone polls ~15 times
+	// (every 256 keys), and the searches poll every 256 nodes reached —
+	// the 3rd poll must abort both forms long before the ~2M-pair
+	// closure is counted or built.
 	r := chain(2000)
 	xtest.AssertCancelAborts(t, 3, func(ctx context.Context) error {
 		_, err := TransitiveClosureCtx(ctx, r)
+		return err
+	})
+	xtest.AssertCancelAborts(t, 3, func(ctx context.Context) error {
+		_, err := DeriveTransitiveClosure(r).Card(ctx)
 		return err
 	})
 }

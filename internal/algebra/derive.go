@@ -13,8 +13,8 @@ var digestMask = ^uint64(0)
 
 // cand names a candidate output by the ids it is derived from: a probe
 // and a build member of a relative product, a member of a σ-domain's R,
-// the first and last pair of a closure path. A first id of -1 names the
-// kernel's own member c[1], which stays as itself.
+// the first and last pair of a closure path (or a pair and the side of
+// its join key). A first id of -1 names the kernel's own member c[1].
 type cand [2]int32
 
 // Derived is a kernel run's outputs, derived but not built: each yields
@@ -22,11 +22,11 @@ type cand [2]int32
 // members of its element, then of its scope, in scratch. Set builds the
 // outputs once; Card counts their distinct elements and builds nothing.
 type Derived struct {
-	each   func(ctx context.Context, yield func(cand)) error // polls ctx; repeats a candidate unless seen holds them
-	derive func(dst []core.Member, c cand) ([]core.Member, int)
-	own    []core.Member
-	seen   *table // the distinct candidates, when the kernel filed them
-	a      []core.Member
+	each     func(ctx context.Context, yield func(cand)) error // polls ctx; may repeat an output unless distinct
+	derive   func(dst []core.Member, c cand) ([]core.Member, int)
+	own      []core.Member
+	distinct bool // each yields every output once, all unscoped: no two share an element
+	a        []core.Member
 }
 
 // runs derives c's element and scope, or reads an own member's — a
@@ -83,61 +83,46 @@ func (d *Derived) Set(ctx context.Context) (*core.Set, error) {
 	return core.OwnSet(out), nil
 }
 
-// Card is core.Card of the set Set would build: the number of filed
-// outputs when none has a scope, else of candidates filed by element.
+// Card is core.Card of the set Set would build: the number of outputs
+// when they are distinct, else of candidates filed by element.
 func (d *Derived) Card(ctx context.Context) (int, error) {
 	n := 0
-	if err := d.each(ctx, func(cand) { n++ }); err != nil || d.seen != nil && !d.seen.scoped {
+	if err := d.each(ctx, func(cand) { n++ }); err != nil || d.distinct {
 		return n, err
 	}
-	t := d.table(n, true)
-	err := d.each(ctx, t.add)
+	t := newTable(n, func(dst []core.Member, c cand) ([]core.Member, int) { return d.runs(dst, c, true) })
+	err := d.each(ctx, func(c cand) { t.add(c) })
 	return len(t.ids), err
 }
 
-// table files candidates under the digest of their derived members and
-// keeps only their ids: a digest match is confirmed by deriving the
-// filed candidate again and comparing members.
+// table files candidates under the digest of their key and keeps only
+// their ids: a digest match is confirmed by deriving the filed
+// candidate's key again and comparing members.
 type table struct {
-	d        *Derived
-	elemOnly bool // as core.Card counts
-	scoped   bool // some filed candidate has a scope other than ∅
-	chains   core.Chains
-	ids      []cand
-	a, b     []core.Member
+	key    func(dst []core.Member, c cand) ([]core.Member, int)
+	chains core.Chains
+	ids    []cand
+	a, b   []core.Member
 }
 
-func (d *Derived) table(n int, elemOnly bool) *table {
-	return &table{d: d, elemOnly: elemOnly, chains: core.NewChains(n), ids: make([]cand, 0, n)}
+func newTable(n int, key func(dst []core.Member, c cand) ([]core.Member, int)) *table {
+	return &table{key: key, chains: core.NewChains(n), ids: make([]cand, 0, n)}
 }
 
-// add files c unless a candidate with the same members is filed.
-func (t *table) add(c cand) {
+// add files c unless a candidate with the same key is filed, and returns
+// the filed one's index.
+func (t *table) add(c cand) int32 {
 	var n, m int
-	t.a, n = t.d.runs(t.a[:0], c, t.elemOnly)
+	t.a, n = t.key(t.a[:0], c)
 	h := keyDigest(t.a, n) & digestMask
 	for id := t.chains.First(h); id >= 0; id = t.chains.Next(id) {
-		if t.b, m = t.d.runs(t.b[:0], t.ids[id], t.elemOnly); m == n && slices.EqualFunc(t.a, t.b, memberEqual) {
-			return
+		if t.b, m = t.key(t.b[:0], t.ids[id]); m == n && slices.EqualFunc(t.a, t.b, memberEqual) {
+			return id
 		}
 	}
 	t.chains.Add(h)
-	if len(t.ids) == cap(t.ids) {
-		t.ids = slices.Grow(t.ids, len(t.ids)) // double, as chains does
-	}
-	t.ids, t.scoped = append(t.ids, c), t.scoped || len(t.a) > n
-}
-
-// each yields the filed candidates.
-func (t *table) each(ctx context.Context, yield func(cand)) error {
-	steps := 0
-	for _, c := range t.ids {
-		if err := tick(ctx, &steps); err != nil {
-			return err
-		}
-		yield(c)
-	}
-	return nil
+	t.ids = append(t.ids, c)
+	return int32(len(t.ids) - 1)
 }
 
 // tick counts a step and returns ctx.Err() every ctxCheckEvery steps.

@@ -9,7 +9,7 @@ import (
 )
 
 // The serving implementations (one re-scope kernel, a digest-chained
-// join, a seen-set closure) against the definitional ones in
+// join, a closure by reachability over join keys) against the definitional ones in
 // reference_test.go, on operands the kernel has no reason to like.
 
 const kernelTrials = 600
@@ -77,6 +77,43 @@ func randGraph(r *xtest.Rand, cfg xtest.Config) *core.Set {
 		}
 	}
 	for i := r.Intn(3); i > 0; i-- {
+		b.Add(cfg.Value(r), cfg.Value(r))
+	}
+	return b.Set()
+}
+
+const bigGraphTrials = 80
+
+// bigGraph draws a pair set over up to 60 nodes: random edges, one cycle,
+// 2-cycles and self-loops, one pair under ∅, a pair scope, any value, 5
+// and {5} (copies that share both join keys, of which only the first
+// equals its own product), and non-pair members.
+func bigGraph(r *xtest.Rand, cfg xtest.Config) *core.Set {
+	nodes := 2 + r.Intn(59)
+	pair := func(a, c int) core.Value { return core.Pair(core.Int(a), core.Int(c)) }
+	b := core.NewBuilder(3 * nodes)
+	for i := r.Intn(3 * nodes / 2); i > 0; i-- {
+		b.AddClassical(pair(r.Intn(nodes), r.Intn(nodes)))
+	}
+	cycle := 1 + r.Intn(nodes)
+	for i := 0; i < cycle; i++ {
+		b.AddClassical(pair(i, (i+1)%cycle))
+	}
+	for i := r.Intn(4); i > 0; i-- {
+		a, c := r.Intn(nodes), r.Intn(nodes)
+		b.AddClassical(pair(a, c))
+		b.AddClassical(pair(c, a))
+		b.AddClassical(pair(a, a))
+	}
+	if r.Bool() {
+		p := pair(r.Intn(nodes), r.Intn(nodes))
+		b.AddClassical(p)
+		b.Add(p, pair(r.Intn(2), r.Intn(2)))
+		b.Add(p, cfg.Value(r))
+		b.Add(p, core.Int(5))
+		b.Add(p, core.S(core.Int(5)))
+	}
+	for i := r.Intn(4); i > 0; i-- {
 		b.Add(cfg.Value(r), cfg.Value(r))
 	}
 	return b.Set()
@@ -150,6 +187,7 @@ func TestDigestCollisions(t *testing.T) {
 			defer func(m uint64) { digestMask = m }(digestMask)
 			digestMask = mask
 			checkForms(t, xtest.NewRand(0x18), kernelTrials/2)
+			checkClosures(t, xtest.NewRand(0x19), bigGraphTrials/4)
 		})
 	}
 }

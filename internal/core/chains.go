@@ -7,8 +7,9 @@ import "math/rand/v2"
 // caller decides equality among them with Equal — which compares kinds
 // first, so atoms and sets share one table and an encoded set can never
 // pass for a Str. It is the index under every hash operator: the
-// relative product's build side and the closure's seen-set in algebra,
-// and the join, grouping and distinct tables in exec. The zero value is
+// relative product's build side, the closure's join-key nodes and the
+// count's element table in algebra, and the join, grouping and distinct
+// tables in exec. The zero value is
 // ready to use.
 //
 // The table is flat: power-of-two bucket heads, at least twice the ids

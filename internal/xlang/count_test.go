@@ -88,3 +88,23 @@ func TestEvalCtxDeadlineAbortsCompose(t *testing.T) {
 		}
 	}
 }
+
+// TestEvalCtxDeadlineAbortsTclose: the closure of a 4 000-pair chain
+// holds 8 002 000 pairs; counting them stops at the deadline too.
+func TestEvalCtxDeadlineAbortsTclose(t *testing.T) {
+	env := NewEnv()
+	b := core.NewBuilder(4000)
+	for i := 0; i < 4000; i++ {
+		b.AddClassical(core.Pair(core.Int(int64(i)), core.Int(int64(i+1))))
+	}
+	env.Bind("X", b.Set())
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	if _, err := EvalCtx(ctx, env, "card(tclose(X))"); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("card(tclose(X)): err = %v, want context.DeadlineExceeded", err)
+	}
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Fatalf("card(tclose(X)): cancellation took %v", elapsed)
+	}
+}

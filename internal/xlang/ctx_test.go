@@ -50,7 +50,7 @@ func TestEvalCtxDeadlineAbortsCross(t *testing.T) {
 
 func TestEvalCtxDeadlineAbortsClosure(t *testing.T) {
 	env := NewEnv()
-	// A long chain relation: closure needs many semi-naive rounds.
+	// A long chain relation: its closure holds 8 002 000 pairs.
 	b := core.NewBuilder(4000)
 	for i := 0; i < 4000; i++ {
 		b.AddClassical(core.Pair(core.Int(int64(i)), core.Int(int64(i+1))))
