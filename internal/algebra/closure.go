@@ -77,6 +77,9 @@ func (g *keyGraph) build(ctx context.Context) error {
 	}
 	off, pairs, out := make([]int32, len(keys.ids)+1), make([]int32, len(rs)), make([]int32, len(rs))
 	for p := range rs {
+		if err := tick(ctx, &steps); err != nil {
+			return err
+		}
 		off[ends[2*p]]++
 		out[p] = ends[2*p+1]
 	}

@@ -10,6 +10,7 @@ import (
 
 	"xst/internal/core"
 	"xst/internal/table"
+	"xst/internal/trace"
 )
 
 // AggKind selects an aggregate function.
@@ -373,85 +374,24 @@ func (o *ordered) next() *table.Batch {
 	return &o.out
 }
 
-// GroupAgg is the streaming aggregate operator: Open drains the child
-// into an AggState — accumulators only, never the input rows — and
-// Next emits the (key, agg…) result batch in key order, MaxBatchRows
-// rows at a time. The held
-// state is one accumulator per distinct key, the aggregate's sanctioned
-// materialization.
+// GroupAgg is the streaming aggregate operator: the one-worker
+// ParallelGroupAgg.
 type GroupAgg struct {
-	child  Operator
-	keyCol int
-	groups int
-	aggs   []Agg
-	out    ordered
-	stats  OpStats
-	open   bool
+	ParallelGroupAgg
+	child [1]Operator
 }
 
 // NewGroupAgg computes aggs per keyCol group, sized for groups keys.
 func NewGroupAgg(child Operator, keyCol, groups int, aggs ...Agg) *GroupAgg {
-	return &GroupAgg{child: child, keyCol: keyCol, groups: groups, aggs: aggs}
+	g := &GroupAgg{child: [1]Operator{child}}
+	g.ParallelGroupAgg = ParallelGroupAgg{fanIn: fanIn{ops: g.child[:]}, keyCol: keyCol, groups: groups, aggs: aggs}
+	return g
 }
 
-// Open implements Operator, consuming the whole child stream into the
-// accumulator table with a per-batch cancellation poll.
-func (g *GroupAgg) Open(ctx context.Context) error {
-	g.stats = OpStats{}
-	defer g.stats.timed(time.Now())
-	g.open = true
-	if err := g.child.Open(ctx); err != nil {
-		return err
-	}
-	st := NewAggState(g.keyCol, g.groups, g.aggs...)
-	for {
-		b, err := g.child.Next()
-		if err != nil {
-			return err
-		}
-		if b == nil {
-			break
-		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		g.stats.RowsIn += b.Len
-		if err := st.Absorb(b); err != nil {
-			return err
-		}
-	}
-	res, perm, err := st.Result()
-	if err != nil {
-		return err
-	}
-	g.out = ordered{all: res, perm: perm}
-	g.stats.HeldRows = st.Groups()
-	return nil
+func (g *GroupAgg) String() string {
+	in := g.child[0].OutSchema()
+	return fmt.Sprintf("groupagg[%s x%d]", in.Cols[g.keyCol], len(g.aggs))
 }
-
-// Next implements Operator.
-func (g *GroupAgg) Next() (*table.Batch, error) {
-	defer g.stats.timed(time.Now())
-	if !g.open {
-		return nil, errOpen(g)
-	}
-	out := g.out.next()
-	if out != nil {
-		g.stats.emitted(out)
-	}
-	return out, nil
-}
-
-// Close implements Operator.
-func (g *GroupAgg) Close() error {
-	g.open = false
-	g.out = ordered{}
-	return g.child.Close()
-}
-
-// OutSchema implements Operator: (key, agg1, agg2, …) with aggregate
-// columns named kind(col).
-func (g *GroupAgg) OutSchema() table.Schema { return aggSchema(g.child.OutSchema(), g.keyCol, g.aggs) }
 
 // aggSchema is the output schema of grouping in on keyCol with aggs.
 func aggSchema(in table.Schema, keyCol int, aggs []Agg) table.Schema {
@@ -467,13 +407,115 @@ func aggSchema(in table.Schema, keyCol int, aggs []Agg) table.Schema {
 	return table.Schema{Name: in.Name, Cols: cols}
 }
 
+// ParallelGroupAgg is the partial-aggregate: Open drains N worker
+// subtrees concurrently, each into a private AggState, then folds the
+// partials with AggState.Merge — the classic partial/final aggregation
+// split. The held state, one accumulator per distinct key and never the
+// input rows, is the aggregate's sanctioned materialization. Open does
+// all the work; Next emits the (key, agg…) result in key order,
+// MaxBatchRows rows at a time. aux operators are shared worker
+// dependencies (e.g. a HashBuild), opened before the workers start.
+type ParallelGroupAgg struct {
+	fanIn
+	keyCol        int
+	groups, share int // keys the merged state and each other one are sized for
+	aggs          []Agg
+
+	out   ordered // all is nil until built
+	stats OpStats
+}
+
+// NewParallelGroupAgg aggregates the union of the workers' outputs,
+// grouping on keyCol. The state the others merge into is sized for
+// groups keys, each other one for what its share of rows can hold.
+func NewParallelGroupAgg(workers []Operator, aux []Operator, keyCol, groups, rows int, aggs ...Agg) *ParallelGroupAgg {
+	if len(workers) == 0 {
+		panic("exec: ParallelGroupAgg needs at least one worker")
+	}
+	share := min(groups, (rows+len(workers)-1)/len(workers))
+	return &ParallelGroupAgg{fanIn: newFanIn(workers, aux), keyCol: keyCol, groups: groups, share: share, aggs: aggs}
+}
+
+// Open implements Operator: parallel partial aggregation, barrier,
+// merge.
+func (g *ParallelGroupAgg) Open(ctx context.Context) error {
+	g.stats = OpStats{}
+	defer g.stats.timed(time.Now())
+	g.out = ordered{}
+	if err := g.openAux(ctx); err != nil {
+		return err
+	}
+	merged := NewAggState(g.keyCol, g.groups, g.aggs...)
+	if err := g.fold(ctx, merged); err != nil {
+		return err
+	}
+	res, perm, err := merged.Result()
+	if err != nil {
+		return err
+	}
+	g.out = ordered{all: res, perm: perm}
+	g.stats.RowsIn = merged.RowsIn()
+	g.stats.HeldRows = merged.Groups()
+	return nil
+}
+
+// fold drains each worker into a private partial state, merged's
+// among them, then merges the others into merged under a "merge" span;
+// one worker drains into merged itself.
+func (g *ParallelGroupAgg) fold(ctx context.Context, merged *AggState) error {
+	if g.Workers() == 1 {
+		return drainAll(ctx, "partial", g.workers(), merged)
+	}
+	states := []*AggState{merged}
+	for range g.Workers() - 1 {
+		states = append(states, NewAggState(g.keyCol, g.share, g.aggs...))
+	}
+	if err := drainAll(ctx, "partial", g.workers(), sinkFunc(func(i int, b *table.Batch) error { return states[i].Absorb(b) })); err != nil {
+		return err
+	}
+	sp := trace.SpanOf(ctx).Start("merge")
+	defer sp.End()
+	for _, st := range states[1:] {
+		if err := merged.Merge(st); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// take implements sink: a one-worker aggregate's state absorbs every
+// batch itself.
+func (s *AggState) take(_ int, b *table.Batch) error { return s.Absorb(b) }
+
+// Next implements Operator.
+func (g *ParallelGroupAgg) Next() (*table.Batch, error) {
+	defer g.stats.timed(time.Now())
+	if g.out.all == nil {
+		return nil, errOpen(g)
+	}
+	out := g.out.next()
+	if out != nil {
+		g.stats.emitted(out)
+	}
+	return out, nil
+}
+
+// Close implements Operator.
+func (g *ParallelGroupAgg) Close() error {
+	g.out = ordered{}
+	return g.closeAll()
+}
+
+// OutSchema implements Operator: (key, agg1, agg2, …) with aggregate
+// columns named kind(col).
+func (g *ParallelGroupAgg) OutSchema() table.Schema {
+	return aggSchema(g.fanIn.OutSchema(), g.keyCol, g.aggs)
+}
+
 // Stats implements Operator.
-func (g *GroupAgg) Stats() OpStats { return g.stats }
+func (g *ParallelGroupAgg) Stats() OpStats { return g.stats }
 
-// Children implements Operator.
-func (g *GroupAgg) Children() []Operator { return []Operator{g.child} }
-
-func (g *GroupAgg) String() string {
-	in := g.child.OutSchema()
-	return fmt.Sprintf("groupagg[%s x%d]", in.Cols[g.keyCol], len(g.aggs))
+func (g *ParallelGroupAgg) String() string {
+	in := g.fanIn.OutSchema()
+	return fmt.Sprintf("pgroupagg[%s x%d w=%d]", in.Cols[g.keyCol], len(g.aggs), g.Workers())
 }

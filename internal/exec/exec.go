@@ -5,7 +5,10 @@
 // the server's streaming responses — compiles to one of these trees, so
 // the paper's §12 thesis (whole sets flowing through composed
 // operations beat record-at-a-time processing) is the architecture, not
-// a special case.
+// a special case. A serial tree is the one-worker case of a parallel
+// one: Scan, HashJoin and GroupAgg are the one-worker MorselScan,
+// ProbeJoin (over a one-builder HashBuild) and ParallelGroupAgg, and
+// one worker runs on the caller's goroutine.
 //
 // Contract:
 //
@@ -33,15 +36,16 @@
 // output into another); a projection re-points column headers at its
 // input's arrays. So consume a batch before pulling again, and copy
 // what must outlive the pull: the operators that hold rows across pulls
-// — Gather, HashBuild, the HashJoin build, Sort, Distinct — copy the
-// rows they keep into batches of their own. A position the plan does
-// not read is a ColAbsent column in a scan's batches (see NewScan);
-// nothing above the scan looks.
+// — Gather, HashBuild, Sort, Distinct — copy the rows they keep into
+// batches of their own. A position the plan does not read is a
+// ColAbsent column in a scan's batches (see NewScan); nothing above the
+// scan looks.
 //
-// No operator materializes its full input except HashJoin's build side,
-// Sort, and GroupAgg's accumulator table — the three places DESIGN.md
-// §8 sanctions — so peak intermediate memory is bounded by
-// MaxBatchRows plus those explicit pools, which plan.ExecStats reports.
+// No operator materializes its full input except HashBuild (a join's
+// build side), Sort, and ParallelGroupAgg's accumulator tables — the
+// three places DESIGN.md §8 sanctions — so peak intermediate memory is
+// bounded by MaxBatchRows plus those explicit pools, which
+// plan.ExecStats reports.
 package exec
 
 import (

@@ -1,18 +1,20 @@
 package exec
 
 import (
+	"cmp"
 	"context"
+	"fmt"
+	"sync"
 	"time"
 
 	"xst/internal/core"
 	"xst/internal/table"
 )
 
-// joinOut is the output side of a hash-join probe, shared by HashJoin
-// and ProbeJoin: the matching (probe row, build row) pairs of one probe
-// batch, gathered MaxBatchRows at a time into one batch reused by the
-// next chunk. What it hands out is scratch until the owner's next Next,
-// like any operator's batch.
+// joinOut is the output side of a hash-join probe: the matching (probe
+// row, build row) pairs of one probe batch, gathered MaxBatchRows at a
+// time into one batch reused by the next chunk. What it hands out is
+// scratch until the owner's next Next, like any operator's batch.
 type joinOut struct {
 	probe  *table.Batch
 	ps, bs []int32 // the pairs: probe row ps[k] matches build row bs[k]
@@ -24,9 +26,9 @@ type joinOut struct {
 func (o *joinOut) drained() bool { return o.pos == len(o.ps) }
 
 // refill pairs every row of probe batch b with the build rows whose key
-// equals its key column col; part picks the keyed table a digest is
-// filed in.
-func (o *joinOut) refill(b *table.Batch, col int, part func(d uint64) *keyedRows) {
+// equals its key column col.
+func (o *joinOut) refill(b *table.Batch, col int, build *HashBuild) {
+	keys := &build.rows.Cols[build.col]
 	o.probe, o.pos = b, 0
 	if cap(o.ps) < b.Len { // room for one match a row, the common fan-out
 		o.ps, o.bs = make([]int32, 0, b.Len), make([]int32, 0, b.Len)
@@ -35,9 +37,9 @@ func (o *joinOut) refill(b *table.Batch, col int, part func(d uint64) *keyedRows
 	key := &b.Cols[col]
 	for i := 0; i < b.Len; i++ {
 		d := key.Digest(i) & digestMask
-		t := part(d)
+		t := build.part(d)
 		for id := t.chains.First(d); id >= 0; id = t.chains.Next(id) {
-			if r := t.row(id); t.rows.Cols[t.col].Equal(int(r), key, i) {
+			if r := t.row(id); keys.Equal(int(r), key, i) {
 				o.ps, o.bs = append(o.ps, int32(i)), append(o.bs, r)
 			}
 		}
@@ -62,20 +64,18 @@ var digestMask = ^uint64(0)
 // column in one core.Chains. Atom and set keys take the one path;
 // Equal tells them apart.
 type keyedRows struct {
-	col    int
-	rows   *table.Batch
-	ids    []int32 // chain id → row of rows; nil: the chain id is the row
+	ids    []int32 // chain id → build row; nil: the chain id is the row
 	chains core.Chains
 }
 
 // fileRows files the rows of rows that ids names, or every row when ids
-// is nil, under their key column.
+// is nil, under their key column col.
 func fileRows(rows *table.Batch, col int, ids []int32) keyedRows {
 	n := len(ids)
 	if ids == nil {
 		n = rows.Len
 	}
-	t := keyedRows{col: col, rows: rows, ids: ids, chains: core.NewChains(n)}
+	t := keyedRows{ids: ids, chains: core.NewChains(n)}
 	key := &rows.Cols[col]
 	for id := int32(0); id < int32(n); id++ {
 		t.chains.Add(key.Digest(int(t.row(id))) & digestMask)
@@ -91,76 +91,192 @@ func (t *keyedRows) row(id int32) int32 {
 	return t.ids[id]
 }
 
-// HashJoin is the Relative Product (Def 10.1) in streaming form: Open
-// drains the *build* side into a keyed table — the one sanctioned
-// materialization — and Next streams probe batches against it, so the
-// probe side never sits in memory whole. The right child builds and
-// the left probes, so the planner, not this operator, decides which
-// input is held; output rows are left-columns ++ right-columns.
-type HashJoin struct {
-	left, right       Operator
-	leftCol, rightCol int // key positions in each child's output schema
+// HashBuild is the build side of a hash join, the join's sanctioned
+// materialization, held in Open. One builder's rows are copied into one
+// batch and filed in one keyed table. N builders drain concurrently into
+// one shared batch, noting each row's partition by key digest, then
+// each partition's keyed table is filed in parallel — two fan-outs with
+// a barrier between. After Open the partitions are immutable, so any
+// number of ProbeJoin workers may probe them without locks.
+//
+// HashBuild is an Operator so it can sit in the tree (as a Gather aux
+// dependency) for stats and EXPLAIN, but it emits nothing: Next is
+// immediately exhausted.
+type HashBuild struct {
+	builders []Operator
+	col      int
 
-	ctx   context.Context
-	rows  table.Batch // the build side
-	build keyedRows
-	out   joinOut
-	done  bool
-	stats OpStats
-	open  bool
+	rows  table.Batch // every build row, in the order the builders delivered them
+	parts []keyedRows // nil until built
+	one   [1]keyedRows
+	held  int   // rows the last build held, reported past Close
+	ns    int64 // time in the last Open
 }
 
-// one is the partition function of a serial build: its only table.
-func (j *HashJoin) one(uint64) *keyedRows { return &j.build }
-
-// NewHashJoin joins left and right on left.leftCol = right.rightCol,
-// building the hash index over the right child.
-func NewHashJoin(left, right Operator, leftCol, rightCol int) *HashJoin {
-	return &HashJoin{left: left, right: right, leftCol: leftCol, rightCol: rightCol}
+// NewHashBuild builds a partitioned index over the builders' rows keyed
+// on column col. All builders must share one output schema (the
+// planner's per-worker copies of the build side).
+func NewHashBuild(builders []Operator, col int) *HashBuild {
+	if len(builders) == 0 {
+		panic("exec: HashBuild needs at least one builder")
+	}
+	return &HashBuild{builders: builders, col: col}
 }
 
-// Open implements Operator: opens both children and consumes the build
-// side into the index. Build batches are copied out of child scratch
-// into one batch, then filed at once; the context is polled per batch.
-func (j *HashJoin) Open(ctx context.Context) error {
-	j.stats = OpStats{}
-	defer j.stats.timed(time.Now())
-	j.ctx = ctx
-	j.rows.Reset()
-	j.build = keyedRows{}
-	j.out = joinOut{}
-	j.done = false
-	j.open = true
-	if err := j.left.Open(ctx); err != nil {
+// Open implements Operator: one builder's rows are filed in one keyed
+// table; several run the two-phase parallel build.
+func (b *HashBuild) Open(ctx context.Context) error {
+	start := time.Now()
+	defer func() { b.ns = time.Since(start).Nanoseconds() }()
+	b.parts, b.held = nil, 0
+	b.rows.Reset()
+	var err error
+	if len(b.builders) > 1 {
+		err = b.buildParts(ctx)
+	} else if err = drainAll(ctx, "build", b.builders, b); err == nil {
+		b.one[0] = fileRows(&b.rows, b.col, nil)
+		b.parts = b.one[:]
+	}
+	if err != nil {
 		return err
 	}
-	if err := j.right.Open(ctx); err != nil {
-		return err
-	}
-	for {
-		b, err := j.right.Next()
-		if err != nil {
-			return err
-		}
-		if b == nil {
-			break
-		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		j.stats.RowsIn += b.Len
-		j.rows.AppendSel(b, nil)
-	}
-	j.build = fileRows(&j.rows, j.rightCol, nil)
-	j.stats.HeldRows = j.rows.Len
+	b.held = b.rows.Len
+	return ctx.Err()
+}
+
+// take implements sink for the one builder: it copies each batch into
+// the build rows.
+func (b *HashBuild) take(_ int, batch *table.Batch) error {
+	b.rows.AppendSel(batch, nil)
 	return nil
 }
 
-// Next implements Operator: pulls probe batches until matches
-// accumulate, then emits them in MaxBatchRows chunks.
-func (j *HashJoin) Next() (*table.Batch, error) {
+// buildParts is the two-phase parallel build.
+func (b *HashBuild) buildParts(ctx context.Context) error {
+	nparts := len(b.builders)
+
+	// Phase 1: each builder drains its subtree, appending each batch to
+	// the one shared batch of build rows and each row's position to the
+	// list of its partition, under one lock; the digests that pick the
+	// partitions are taken outside it.
+	ids := make([][]int32, nparts)   // partition → its rows of b.rows
+	scratch := make([][]int, nparts) // per builder: the partition of each row of its batch
+	var mu sync.Mutex
+	err := drainAll(ctx, "build", b.builders, sinkFunc(func(i int, batch *table.Batch) error {
+		key, parts := &batch.Cols[b.col], scratch[i][:0]
+		for r := 0; r < batch.Len; r++ {
+			parts = append(parts, int((key.Digest(r)&digestMask)%uint64(nparts)))
+		}
+		scratch[i] = parts
+		mu.Lock()
+		defer mu.Unlock()
+		base := int32(b.rows.Len)
+		b.rows.AppendSel(batch, nil)
+		for r, p := range parts {
+			ids[p] = push(ids[p], base+int32(r))
+		}
+		return nil
+	}))
+	if err != nil {
+		return err
+	}
+
+	// Phase 2: file each partition's rows into its keyed table, one
+	// goroutine per partition; an empty partition keeps the empty table.
+	parts := make([]keyedRows, nparts)
+	var wg sync.WaitGroup
+	for p := range parts {
+		if len(ids[p]) > 0 {
+			wg.Add(1)
+			go func(p int) {
+				defer wg.Done()
+				parts[p] = fileRows(&b.rows, b.col, ids[p])
+			}(p)
+		}
+	}
+	wg.Wait()
+	b.parts = parts
+	return nil
+}
+
+// part returns the partition a key digest is filed in. Read-only after
+// Open; safe for concurrent probes.
+func (b *HashBuild) part(d uint64) *keyedRows {
+	if len(b.parts) == 1 {
+		return &b.parts[0]
+	}
+	return &b.parts[d%uint64(len(b.parts))]
+}
+
+// Next implements Operator: a build emits nothing.
+func (b *HashBuild) Next() (*table.Batch, error) {
+	if b.parts == nil {
+		return nil, errOpen(b)
+	}
+	return nil, nil
+}
+
+// Close implements Operator.
+func (b *HashBuild) Close() error {
+	b.rows, b.parts, b.one = table.Batch{}, nil, [1]keyedRows{}
+	return closeOps(b.builders)
+}
+
+// OutSchema implements Operator: the build side's schema.
+func (b *HashBuild) OutSchema() table.Schema { return b.builders[0].OutSchema() }
+
+// Stats implements Operator: the rows in, which are the rows held, and
+// the time.
+func (b *HashBuild) Stats() OpStats { return OpStats{RowsIn: b.held, HeldRows: b.held, Ns: b.ns} }
+
+// Children implements Operator.
+func (b *HashBuild) Children() []Operator { return b.builders }
+
+func (b *HashBuild) String() string {
+	return fmt.Sprintf("hashbuild[%s p=%d]", b.OutSchema().Cols[b.col], len(b.builders))
+}
+
+// ProbeJoin is one probe worker of a partitioned hash join: it streams
+// its probe subtree, the join's left input, against a shared
+// (already-opened) HashBuild of its right input, so output is
+// probe-columns ++ build-columns like HashJoin, gathered into the same
+// kind of reused joinOut batch.
+type ProbeJoin struct {
+	probe Operator
+	build *HashBuild
+
+	ctx      context.Context // nil while closed
+	out      joinOut
+	stats    OpStats
+	probeCol int32 // shares a word with done: a HashJoin fits a serial join's size class
+	done     bool
+}
+
+// NewProbeJoin probes build with probe.probeCol. The HashBuild is a
+// shared dependency opened by the enclosing Gather (aux), not by this
+// operator; it appears in the Gather's children, not here.
+func NewProbeJoin(probe Operator, build *HashBuild, probeCol int) *ProbeJoin {
+	return &ProbeJoin{probe: probe, build: build, probeCol: int32(probeCol)}
+}
+
+// Open implements Operator: opens only the probe subtree; the shared
+// build must already be open.
+func (j *ProbeJoin) Open(ctx context.Context) error {
+	j.stats = OpStats{}
 	defer j.stats.timed(time.Now())
-	if !j.open {
+	j.ctx = ctx
+	j.out = joinOut{}
+	j.done = false
+	if j.build.parts == nil {
+		return fmt.Errorf("exec: %s: probe before its HashBuild opened", j)
+	}
+	return j.probe.Open(ctx)
+}
+
+// Next implements Operator.
+func (j *ProbeJoin) Next() (*table.Batch, error) {
+	defer j.stats.timed(time.Now())
+	if j.ctx == nil {
 		return nil, errOpen(j)
 	}
 	for j.out.drained() {
@@ -170,7 +286,7 @@ func (j *HashJoin) Next() (*table.Batch, error) {
 		if err := j.ctx.Err(); err != nil {
 			return nil, err
 		}
-		b, err := j.left.Next()
+		b, err := j.probe.Next()
 		if err != nil {
 			return nil, err
 		}
@@ -179,40 +295,85 @@ func (j *HashJoin) Next() (*table.Batch, error) {
 			return nil, nil
 		}
 		j.stats.RowsIn += b.Len
-		if j.rows.Len > 0 {
-			j.out.refill(b, j.leftCol, j.one)
+		if j.build.rows.Len > 0 {
+			j.out.refill(b, int(j.probeCol), j.build)
 		}
 	}
-	out := j.out.next(&j.rows)
+	out := j.out.next(&j.build.rows)
 	j.stats.emitted(out)
 	return out, nil
 }
 
-// Close implements Operator.
-func (j *HashJoin) Close() error {
-	j.open = false
-	j.rows, j.build, j.out = table.Batch{}, keyedRows{}, joinOut{}
-	lerr := j.left.Close()
-	rerr := j.right.Close()
-	if lerr != nil {
-		return lerr
-	}
-	return rerr
+// Close implements Operator: closes only the probe subtree (the shared
+// build belongs to the Gather).
+func (j *ProbeJoin) Close() error {
+	j.ctx = nil
+	j.out = joinOut{}
+	return j.probe.Close()
 }
 
-// OutSchema implements Operator: left ++ right with colliding names
-// auto-qualified, matching the logical plan.Join schema.
-func (j *HashJoin) OutSchema() table.Schema {
-	return table.JoinSchema(j.left.OutSchema(), j.right.OutSchema())
+// OutSchema implements Operator: probe ++ build, like HashJoin.
+func (j *ProbeJoin) OutSchema() table.Schema {
+	return table.JoinSchema(j.probe.OutSchema(), j.build.OutSchema())
 }
 
 // Stats implements Operator.
-func (j *HashJoin) Stats() OpStats { return j.stats }
+func (j *ProbeJoin) Stats() OpStats { return j.stats }
 
-// Children implements Operator.
-func (j *HashJoin) Children() []Operator { return []Operator{j.left, j.right} }
+// Children implements Operator: the probe subtree only; the shared
+// HashBuild is listed once, by the enclosing Gather.
+func (j *ProbeJoin) Children() []Operator { return []Operator{j.probe} }
+
+func (j *ProbeJoin) String() string {
+	return "probejoin[" + j.probe.OutSchema().Cols[j.probeCol] + "]"
+}
+
+// HashJoin is the Relative Product (Def 10.1) in streaming form: the
+// one-worker ProbeJoin, over a one-builder HashBuild of its own. Open
+// drains the right input into the build — the one sanctioned
+// materialization — and Next streams left batches against it, so the
+// probe side never sits in memory whole. The right child builds and the
+// left probes, so the planner, not this operator, decides which input
+// is held; output rows are left-columns ++ right-columns.
+type HashJoin struct {
+	ProbeJoin
+	hb    HashBuild
+	right [1]Operator
+}
+
+// NewHashJoin joins left and right on left.leftCol = right.rightCol,
+// building the hash index over the right child.
+func NewHashJoin(left, right Operator, leftCol, rightCol int) *HashJoin {
+	j := &HashJoin{right: [1]Operator{right}}
+	j.hb = HashBuild{builders: j.right[:], col: rightCol}
+	j.ProbeJoin = ProbeJoin{probe: left, build: &j.hb, probeCol: int32(leftCol)}
+	return j
+}
+
+// Open implements Operator: builds, then opens the probe.
+func (j *HashJoin) Open(ctx context.Context) error {
+	if err := j.hb.Open(ctx); err != nil {
+		return err
+	}
+	return j.ProbeJoin.Open(ctx)
+}
+
+// Close implements Operator: closes the probe, then the build.
+func (j *HashJoin) Close() error { return cmp.Or(j.ProbeJoin.Close(), j.hb.Close()) }
+
+// Stats implements Operator: the probe's counters, with the build's
+// rows and time and the rows it holds.
+func (j *HashJoin) Stats() OpStats {
+	st, b := j.ProbeJoin.Stats(), j.hb.Stats()
+	st.RowsIn += b.RowsIn
+	st.HeldRows = b.HeldRows
+	st.Ns += b.Ns
+	return st
+}
+
+// Children implements Operator: the probe input, then the build input.
+func (j *HashJoin) Children() []Operator { return []Operator{j.probe, j.right[0]} }
 
 func (j *HashJoin) String() string {
-	l, r := j.left.OutSchema(), j.right.OutSchema()
-	return "hashjoin[" + l.Cols[j.leftCol] + "=" + r.Cols[j.rightCol] + "]"
+	return "hashjoin[" + j.probe.OutSchema().Cols[j.probeCol] + "=" + j.hb.OutSchema().Cols[j.hb.col] + "]"
 }

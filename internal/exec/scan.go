@@ -4,61 +4,56 @@ import (
 	"context"
 	"time"
 
-	"xst/internal/store"
 	"xst/internal/table"
 )
 
-// Scan streams a stored table page batch by page batch through a
-// table.BatchCursor — the pull form of the set-processing access path.
-// The consumer paces the scan: one page is pinned, decoded, and
-// unpinned per Next, and the stored context is polled per batch so a
-// deadline aborts between pages. The cursor decodes every page into
-// the same batch, so a batch is scratch until the next Next like any
-// other operator's, and positions outside need are ColAbsent. A 4 KiB
-// page holds fewer than MaxBatchRows records, so a page is one batch.
-type Scan struct {
-	tab   *table.Table
+// MorselScan is one scan worker: it claims heap pages (morsels) from a
+// table.MorselSource and emits each page's rows as one batch (a 4 KiB
+// page holds fewer than MaxBatchRows records), polling the context per
+// page. N MorselScans over one source partition the table dynamically;
+// one alone reads it in chain order. Each decodes into its own
+// table.PageBatch, so its batches are scratch until its next Next;
+// positions outside need are ColAbsent (see NewScan).
+type MorselScan struct {
+	src   *table.MorselSource
 	need  []bool
-	cur   *table.BatchCursor
-	ctx   context.Context
+	batch table.PageBatch
+	ctx   context.Context // nil while closed
 	stats OpStats
-	open  bool
 }
 
-// NewScan returns a scan operator over t that decodes the column
-// positions need marks (nil: all) and leaves the others ColAbsent — the
-// planner passes the positions the operators above it read.
-func NewScan(t *table.Table, need []bool) *Scan { return &Scan{tab: t, need: need} }
+// NewMorselScan returns a scan worker pulling from src, decoding the
+// positions need marks (nil: all).
+func NewMorselScan(src *table.MorselSource, need []bool) *MorselScan {
+	return &MorselScan{src: src, need: need}
+}
 
-// Open implements Operator. When the context carries a snapshot view
-// (store.WithView), the cursor is pinned to that view's commit epoch,
-// so the stream returns exactly the rows committed when the view was
-// taken even while writers commit new epochs mid-scan.
-func (s *Scan) Open(ctx context.Context) error {
+// Open implements Operator: it binds the worker to the source's run, so
+// the workers of one run scan one snapshot, the context's view
+// (store.WithView). The operator that owns the workers closes them
+// together, so no run is rewound before every worker is done with it.
+func (s *MorselScan) Open(ctx context.Context) error {
 	s.stats = OpStats{}
 	defer s.stats.timed(time.Now())
-	s.ctx = ctx
-	tab := s.tab
-	if v := store.ViewFrom(ctx); v != nil {
-		tab = tab.At(v)
+	if s.ctx == nil {
+		s.src.Bind(ctx)
 	}
-	s.cur = tab.NewBatchCursor(s.need)
-	s.open = true
+	s.ctx = ctx
 	return ctx.Err()
 }
 
-// Next implements Operator, emitting one page of rows.
-func (s *Scan) Next() (*table.Batch, error) {
+// Next implements Operator: one claimed page per batch.
+func (s *MorselScan) Next() (*table.Batch, error) {
 	defer s.stats.timed(time.Now())
-	if !s.open {
+	if s.ctx == nil {
 		return nil, errOpen(s)
 	}
 	for {
 		if err := s.ctx.Err(); err != nil {
 			return nil, err
 		}
-		_, b, ok, err := s.cur.Next()
-		if err != nil || !ok {
+		b, err := s.src.Next(&s.batch, s.need)
+		if err != nil || b == nil {
 			return nil, err
 		}
 		s.stats.RowsIn += b.Len
@@ -69,20 +64,42 @@ func (s *Scan) Next() (*table.Batch, error) {
 	}
 }
 
-// Close implements Operator.
-func (s *Scan) Close() error {
-	s.open = false
-	s.cur = nil
+// Close implements Operator: releases the worker's part in the run.
+func (s *MorselScan) Close() error {
+	if s.ctx != nil {
+		s.ctx = nil
+		s.src.Release()
+	}
 	return nil
 }
 
 // OutSchema implements Operator.
-func (s *Scan) OutSchema() table.Schema { return s.tab.Schema() }
+func (s *MorselScan) OutSchema() table.Schema { return s.src.Table().Schema() }
 
 // Stats implements Operator.
-func (s *Scan) Stats() OpStats { return s.stats }
+func (s *MorselScan) Stats() OpStats { return s.stats }
 
 // Children implements Operator.
-func (s *Scan) Children() []Operator { return nil }
+func (s *MorselScan) Children() []Operator { return nil }
 
-func (s *Scan) String() string { return "scan(" + s.tab.Schema().Name + ")" }
+func (s *MorselScan) String() string { return "morselscan(" + s.src.Table().Schema().Name + ")" }
+
+// Scan streams a stored table page batch by page batch — the pull form
+// of the set-processing access path. It is the one-worker MorselScan,
+// over a source of its own.
+type Scan struct {
+	MorselScan
+	own table.MorselSource
+}
+
+// NewScan returns a scan operator over t that decodes the column
+// positions need marks (nil: all) and leaves the others ColAbsent — the
+// planner passes the positions the operators above it read.
+func NewScan(t *table.Table, need []bool) *Scan {
+	s := &Scan{MorselScan: MorselScan{need: need}}
+	s.own.Init(t)
+	s.src = &s.own
+	return s
+}
+
+func (s *Scan) String() string { return "scan(" + s.src.Table().Schema().Name + ")" }

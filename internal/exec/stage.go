@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"fmt"
+	"strings"
 	"time"
 
 	"xst/internal/core"
@@ -145,9 +146,26 @@ func (d *Distinct) OutSchema(in table.Schema) table.Schema { return in }
 
 func (d *Distinct) String() string { return "distinct" }
 
-// Stage lifts one batch-at-a-time Op (Restrict, Project, Distinct)
-// into the operator tree: each Next pulls child batches until the op
-// yields a non-empty output batch. The op's scratch-reuse contract
+// Rename relabels the columns positionally and passes every batch on
+// as it is. The federation coordinator puts one above a merge
+// aggregation whose columns carry partial-form names (e.g. sum(count))
+// to restore the names the user's query produces; Cols must match the
+// input's arity (plan lowering checks).
+type Rename struct{ Cols []string }
+
+// Process implements Op.
+func (r *Rename) Process(b *table.Batch) *table.Batch { return b }
+
+// OutSchema implements Op.
+func (r *Rename) OutSchema(in table.Schema) table.Schema {
+	return table.Schema{Name: in.Name, Cols: r.Cols}
+}
+
+func (r *Rename) String() string { return "rename[" + strings.Join(r.Cols, ",") + "]" }
+
+// Stage lifts one batch-at-a-time Op (Restrict, Project, Distinct,
+// Rename) into the operator tree: each Next pulls child batches until
+// the op yields a non-empty output batch. The op's scratch-reuse contract
 // carries over — output batches are invalidated by the next Next.
 //
 // Stateful ops (Distinct's seen-set) make a Stage single-use: build

@@ -83,8 +83,8 @@ func TestCompileGroupByErrorClosesChild(t *testing.T) {
 	mustFailClosed(t, &GroupBy{Child: src2, Key: "a", Aggs: []AggSpec{{Kind: exec.AggSum, Col: "missing"}}}, op2)
 }
 
-// TestCompileDOPSortColumnErrorClosesChild drives the same unwind
-// through the parallel compiler's serial-fallback path.
+// TestCompileDOPSortColumnErrorClosesChild drives the same unwind at
+// four workers, where the Source leaf below the sort runs on one.
 func TestCompileDOPSortColumnErrorClosesChild(t *testing.T) {
 	op, src := countedLeaf("t", "a")
 	if cop, err := CompileDOP(&Sort{Child: src, Col: "missing"}, 4); err == nil {

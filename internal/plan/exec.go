@@ -12,13 +12,13 @@ import (
 )
 
 // Execution lowers logical plans onto the streaming operator tree
-// (internal/exec): every node compiles to a batch iterator, so the only
-// full materializations anywhere in a run are the hash-join build side,
-// the sort buffer, and the aggregate's accumulator table —
-// ExecStats.PeakIntermediateRows verifies nothing else ever holds more
-// than one batch. The pre-streaming executor survives only as the
-// test oracle in materialize_test.go, for differential tests and the
-// streaming-vs-materialized benchmark.
+// (internal/exec) through one lowering at any degree of parallelism,
+// one worker being the serial tree. Every node compiles to a batch
+// iterator, so the only full materializations anywhere in a run are the
+// hash-join build side, the sort buffer, and the aggregate's
+// accumulator tables — ExecStats.PeakIntermediateRows verifies nothing
+// else ever holds more than one batch. The pre-streaming executor
+// survives only as the test oracle in materialize_test.go.
 
 // ExecStats reports physical work done by one execution.
 type ExecStats struct {
@@ -26,8 +26,9 @@ type ExecStats struct {
 	RowsScanned int
 	// RowsJoined counts rows emitted by join operators.
 	RowsJoined int
-	// Pipelines counts streaming scan sources (one per base table; the
-	// materialized executor counts compiled single-table pipelines).
+	// Pipelines counts one-worker leaves (Scan, IndexScan) and
+	// fan-outs (Gather, ParallelGroupAgg); the materialized executor
+	// counts compiled single-table pipelines.
 	Pipelines int
 	// Operators counts physical operators in the tree.
 	Operators int
@@ -44,18 +45,33 @@ type ExecStats struct {
 	SortRows int
 	// GroupRows counts aggregate accumulators (one per distinct key).
 	GroupRows int
-	// Workers counts parallel workers across the plan's exchanges; 0
-	// for a fully serial tree.
+	// Workers counts the workers of the plan's fan-outs; 0 for a tree
+	// that runs on one.
 	Workers int
 }
 
-// Compile lowers a logical plan to a streaming operator tree. Every
-// join builds its right input, the side ChooseJoinSides picked, so
-// lowering makes no cost decision of its own; join inputs with
-// colliding column names are rejected rather than silently
-// misresolved. The returned tree is single-use: compile a fresh one
-// per execution.
-func Compile(n Node) (exec.Operator, error) { return compile(n, nil) }
+// Compile lowers a logical plan to a streaming operator tree on one
+// worker: CompileDOP(n, 1).
+func Compile(n Node) (exec.Operator, error) { return CompileDOP(n, 1) }
+
+// CompileDOP lowers a logical plan to a streaming operator tree with up
+// to dop workers per pipeline; at any dop it answers the same rows, in
+// an order that may differ. Every join builds its right input, the side
+// ChooseJoinSides picked, so lowering makes no cost decision of its
+// own; join inputs with colliding column names are rejected rather than
+// silently misresolved. The returned tree is single-use: compile a
+// fresh one per execution.
+func CompileDOP(n Node, dop int) (exec.Operator, error) { return gathered(n, max(dop, 1), nil) }
+
+// gathered lowers n at width dop into one stream, gathering its
+// workers if there are several.
+func gathered(n Node, dop int, need []bool) (exec.Operator, error) {
+	p, err := lower(n, dop, need)
+	if err != nil || p.ws == nil {
+		return p.op, err
+	}
+	return exec.NewGather(p.ws, p.aux...), nil
+}
 
 // leafHook, set only by this package's tests, wraps every operator
 // lowering builds whose batches are scratch it refills in place — the
@@ -71,128 +87,238 @@ func leaf(op exec.Operator) exec.Operator {
 	return op
 }
 
-// compile lowers n for consumers that read the positions need of its
-// output (nil: all; see need.go).
-func compile(n Node, need []bool) (exec.Operator, error) {
+// pipe is a plan lowered at some width: the one operator chain op, or
+// one chain per worker, ws, with the shared operators the workers
+// depend on (hash builds), which whoever gathers them opens first.
+type pipe struct {
+	op      exec.Operator
+	ws, aux []exec.Operator
+}
+
+// schema is the output schema every chain shares.
+func (p *pipe) schema() table.Schema {
+	if p.ws == nil {
+		return p.op.OutSchema()
+	}
+	return p.ws[0].OutSchema()
+}
+
+// wrap stacks f's operator on every chain.
+func (p *pipe) wrap(f func(exec.Operator) exec.Operator) {
+	if p.ws == nil {
+		p.op = f(p.op)
+	}
+	for i, w := range p.ws {
+		p.ws[i] = f(w)
+	}
+}
+
+// close releases every operator, on a lowering error's unwind.
+func (p *pipe) close() {
+	if p.op != nil {
+		p.op.Close()
+	}
+	for _, op := range append(p.ws, p.aux...) {
+		op.Close()
+	}
+}
+
+// lower lowers n at width dop for consumers that read the positions
+// need marks of its output (nil: all; see need.go). A scan fans out to
+// dop morsel workers, one being the plain Scan, and restricts,
+// projections, renames and join probes stack on each worker. A join
+// whose probe runs on one worker builds on one. Index and Source leaves
+// run on one worker. A group-by takes its input's workers as partial
+// aggregates; sort, limit and distinct gather them. Below an operator
+// that stacks on each worker, a breaker runs on one (perWorker).
+func lower(n Node, dop int, need []bool) (pipe, error) {
+	var child Node
 	switch x := n.(type) {
 	case *Scan:
-		return leaf(exec.NewScan(x.Table, need)), nil
+		if dop == 1 {
+			return pipe{op: leaf(exec.NewScan(x.Table, need))}, nil
+		}
+		src := x.Table.NewMorselSource()
+		ws := make([]exec.Operator, dop)
+		for i := range ws {
+			ws[i] = leaf(exec.NewMorselScan(src, need))
+		}
+		return pipe{ws: ws}, nil
 	case *IndexAccess:
-		if x.Idx.Kind == HashIdx {
-			if x.Idx.Hash == nil {
-				return nil, fmt.Errorf("plan: hash index on %s.%s has no structure", x.Idx.Table.Schema().Name, x.Idx.Col)
-			}
-			return exec.NewHashIndexScan(x.Idx.Table, x.Idx.Hash, x.Eq, accessDesc{x}, need), nil
-		}
-		if x.Idx.BTree == nil {
-			return nil, fmt.Errorf("plan: btree index on %s.%s has no structure", x.Idx.Table.Schema().Name, x.Idx.Col)
-		}
-		return exec.NewBTreeIndexScan(x.Idx.Table, x.Idx.BTree, x.Lo, x.Hi, x.LoIncl, x.HiIncl, accessDesc{x}, need), nil
+		op, err := indexScan(x, need)
+		return pipe{op: op}, err
+	case *Source:
+		op, err := x.New()
+		return pipe{op: op}, err
+	case *Join:
+		return lowerJoin(x, dop, need)
+	case *Distinct:
+		return lowerBreaker(x, x.Child, dop, need)
+	case *Sort:
+		return lowerBreaker(x, x.Child, dop, need)
+	case *Limit:
+		return lowerBreaker(x, x.Child, dop, need)
 	case *Select:
-		child, err := compile(x.Child, needBelow(x, need))
-		if err != nil {
-			return nil, err
-		}
-		return exec.NewStage(&exec.Restrict{
-			Filter: CompilePred(x.Pred, child.OutSchema()),
-			Name:   x.Pred.String(),
-		}, child), nil
+		child = x.Child
 	case *Project:
-		child, err := compile(x.Child, needBelow(x, need))
-		if err != nil {
-			return nil, err
-		}
-		sch := child.OutSchema()
+		child = x.Child
+	case *Rename:
+		child = x.Child
+	case *GroupBy:
+		child = x.Child
+	default:
+		return pipe{}, fmt.Errorf("plan: cannot compile %T", n)
+	}
+	p, err := lower(child, perWorker(child, dop), needBelow(n, need))
+	if err == nil {
+		err = stack(n, &p)
+	}
+	if err != nil {
+		p.close()
+		return pipe{}, err
+	}
+	return p, nil
+}
+
+// perWorker is the width child lowers at below an operator that stacks
+// on each worker: a pipeline breaker there runs on one.
+func perWorker(child Node, dop int) int {
+	switch child.(type) {
+	case *GroupBy, *Distinct, *Sort, *Limit:
+		return 1
+	}
+	return dop
+}
+
+// stack lowers a single-input node n onto its lowered input p.
+func stack(n Node, p *pipe) error {
+	sch := p.schema()
+	switch x := n.(type) {
+	case *Select:
+		// One Restrict per worker, each owning its output scratch; the
+		// filter is read-only and shared.
+		filter, name := CompilePred(x.Pred, sch), x.Pred.String()
+		p.wrap(func(w exec.Operator) exec.Operator {
+			return exec.NewStage(&exec.Restrict{Filter: filter, Name: name}, w)
+		})
+	case *Project:
 		idx := make([]int, len(x.Cols))
 		for i, c := range x.Cols {
+			var err error
 			if idx[i], err = colIndex(sch, c, "project column"); err != nil {
-				return nil, err
+				return err
 			}
 		}
-		return exec.NewStage(&exec.Project{Cols: idx}, child), nil
-	case *Join:
-		lneed, rneed := needOfJoin(x, need)
-		left, err := compile(x.Left, lneed)
-		if err != nil {
-			return nil, err
-		}
-		right, err := compile(x.Right, rneed)
-		if err != nil {
-			return nil, err
-		}
-		li, err := colIndex(left.OutSchema(), x.LeftCol, "join column")
-		if err != nil {
-			left.Close()
-			right.Close()
-			return nil, err
-		}
-		ri, err := colIndex(right.OutSchema(), x.RightCol, "join column")
-		if err != nil {
-			left.Close()
-			right.Close()
-			return nil, err
-		}
-		return leaf(exec.NewHashJoin(left, right, li, ri)), nil
-	case *Distinct:
-		child, err := compile(x.Child, needBelow(x, need))
-		if err != nil {
-			return nil, err
-		}
-		return exec.NewStage(&exec.Distinct{}, child), nil
-	case *Sort:
-		child, err := compile(x.Child, needBelow(x, need))
-		if err != nil {
-			return nil, err
-		}
-		idx, err := colIndex(child.OutSchema(), x.Col, "sort column")
-		if err != nil {
-			child.Close()
-			return nil, err
-		}
-		return exec.NewSort(child, idx, x.Desc), nil
-	case *Limit:
-		child, err := compile(x.Child, needBelow(x, need))
-		if err != nil {
-			return nil, err
-		}
-		return exec.NewLimit(child, x.N), nil
-	case *Source:
-		return x.New()
+		p.wrap(func(w exec.Operator) exec.Operator { return exec.NewStage(&exec.Project{Cols: idx}, w) })
 	case *Rename:
-		child, err := compile(x.Child, needBelow(x, need))
-		if err != nil {
-			return nil, err
+		if got, want := sch.Arity(), len(x.Cols); got != want {
+			return fmt.Errorf("plan: rename arity %d over child arity %d", want, got)
 		}
-		if got, want := child.OutSchema().Arity(), len(x.Cols); got != want {
-			child.Close()
-			return nil, fmt.Errorf("plan: rename arity %d over child arity %d", want, got)
-		}
-		return exec.NewRename(child, x.Cols), nil
+		p.wrap(func(w exec.Operator) exec.Operator { return exec.NewStage(&exec.Rename{Cols: x.Cols}, w) })
 	case *GroupBy:
-		child, err := compile(x.Child, needBelow(x, need))
+		key, aggs, err := groupCols(x, sch)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		sch := child.OutSchema()
-		key, err := colIndex(sch, x.Key, "group key")
+		if p.ws == nil {
+			p.op = exec.NewGroupAgg(p.op, key, x.Groups, aggs...)
+		} else {
+			*p = pipe{op: exec.NewParallelGroupAgg(p.ws, p.aux, key, x.Groups, x.Rows, aggs...)}
+		}
+	}
+	return nil
+}
+
+// lowerBreaker lowers a sort, limit or distinct over its input, child,
+// gathered into one stream.
+func lowerBreaker(n, child Node, dop int, need []bool) (pipe, error) {
+	in, err := gathered(child, dop, needBelow(n, need))
+	if err != nil {
+		return pipe{}, err
+	}
+	switch x := n.(type) {
+	case *Distinct:
+		return pipe{op: exec.NewStage(&exec.Distinct{}, in)}, nil
+	case *Sort:
+		idx, err := colIndex(in.OutSchema(), x.Col, "sort column")
 		if err != nil {
-			child.Close()
-			return nil, err
+			in.Close()
+			return pipe{}, err
 		}
-		aggs := make([]exec.Agg, len(x.Aggs))
-		for i, a := range x.Aggs {
-			aggs[i] = exec.Agg{Kind: a.Kind}
-			if a.Kind != exec.AggCount {
-				if aggs[i].Col, err = colIndex(sch, a.Col, "aggregate column"); err != nil {
-					child.Close()
-					return nil, err
-				}
+		return pipe{op: exec.NewSort(in, idx, x.Desc)}, nil
+	default:
+		return pipe{op: exec.NewLimit(in, n.(*Limit).N)}, nil
+	}
+}
+
+// lowerJoin lowers a join at width dop: the left input probes, the right
+// builds.
+func lowerJoin(x *Join, dop int, need []bool) (pipe, error) {
+	pneed, bneed := needOfJoin(x, need)
+	probe, err := lower(x.Left, perWorker(x.Left, dop), pneed)
+	if err != nil {
+		return pipe{}, err
+	}
+	if probe.ws == nil {
+		dop = 1
+	}
+	build, err := lower(x.Right, perWorker(x.Right, dop), bneed)
+	var pcol, bcol int
+	if err == nil {
+		pcol, err = colIndex(probe.schema(), x.LeftCol, "join column")
+	}
+	if err == nil {
+		bcol, err = colIndex(build.schema(), x.RightCol, "join column")
+	}
+	if err != nil {
+		probe.close()
+		build.close()
+		return pipe{}, err
+	}
+	if probe.ws == nil {
+		return pipe{op: leaf(exec.NewHashJoin(probe.op, build.op, pcol, bcol))}, nil
+	}
+	builders := build.ws
+	if builders == nil {
+		builders = []exec.Operator{build.op}
+	}
+	hb := exec.NewHashBuild(builders, bcol)
+	probe.wrap(func(w exec.Operator) exec.Operator { return leaf(exec.NewProbeJoin(w, hb, pcol)) })
+	probe.aux = append(append(build.aux, hb), probe.aux...)
+	return probe, nil
+}
+
+// indexScan lowers an index access path.
+func indexScan(x *IndexAccess, need []bool) (exec.Operator, error) {
+	if x.Idx.Kind == HashIdx {
+		if x.Idx.Hash == nil {
+			return nil, fmt.Errorf("plan: hash index on %s.%s has no structure", x.Idx.Table.Schema().Name, x.Idx.Col)
+		}
+		return exec.NewHashIndexScan(x.Idx.Table, x.Idx.Hash, x.Eq, accessDesc{x}, need), nil
+	}
+	if x.Idx.BTree == nil {
+		return nil, fmt.Errorf("plan: btree index on %s.%s has no structure", x.Idx.Table.Schema().Name, x.Idx.Col)
+	}
+	return exec.NewBTreeIndexScan(x.Idx.Table, x.Idx.BTree, x.Lo, x.Hi, x.LoIncl, x.HiIncl, accessDesc{x}, need), nil
+}
+
+// groupCols resolves a group-by's key and aggregate columns in its
+// input's schema.
+func groupCols(x *GroupBy, sch table.Schema) (int, []exec.Agg, error) {
+	key, err := colIndex(sch, x.Key, "group key")
+	if err != nil {
+		return 0, nil, err
+	}
+	aggs := make([]exec.Agg, len(x.Aggs))
+	for i, a := range x.Aggs {
+		aggs[i] = exec.Agg{Kind: a.Kind}
+		if a.Kind != exec.AggCount {
+			if aggs[i].Col, err = colIndex(sch, a.Col, "aggregate column"); err != nil {
+				return 0, nil, err
 			}
 		}
-		return exec.NewGroupAgg(child, key, x.Groups, aggs...), nil
-	default:
-		return nil, fmt.Errorf("plan: cannot compile %T", n)
 	}
+	return key, aggs, nil
 }
 
 // accessDesc labels an index scan with its access path's Desc, formatted
@@ -268,30 +394,21 @@ func TreeStats(op exec.Operator) ExecStats {
 			st.PeakIntermediateRows = s.MaxBatch
 		}
 		switch x := o.(type) {
-		case *exec.Scan:
-			st.Pipelines++
-			st.RowsScanned += s.RowsIn
-		case *exec.IndexScan:
+		case *exec.Scan, *exec.IndexScan:
 			st.Pipelines++
 			st.RowsScanned += s.RowsIn
 		case *exec.MorselScan:
 			st.RowsScanned += s.RowsIn
 		case *exec.Gather:
-			// One parallel pipeline per exchange; its HeldRows is the
-			// peak rows in flight across the worker fan-in, the parallel
-			// analogue of the largest batch.
+			// Its HeldRows is the peak rows in flight across the fan-in.
 			st.Pipelines++
 			st.Workers += x.Workers()
 			if s.HeldRows > st.PeakIntermediateRows {
 				st.PeakIntermediateRows = s.HeldRows
 			}
-		case *exec.HashJoin:
-			st.RowsJoined += s.RowsOut
-			st.BuildRows += s.HeldRows
-		case *exec.HashBuild:
-			st.BuildRows += s.HeldRows
-		case *exec.ProbeJoin:
-			st.RowsJoined += s.RowsOut
+		case *exec.HashJoin, *exec.HashBuild, *exec.ProbeJoin:
+			st.RowsJoined += s.RowsOut // a build emits nothing
+			st.BuildRows += s.HeldRows // a probe holds nothing
 		case *exec.Sort:
 			st.SortRows += s.HeldRows
 		case *exec.GroupAgg:

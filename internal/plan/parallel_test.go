@@ -48,10 +48,9 @@ func TestChooseDOP(t *testing.T) {
 	}
 }
 
-// TestCompileDOPMatchesSerial is the parallel refactor's safety net,
-// and E13's check at quick scale: every corpus plan must produce the
-// same row multiset from the parallel tree at 2, 4 and 8 workers, the
-// serial tree, and the materialized baseline.
+// TestCompileDOPMatchesSerial is E13's check at quick scale: every
+// corpus plan must produce the same row multiset from the tree at 2, 4
+// and 8 workers, the one-worker tree, and the materialized baseline.
 func TestCompileDOPMatchesSerial(t *testing.T) {
 	for i, p := range streamPlans(t) {
 		serial, err := Compile(p)
@@ -127,7 +126,7 @@ func breakerPlans(t *testing.T) []Node {
 }
 
 // TestCompileDOPFallsBackSerial: a plan whose spine cannot fan out
-// (aggregate over a limit) compiles to the plain serial tree — no
+// (aggregate over a limit) lowers to one worker at any dop — no
 // exchange operators appear.
 func TestCompileDOPFallsBackSerial(t *testing.T) {
 	_, o := testTables(t, 50, 400)

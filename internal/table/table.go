@@ -307,51 +307,75 @@ func (t *Table) Fetch(rids []store.RID, b *Batch, need []bool) error {
 }
 
 // MorselSource deals a table's heap pages out as morsels: a shared,
-// goroutine-safe dispenser that parallel scan workers pull from, so
-// page-level work self-balances across workers (a fast worker simply
-// claims more morsels). The page list is the heap's own; Bind pins the
-// table to the query's snapshot view, so all workers read one
-// epoch-consistent image of every page.
+// goroutine-safe dispenser that scan workers pull from, so page-level
+// work self-balances across workers (a fast worker simply claims more
+// morsels). A source serves one run at a time. The first worker to Bind
+// starts a run: it pins the table to the run's snapshot view and
+// rewinds to the first page of the bound table's page list; the other
+// workers join that run, and a run ends when every worker that bound
+// has released. So one tree can run again, under the same view or
+// another.
 type MorselSource struct {
-	table *Table
-	pages []store.PageID
-	next  atomic.Int64
-	bind  sync.Once
+	base  *Table
+	table *Table // base under the current run's view
+	mu    sync.Mutex
+	bound int32        // workers in the current run
+	next  atomic.Int32 // the run's next unclaimed page
 }
 
 // NewMorselSource returns a dispenser over the table's heap chain. It
 // fetches no page: the plan is lowered before the query holds a view.
 func (t *Table) NewMorselSource() *MorselSource {
-	return &MorselSource{table: t, pages: t.heap.Pages()}
+	m := new(MorselSource)
+	m.Init(t)
+	return m
 }
 
-// Table returns the table the morsels belong to.
-func (m *MorselSource) Table() *Table { return m.table }
+// Init makes m a dispenser over t's heap chain, for a source held by
+// value; it must not be in use.
+func (m *MorselSource) Init(t *Table) { m.base, m.table = t, t }
 
-// Bind resolves the source against the context's snapshot view, once:
-// the first worker to open pins the table clone every worker then reads
-// through. The sync.Once is the barrier that publishes the rebound
-// field to the other workers. The table and the view come from one
-// snapshot (catalog.BeginRead), so the page list needs no second look.
+// Table returns the table the morsels belong to, as lowered.
+func (m *MorselSource) Table() *Table { return m.base }
+
+// Bind joins one worker to the current run, starting a run when none is
+// bound: the run reads the source's table under the context's snapshot
+// view. The table and the view come from one snapshot
+// (catalog.BeginRead), so the bound table's own page list is the view's
+// chain. The lock publishes the run to every worker.
 func (m *MorselSource) Bind(ctx context.Context) {
-	m.bind.Do(func() {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.bound == 0 {
+		m.table = m.base
 		if v := store.ViewFrom(ctx); v != nil {
-			m.table = m.table.At(v)
+			m.table = m.base.At(v)
 		}
-	})
+		m.next.Store(0)
+	}
+	m.bound++
+}
+
+// Release takes one bound worker out of the current run.
+func (m *MorselSource) Release() {
+	m.mu.Lock()
+	m.bound--
+	m.mu.Unlock()
 }
 
 // Pages returns the total number of morsels.
-func (m *MorselSource) Pages() int { return len(m.pages) }
+func (m *MorselSource) Pages() int { return len(m.table.heap.Pages()) }
 
-// Next claims the next unclaimed page; ok is false once the chain is
-// exhausted. Safe for concurrent use.
-func (m *MorselSource) Next() (store.PageID, bool) {
-	i := m.next.Add(1) - 1
-	if i >= int64(len(m.pages)) {
-		return 0, false
+// Next claims the next unclaimed page of the run and decodes it into b
+// (see ReadPage); it returns nil once the chain is exhausted. Safe for
+// concurrent use by the bound workers.
+func (m *MorselSource) Next(b *PageBatch, need []bool) (*Batch, error) {
+	pages := m.table.heap.Pages()
+	i := int(m.next.Add(1) - 1)
+	if i >= len(pages) {
+		return nil, nil
 	}
-	return m.pages[i], true
+	return m.table.ReadPage(pages[i], b, need)
 }
 
 // Cursor pulls one decoded row per Next — the record-at-a-time access

@@ -62,13 +62,16 @@ func pointQuery(t testing.TB) (*Query, func() int) {
 // one result row leaves as a batch, unboxed. An untraced statement must not pay for the per-operator
 // estimates only a trace span shows (that cost three allocations).
 func TestIndexedPointQueryAllocs(t *testing.T) {
-	const budget = 16
+	budget := 12.0
+	if raceEnabled {
+		budget++ // a batch's column headers take one more (Batch.setWidth)
+	}
 	_, run := pointQuery(t)
 	if n := run(); n != 1 {
 		t.Fatalf("point query returned %d rows, want 1", n)
 	}
 	if got := testing.AllocsPerRun(100, func() { run() }); got > budget {
-		t.Fatalf("warm indexed point query: %.0f allocations per run, budget %d", got, budget)
+		t.Fatalf("warm indexed point query: %.0f allocations per run, budget %.0f", got, budget)
 	}
 }
 
