@@ -76,7 +76,7 @@ func main() {
 
 	start = time.Now()
 	setJoin, err := exec.Count(context.Background(), exec.NewHashJoin(
-		exec.NewScan(ds.Orders, nil), exec.NewScan(ds.Users, nil), uidCol, 0))
+		exec.NewScan(ds.Orders, nil), exec.NewScan(ds.Users, nil), uidCol, 0, 0))
 	if err != nil {
 		panic(err)
 	}

@@ -151,7 +151,7 @@ func swappedJoin(left, right exec.Operator, leftCol, rightCol int) exec.Operator
 	for i := 0; i < nr; i++ {
 		cols = append(cols, i)
 	}
-	return exec.NewStage(&exec.Project{Cols: cols}, exec.NewHashJoin(right, left, rightCol, leftCol))
+	return exec.NewStage(&exec.Project{Cols: cols}, exec.NewHashJoin(right, left, rightCol, leftCol, 0))
 }
 
 // TestHashJoinMatchesRelativeProduct ties the streaming join to Def
@@ -180,7 +180,7 @@ func TestHashJoinMatchesRelativeProduct(t *testing.T) {
 	sym := spec.Apply(lx, rx)
 
 	for _, buildLeft := range []bool{false, true} {
-		var j exec.Operator = exec.NewHashJoin(exec.NewScan(l, nil), exec.NewScan(r, nil), 0, 0)
+		var j exec.Operator = exec.NewHashJoin(exec.NewScan(l, nil), exec.NewScan(r, nil), 0, 0, 0)
 		if buildLeft {
 			j = swappedJoin(exec.NewScan(l, nil), exec.NewScan(r, nil), 0, 0)
 		}
@@ -206,7 +206,7 @@ func TestHashJoinStreamsProbe(t *testing.T) {
 	pool := newPool()
 	users := makeUsers(t, pool, 50)
 	orders := makeOrders(t, pool, 5000, 50)
-	j := exec.NewHashJoin(exec.NewScan(orders, nil), exec.NewScan(users, nil), 0, 0)
+	j := exec.NewHashJoin(exec.NewScan(orders, nil), exec.NewScan(users, nil), 0, 0, 0)
 	err := exec.Stream(context.Background(), j, func(rows []table.Row) error {
 		if len(rows) > exec.MaxBatchRows {
 			t.Fatalf("join emitted %d rows in one batch (max %d)", len(rows), exec.MaxBatchRows)
@@ -233,7 +233,7 @@ func TestHashJoinBuildSidesAgree(t *testing.T) {
 	users := makeUsers(t, pool, 40)
 	orders := makeOrders(t, pool, 200, 40)
 	a, err := exec.Collect(context.Background(),
-		exec.NewHashJoin(exec.NewScan(orders, nil), exec.NewScan(users, nil), 0, 0))
+		exec.NewHashJoin(exec.NewScan(orders, nil), exec.NewScan(users, nil), 0, 0, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +326,7 @@ func TestJoinCancelDuringBuild(t *testing.T) {
 	users := makeUsers(t, pool, 4000)
 	orders := makeOrders(t, pool, 10, 4000)
 	xtest.AssertCancelAborts(t, 3, func(ctx context.Context) error {
-		j := exec.NewHashJoin(exec.NewScan(orders, nil), exec.NewScan(users, nil), 0, 0)
+		j := exec.NewHashJoin(exec.NewScan(orders, nil), exec.NewScan(users, nil), 0, 0, 0)
 		_, err := exec.Count(ctx, j)
 		return err
 	})
@@ -337,7 +337,7 @@ func TestJoinCancelDuringProbe(t *testing.T) {
 	users := makeUsers(t, pool, 8)
 	orders := makeOrders(t, pool, 8000, 8)
 	xtest.AssertCancelAborts(t, 12, func(ctx context.Context) error {
-		j := exec.NewHashJoin(exec.NewScan(orders, nil), exec.NewScan(users, nil), 0, 0)
+		j := exec.NewHashJoin(exec.NewScan(orders, nil), exec.NewScan(users, nil), 0, 0, 0)
 		_, err := exec.Count(ctx, j)
 		return err
 	})

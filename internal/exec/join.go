@@ -105,6 +105,7 @@ func (t *keyedRows) row(id int32) int32 {
 type HashBuild struct {
 	builders []Operator
 	col      int
+	est      int // the planner's build rows, reserved for at the first batch; 0: none
 
 	rows  table.Batch // every build row, in the order the builders delivered them
 	parts []keyedRows // nil until built
@@ -115,12 +116,24 @@ type HashBuild struct {
 
 // NewHashBuild builds a partitioned index over the builders' rows keyed
 // on column col. All builders must share one output schema (the
-// planner's per-worker copies of the build side).
-func NewHashBuild(builders []Operator, col int) *HashBuild {
+// planner's per-worker copies of the build side). rows is the planner's
+// estimate of the build rows, or 0.
+func NewHashBuild(builders []Operator, col, rows int) *HashBuild {
 	if len(builders) == 0 {
 		panic("exec: HashBuild needs at least one builder")
 	}
-	return &HashBuild{builders: builders, col: col}
+	return &HashBuild{builders: builders, col: col, est: rows}
+}
+
+// reserve sizes the copy for the estimate at the first batch, and each
+// partition's ids for its even share, an eighth and 16 more.
+func (b *HashBuild) reserve(batch *table.Batch, ids [][]int32) {
+	if b.rows.Len == 0 && b.est > 0 {
+		b.rows.Reserve(batch, b.est)
+		for p := range ids {
+			ids[p] = make([]int32, 0, b.est/len(ids)*9/8+16)
+		}
+	}
 }
 
 // Open implements Operator: one builder's rows are filed in one keyed
@@ -147,6 +160,7 @@ func (b *HashBuild) Open(ctx context.Context) error {
 // take implements sink for the one builder: it copies each batch into
 // the build rows.
 func (b *HashBuild) take(_ int, batch *table.Batch) error {
+	b.reserve(batch, nil)
 	b.rows.AppendSel(batch, nil)
 	return nil
 }
@@ -170,6 +184,7 @@ func (b *HashBuild) buildParts(ctx context.Context) error {
 		scratch[i] = parts
 		mu.Lock()
 		defer mu.Unlock()
+		b.reserve(batch, ids)
 		base := int32(b.rows.Len)
 		b.rows.AppendSel(batch, nil)
 		for r, p := range parts {
@@ -342,10 +357,10 @@ type HashJoin struct {
 }
 
 // NewHashJoin joins left and right on left.leftCol = right.rightCol,
-// building the hash index over the right child.
-func NewHashJoin(left, right Operator, leftCol, rightCol int) *HashJoin {
+// building the hash index over the right child, of about rows rows.
+func NewHashJoin(left, right Operator, leftCol, rightCol, rows int) *HashJoin {
 	j := &HashJoin{right: [1]Operator{right}}
-	j.hb = HashBuild{builders: j.right[:], col: rightCol}
+	j.hb = HashBuild{builders: j.right[:], col: rightCol, est: rows}
 	j.ProbeJoin = ProbeJoin{probe: left, build: &j.hb, probeCol: int32(leftCol)}
 	return j
 }

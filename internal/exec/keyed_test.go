@@ -3,6 +3,7 @@ package exec_test
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"xst/internal/core"
@@ -105,10 +106,10 @@ func TestKeyedTablesUnderCollisions(t *testing.T) {
 				}
 				t.Run(what, func(t *testing.T) { sameRows(t, got, want) })
 			}
-			check("hashjoin", exec.NewHashJoin(&rowsOp{rows: probe}, &rowsOp{rows: build}, 0, 0),
+			check("hashjoin", exec.NewHashJoin(&rowsOp{rows: probe}, &rowsOp{rows: build}, 0, 0, 0),
 				refHashJoin(probe, build, 0, 0, 1))
 			for _, n := range []int{2, 3} {
-				hb := exec.NewHashBuild(split(build, n), 0)
+				hb := exec.NewHashBuild(split(build, n), 0, 0)
 				pw := split(probe, n)
 				for i := range pw {
 					pw[i] = exec.NewProbeJoin(pw[i], hb, 0)
@@ -126,14 +127,14 @@ func TestKeyedTablesUnderCollisions(t *testing.T) {
 				probe, build := typedRows(60, 0, kind.key), typedRows(20, 100, kind.key)
 				ptab, btab := storedRows(t, probe), storedRows(t, build)
 				wantJoin := refHashJoin(probe, build, 0, 0, 1)
-				check(kind.name+"/hashjoin unboxed probe", exec.NewHashJoin(exec.NewScan(ptab, nil), &rowsOp{rows: build}, 0, 0), wantJoin)
-				check(kind.name+"/hashjoin unboxed build", exec.NewHashJoin(&rowsOp{rows: probe}, exec.NewScan(btab, nil), 0, 0), wantJoin)
+				check(kind.name+"/hashjoin unboxed probe", exec.NewHashJoin(exec.NewScan(ptab, nil), &rowsOp{rows: build}, 0, 0, 0), wantJoin)
+				check(kind.name+"/hashjoin unboxed build", exec.NewHashJoin(&rowsOp{rows: probe}, exec.NewScan(btab, nil), 0, 0, 0), wantJoin)
 				for _, unboxedBuild := range []bool{false, true} {
 					builders, probes := split(build, 2), morselScans(ptab, 2)
 					if unboxedBuild {
 						builders, probes = morselScans(btab, 2), split(probe, 2)
 					}
-					hb := exec.NewHashBuild(builders, 0)
+					hb := exec.NewHashBuild(builders, 0, 0)
 					for i := range probes {
 						probes[i] = exec.NewProbeJoin(probes[i], hb, 0)
 					}
@@ -193,6 +194,121 @@ func morselScans(tbl *table.Table, n int) []exec.Operator {
 	return ws
 }
 
+// TestHashBuildReserve joins under every kind of build-row estimate —
+// none, exact, under and over — at one and two builders, over build keys
+// a scan holds as ints and as strings, boxed (ColAny) keys, and ints
+// that turn boxed midway, with the digest whole and narrowed to
+// collide: the estimate sizes arrays only, so every case answers
+// refHashJoin's rows.
+func TestHashBuildReserve(t *testing.T) {
+	const n = 2000 // build rows: several pages, so a build outgrows an under-estimate batch by batch
+	type side struct {
+		probe, build []table.Row
+		builders     func(k int) []exec.Operator
+	}
+	sides := map[string]side{}
+	for _, kind := range typedKeyKinds {
+		build := typedRows(n, 100, kind.key)
+		tab := storedRows(t, build)
+		sides[kind.name] = side{typedRows(30, 0, kind.key), build, func(k int) []exec.Operator {
+			if k == 1 {
+				return []exec.Operator{exec.NewScan(tab, nil)}
+			}
+			return morselScans(tab, k)
+		}}
+	}
+	anyBuild := keyRows(n, 100)
+	sides["any"] = side{keyRows(30, 0), anyBuild, func(k int) []exec.Operator { return split(anyBuild, k) }}
+	// mixed: int keys a scan holds unboxed, then the same keys boxed, so
+	// the copy reserved at an int batch is demoted to ColAny past it.
+	intBuild := typedRows(n, 100, typedKeyKinds[0].key)
+	intTab := storedRows(t, intBuild)
+	sides["mixed"] = side{typedRows(30, 0, typedKeyKinds[0].key), append(intBuild, intBuild...), func(k int) []exec.Operator {
+		both := []exec.Operator{exec.NewScan(intTab, nil), &rowsOp{rows: intBuild}}
+		if k == 1 {
+			return []exec.Operator{exec.NewGather(both)}
+		}
+		return both
+	}}
+	for name, mask := range map[string]uint64{"whole digest": ^uint64(0), "no bits": 0} {
+		t.Run(name, func(t *testing.T) {
+			defer exec.SetDigestMask(mask)()
+			for kind, s := range sides {
+				m := len(s.build)
+				for _, est := range []int{0, m, m / 7, 3 * m} {
+					for _, k := range []int{1, 2} {
+						var op exec.Operator
+						if builders := s.builders(k); k == 1 {
+							op = exec.NewHashJoin(&rowsOp{rows: s.probe}, builders[0], 0, 0, est)
+						} else {
+							hb := exec.NewHashBuild(builders, 0, est)
+							probes := split(s.probe, k)
+							for i := range probes {
+								probes[i] = exec.NewProbeJoin(probes[i], hb, 0)
+							}
+							op = exec.NewGather(probes, hb)
+						}
+						got, err := exec.Collect(context.Background(), op)
+						if err != nil {
+							t.Fatalf("%s est=%d x%d: %v", kind, est, k, err)
+						}
+						t.Run(fmt.Sprintf("%s/est=%d/x%d", kind, est, k), func(t *testing.T) {
+							sameRows(t, got, refHashJoin(s.probe, s.build, 0, 0, k))
+						})
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestHashBuildReservedOnce holds a one-builder build with an exact
+// estimate to the operator, its list of builders and one allocation per
+// array — the batch's column headers, the id and score ints, the city
+// offsets and bytes (the first batch's mean string, rounded up, is at
+// least any row's mean here), and the keyed table's heads, links and
+// digests — and its bytes to the arrays reserved for n rows. Without
+// the estimate each column array doubles its way up from the first
+// page instead.
+func TestHashBuildReservedOnce(t *testing.T) {
+	users, _ := joinTables(t)
+	n := users.Count()
+	run := func(mk func() exec.Operator) (allocs float64, bytes uint64) {
+		f := func() {
+			if _, err := exec.Count(context.Background(), mk()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		f()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		allocs = testing.AllocsPerRun(5, f)
+		runtime.ReadMemStats(&after)
+		return allocs, (after.TotalAlloc - before.TotalAlloc) / 6 // AllocsPerRun runs f once more to warm up
+	}
+	scanAllocs, scanBytes := run(func() exec.Operator { return exec.NewScan(users, nil) })
+	build := func(est int) (float64, uint64) {
+		a, b := run(func() exec.Operator { return exec.NewHashBuild([]exec.Operator{exec.NewScan(users, nil)}, 0, est) })
+		return a - scanAllocs, b - scanBytes
+	}
+	sizedAllocs, sizedBytes := build(n)
+	unsizedAllocs, unsizedBytes := build(0)
+	t.Logf("beyond the scan, %d rows: sized %.0f allocations, %d bytes; unsized %.0f, %d", n, sizedAllocs, sizedBytes, unsizedAllocs, unsizedBytes)
+	budget := 2 + 1 + 4 + 3 // operator and builders, column headers, four column arrays, three keyed-table arrays
+	if raceEnabled {
+		budget++
+	}
+	if sizedAllocs > float64(budget) {
+		t.Errorf("an exactly sized build allocates %.0f beyond its scan, want at most %d, one per array", sizedAllocs, budget)
+	}
+	// Columns: two ints (8 B), an offset (4 B) and the city's bytes (at
+	// most 8 B) a row; the keyed table: a link (4 B) and a digest (8 B) a
+	// row, and heads of 4 B, at most four a row.
+	if budget := uint64(n*(8+8+4+8) + n*(4+8+16) + 1<<10); sizedBytes > budget {
+		t.Errorf("an exactly sized build allocates %d bytes beyond its scan, budget %d", sizedBytes, budget)
+	}
+}
+
 // joinTables is the 4 000-user build and 40 000-order probe of the
 // allocation budget and BenchmarkHashJoinBuild, in a pool that holds
 // both, so a scan's allocations do not depend on eviction.
@@ -217,7 +333,7 @@ func TestKeyedBuildAllocs(t *testing.T) {
 	scanUsers := allocs(func() exec.Operator { return exec.NewScan(users, nil) })
 	scanOrders := allocs(func() exec.Operator { return exec.NewScan(orders, nil) })
 	join := allocs(func() exec.Operator {
-		return exec.NewHashJoin(exec.NewScan(orders, nil), exec.NewScan(users, nil), 0, 0)
+		return exec.NewHashJoin(exec.NewScan(orders, nil), exec.NewScan(users, nil), 0, 0, 0)
 	})
 	distinct := allocs(func() exec.Operator {
 		return exec.NewStages(exec.NewScan(users, nil), &exec.Project{Cols: []int{1}}, &exec.Distinct{})
@@ -244,7 +360,7 @@ func BenchmarkHashJoinBuild(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		n := 0
 		err := exec.Stream(context.Background(),
-			exec.NewHashJoin(exec.NewScan(orders, nil), exec.NewScan(users, nil), 0, 0),
+			exec.NewHashJoin(exec.NewScan(orders, nil), exec.NewScan(users, nil), 0, 0, 0),
 			func(rows []table.Row) error { n += len(rows); return nil })
 		if err != nil {
 			b.Fatal(err)

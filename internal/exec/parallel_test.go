@@ -53,7 +53,8 @@ func TestParallelScanMatchesScan(t *testing.T) {
 }
 
 // TestTreeRunsTwice: a tree drained twice answers the same rows both
-// times — its scans rewind, and its builds and aggregates start afresh.
+// times — its scans rewind, and its builds, aggregates and distinct
+// stages start afresh.
 func TestTreeRunsTwice(t *testing.T) {
 	pool := newPool()
 	users := makeUsers(t, pool, 3000)
@@ -66,9 +67,10 @@ func TestTreeRunsTwice(t *testing.T) {
 	}{
 		{"scan", exec.NewScan(users, nil), 3000},
 		{"gather x2", exec.NewGather(morselScans(users, 2)), 3000},
-		{"hashjoin", exec.NewHashJoin(exec.NewScan(orders, nil), exec.NewScan(users, nil), 0, 0), 3000},
+		{"hashjoin", exec.NewHashJoin(exec.NewScan(orders, nil), exec.NewScan(users, nil), 0, 0, 0), 3000},
 		{"groupagg", exec.NewGroupAgg(exec.NewScan(users, nil), 1, 0, count...), 3},
 		{"parallelgroupagg x2", exec.NewParallelGroupAgg(morselScans(users, 2), nil, 1, 0, 0, count...), 3},
+		{"distinct", exec.NewStage(&exec.Distinct{}, exec.NewScan(users, nil)), 3000},
 	} {
 		for run := 1; run <= 2; run++ {
 			n, err := exec.Count(context.Background(), c.op)
@@ -193,7 +195,7 @@ func parallelJoin(t *testing.T, users, orders *table.Table, workers int) (*exec.
 	for i := range bw {
 		bw[i] = exec.NewMorselScan(usrc, nil)
 	}
-	hb := exec.NewHashBuild(bw, 0) // users.id
+	hb := exec.NewHashBuild(bw, 0, 0) // users.id
 	pw := make([]exec.Operator, workers)
 	for i := range pw {
 		pw[i] = exec.NewProbeJoin(exec.NewMorselScan(osrc, nil), hb, 0) // orders.uid
@@ -220,7 +222,7 @@ func TestParallelJoinMatchesHashJoin(t *testing.T) {
 			t.Fatalf("%s held %d rows, want the 60-row build side", op, h)
 		}
 	}
-	j := exec.NewHashJoin(exec.NewScan(orders, nil), exec.NewScan(users, nil), 0, 0)
+	j := exec.NewHashJoin(exec.NewScan(orders, nil), exec.NewScan(users, nil), 0, 0, 0)
 	check(j, func() int { return j.Stats().HeldRows })
 	for _, workers := range []int{1, 2, 4} {
 		g, hb := parallelJoin(t, users, orders, workers)
@@ -259,7 +261,7 @@ func TestProbeBeforeBuildOpenErrors(t *testing.T) {
 	pool := newPool()
 	users := makeUsers(t, pool, 30)
 	orders := makeOrders(t, pool, 30, 30)
-	hb := exec.NewHashBuild([]exec.Operator{exec.NewScan(users, nil)}, 0)
+	hb := exec.NewHashBuild([]exec.Operator{exec.NewScan(users, nil)}, 0, 0)
 	pj := exec.NewProbeJoin(exec.NewScan(orders, nil), hb, 0)
 	if err := pj.Open(context.Background()); err == nil {
 		pj.Close()

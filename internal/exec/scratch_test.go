@@ -135,7 +135,7 @@ func TestScratchTreesKeepTheirAnswers(t *testing.T) {
 	}
 	// probes joins orders (probe) to users (parallel build) on uid = id.
 	probes := func(leaf leafFunc, n int) (workers []exec.Operator, hb *exec.HashBuild) {
-		hb = exec.NewHashBuild(morsels(leaf, users, n, nil), 0)
+		hb = exec.NewHashBuild(morsels(leaf, users, n, nil), 0, 0)
 		workers = morsels(leaf, orders, n, nil)
 		for i, w := range workers {
 			workers[i] = leaf(exec.NewProbeJoin(w, hb, 0))
@@ -146,7 +146,7 @@ func TestScratchTreesKeepTheirAnswers(t *testing.T) {
 		if buildLeft {
 			return leaf(swappedJoin(leaf(exec.NewScan(orders, nil)), leaf(exec.NewScan(users, nil)), 0, 0))
 		}
-		return leaf(exec.NewHashJoin(leaf(exec.NewScan(orders, nil)), leaf(exec.NewScan(users, nil)), 0, 0))
+		return leaf(exec.NewHashJoin(leaf(exec.NewScan(orders, nil)), leaf(exec.NewScan(users, nil)), 0, 0, 0))
 	}
 	plain := func(op exec.Operator) exec.Operator { return op }
 

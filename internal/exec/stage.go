@@ -96,7 +96,7 @@ func (p *Project) String() string { return fmt.Sprintf("project%v", p.Cols) }
 
 // Distinct collapses duplicate rows (set semantics). The rows it has
 // seen are kept in one batch and filed under a fold of their values'
-// digests.
+// digests, from its Stage's Open on.
 type Distinct struct {
 	seen  core.Chains
 	kept  table.Batch // id's row is row id of kept
@@ -167,9 +167,6 @@ func (r *Rename) String() string { return "rename[" + strings.Join(r.Cols, ",") 
 // Rename) into the operator tree: each Next pulls child batches until
 // the op yields a non-empty output batch. The op's scratch-reuse contract
 // carries over — output batches are invalidated by the next Next.
-//
-// Stateful ops (Distinct's seen-set) make a Stage single-use: build
-// a fresh tree per execution rather than reopening one.
 type Stage struct {
 	op    Op
 	child Operator
@@ -196,6 +193,9 @@ func (s *Stage) Open(ctx context.Context) error {
 	s.stats = OpStats{}
 	defer s.stats.timed(time.Now())
 	s.open = true
+	if d, ok := s.op.(*Distinct); ok {
+		d.seen, d.kept.Len = core.Chains{}, 0 // each run starts with no rows seen
+	}
 	return s.child.Open(ctx)
 }
 

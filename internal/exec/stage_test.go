@@ -211,7 +211,7 @@ func TestJoinWithSidedOps(t *testing.T) {
 	j := exec.NewHashJoin(
 		stages(orders, &exec.Restrict{Filter: exec.RowPred(func(r table.Row) bool { return core.Compare(r[1], core.Int(45)) < 0 }), Name: "amount<45"}),
 		stages(users, &exec.Restrict{Filter: exec.RowPred(func(r table.Row) bool { return core.Equal(r[1], core.Str("boston")) }), Name: "city=boston"}),
-		0, 0)
+		0, 0, 0)
 	rows, err := exec.Collect(context.Background(), j)
 	if err != nil {
 		t.Fatal(err)

@@ -306,26 +306,54 @@ func tighterHi(v core.Value, incl bool, cur core.Value, curIncl bool) bool {
 }
 
 // OptimizeCatalog is the cost-based optimizer: rule rewrites, join
-// ordering, build-side selection, access-path selection and aggregate
-// sizing, every estimate from cat.Estimate. A nil catalog plans on the
-// constant model, chooses no index and sizes no aggregate.
+// ordering, build sides, access paths and the sizing of keyed tables,
+// every estimate from cat.Estimate. A nil catalog plans on the constant
+// model, chooses no index and sizes nothing.
 func OptimizeCatalog(n Node, cat *Catalog) Node {
 	n = Optimize(n)
 	n = orderJoins(n, cat)
 	n = ChooseJoinSides(n, cat)
 	n = Optimize(n)
-	return sizeGroups(chooseAccessPaths(n, cat), cat)
+	return sizeKeyed(chooseAccessPaths(n, cat), cat)
 }
 
-// sizeGroups records on every GroupBy its estimate where that is the
-// measured distinct count of its key (capped by the input's estimate),
-// so that, as with IndexAccess.Est, the System-R guess sizes nothing.
-func sizeGroups(n Node, cat *Catalog) Node {
-	n = withChildren(n, func(k Node) Node { return sizeGroups(k, cat) })
+// sizeKeyed sizes the keyed tables: a GroupBy records its estimate where
+// that is the measured distinct count of its key (capped by the input's
+// estimate), a Join its build side's where statistics give it, so that,
+// as with IndexAccess.Est, the System-R guess sizes nothing.
+func sizeKeyed(n Node, cat *Catalog) Node {
+	n = withChildren(n, func(k Node) Node { return sizeKeyed(k, cat) })
 	if g, ok := n.(*GroupBy); ok && cat.distinct(g.Child, g.Key) > 0 {
 		sized := *g
 		sized.Groups, sized.Rows = int(math.Ceil(cat.Estimate(g))), int(math.Ceil(cat.Estimate(g.Child)))
 		return &sized
 	}
+	if j, ok := n.(*Join); ok && cat.measured(j.Right) {
+		sized := *j
+		sized.BuildRows = int(math.Ceil(cat.Estimate(j.Right)))
+		return &sized
+	}
 	return n
+}
+
+// measured reports whether Estimate(n) is read off statistics alone: an
+// analyzed table reached through projections, renames and selections
+// on analyzed columns — not a join, nor a DefaultSelectivity guess.
+func (c *Catalog) measured(n Node) bool {
+	switch x := n.(type) {
+	case *Scan:
+		return c != nil && c.Stats[x.Table.Schema().Name] != nil
+	case *Select:
+		for _, col := range x.Pred.Cols() {
+			if _, ok := c.columnStats(x.Child, col); !ok {
+				return false
+			}
+		}
+		return c.measured(x.Child)
+	case *Project:
+		return c.measured(x.Child)
+	case *Rename:
+		return c.measured(x.Child)
+	}
+	return false
 }

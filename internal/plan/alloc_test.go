@@ -90,10 +90,11 @@ func TestAnalyticShapesAllocs(t *testing.T) {
 		for _, dop := range []int{1, 2} {
 			out := runShape(t, n, dop)
 			got := testing.AllocsPerRun(3, func() { runShape(t, n, dop) })
-			// Per page: the growth of the arrays a build side or an
-			// aggregate's columns are copied into (a page pin allocates
-			// nothing). Fixed:
-			// the operators, workers, contexts and trace spans of one
+			// Per page, as these plans carry no statistics: the doubling
+			// of the arrays a build side or an aggregate's columns are
+			// copied into, which planned with statistics are reserved
+			// once (below); a page pin allocates nothing. Fixed: the
+			// operators, workers, contexts and trace spans of one
 			// statement, and the exchange's recycled batches.
 			budget := 4*pages + 300
 			t.Logf("%s dop=%d: %.0f allocations, %d pages, %d result rows, budget %d", name, dop, got, pages, out, budget)
@@ -122,6 +123,29 @@ func TestAnalyticShapesAllocs(t *testing.T) {
 		t.Logf("group_uid sized dop=%d: %d bytes, %d groups, budget %d", dop, got, groups, budget)
 		if got > uint64(budget) {
 			t.Errorf("group_uid sized dop=%d: %d bytes, budget %d (%d groups)", dop, got, budget, groups)
+		}
+	}
+
+	// Bytes of the two joins planned with statistics: the build's copy
+	// and, at two workers, its partition lists are reserved once for the
+	// planner's estimate of the build rows — the 1 200 users, and the
+	// orders under amount < 100, a tenth of them, which the histogram
+	// puts at 750, so that build still doubles once past it. A build row
+	// then costs its copy, keyed-table entry and partition id, 40 to 50
+	// bytes, and each worker's scans, probe and exchange batches cost
+	// the rest: within 64 bytes a build row a worker and 36 KiB. Copying
+	// the build from its first page up instead costs a fifth to a half
+	// more.
+	for name, held := range map[string]int{"join_group_city": u.Count(), "join_filter": o.Count() / 10} {
+		sized := OptimizeCatalog(analyticShapes(o, u)[name], &Catalog{Stats: sc})
+		for _, dop := range []int{1, 2} {
+			out := runShape(t, sized, dop)
+			got := bytesPerRun(5, func() { runShape(t, sized, dop) })
+			budget := 64*held*dop + 36<<10
+			t.Logf("%s sized dop=%d: %d bytes, %d build rows, %d result rows, budget %d", name, dop, got, held, out, budget)
+			if got > uint64(budget) {
+				t.Errorf("%s sized dop=%d: %d bytes, budget %d (%d build rows)", name, dop, got, budget, held)
+			}
 		}
 	}
 }

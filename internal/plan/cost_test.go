@@ -2,6 +2,7 @@ package plan
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
 
@@ -361,5 +362,98 @@ func TestGroupSizedThroughJoins(t *testing.T) {
 		if g := OptimizeCatalog(q, nil).(*GroupBy); g.Groups != 0 {
 			t.Fatalf("%v: sized for %d groups without statistics", j, g.Groups)
 		}
+	}
+}
+
+// TestJoinBuildSized: OptimizeCatalog records on each join its build
+// side's estimate where statistics give it — an analyzed table, under a
+// priced filter too — and nothing where a join sits below the build
+// side, a filter is left to DefaultSelectivity, the build table is not
+// analyzed, or there is no catalog.
+func TestJoinBuildSized(t *testing.T) {
+	pool := store.NewBufferPool(store.NewMemPager(), 1024)
+	mk := func(name string, cols []string, n int, row func(i int) table.Row) *table.Table {
+		tb, err := table.Create(pool, table.Schema{Name: name, Cols: cols})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			if _, err := tb.Insert(row(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return tb
+	}
+	users := mk("users", []string{"id", "city"}, 4000, func(i int) table.Row {
+		return table.Row{core.Int(i), core.Str("city-" + string(rune('a'+i%8)))}
+	})
+	orders := mk("orders", []string{"oid", "uid"}, 40_000, func(i int) table.Row { return table.Row{core.Int(i), core.Int(i % 4000)} })
+	cities := mk("cities", []string{"name", "region"}, 8, func(i int) table.Row {
+		return table.Row{core.Str("city-" + string(rune('a'+i))), core.Int(i % 2)}
+	})
+	sc, err := stats.CollectAll(users, orders, cities)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat := &Catalog{Stats: sc}
+	join := func(build Node) Node {
+		return &Join{Left: &Scan{Table: orders}, Right: build, LeftCol: "uid", RightCol: "id"}
+	}
+	// builds returns the joins of n, outermost first.
+	var builds func(n Node) []*Join
+	builds = func(n Node) (js []*Join) {
+		if j, ok := n.(*Join); ok {
+			js = append(js, j)
+		}
+		for _, k := range children(n) {
+			js = append(js, builds(k)...)
+		}
+		return js
+	}
+	one := func(n Node, c *Catalog) *Join {
+		t.Helper()
+		js := builds(OptimizeCatalog(n, c))
+		if len(js) != 1 {
+			t.Fatalf("%v: %d joins, want 1", n, len(js))
+		}
+		return js[0]
+	}
+	if j := one(join(&Scan{Table: users}), cat); j.BuildRows != 4000 {
+		t.Errorf("users build sized for %d rows, want 4000", j.BuildRows)
+	}
+	filtered := &Select{Child: &Scan{Table: users}, Pred: Cmp{Col: "city", Op: Eq, Val: core.Str("city-c")}}
+	if j := one(join(filtered), cat); j.BuildRows != int(math.Ceil(cat.Estimate(j.Right))) || j.BuildRows < 400 || j.BuildRows > 600 {
+		t.Errorf("filtered users build sized for %d rows, want the estimate %.1f, about 500", j.BuildRows, cat.Estimate(j.Right))
+	}
+	unpriced := &Select{Child: &Scan{Table: users}, Pred: Cmp{Col: "nosuch", Op: Eq, Val: core.Int(1)}}
+	onlyOrders := &Catalog{Stats: stats.Catalog{"orders": sc["orders"]}}
+	for what, c := range map[string]struct {
+		n   Node
+		cat *Catalog
+	}{
+		"no catalog":         {join(&Scan{Table: users}), nil},
+		"unanalyzed build":   {join(&Scan{Table: users}), onlyOrders},
+		"DefaultSelectivity": {join(unpriced), cat},
+	} {
+		if j := one(c.n, c.cat); j.BuildRows != 0 {
+			t.Errorf("%s: build sized for %d rows, want 0", what, j.BuildRows)
+		}
+	}
+	// orders ⋈ (users ⋈ cities): the outer join builds the smaller
+	// users ⋈ cities, a join, so only the inner build is sized.
+	three := join(&Join{Left: &Scan{Table: users}, Right: &Scan{Table: cities}, LeftCol: "city", RightCol: "name"})
+	nested := 0
+	for _, j := range builds(OptimizeCatalog(three, cat)) {
+		if len(builds(j.Right)) > 0 {
+			nested++
+			if j.BuildRows != 0 {
+				t.Errorf("%v: a join below the build side, sized for %d rows", j, j.BuildRows)
+			}
+		} else if want := int(math.Ceil(cat.Estimate(j.Right))); j.BuildRows != want {
+			t.Errorf("%v: build sized for %d rows, want %d", j, j.BuildRows, want)
+		}
+	}
+	if nested != 1 {
+		t.Errorf("%d joins build a join, want the outer one", nested)
 	}
 }

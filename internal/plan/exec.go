@@ -276,13 +276,13 @@ func lowerJoin(x *Join, dop int, need []bool) (pipe, error) {
 		return pipe{}, err
 	}
 	if probe.ws == nil {
-		return pipe{op: leaf(exec.NewHashJoin(probe.op, build.op, pcol, bcol))}, nil
+		return pipe{op: leaf(exec.NewHashJoin(probe.op, build.op, pcol, bcol, x.BuildRows))}, nil
 	}
 	builders := build.ws
 	if builders == nil {
 		builders = []exec.Operator{build.op}
 	}
-	hb := exec.NewHashBuild(builders, bcol)
+	hb := exec.NewHashBuild(builders, bcol, x.BuildRows)
 	probe.wrap(func(w exec.Operator) exec.Operator { return leaf(exec.NewProbeJoin(w, hb, pcol)) })
 	probe.aux = append(append(build.aux, hb), probe.aux...)
 	return probe, nil

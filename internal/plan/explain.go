@@ -145,7 +145,7 @@ func withChildren(n Node, f func(Node) Node) Node {
 	case *Join:
 		l, r := f(x.Left), f(x.Right)
 		if l != x.Left || r != x.Right {
-			return &Join{Left: l, Right: r, LeftCol: x.LeftCol, RightCol: x.RightCol}
+			return &Join{Left: l, Right: r, LeftCol: x.LeftCol, RightCol: x.RightCol, BuildRows: x.BuildRows}
 		}
 	case *Distinct:
 		if c := f(x.Child); c != x.Child {

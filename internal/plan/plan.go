@@ -78,6 +78,7 @@ func (p *Project) String() string {
 type Join struct {
 	Left, Right       Node
 	LeftCol, RightCol string
+	BuildRows         int // Right's rows as statistics estimate them, which the build reserves; 0 without
 }
 
 // Schema implements Node.

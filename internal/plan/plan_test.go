@@ -1,6 +1,8 @@
 package plan
 
 import (
+	"fmt"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -357,5 +359,79 @@ func TestExplain(t *testing.T) {
 	// Every node on its own line: 5 lines.
 	if got := strings.Count(out, "\n"); got != 5 {
 		t.Fatalf("Explain has %d lines, want 5:\n%s", got, out)
+	}
+}
+
+// TestWithChildrenKeepsFields rebuilds every node type withChildren
+// rebuilds over a new child, each field set to a value no zero value
+// equals: every field that is not a child must survive the rewrite, or
+// a pass after sizeKeyed drops an estimate such as GroupBy.Groups or
+// Join.BuildRows.
+func TestWithChildrenKeepsFields(t *testing.T) {
+	old, repl := &Scan{}, &Scan{}
+	for _, n := range []Node{&Select{}, &Project{}, &Join{}, &Distinct{}, &Sort{}, &Limit{}, &GroupBy{}, &Rename{}} {
+		v := reflect.ValueOf(n).Elem()
+		for i := 0; i < v.NumField(); i++ {
+			fillField(t, v.Field(i), old, i+1)
+		}
+		if len(children(n)) == 0 {
+			t.Fatalf("%T: no children", n)
+		}
+		got := withChildren(n, func(Node) Node { return repl })
+		if got == n {
+			t.Fatalf("%T: not rebuilt over a new child", n)
+		}
+		g := reflect.ValueOf(got).Elem()
+		for i := 0; i < v.NumField(); i++ {
+			name, want, have := v.Type().Field(i).Name, v.Field(i).Interface(), g.Field(i).Interface()
+			if v.Field(i).Type() == nodeType {
+				want = Node(repl)
+			}
+			if !reflect.DeepEqual(have, want) {
+				t.Errorf("%T.%s = %v after the rewrite, want %v", n, name, have, want)
+			}
+		}
+	}
+}
+
+var (
+	nodeType = reflect.TypeFor[Node]()
+	predType = reflect.TypeFor[Pred]()
+)
+
+// fillField sets f to a value its zero value is not, derived from seed:
+// a Node field to child, a predicate to a comparison, anything else by
+// its kind.
+func fillField(t *testing.T, f reflect.Value, child Node, seed int) {
+	t.Helper()
+	switch {
+	case f.Type() == nodeType:
+		f.Set(reflect.ValueOf(child))
+		return
+	case f.Type() == predType:
+		f.Set(reflect.ValueOf(Cmp{Col: "c", Op: Le, Val: core.Int(int64(seed))}))
+		return
+	}
+	switch f.Kind() {
+	case reflect.String:
+		f.SetString(fmt.Sprint("f", seed))
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		f.SetInt(int64(seed))
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		f.SetUint(uint64(seed))
+	case reflect.Bool:
+		f.SetBool(true)
+	case reflect.Float32, reflect.Float64:
+		f.SetFloat(float64(seed) + 0.5)
+	case reflect.Slice:
+		s := reflect.MakeSlice(f.Type(), 1, 1)
+		fillField(t, s.Index(0), child, seed)
+		f.Set(s)
+	case reflect.Struct:
+		for i := 0; i < f.NumField(); i++ {
+			fillField(t, f.Field(i), child, seed+i)
+		}
+	default:
+		t.Fatalf("no value to fill a %s field with", f.Type())
 	}
 }

@@ -71,7 +71,7 @@ func (q setVsRecord) recordJoin() (int, error) {
 
 func (q setVsRecord) setJoin() (int, error) {
 	return exec.Count(context.Background(), exec.NewHashJoin(
-		exec.NewScan(q.ds.Orders, nil), exec.NewScan(q.ds.Users, nil), q.uidCol, 0))
+		exec.NewScan(q.ds.Orders, nil), exec.NewScan(q.ds.Users, nil), q.uidCol, 0, 0))
 }
 
 // TestSetAndRecordAgree is E8 at quick scale: both disciplines count the

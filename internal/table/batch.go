@@ -447,6 +447,20 @@ func (c *Col) Reserve(k ColKind, n int) {
 	c.start(k)
 }
 
+// Reserve gives an empty b src's width and column kinds with room for n
+// rows, a string column's bytes at src's mean rounded up, so appending
+// n rows like src's moves no array.
+func (b *Batch) Reserve(src *Batch, n int) {
+	b.setWidth(len(src.Cols))
+	for c, s := range src.Cols {
+		d := &b.Cols[c]
+		d.Reserve(s.Kind, n)
+		if s.Kind == ColStr && src.Len > 0 {
+			d.Bytes = Grow(d.Bytes, (int(s.Offs[src.Len]-s.Offs[0])+src.Len-1)/src.Len*n)
+		}
+	}
+}
+
 // Grow returns s with capacity for at least n elements, at least
 // doubling it when it must move (append grows a large slice by 1.25×),
 // so an array appended to batch by batch moves O(log rows) times.
