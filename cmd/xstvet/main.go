@@ -1,7 +1,7 @@
 // Command xstvet is the repository's invariant checker: a multichecker
-// driver for the internal/lint analyzers (setmutate, ctxloop, valueeq,
-// lockheld, atomicmix, spanclose, goleak, opclose, connclose,
-// sendguard) that enforce the algebra's value semantics and the
+// driver for the eleven internal/lint analyzers (setmutate, ctxloop,
+// valueeq, lockheld, atomicmix, spanclose, goleak, opclose, connclose,
+// sendguard, txnend) that enforce the algebra's value semantics and the
 // server's cancellation, lock and lifecycle discipline. Analysis is
 // interprocedural: function summaries are built across every analyzed
 // package before the analyzers run, so a callee that blocks or takes
@@ -12,7 +12,7 @@
 //	go run ./cmd/xstvet ./...          # report violations, exit 1 if any
 //	go run ./cmd/xstvet -fix ./...     # additionally apply safe rewrites
 //	go run ./cmd/xstvet -json ./...    # findings as a JSON array on stdout
-//	go run ./cmd/xstvet -list ./...    # analyzers with per-analyzer wall time
+//	go run ./cmd/xstvet -list ./...    # also list per-analyzer wall time and counts
 //
 // Intentional violations are waived in source with
 // //lint:ignore <analyzer> <reason> on the same or the preceding line;
@@ -24,6 +24,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 
@@ -40,26 +41,37 @@ type jsonFinding struct {
 	Fixable  bool   `json:"fixable"`
 }
 
-func main() {
-	fix := flag.Bool("fix", false, "apply suggested fixes to the source files")
-	list := flag.Bool("list", false, "run the analyzers, then list them with wall time and finding counts")
-	jsonOut := flag.Bool("json", false, "emit findings as a JSON array on stdout")
-	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: xstvet [-fix] [-json] [-list] [packages]\n")
-		flag.PrintDefaults()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is xstvet over the packages args names, relative to the working
+// directory: it returns 0 when nothing is found, 1 on findings and 2 when
+// the packages cannot be loaded or a fix cannot be written.
+func run(args []string, stdout, stderr io.Writer) int {
+	flags := flag.NewFlagSet("xstvet", flag.ContinueOnError)
+	flags.SetOutput(stderr)
+	fix := flags.Bool("fix", false, "apply suggested fixes to the source files")
+	list := flags.Bool("list", false, "list the analyzers with wall time and finding counts, then report as usual")
+	jsonOut := flags.Bool("json", false, "emit findings as a JSON array on stdout")
+	flags.Usage = func() {
+		fmt.Fprintf(stderr, "usage: xstvet [-fix] [-json] [-list] [packages]\n")
+		flags.PrintDefaults()
 	}
-	flag.Parse()
+	if err := flags.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
 
 	analyzers := lint.All()
-	patterns := flag.Args()
+	patterns := flags.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
 
 	loader, err := lint.NewLoader(".", patterns...)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 
 	// Load every package up front and feed the summary store, so each
@@ -69,8 +81,8 @@ func main() {
 	for _, path := range loader.ModulePackages("xst") {
 		pkg, err := loader.LoadSource(path)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			fmt.Fprintln(stderr, err)
+			return 2
 		}
 		pkgs = append(pkgs, pkg)
 		runner.AddPackage(pkg)
@@ -81,8 +93,8 @@ func main() {
 	for _, pkg := range pkgs {
 		fs, err := runner.Run(pkg)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			fmt.Fprintln(stderr, err)
+			return 2
 		}
 		findings = append(findings, fs...)
 	}
@@ -94,19 +106,18 @@ func main() {
 			counts[f.Analyzer]++
 		}
 		for _, a := range analyzers {
-			fmt.Printf("%-10s %8.1fms %4d finding(s)  %s\n",
+			fmt.Fprintf(stdout, "%-10s %8.1fms %4d finding(s)  %s\n",
 				a.Name, float64(timings[a.Name].Microseconds())/1000, counts[a.Name], a.Doc)
 		}
-		return
 	}
 
 	if *fix {
 		remaining, applied, err := applyFixes(findings)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			fmt.Fprintln(stderr, err)
+			return 2
 		}
-		fmt.Fprintf(os.Stderr, "xstvet: applied %d fixes\n", applied)
+		fmt.Fprintf(stderr, "xstvet: applied %d fixes\n", applied)
 		findings = remaining
 	}
 
@@ -122,21 +133,22 @@ func main() {
 				Fixable:  len(f.Edits) > 0,
 			})
 		}
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(out); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			fmt.Fprintln(stderr, err)
+			return 2
 		}
 	} else {
 		for _, f := range findings {
-			fmt.Println(f)
+			fmt.Fprintln(stdout, f)
 		}
 	}
 	if len(findings) > 0 {
-		fmt.Fprintf(os.Stderr, "xstvet: %d violations\n", len(findings))
-		os.Exit(1)
+		fmt.Fprintf(stderr, "xstvet: %d violations\n", len(findings))
+		return 1
 	}
+	return 0
 }
 
 // applyFixes rewrites source files with each finding's resolved edits

@@ -2,11 +2,12 @@ package lint
 
 import (
 	"go/ast"
+	"slices"
 )
 
 // A lightweight intraprocedural control-flow graph at statement
-// granularity — just enough path sensitivity for the lifecycle
-// analyzers (opclose, connclose) without importing SSA. Blocks hold
+// granularity — just enough path sensitivity for the lifecycle engine
+// and the ownership summaries without importing SSA. Blocks hold
 // straight-line statements; control statements (if/for/range/switch/
 // select) sit at the end of the block that evaluates their condition,
 // with their bodies in successor blocks. Branches (break/continue/
@@ -272,68 +273,6 @@ func (b *cfgBuilder) branch(cur *cfgBlock, st *ast.BranchStmt) {
 	cur.addSucc(b.cfg.exit)
 }
 
-// everyPathSatisfies reports whether every path from the statement after
-// `from` to a function exit (return or fall-off) passes a statement for
-// which pred is true. Cycles that never exit are vacuously fine — the
-// query is about what holds when the function returns.
-func (c *funcCFG) everyPathSatisfies(from ast.Stmt, pred func(ast.Stmt) bool) bool {
-	start, ok := c.blockOf[from]
-	if !ok {
-		return false
-	}
-	// A deferred statement satisfying pred (after from) covers every
-	// exit path at once.
-	for _, d := range c.defers {
-		if d.Pos() > from.Pos() && pred(d) {
-			return true
-		}
-	}
-	// Walk from the statement following `from` in its block.
-	idx := -1
-	for i, s := range start.stmts {
-		if s == from {
-			idx = i
-			break
-		}
-	}
-	type state struct {
-		blk  *cfgBlock
-		from int
-	}
-	seen := map[*cfgBlock]bool{}
-	var stack []state
-	stack = append(stack, state{start, idx + 1})
-	for len(stack) > 0 {
-		st := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		sat := false
-		for i := st.from; i < len(st.blk.stmts); i++ {
-			if pred(st.blk.stmts[i]) {
-				sat = true
-				break
-			}
-		}
-		if sat {
-			continue
-		}
-		if st.blk.ret != nil || st.blk == c.exit {
-			return false // reached an exit without satisfying pred
-		}
-		if len(st.blk.succs) == 0 && st.blk != c.exit {
-			// Dead-end block (infinite loop body or unreachable tail):
-			// no exit through here.
-			continue
-		}
-		for _, s := range st.blk.succs {
-			if !seen[s] {
-				seen[s] = true
-				stack = append(stack, state{s, 0})
-			}
-		}
-	}
-	return true
-}
-
 // shallowNode returns the part of s that actually executes within s's
 // own basic block. Compound statements (if/for/range/switch/select) are
 // recorded in the block that evaluates their condition, but their
@@ -366,35 +305,34 @@ func shallowNode(s ast.Stmt) ast.Node {
 	}
 }
 
-// allExitPathsSatisfy reports whether every path from the function entry
-// to an exit (return or fall-off) passes a pred-satisfying statement.
-// Defer statements sit in-line in their blocks, so a satisfying defer
-// covers exactly the paths that execute it — which is the sound reading.
-func (c *funcCFG) allExitPathsSatisfy(pred func(ast.Stmt) bool) bool {
+// walk is the one path search under every query below: a depth-first
+// walk from statement i of blk in which a path ends at the first
+// statement stop accepts. Each function exit a path reaches unstopped —
+// its return statement, or nil for falling off the end — is handed to
+// exit, and the walk reports whether there was none; it gives up at once
+// when exit returns false. Each block is entered from the top at most
+// once, and a block with no successors that is not an exit (a loop with
+// no way out, unreachable code) ends its path quietly: the queries are
+// about what holds when the function returns.
+func (c *funcCFG) walk(blk *cfgBlock, i int, stop func(ast.Stmt) bool, exit func(*ast.ReturnStmt) bool) bool {
 	type state struct {
 		blk  *cfgBlock
 		from int
 	}
-	seen := map[*cfgBlock]bool{c.entry: true}
-	stack := []state{{c.entry, 0}}
+	none := true
+	seen := map[*cfgBlock]bool{}
+	stack := []state{{blk, i}}
 	for len(stack) > 0 {
 		st := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		sat := false
-		for i := st.from; i < len(st.blk.stmts); i++ {
-			if pred(st.blk.stmts[i]) {
-				sat = true
-				break
-			}
-		}
-		if sat {
+		if slices.ContainsFunc(st.blk.stmts[st.from:], stop) {
 			continue
 		}
 		if st.blk.ret != nil || st.blk == c.exit {
-			return false
-		}
-		if len(st.blk.succs) == 0 {
-			continue // dead-end: no exit through here
+			none = false
+			if !exit(st.blk.ret) {
+				return false
+			}
 		}
 		for _, s := range st.blk.succs {
 			if !seen[s] {
@@ -403,52 +341,68 @@ func (c *funcCFG) allExitPathsSatisfy(pred func(ast.Stmt) bool) bool {
 			}
 		}
 	}
-	return true
+	return none
 }
 
-// pathExistsTo reports whether any CFG path leads from a statement
-// satisfying src to the block holding dst (used to scope checks to
-// returns reachable after a resource is live).
-func (c *funcCFG) pathExistsTo(src func(ast.Stmt) bool, dst ast.Stmt) bool {
-	target, ok := c.blockOf[dst]
+// firstExit stops a walk at the first exit it reaches.
+func firstExit(*ast.ReturnStmt) bool { return false }
+
+// everyExit lets a walk go on past every exit.
+func everyExit(*ast.ReturnStmt) bool { return true }
+
+// everyPathSatisfies reports whether every path from the statement after
+// `from` to a function exit passes a statement for which pred is true,
+// handing each exit reached without one to exit (see walk). A deferred
+// statement satisfying pred covers every exit at once: a deferred call
+// when it comes after `from`, as it evaluates its operands when deferred;
+// a deferred closure wherever it sits, as it reads variables when it runs.
+func (c *funcCFG) everyPathSatisfies(from ast.Stmt, pred func(ast.Stmt) bool, exit func(*ast.ReturnStmt) bool) bool {
+	blk, ok := c.blockOf[from]
 	if !ok {
 		return false
 	}
-	var starts []*cfgBlock
-	for _, blk := range c.blocks {
-		for i, s := range blk.stmts {
-			if src(s) {
-				// dst later in the same block counts.
-				for j := i; j < len(blk.stmts); j++ {
-					if blk.stmts[j] == dst {
-						return true
-					}
-				}
-				starts = append(starts, blk)
-				break
-			}
-		}
-	}
-	seen := map[*cfgBlock]bool{}
-	var stack []*cfgBlock
-	for _, s := range starts {
-		for _, t := range s.succs {
-			if !seen[t] {
-				seen[t] = true
-				stack = append(stack, t)
-			}
-		}
-	}
-	for len(stack) > 0 {
-		blk := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if blk == target {
+	for _, d := range c.defers {
+		if _, closure := d.Call.Fun.(*ast.FuncLit); (closure || d.Pos() > from.Pos()) && pred(d) {
 			return true
 		}
-		for _, t := range blk.succs {
-			if !seen[t] {
-				seen[t] = true
-				stack = append(stack, t)
+	}
+	return c.walk(blk, slices.Index(blk.stmts, from)+1, pred, exit)
+}
+
+// allExitPathsSatisfy reports whether every path from the function entry
+// to an exit passes a pred-satisfying statement. Defer statements sit
+// in-line in their blocks, so a satisfying defer covers exactly the paths
+// that execute it — which is the sound reading.
+func (c *funcCFG) allExitPathsSatisfy(pred func(ast.Stmt) bool) bool {
+	return c.walk(c.entry, 0, pred, firstExit)
+}
+
+// reacquiredWithoutRelease reports whether some path re-executes the
+// acquisition acq without passing a release in between — the retry-loop
+// shape that abandons the previous resource.
+func (c *funcCFG) reacquiredWithoutRelease(acq ast.Stmt, rel func(ast.Stmt) bool) bool {
+	blk := c.blockOf[acq]
+	again := false
+	c.walk(blk, slices.Index(blk.stmts, acq)+1, func(s ast.Stmt) bool {
+		again = again || s == acq
+		return again || rel(s)
+	}, everyExit)
+	return again
+}
+
+// pathExistsTo reports whether any path leads from a statement
+// satisfying src to dst (used to scope checks to returns reachable after
+// a resource is live).
+func (c *funcCFG) pathExistsTo(src func(ast.Stmt) bool, dst ast.Stmt) bool {
+	for _, blk := range c.blocks {
+		if i := slices.IndexFunc(blk.stmts, src); i >= 0 {
+			found := false
+			c.walk(blk, i, func(s ast.Stmt) bool {
+				found = found || s == dst
+				return found
+			}, everyExit)
+			if found {
+				return true
 			}
 		}
 	}

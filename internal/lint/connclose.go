@@ -5,81 +5,14 @@ import (
 	"go/types"
 )
 
-// connclosePkgs: where connections are dialed, pooled and watched.
-var connclosePkgs = []string{
-	"xst/internal/fed",
-	"xst/internal/server",
-}
-
-// ConnCloseAnalyzer pairs every live connection with its teardown.
-// Connection-carrying values are net.Conn implementations and structs
-// wrapping one (the siteConn shape). Two complementary checks:
-//
-//  1. Locally-acquired connections follow the same all-paths release
-//     discipline as operators (close it, pool it via a callee whose
-//     summary stores its parameter, store/return it, or hand it to a
-//     capture like the watchdog) — including the retry-loop shape,
-//     where reassigning the variable on a backoff path without closing
-//     first abandons the previous conn.
-//
-//  2. Methods holding a connection in a receiver field must tear it
-//     down symmetrically: when at least one error return is preceded by
-//     a dropConn-style teardown (a TearsDownRecv callee, a direct field
-//     close, a nil-ing of the field, or pooling the field away), every
-//     other error return reachable after the conn was used must be too.
-//     The asymmetric path — one error return that keeps the conn and
-//     its watchdog live — is precisely the retry-path bug class this
-//     analyzer exists for.
-var ConnCloseAnalyzer = &Analyzer{
-	Name: "connclose",
-	Doc:  "flags net.Conn/site connections not released on every path, retry-loop conn abandonment, and asymmetric error-path teardown",
-	Run:  runConnClose,
-}
-
-func runConnClose(pass *Pass) error {
-	if !pathMatches(pass.Pkg.Path(), connclosePkgs...) {
-		return nil
-	}
-	for _, f := range pass.Files {
-		parents := parentMap(f)
-		for _, d := range f.Decls {
-			fn, ok := d.(*ast.FuncDecl)
-			if !ok || fn.Body == nil {
-				continue
-			}
-			if !isConnReceiverMethod(pass, fn) {
-				// Conn wrappers' own plumbing (send/recv/close) aside,
-				// audit local acquisitions...
-				pass.checkLifecycles(fn, parents, isConnValue, "connection",
-					"connection %s is not released on every return path; close it, pool it, or hand it to an owner")
-				// ...and paired teardown of receiver-held conns.
-				pass.checkPairedTeardown(fn)
-			}
-		}
-	}
-	return nil
-}
-
-// isConnReceiverMethod reports a method declared on a conn-carrying
-// type itself (e.g. siteConn.send): its body is the connection's own
-// plumbing, not a user of it.
-func isConnReceiverMethod(pass *Pass, fn *ast.FuncDecl) bool {
-	if fn.Recv == nil {
-		return false
-	}
-	obj := pass.Info.Defs[fn.Name]
-	if obj == nil {
-		return false
-	}
-	sig, ok := obj.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
-	}
-	return isConnValue(sig.Recv().Type())
-}
-
-// checkPairedTeardown enforces symmetric error-path teardown for
-// methods using a conn-ish receiver field.
+// checkPairedTeardown is connclose's row-specific check: methods holding
+// a connection in a receiver field must tear it down symmetrically. When
+// at least one error return is preceded by a dropConn-style teardown (a
+// TearsDownRecv callee, a direct field close, a nil-ing of the field, or
+// pooling the field away), every other error return reachable after the
+// conn was used must be too. The asymmetric path — one error return that
+// keeps the conn and its watchdog live — is precisely the retry-path bug
+// class connclose exists for.
 func (p *Pass) checkPairedTeardown(fn *ast.FuncDecl) {
 	if fn.Recv == nil || len(fn.Recv.List) == 0 || len(fn.Recv.List[0].Names) == 0 {
 		return

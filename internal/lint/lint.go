@@ -2,8 +2,8 @@
 // dependency-free re-implementation of the golang.org/x/tools/go/analysis
 // API shape (Analyzer, Pass, Diagnostic, suggested fixes), a lightweight
 // intraprocedural CFG (cfg.go) with a summary-based interprocedural
-// layer (summary.go), and the ten analyzers that enforce the algebra's
-// invariants:
+// layer (summary.go), and the eleven analyzers that enforce the
+// algebra's invariants:
 //
 //	setmutate — canonical slices handed out by (*core.Set).Members and
 //	            friends are never mutated or retained, and slices passed
@@ -21,19 +21,32 @@
 //	            internal/{server,catalog,store,fed,trace}.
 //	atomicmix — struct fields accessed through sync/atomic are never
 //	            also read or written plainly.
-//	spanclose — trace spans (trace.NewRoot / Span.Start) are ended on
-//	            every return path, so span trees never silently
-//	            truncate.
 //	goleak    — every goroutine in internal/{exec,fed,server} is joined
 //	            (WaitGroup, channel drain) or bounded by a ctx-done
 //	            select; Gather's drain+join discipline as a contract.
-//	opclose   — locally-created exec.Operators are Closed or released on
-//	            every return path, including compile-error unwinds.
-//	connclose — net.Conn / fed site connections are released on every
-//	            path, never abandoned by retry loops, and error-path
-//	            teardown of receiver-held conns is symmetric.
 //	sendguard — no bare channel send in a worker goroutine without a
 //	            ctx-done select arm.
+//
+// and four rows of one lifecycle engine (lifecycle.go), which checks
+// that a value made in a function is released on every path out of it:
+//
+//	spanclose — trace spans (trace.NewRoot/NewRootTrace, Span.Start) are
+//	            ended, so span trees never silently truncate.
+//	opclose   — locally-created exec.Operators are Closed or handed to
+//	            an owner, including on compile-error unwinds.
+//	connclose — net.Conn / fed site connections are released, never
+//	            abandoned by retry loops, and error-path teardown of
+//	            receiver-held conns is symmetric.
+//	txnend    — locally-begun transactions are committed or aborted.
+//
+// Analyzers that have fired on the tree outside their fixtures (the
+// fixes carry regression tests): ctxloop in PR 2 (algebra/closure.go's
+// closure loops, product.go's Cartesian) and PR 37 (closure.go's
+// keyGraph.build); valueeq in PR 2 (core.Equal's identity fast path,
+// waived); opclose in PR 7 (plan's compile unwinds, plan/close_test.go);
+// connclose, lockheld and goleak in PR 7 (fed's Remote.Next, gatherCache
+// and BootLocal, fed/lifecycle_test.go). setmutate, atomicmix,
+// spanclose, sendguard and txnend have not.
 //
 // The theory needs these mechanically: Childs' compatibility results
 // assume set objects behave like values — canonical, immutable,

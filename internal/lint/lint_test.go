@@ -2,6 +2,8 @@ package lint_test
 
 import (
 	"path/filepath"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -148,6 +150,33 @@ func TestStaleWaiver(t *testing.T) {
 	f := stale[0]
 	if len(f.Edits) != 1 || f.Edits[0].NewText != "" {
 		t.Errorf("stale waiver should carry a deletion edit, got %+v", f.Edits)
+	}
+}
+
+// TestWaiverNamesUnderFullSuite pins the analyzer names waivers match
+// under the full suite, the four lifecycle rows included: each live
+// //lint:ignore suppresses its finding, and each stale one — exactly one
+// per name in the fixture — is reported.
+func TestWaiverNamesUnderFullSuite(t *testing.T) {
+	pkg, err := loader(t).LoadDir(filepath.Join("testdata", "src", "waiver"), "server")
+	if err != nil {
+		t.Fatalf("loading waiver fixture: %v", err)
+	}
+	findings, err := lint.Run(pkg, lint.All())
+	if err != nil {
+		t.Fatalf("running the suite: %v", err)
+	}
+	stale := map[string]int{}
+	for _, f := range findings {
+		if f.Analyzer != "staleignore" {
+			t.Errorf("live waiver failed to suppress: %v", f)
+			continue
+		}
+		stale[strings.Fields(f.Diagnostic.Message)[2]]++
+	}
+	want := map[string]int{"lockheld": 1, "opclose": 1, "connclose": 1, "txnend": 1, "spanclose": 1}
+	if !reflect.DeepEqual(stale, want) {
+		t.Errorf("stale waivers by analyzer = %v, want %v", stale, want)
 	}
 }
 

@@ -190,3 +190,21 @@ func (p *Pass) bufferedLocalChan(ch ast.Expr) bool {
 	}
 	return buffered
 }
+
+// parentMap records each node's immediate parent within file.
+func parentMap(file *ast.File) map[ast.Node]ast.Node {
+	parents := map[ast.Node]ast.Node{}
+	var stack []ast.Node
+	ast.Inspect(file, func(n ast.Node) bool {
+		if n == nil {
+			stack = stack[:len(stack)-1]
+			return true
+		}
+		if len(stack) > 0 {
+			parents[n] = stack[len(stack)-1]
+		}
+		stack = append(stack, n)
+		return true
+	})
+	return parents
+}

@@ -139,3 +139,15 @@ func (t *tree) Open() error {
 }
 func (t *tree) Next() error  { return nil }
 func (t *tree) Close() error { return nil }
+
+// badClosure: a function literal's body is a function of its own, and
+// its unwinds owe the same release.
+func badClosure(n int) func() (*op, error) {
+	return func() (*op, error) {
+		o := newOp() // want `operator o is not closed on every return path`
+		if n < 0 {
+			return nil, errArity
+		}
+		return o, nil
+	}
+}

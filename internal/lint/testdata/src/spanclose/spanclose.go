@@ -100,3 +100,61 @@ func innerClosureReturn(parent *trace.Span, xs []int) int {
 	sp.End()
 	return total
 }
+
+// The path check: ending the span on one branch leaves the other path's
+// return with it open.
+func endOnOneBranch(parent *trace.Span, c bool) {
+	sp := parent.Start("maybe")
+	if c {
+		sp.End()
+	}
+	return // want `return leaves span sp open`
+}
+
+// The same leak through falling off the end is reported at the Start.
+func endOnOneBranchFallOff(parent *trace.Span, c bool) {
+	sp := parent.Start("maybe") // want `span sp is not ended on every path out of the function`
+	if c {
+		sp.End()
+	}
+}
+
+// Escaping is per path: handing the span off on one branch does not end
+// it on the other.
+func escapesOnOneBranch(parent *trace.Span, c bool) *trace.Span {
+	sp := parent.Start("maybe")
+	if c {
+		return sp
+	}
+	return nil // want `return leaves span sp open`
+}
+
+// Spans started in a loop and ended by a defer pile up until the
+// function returns.
+func deferInLoop(parent *trace.Span, n int) {
+	for i := 0; i < n; i++ {
+		sp := parent.Start("step")
+		defer sp.End() // want `defer sp\.End\(\) inside a loop releases nothing`
+	}
+}
+
+// good: a deferred closure reads the variable when it runs, so one set
+// up before the span is started still ends it on every path.
+func deferredBeforeStart(parent *trace.Span, c bool) error {
+	var sp *trace.Span
+	defer func() { finish(sp) }()
+	if c {
+		return errors.New("no span yet")
+	}
+	sp = parent.Start("late")
+	if c {
+		return errors.New("span ended by the deferred closure")
+	}
+	return nil
+}
+
+func finish(sp *trace.Span) {
+	if sp != nil {
+		sp.End()
+	}
+}

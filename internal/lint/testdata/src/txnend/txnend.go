@@ -116,3 +116,19 @@ func goodClosure(d *db) func() error {
 	tx := d.Begin()
 	return func() error { return tx.Commit() }
 }
+
+// badDeferLoop: the enders are the row's, so a deferred Abort per
+// iteration holds every transaction open until the function returns.
+func badDeferLoop(d *db, names []string) error {
+	for _, name := range names {
+		tx := d.Begin()
+		defer tx.Abort() // want `defer tx\.Abort\(\) inside a loop releases nothing`
+		if name == "" {
+			return errBadName
+		}
+		if err := tx.Commit(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
