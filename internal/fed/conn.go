@@ -1,79 +1,23 @@
 package fed
 
 import (
-	"bufio"
 	"context"
-	"encoding/json"
-	"fmt"
+	"errors"
 	"net"
-	"sync"
 	"time"
 
 	"xst/internal/server"
+	"xst/internal/table"
+	"xst/internal/trace"
 )
 
-// siteConn is one pooled protocol connection to a site. Connections are
-// checked out for the duration of a fragment (the protocol is
+// getConn checks a protocol client out of the site pool, dialing under
+// ctx and the dial timeout if the pool is empty. A client is checked
+// out for the duration of a fragment (the protocol is
 // request-at-a-time per connection, and the server meters admission per
 // connection) and returned to the pool only after the final response
-// line, so a pooled connection never has unread stream lines in it.
-type siteConn struct {
-	conn net.Conn
-	sc   *bufio.Scanner
-	next uint64
-}
-
-// dialSite opens a new connection under ctx and the dial timeout.
-func dialSite(ctx context.Context, addr string, timeout time.Duration) (*siteConn, error) {
-	d := net.Dialer{Timeout: timeout}
-	conn, err := d.DialContext(ctx, "tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 0, 4096), 1<<20)
-	return &siteConn{conn: conn, sc: sc}, nil
-}
-
-func (c *siteConn) close() { c.conn.Close() }
-
-// send writes one request line, assigning an id, and reports the wire
-// bytes written.
-func (c *siteConn) send(req server.Request) (id uint64, n int, err error) {
-	c.next++
-	req.ID = c.next
-	buf, err := json.Marshal(req)
-	if err != nil {
-		return 0, 0, err
-	}
-	buf = append(buf, '\n')
-	n, err = c.conn.Write(buf)
-	return req.ID, n, err
-}
-
-// recv reads one response line for request id and reports its wire
-// size.
-func (c *siteConn) recv(id uint64) (server.Response, int, error) {
-	if !c.sc.Scan() {
-		if err := c.sc.Err(); err != nil {
-			return server.Response{}, 0, err
-		}
-		return server.Response{}, 0, fmt.Errorf("site closed connection")
-	}
-	line := c.sc.Bytes()
-	var resp server.Response
-	if err := json.Unmarshal(line, &resp); err != nil {
-		return server.Response{}, len(line), fmt.Errorf("bad response line: %w", err)
-	}
-	if resp.ID != id {
-		return server.Response{}, len(line), fmt.Errorf("response id %d for request %d", resp.ID, id)
-	}
-	return resp, len(line), nil
-}
-
-// getConn checks a connection out of the site pool, dialing if the pool
-// is empty.
-func (c *Coordinator) getConn(ctx context.Context, st *site) (*siteConn, error) {
+// line, so a pooled client never has unread stream lines in it.
+func (c *Coordinator) getConn(ctx context.Context, st *site) (*server.Client, error) {
 	st.mu.Lock()
 	if n := len(st.idle); n > 0 {
 		conn := st.idle[n-1]
@@ -82,45 +26,77 @@ func (c *Coordinator) getConn(ctx context.Context, st *site) (*siteConn, error) 
 		return conn, nil
 	}
 	st.mu.Unlock()
-	return dialSite(ctx, st.addr, c.cfg.DialTimeout)
+	d := net.Dialer{Timeout: c.cfg.DialTimeout}
+	conn, err := d.DialContext(ctx, "tcp", st.addr)
+	if err != nil {
+		return nil, err
+	}
+	return server.NewClient(conn), nil
 }
 
-// put returns a quiesced connection to the pool.
-func (st *site) put(conn *siteConn) {
+// release stops the context.AfterFunc hook that closes a checked-out
+// client when its query dies, and pools the client, quiesced by its
+// final response line, only if stop reports that the close can no
+// longer run; otherwise it closes the client.
+func (st *site) release(conn *server.Client, stop func() bool) {
+	if !stop() {
+		conn.Close()
+		return
+	}
 	st.mu.Lock()
 	st.idle = append(st.idle, conn)
 	st.mu.Unlock()
 }
 
-// admin runs one non-streaming round trip (".load …") under
-// a flat deadline, counting its bytes against the site. The deadline is
-// the tighter of ctx's and the admin timeout; it is cleared afterwards
-// so the connection can host long-streaming fragments.
-func (c *Coordinator) admin(ctx context.Context, st *site, conn *siteConn, req server.Request) (server.Response, error) {
+// recv reads the next response line of request id, counting its bytes
+// against the site (and sp), and decodes a batch line's rows at arity.
+func (c *Coordinator) recv(st *site, conn *server.Client, id uint64, arity int, sp *trace.Span) (server.Response, []table.Row, error) {
+	resp, n, err := conn.Recv(id)
+	c.countBytes(st, n)
+	sp.AddBytes(int64(n))
+	if err != nil || !resp.More {
+		return resp, nil, err
+	}
+	rows, err := server.DecodeWireRows(resp.Batch, arity)
+	return resp, rows, err
+}
+
+// admin runs one non-streaming round trip (".load …") under a flat
+// deadline, counting its bytes against the site. The deadline is the
+// tighter of ctx's and the admin timeout; it is cleared afterwards so
+// the client can host long-streaming fragments.
+func (c *Coordinator) admin(ctx context.Context, st *site, conn *server.Client, req server.Request) error {
 	dl := time.Now().Add(c.cfg.AdminTimeout)
 	if d, ok := ctx.Deadline(); ok && d.Before(dl) {
 		dl = d
 	}
-	if err := conn.conn.SetDeadline(dl); err != nil {
-		return server.Response{}, err
+	if err := conn.SetDeadline(dl); err != nil {
+		return err
 	}
-	id, nw, err := conn.send(req)
-	c.countBytes(st, nw)
+	id, n, err := conn.Send(req)
+	c.countBytes(st, n)
 	if err != nil {
-		return server.Response{}, err
+		return err
 	}
-	resp, nr, err := conn.recv(id)
-	c.countBytes(st, nr)
-	if err != nil {
-		return server.Response{}, err
+	resp, n, err := conn.Recv(id)
+	c.countBytes(st, n)
+	if err == nil {
+		err = conn.SetDeadline(time.Time{})
 	}
-	if err := conn.conn.SetDeadline(time.Time{}); err != nil {
-		return server.Response{}, err
+	if err == nil && resp.Error != "" {
+		err = errors.New(resp.Error)
 	}
-	if resp.Error != "" {
-		return server.Response{}, fmt.Errorf("%s", resp.Error)
+	return err
+}
+
+// timeoutMS is ctx's remaining budget as a request's site-side
+// deadline: 0 (the site's default) without one, at least 1ms with one.
+func timeoutMS(ctx context.Context) int64 {
+	d, ok := ctx.Deadline()
+	if !ok {
+		return 0
 	}
-	return resp, nil
+	return max(time.Until(d).Milliseconds(), 1)
 }
 
 func (c *Coordinator) countBytes(st *site, n int) {
@@ -137,35 +113,6 @@ func (c *Coordinator) countRows(st *site, n int) {
 	}
 	c.m.RowsShipped.Add(uint64(n))
 	st.rows.Add(uint64(n))
-}
-
-// watchdog force-closes a connection when its context dies, unblocking
-// any read parked in recv; halt stops it once the stream completes.
-type watchdog struct {
-	stop chan struct{}
-	done chan struct{}
-	once sync.Once
-}
-
-func watchConn(ctx context.Context, conn net.Conn) *watchdog {
-	w := &watchdog{stop: make(chan struct{}), done: make(chan struct{})}
-	go func() {
-		defer close(w.done)
-		select {
-		case <-ctx.Done():
-			conn.Close()
-		case <-w.stop:
-		}
-	}()
-	return w
-}
-
-// halt stops the watchdog and waits for it to exit; afterwards the
-// watchdog will not touch the connection. If the context already died
-// the connection is closed by then — callers check ctx before pooling.
-func (w *watchdog) halt() {
-	w.once.Do(func() { close(w.stop) })
-	<-w.done
 }
 
 // sleepCtx waits d or until ctx dies.

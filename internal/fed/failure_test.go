@@ -21,7 +21,7 @@ func cancelledCtx() context.Context {
 }
 
 // assertDrained polls until the goroutine count returns to its baseline
-// (the coordinator's watchdogs, gather workers and the dead site's
+// (the coordinator's close hooks, gather workers and the dead site's
 // handlers must all exit).
 func assertDrained(t *testing.T, before int) {
 	t.Helper()
@@ -86,7 +86,7 @@ func TestSiteKillMidQuery(t *testing.T) {
 
 // TestCancelMidQuery: federated plans abort promptly on context
 // cancellation at any poll depth, and every worker goroutine and
-// watchdog exits — checked by xtest's countdown-context harness.
+// close hook exits — checked by xtest's countdown-context harness.
 func TestCancelMidQuery(t *testing.T) {
 	d := makeData(43, 3000, 900)
 	lf := bootTestFed(t, 3, Config{}, d)

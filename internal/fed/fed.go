@@ -42,6 +42,7 @@ import (
 
 	"xst/internal/core"
 	"xst/internal/metrics"
+	"xst/internal/server"
 	"xst/internal/store"
 	"xst/internal/sysview"
 	"xst/internal/table"
@@ -147,7 +148,7 @@ type site struct {
 	addr string
 
 	mu   sync.Mutex
-	idle []*siteConn
+	idle []*server.Client
 
 	down atomic.Bool
 	// lastLatUS is the most recent fragment's wall time in microseconds
@@ -474,7 +475,7 @@ func (c *Coordinator) Close() error {
 		st.idle = nil
 		st.mu.Unlock()
 		for _, conn := range idle {
-			conn.close()
+			conn.Close()
 		}
 	}
 	return nil

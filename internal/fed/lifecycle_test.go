@@ -20,7 +20,7 @@ import (
 )
 
 // TestRemoteCancelDropsConn: a Remote whose context dies between
-// batches must drop its connection and halt its watchdog on the ctx-err
+// batches must drop its connection and stop its close hook on the ctx-err
 // exit itself — the conn has unread lines, so leaving it for Close
 // risks pooling a dirty connection if the exits ever diverge.
 func TestRemoteCancelDropsConn(t *testing.T) {
@@ -46,8 +46,52 @@ func TestRemoteCancelDropsConn(t *testing.T) {
 	if _, err := r.Next(); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Next after cancel = %v, want context.Canceled", err)
 	}
-	if r.conn != nil || r.wd != nil {
-		t.Fatal("cancelled Next abandoned the live connection or its watchdog")
+	if r.conn != nil || r.stop != nil {
+		t.Fatal("cancelled Next abandoned the live connection or its close hook")
+	}
+}
+
+// TestPoolReusesIdleClient: fragments run one after the other on one
+// site share one pooled client, so the site accepts one connection for
+// both; a fragment cancelled mid-stream pools nothing, so the next one
+// dials a fresh client.
+func TestPoolReusesIdleClient(t *testing.T) {
+	d := makeData(52, 4000, 100)
+	lf := bootTestFed(t, 1, Config{}, d)
+	c, st := lf.Coord, lf.Coord.sites[0]
+	conns := func() uint64 { return lf.Servers[0].MetricsSnapshot().ConnsTotal }
+	idle := func() int {
+		st.mu.Lock()
+		defer st.mu.Unlock()
+		return len(st.idle)
+	}
+	c.Close() // drop the client the catalog reads pooled
+	before := conns()
+	runFed(t, lf, "from users")
+	runFed(t, lf, "from users")
+	if got := conns() - before; got != 1 || idle() != 1 {
+		t.Fatalf("two fragments in turn: %d new connections, %d idle clients; want 1 and 1", got, idle())
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	r := c.remote(st, usersSchema, staticFrag("from users"), "test")
+	if err := r.Open(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if b, err := r.Next(); err != nil || b == nil || r.done {
+		t.Fatalf("first batch: %v, err %v, done %v; want a batch mid-stream", b, err, r.done)
+	}
+	cancel()
+	r.Next()
+	r.Close()
+	if idle() != 0 {
+		t.Fatal("a fragment cancelled mid-stream pooled its client")
+	}
+	before = conns()
+	runFed(t, lf, "from users")
+	if got := conns() - before; got != 1 || idle() != 1 {
+		t.Fatalf("fragment after a cancelled one: %d new connections, %d idle clients; want 1 and 1", got, idle())
 	}
 }
 

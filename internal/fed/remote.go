@@ -2,7 +2,6 @@ package fed
 
 import (
 	"context"
-	"encoding/base64"
 	"fmt"
 	"time"
 
@@ -18,18 +17,18 @@ import (
 // per attempt; side effects must use fresh scratch names so a retry
 // never observes a half-loaded predecessor (`.load` extends an existing
 // scratch table rather than replacing it).
-type fragFunc func(ctx context.Context, st *site, conn *siteConn, attempt int) (server.Request, error)
+type fragFunc func(ctx context.Context, st *site, conn *server.Client, attempt int) (server.Request, error)
 
 // Remote streams one fragment's result from one site: an exec.Operator
 // leaf whose batches arrive wire-encoded over the xstd protocol. Open
-// dials (or reuses) a pooled connection and sends the fragment with the
-// remaining context budget as its site-side deadline; a watchdog
-// goroutine force-closes the connection if the context dies mid-stream,
-// which is how Gather's first-error-wins cancellation reaches into a
-// blocked network read. Attempts that fail before the first row are
-// retried with exponential backoff up to the configured budget; after
-// rows have streamed the query fails instead (resending would duplicate
-// output).
+// dials (or reuses) a pooled server.Client and sends the fragment with
+// the remaining context budget as its site-side deadline; a
+// context.AfterFunc hook closes the client if the context dies
+// mid-stream, which is how Gather's first-error-wins cancellation
+// reaches into a blocked network read. Attempts that fail before the
+// first row are retried with exponential backoff up to the configured
+// budget; after rows have streamed the query fails instead (resending
+// would duplicate output).
 type Remote struct {
 	c     *Coordinator
 	st    *site
@@ -38,9 +37,9 @@ type Remote struct {
 	label string
 
 	ctx     context.Context
-	conn    *siteConn
+	conn    *server.Client
 	reqID   uint64
-	wd      *watchdog
+	stop    func() bool // stops conn's close-on-cancel hook
 	attempt int
 	emitted bool
 	done    bool
@@ -98,35 +97,29 @@ func (r *Remote) tryStart() error {
 		asp.EndErr(err)
 		return err
 	}
-	// The watchdog covers scratch-table shipping too: fq's admin round
+	// The hook covers scratch-table shipping too: fq's admin round
 	// trips carry their own flat deadlines, but a cancelled query must
 	// not wait them out.
-	wd := watchConn(r.ctx, conn.conn)
+	stop := context.AfterFunc(r.ctx, func() { conn.Close() })
 	req, err := r.fq(r.ctx, r.st, conn, r.attempt)
 	if err == nil {
 		req.Wire = true
 		// Propagate the trace identity: the site forces tracing under
 		// this id and sends its span tree back on the final line.
 		req.TraceID = parent.TraceID()
-		if d, ok := r.ctx.Deadline(); ok {
-			ms := time.Until(d).Milliseconds()
-			if ms < 1 {
-				ms = 1
-			}
-			req.TimeoutMS = ms
-		}
+		req.TimeoutMS = timeoutMS(r.ctx)
 		var id uint64
 		var nw int
-		id, nw, err = conn.send(req)
+		id, nw, err = conn.Send(req)
 		r.c.countBytes(r.st, nw)
 		if err == nil {
-			r.conn, r.reqID, r.wd, r.asp = conn, id, wd, asp
+			r.conn, r.reqID, r.stop, r.asp = conn, id, stop, asp
 			return nil
 		}
 	}
 	asp.EndErr(err)
-	wd.halt()
-	conn.close()
+	stop()
+	conn.Close()
 	return err
 }
 
@@ -166,14 +159,12 @@ func (r *Remote) Next() (*table.Batch, error) {
 		if err := r.ctx.Err(); err != nil {
 			// Terminal like every other error exit below: the stream is
 			// mid-flight, so the conn has unread lines and cannot be
-			// pooled — drop it and stop its watchdog with it.
+			// pooled — drop it and stop its close hook with it.
 			r.endAttempt(err)
 			r.dropConn()
 			return nil, err
 		}
-		resp, n, err := r.conn.recv(r.reqID)
-		r.c.countBytes(r.st, n)
-		r.asp.AddBytes(int64(n))
+		resp, rows, err := r.c.recv(r.st, r.conn, r.reqID, r.sch.Arity(), r.asp)
 		if err != nil {
 			r.endAttempt(err)
 			r.dropConn()
@@ -196,13 +187,6 @@ func (r *Remote) Next() (*table.Batch, error) {
 			return nil, err
 		}
 		if resp.More {
-			rows, err := decodeBatch(resp.Batch, r.sch.Arity())
-			if err != nil {
-				err = fmt.Errorf("fed: site %d: %w", r.st.id, err)
-				r.endAttempt(err)
-				r.dropConn()
-				return nil, err
-			}
 			r.c.countRows(r.st, len(rows))
 			r.asp.AddRows(len(rows))
 			if len(rows) == 0 {
@@ -214,7 +198,7 @@ func (r *Remote) Next() (*table.Batch, error) {
 			return b, nil
 		}
 		// Final line: fragment complete. Graft the site's span tree
-		// (fresh local ids) under the attempt, quiesce and pool the conn.
+		// (fresh local ids) under the attempt and pool the client.
 		if resp.Trace != nil {
 			r.asp.AttachSnapshot(*resp.Trace)
 		}
@@ -226,14 +210,8 @@ func (r *Remote) Next() (*table.Batch, error) {
 		r.c.m.FragLatency.Record(lat)
 		r.st.lastLatUS.Store(lat.Microseconds())
 		r.c.markSite(r.st, true)
-		r.wd.halt()
-		r.wd = nil
-		if r.ctx.Err() == nil {
-			r.st.put(r.conn)
-		} else {
-			r.conn.close()
-		}
-		r.conn = nil
+		r.st.release(r.conn, r.stop)
+		r.conn, r.stop = nil, nil
 		return nil, nil
 	}
 }
@@ -251,13 +229,10 @@ func (r *Remote) endAttempt(err error) {
 
 // dropConn abandons the current connection mid-stream.
 func (r *Remote) dropConn() {
-	if r.wd != nil {
-		r.wd.halt()
-		r.wd = nil
-	}
 	if r.conn != nil {
-		r.conn.close()
-		r.conn = nil
+		r.stop()
+		r.conn.Close()
+		r.conn, r.stop = nil, nil
 	}
 }
 
@@ -297,24 +272,4 @@ func opEmitted(s *exec.OpStats, b *table.Batch) {
 	if b.Len > s.MaxBatch {
 		s.MaxBatch = b.Len
 	}
-}
-
-// decodeBatch decodes one wire batch line's rows.
-func decodeBatch(batch []string, arity int) ([]table.Row, error) {
-	rows := make([]table.Row, 0, len(batch))
-	for _, b64 := range batch {
-		raw, err := base64.StdEncoding.DecodeString(b64)
-		if err != nil {
-			return nil, fmt.Errorf("bad wire row: %w", err)
-		}
-		row, err := table.DecodeRow(raw)
-		if err != nil {
-			return nil, fmt.Errorf("bad wire row: %w", err)
-		}
-		if len(row) != arity {
-			return nil, fmt.Errorf("wire row arity %d, want %d", len(row), arity)
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
 }

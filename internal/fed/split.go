@@ -85,7 +85,7 @@ func (s *splitter) sourceFq(f *fragment, sch table.Schema, fq fragFunc, label st
 // staticFrag is the fragFunc of a self-contained fragment: no scratch
 // tables, same text every attempt.
 func staticFrag(stmt string) fragFunc {
-	return func(ctx context.Context, st *site, conn *siteConn, attempt int) (server.Request, error) {
+	return func(ctx context.Context, st *site, conn *server.Client, attempt int) (server.Request, error) {
 		return server.Request{Stmt: stmt}, nil
 	}
 }
@@ -377,7 +377,7 @@ func (s *splitter) broadcast(lf, rf *fragment, x *plan.Join) piece {
 	joined.cols = append(append([]string(nil), lf.outCols()...), rf.outCols()...)
 	joined.sch = sch
 	rcols := rf.outCols()
-	fq := func(ctx context.Context, st *site, conn *siteConn, attempt int) (server.Request, error) {
+	fq := func(ctx context.Context, st *site, conn *server.Client, attempt int) (server.Request, error) {
 		rows, err := cache.rows(ctx)
 		if err != nil {
 			return server.Request{}, err
@@ -407,7 +407,7 @@ func (s *splitter) semijoin(lf, rf *fragment, x *plan.Join) piece {
 	li := lf.outSchema().Col(x.LeftCol)
 	keyCol := freshName("k", rf.outCols())
 	rcols := rf.outCols()
-	fq := func(ctx context.Context, st *site, conn *siteConn, attempt int) (server.Request, error) {
+	fq := func(ctx context.Context, st *site, conn *server.Client, attempt int) (server.Request, error) {
 		keys, err := cache.distinctKeys(ctx, li)
 		if err != nil {
 			return server.Request{}, err
@@ -467,7 +467,7 @@ func (c *Coordinator) scratchName() string {
 
 // loadTable ships rows into a session-private scratch table on one
 // site, chunked to stay far below the protocol's line-size bound.
-func (c *Coordinator) loadTable(ctx context.Context, st *site, conn *siteConn, name string, cols []string, rows []table.Row) error {
+func (c *Coordinator) loadTable(ctx context.Context, st *site, conn *server.Client, name string, cols []string, rows []table.Row) error {
 	const chunk = 256
 	var enc []byte
 	for off := 0; off < len(rows) || off == 0; off += chunk {
@@ -475,11 +475,7 @@ func (c *Coordinator) loadTable(ctx context.Context, st *site, conn *siteConn, n
 		if end > len(rows) {
 			end = len(rows)
 		}
-		req := struct {
-			Table string   `json:"table"`
-			Cols  []string `json:"cols"`
-			Rows  []string `json:"rows"`
-		}{Table: name, Cols: cols}
+		req := server.LoadRequest{Table: name, Cols: cols}
 		for _, r := range rows[off:end] {
 			if err := ctx.Err(); err != nil {
 				return err
@@ -491,7 +487,7 @@ func (c *Coordinator) loadTable(ctx context.Context, st *site, conn *siteConn, n
 		if err != nil {
 			return err
 		}
-		if _, err := c.admin(ctx, st, conn, server.Request{Stmt: ".load " + string(payload)}); err != nil {
+		if err := c.admin(ctx, st, conn, server.Request{Stmt: ".load " + string(payload)}); err != nil {
 			return err
 		}
 		c.countRows(st, end-off)

@@ -2,8 +2,8 @@ package fed
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"time"
 
 	"xst/internal/core"
 	"xst/internal/server"
@@ -95,63 +95,34 @@ func (c *Coordinator) gatherSys(ctx context.Context, name string, arity int) ([]
 }
 
 // sysFrom streams one site's `from <name>` result to completion over a
-// pooled connection.
+// pooled client.
 func (c *Coordinator) sysFrom(ctx context.Context, st *site, name string, arity int) ([]table.Row, error) {
 	conn, err := c.getConn(ctx, st)
 	if err != nil {
 		return nil, err
 	}
-	wd := watchConn(ctx, conn.conn)
-	req := server.Request{Stmt: "from " + name, Wire: true}
-	if d, ok := ctx.Deadline(); ok {
-		ms := time.Until(d).Milliseconds()
-		if ms < 1 {
-			ms = 1
-		}
-		req.TimeoutMS = ms
-	}
-	id, nw, err := conn.send(req)
-	c.countBytes(st, nw)
-	if err != nil {
-		wd.halt()
-		conn.close()
-		return nil, err
-	}
+	stop := context.AfterFunc(ctx, func() { conn.Close() })
+	id, n, err := conn.Send(server.Request{Stmt: "from " + name, Wire: true, TimeoutMS: timeoutMS(ctx)})
+	c.countBytes(st, n)
 	var out []table.Row
-	for {
-		resp, n, err := conn.recv(id)
-		c.countBytes(st, n)
-		if err != nil {
-			wd.halt()
-			conn.close()
-			return nil, err
+	for err == nil {
+		var resp server.Response
+		var rows []table.Row
+		if resp, rows, err = c.recv(st, conn, id, arity, nil); err != nil {
+			break
 		}
-		if resp.Error != "" {
-			// The error line is final, so the connection is quiesced.
-			wd.halt()
-			if ctx.Err() == nil {
-				st.put(conn)
-			} else {
-				conn.close()
-			}
-			return nil, fmt.Errorf("%s", resp.Error)
-		}
+		out = append(out, rows...)
 		if resp.More {
-			rows, err := decodeBatch(resp.Batch, arity)
-			if err != nil {
-				wd.halt()
-				conn.close()
-				return nil, err
-			}
-			out = append(out, rows...)
 			continue
 		}
-		wd.halt()
-		if ctx.Err() == nil {
-			st.put(conn)
-		} else {
-			conn.close()
+		// The final line, an error line included, quiesces the client.
+		st.release(conn, stop)
+		if resp.Error != "" {
+			return nil, errors.New(resp.Error)
 		}
 		return out, nil
 	}
+	stop()
+	conn.Close()
+	return nil, err
 }

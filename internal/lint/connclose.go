@@ -11,7 +11,7 @@ import (
 // TearsDownRecv callee, a direct field close, a nil-ing of the field, or
 // pooling the field away), every other error return reachable after the
 // conn was used must be too. The asymmetric path — one error return that
-// keeps the conn and its watchdog live — is precisely the retry-path bug
+// keeps the conn and its close hook live — is precisely the retry-path bug
 // class connclose exists for.
 func (p *Pass) checkPairedTeardown(fn *ast.FuncDecl) {
 	if fn.Recv == nil || len(fn.Recv.List) == 0 || len(fn.Recv.List[0].Names) == 0 {

@@ -7,7 +7,7 @@ import (
 
 // goleakPkgs are the packages whose goroutines must be provably
 // bounded: the concurrent execution core, the federation layer's
-// watchdogs and workers, and the serving loop.
+// workers, and the serving loop.
 var goleakPkgs = []string{
 	"xst/internal/exec",
 	"xst/internal/fed",
@@ -28,8 +28,7 @@ var goleakPkgs = []string{
 //   - it closes a channel that is received from or ranged over — same
 //     function for locals, anywhere in the package for fields
 //     (Gather's closer goroutine feeding Next and Close's drain);
-//   - it selects on <-ctx.Done(), so cancellation bounds its lifetime
-//     (the connection watchdog).
+//   - it selects on <-ctx.Done(), so cancellation bounds its lifetime.
 //
 // Facts inside nested `go` statements don't count: a goroutine is not
 // joined because it spawns joined goroutines of its own.

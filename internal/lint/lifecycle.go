@@ -73,12 +73,13 @@ var OpCloseAnalyzer = lifecycle{
 
 // ConnCloseAnalyzer pairs every live connection with its teardown.
 // Connection-carrying values are net.Conn implementations and structs
-// wrapping one (the siteConn shape). Two complementary checks:
+// wrapping one (the server.Client shape). Two complementary checks:
 //
 //  1. Locally-acquired connections follow the same all-paths release
 //     discipline as operators (close it, pool it via a callee whose
 //     summary stores its parameter, store/return it, or hand it to a
-//     capture like the watchdog) — including the retry-loop shape,
+//     capturing closure — but not a context.AfterFunc callback, which
+//     runs only if the context dies) — including the retry-loop shape,
 //     where reassigning the variable on a backoff path without closing
 //     first abandons the previous conn.
 //
@@ -384,6 +385,9 @@ func (l *lifecycle) endsIn(info *types.Info, n ast.Node, obj types.Object) bool 
 	ended := false
 	ast.Inspect(n, func(nn ast.Node) bool {
 		if call, ok := nn.(*ast.CallExpr); ok && !ended {
+			if isAfterFunc(info, call) {
+				return false
+			}
 			recv, name := calleeName(call)
 			ended = recv != nil && slices.Contains(l.enders, name) && isObj(info, recv, obj)
 		}

@@ -403,9 +403,21 @@ func recvFromCtxDone(info *types.Info, comm ast.Stmt) bool {
 	return ok && namedIn(tv.Type, "Context", "context")
 }
 
+// isAfterFunc reports a context.AfterFunc call. Its callback runs only
+// if the context dies, so what the callback closes or captures is not
+// released by the call.
+func isAfterFunc(info *types.Info, call *ast.CallExpr) bool {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != "AfterFunc" {
+		return false
+	}
+	fn, ok := info.Uses[sel.Sel].(*types.Func)
+	return ok && fn.Pkg() != nil && fn.Pkg().Path() == "context"
+}
+
 // isConnValue reports a connection-carrying type: net.Conn (or an
 // implementation), or a pointer to a struct wrapping one in a field —
-// the siteConn shape.
+// the server.Client shape.
 func isConnValue(t types.Type) bool {
 	if t == nil {
 		return false
@@ -574,6 +586,9 @@ func (s *Summaries) releasesObjLocked(info *types.Info, stmt ast.Node, obj types
 			}
 			return false
 		case *ast.CallExpr:
+			if isAfterFunc(info, x) {
+				return false
+			}
 			recv, name := calleeName(x)
 			if recv != nil && (name == "Close" || name == "close") {
 				if isObj(info, recv, obj) {

@@ -4,11 +4,12 @@
 package fed
 
 import (
+	"context"
 	"errors"
 	"net"
 )
 
-// wire wraps a raw conn — the siteConn shape the analyzer recognizes as
+// wire wraps a raw conn — the server.Client shape the analyzer recognizes as
 // conn-carrying. Its own methods are the connection's plumbing and are
 // exempt.
 type wire struct {
@@ -84,6 +85,36 @@ func goodAbandon(addr string) (*wire, error) {
 		return nil, errProto
 	}
 	return w, nil
+}
+
+// badHooked leaks the wire on the failing path: a context.AfterFunc
+// close hook runs only if ctx dies, so it releases nothing.
+func badHooked(ctx context.Context, addr string) (*wire, func() bool, error) {
+	w, err := dialWire(addr) // want `connection w is not released on every return path`
+	if err != nil {
+		return nil, nil, err
+	}
+	stop := context.AfterFunc(ctx, func() { w.close() })
+	if flaky() {
+		stop()
+		return nil, nil, errProto
+	}
+	return w, stop, nil
+}
+
+// goodHooked stops the hook and closes the wire on the failing path.
+func goodHooked(ctx context.Context, addr string) (*wire, func() bool, error) {
+	w, err := dialWire(addr)
+	if err != nil {
+		return nil, nil, err
+	}
+	stop := context.AfterFunc(ctx, func() { w.close() })
+	if flaky() {
+		stop()
+		w.close()
+		return nil, nil, errProto
+	}
+	return w, stop, nil
 }
 
 // client holds a conn in a receiver field; its error exits must tear

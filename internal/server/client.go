@@ -10,9 +10,11 @@ import (
 	"xst/internal/trace"
 )
 
-// Client is a synchronous connection to an xstd server: one Do at a
-// time (callers wanting concurrency open one Client per goroutine,
-// which is also how the server meters admission).
+// Client is a synchronous connection to an xstd server: one request
+// at a time (callers wanting concurrency open one Client per goroutine,
+// which is also how the server meters admission). Do and DoStream run
+// whole exchanges; Send and Recv are their halves, for a caller that
+// pulls a stream's lines one at a time.
 type Client struct {
 	conn net.Conn
 	sc   *bufio.Scanner
@@ -28,13 +30,22 @@ func Dial(addr string) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
+	return NewClient(conn), nil
+}
+
+// NewClient speaks the protocol over an open connection, which it owns.
+func NewClient(conn net.Conn) *Client {
 	sc := bufio.NewScanner(conn)
 	sc.Buffer(make([]byte, 0, 4096), 1<<20)
-	return &Client{conn: conn, sc: sc}, nil
+	return &Client{conn: conn, sc: sc}
 }
 
 // Close closes the connection.
 func (c *Client) Close() error { return c.conn.Close() }
+
+// SetDeadline sets the connection's read and write deadline; the zero
+// time clears it.
+func (c *Client) SetDeadline(t time.Time) error { return c.conn.SetDeadline(t) }
 
 // Do sends one request and reads its response. A zero req.ID is
 // assigned automatically; the response id is checked against it.
@@ -52,53 +63,68 @@ func (c *Client) Do(req Request) (Response, error) {
 // the transport's, a line over 1 MiB, a bad response — can leave lines
 // unread, so it is sticky: every later call on c returns it at once.
 func (c *Client) DoStream(req Request, fn func(rows []string) error) (Response, error) {
-	if c.err != nil {
-		return Response{}, c.err
+	id, _, err := c.Send(req)
+	var batches []string
+	for err == nil {
+		var resp Response
+		if resp, _, err = c.Recv(id); err != nil {
+			break
+		}
+		if !resp.More {
+			if len(batches) > 0 {
+				resp.Batch = append(batches, resp.Batch...)
+			}
+			return resp, nil
+		}
+		if fn == nil {
+			batches = append(batches, resp.Batch...)
+		} else if err = fn(resp.Batch); err != nil {
+			c.err = err
+		}
 	}
-	resp, err := c.exchange(req, fn)
-	c.err = err
-	return resp, err
+	return Response{}, err
 }
 
-func (c *Client) exchange(req Request, fn func(rows []string) error) (Response, error) {
+// Send writes req as one request line, assigning the next id when
+// req.ID is zero, and returns the id and the bytes written, the
+// newline included. Errors are sticky, as in DoStream.
+func (c *Client) Send(req Request) (id uint64, n int, err error) {
+	if c.err != nil {
+		return 0, 0, c.err
+	}
 	if req.ID == 0 {
 		c.next++
 		req.ID = c.next
 	}
 	c.out = appendRequest(c.out[:0], &req)
-	if _, err := c.conn.Write(c.out); err != nil {
-		return Response{}, err
+	n, c.err = c.conn.Write(c.out)
+	return req.ID, n, c.err
+}
+
+// Recv reads the next response line, which must answer request id, and
+// returns it with the line's length. A query's batch lines have More
+// set; the first line without it is the request's last. Errors are
+// sticky, as in DoStream.
+func (c *Client) Recv(id uint64) (resp Response, n int, err error) {
+	if c.err != nil {
+		return Response{}, 0, c.err
 	}
-	var batches []string
-	for {
-		if !c.sc.Scan() {
-			if err := c.sc.Err(); err != nil {
-				return Response{}, err
-			}
-			return Response{}, fmt.Errorf("server closed connection")
+	if !c.sc.Scan() {
+		if c.err = c.sc.Err(); c.err == nil {
+			c.err = fmt.Errorf("server closed connection")
 		}
-		resp, err := c.dec.response(c.sc.Bytes())
-		if err != nil {
-			return Response{}, fmt.Errorf("bad response %q: %w", c.sc.Text(), err)
-		}
-		if resp.ID != req.ID {
-			return Response{}, fmt.Errorf("response id %d for request %d", resp.ID, req.ID)
-		}
-		if resp.More {
-			if fn != nil {
-				if err := fn(resp.Batch); err != nil {
-					return Response{}, err
-				}
-			} else {
-				batches = append(batches, resp.Batch...)
-			}
-			continue
-		}
-		if len(batches) > 0 {
-			resp.Batch = append(batches, resp.Batch...)
-		}
-		return resp, nil
+		return Response{}, 0, c.err
 	}
+	line := c.sc.Bytes()
+	if resp, err = c.dec.response(line); err != nil {
+		c.err = fmt.Errorf("bad response %q: %w", line, err)
+	} else if resp.ID != id {
+		c.err = fmt.Errorf("response id %d for request %d", resp.ID, id)
+	}
+	if c.err != nil {
+		return Response{}, len(line), c.err
+	}
+	return resp, len(line), nil
 }
 
 // Query runs a query statement, streaming each batch of rendered rows

@@ -5,6 +5,7 @@ import (
 	"encoding/base64"
 	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"strconv"
 	"strings"
 	"unicode/utf8"
@@ -128,6 +129,30 @@ func (sess *session) batchLine(id uint64, b *table.Batch, wire bool) {
 		line = append(line, ',')
 	}
 	sess.line = append(line, `"more":true,"elapsed_us":0}`+"\n"...)
+}
+
+// DecodeWireRows decodes the rows of a wire-mode batch line or a .load
+// chunk, each of arity columns, through two buffers the call reuses:
+// table.DecodeRow copies what a row keeps.
+func DecodeWireRows(b64s []string, arity int) ([]table.Row, error) {
+	rows := make([]table.Row, 0, len(b64s))
+	var src, raw []byte
+	for _, b64 := range b64s {
+		src = append(src[:0], b64...)
+		var err error
+		if raw, err = base64.StdEncoding.AppendDecode(raw[:0], src); err != nil {
+			return nil, fmt.Errorf("bad wire row: %v", err)
+		}
+		r, err := table.DecodeRow(raw)
+		if err != nil {
+			return nil, fmt.Errorf("bad wire row: %v", err)
+		}
+		if len(r) != arity {
+			return nil, fmt.Errorf("wire row arity %d, want %d", len(r), arity)
+		}
+		rows = append(rows, r)
+	}
+	return rows, nil
 }
 
 // appendRow appends the tuple notation of row i of b, written from the

@@ -2,10 +2,13 @@ package server
 
 import (
 	"encoding/base64"
+	"encoding/json"
 	"strings"
 	"testing"
 
+	"xst/internal/catalog"
 	"xst/internal/core"
+	"xst/internal/store"
 	"xst/internal/table"
 )
 
@@ -24,7 +27,7 @@ func TestDecodeLoadRowsKeepsEveryRow(t *testing.T) {
 	for i, r := range want {
 		b64s[i] = base64.StdEncoding.EncodeToString(table.EncodeRow(nil, r))
 	}
-	got, err := decodeLoadRows(b64s)
+	got, err := DecodeWireRows(b64s, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,11 +42,13 @@ func TestDecodeLoadRowsKeepsEveryRow(t *testing.T) {
 		}
 	}
 
-	// Bad base64 and a corrupt row fail the chunk.
+	// Bad base64, a corrupt row and a row of another arity fail the
+	// chunk.
 	corrupt := base64.StdEncoding.EncodeToString([]byte{0x02, 0x09})
-	for _, bad := range []string{"!!!", corrupt} {
-		rows, err := decodeLoadRows([]string{b64s[0], bad, b64s[1]})
-		if err == nil || !strings.HasPrefix(err.Error(), "bad .load row: ") || rows != nil {
+	short := base64.StdEncoding.EncodeToString(table.EncodeRow(nil, table.Row{core.Int(3)}))
+	for bad, msg := range map[string]string{"!!!": "bad wire row: ", corrupt: "bad wire row: ", short: "wire row arity 1, want 2"} {
+		rows, err := DecodeWireRows([]string{b64s[0], bad, b64s[1]}, 2)
+		if err == nil || !strings.HasPrefix(err.Error(), msg) || rows != nil {
 			t.Fatalf("row %q: rows %v, err %v", bad, rows, err)
 		}
 	}
@@ -66,11 +71,57 @@ func TestDecodeLoadRowsKeepsEveryRow(t *testing.T) {
 		}
 	})
 	chunk := testing.AllocsPerRun(20, func() {
-		if _, err := decodeLoadRows(many); err != nil {
+		if _, err := DecodeWireRows(many, 2); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if chunk > keep+5 {
 		t.Errorf("decoding a %d-row chunk: %.0f allocations, its rows keep %.0f (want at most 5 more: the slice and the buffers' growth)", len(many), chunk, keep)
+	}
+}
+
+// A .load chunk with one bad row fails whole: the error comes back, and
+// neither the table the chunk would have created nor any of its rows is
+// there afterwards — for a scratch and a shared table alike. A good
+// chunk then creates the table with its own rows only.
+func TestLoadBadChunkLeavesNoRows(t *testing.T) {
+	db, err := catalog.Create(store.NewMemPager(), 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, addr := startServer(t, Config{DB: db})
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	enc := func(vs ...int64) string {
+		r := make(table.Row, len(vs))
+		for i, v := range vs {
+			r[i] = core.Int(v)
+		}
+		return base64.StdEncoding.EncodeToString(table.EncodeRow(nil, r))
+	}
+	load := func(name string, rows ...string) (string, error) {
+		payload, err := json.Marshal(LoadRequest{Table: name, Cols: []string{"a", "b"}, Rows: rows})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c.Eval(".load " + string(payload))
+	}
+	for _, name := range []string{"__x", "x"} {
+		if _, err := load(name, enc(1, 2), enc(3), enc(4, 5)); err == nil || !strings.Contains(err.Error(), "arity") {
+			t.Fatalf("%s: bad chunk answered %v, want the arity error", name, err)
+		}
+		var got []string
+		if _, err := c.Query("from "+name, func(rows []string) error {
+			got = append(got, rows...)
+			return nil
+		}); err == nil && len(got) > 0 {
+			t.Fatalf("%s holds %v after the failed chunk", name, got)
+		}
+		if res, err := load(name, enc(4, 5)); err != nil || res != name+": 1 rows" {
+			t.Fatalf("%s: good chunk = %q, %v", name, res, err)
+		}
 	}
 }

@@ -51,11 +51,14 @@
 // rows cross the network once in their canonical encoding instead of as
 // rendered text.
 //
-// Both ends use one codec (codec.go): encoders that write the bytes
+// Every end uses one codec (codec.go): encoders that write the bytes
 // json.Marshal writes, HTML escaping and omitempty included, and a
 // scanner for that subset (known keys, ASCII strings, short integers).
 // Non-ASCII text, the Trace field and any line outside the subset go
-// through encoding/json, so the format is unchanged byte for byte.
+// through encoding/json, so the format is unchanged byte for byte. The
+// server, Client and the federation coordinator, which talks to its
+// sites through Client's Send and Recv, are those ends; wire-mode rows
+// decode through DecodeWireRows at each of them.
 package server
 
 import "xst/internal/trace"

@@ -16,7 +16,6 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -887,9 +886,9 @@ func (s *Server) streamQuery(ctx context.Context, sess *session, q Query, req Re
 	return rows, err
 }
 
-// loadRequest is the payload of `.load`: wire-encoded rows for a
-// session-private scratch table.
-type loadRequest struct {
+// LoadRequest is the payload of `.load`: wire-encoded rows for a
+// scratch or shared table.
+type LoadRequest struct {
 	Table string   `json:"table"`
 	Cols  []string `json:"cols"`
 	Rows  []string `json:"rows"`
@@ -970,35 +969,44 @@ func (s *Server) handleCreateIndex(args string) (Response, bool) {
 // created in-memory pool that dies with the session. Any other name is
 // a shared catalog table loaded through one transaction per chunk —
 // one WAL fsync for the whole batch — created durably on the first
-// chunk if absent.
+// chunk if absent. The whole chunk decodes at the table's arity before
+// anything is created or written, so a bad chunk leaves nothing behind.
 func (s *Server) handleLoad(sess *session, payload string) (Response, bool) {
-	var lr loadRequest
+	var lr LoadRequest
 	if err := json.Unmarshal([]byte(payload), &lr); err != nil {
 		return Response{Error: fmt.Sprintf("bad .load payload: %v", err)}, false
 	}
-	if !strings.HasPrefix(lr.Table, "__") {
-		return s.loadShared(lr)
+	shared := !strings.HasPrefix(lr.Table, "__")
+	if shared && s.cfg.DB == nil {
+		return Response{Error: "(no database attached)"}, false
 	}
-	t, ok := sess.scratch[lr.Table]
-	if !ok {
-		if len(lr.Cols) == 0 {
-			return Response{Error: ".load needs cols on first chunk"}, false
-		}
+	t := sess.scratch[lr.Table]
+	if shared {
+		t, _ = s.cfg.DB.Table(lr.Table)
+	}
+	cols := lr.Cols
+	if t != nil {
+		cols = t.Schema().Cols
+	} else if len(cols) == 0 {
+		return Response{Error: ".load needs cols on first chunk"}, false
+	}
+	rows, err := DecodeWireRows(lr.Rows, len(cols))
+	if err != nil {
+		return Response{Error: err.Error()}, false
+	}
+	if shared {
+		return s.loadShared(table.Schema{Name: lr.Table, Cols: cols}, t == nil, rows)
+	}
+	if t == nil {
 		if sess.pool == nil {
 			sess.pool = store.NewBufferPool(store.NewMemPager(), 256)
 			sess.scratch = map[string]*table.Table{}
 		}
-		var err error
-		t, err = table.Create(sess.pool, table.Schema{Name: lr.Table, Cols: lr.Cols})
-		if err != nil {
+		if t, err = table.Create(sess.pool, table.Schema{Name: lr.Table, Cols: cols}); err != nil {
 			return Response{Error: err.Error()}, false
 		}
 		sess.scratch[lr.Table] = t
 		sess.env.BindTable(lr.Table, t)
-	}
-	rows, err := decodeLoadRows(lr.Rows)
-	if err != nil {
-		return Response{Error: err.Error()}, false
 	}
 	if err := t.InsertAll(rows); err != nil {
 		return Response{Error: err.Error()}, false
@@ -1011,49 +1019,19 @@ func (s *Server) handleLoad(sess *session, payload string) (Response, bool) {
 // and the index maintenance all commit under one log fsync. The commit
 // publishes the table with its indexes in the planner snapshot, where
 // every session's next query — this one's included — resolves it.
-func (s *Server) loadShared(lr loadRequest) (Response, bool) {
-	if s.cfg.DB == nil {
-		return Response{Error: "(no database attached)"}, false
-	}
+func (s *Server) loadShared(sch table.Schema, create bool, rows []table.Row) (Response, bool) {
 	db := s.cfg.DB
-	if _, err := db.Table(lr.Table); err != nil {
-		if len(lr.Cols) == 0 {
-			return Response{Error: ".load needs cols on first chunk"}, false
-		}
-		if _, err := db.CreateTable(table.Schema{Name: lr.Table, Cols: lr.Cols}); err != nil {
+	if create {
+		if _, err := db.CreateTable(sch); err != nil {
 			return Response{Error: err.Error()}, false
 		}
 	}
-	rows, err := decodeLoadRows(lr.Rows)
+	if err := db.Load(context.Background(), sch.Name, rows); err != nil {
+		return Response{Error: err.Error()}, false
+	}
+	t, err := db.Table(sch.Name)
 	if err != nil {
 		return Response{Error: err.Error()}, false
 	}
-	if err := db.Load(context.Background(), lr.Table, rows); err != nil {
-		return Response{Error: err.Error()}, false
-	}
-	t, err := db.Table(lr.Table)
-	if err != nil {
-		return Response{Error: err.Error()}, false
-	}
-	return Response{Result: fmt.Sprintf("%s: %d rows", lr.Table, t.Count())}, false
-}
-
-// decodeLoadRows decodes a .load chunk's base64 rows through two
-// buffers the chunk reuses: table.DecodeRow copies what a row keeps.
-func decodeLoadRows(b64s []string) ([]table.Row, error) {
-	rows := make([]table.Row, 0, len(b64s))
-	var src, raw []byte
-	for _, b64 := range b64s {
-		src = append(src[:0], b64...)
-		var err error
-		if raw, err = base64.StdEncoding.AppendDecode(raw[:0], src); err != nil {
-			return nil, fmt.Errorf("bad .load row: %v", err)
-		}
-		r, err := table.DecodeRow(raw)
-		if err != nil {
-			return nil, fmt.Errorf("bad .load row: %v", err)
-		}
-		rows = append(rows, r)
-	}
-	return rows, nil
+	return Response{Result: fmt.Sprintf("%s: %d rows", sch.Name, t.Count())}, false
 }
