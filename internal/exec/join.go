@@ -76,6 +76,9 @@ func fileRows(rows *table.Batch, col int, ids []int32) keyedRows {
 		n = rows.Len
 	}
 	t := keyedRows{ids: ids, chains: core.NewChains(n)}
+	if n == 0 {
+		return t // a build that delivered no batch has no columns
+	}
 	key := &rows.Cols[col]
 	for id := int32(0); id < int32(n); id++ {
 		t.chains.Add(key.Digest(int(t.row(id))) & digestMask)

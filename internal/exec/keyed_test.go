@@ -262,6 +262,33 @@ func TestHashBuildReserve(t *testing.T) {
 	}
 }
 
+// TestHashJoinEmptyBuild: a build side that delivers no batch at all
+// (an empty table's scan) joins to no rows, at one builder and two,
+// with and without an estimate, instead of filing a batch that has no
+// columns.
+func TestHashJoinEmptyBuild(t *testing.T) {
+	probe := keyRows(30, 0)
+	for _, est := range []int{0, 10} {
+		for _, k := range []int{1, 2} {
+			var op exec.Operator
+			if k == 1 {
+				op = exec.NewHashJoin(&rowsOp{rows: probe}, &rowsOp{}, 0, 0, est)
+			} else {
+				hb := exec.NewHashBuild([]exec.Operator{&rowsOp{}, &rowsOp{}}, 0, est)
+				probes := split(probe, k)
+				for i := range probes {
+					probes[i] = exec.NewProbeJoin(probes[i], hb, 0)
+				}
+				op = exec.NewGather(probes, hb)
+			}
+			got, err := exec.Collect(context.Background(), op)
+			if err != nil || len(got) != 0 {
+				t.Fatalf("est=%d x%d: %d rows, %v; want none", est, k, len(got), err)
+			}
+		}
+	}
+}
+
 // TestHashBuildReservedOnce holds a one-builder build with an exact
 // estimate to the operator, its list of builders and one allocation per
 // array — the batch's column headers, the id and score ints, the city

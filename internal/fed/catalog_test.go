@@ -14,22 +14,14 @@ import (
 // TestConnectReadsSiteCatalogs: the coordinator's merged catalog, read
 // through every site's __sys.tables and __sys.stats, matches what the
 // site databases hold — per-site row counts, the largest sampled row
-// size, the max-merged distinct counts of an analyzed table, and the
-// partition spec with its range bounds.
+// size and the partition spec with its range bounds in its TableMeta,
+// and in its planner statistics the summed rows and the merged distinct
+// counts of an analyzed table: summed on the partition column, whose
+// sites hold disjoint values, the max across sites elsewhere.
 func TestConnectReadsSiteCatalogs(t *testing.T) {
 	const n = 3
 	d := makeData(43, 90, 120)
-	lf, err := BootLocal(context.Background(), n, Config{}, func(dbs []*catalog.Database) error {
-		if err := populateData(d, n)(dbs); err != nil {
-			return err
-		}
-		for _, db := range dbs {
-			if _, err := db.Analyze(context.Background()); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
+	lf, err := BootLocal(context.Background(), n, Config{}, analyzeAfter(populateData(d, n)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,30 +38,44 @@ func TestConnectReadsSiteCatalogs(t *testing.T) {
 		t.Fatalf("coordinator has %d tables, want %d", len(got), len(parts))
 	}
 	for _, meta := range got {
-		want := &TableMeta{Name: meta.Name, SiteRows: make([]int, n), Part: parts[meta.Name]}
-		for i, db := range lf.DBs {
+		want := &TableMeta{Name: meta.Name, Part: parts[meta.Name]}
+		var rows int
+		var distinct []int
+		for _, db := range lf.DBs {
 			tab, err := db.Table(meta.Name)
 			if err != nil {
 				t.Fatal(err)
 			}
 			want.Cols = tab.Schema().Cols
-			want.SiteRows[i] = tab.Count()
+			rows += tab.Count()
 			want.RowBytes = max(want.RowBytes, firstPageRowBytes(t, tab))
 			if ts, ok := db.Stats(meta.Name); ok {
-				if want.Distinct == nil {
-					want.Distinct = map[string]int{}
+				if distinct == nil {
+					distinct = make([]int, len(ts.Columns))
 				}
 				for c, cs := range ts.Columns {
-					col := want.Cols[c]
-					want.Distinct[col] = max(want.Distinct[col], cs.Distinct)
+					if p := parts[meta.Name]; p != nil && p.Col == want.Cols[c] {
+						distinct[c] += cs.Distinct
+					} else {
+						distinct[c] = max(distinct[c], cs.Distinct)
+					}
 				}
 			}
 		}
-		if want.Distinct == nil || want.RowBytes == 0 {
+		if distinct == nil || want.RowBytes == 0 {
 			t.Fatalf("%s: fixture lacks statistics or rows", meta.Name)
 		}
 		if !reflect.DeepEqual(meta, want) {
 			t.Errorf("%s: coordinator meta\n%+v\nwant\n%+v", meta.Name, *meta, *want)
+		}
+		ts := lf.Coord.cat.Stats[meta.Name]
+		if ts == nil || ts.Rows != rows || len(ts.Columns) != len(distinct) {
+			t.Fatalf("%s: coordinator statistics %+v, want %d rows over %d columns", meta.Name, ts, rows, len(distinct))
+		}
+		for c, cs := range ts.Columns {
+			if cs.Distinct != distinct[c] {
+				t.Errorf("%s.%s: coordinator distinct %d, want %d", meta.Name, want.Cols[c], cs.Distinct, distinct[c])
+			}
 		}
 	}
 }

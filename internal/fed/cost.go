@@ -4,9 +4,10 @@ import "fmt"
 
 // Strategy selection: a byte-cost model over the four distributed join
 // strategies, in the spirit of classical distributed query
-// optimization. The coordinator knows partition counts and the
-// (estimated) selectivity of the left-side restriction; each strategy's
-// network bytes follow directly.
+// optimization. The coordinator knows partition counts, and its
+// planner catalog (plan.Catalog.Estimate over the sites' statistics)
+// sizes both inputs and the join; each strategy's network bytes follow
+// directly.
 
 // Strategy selects a distributed join algorithm.
 type Strategy int
@@ -45,26 +46,29 @@ func (s Strategy) String() string {
 
 // CostInputs describes a distributed equi-join for strategy selection.
 type CostInputs struct {
-	// LeftRows and RightRows are total row counts across partitions.
+	// LeftRows and RightRows are the estimated rows each input yields
+	// across partitions, after its own restriction.
 	LeftRows, RightRows int
 	// LeftRowBytes / RightRowBytes are average serialized row sizes.
 	LeftRowBytes, RightRowBytes int
 	// KeyBytes is the average serialized join-key size.
 	KeyBytes int
-	// LeftSelectivity is the fraction of left rows surviving the
-	// restriction (1 = no restriction).
-	LeftSelectivity float64
 	// LeftKeyDistinct is the number of distinct join-key values on the
 	// left side, when known from collected statistics (0 = unknown).
 	// SemiJoin ships each distinct key once, so this caps its key
 	// shipment; the zero value preserves the sampled heuristic.
 	LeftKeyDistinct int
+	// RightKeyDistinct is the right join key's distinct count, when
+	// known (0 = unknown): the share of those values the shipped keys
+	// cover is the share of right rows SemiJoin ships.
+	RightKeyDistinct int
 	// Sites is the cluster size.
 	Sites int
 	// CoPartitioned reports both tables hash-partitioned on the join
 	// key, making CoLocated valid.
 	CoPartitioned bool
-	// JoinRows estimates the result cardinality (for result shipping).
+	// JoinRows is the planner's estimate of the result cardinality (for
+	// result shipping).
 	JoinRows int
 }
 
@@ -74,7 +78,7 @@ type CostInputs struct {
 // only the inputs count; Broadcast and CoLocated join at the sites, so
 // the result itself must ship back and resultBytes is charged.
 func EstimateBytes(in CostInputs, s Strategy) float64 {
-	leftShip := float64(in.LeftRows) * in.LeftSelectivity * float64(in.LeftRowBytes)
+	leftShip := float64(in.LeftRows * in.LeftRowBytes)
 	rightAll := float64(in.RightRows * in.RightRowBytes)
 	resultBytes := float64(in.JoinRows * (in.LeftRowBytes + in.RightRowBytes))
 	switch s {
@@ -84,21 +88,22 @@ func EstimateBytes(in CostInputs, s Strategy) float64 {
 		// Gather right once, then one copy per left site, plus results.
 		return rightAll*float64(1+in.Sites) + resultBytes
 	case SemiJoin:
-		distinctKeys := float64(in.LeftRows) * in.LeftSelectivity
+		distinctKeys := float64(in.LeftRows)
 		if in.LeftKeyDistinct > 0 && float64(in.LeftKeyDistinct) < distinctKeys {
 			distinctKeys = float64(in.LeftKeyDistinct)
 		}
 		keyShip := distinctKeys * float64(in.KeyBytes) * float64(in.Sites)
 		// Matching right rows ≈ key coverage: the fraction of the right
-		// side whose key appears in the shipped set, not the left-side
-		// selectivity (a highly selective left restriction still covers
-		// the whole right side when both have many rows per key).
+		// side whose key appears in the shipped set, not the share of
+		// left rows kept (a highly selective left restriction still
+		// covers the whole right side when both have many rows per key).
+		// Without the right key's distinct count, its keys are taken as
+		// unique.
 		frac := 1.0
-		if in.RightRows > 0 {
-			frac = distinctKeys / float64(in.RightRows)
-			if frac > 1 {
-				frac = 1
-			}
+		if in.RightKeyDistinct > 0 {
+			frac = min(distinctKeys/float64(in.RightKeyDistinct), 1)
+		} else if in.RightRows > 0 {
+			frac = min(distinctKeys/float64(in.RightRows), 1)
 		}
 		return leftShip + keyShip + rightAll*frac
 	case CoLocated:

@@ -6,7 +6,7 @@ func TestChooseStrategyShapes(t *testing.T) {
 	base := CostInputs{
 		LeftRows: 10_000, RightRows: 1_000,
 		LeftRowBytes: 20, RightRowBytes: 20, KeyBytes: 4,
-		LeftSelectivity: 1.0, Sites: 4, JoinRows: 10_000,
+		Sites: 4, JoinRows: 10_000,
 	}
 	// Co-partitioned with a big result is still cheapest when valid and
 	// the result is not blown up.
@@ -18,7 +18,7 @@ func TestChooseStrategyShapes(t *testing.T) {
 	}
 	// Highly selective probe side → semijoin.
 	sel := base
-	sel.LeftSelectivity = 0.01
+	sel.LeftRows = 100 // 1 % of the left rows survive
 	sel.JoinRows = 100
 	if got := ChooseStrategy(sel); got != SemiJoin {
 		t.Fatalf("selective probe chose %v", got)
@@ -41,7 +41,7 @@ func TestChooseStrategyShapes(t *testing.T) {
 
 // TestSemiJoinKeyCoverage pins the corrected semijoin cost model: the
 // matched-right fraction is key coverage (shipped distinct keys over
-// right rows), not the left selectivity. With an unselective left side
+// right rows), not the share of left rows kept. With an unselective left side
 // over a large right table, the old model charged nearly the whole
 // right side to the semijoin and picked ShipAll; coverage-based costing
 // makes SemiJoin the clear winner.
@@ -49,7 +49,7 @@ func TestSemiJoinKeyCoverage(t *testing.T) {
 	in := CostInputs{
 		LeftRows: 100, RightRows: 10000,
 		LeftRowBytes: 100, RightRowBytes: 20, KeyBytes: 8,
-		LeftSelectivity: 1.0, Sites: 4, JoinRows: 100,
+		Sites: 4, JoinRows: 100,
 	}
 	// leftShip 10_000 + keyShip 100*8*4 = 3_200 + rightAll 200_000 *
 	// coverage (100/10_000 = 0.01) = 2_000.
@@ -82,7 +82,7 @@ func TestSemiJoinDistinctKeyCap(t *testing.T) {
 	in := CostInputs{
 		LeftRows: 1000, RightRows: 1000,
 		LeftRowBytes: 20, RightRowBytes: 20, KeyBytes: 9,
-		LeftSelectivity: 1.0, Sites: 4,
+		Sites: 4,
 	}
 	// Before: leftShip 20_000 + keyShip 1000*9*4 = 36_000 + rightAll
 	// 20_000 * coverage 1 = 76_000; ShipAll (40_000) wins.
@@ -107,5 +107,25 @@ func TestSemiJoinDistinctKeyCap(t *testing.T) {
 	in.LeftKeyDistinct = 5000
 	if got, want := EstimateBytes(in, SemiJoin), 76000.0; got != want {
 		t.Fatalf("oversized distinct must not inflate keys: %v, want %v", got, want)
+	}
+}
+
+// TestSemiJoinRightKeyCoverage: with the right key's distinct count,
+// coverage is shipped keys over right key values. 100 keys over a right
+// side of 100 keys with 100 rows each cover all of it, and SemiJoin no
+// longer pays.
+func TestSemiJoinRightKeyCoverage(t *testing.T) {
+	in := CostInputs{
+		LeftRows: 100, RightRows: 10000,
+		LeftRowBytes: 100, RightRowBytes: 20, KeyBytes: 8,
+		Sites: 4, JoinRows: 10000, RightKeyDistinct: 100,
+	}
+	// leftShip 10_000 + keyShip 100*8*4 = 3_200 + rightAll 200_000 *
+	// coverage (100/100 = 1).
+	if got, want := EstimateBytes(in, SemiJoin), 213200.0; got != want {
+		t.Fatalf("semijoin bytes over a dense right key = %v, want %v", got, want)
+	}
+	if got := ChooseStrategy(in); got == SemiJoin {
+		t.Fatalf("keys covering the whole right side chose SemiJoin")
 	}
 }

@@ -7,8 +7,10 @@
 // site's own system views (`from __sys.tables` for columns, row counts
 // and partition specs, `from __sys.stats` for distinct counts), and
 // compiles incoming `from …` statements with the ordinary single-node
-// planner against a stub environment of schema-only tables. The
-// optimized logical tree is then
+// planner against a plan.Catalog of schema-only stub tables and the
+// sites' merged statistics, so one estimator (plan.Catalog.Estimate)
+// orders, sides and sizes the coordinator's plans. The optimized
+// logical tree is then
 // split: maximal per-site subtrees — restrict / project / partial
 // aggregate / co-located or broadcast join chains — are decompiled back
 // into query text and shipped to the owning sites as fragments over the
@@ -42,7 +44,9 @@ import (
 
 	"xst/internal/core"
 	"xst/internal/metrics"
+	"xst/internal/plan"
 	"xst/internal/server"
+	"xst/internal/stats"
 	"xst/internal/store"
 	"xst/internal/sysview"
 	"xst/internal/table"
@@ -95,27 +99,11 @@ func (c *Config) fill() {
 type TableMeta struct {
 	Name string
 	Cols []string
-	// SiteRows is the row count on each site.
-	SiteRows []int
 	// RowBytes is the largest per-site sampled encoded row size.
 	RowBytes int
-	// Distinct maps column name → per-column distinct count, merged as
-	// the max across sites (each site's exact count is a lower bound on
-	// the federation-wide count). Empty until the sites have been
-	// analyzed; consumers treat a missing entry as unknown.
-	Distinct map[string]int
 	// Part is the partition spec shared by all sites (nil when the
 	// table is unpartitioned — rows live wherever they were inserted).
 	Part *PartSpec
-}
-
-// Rows is the total row count across sites.
-func (m *TableMeta) Rows() int {
-	n := 0
-	for _, r := range m.SiteRows {
-		n += r
-	}
-	return n
 }
 
 // PartSpec is the coordinator-side partition description.
@@ -135,11 +123,11 @@ type Coordinator struct {
 	sites  []*site
 	tables map[string]*TableMeta
 	env    *xlang.Env
-	// stubs maps the schema-only stub tables bound into env back to
-	// their names, so the splitter recognizes plan.Scan leaves.
-	stubs map[*table.Table]string
-	seq   atomic.Uint64
-	m     Metrics
+	// cat is the planner catalog env compiles against: a schema-only
+	// stub table per federated table and the sites' merged statistics.
+	cat *plan.Catalog
+	seq atomic.Uint64
+	m   Metrics
 }
 
 // site is one backend with its connection pool and per-site counters.
@@ -208,11 +196,12 @@ func Connect(ctx context.Context, cfg Config) (*Coordinator, error) {
 		}
 		perSite[i] = cat
 	}
-	if err := c.mergeCatalogs(perSite); err != nil {
+	sc, err := c.mergeCatalogs(perSite)
+	if err != nil {
 		c.Close()
 		return nil, err
 	}
-	if err := c.buildStubEnv(); err != nil {
+	if err := c.buildStubEnv(sc); err != nil {
 		c.Close()
 		return nil, err
 	}
@@ -225,11 +214,12 @@ func Connect(ctx context.Context, cfg Config) (*Coordinator, error) {
 }
 
 // siteTable is one table as one site reports it: its __sys.tables row
-// and the distinct counts of its __sys.stats rows.
+// and, by column position, the distinct counts of its __sys.stats rows
+// (nil until the site has analyzed the table).
 type siteTable struct {
 	cols        []string
 	rows, bytes int
-	distinct    map[string]int
+	distinct    []int
 	part        *PartSpec
 	site, sites int
 }
@@ -276,9 +266,11 @@ func parseCatalog(tables, stats []table.Row) (map[string]*siteTable, error) {
 		}
 		if ti := out[tbl]; ti != nil {
 			if ti.distinct == nil {
-				ti.distinct = map[string]int{}
+				ti.distinct = make([]int, len(ti.cols))
 			}
-			ti.distinct[col] = d
+			if i := slices.Index(ti.cols, col); i >= 0 {
+				ti.distinct[i] = d
+			}
 		}
 	}
 	return out, nil
@@ -320,13 +312,18 @@ func (v *rowReader) strs(i int) []string {
 	return out
 }
 
-// mergeCatalogs folds the per-site catalogs into TableMetas. Every site
-// must hold every table with the same columns and the same placement
-// rule — both unpartitioned, or one kind, column and set of range
-// bounds — and a partitioned table must span the federation with each
-// site at its own ordinal. A rule one site lacks would prune that
+// mergeCatalogs folds the per-site catalogs into TableMetas and the
+// planner's statistics: a table's rows summed over the sites, each
+// column's distinct count the max across them (each site's exact count
+// is a lower bound on the federation-wide one) except the partition
+// column's, whose per-site value sets are disjoint and so add up, and
+// no column statistics until some site has analyzed the table. Every
+// site must hold every table with the same columns and the same
+// placement rule — both unpartitioned, or one kind, column and set of
+// range bounds — and a partitioned table must span the federation with
+// each site at its own ordinal. A rule one site lacks would prune that
 // site's rows out of equality probes.
-func (c *Coordinator) mergeCatalogs(perSite []map[string]*siteTable) error {
+func (c *Coordinator) mergeCatalogs(perSite []map[string]*siteTable) (stats.Catalog, error) {
 	names := map[string]bool{}
 	for _, m := range perSite {
 		for n := range m {
@@ -338,42 +335,49 @@ func (c *Coordinator) mergeCatalogs(perSite []map[string]*siteTable) error {
 		sorted = append(sorted, n)
 	}
 	sort.Strings(sorted)
+	sc := stats.Catalog{}
 	for _, name := range sorted {
-		meta := &TableMeta{Name: name, SiteRows: make([]int, len(c.sites))}
+		meta := &TableMeta{Name: name}
+		ts := &stats.TableStats{}
 		for i, m := range perSite {
 			ti, ok := m[name]
 			if !ok {
-				return fmt.Errorf("fed: table %q missing on site %d", name, i)
+				return nil, fmt.Errorf("fed: table %q missing on site %d", name, i)
 			}
 			if ti.part != nil && ti.sites != len(c.sites) {
-				return fmt.Errorf("fed: table %q partitioned over %d sites, federation has %d",
+				return nil, fmt.Errorf("fed: table %q partitioned over %d sites, federation has %d",
 					name, ti.sites, len(c.sites))
 			}
 			if ti.part != nil && ti.site != i {
-				return fmt.Errorf("fed: table %q on site %d claims partition ordinal %d",
+				return nil, fmt.Errorf("fed: table %q on site %d claims partition ordinal %d",
 					name, i, ti.site)
 			}
 			switch {
 			case i == 0:
 				meta.Cols, meta.Part = ti.cols, ti.part
 			case !slices.Equal(meta.Cols, ti.cols):
-				return fmt.Errorf("fed: table %q schema differs on site %d: %v vs %v",
+				return nil, fmt.Errorf("fed: table %q schema differs on site %d: %v vs %v",
 					name, i, ti.cols, meta.Cols)
 			case !samePart(meta.Part, ti.part):
-				return fmt.Errorf("fed: table %q partition spec differs on site %d", name, i)
+				return nil, fmt.Errorf("fed: table %q partition spec differs on site %d", name, i)
 			}
-			meta.SiteRows[i] = ti.rows
 			meta.RowBytes = max(meta.RowBytes, ti.bytes)
-			for col, d := range ti.distinct {
-				if meta.Distinct == nil {
-					meta.Distinct = map[string]int{}
+			ts.Rows += ti.rows
+			if ti.distinct != nil && ts.Columns == nil {
+				ts.Columns = make([]stats.ColumnStats, len(meta.Cols))
+			}
+			for j, d := range ti.distinct {
+				if cs := &ts.Columns[j]; meta.Part != nil && meta.Part.Col == meta.Cols[j] {
+					cs.Distinct += d
+				} else {
+					cs.Distinct = max(cs.Distinct, d)
 				}
-				meta.Distinct[col] = max(meta.Distinct[col], d)
 			}
 		}
 		c.tables[name] = meta
+		sc[name] = ts
 	}
-	return nil
+	return sc, nil
 }
 
 // samePart reports whether two sites record one placement rule.
@@ -385,24 +389,24 @@ func samePart(a, b *PartSpec) bool {
 		slices.EqualFunc(a.Bounds, b.Bounds, core.Equal)
 }
 
-// buildStubEnv binds a schema-only, zero-row stand-in for every
-// federated table into a fresh environment, so the ordinary single-node
+// buildStubEnv makes a schema-only, zero-row stand-in for every
+// federated table and binds them, with the merged statistics sc, as a
+// fresh environment's planner catalog, so the ordinary single-node
 // parser and optimizer compile statements against the federation
-// catalog.
-func (c *Coordinator) buildStubEnv() error {
+// catalog and estimate its tables at their sites' sizes.
+func (c *Coordinator) buildStubEnv(sc stats.Catalog) error {
 	pool := store.NewBufferPool(store.NewMemPager(), 16)
-	env := xlang.NewEnv()
-	stubs := map[*table.Table]string{}
+	cat := &plan.Catalog{Tables: map[string]*table.Table{}, Stats: sc}
 	for name, meta := range c.tables {
 		t, err := table.Create(pool, table.Schema{Name: name, Cols: meta.Cols})
 		if err != nil {
 			return fmt.Errorf("fed: stub table %q: %w", name, err)
 		}
-		env.BindTable(name, t)
-		stubs[t] = name
+		cat.Tables[name] = t
 	}
-	c.env = env
-	c.stubs = stubs
+	c.env = xlang.NewEnv()
+	c.env.BindPlanCatalog(func() *plan.Catalog { return cat })
+	c.cat = cat
 	return nil
 }
 

@@ -83,6 +83,21 @@ func populateData(d testData, n int) func(dbs []*catalog.Database) error {
 	}
 }
 
+// analyzeAfter runs populate, then collects statistics on every site.
+func analyzeAfter(populate func([]*catalog.Database) error) func([]*catalog.Database) error {
+	return func(dbs []*catalog.Database) error {
+		if err := populate(dbs); err != nil {
+			return err
+		}
+		for _, db := range dbs {
+			if _, err := db.Analyze(context.Background()); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+}
+
 func bootTestFed(t *testing.T, n int, cfg Config, d testData) *LocalFed {
 	t.Helper()
 	ctx := context.Background()
@@ -286,10 +301,10 @@ func TestForcedStrategyEquivalence(t *testing.T) {
 	}
 }
 
-// TestCoordinatorBuildsSmallerSide: the coordinator plans on zero-row
-// stubs, so its joins are sided over the fragments' estimated sizes.
-// With the larger input written on the right and both sides shipped,
-// the coordinator must build the smaller one; a self-join, whose inputs
+// TestCoordinatorBuildsSmallerSide: the coordinator plans on its sites'
+// statistics, so its joins are sided over the tables' real sizes. With
+// the larger input written on the right and both sides shipped, the
+// coordinator must build the smaller one; a self-join, whose inputs
 // share every column name, must keep its columns apart through the
 // swap.
 func TestCoordinatorBuildsSmallerSide(t *testing.T) {
@@ -340,36 +355,65 @@ func TestCoordinatorBuildsSmallerSide(t *testing.T) {
 
 // TestStrategyChoice pins the cost model's picks on the live metadata:
 // a broadcast-shaped join (small build side), a semijoin-shaped one
-// (selective probe into a large table) and a co-located one.
+// (selective probe into a large table) and a co-located one, on sites
+// without statistics and again on analyzed ones.
 func TestStrategyChoice(t *testing.T) {
 	d := makeData(17, 300, 3000)
-	lf := bootTestFed(t, 3, Config{}, d)
-
-	q, _ := runFed(t, lf, "from orders join users on uid = id select oid, amount, name")
-	if got := q.Strategies(); len(got) != 1 || got[0] == CoLocated {
-		t.Fatalf("orders⋈users strategies = %v", got)
+	bare := bootTestFed(t, 3, Config{}, d)
+	analyzed, err := BootLocal(context.Background(), 3, Config{}, analyzeAfter(populateData(d, 3)))
+	if err != nil {
+		t.Fatal(err)
 	}
+	t.Cleanup(func() { analyzed.Shutdown(context.Background()) })
 
-	q, _ = runFed(t, lf, "from users join profiles on id = pid select id, score")
-	if got := q.Strategies(); len(got) != 1 || got[0] != CoLocated {
-		t.Fatalf("co-partitioned join strategies = %v, want [CoLocated]", got)
-	}
+	for _, lf := range []*LocalFed{bare, analyzed} {
+		q, _ := runFed(t, lf, "from orders join users on uid = id select oid, amount, name")
+		if got := q.Strategies(); len(got) != 1 || got[0] == CoLocated {
+			t.Fatalf("orders⋈users strategies = %v", got)
+		}
+		// Analyzed, every user's key is an order's: shipping the keys
+		// would bring every order back, so both inputs ship instead.
+		if got := q.Strategies(); lf == analyzed && got[0] != ShipAll {
+			t.Fatalf("analyzed orders⋈users strategies = %v, want [ShipAll]", got)
+		}
 
-	// The cost model must prefer semijoin when a selective left side
-	// probes a much larger right side, and broadcast when the right side
-	// is tiny relative to the left partitions.
-	in := lf.Coord.costProbe("users", "orders", "id", "uid")
-	if got := ChooseStrategy(in); got != SemiJoin && got != Broadcast {
-		t.Logf("probe inputs %+v chose %v", in, got)
+		q, _ = runFed(t, lf, "from users join profiles on id = pid select id, score")
+		if got := q.Strategies(); len(got) != 1 || got[0] != CoLocated {
+			t.Fatalf("co-partitioned join strategies = %v, want [CoLocated]", got)
+		}
+
+		// A selective left side probing a much larger right side ships
+		// its keys, though the planner builds on the small side; written
+		// the other way round, the small side still moves, not the large.
+		const probe = "from users join orders on id = uid where age = 3 select id, oid"
+		q, _ = runFed(t, lf, probe)
+		if got := q.Strategies(); len(got) != 1 || got[0] != SemiJoin {
+			t.Fatalf("%s: strategies = %v, want [SemiJoin]", probe, got)
+		}
+		const build = "from orders join users on uid = id where age = 3 select oid, name"
+		q, _ = runFed(t, lf, build)
+		if got := q.Strategies(); len(got) != 1 || (got[0] != SemiJoin && got[0] != Broadcast) {
+			t.Fatalf("%s: strategies = %v, want [SemiJoin] or [Broadcast]", build, got)
+		}
+
+		// The cost model must prefer semijoin when a selective left side
+		// probes a much larger right side, and broadcast when the right
+		// side is tiny relative to the left partitions.
+		in := lf.Coord.costProbe("users", "orders", "id", "uid", plan.Cmp{Col: "age", Op: plan.Eq, Val: core.Int(3)})
+		if got := ChooseStrategy(in); got != SemiJoin && got != Broadcast {
+			t.Fatalf("probe inputs %+v chose %v", in, got)
+		}
 	}
 }
 
-// costProbe builds cost inputs from live table metadata (test hook).
-func (c *Coordinator) costProbe(left, right, lcol, rcol string) CostInputs {
-	lf := newFragment(left, c.tables[left], table.Schema{Name: left, Cols: c.tables[left].Cols})
-	rf := newFragment(right, c.tables[right], table.Schema{Name: right, Cols: c.tables[right].Cols})
+// costProbe builds cost inputs from live table metadata (test hook),
+// the left side restricted by pred.
+func (c *Coordinator) costProbe(left, right, lcol, rcol string, pred plan.Pred) CostInputs {
+	lf := newFragment(&plan.Scan{Table: c.cat.Tables[left]}, c.tables[left])
+	lf.node = &plan.Select{Child: lf.node, Pred: pred}
+	rf := newFragment(&plan.Scan{Table: c.cat.Tables[right]}, c.tables[right])
 	s := &splitter{c: c}
-	return s.costInputs(lf, rf, lcol, rcol, true)
+	return s.costInputs(lf, rf, &plan.Join{Left: lf.node, Right: rf.node, LeftCol: lcol, RightCol: rcol}, true)
 }
 
 // TestHashPlacementInvariant: under hash partitioning every row lives on
@@ -555,30 +599,66 @@ func TestPartitionPersistence(t *testing.T) {
 	}
 }
 
-// TestSelectivityUsesDistinctCounts: equality conjuncts switch from the
-// System-R constant to 1/distinct once site statistics are merged, and
-// the splitter's join-cardinality estimate uses the key's distinct
-// count.
+// TestSelectivityUsesDistinctCounts: the coordinator estimates a
+// fragment's restriction with plan.Catalog.Estimate over the merged
+// site statistics — the System-R constant for an equality until the
+// sites are analyzed, 1/distinct after, and the range constant either
+// way, since sites publish no histograms — and resolves a join key's
+// distinct count through the same catalog.
 func TestSelectivityUsesDistinctCounts(t *testing.T) {
-	meta := &TableMeta{Name: "t", Cols: []string{"id", "kind"}, SiteRows: []int{500, 500}}
-	f := newFragment("t", meta, table.Schema{Name: "t", Cols: meta.Cols})
-	f.preds = append(f.preds, plan.Cmp{Col: "id", Op: plan.Eq, Val: core.Int(7)})
-	if got := f.selectivity(); got != 0.1 {
-		t.Fatalf("selectivity without stats = %v, want 0.1", got)
+	siteCat := func(rows int, distinct []int) map[string]*siteTable {
+		return map[string]*siteTable{"t": {cols: []string{"id", "kind"}, rows: rows, distinct: distinct}}
 	}
-	meta.Distinct = map[string]int{"id": 1000, "kind": 2}
-	if got := f.selectivity(); got != 1.0/1000 {
-		t.Fatalf("selectivity with stats = %v, want 0.001", got)
+	estimate := func(perSite []map[string]*siteTable, stmt string) (*plan.Catalog, plan.Node) {
+		t.Helper()
+		c := &Coordinator{sites: make([]*site, len(perSite)), tables: map[string]*TableMeta{}}
+		sc, err := c.mergeCatalogs(perSite)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.buildStubEnv(sc); err != nil {
+			t.Fatal(err)
+		}
+		xq, err := xlang.CompileQuery(c.env, stmt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c.cat, xq.Node
 	}
-	// Range conjuncts keep the constant — histograms are not shipped.
-	f.preds = []plan.Cmp{{Col: "id", Op: plan.Lt, Val: core.Int(7)}}
-	if got := f.selectivity(); got != 0.3 {
-		t.Fatalf("range selectivity = %v, want 0.3", got)
+	bare := []map[string]*siteTable{siteCat(500, nil), siteCat(500, nil)}
+	if cat, n := estimate(bare, "from t where id = 7"); cat.Estimate(n) != 1000*0.1 {
+		t.Fatalf("equality without stats estimates %v rows, want 100 (selectivity 0.1)", cat.Estimate(n))
 	}
-	if got := f.distinctOf("kind"); got != 2 {
-		t.Fatalf("distinctOf(kind) = %d, want 2", got)
+	// One site analyzed: its counts stand for the federation (max-merge).
+	analyzed := []map[string]*siteTable{siteCat(500, []int{1000, 2}), siteCat(500, nil)}
+	if cat, n := estimate(analyzed, "from t where id = 7"); cat.Estimate(n) != 1000*(1.0/1000) {
+		t.Fatalf("equality with stats estimates %v rows, want 1 (selectivity 1/1000)", cat.Estimate(n))
 	}
-	if got := f.distinctOf("missing"); got != 0 {
-		t.Fatalf("distinctOf(missing) = %d, want 0", got)
+	cat, n := estimate(analyzed, "from t where id < 7")
+	if cat.Estimate(n) != 1000*0.3 {
+		t.Fatalf("range estimates %v rows, want 300 (selectivity 0.3)", cat.Estimate(n))
+	}
+	if got := cat.Distinct(n, "kind"); got != 2 {
+		t.Fatalf("Distinct(kind) = %d, want 2", got)
+	}
+	if got := cat.Distinct(n, "missing"); got != 0 {
+		t.Fatalf("Distinct(missing) = %d, want 0", got)
+	}
+}
+
+// TestCoordinatorEstimatesSiteRows: the coordinator compiles against its
+// sites' statistics, not the zero-row stubs that stand for its tables,
+// so a federated scan is estimated at the rows summed over the sites.
+func TestCoordinatorEstimatesSiteRows(t *testing.T) {
+	d := makeData(47, 90, 120)
+	lf := bootTestFed(t, 3, Config{}, d)
+	for stmt, want := range map[string]int{"from users": len(d.users), "from orders": len(d.orders)} {
+		xq, err := xlang.CompileQuery(lf.Coord.env, stmt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := lf.Coord.env.PlanCatalog().Estimate(xq.Node); got != float64(want) {
+			t.Errorf("%s: coordinator estimates %v rows, want the sites' %d", stmt, got, want)
+		}
 	}
 }

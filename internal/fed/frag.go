@@ -24,12 +24,16 @@ import (
 type fragment struct {
 	table string
 	meta  *TableMeta
+	// node is the subtree of the optimized plan the fragment stands
+	// for; the coordinator's catalog estimates the fragment's output
+	// from it.
+	node plan.Node
 	// joins are site-local join clauses (co-located or scratch-table
 	// joins), applied in order after the base table.
 	joins     []fragJoin
 	joinMetas []*TableMeta
 	// where holds rendered conjuncts; preds the structured forms (for
-	// selectivity estimates and partition pruning).
+	// partition pruning).
 	where []string
 	preds []plan.Cmp
 	// cols is the pushed projection (nil = whole schema), sch the
@@ -50,8 +54,8 @@ type fragJoin struct {
 	rightCol string
 }
 
-func newFragment(name string, meta *TableMeta, sch table.Schema) *fragment {
-	return &fragment{table: name, meta: meta, sch: sch, limit: -1}
+func newFragment(scan *plan.Scan, meta *TableMeta) *fragment {
+	return &fragment{table: meta.Name, meta: meta, node: scan, sch: scan.Schema(), limit: -1}
 }
 
 // plain reports whether more operators may still be pushed beneath the
@@ -266,59 +270,6 @@ func renderableAggs(key string, aggs []plan.AggSpec) bool {
 		seen[name] = true
 	}
 	return true
-}
-
-// selectivity estimates the surviving fraction of the fragment's base
-// rows under its pushed predicates. Equality conjuncts use 1/distinct
-// when the sites have been analyzed (`.analyze` publishes per-column
-// distinct counts through __sys.stats); everything else falls back to
-// plan.DefaultSelectivity, as plan does without statistics.
-func (f *fragment) selectivity() float64 {
-	s := 1.0
-	for _, p := range f.preds {
-		sel := plan.DefaultSelectivity(p)
-		if p.Op == plan.Eq {
-			if d := f.distinctOf(p.Col); d > 0 {
-				sel = 1 / float64(d)
-			}
-		}
-		s *= sel
-	}
-	return s
-}
-
-// distinctOf resolves a column's merged distinct count across the
-// fragment's tables (0 = unknown).
-func (f *fragment) distinctOf(col string) int {
-	for _, m := range append([]*TableMeta{f.meta}, f.joinMetas...) {
-		if m == nil {
-			continue
-		}
-		if d, ok := m.Distinct[col]; ok {
-			return d
-		}
-	}
-	return 0
-}
-
-// estRows estimates the fragment's output cardinality across all sites.
-func (f *fragment) estRows() float64 {
-	rows := float64(f.meta.Rows())
-	for _, jm := range f.joinMetas {
-		if r := float64(jm.Rows()); r > rows {
-			rows = r
-		}
-	}
-	est := rows * f.selectivity()
-	if f.groupKey != "" {
-		// One row per key, guessed as an equality's selectivity, as plan
-		// estimates a GroupBy without statistics.
-		est *= plan.DefaultSelectivity(plan.Cmp{Col: f.groupKey, Op: plan.Eq})
-	}
-	if f.limit >= 0 && float64(f.limit) < est {
-		est = float64(f.limit)
-	}
-	return est
 }
 
 // sites returns the pruned site list the fragment must visit: for each

@@ -33,11 +33,10 @@ func (c *Coordinator) Compile(stmt string) (*Query, error) {
 	if err != nil {
 		return nil, err
 	}
+	// CompileQuery ordered and sided the joins on the sites' statistics;
+	// the split keeps every join's sides.
 	sp := &splitter{c: c}
-	// The coordinator planned against zero-row stubs; the assembled
-	// plan's Source leaves carry the fragments' estimated sizes, so the
-	// coordinator-side joins are sided here, over those.
-	node := plan.ChooseJoinSides(sp.split(xq.Node), nil)
+	node := sp.split(xq.Node)
 	dop := sp.fanout
 	if dop < 1 {
 		dop = 1

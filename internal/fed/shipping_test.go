@@ -152,10 +152,11 @@ func TestCostModelPicksNearBest(t *testing.T) {
 			// metadata; one "<" conjunct is the planner's 0.3, and the
 			// join's true cardinality stands in for its estimate.
 			o, u := lf.Coord.tables["orders"], lf.Coord.tables["users"]
+			sc := lf.Coord.cat.Stats
 			in = CostInputs{
-				LeftRows: o.Rows(), RightRows: u.Rows(),
+				LeftRows: sc["orders"].Rows * 3 / 10, RightRows: sc["users"].Rows,
 				LeftRowBytes: o.RowBytes, RightRowBytes: u.RowBytes,
-				KeyBytes: 9, LeftSelectivity: 0.3, Sites: 3, JoinRows: rows,
+				KeyBytes: 9, Sites: 3, JoinRows: rows,
 			}
 		} else if rows != in.JoinRows {
 			t.Fatalf("%s returned %d rows, shipall %d", s.force, rows, in.JoinRows)

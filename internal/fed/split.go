@@ -53,7 +53,7 @@ func (s *splitter) nodeOf(p piece) plan.Node {
 // source wraps a fragment as a plan.Source leaf: compiling the plan
 // builds one Remote per (pruned) site under a Gather exchange.
 func (s *splitter) source(f *fragment) plan.Node {
-	return s.sourceFq(f, f.sch, staticFrag(f.render()), f.render(), f.estRows())
+	return s.sourceFq(f, f.sch, staticFrag(f.render()), f.render(), s.c.cat.Estimate(f.node))
 }
 
 // sourceFq is source with an explicit per-attempt fragment function,
@@ -98,13 +98,13 @@ func (s *splitter) split(n plan.Node) plan.Node {
 func (s *splitter) rec(n plan.Node) piece {
 	switch x := n.(type) {
 	case *plan.Scan:
-		name, ok := s.c.stubs[x.Table]
+		meta, ok := s.c.tables[x.Table.Schema().Name]
 		if !ok {
-			// Not a federated table (cannot happen through Compile, which
-			// binds only stubs); leave the scan local.
+			// Not a federated table (cannot happen through Compile, whose
+			// catalog holds only stubs); leave the scan local.
 			return piece{node: x}
 		}
-		return piece{frag: newFragment(name, s.c.tables[name], x.Schema())}
+		return piece{frag: newFragment(x, meta)}
 
 	case *plan.Select:
 		p := s.rec(x.Child)
@@ -115,6 +115,7 @@ func (s *splitter) rec(n plan.Node) piece {
 			if texts, cmps, ok := renderPred(x.Pred); ok {
 				p.frag.where = append(p.frag.where, texts...)
 				p.frag.preds = append(p.frag.preds, cmps...)
+				p.frag.node = x
 				return p
 			}
 		}
@@ -128,6 +129,7 @@ func (s *splitter) rec(n plan.Node) piece {
 		if p.frag != nil && p.frag.plain() && renderableIdents(x.Cols) {
 			p.frag.cols = append([]string(nil), x.Cols...)
 			p.frag.sch = table.Schema{Name: p.frag.sch.Name, Cols: p.frag.cols}
+			p.frag.node = x
 			return p
 		}
 		return piece{node: &plan.Project{Child: s.nodeOf(p), Cols: x.Cols}}
@@ -137,7 +139,7 @@ func (s *splitter) rec(n plan.Node) piece {
 		// Per-site distinct shrinks shipping; the coordinator re-distincts
 		// the union (sites may share values).
 		if p.frag != nil && p.frag.plain() {
-			p.frag.distinct = true
+			p.frag.distinct, p.frag.node = true, x
 			return piece{node: &plan.Distinct{Child: s.source(p.frag)}}
 		}
 		return piece{node: &plan.Distinct{Child: s.nodeOf(p)}}
@@ -164,12 +166,17 @@ func (s *splitter) rec(n plan.Node) piece {
 			if p.frag.limit < 0 || x.N < p.frag.limit {
 				p.frag.limit = x.N
 			}
+			p.frag.node = x
 			return piece{node: &plan.Limit{Child: s.source(p.frag), N: x.N}}
 		}
 		return piece{node: &plan.Limit{Child: s.nodeOf(p), N: x.N}}
 
 	case *plan.Join:
 		return s.join(x)
+
+	case *plan.Rename:
+		// Names restored above a swapped join; the grammar has no rename.
+		return piece{node: &plan.Rename{Child: s.nodeOf(s.rec(x.Child)), Cols: x.Cols}}
 
 	default:
 		return piece{node: n}
@@ -182,8 +189,7 @@ func (s *splitter) rec(n plan.Node) piece {
 // restores the user-visible column names over the merge's partial-form
 // ones.
 func (s *splitter) partialAgg(f *fragment, g *plan.GroupBy) plan.Node {
-	f.groupKey = g.Key
-	f.aggs = g.Aggs
+	f.groupKey, f.aggs, f.node = g.Key, g.Aggs, g
 	f.cols = nil
 	partialCols := []string{g.Key}
 	finalCols := []string{g.Key}
@@ -225,10 +231,30 @@ func (s *splitter) join(x *plan.Join) piece {
 	// coordinator's table.JoinSchema qualifies them.
 	disjoint := disjointCols(lf.outCols(), rf.outCols()) &&
 		renderableIdents(lf.outCols()) && renderableIdents(rf.outCols())
-	in := s.costInputs(lf, rf, x.LeftCol, x.RightCol, disjoint)
+	in := s.costInputs(lf, rf, x, disjoint)
 	strat := ChooseStrategy(in)
+	// The planner sided x for a hash join at the coordinator, but
+	// broadcast ships the right input and semijoin the left one's keys,
+	// so the join is costed with its inputs exchanged too (ship-all and
+	// co-located cost the same either way round).
+	var flipped *plan.Join
+	if disjoint {
+		fx := &plan.Join{Left: x.Right, Right: x.Left, LeftCol: x.RightCol, RightCol: x.LeftCol}
+		fin := s.costInputs(rf, lf, fx, disjoint)
+		if fs := ChooseStrategy(fin); EstimateBytes(fin, fs) < EstimateBytes(in, strat) {
+			strat, flipped = fs, fx
+		}
+	}
+	// Without distinct counts on the join keys the result is sized at the
+	// larger input (the planner's key/foreign-key guess), and at that size
+	// shipping the result never beats shipping the inputs: the guess, not
+	// the data, would decide. Co-partitioned inputs then join where they
+	// lie, shipping no input row.
+	if in.CoPartitioned && in.LeftKeyDistinct == 0 && in.RightKeyDistinct == 0 {
+		strat, flipped = CoLocated, nil
+	}
 	if forced, ok := forcedStrategy(s.c.cfg.ForceStrategy); ok {
-		strat = forced
+		strat, flipped = forced, nil
 	}
 	if !disjoint && (strat == Broadcast || strat == CoLocated) {
 		strat = ShipAll
@@ -245,6 +271,15 @@ func (s *splitter) join(x *plan.Join) piece {
 		strat = ShipAll
 	}
 	s.strategies = append(s.strategies, strat)
+	if flipped != nil {
+		// Disjoint names: a projection restores x's column order.
+		return piece{node: &plan.Project{Child: s.nodeOf(s.ship(strat, rf, lf, flipped)), Cols: x.Schema().Cols}}
+	}
+	return s.ship(strat, lf, rf, x)
+}
+
+// ship lowers the join x of fragments lf and rf under strategy strat.
+func (s *splitter) ship(strat Strategy, lf, rf *fragment, x *plan.Join) piece {
 	switch strat {
 	case CoLocated:
 		return s.colocated(lf, rf, x)
@@ -295,38 +330,25 @@ func forcedStrategy(s string) (Strategy, bool) {
 	return 0, false
 }
 
-// costInputs lifts the fragment statistics into the byte-cost model.
-func (s *splitter) costInputs(lf, rf *fragment, lcol, rcol string, disjoint bool) CostInputs {
-	in := CostInputs{
-		LeftRows:        lf.meta.Rows(),
-		RightRows:       rf.meta.Rows(),
-		LeftRowBytes:    rowBytesOr(lf.meta.RowBytes),
-		RightRowBytes:   rowBytesOr(rf.meta.RowBytes),
-		KeyBytes:        9, // tag byte + up to 8 payload bytes, the atom codec's bound
-		LeftSelectivity: lf.selectivity(),
-		Sites:           len(s.c.sites),
+// costInputs prices a join of two fragments from the coordinator's
+// catalog: each side's rows and the join's are cat.Estimate's, the
+// left key's distinct count caps the keys SemiJoin ships, and the right
+// key's tells what share of the right side they cover.
+func (s *splitter) costInputs(lf, rf *fragment, x *plan.Join, disjoint bool) CostInputs {
+	cat := s.c.cat
+	return CostInputs{
+		LeftRows:         int(cat.Estimate(lf.node)),
+		RightRows:        int(cat.Estimate(rf.node)),
+		LeftRowBytes:     rowBytesOr(lf.meta.RowBytes),
+		RightRowBytes:    rowBytesOr(rf.meta.RowBytes),
+		KeyBytes:         9, // tag byte + up to 8 payload bytes, the atom codec's bound
+		LeftKeyDistinct:  cat.Distinct(lf.node, x.LeftCol),
+		RightKeyDistinct: cat.Distinct(rf.node, x.RightCol),
+		Sites:            len(s.c.sites),
+		JoinRows:         int(cat.Estimate(x)),
+		CoPartitioned: disjoint && len(lf.joins) == 0 && len(rf.joins) == 0 &&
+			hashPartitionedOn(lf.meta, x.LeftCol) && hashPartitionedOn(rf.meta, x.RightCol),
 	}
-	// Fold the right side's own restriction into its effective size.
-	in.RightRows = int(float64(in.RightRows) * rf.selectivity())
-	// SemiJoin ships each distinct left key at most once; analyzed
-	// sites publish the exact count.
-	in.LeftKeyDistinct = lf.distinctOf(lcol)
-	// Equi-join cardinality: |L⋈R| ≈ |L|·|R| / max(d(L.k), d(R.k)) when
-	// the key's distinct counts are known; otherwise the System-R
-	// fallback of per-key uniqueness on the larger side, which reduces
-	// to min(|L|,|R|).
-	l, r := lf.estRows(), rf.estRows()
-	if d := max(in.LeftKeyDistinct, rf.distinctOf(rcol)); d > 0 {
-		in.JoinRows = int(l * r / float64(d))
-	} else if l < r {
-		in.JoinRows = int(l)
-	} else {
-		in.JoinRows = int(r)
-	}
-	in.CoPartitioned = disjoint &&
-		len(lf.joins) == 0 && len(rf.joins) == 0 &&
-		hashPartitionedOn(lf.meta, lcol) && hashPartitionedOn(rf.meta, rcol)
-	return in
 }
 
 func rowBytesOr(n int) int {
@@ -348,6 +370,7 @@ func (s *splitter) colocated(lf, rf *fragment, x *plan.Join) piece {
 	f := &fragment{
 		table:     lf.table,
 		meta:      lf.meta,
+		node:      x,
 		joins:     []fragJoin{{table: rf.table, leftCol: x.LeftCol, rightCol: x.RightCol}},
 		joinMetas: []*TableMeta{rf.meta},
 		where:     append(append([]string(nil), lf.where...), rf.where...),
@@ -391,11 +414,7 @@ func (s *splitter) broadcast(lf, rf *fragment, x *plan.Join) piece {
 		return server.Request{Stmt: g.render()}, nil
 	}
 	label := fmt.Sprintf("broadcast %s to %s", rf.table, lf.table)
-	rows := lf.estRows()
-	if r := rf.estRows(); r > rows {
-		rows = r
-	}
-	return piece{node: s.sourceFq(lf, sch, fq, label, rows)}
+	return piece{node: s.sourceFq(lf, sch, fq, label, s.c.cat.Estimate(x))}
 }
 
 // semijoin gathers the (small, filtered) left side at the coordinator,
@@ -423,19 +442,17 @@ func (s *splitter) semijoin(lf, rf *fragment, x *plan.Join) piece {
 	}
 	leftSrc := &plan.Source{
 		Sch:   lf.outSchema(),
-		Rows:  lf.estRows(),
+		Rows:  s.c.cat.Estimate(lf.node),
 		Label: fmt.Sprintf("fedgather[%s]", lf.render()),
 		New: func() (exec.Operator, error) {
 			sch := lf.outSchema()
 			return exec.NewMaterialized("fedgather["+sch.Name+"]", sch, cache.rows), nil
 		},
 	}
-	reduced := lf.estRows()
-	if r := rf.estRows(); r < reduced {
-		reduced = r
-	}
+	// The right fragment's estimate bounds the rows its keys let
+	// through; the planner has already sided this join.
 	label := fmt.Sprintf("semijoin %s keys into %s", lf.table, rf.table)
-	rightSrc := s.sourceFq(rf, rf.outSchema(), fq, label, reduced)
+	rightSrc := s.sourceFq(rf, rf.outSchema(), fq, label, s.c.cat.Estimate(rf.node))
 	return piece{node: &plan.Join{
 		Left: leftSrc, Right: rightSrc,
 		LeftCol: x.LeftCol, RightCol: x.RightCol,

@@ -264,7 +264,7 @@ func (l *lifecycle) checkBody(pass *Pass, block *ast.BlockStmt) {
 	for _, acq := range b.acqs {
 		rel := func(st ast.Stmt) bool { return l.releases(pass, &b, st, acq) }
 		var exits []*ast.ReturnStmt
-		if cfg.everyPathSatisfies(acq.stmt, rel, func(ret *ast.ReturnStmt) bool {
+		if l.everyPathReleases(pass, &b, cfg, acq, func(ret *ast.ReturnStmt) bool {
 			exits = append(exits, ret)
 			return l.leakAt != "" // only per-return reports need every exit
 		}) {
@@ -289,6 +289,39 @@ func (l *lifecycle) checkBody(pass *Pass, block *ast.BlockStmt) {
 			}
 		}
 	}
+}
+
+// everyPathReleases reports whether every path from acq passes a release
+// of its value, handing each exit reached without one to exit. The error
+// acq bound stands for the value only until the path assigns that error
+// again (`id, n, err := conn.Send(…)`): from there on, only an ender or
+// an escape releases the value.
+func (l *lifecycle) everyPathReleases(pass *Pass, b *body, cfg *funcCFG, acq acquisition, exit func(*ast.ReturnStmt) bool) bool {
+	var stale []ast.Stmt
+	ok := cfg.everyPathSatisfies(acq.stmt, func(st ast.Stmt) bool {
+		if l.releases(pass, b, st, acq) {
+			return true
+		}
+		// The acquisition itself, met again around a loop, binds the
+		// value and its error afresh; reaching it unreleased is
+		// reacquiredWithoutRelease's finding.
+		if as, isAssign := st.(*ast.AssignStmt); isAssign && st != acq.stmt && acq.errObj != nil &&
+			slices.ContainsFunc(as.Lhs, func(e ast.Expr) bool { return isObj(pass.Info, e, acq.errObj) }) {
+			stale = append(stale, st)
+			return true
+		}
+		return false
+	}, exit)
+	valueOnly := acquisition{obj: acq.obj, stmt: acq.stmt}
+	for _, st := range stale {
+		if !ok && l.leakAt == "" {
+			break
+		}
+		ok = cfg.everyPathSatisfies(st, func(s ast.Stmt) bool {
+			return s == acq.stmt || l.releases(pass, b, s, valueOnly)
+		}, exit) && ok
+	}
+	return ok
 }
 
 // made reports whether call makes the row's resource.
@@ -362,7 +395,8 @@ func (l *lifecycle) releases(pass *Pass, b *body, st ast.Stmt, acq acquisition) 
 	if acq.errObj == nil {
 		return false
 	}
-	// Propagating the acquisition's own error: the value is nil here.
+	// Propagating the acquisition's own error (still the value it bound;
+	// see everyPathReleases): the value is nil here.
 	if ret, ok := st.(*ast.ReturnStmt); ok && slices.ContainsFunc(ret.Results, func(r ast.Expr) bool {
 		return exprUsesObject(pass.Info, r, acq.errObj)
 	}) {

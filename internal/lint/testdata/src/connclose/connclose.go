@@ -20,6 +20,11 @@ func (w *wire) close() { w.c.Close() }
 
 func (w *wire) read(p []byte) (int, error) { return w.c.Read(p) }
 
+func (w *wire) send(p []byte) (id, n int, err error) {
+	n, err = w.c.Write(p)
+	return 1, n, err
+}
+
 func dialWire(addr string) (*wire, error) {
 	c, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -115,6 +120,50 @@ func goodHooked(ctx context.Context, addr string) (*wire, func() bool, error) {
 		return nil, nil, errProto
 	}
 	return w, stop, nil
+}
+
+// badSend leaks the wire when the send fails: the second err is the
+// send's, not the dial's, so returning it does not mean w is nil.
+func badSend(addr string) (int, error) {
+	w, err := dialWire(addr) // want `connection w is not released on every return path`
+	if err != nil {
+		return 0, err
+	}
+	id, n, err := w.send(nil)
+	if err != nil {
+		return 0, err
+	}
+	w.close()
+	return id + n, nil
+}
+
+// badSendGuard leaks the wire inside the send's own err != nil body.
+func badSendGuard(addr string) error {
+	w, err := dialWire(addr) // want `connection w is not released on every return path`
+	if err != nil {
+		return err
+	}
+	if _, _, err = w.send(nil); err != nil {
+		return errProto
+	}
+	w.close()
+	return nil
+}
+
+// goodSend closes the wire on the send's failure path; the dial's own
+// error still needs no release.
+func goodSend(addr string) (int, error) {
+	w, err := dialWire(addr)
+	if err != nil {
+		return 0, err
+	}
+	id, n, err := w.send(nil)
+	if err != nil {
+		w.close()
+		return 0, err
+	}
+	w.close()
+	return id + n, nil
 }
 
 // client holds a conn in a receiver field; its error exits must tear

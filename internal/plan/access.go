@@ -210,7 +210,8 @@ func hashCandidate(scan *Scan, ix *TableIndex, conjuncts []Pred, rows float64, c
 		if !ok || cmp.Col != ix.Col || cmp.Op != Eq {
 			continue
 		}
-		est := rows * cat.selOf(scan, cmp)
+		sel, _ := cat.selOf(scan, cmp)
+		est := rows * sel
 		return &accessCandidate{
 			node:    &IndexAccess{Idx: ix, Eq: cmp.Val, Est: est},
 			matched: map[int]bool{i: true},
@@ -233,6 +234,7 @@ func btreeCandidate(scan *Scan, ix *TableIndex, conjuncts []Pred, rows float64, 
 	acc := &IndexAccess{Idx: ix}
 	matched := map[int]bool{}
 	cs, measured := cat.columnStats(scan, ix.Col)
+	measured = measured && len(cs.Bounds()) > 0
 	sel := 1.0
 	for i, p := range conjuncts {
 		cmp, ok := p.(Cmp)
@@ -245,7 +247,8 @@ func btreeCandidate(scan *Scan, ix *TableIndex, conjuncts []Pred, rows float64, 
 		switch cmp.Op {
 		case Eq:
 			// A point probe subsumes any range bounds: lo = hi = v.
-			est := rows * cat.selOf(scan, cmp)
+			sel, _ := cat.selOf(scan, cmp)
+			est := rows * sel
 			return &accessCandidate{
 				node: &IndexAccess{
 					Idx: ix, Lo: cmp.Val, Hi: cmp.Val, LoIncl: true, HiIncl: true, Est: est,
@@ -268,7 +271,7 @@ func btreeCandidate(scan *Scan, ix *TableIndex, conjuncts []Pred, rows float64, 
 		}
 		matched[i] = true
 		if !measured {
-			sel *= DefaultSelectivity(cmp)
+			sel *= defaultSelectivity(cmp)
 		}
 	}
 	if len(matched) == 0 {
@@ -323,7 +326,7 @@ func OptimizeCatalog(n Node, cat *Catalog) Node {
 // as with IndexAccess.Est, the System-R guess sizes nothing.
 func sizeKeyed(n Node, cat *Catalog) Node {
 	n = withChildren(n, func(k Node) Node { return sizeKeyed(k, cat) })
-	if g, ok := n.(*GroupBy); ok && cat.distinct(g.Child, g.Key) > 0 {
+	if g, ok := n.(*GroupBy); ok && cat.Distinct(g.Child, g.Key) > 0 {
 		sized := *g
 		sized.Groups, sized.Rows = int(math.Ceil(cat.Estimate(g))), int(math.Ceil(cat.Estimate(g.Child)))
 		return &sized
@@ -338,18 +341,14 @@ func sizeKeyed(n Node, cat *Catalog) Node {
 
 // measured reports whether Estimate(n) is read off statistics alone: an
 // analyzed table reached through projections, renames and selections
-// on analyzed columns — not a join, nor a DefaultSelectivity guess.
+// the statistics price — not a join, nor a defaultSelectivity guess.
 func (c *Catalog) measured(n Node) bool {
 	switch x := n.(type) {
 	case *Scan:
 		return c != nil && c.Stats[x.Table.Schema().Name] != nil
 	case *Select:
-		for _, col := range x.Pred.Cols() {
-			if _, ok := c.columnStats(x.Child, col); !ok {
-				return false
-			}
-		}
-		return c.measured(x.Child)
+		_, ok := c.selOf(x.Child, x.Pred)
+		return ok && c.measured(x.Child)
 	case *Project:
 		return c.measured(x.Child)
 	case *Rename:

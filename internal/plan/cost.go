@@ -23,10 +23,10 @@ const (
 	selOther = 0.5
 )
 
-// DefaultSelectivity is the System-R selectivity of p: the fraction of
+// defaultSelectivity is the System-R selectivity of p: the fraction of
 // rows the planner assumes p keeps when no statistics describe its
-// columns. The federation's fragment estimates use it too.
-func DefaultSelectivity(p Pred) float64 {
+// columns.
+func defaultSelectivity(p Pred) float64 {
 	switch x := p.(type) {
 	case Cmp:
 		switch x.Op {
@@ -40,7 +40,7 @@ func DefaultSelectivity(p Pred) float64 {
 	case And:
 		s := 1.0
 		for _, q := range x {
-			s *= DefaultSelectivity(q)
+			s *= defaultSelectivity(q)
 		}
 		return s
 	default:
@@ -63,7 +63,8 @@ func (c *Catalog) Estimate(n Node) float64 {
 	case *IndexAccess:
 		return x.Est
 	case *Select:
-		return c.Estimate(x.Child) * c.selOf(x.Child, x.Pred)
+		sel, _ := c.selOf(x.Child, x.Pred)
+		return c.Estimate(x.Child) * sel
 	case *Project:
 		return c.Estimate(x.Child)
 	case *Join:
@@ -71,7 +72,7 @@ func (c *Catalog) Estimate(n Node) float64 {
 		// With distinct counts on the join keys, the standard
 		// |L|·|R| / max(d(L.key), d(R.key)); without them, keys near-unique
 		// on one side, which makes the join about the larger input.
-		if d := max(c.distinct(x.Left, x.LeftCol), c.distinct(x.Right, x.RightCol)); d > 0 {
+		if d := max(c.Distinct(x.Left, x.LeftCol), c.Distinct(x.Right, x.RightCol)); d > 0 {
 			return l * r / float64(d)
 		}
 		return max(l, r)
@@ -85,7 +86,7 @@ func (c *Catalog) Estimate(n Node) float64 {
 		// One row per distinct key: the measured count, else the
 		// equality selectivity's guess.
 		est := c.Estimate(x.Child)
-		if d := c.distinct(x.Child, x.Key); d > 0 {
+		if d := c.Distinct(x.Child, x.Key); d > 0 {
 			return min(est, float64(d))
 		}
 		return est * selEq
@@ -135,50 +136,51 @@ func (c *Catalog) columnStats(n Node, col string) (stats.ColumnStats, bool) {
 	return stats.ColumnStats{}, false
 }
 
-// distinct is a column's measured distinct count; 0 when unknown.
-func (c *Catalog) distinct(n Node, col string) int {
+// Distinct is a column's measured distinct count at n; 0 when unknown.
+func (c *Catalog) Distinct(n Node, col string) int {
 	cs, _ := c.columnStats(n, col)
 	return cs.Distinct
 }
 
-// selOf estimates the fraction of child's rows p keeps: histograms and
-// distinct counts for the columns the catalog has statistics on,
-// DefaultSelectivity for the rest.
-func (c *Catalog) selOf(child Node, p Pred) float64 {
+// selOf estimates the fraction of child's rows p keeps: distinct counts
+// for (in)equalities and histograms for ranges on the columns the
+// catalog measures, defaultSelectivity for the rest. measured is false
+// when any conjunct fell back to the constants; a column with a
+// distinct count but no histogram (a federation's merged statistics)
+// measures equalities only.
+func (c *Catalog) selOf(child Node, p Pred) (sel float64, measured bool) {
 	switch x := p.(type) {
 	case Cmp:
 		cs, ok := c.columnStats(child, x.Col)
-		if !ok {
-			return DefaultSelectivity(p)
+		if !ok || (x.Op != Eq && x.Op != Ne && len(cs.Bounds()) == 0) {
+			return defaultSelectivity(p), false
 		}
 		// The derived combinations (Le as Less+Eq, Gt as 1-Less-Eq) can
 		// drift just outside [0,1] at histogram edges; clamp them.
 		switch x.Op {
 		case Eq:
-			return cs.SelectivityEq(x.Val)
+			return cs.SelectivityEq(x.Val), true
 		case Ne:
-			return clampSel(1 - cs.SelectivityEq(x.Val))
+			return clampSel(1 - cs.SelectivityEq(x.Val)), true
 		case Lt:
-			return cs.SelectivityLess(x.Val)
+			return cs.SelectivityLess(x.Val), true
 		case Le:
-			return clampSel(cs.SelectivityLess(x.Val) + cs.SelectivityEq(x.Val))
+			return clampSel(cs.SelectivityLess(x.Val) + cs.SelectivityEq(x.Val)), true
 		case Ge:
-			return clampSel(1 - cs.SelectivityLess(x.Val))
+			return clampSel(1 - cs.SelectivityLess(x.Val)), true
 		case Gt:
-			return clampSel(1 - cs.SelectivityLess(x.Val) - cs.SelectivityEq(x.Val))
-		default:
-			return DefaultSelectivity(p)
+			return clampSel(1 - cs.SelectivityLess(x.Val) - cs.SelectivityEq(x.Val)), true
 		}
 	case And:
 		// Independence assumption, clamped to [0, 1].
-		s := 1.0
+		sel, measured = 1.0, true
 		for _, q := range x {
-			s *= c.selOf(child, q)
+			s, m := c.selOf(child, q)
+			sel, measured = sel*s, measured && m
 		}
-		return clampSel(s)
-	default:
-		return DefaultSelectivity(p)
+		return clampSel(sel), measured
 	}
+	return defaultSelectivity(p), false
 }
 
 // clampSel bounds a selectivity to [0, 1].

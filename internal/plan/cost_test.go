@@ -182,6 +182,31 @@ func TestEstimateRowsWithStats(t *testing.T) {
 	}
 }
 
+// TestEstimateDistinctOnly: statistics that carry a row count and
+// distinct counts but no histogram (what a federation coordinator merges
+// from its sites) price an equality at 1/distinct and measure it, while
+// a range falls back to the System-R constant and is not measured, so
+// it sizes no build side.
+func TestEstimateDistinctOnly(t *testing.T) {
+	u, o := testTables(t, 100, 400)
+	cat := &Catalog{Stats: stats.Catalog{"users": {Rows: 1000, Columns: []stats.ColumnStats{{Distinct: 1000}, {Distinct: 4}, {Distinct: 50}}}}}
+	eq := &Select{Child: &Scan{Table: u}, Pred: Cmp{Col: "city", Op: Eq, Val: core.Str("city-a")}}
+	rng := &Select{Child: &Scan{Table: u}, Pred: Cmp{Col: "score", Op: Lt, Val: core.Int(5)}}
+	for _, tc := range []struct {
+		n        Node
+		est      float64
+		measured bool
+	}{{eq, 250, true}, {rng, 300, false}} {
+		if got := cat.Estimate(tc.n); got != tc.est {
+			t.Errorf("%v: estimate %v, want %v", tc.n, got, tc.est)
+		}
+		j := OptimizeCatalog(&Join{Left: &Scan{Table: o}, Right: tc.n, LeftCol: "ouid", RightCol: "uid"}, cat).(*Join)
+		if sized := j.BuildRows != 0; sized != tc.measured {
+			t.Errorf("%v: build sized for %d rows, measured %v", tc.n, j.BuildRows, tc.measured)
+		}
+	}
+}
+
 func TestOptimizeCostWithPreservesResults(t *testing.T) {
 	u, o := testTables(t, 30, 300)
 	sc, err := stats.CollectAll(u, o)

@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/base64"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -122,6 +123,73 @@ func TestLoadBadChunkLeavesNoRows(t *testing.T) {
 		}
 		if res, err := load(name, enc(4, 5)); err != nil || res != name+": 1 rows" {
 			t.Fatalf("%s: good chunk = %q, %v", name, res, err)
+		}
+	}
+}
+
+// A first .load chunk into a shared table is one transaction: creating
+// the table and inserting its rows raise the commit counter by exactly
+// one. Two sessions racing first chunks into one new table both land
+// their rows; neither fails with "table already exists".
+func TestLoadFirstChunkOneCommit(t *testing.T) {
+	db, err := catalog.Create(store.NewMemPager(), 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, addr := startServer(t, Config{DB: db})
+	payload := func(name string, vs ...int64) string {
+		req := LoadRequest{Table: name, Cols: []string{"a"}}
+		for _, v := range vs {
+			req.Rows = append(req.Rows, base64.StdEncoding.EncodeToString(table.EncodeRow(nil, table.Row{core.Int(v)})))
+		}
+		b, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ".load " + string(b)
+	}
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	before := srv.m.TxnCommit.Value()
+	if res, err := c.Eval(payload("first", 1, 2, 3)); err != nil || res != "first: 3 rows" {
+		t.Fatalf("first chunk = %q, %v", res, err)
+	}
+	if got := srv.m.TxnCommit.Value() - before; got != 1 {
+		t.Fatalf("first chunk committed %d transactions, want 1", got)
+	}
+
+	// Every session dials first, then all send at once, for a few fresh
+	// tables in turn.
+	const sessions, rounds = 4, 5
+	clients := make([]*Client, sessions)
+	for i := range clients {
+		if clients[i], err = Dial(addr); err != nil {
+			t.Fatal(err)
+		}
+		defer clients[i].Close()
+	}
+	for r := 0; r < rounds; r++ {
+		name := fmt.Sprintf("raced%d", r)
+		start := make(chan struct{})
+		errs := make(chan error, sessions)
+		for i, c := range clients {
+			go func() {
+				<-start
+				_, err := c.Eval(payload(name, int64(i)))
+				errs <- err
+			}()
+		}
+		close(start)
+		for range clients {
+			if err := <-errs; err != nil {
+				t.Errorf("%s: racing first chunk: %v", name, err)
+			}
+		}
+		if tab, err := db.Table(name); err != nil || tab.Count() != sessions {
+			t.Fatalf("%s after %d racing first chunks: %v, %v", name, sessions, tab, err)
 		}
 	}
 }

@@ -995,7 +995,7 @@ func (s *Server) handleLoad(sess *session, payload string) (Response, bool) {
 		return Response{Error: err.Error()}, false
 	}
 	if shared {
-		return s.loadShared(table.Schema{Name: lr.Table, Cols: cols}, t == nil, rows)
+		return s.loadShared(table.Schema{Name: lr.Table, Cols: cols}, rows)
 	}
 	if t == nil {
 		if sess.pool == nil {
@@ -1015,21 +1015,34 @@ func (s *Server) handleLoad(sess *session, payload string) (Response, bool) {
 }
 
 // loadShared loads one chunk of rows into a shared catalog table as a
-// single transaction: the rows, any table creation, the catalog page,
-// and the index maintenance all commit under one log fsync. The commit
-// publishes the table with its indexes in the planner snapshot, where
-// every session's next query — this one's included — resolves it.
-func (s *Server) loadShared(sch table.Schema, create bool, rows []table.Row) (Response, bool) {
+// single transaction: the rows, the table's creation when it is absent,
+// the catalog page, and the index maintenance all commit under one log
+// fsync. The existence check runs inside the transaction, under the
+// writer lock, so two sessions racing a first chunk both land their
+// rows. The commit publishes the table with its indexes in the planner
+// snapshot, where every session's next query — this one's included —
+// resolves it.
+func (s *Server) loadShared(sch table.Schema, rows []table.Row) (Response, bool) {
 	db := s.cfg.DB
-	if create {
-		if _, err := db.CreateTable(sch); err != nil {
-			return Response{Error: err.Error()}, false
-		}
+	tx := db.Begin()
+	t, err := tx.Table(sch.Name)
+	if errors.Is(err, catalog.ErrNoTable) {
+		t, err = tx.CreateTable(sch)
 	}
-	if err := db.Load(context.Background(), sch.Name, rows); err != nil {
+	if err == nil && t.Schema().Arity() != sch.Arity() {
+		err = fmt.Errorf("wire row arity %d, want %d", sch.Arity(), t.Schema().Arity())
+	}
+	if err == nil {
+		err = tx.Insert(sch.Name, rows...)
+	}
+	if err != nil {
+		tx.Abort()
 		return Response{Error: err.Error()}, false
 	}
-	t, err := db.Table(sch.Name)
+	if err := tx.Commit(context.Background()); err != nil {
+		return Response{Error: err.Error()}, false
+	}
+	t, err = db.Table(sch.Name)
 	if err != nil {
 		return Response{Error: err.Error()}, false
 	}

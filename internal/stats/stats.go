@@ -98,9 +98,10 @@ func buildColumn(vals []core.Value) ColumnStats {
 }
 
 // SelectivityEq estimates the fraction of rows with column = v, using
-// the uniform-within-distinct assumption bounded by the histogram.
+// the uniform-within-distinct assumption bounded by [Min, Max] when
+// they are known; a distinct count alone answers 1/Distinct.
 func (c ColumnStats) SelectivityEq(v core.Value) float64 {
-	if c.rows == 0 || c.Distinct == 0 {
+	if c.Distinct == 0 {
 		return 0
 	}
 	if c.Min != nil && (core.Compare(v, c.Min) < 0 || core.Compare(v, c.Max) > 0) {

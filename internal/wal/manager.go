@@ -41,7 +41,9 @@ func (m *Manager) SetHooks(h Hooks) {
 // SetNoSync relaxes durability: commits append to the log but skip the
 // fsync, which is only forced at checkpoint. A crash can lose the
 // commits since the last sync, but never tears one — recovery still
-// stops at the last complete commit record.
+// stops at the last complete commit record. A FileLog cannot tell such
+// a crash that persisted a later commit's frames but not an earlier
+// one's from corruption, and reports the log corrupt.
 func (m *Manager) SetNoSync(v bool) {
 	m.mu.Lock()
 	m.noSync = v
@@ -65,7 +67,7 @@ func (m *Manager) appendRec(rec []byte) error {
 		return err
 	}
 	m.mu.Lock()
-	m.logBytes += int64(len(rec)) + 4 // + length prefix
+	m.logBytes += int64(len(rec)) + frameHeader
 	hook := m.hooks.Append
 	m.mu.Unlock()
 	if hook != nil {

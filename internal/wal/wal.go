@@ -24,6 +24,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"sync"
 
@@ -112,10 +113,19 @@ func (l *MemLog) Len() int {
 	return len(l.recs)
 }
 
-// FileLog is a length-prefixed file log.
+// frameHeader is the size of a FileLog frame's header: the record's
+// length, the CRC-32C (Castagnoli) of the record, and the CRC-32C of
+// those eight bytes. The manager charges it per record in LoggedBytes.
+const frameHeader = 12
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// FileLog is a file of checksummed frames, one record each.
 type FileLog struct {
-	mu sync.Mutex
-	f  *os.File
+	mu   sync.Mutex
+	f    *os.File
+	size int64 // bytes of whole frames
+	err  error // sticky: a failed append the file could not be cut back from
 }
 
 // OpenFileLog opens or creates a log file.
@@ -124,24 +134,48 @@ func OpenFileLog(path string) (*FileLog, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &FileLog{f: f}, nil
+	fi, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	return &FileLog{f: f, size: fi.Size()}, nil
 }
 
-// Append implements Log.
+// Append implements Log. A frame whose write fails is cut off again,
+// so the next transaction's frames never follow a torn one.
 func (l *FileLog) Append(rec []byte) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	var hdr [4]byte
+	if l.err != nil {
+		return l.err
+	}
+	var hdr [frameHeader]byte
 	binary.LittleEndian.PutUint32(hdr[:], uint32(len(rec)))
-	if _, err := l.f.Write(hdr[:]); err != nil {
+	binary.LittleEndian.PutUint32(hdr[4:], crc32.Checksum(rec, castagnoli))
+	binary.LittleEndian.PutUint32(hdr[8:], crc32.Checksum(hdr[:8], castagnoli))
+	_, err := l.f.Write(hdr[:])
+	if err == nil {
+		_, err = l.f.Write(rec)
+	}
+	if err != nil {
+		if terr := l.f.Truncate(l.size); terr != nil {
+			l.err = fmt.Errorf("wal: log holds a torn frame: %w", terr)
+		}
 		return err
 	}
-	_, err := l.f.Write(rec)
-	return err
+	l.size += frameHeader + int64(len(rec))
+	return nil
 }
 
-// Records implements Log. Truncated trailing records (torn writes) are
-// dropped silently — exactly the crash semantics recovery needs.
+// Records implements Log. A frame that fails its checksums ends the log
+// when it can be the torn write of the last transaction, which a crash
+// caught before its fsync: writers are serialized and each commit
+// fsyncs before the next transaction appends, so every intact frame
+// after such a frame belongs to that one transaction and none follows
+// its commit record. An intact frame after a commit record, or frames
+// of two transactions, prove the bad frame was synced: that is
+// corruption, and an error.
 func (l *FileLog) Records() ([][]byte, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -150,15 +184,62 @@ func (l *FileLog) Records() ([][]byte, error) {
 		return nil, err
 	}
 	var out [][]byte
-	for len(raw) >= 4 {
-		n := binary.LittleEndian.Uint32(raw)
-		if uint32(len(raw)-4) < n {
-			break // torn tail
+	for off := 0; off < len(raw); {
+		rec, n := frameAt(raw[off:])
+		if n == 0 {
+			if !tornTail(raw[off+1:]) {
+				return nil, fmt.Errorf("wal: corrupt frame at byte %d", off)
+			}
+			break
 		}
-		out = append(out, raw[4:4+n])
-		raw = raw[4+n:]
+		out = append(out, rec)
+		off += n
 	}
 	return out, nil
+}
+
+// frameAt decodes the frame at the start of b and returns its record
+// and size; the size is 0 when b is too short for the frame or a
+// checksum fails.
+func frameAt(b []byte) ([]byte, int) {
+	if len(b) < frameHeader || crc32.Checksum(b[:8], castagnoli) != binary.LittleEndian.Uint32(b[8:]) {
+		return nil, 0
+	}
+	n := binary.LittleEndian.Uint32(b)
+	if uint64(len(b)-frameHeader) < uint64(n) {
+		return nil, 0
+	}
+	rec := b[frameHeader : frameHeader+int(n)]
+	if crc32.Checksum(rec, castagnoli) != binary.LittleEndian.Uint32(b[4:]) {
+		return nil, 0
+	}
+	return rec, frameHeader + int(n)
+}
+
+// tornTail reports whether the intact frames in b, which follows a bad
+// frame, all belong to one transaction and none follows its commit
+// record. A bad header gives no length, so frames are found by their
+// checksums at every offset.
+func tornTail(b []byte) bool {
+	var txn uint64
+	seen, committed := false, false
+	for p := 0; p < len(b); {
+		rec, n := frameAt(b[p:])
+		if n == 0 {
+			p++
+			continue
+		}
+		if committed || len(rec) < 9 {
+			return false
+		}
+		id := binary.LittleEndian.Uint64(rec[1:])
+		if seen && id != txn {
+			return false
+		}
+		txn, seen, committed = id, true, rec[0] == recCommit
+		p += n
+	}
+	return true
 }
 
 // Sync implements Log.
@@ -172,7 +253,11 @@ func (l *FileLog) Close() error { return l.f.Close() }
 func (l *FileLog) Reset() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.f.Truncate(0)
+	if err := l.f.Truncate(0); err != nil {
+		return err
+	}
+	l.size, l.err = 0, nil
+	return nil
 }
 
 // ErrTxnDone reports use of a finished transaction.
@@ -356,9 +441,9 @@ func ResumeManager(base store.Pager, log Log) (*Manager, error) {
 			}
 		}
 	}
-	bytes := int64(0)
+	logged := int64(0)
 	for _, rec := range recs {
-		bytes += int64(len(rec)) + 4
+		logged += int64(len(rec)) + frameHeader
 	}
-	return &Manager{base: base, log: log, nextTxn: next, logBytes: bytes}, nil
+	return &Manager{base: base, log: log, nextTxn: next, logBytes: logged}, nil
 }

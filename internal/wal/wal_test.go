@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"xst/internal/store"
@@ -314,6 +315,137 @@ func TestFileBackedEndToEndRecovery(t *testing.T) {
 	txn2.Abort()
 }
 
+// committedLog commits one transaction per value through a FileLog at
+// path — transaction i writes a fresh page, page i, filled with vals[i]
+// — and returns the log file's bytes.
+func committedLog(t *testing.T, path string, vals ...byte) []byte {
+	t.Helper()
+	log, err := OpenFileLog(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewManager(store.NewMemPager(), log)
+	for _, v := range vals {
+		txn := m.Begin()
+		id, err := txn.Allocate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := txn.WritePage(id, pageWith(v)); err != nil {
+			t.Fatal(err)
+		}
+		if err := txn.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := readFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// recoverFile replays the log file at path onto a fresh base.
+func recoverFile(t *testing.T, path string) (int, store.Pager, error) {
+	t.Helper()
+	log, err := OpenFileLog(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer log.Close()
+	base := store.NewMemPager()
+	n, err := Recover(base, log)
+	return n, base, err
+}
+
+// TestRecoverRejectsFlippedPageByte: a flipped byte inside a committed
+// page image fails its frame's checksum, and a later transaction's
+// frames prove that frame was synced, so recovery refuses the log
+// instead of redoing the damaged image.
+func TestRecoverRejectsFlippedPageByte(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal.log")
+	data := committedLog(t, path, 123, 45)
+	at := bytes.Index(data, pageWith(123))
+	if at < 0 {
+		t.Fatal("page image not in the log")
+	}
+	data[at+store.PageSize/2] ^= 0x01
+	if err := writeFile(path, data); err != nil {
+		t.Fatal(err)
+	}
+	n, base, err := recoverFile(t, path)
+	if err == nil {
+		buf := make([]byte, store.PageSize)
+		base.ReadPage(0, buf)
+		t.Fatalf("Recover redid %d transactions from a damaged page image (page reads %d), want an error", n, buf[0])
+	}
+}
+
+// TestRecoverRejectsFlippedLengthByte: a flipped byte in the first
+// frame's length, whichever of its four bytes, is corruption that the
+// frame header's own checksum catches, never a torn tail that would
+// silently drop every committed transaction.
+func TestRecoverRejectsFlippedLengthByte(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal.log")
+	clean := committedLog(t, path, 123, 45)
+	for i := 0; i < 4; i++ {
+		data := bytes.Clone(clean)
+		data[i] ^= 0x40
+		if err := writeFile(path, data); err != nil {
+			t.Fatal(err)
+		}
+		if n, _, err := recoverFile(t, path); err == nil {
+			t.Errorf("length byte %d flipped: Recover redid %d transactions and no error", i, n)
+		}
+	}
+}
+
+// TestRecoverDropsTornLastTxn: a crash before the last commit's fsync
+// can persist later blocks of that transaction's frames and not an
+// earlier one — zeroed space inside its page image, or in a frame
+// header, with its commit record intact after it. The transaction was
+// never acknowledged, so recovery drops it and keeps every earlier
+// commit. Zeroed space after the last frame is a torn tail too.
+func TestRecoverDropsTornLastTxn(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal.log")
+	clean := committedLog(t, path, 7, 9)
+	img := bytes.LastIndex(clean, pageWith(9))
+	if img < 0 {
+		t.Fatal("last page image not in the log")
+	}
+	cases := map[string]func(d []byte) []byte{
+		"zeroed image block": func(d []byte) []byte {
+			clear(d[img+512 : img+1024])
+			return d
+		},
+		"zeroed page frame header": func(d []byte) []byte {
+			clear(d[img-13-frameHeader : img-13])
+			return d
+		},
+		"zeroed tail": func(d []byte) []byte { return append(d, make([]byte, 100)...) },
+	}
+	for name, tear := range cases {
+		want := 1
+		if name == "zeroed tail" {
+			want = 2
+		}
+		if err := writeFile(path, tear(bytes.Clone(clean))); err != nil {
+			t.Fatal(err)
+		}
+		n, base, err := recoverFile(t, path)
+		if n != want || err != nil {
+			t.Fatalf("%s: Recover = %d, %v; want %d, nil", name, n, err, want)
+		}
+		buf := make([]byte, store.PageSize)
+		if err := base.ReadPage(0, buf); err != nil || !bytes.Equal(buf, pageWith(7)) {
+			t.Fatalf("%s: the first commit's page reads %d (%v), want 7", name, buf[0], err)
+		}
+	}
+}
+
 func readFile(path string) ([]byte, error)  { return os.ReadFile(path) }
 func writeFile(path string, b []byte) error { return os.WriteFile(path, b, 0o644) }
 
@@ -338,5 +470,32 @@ func BenchmarkWALCommit(b *testing.B) {
 		if err := txn.Commit(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestFailedAppendStopsTheLog: an append whose write fails and whose
+// frame cannot be cut off again refuses every later append, so no
+// later transaction's frames follow a torn one.
+func TestFailedAppendStopsTheLog(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal.log")
+	committedLog(t, path, 1)
+	log, err := OpenFileLog(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer log.Close()
+	ro, err := os.Open(path) // writes and truncation both fail on it
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ro.Close()
+	rw := log.f
+	log.f = ro
+	if err := log.Append([]byte("first")); err == nil {
+		t.Fatal("append through a read-only handle succeeded")
+	}
+	log.f = rw
+	if err := log.Append([]byte("second")); err == nil || !strings.Contains(err.Error(), "torn frame") {
+		t.Fatalf("append after an uncut failed frame = %v, want the torn-frame error", err)
 	}
 }
