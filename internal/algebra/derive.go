@@ -96,7 +96,7 @@ func (d *Derived) Card(ctx context.Context) (int, error) {
 }
 
 // table files candidates under the digest of their key and keeps only
-// their ids: a digest match is confirmed by deriving the filed
+// their ids: each id a chain walks is confirmed by deriving the filed
 // candidate's key again and comparing members.
 type table struct {
 	key    func(dst []core.Member, c cand) ([]core.Member, int)
@@ -105,8 +105,8 @@ type table struct {
 	a, b   []core.Member
 }
 
-func newTable(n int, key func(dst []core.Member, c cand) ([]core.Member, int)) *table {
-	return &table{key: key, chains: core.NewChains(n), ids: make([]cand, 0, n)}
+func newTable(n int, key func(dst []core.Member, c cand) ([]core.Member, int)) table {
+	return table{key: key, chains: core.NewChains(n), ids: make([]cand, 0, n)}
 }
 
 // add files c unless a candidate with the same key is filed, and returns

@@ -29,10 +29,12 @@ func SigmaDomainCtx(ctx context.Context, r *core.Set, sigma *core.Set) (*core.Se
 
 // DeriveSigmaDomain derives the members of 𝔇_σ(R), each as the member of
 // R it comes from. With σ = ∅ no element re-scopes to a non-empty set
-// (Consequence 7.1(e): 𝔇_∅(R) = ∅).
+// (Consequence 7.1(e): 𝔇_∅(R) = ∅). The outputs are distinct when R is
+// classical and σ renames every scope of R's elements one-to-one.
 func DeriveSigmaDomain(r *core.Set, sigma *core.Set) *Derived {
 	rs := r.Members()
 	return &Derived{
+		distinct: r.IsClassical() && renamesAll(rs, sigma),
 		each: func(ctx context.Context, yield func(cand)) error {
 			steps := 0
 			for i, m := range rs {
@@ -48,6 +50,39 @@ func DeriveSigmaDomain(r *core.Set, sigma *core.Set) *Derived {
 		derive: func(dst []core.Member, c cand) ([]core.Member, int) { return appendKey(dst, rs[c[0]], sigma) },
 	}
 }
+
+// renamesAll reports that σ maps scopes one-to-one — each to exactly one
+// scope, no two to the same — and covers every scope of every set
+// element of R. Then z ↦ z^{/σ/} renames each member's scope and is
+// injective (Def 7.3), so distinct elements stay distinct. The scopes
+// are compared pairwise, so a σ of more than maxRenames members, which
+// no position list comes near, reports false and is counted by table.
+func renamesAll(rs []core.Member, sigma *core.Set) bool {
+	ss := sigma.Members()
+	if len(ss) > maxRenames {
+		return false
+	}
+	for i, m := range ss {
+		for _, o := range ss[:i] {
+			if core.Equal(o.Elem, m.Elem) || core.Equal(o.Scope, m.Scope) {
+				return false
+			}
+		}
+	}
+	for _, r := range rs {
+		if z, ok := r.Elem.(*core.Set); ok {
+			for _, x := range z.Members() {
+				if len(sigma.MembersOf(x.Scope)) == 0 {
+					return false
+				}
+			}
+		}
+	}
+	return true
+}
+
+// maxRenames bounds the σ renamesAll compares pairwise.
+const maxRenames = 64
 
 // Domain1 is the CST 1-domain 𝔇₁ (Def 3.4) realized as 𝔇_⟨1⟩.
 func Domain1(r *core.Set) *core.Set { return SigmaDomain(r, stdSigma.S1) }

@@ -1,6 +1,7 @@
 package algebra
 
 import (
+	"math/rand"
 	"testing"
 
 	"xst/internal/core"
@@ -84,4 +85,51 @@ func TestSigmaDomainDropsNonSurviving(t *testing.T) {
 	)
 	got := Domain2(r)
 	wantEqual(t, got, core.S(core.Tuple(str("b"))))
+}
+
+// TestSigmaDomainCardDistinct holds Card of a σ-domain to core.Card of
+// its Set where the outputs are known distinct without a table — R
+// classical, σ renaming every scope of R's elements one-to-one, as
+// inverse's ⟨2,1⟩ does — and where each condition breaks and the table
+// must merge outputs that collide.
+func TestSigmaDomainCardDistinct(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	b := core.NewBuilder(60)
+	b.AddClassical(core.Tuple(core.Int(1), core.Int(2)))
+	for range 60 { // pairs over 5 values: ⟨a,b⟩ and ⟨b,a⟩ both occur
+		b.AddClassical(core.Tuple(core.Int(rng.Intn(5)), core.Int(rng.Intn(5))))
+	}
+	pairs := b.Set()
+	scopedPairs := core.Union(pairs, scoped(core.Tuple(core.Int(1), core.Int(2)), core.Int(7)))
+	triple := core.Union(pairs, core.S(core.Tuple(core.Int(1), core.Int(2), core.Int(3))))
+	one := func(vs ...int) *core.Set { // {v1^v2, v3^v4, …}
+		ps := make([]core.Value, len(vs))
+		for i, v := range vs {
+			ps[i] = core.Int(v)
+		}
+		return scoped(ps...)
+	}
+	for _, tc := range []struct {
+		name             string
+		r, sigma         *core.Set
+		distinct, merges bool // merges: outputs collide, so a wrong distinct miscounts
+	}{
+		{"inverse", pairs, Positions(2, 1), true, false},
+		{"identity", pairs, Positions(1, 2), true, false},
+		{"R not classical", scopedPairs, Positions(2, 1), false, true},
+		{"a scope to two scopes", pairs, one(1, 2, 1, 3, 2, 1), false, false},
+		{"two scopes to one", pairs, one(1, 1, 2, 1), false, true},
+		{"a scope not covered", pairs, one(1, 1), false, true},
+		{"a scope of a longer tuple not covered", triple, Positions(2, 1), false, true},
+	} {
+		d := DeriveSigmaDomain(tc.r, tc.sigma)
+		if d.distinct != tc.distinct {
+			t.Errorf("%s: distinct = %v, want %v", tc.name, d.distinct, tc.distinct)
+		}
+		want := SigmaDomain(tc.r, tc.sigma)
+		check(t, tc.name, d, want)
+		if n := core.Card(want); (n < tc.r.Len()) != tc.merges {
+			t.Errorf("%s: %d outputs from %d members", tc.name, n, tc.r.Len())
+		}
+	}
 }

@@ -65,8 +65,8 @@ func memberEqual(a, b core.Member) bool {
 }
 
 // join is one relative product's probe and build sides: G's members
-// filed under the digest of their ω1 key. No key is stored: a digest
-// match is confirmed by deriving the build member's key again.
+// filed under the digest of their ω1 key. No key is stored: each id a
+// chain walks is confirmed by deriving the build member's key again.
 type join struct {
 	sigma, omega Sigma
 	f, g         []core.Member

@@ -2,25 +2,28 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 )
 
 // refChains is the map-keyed Chains the flat table replaced, kept as
-// its oracle: a digest's newest id in a Go map, older ids chained.
+// its oracle and keyed, as the contract says, by tag: a tag's newest id
+// in a Go map, older ids of the same tag chained.
 type refChains struct {
-	heads map[uint64]int32 // digest → 1 + its newest id
-	next  []int32          // id → the next older id of the same digest, or -1
+	heads map[uint32]int32 // tag → 1 + its newest id
+	next  []int32          // id → the next older id of the same tag, or -1
 }
 
 func (c *refChains) Add(d uint64) {
 	if c.heads == nil {
-		c.heads = map[uint64]int32{}
+		c.heads = map[uint32]int32{}
 	}
-	c.next = append(c.next, c.heads[d]-1)
-	c.heads[d] = int32(len(c.next))
+	c.next = append(c.next, c.heads[tag(d)]-1)
+	c.heads[tag(d)] = int32(len(c.next))
 }
 
-func (c *refChains) First(d uint64) int32 { return c.heads[d] - 1 }
+func (c *refChains) First(d uint64) int32 { return c.heads[tag(d)] - 1 }
 
 func (c *refChains) Next(id int32) int32 { return c.next[id] }
 
@@ -35,7 +38,9 @@ func chainOf(first func(uint64) int32, next func(int32) int32, d uint64) []int32
 
 // TestChainsMatchMapOracle files random digests into the flat table
 // and the map oracle side by side and, after every add, compares the
-// chain of each digest seen so far and of one never filed. Digests are
+// chain of each digest seen so far and of one never filed: every chain
+// holds exactly the ids filed under its digest's tag (no id of another
+// tag), all of them, newest first. Digests are
 // forced into 1–3 bits (every id shares a few chains and a few buckets)
 // or drawn in full, with and without low bits only (DigestInt's
 // shape); runs cross every doubling from the first, starting from the
@@ -107,10 +112,10 @@ func TestChainsOneBucket(t *testing.T) {
 	const n = 200
 	flat, ref := NewChains(2*n), refChains{}
 	rng := rand.New(rand.NewSource(2))
-	want := flat.bucket(rng.Uint64())
+	want := flat.bucket(tag(rng.Uint64()))
 	var digs []uint64
 	for len(digs) < n {
-		if d := rng.Uint64(); flat.bucket(d) == want {
+		if d := rng.Uint64(); flat.bucket(tag(d)) == want {
 			digs = append(digs, d)
 		}
 	}
@@ -123,13 +128,60 @@ func TestChainsOneBucket(t *testing.T) {
 			t.Fatalf("bucket %d is filled, only %d should be", b, want)
 		}
 	}
-	for _, d := range digs {
+	for _, d := range append(digs, ^digs[0]) { // the complement was never filed
 		got, exp := chainOf(flat.First, flat.Next, d), chainOf(ref.First, ref.Next, d)
-		if len(got) != 2 || got[0] != exp[0] || got[1] != exp[1] {
+		if !slices.Equal(got, exp) || (d != ^digs[0] && len(got) < 2) {
 			t.Fatalf("digest %#x chains %v, oracle %v", d, got, exp)
 		}
 	}
-	if id := flat.First(^digs[0]); id >= 0 {
-		t.Fatalf("a digest never filed chains id %d", id)
+}
+
+// TestChainsSharedTag files two digests searched to share a tag under
+// this process's multiplier, each twice: the chain of either walks all
+// four ids newest first, for the caller to tell apart with Equal.
+func TestChainsSharedTag(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	seen := map[uint32]uint64{}
+	var a, b uint64
+	for a == b {
+		d := rng.Uint64()
+		if e, ok := seen[tag(d)]; ok && e != d {
+			a, b = e, d
+		}
+		seen[tag(d)] = d
+	}
+	c := NewChains(4)
+	for _, d := range []uint64{a, b, b, a} {
+		c.Add(d)
+	}
+	for _, d := range []uint64{a, b} {
+		if got := chainOf(c.First, c.Next, d); !slices.Equal(got, []int32{3, 2, 1, 0}) {
+			t.Fatalf("digest %#x chains %v, want [3 2 1 0]", d, got)
+		}
+	}
+}
+
+// TestChainsBytes: NewChains(n) allocates at most 16 bytes an id, plus
+// 64, counted as the allocator counts them, rounded up to its size
+// classes: a table costs 12 bytes an id, and the parent's 20 to 28.
+func TestChainsBytes(t *testing.T) {
+	var ms runtime.MemStats
+	ns := []int{0, 1, 2, 7, 8, 9, 16, 17, 100, 1000, 1023, 1024, 1025, 4097, 8193, 65537, 1 << 20}
+	for n := 2; n < 3000; n = n*9/8 + 1 {
+		ns = append(ns, n)
+	}
+	for _, n := range ns {
+		got := uint64(1 << 62)
+		for range 3 { // another goroutine's allocation can only inflate a reading
+			runtime.ReadMemStats(&ms)
+			before := ms.TotalAlloc
+			c := NewChains(n)
+			runtime.ReadMemStats(&ms)
+			got = min(got, ms.TotalAlloc-before)
+			runtime.KeepAlive(c)
+		}
+		if limit := uint64(16*n + 64); got > limit {
+			t.Errorf("NewChains(%d) allocated %d bytes, want ≤ %d", n, got, limit)
+		}
 	}
 }

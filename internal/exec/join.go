@@ -56,7 +56,7 @@ func (o *joinOut) next(build *table.Batch) *table.Batch {
 }
 
 // digestMask is the key-digest mask outside tests, which narrow it to
-// force collisions and prove the Equal comparison behind a digest match.
+// force collisions and prove the Equal comparison behind a chain's ids.
 var digestMask = ^uint64(0)
 
 // keyedRows files a hash join's kept build rows — rows of one batch,

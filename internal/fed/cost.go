@@ -49,7 +49,8 @@ type CostInputs struct {
 	// LeftRows and RightRows are the estimated rows each input yields
 	// across partitions, after its own restriction.
 	LeftRows, RightRows int
-	// LeftRowBytes / RightRowBytes are average serialized row sizes.
+	// LeftRowBytes / RightRowBytes are the average serialized sizes of
+	// the rows each side ships, its pushed projection's columns only.
 	LeftRowBytes, RightRowBytes int
 	// KeyBytes is the average serialized join-key size.
 	KeyBytes int

@@ -406,6 +406,51 @@ func TestStrategyChoice(t *testing.T) {
 	}
 }
 
+// TestCostInputsShippedColumns: a fragment that ships a pushed
+// projection is priced at its columns' share of the sampled row, on
+// both sides of the join and so in the result bytes as well.
+func TestCostInputsShippedColumns(t *testing.T) {
+	lf := bootTestFed(t, 3, Config{}, makeData(17, 300, 3000))
+	c := lf.Coord
+	xq, err := xlang.CompileQuery(c.env, "from users join profiles on id = pid select id, score")
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := findJoin(xq.Node)
+	if x == nil {
+		t.Fatalf("no join in %s", xq.Node)
+	}
+	s := &splitter{c: c}
+	l, r := s.rec(x.Left).frag, s.rec(x.Right).frag
+	in := s.costInputs(l, r, x, true)
+	for _, side := range []struct {
+		f     *fragment
+		bytes int
+	}{{l, in.LeftRowBytes}, {r, in.RightRowBytes}} {
+		m := c.tables[side.f.table]
+		want := m.RowBytes * len(side.f.outCols()) / len(m.Cols)
+		if m.RowBytes <= 0 || side.bytes != want {
+			t.Errorf("%s ships %v: priced %d bytes a row, want %d of its %d", side.f.table, side.f.outCols(), side.bytes, want, m.RowBytes)
+		}
+	}
+	if users := c.tables["users"]; in.LeftRowBytes+in.RightRowBytes >= users.RowBytes+c.tables["profiles"].RowBytes {
+		t.Errorf("projected inputs priced at whole rows: %+v", in)
+	}
+}
+
+// findJoin returns the first join under projections and selections.
+func findJoin(n plan.Node) *plan.Join {
+	switch x := n.(type) {
+	case *plan.Join:
+		return x
+	case *plan.Project:
+		return findJoin(x.Child)
+	case *plan.Select:
+		return findJoin(x.Child)
+	}
+	return nil
+}
+
 // costProbe builds cost inputs from live table metadata (test hook),
 // the left side restricted by pred.
 func (c *Coordinator) costProbe(left, right, lcol, rcol string, pred plan.Pred) CostInputs {

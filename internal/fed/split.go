@@ -339,8 +339,8 @@ func (s *splitter) costInputs(lf, rf *fragment, x *plan.Join, disjoint bool) Cos
 	return CostInputs{
 		LeftRows:         int(cat.Estimate(lf.node)),
 		RightRows:        int(cat.Estimate(rf.node)),
-		LeftRowBytes:     rowBytesOr(lf.meta.RowBytes),
-		RightRowBytes:    rowBytesOr(rf.meta.RowBytes),
+		LeftRowBytes:     lf.rowBytes(),
+		RightRowBytes:    rf.rowBytes(),
 		KeyBytes:         9, // tag byte + up to 8 payload bytes, the atom codec's bound
 		LeftKeyDistinct:  cat.Distinct(lf.node, x.LeftCol),
 		RightKeyDistinct: cat.Distinct(rf.node, x.RightCol),
@@ -349,6 +349,20 @@ func (s *splitter) costInputs(lf, rf *fragment, x *plan.Join, disjoint bool) Cos
 		CoPartitioned: disjoint && len(lf.joins) == 0 && len(rf.joins) == 0 &&
 			hashPartitionedOn(lf.meta, x.LeftCol) && hashPartitionedOn(rf.meta, x.RightCol),
 	}
+}
+
+// rowBytes prices a row the fragment ships: its tables' sampled row
+// bytes spread evenly over their columns, times the columns it ships,
+// so a pushed projection ships only its share of the row.
+func (f *fragment) rowBytes() int {
+	bytes, cols := rowBytesOr(f.meta.RowBytes), len(f.meta.Cols)
+	for _, m := range f.joinMetas {
+		bytes, cols = bytes+rowBytesOr(m.RowBytes), cols+len(m.Cols)
+	}
+	if cols == 0 {
+		return bytes
+	}
+	return max(1, bytes*len(f.outCols())/cols)
 }
 
 func rowBytesOr(n int) int {

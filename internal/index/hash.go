@@ -93,7 +93,8 @@ func newLayout(n int, ents []hentry) *layout {
 // result changes.
 var bucketMul = rand.Uint64() | 1
 
-// bucket mixes digest d into a bucket index, as core.Chains does.
+// bucket mixes digest d into a bucket index, as core.Chains mixes its
+// tags: the high half folded in, a multiply by bucketMul, top bits taken.
 func (l *layout) bucket(d uint64) uint64 {
 	return ((d ^ d>>32) * bucketMul) >> l.shift
 }

@@ -16,7 +16,8 @@ import (
 // Hooks observe WAL and transaction activity. All fields are optional;
 // they are called synchronously on the committing goroutine.
 type Hooks struct {
-	// Append fires per log record with its encoded size.
+	// Append fires per log record with the bytes it adds to the log:
+	// the record and its frame header, as LoggedBytes counts them.
 	Append func(bytes int)
 	// Sync fires per log fsync with its duration.
 	Sync func(d time.Duration)
@@ -66,12 +67,13 @@ func (m *Manager) appendRec(rec []byte) error {
 	if err := m.log.Append(rec); err != nil {
 		return err
 	}
+	n := len(rec) + frameHeader
 	m.mu.Lock()
-	m.logBytes += int64(len(rec)) + frameHeader
+	m.logBytes += int64(n)
 	hook := m.hooks.Append
 	m.mu.Unlock()
 	if hook != nil {
-		hook(len(rec))
+		hook(n)
 	}
 	return nil
 }

@@ -499,3 +499,40 @@ func TestFailedAppendStopsTheLog(t *testing.T) {
 		t.Fatalf("append after an uncut failed frame = %v, want the torn-frame error", err)
 	}
 }
+
+// TestAppendHookCountsFrames: the Append hook's bytes sum to what the
+// log file holds and LoggedBytes reports, frame headers included.
+func TestAppendHookCountsFrames(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal.log")
+	log, err := OpenFileLog(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer log.Close()
+	m := NewManager(store.NewMemPager(), log)
+	hooked, appends := 0, 0
+	m.SetHooks(Hooks{Append: func(n int) { hooked += n; appends++ }})
+	for i := range 3 {
+		txn := m.Begin()
+		for range i + 1 {
+			id, err := txn.Allocate()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := txn.WritePage(id, pageWith(byte(i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := txn.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if appends == 0 || int64(hooked) != m.LoggedBytes() || int64(hooked) != fi.Size() {
+		t.Fatalf("Append hook summed %d bytes over %d records; LoggedBytes %d, log file %d",
+			hooked, appends, m.LoggedBytes(), fi.Size())
+	}
+}

@@ -86,3 +86,34 @@ func BenchmarkQueryRun(b *testing.B) {
 		}
 	}
 }
+
+// TestFrontEndAllocs is the front end's per-statement allocation
+// budget: IsQuery reads a statement's first two fields in place, and
+// lex reserves its token list once from the source length, so that a
+// point-lookup statement costs that one list.
+func TestFrontEndAllocs(t *testing.T) {
+	const point = "from users where id = 12345 select id, city, score"
+	if got := testing.AllocsPerRun(100, func() { IsQuery(point) }); got != 0 {
+		t.Errorf("IsQuery: %.0f allocations, want 0", got)
+	}
+	if got := testing.AllocsPerRun(100, func() { lex(point) }); got != 1 {
+		t.Errorf("lex of a point lookup: %.0f allocations, want 1", got)
+	}
+}
+
+// TestIsQueryMatchesFields holds IsQuery to its definition over
+// strings.Fields: a statement is a query when its first field is
+// `from` and a second field follows that is not `:=`.
+func TestIsQueryMatchesFields(t *testing.T) {
+	for _, src := range []string{
+		"", "from", "from ", " from\tusers", "from := 1", "from:= 1", "from users",
+		" from users ", "fromusers", "From users", "from\n:=", "x := from users",
+		"from \xff", "\xfffrom users", "from\u0085users where id = 1",
+	} {
+		fs := strings.Fields(src)
+		want := len(fs) >= 2 && fs[0] == "from" && fs[1] != ":="
+		if got := IsQuery(src); got != want {
+			t.Errorf("IsQuery(%q) = %v, want %v", src, got, want)
+		}
+	}
+}

@@ -81,9 +81,16 @@ func errAt(pos int, format string, args ...any) error {
 	return &SyntaxError{Pos: pos, Msg: fmt.Sprintf(format, args...)}
 }
 
-// lex tokenizes the input.
+// lexReserve caps the tokens lex reserves up front, so that a long
+// string literal does not inflate the reservation; past it the token
+// list grows by appending.
+const lexReserve = 1024
+
+// lex tokenizes the input. Its token list is reserved once from the
+// source length, a token to every three bytes and a few more, which
+// holds a query statement's or a call's tokens.
 func lex(src string) ([]token, error) {
-	var toks []token
+	toks := make([]token, 0, min(len(src)/3+8, lexReserve))
 	i := 0
 	emit := func(k tokenKind, text string, pos int) {
 		toks = append(toks, token{kind: k, text: text, pos: pos})

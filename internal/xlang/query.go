@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"unicode"
 
 	"xst/internal/core"
 	"xst/internal/exec"
@@ -48,8 +49,19 @@ var aggKinds = map[string]exec.AggKind{
 // IsQuery reports whether src is a query statement (leads with the
 // `from` keyword rather than binding or referencing a variable).
 func IsQuery(src string) bool {
-	fs := strings.Fields(src)
-	return len(fs) >= 2 && fs[0] == "from" && fs[1] != ":="
+	first, rest := field(src)
+	second, _ := field(rest)
+	return first == "from" && second != "" && second != ":="
+}
+
+// field returns the first field of s, split as strings.Fields splits,
+// and the rest of s after it, allocating nothing.
+func field(s string) (f, rest string) {
+	s = strings.TrimLeftFunc(s, unicode.IsSpace)
+	if i := strings.IndexFunc(s, unicode.IsSpace); i >= 0 {
+		return s[:i], s[i:]
+	}
+	return s, ""
 }
 
 // Query is one compiled, optimized query statement.
