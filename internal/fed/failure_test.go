@@ -85,24 +85,31 @@ func TestSiteKillMidQuery(t *testing.T) {
 }
 
 // TestCancelMidQuery: federated plans abort promptly on context
-// cancellation at any poll depth, and every worker goroutine and
-// close hook exits — checked by xtest's countdown-context harness.
+// cancellation at any poll depth — the first poll, the middle one and
+// the last of an uncancelled run — and every worker goroutine and close
+// hook exits, checked by xtest's countdown-context harness.
 func TestCancelMidQuery(t *testing.T) {
 	d := makeData(43, 3000, 900)
 	lf := bootTestFed(t, 3, Config{}, d)
 	stmt := "from orders join users on uid = id select oid, amount, name"
-	for _, n := range []int{1, 3, 20} {
+	run := func(ctx context.Context) error {
+		q, err := lf.Coord.Compile(stmt)
+		if err != nil {
+			return err
+		}
+		_, err = q.Run(ctx, func(*table.Batch) error { return nil })
+		return err
+	}
+	runFed(t, lf, stmt)
+	polls, err := xtest.PollCount(run)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{1, (polls + 1) / 2, polls} {
 		// Warm the connection pools so the aborted run reuses sessions
 		// instead of spawning fresh site handlers mid-measurement.
 		runFed(t, lf, stmt)
-		xtest.AssertCancelAborts(t, n, func(ctx context.Context) error {
-			q, err := lf.Coord.Compile(stmt)
-			if err != nil {
-				return err
-			}
-			_, err = q.Run(ctx, func(*table.Batch) error { return nil })
-			return err
-		})
+		xtest.AssertCancelAborts(t, n, run)
 	}
 }
 

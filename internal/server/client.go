@@ -57,11 +57,12 @@ func (c *Client) Do(req Request) (Response, error) {
 
 // DoStream is Do, but feeds each intermediate batch line of a streamed
 // query result to fn (when non-nil) the moment it is read, instead of
-// accumulating rows. The final response's Batch holds all rows when fn
-// is nil, and only the final line's own content otherwise. If fn
-// returns an error the stream is abandoned mid-flight. Any error — fn's,
-// the transport's, a line over 1 MiB, a bad response — can leave lines
-// unread, so it is sticky: every later call on c returns it at once.
+// accumulating rows; fn's slice is Recv's, reused by the next line. The
+// final response's Batch, a copy, holds all rows when fn is nil, and
+// only the final line's own content otherwise. If fn returns an error
+// the stream is abandoned mid-flight. Any error — fn's, the transport's,
+// a line over 1 MiB, a bad response — can leave lines unread, so it is
+// sticky: every later call on c returns it at once.
 func (c *Client) DoStream(req Request, fn func(rows []string) error) (Response, error) {
 	id, _, err := c.Send(req)
 	var batches []string
@@ -71,9 +72,7 @@ func (c *Client) DoStream(req Request, fn func(rows []string) error) (Response, 
 			break
 		}
 		if !resp.More {
-			if len(batches) > 0 {
-				resp.Batch = append(batches, resp.Batch...)
-			}
+			resp.Batch = append(batches, resp.Batch...)
 			return resp, nil
 		}
 		if fn == nil {
@@ -103,8 +102,9 @@ func (c *Client) Send(req Request) (id uint64, n int, err error) {
 
 // Recv reads the next response line, which must answer request id, and
 // returns it with the line's length. A query's batch lines have More
-// set; the first line without it is the request's last. Errors are
-// sticky, as in DoStream.
+// set; the first line without it is the request's last. The next Recv
+// rewrites resp.Batch, but not the strings in it. Errors are sticky, as
+// in DoStream.
 func (c *Client) Recv(id uint64) (resp Response, n int, err error) {
 	if c.err != nil {
 		return Response{}, 0, c.err

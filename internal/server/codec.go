@@ -11,6 +11,7 @@ import (
 	"unicode/utf8"
 
 	"xst/internal/core"
+	"xst/internal/exec"
 	"xst/internal/table"
 )
 
@@ -106,29 +107,53 @@ func appendResponse(dst []byte, r *Response) []byte {
 	return append(strconv.AppendInt(append(dst, `"elapsed_us":`...), r.ElapsedUS, 10), '}', '\n')
 }
 
-// batchLine writes one streamed batch into sess.line: the bytes of
-// json.Marshal(Response{ID: id, Batch: rows, More: true}) and '\n',
-// where a row is its tuple notation, or its table codec image in base64
-// when wire is set. Each row is written from the batch's columns into
-// sess.row (through sess.enc in wire mode) and quoted from there, so no
-// value is boxed and no row becomes a string.
-func (sess *session) batchLine(id uint64, b *table.Batch, wire bool) {
-	line := appendID(sess.line[:0], id)
-	if b.Len > 0 {
-		line = append(line, `"batch":[`...)
-		for i := 0; i < b.Len; i++ {
-			if wire {
-				sess.enc = b.EncodeRow(sess.enc[:0], i)
-				sess.row = base64.StdEncoding.AppendEncode(sess.row[:0], sess.enc)
-			} else {
-				sess.row = appendRow(sess.row[:0], b, i)
-			}
-			line = append(appendString(line, sess.row), ',')
+// A batch line's bound in bytes, newline included, and its end after the last row.
+const maxLine, lineTail = 64 << 10, `],"more":true,"elapsed_us":0}` + "\n"
+
+// emit is a query's sink (sess.sink). It appends b's rows to the open
+// batch line as json.Marshal(Response{ID: sess.id, Batch: rows, More:
+// true}) writes them: each row's tuple notation, or its table codec
+// image in base64 when sess.wire is set, rendered from the columns into
+// sess.row (via sess.enc), so no value is boxed. A line is written once
+// it holds exec.MaxBatchRows rows, or before the row that would take it
+// past maxLine bytes; a longer row has a line to itself.
+func (sess *session) emit(b *table.Batch) error {
+	sess.rows += b.Len
+	sess.lq.addRows(b.Len)
+	sess.s.m.RowsStreamed.Add(uint64(b.Len))
+	for i := 0; i < b.Len; i++ {
+		if sess.wire {
+			sess.enc = b.EncodeRow(sess.enc[:0], i)
+			sess.row = base64.StdEncoding.AppendEncode(sess.row[:0], sess.enc)
+		} else {
+			sess.row = appendRow(sess.row[:0], b, i)
 		}
-		line[len(line)-1] = ']'
-		line = append(line, ',')
+		if sess.lineRows == 0 {
+			sess.line = append(appendID(sess.line[:0], sess.id), `"batch":[`...)
+		}
+		mark := len(sess.line)
+		sess.line = append(appendString(sess.line, sess.row), ',')
+		if sess.lineRows > 0 && len(sess.line)+len(lineTail)-1 > maxLine {
+			sess.line, i = sess.line[:mark], i-1 // row i opens the next line
+		} else if sess.lineRows++; sess.lineRows < exec.MaxBatchRows {
+			continue
+		}
+		if err := sess.write(sess.closeLine()); err != nil {
+			return err
+		}
 	}
-	sess.line = append(line, `"more":true,"elapsed_us":0}`+"\n"...)
+	return nil
+}
+
+// closeLine closes the open batch line, returning the buffer holding
+// it, or the empty buffer when none is open.
+func (sess *session) closeLine() []byte {
+	if sess.lineRows == 0 {
+		return sess.line[:0]
+	}
+	sess.lineRows = 0
+	sess.s.m.BatchesStreamed.Inc()
+	return append(sess.line[:len(sess.line)-1], lineTail...)
 }
 
 // DecodeWireRows decodes the rows of a wire-mode batch line or a .load
@@ -205,13 +230,14 @@ func appendQuoted(dst, s []byte) []byte {
 // booleans and integers of at most 18 digits. It reports false on
 // anything else, and the caller hands the line to encoding/json. A
 // line's strings are unescaped end to end into text and become one Go
-// string; a scanner is reused from line to line to keep that space.
+// string; a scanner is reused to keep that space, and batch's.
 type scanner struct {
-	s    []byte
-	i    int
-	text []byte
-	ends []int // string j is text[ends[j]:ends[j+1]]
-	seen uint  // bit k: keys[k] was read
+	s     []byte
+	i     int
+	text  []byte
+	ends  []int // string j is text[ends[j]:ends[j+1]]
+	batch []string
+	seen  uint // bit k: keys[k] was read
 	// Per key: its first string, and its number, boolean or list length.
 	first [8]int
 	val   [8]uint64
@@ -235,7 +261,7 @@ func (l *scanner) eat(c byte) bool {
 // object reads the whole line as one object. kinds[k] is the kind of
 // keys[k]'s value: s(tring), l(ist of strings), b(oolean) or n(umber).
 func (l *scanner) object(line []byte, keys []string, kinds string) bool {
-	*l = scanner{s: line, text: l.text[:0], ends: append(l.ends[:0], 0)}
+	*l = scanner{s: line, text: l.text[:0], ends: append(l.ends[:0], 0), batch: l.batch}
 	if !l.eat('{') {
 		return false
 	}
@@ -333,8 +359,8 @@ func (l *scanner) str() bool {
 	return false
 }
 
-// field is the string read for keys[k], and list the array; all is
-// text as one string.
+// field is the string read for keys[k], and list the array, written
+// over *buf and kept there; all is text as one string.
 func (l *scanner) field(all string, k int) string {
 	if j := l.first[k]; l.seen&(1<<k) != 0 {
 		return all[l.ends[j]:l.ends[j+1]]
@@ -342,15 +368,18 @@ func (l *scanner) field(all string, k int) string {
 	return ""
 }
 
-func (l *scanner) list(all string, k int) []string {
+func (l *scanner) list(all string, k int, buf *[]string) []string {
 	if l.seen&(1<<k) == 0 {
 		return nil
 	}
-	out := make([]string, l.val[k])
-	for i := range out {
-		j := l.first[k] + i
-		out[i] = all[l.ends[j]:l.ends[j+1]]
+	out := (*buf)[:0]
+	if out == nil {
+		out = make([]string, 0, l.val[k])
 	}
+	for j := l.first[k]; j < l.first[k]+int(l.val[k]); j++ {
+		out = append(out, all[l.ends[j]:l.ends[j+1]])
+	}
+	*buf = out
 	return out
 }
 
@@ -384,7 +413,7 @@ func (l *scanner) request(line []byte) Request {
 
 // response decodes one response line as json.Unmarshal into a zero
 // Response does. Result, Error and the Batch and Schema entries are
-// substrings of one string.
+// substrings of one string; Batch is l.batch, rewritten by the next.
 func (l *scanner) response(line []byte) (Response, error) {
 	if !l.object(line, responseKeys, responseKinds) {
 		var slow Response
@@ -392,6 +421,6 @@ func (l *scanner) response(line []byte) (Response, error) {
 		return slow, err
 	}
 	all := string(l.text)
-	return Response{ID: l.val[0], Result: l.field(all, 1), Error: l.field(all, 2), Batch: l.list(all, 3),
-		More: l.val[4] == 1, Rows: int(l.val[5]), Schema: l.list(all, 6), ElapsedUS: int64(l.val[7])}, nil
+	return Response{ID: l.val[0], Result: l.field(all, 1), Error: l.field(all, 2), Batch: l.list(all, 3, &l.batch),
+		More: l.val[4] == 1, Rows: int(l.val[5]), Schema: l.list(all, 6, new([]string)), ElapsedUS: int64(l.val[7])}, nil
 }

@@ -160,7 +160,7 @@ func TestEncoderMatchesJSON(t *testing.T) {
 		}
 	}
 
-	var sess session
+	sess := session{s: new(Server)}
 	for width := 0; width <= 4; width++ {
 		var rows []table.Row // the rows of wireRows of this width
 		for _, r := range wireRows() {
@@ -180,8 +180,15 @@ func TestEncoderMatchesJSON(t *testing.T) {
 				}
 				for _, b := range []*table.Batch{table.BatchOf(batch, width), columns(batch, width)} {
 					for _, id := range []uint64{0, 17} {
-						sess.batchLine(id, b, wire)
-						if want := oracleLine(Response{ID: id, Batch: text, More: true}); string(sess.line) != want {
+						sess.id, sess.wire = id, wire
+						if err := sess.emit(b); err != nil {
+							t.Fatal(err)
+						}
+						want := "" // no row, no line
+						if len(batch) > 0 {
+							want = oracleLine(Response{ID: id, Batch: text, More: true})
+						}
+						if sess.line = sess.closeLine(); string(sess.line) != want {
 							t.Errorf("batch line (wire=%v, %d rows of %d)\n got %s\nwant %s", wire, len(batch), width, sess.line, want)
 						}
 					}
@@ -363,7 +370,7 @@ func TestWireAllocations(t *testing.T) {
 	// Every kind a result column takes: ints, strings (one past the
 	// 32 bytes appendQuoted quotes at a time) and boxed values. The text
 	// is ASCII: appendString hands non-ASCII to encoding/json.
-	var sess session
+	sess := session{s: new(Server)}
 	batch := columns([]table.Row{
 		{core.Int(42), core.Str("user-q"), core.Float(2.5)},
 		{core.Int(7), core.Str("a string longer than thirty-two bytes, \"quoted\""), core.Bool(true)},
@@ -375,9 +382,14 @@ func TestWireAllocations(t *testing.T) {
 		}
 	}
 	for _, wire := range []bool{false, true} {
-		sess.batchLine(1, batch, wire)
-		if got := testing.AllocsPerRun(100, func() { sess.batchLine(1, batch, wire) }); got != 0 {
-			t.Errorf("batchLine(wire=%v): %.1f allocations, want 0", wire, got)
+		sess.id, sess.wire = 1, wire
+		line := func() {
+			sess.emit(batch)
+			sess.line = sess.closeLine()
+		}
+		line()
+		if got := testing.AllocsPerRun(100, line); got != 0 {
+			t.Errorf("batch line (wire=%v): %.1f allocations, want 0", wire, got)
 		}
 	}
 

@@ -41,8 +41,11 @@
 //	{"id":n,"batch":["<1 ada 7>","<2 bo 3>"],"more":true}
 //	{"id":n,"result":"2 rows","rows":2,"elapsed_us":34}
 //
-// Batches are emitted as the operator tree produces them, so the first
-// rows of a large result arrive while the rest is still being computed.
+// Batch lines hold at most exec.MaxBatchRows rows and 64 KiB (only a
+// longer row makes a longer line, alone), cut wherever they fill, not
+// at the operator tree's batch edges. Each full line goes out at once,
+// so the first rows of a large result arrive while the rest is still
+// being computed; the last goes out with the final line, in one write.
 //
 // A request with "wire":true asks for machine-readable batches: each
 // Batch entry is one row in the table codec (table.EncodeRow),

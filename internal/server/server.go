@@ -141,6 +141,7 @@ type Metrics struct {
 	BatchesStreamed metrics.Counter
 	BytesIn         metrics.Counter
 	BytesOut        metrics.Counter
+	Writes          metrics.Counter
 	ConnsTotal      metrics.Counter
 	ParallelQueries metrics.Counter
 	TracedQueries   metrics.Counter
@@ -181,6 +182,7 @@ type Snapshot struct {
 	BatchesStreamed uint64               `json:"batches_streamed"`
 	BytesIn         uint64               `json:"bytes_in"`
 	BytesOut        uint64               `json:"bytes_out"`
+	Writes          uint64               `json:"writes"`
 	ConnsTotal      uint64               `json:"conns_total"`
 	ParallelQueries uint64               `json:"parallel_queries"`
 	TracedQueries   uint64               `json:"traced_queries"`
@@ -235,6 +237,7 @@ type Server struct {
 // session is one connection's state: an isolated environment plus the
 // bookkeeping graceful shutdown needs to tell idle from in-flight.
 type session struct {
+	s    *Server
 	conn net.Conn
 	env  *xlang.Env
 
@@ -244,10 +247,18 @@ type session struct {
 	scratch map[string]*table.Table
 	pool    *store.BufferPool
 
-	// line is the response line being written; row and enc are where
-	// batchLine renders a row before quoting it; in reads request lines.
+	// line holds the open batch line while lineRows > 0, then the final
+	// line; emit renders a row into row (via enc); in reads requests.
 	line, row, enc []byte
+	lineRows       int
 	in             scanner
+	// sink is sess.emit, cached so a query allocates no closure, over the
+	// running query's id, wire mode, live entry and row count.
+	sink func(*table.Batch) error
+	id   uint64
+	wire bool
+	lq   *liveQuery
+	rows int
 
 	mu       sync.Mutex
 	busy     bool // evaluating a request
@@ -327,9 +338,10 @@ func (s *Server) registerMetrics() error {
 	counter("xstd_rejected_total", "statements rejected by admission control", &s.m.Rejected)
 	counter("xstd_admin_cmds_total", "admin commands served", &s.m.AdminCmds)
 	counter("xstd_rows_streamed_total", "result rows streamed to clients", &s.m.RowsStreamed)
-	counter("xstd_batches_streamed_total", "result batches streamed to clients", &s.m.BatchesStreamed)
+	counter("xstd_batches_streamed_total", "result batch lines streamed to clients", &s.m.BatchesStreamed)
 	counter("xstd_bytes_in_total", "request bytes read", &s.m.BytesIn)
 	counter("xstd_bytes_out_total", "response bytes written", &s.m.BytesOut)
+	counter("xstd_writes_total", "response writes to connections", &s.m.Writes)
 	counter("xstd_conns_total", "connections accepted", &s.m.ConnsTotal)
 	counter("xstd_parallel_queries_total", "queries run with parallel workers", &s.m.ParallelQueries)
 	counter("xstd_traced_queries_total", "statements that carried a span tree", &s.m.TracedQueries)
@@ -487,6 +499,7 @@ func (s *Server) MetricsSnapshot() Snapshot {
 		BatchesStreamed: s.m.BatchesStreamed.Value(),
 		BytesIn:         s.m.BytesIn.Value(),
 		BytesOut:        s.m.BytesOut.Value(),
+		Writes:          s.m.Writes.Value(),
 		ConnsTotal:      s.m.ConnsTotal.Value(),
 		ParallelQueries: s.m.ParallelQueries.Value(),
 		TracedQueries:   s.m.TracedQueries.Value(),
@@ -557,7 +570,8 @@ func (s *Server) Serve(l net.Listener) error {
 			}
 			return err
 		}
-		sess := &session{conn: conn, env: s.baseEnv.Clone()}
+		sess := &session{s: s, conn: conn, env: s.baseEnv.Clone()}
+		sess.sink = sess.emit
 		s.mu.Lock()
 		if s.draining {
 			s.mu.Unlock()
@@ -648,8 +662,7 @@ func (s *Server) serveConn(sess *session) {
 		sess.mu.Unlock()
 
 		resp, quit := s.handle(sess, req)
-		sess.line = appendResponse(sess.line[:0], &resp)
-		err := s.writeLine(sess)
+		err := sess.write(appendResponse(sess.closeLine(), &resp))
 
 		sess.mu.Lock()
 		sess.busy = false
@@ -661,23 +674,26 @@ func (s *Server) serveConn(sess *session) {
 	}
 }
 
-// writeLine writes sess.line to the connection. A line buffer over 1 MiB
-// is dropped, so one huge result does not pin it for the connection.
-func (s *Server) writeLine(sess *session) error {
-	sess.conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-	n, err := sess.conn.Write(sess.line)
-	s.m.BytesOut.Add(uint64(n))
-	if cap(sess.line) > 1<<20 {
+// write writes line, in sess.line's buffer, in one Write under one
+// deadline. A buffer over 1 MiB is dropped, so one huge result does not
+// pin it for the connection.
+func (sess *session) write(line []byte) error {
+	m := &sess.s.m
+	m.Writes.Inc() // before the client can see the bytes
+	sess.conn.SetWriteDeadline(time.Now().Add(sess.s.cfg.WriteTimeout))
+	n, err := sess.conn.Write(line)
+	m.BytesOut.Add(uint64(n))
+	if sess.line = line; cap(line) > 1<<20 {
 		sess.line = nil
 	}
 	return err
 }
 
 // handle evaluates one request, applying admission control and the
-// per-query deadline. Query statements write intermediate batch lines
-// to the connection before the final response; everything else produces
-// only the returned response. quit reports that the connection should close
-// after the final response is written.
+// per-query deadline. A query writes its full batch lines, and leaves
+// its tail line to go out with the final response; everything else
+// produces only the returned response. quit reports that the connection
+// should close after the final response is written.
 //
 // Tracing: a statement is traced when it is a `.trace <stmt>` request,
 // when the slow-query log is armed (SlowQuery > 0 traces everything so
@@ -817,8 +833,9 @@ func (s *Server) handle(sess *session, req Request) (resp Response, quit bool) {
 	var rows int
 	var err error
 	if q != nil {
-		rows, err = s.streamQuery(ctx, sess, q, req, lq)
-		result = strconv.Itoa(rows) + " rows"
+		sess.id, sess.wire, sess.lq, sess.rows = req.ID, req.Wire, lq, 0
+		_, err = q.Run(ctx, sess.sink)
+		rows, result = sess.rows, strconv.Itoa(sess.rows)+" rows"
 	} else {
 		var v core.Value
 		v, err = xlang.EvalCtx(ctx, sess.env, req.Stmt)
@@ -865,25 +882,6 @@ func (s *Server) finishTrace(root *trace.Span, elapsed time.Duration) {
 		s.slow.add(snap)
 		s.logf("xstd: slow query (%v ≥ %v): %s", elapsed.Round(time.Microsecond), s.cfg.SlowQuery, snap.JSON())
 	}
-}
-
-// streamQuery runs a query statement on the streaming operator tree,
-// writing each result batch to the connection as an intermediate
-// More-marked line the moment the tree produces it — the client sees
-// first rows while the rest are still being computed, and the server
-// never holds a full result. Wire-mode requests get each row in the
-// table codec (base64) instead of rendered text.
-func (s *Server) streamQuery(ctx context.Context, sess *session, q Query, req Request, lq *liveQuery) (int, error) {
-	rows := 0
-	_, err := q.Run(ctx, func(b *table.Batch) error {
-		sess.batchLine(req.ID, b, req.Wire)
-		rows += b.Len
-		lq.addRows(b.Len)
-		s.m.RowsStreamed.Add(uint64(b.Len))
-		s.m.BatchesStreamed.Inc()
-		return s.writeLine(sess)
-	})
-	return rows, err
 }
 
 // LoadRequest is the payload of `.load`: wire-encoded rows for a

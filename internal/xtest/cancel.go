@@ -3,6 +3,7 @@ package xtest
 import (
 	"context"
 	"errors"
+	"math"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -36,6 +37,16 @@ func (c *countdownCtx) Err() error {
 		c.cancel()
 	}
 	return c.Context.Err()
+}
+
+// PollCount runs op to its end under a context that never cancels and
+// returns how many times op polled Err, with op's error: the n that
+// AssertCancelAborts can take for op run the same way lie in [1, polls].
+func PollCount(op func(context.Context) error) (polls int, err error) {
+	ctx, stop := CountdownContext(math.MaxInt64)
+	defer stop()
+	err = op(ctx)
+	return int(math.MaxInt64 - ctx.(*countdownCtx).remaining.Load()), err
 }
 
 // AssertCancelAborts runs op under a context that self-cancels on its

@@ -1,6 +1,8 @@
 package xtest
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"xst/internal/core"
@@ -139,4 +141,22 @@ func TestZipfSkew(t *testing.T) {
 	if total != n {
 		t.Fatal("lost samples")
 	}
+}
+
+// TestPollCount: PollCount reports an op's Err polls and its error, and
+// AssertCancelAborts at that count cancels the op's last poll.
+func TestPollCount(t *testing.T) {
+	boom := errors.New("boom")
+	op := func(ctx context.Context) error {
+		for i := 0; i < 5; i++ {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
+		return boom
+	}
+	if n, err := PollCount(op); n != 5 || err != boom {
+		t.Fatalf("PollCount = %d, %v; want 5, %v", n, err, boom)
+	}
+	AssertCancelAborts(t, 5, op)
 }
