@@ -32,6 +32,17 @@ func NewChains(n int) (c Chains) {
 	return c
 }
 
+// Reset empties c. It keeps c's arrays, and all the room they have,
+// when they have room for n ids; otherwise it is NewChains(n).
+func (c *Chains) Reset(n int) {
+	if m := cap(c.ids); m > 0 && m >= n {
+		c.heads, c.ids = c.heads[:m], c.ids[:0]
+		clear(c.heads)
+		return
+	}
+	*c = NewChains(n)
+}
+
 // reserve makes room for n ids in all, re-threading those filed.
 func (c *Chains) reserve(n int) {
 	if n <= 0 {

@@ -48,15 +48,17 @@ type aggCol struct {
 	ext   []core.Value // Min or Max: the extreme so far, nil before the first row
 }
 
-// reserve makes room for the state of n groups of an aggregate of kind.
+// reserve empties the state and makes room in it for n groups of an
+// aggregate of kind, keeping arrays that have the room.
 func (a *aggCol) reserve(kind AggKind, n int) {
+	a.flt, a.isFlt = nil, nil
 	switch kind {
 	case AggCount:
-		a.lo = make([]int64, 0, n)
+		a.lo = table.Grow(a.lo[:0], n)
 	case AggSum:
-		a.lo, a.hi = make([]int64, 0, n), make([]int32, 0, n)
+		a.lo, a.hi = table.Grow(a.lo[:0], n), table.Grow(a.hi[:0], n)
 	default:
-		a.ext = make([]core.Value, 0, n)
+		a.ext = table.Grow(a.ext[:0], n)
 	}
 }
 
@@ -165,18 +167,38 @@ type AggState struct {
 	groups   int
 	rows     int
 	of       []int32 // scratch: the group of each row of the batch being absorbed
+	res      table.Batch
+	perm     []int32 // Result's batch and permutation
 }
 
 // NewAggState returns an empty accumulator grouping on keyCol, its
 // tables sized for groups keys (the planner's measured distinct count,
 // 0 when it has none); any number may arrive.
 func NewAggState(keyCol, groups int, aggs ...Agg) *AggState {
-	s := &AggState{keyCol: keyCol, aggs: append([]Agg(nil), aggs...), expected: groups,
-		chains: core.NewChains(groups), cols: make([]aggCol, len(aggs))}
+	return new(AggState).reset(keyCol, groups, aggs)
+}
+
+// reset empties s for NewAggState's arguments, keeping the capacity of
+// its arrays, and returns it.
+func (s *AggState) reset(keyCol, groups int, aggs []Agg) *AggState {
+	s.keyCol, s.expected, s.groups, s.rows = keyCol, groups, 0, 0
+	s.aggs = append(s.aggs[:0], aggs...)
+	s.chains.Reset(groups)
+	s.cols = table.Grow(s.cols[:0], len(aggs))[:len(aggs)]
 	for k, a := range aggs {
 		s.cols[k].reserve(a.Kind, groups)
 	}
 	return s
+}
+
+// release scrubs s and puts it back on its free list.
+func (s *AggState) release() {
+	scrubCol(&s.keys)
+	for k := range s.cols {
+		scrubVals(s.cols[k].ext)
+	}
+	scrub(&s.res)
+	aggStates.put(s)
 }
 
 // Absorb folds one batch into the accumulators: first the group of
@@ -328,7 +350,8 @@ func (s *AggState) RowsIn() int { return s.rows }
 // next Absorb or Merge. It fails if an integer sum's total does not
 // fit int64.
 func (s *AggState) Result() (*table.Batch, []int32, error) {
-	b := &table.Batch{Len: s.groups, Cols: make([]table.Col, 1+len(s.aggs))}
+	b := &s.res
+	b.Len, b.Cols = s.groups, table.Grow(b.Cols[:0], 1+len(s.aggs))[:1+len(s.aggs)]
 	b.Cols[0] = s.keys
 	for k, a := range s.aggs {
 		st := &s.cols[k]
@@ -345,22 +368,24 @@ func (s *AggState) Result() (*table.Batch, []int32, error) {
 			b.Cols[1+k] = table.Col{Kind: table.ColAny, Vals: st.ext}
 		}
 	}
-	perm := make([]int32, s.groups)
-	for i := range perm {
-		perm[i] = int32(i)
+	perm := table.Grow(s.perm[:0], s.groups)
+	for i := range s.groups {
+		perm = append(perm, int32(i))
 	}
 	keys := &b.Cols[0]
 	slices.SortFunc(perm, func(i, j int32) int { return keys.CompareAt(int(i), keys, int(j)) })
+	s.perm = perm
 	return b, perm, nil
 }
 
 // ordered hands out the rows of a held batch in the order of a
 // permutation, MaxBatchRows at a time, gathered into one batch reused
-// from chunk to chunk: the emission of Sort and of the aggregates.
+// from chunk to chunk, taken off the free list at the first: the
+// emission of Sort and of the aggregates.
 type ordered struct {
 	all  *table.Batch
 	perm []int32
-	out  table.Batch
+	out  *table.Batch
 }
 
 // next gathers the next chunk, or returns nil when none is left.
@@ -368,10 +393,19 @@ func (o *ordered) next() *table.Batch {
 	if len(o.perm) == 0 {
 		return nil
 	}
+	if o.out == nil {
+		o.out = getBatch()
+	}
 	n := min(len(o.perm), MaxBatchRows)
 	o.out.Gather(o.all, o.perm[:n])
 	o.perm = o.perm[n:]
-	return &o.out
+	return o.out
+}
+
+// release puts the output batch back and forgets the held rows.
+func (o *ordered) release() {
+	putBatch(o.out)
+	*o = ordered{}
 }
 
 // GroupAgg is the streaming aggregate operator: the one-worker
@@ -421,8 +455,9 @@ type ParallelGroupAgg struct {
 	groups, share int // keys the merged state and each other one are sized for
 	aggs          []Agg
 
-	out   ordered // all is nil until built
-	stats OpStats
+	states []*AggState // the merged state, then the other partials; empty while closed
+	out    ordered     // all is nil until built
+	stats  OpStats
 }
 
 // NewParallelGroupAgg aggregates the union of the workers' outputs,
@@ -441,11 +476,12 @@ func NewParallelGroupAgg(workers []Operator, aux []Operator, keyCol, groups, row
 func (g *ParallelGroupAgg) Open(ctx context.Context) error {
 	g.stats = OpStats{}
 	defer g.stats.timed(time.Now())
-	g.out = ordered{}
+	g.release()
 	if err := g.openAux(ctx); err != nil {
 		return err
 	}
-	merged := NewAggState(g.keyCol, g.groups, g.aggs...)
+	merged := aggStates.get().reset(g.keyCol, g.groups, g.aggs)
+	g.states = append(g.states, merged)
 	if err := g.fold(ctx, merged); err != nil {
 		return err
 	}
@@ -466,10 +502,10 @@ func (g *ParallelGroupAgg) fold(ctx context.Context, merged *AggState) error {
 	if g.Workers() == 1 {
 		return drainAll(ctx, "partial", g.workers(), merged)
 	}
-	states := []*AggState{merged}
 	for range g.Workers() - 1 {
-		states = append(states, NewAggState(g.keyCol, g.share, g.aggs...))
+		g.states = append(g.states, aggStates.get().reset(g.keyCol, g.share, g.aggs))
 	}
+	states := g.states
 	if err := drainAll(ctx, "partial", g.workers(), sinkFunc(func(i int, b *table.Batch) error { return states[i].Absorb(b) })); err != nil {
 		return err
 	}
@@ -500,10 +536,22 @@ func (g *ParallelGroupAgg) Next() (*table.Batch, error) {
 	return out, nil
 }
 
-// Close implements Operator.
+// Close implements Operator: it puts the held states back.
 func (g *ParallelGroupAgg) Close() error {
-	g.out = ordered{}
+	g.release()
 	return g.closeAll()
+}
+
+// release puts the states, merged's first, and the output batch back,
+// so that the next Open, which takes merged's first, takes them in the
+// same roles.
+func (g *ParallelGroupAgg) release() {
+	for _, st := range g.states {
+		st.release()
+	}
+	clear(g.states)
+	g.states = g.states[:0]
+	g.out.release()
 }
 
 // OutSchema implements Operator: (key, agg1, agg2, …) with aggregate

@@ -17,8 +17,8 @@
 //     accumulation). The context is retained and polled once per batch
 //     by the streaming operators.
 //   - Next returns the next batch, or (nil, nil) when exhausted.
-//   - Close releases resources; it is idempotent and safe after a
-//     failed Open.
+//   - Close releases resources, held memory back to its free list
+//     (recycle.go); it is idempotent and safe after a failed Open.
 //
 // Batches are columnar (table.Batch): one column per position, ints
 // and strings held unboxed, anything else boxed. Predicates, join and

@@ -1,6 +1,12 @@
 package exec
 
-import "xst/internal/table"
+import (
+	"maps"
+	"sync/atomic"
+
+	"xst/internal/core"
+	"xst/internal/table"
+)
 
 // SetDigestMask narrows the digest every keyed table files its keys
 // under to mask, forcing collisions, for the external tests, and
@@ -9,6 +15,53 @@ func SetDigestMask(mask uint64) (restore func()) {
 	prev := digestMask
 	digestMask = mask
 	return func() { digestMask = prev }
+}
+
+// SetPoisonRelease turns on poison mode for the external tests (see
+// recycle.go): every release overwrites what it hands back with
+// sentinels, and a holder taken twice or put back twice panics. It
+// returns the func that turns it off, which reports the holders taken
+// since and not put back.
+func SetPoisonRelease() (restore func() (live int)) {
+	liveMu.Lock()
+	before := maps.Clone(live)
+	liveMu.Unlock()
+	prev := poisoned
+	poisoned = true
+	return func() int {
+		liveMu.Lock()
+		defer liveMu.Unlock()
+		n := 0
+		for h, taken := range live {
+			if taken && !before[h] {
+				n++
+			}
+		}
+		if poisoned = prev; !prev {
+			clear(live)
+		}
+		return n
+	}
+}
+
+// CountDigests counts the key digests every keyed table takes until the
+// returned func, which stops counting and returns the count.
+func CountDigests() (stop func() int64) {
+	var n atomic.Int64
+	digests = &n
+	return func() int64 {
+		digests = nil
+		return n.Load()
+	}
+}
+
+// Partitions returns an open build's rows and, per partition, the rows it
+// files (nil for one partition: every row) and its keyed table.
+func Partitions(b *HashBuild) (rows *table.Batch, ids [][]int32, tables []core.Chains) {
+	for _, p := range b.parts {
+		ids, tables = append(ids, p.ids), append(tables, p.chains)
+	}
+	return &b.mem.rows, ids, tables
 }
 
 // RowPred lifts a predicate over boxed rows — the oracle a compiled

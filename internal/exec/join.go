@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"xst/internal/core"
@@ -14,12 +15,20 @@ import (
 // joinOut is the output side of a hash-join probe: the matching (probe
 // row, build row) pairs of one probe batch, gathered MaxBatchRows at a
 // time into one batch reused by the next chunk. What it hands out is
-// scratch until the owner's next Next, like any operator's batch.
+// scratch until the owner's next Next, like any operator's batch. A
+// probe takes one off the free list at Open and puts it back at Close.
 type joinOut struct {
 	probe  *table.Batch
 	ps, bs []int32 // the pairs: probe row ps[k] matches build row bs[k]
 	pos    int     // pairs [:pos] have been handed out
 	batch  table.Batch
+}
+
+// release scrubs o, empties it and puts it back on its free list.
+func (o *joinOut) release() {
+	o.probe, o.ps, o.bs, o.pos = nil, o.ps[:0], o.bs[:0], 0
+	scrub(&o.batch)
+	joinOuts.put(o)
 }
 
 // drained reports whether every pair has been handed out.
@@ -28,7 +37,7 @@ func (o *joinOut) drained() bool { return o.pos == len(o.ps) }
 // refill pairs every row of probe batch b with the build rows whose key
 // equals its key column col.
 func (o *joinOut) refill(b *table.Batch, col int, build *HashBuild) {
-	keys := &build.rows.Cols[build.col]
+	keys := &build.mem.rows.Cols[build.col]
 	o.probe, o.pos = b, 0
 	if cap(o.ps) < b.Len { // room for one match a row, the common fan-out
 		o.ps, o.bs = make([]int32, 0, b.Len), make([]int32, 0, b.Len)
@@ -36,7 +45,7 @@ func (o *joinOut) refill(b *table.Batch, col int, build *HashBuild) {
 	o.ps, o.bs = o.ps[:0], o.bs[:0]
 	key := &b.Cols[col]
 	for i := 0; i < b.Len; i++ {
-		d := key.Digest(i) & digestMask
+		d := keyDigest(key, i)
 		t := build.part(d)
 		for id := t.chains.First(d); id >= 0; id = t.chains.Next(id) {
 			if r := t.row(id); keys.Equal(int(r), key, i) {
@@ -59,6 +68,17 @@ func (o *joinOut) next(build *table.Batch) *table.Batch {
 // force collisions and prove the Equal comparison behind a chain's ids.
 var digestMask = ^uint64(0)
 
+// digests, set only by tests, counts keyDigest's calls.
+var digests *atomic.Int64
+
+// keyDigest is the digest a keyed table files value i of key under.
+func keyDigest(key *table.Col, i int) uint64 {
+	if digests != nil {
+		digests.Add(1)
+	}
+	return key.Digest(i) & digestMask
+}
+
 // keyedRows files a hash join's kept build rows — rows of one batch,
 // every row or those a list of ids names — by the digest of their key
 // column in one core.Chains. Atom and set keys take the one path;
@@ -68,22 +88,27 @@ type keyedRows struct {
 	chains core.Chains
 }
 
-// fileRows files the rows of rows that ids names, or every row when ids
-// is nil, under their key column col.
-func fileRows(rows *table.Batch, col int, ids []int32) keyedRows {
-	n := len(ids)
-	if ids == nil {
-		n = rows.Len
+// fileIDs files in t the rows ids names under digs, their key digests.
+func (t *keyedRows) fileIDs(ids []int32, digs []uint64) {
+	t.ids = ids
+	t.chains.Reset(len(ids))
+	for _, d := range digs {
+		t.chains.Add(d)
 	}
-	t := keyedRows{ids: ids, chains: core.NewChains(n)}
-	if n == 0 {
-		return t // a build that delivered no batch has no columns
+}
+
+// fileAll files in t every row of rows under the digest of its key
+// column col.
+func (t *keyedRows) fileAll(rows *table.Batch, col int) {
+	t.ids = nil
+	t.chains.Reset(rows.Len)
+	if rows.Len == 0 {
+		return // a build that delivered no batch has no columns
 	}
 	key := &rows.Cols[col]
-	for id := int32(0); id < int32(n); id++ {
-		t.chains.Add(key.Digest(int(t.row(id))) & digestMask)
+	for r := range rows.Len {
+		t.chains.Add(keyDigest(key, r))
 	}
-	return t
 }
 
 // row is the row filed as chain id.
@@ -110,12 +135,26 @@ type HashBuild struct {
 	col      int
 	est      int // the planner's build rows, reserved for at the first batch; 0: none
 
-	rows  table.Batch // every build row, in the order the builders delivered them
-	parts []keyedRows // nil until built
-	one   [1]keyedRows
-	held  int   // rows the last build held, reported past Close
-	ns    int64 // time in the last Open
+	mem   *buildMem   // what the build holds, off the free list; nil while closed
+	parts []keyedRows // mem's keyed tables, nil until built
+	held  int         // rows the last build held, reported past Close
+	ns    int64       // time in the last Open
 }
+
+// buildMem is what a HashBuild holds from Open to Close: the build
+// rows, in the order the builders delivered them, and the keyed tables;
+// for a parallel build, each partition's rows and their key digests,
+// and each builder's digests of its batch.
+type buildMem struct {
+	rows    table.Batch
+	parts   []keyedRows
+	ids     [][]int32  // partition → its rows of rows
+	digs    [][]uint64 // partition → the key digests of its rows
+	scratch [][]uint64 // builder → the key digests of its batch
+}
+
+// resize returns s at length n, keeping its elements when it has room.
+func resize[T any](s []T, n int) []T { return table.Grow(s[:0], n)[:n] }
 
 // NewHashBuild builds a partitioned index over the builders' rows keyed
 // on column col. All builders must share one output schema (the
@@ -128,13 +167,16 @@ func NewHashBuild(builders []Operator, col, rows int) *HashBuild {
 	return &HashBuild{builders: builders, col: col, est: rows}
 }
 
-// reserve sizes the copy for the estimate at the first batch, and each
-// partition's ids for its even share, an eighth and 16 more.
-func (b *HashBuild) reserve(batch *table.Batch, ids [][]int32) {
-	if b.rows.Len == 0 && b.est > 0 {
-		b.rows.Reserve(batch, b.est)
-		for p := range ids {
-			ids[p] = make([]int32, 0, b.est/len(ids)*9/8+16)
+// reserve sizes the copy for the estimate at the first batch, and the
+// rows and digests of each of nparts partitions for its even share, an
+// eighth and 16 more.
+func (b *HashBuild) reserve(batch *table.Batch, nparts int) {
+	m := b.mem
+	if m.rows.Len == 0 && b.est > 0 {
+		m.rows.Reserve(batch, b.est)
+		for p := range nparts {
+			n := b.est/nparts*9/8 + 16
+			m.ids[p], m.digs[p] = table.Grow(m.ids[p], n), table.Grow(m.digs[p], n)
 		}
 	}
 }
@@ -144,54 +186,59 @@ func (b *HashBuild) reserve(batch *table.Batch, ids [][]int32) {
 func (b *HashBuild) Open(ctx context.Context) error {
 	start := time.Now()
 	defer func() { b.ns = time.Since(start).Nanoseconds() }()
-	b.parts, b.held = nil, 0
-	b.rows.Reset()
+	b.release()
+	b.mem, b.held = buildMems.get(), 0
+	b.mem.rows.Reset()
+	b.mem.parts = resize(b.mem.parts, len(b.builders))
 	var err error
 	if len(b.builders) > 1 {
 		err = b.buildParts(ctx)
 	} else if err = drainAll(ctx, "build", b.builders, b); err == nil {
-		b.one[0] = fileRows(&b.rows, b.col, nil)
-		b.parts = b.one[:]
+		b.mem.parts[0].fileAll(&b.mem.rows, b.col)
+		b.parts = b.mem.parts
 	}
 	if err != nil {
 		return err
 	}
-	b.held = b.rows.Len
+	b.held = b.mem.rows.Len
 	return ctx.Err()
 }
 
 // take implements sink for the one builder: it copies each batch into
 // the build rows.
 func (b *HashBuild) take(_ int, batch *table.Batch) error {
-	b.reserve(batch, nil)
-	b.rows.AppendSel(batch, nil)
+	b.reserve(batch, 0)
+	b.mem.rows.AppendSel(batch, nil)
 	return nil
 }
 
 // buildParts is the two-phase parallel build.
 func (b *HashBuild) buildParts(ctx context.Context) error {
-	nparts := len(b.builders)
+	m, nparts := b.mem, len(b.builders)
+	m.ids, m.digs, m.scratch = resize(m.ids, nparts), resize(m.digs, nparts), resize(m.scratch, nparts)
+	for p := range nparts {
+		m.ids[p], m.digs[p] = m.ids[p][:0], m.digs[p][:0]
+	}
 
 	// Phase 1: each builder drains its subtree, appending each batch to
-	// the one shared batch of build rows and each row's position to the
-	// list of its partition, under one lock; the digests that pick the
-	// partitions are taken outside it.
-	ids := make([][]int32, nparts)   // partition → its rows of b.rows
-	scratch := make([][]int, nparts) // per builder: the partition of each row of its batch
+	// the one shared batch of build rows and each row's position and key
+	// digest to the lists of its partition, under one lock; the digests,
+	// which pick the partitions, are taken outside it.
 	var mu sync.Mutex
 	err := drainAll(ctx, "build", b.builders, sinkFunc(func(i int, batch *table.Batch) error {
-		key, parts := &batch.Cols[b.col], scratch[i][:0]
-		for r := 0; r < batch.Len; r++ {
-			parts = append(parts, int((key.Digest(r)&digestMask)%uint64(nparts)))
+		key, digs := &batch.Cols[b.col], m.scratch[i][:0]
+		for r := range batch.Len {
+			digs = append(digs, keyDigest(key, r))
 		}
-		scratch[i] = parts
+		m.scratch[i] = digs
 		mu.Lock()
 		defer mu.Unlock()
-		b.reserve(batch, ids)
-		base := int32(b.rows.Len)
-		b.rows.AppendSel(batch, nil)
-		for r, p := range parts {
-			ids[p] = push(ids[p], base+int32(r))
+		b.reserve(batch, nparts)
+		base := int32(m.rows.Len)
+		m.rows.AppendSel(batch, nil)
+		for r, d := range digs {
+			p := d % uint64(nparts)
+			m.ids[p], m.digs[p] = push(m.ids[p], base+int32(r)), push(m.digs[p], d)
 		}
 		return nil
 	}))
@@ -199,21 +246,18 @@ func (b *HashBuild) buildParts(ctx context.Context) error {
 		return err
 	}
 
-	// Phase 2: file each partition's rows into its keyed table, one
-	// goroutine per partition; an empty partition keeps the empty table.
-	parts := make([]keyedRows, nparts)
+	// Phase 2: file each partition's rows under the digests phase 1 took
+	// into its keyed table, one goroutine per partition.
 	var wg sync.WaitGroup
-	for p := range parts {
-		if len(ids[p]) > 0 {
-			wg.Add(1)
-			go func(p int) {
-				defer wg.Done()
-				parts[p] = fileRows(&b.rows, b.col, ids[p])
-			}(p)
-		}
+	for p := range m.parts {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			m.parts[p].fileIDs(m.ids[p], m.digs[p])
+		}(p)
 	}
 	wg.Wait()
-	b.parts = parts
+	b.parts = m.parts
 	return nil
 }
 
@@ -234,10 +278,19 @@ func (b *HashBuild) Next() (*table.Batch, error) {
 	return nil, nil
 }
 
-// Close implements Operator.
+// Close implements Operator: it puts the held memory back.
 func (b *HashBuild) Close() error {
-	b.rows, b.parts, b.one = table.Batch{}, nil, [1]keyedRows{}
+	b.release()
 	return closeOps(b.builders)
+}
+
+// release scrubs the held memory and puts it back.
+func (b *HashBuild) release() {
+	if b.mem != nil {
+		scrub(&b.mem.rows)
+		buildMems.put(b.mem)
+		b.mem, b.parts = nil, nil
+	}
 }
 
 // OutSchema implements Operator: the build side's schema.
@@ -264,7 +317,7 @@ type ProbeJoin struct {
 	build *HashBuild
 
 	ctx      context.Context // nil while closed
-	out      joinOut
+	out      *joinOut        // off the free list at Open, back at Close
 	stats    OpStats
 	probeCol int32 // shares a word with done: a HashJoin fits a serial join's size class
 	done     bool
@@ -283,11 +336,12 @@ func (j *ProbeJoin) Open(ctx context.Context) error {
 	j.stats = OpStats{}
 	defer j.stats.timed(time.Now())
 	j.ctx = ctx
-	j.out = joinOut{}
 	j.done = false
 	if j.build.parts == nil {
 		return fmt.Errorf("exec: %s: probe before its HashBuild opened", j)
 	}
+	j.release()
+	j.out = joinOuts.get()
 	return j.probe.Open(ctx)
 }
 
@@ -313,11 +367,11 @@ func (j *ProbeJoin) Next() (*table.Batch, error) {
 			return nil, nil
 		}
 		j.stats.RowsIn += b.Len
-		if j.build.rows.Len > 0 {
+		if j.build.mem.rows.Len > 0 {
 			j.out.refill(b, int(j.probeCol), j.build)
 		}
 	}
-	out := j.out.next(&j.build.rows)
+	out := j.out.next(&j.build.mem.rows)
 	j.stats.emitted(out)
 	return out, nil
 }
@@ -326,8 +380,16 @@ func (j *ProbeJoin) Next() (*table.Batch, error) {
 // build belongs to the Gather).
 func (j *ProbeJoin) Close() error {
 	j.ctx = nil
-	j.out = joinOut{}
+	j.release()
 	return j.probe.Close()
+}
+
+// release puts the output side back.
+func (j *ProbeJoin) release() {
+	if j.out != nil {
+		j.out.release()
+		j.out = nil
+	}
 }
 
 // OutSchema implements Operator: probe ++ build, like HashJoin.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 
 	"xst/internal/core"
@@ -152,6 +153,62 @@ func TestKeyedTablesUnderCollisions(t *testing.T) {
 	}
 }
 
+// TestHashBuildDigestsOnce: a build takes one key digest per build row —
+// a parallel build files each partition under the digests that picked
+// it — and its keyed tables are the ones filing each partition's rows
+// under digests taken afresh builds: every row's digest walks the same
+// ids, with the digest whole and narrowed to collide.
+func TestHashBuildDigestsOnce(t *testing.T) {
+	build := append(keyRows(900, 0), typedRows(900, 0, typedKeyKinds[1].key)...)
+	walk := func(c *core.Chains, d uint64) (ids []int32) {
+		for id := c.First(d); id >= 0; id = c.Next(id) {
+			ids = append(ids, id)
+		}
+		return ids
+	}
+	for _, mask := range []uint64{^uint64(0), 3, 0} {
+		defer exec.SetDigestMask(mask)()
+		for _, n := range []int{1, 2, 3} {
+			hb := exec.NewHashBuild(split(build, n), 0, 0)
+			stop := exec.CountDigests()
+			err := hb.Open(context.Background())
+			if digests := stop(); err != nil || digests != int64(len(build)) {
+				t.Fatalf("mask %#x, %d builders: %d digests of %d rows, %v", mask, n, digests, len(build), err)
+			}
+			rows, ids, tables := exec.Partitions(hb)
+			filed := 0
+			for p := range tables {
+				part := ids[p]
+				if n == 1 { // one partition: every row
+					for r := range rows.Len {
+						part = append(part, int32(r))
+					}
+				}
+				filed += len(part)
+				ref := core.NewChains(len(part))
+				for _, r := range part {
+					ref.Add(rows.Cols[0].Digest(int(r)) & mask)
+				}
+				for _, r := range part {
+					d := rows.Cols[0].Digest(int(r)) & mask
+					if n > 1 && d%uint64(n) != uint64(p) {
+						t.Fatalf("mask %#x, %d builders: row %d in partition %d, its digest picks %d", mask, n, r, p, d%uint64(n))
+					}
+					if got, want := walk(&tables[p], d), walk(&ref, d); !slices.Equal(got, want) {
+						t.Fatalf("mask %#x, %d builders: row %d walks %v, want %v", mask, n, r, got, want)
+					}
+				}
+			}
+			if filed != len(build) {
+				t.Fatalf("mask %#x, %d builders: %d rows filed of %d", mask, n, filed, len(build))
+			}
+			if err := hb.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
 // typedKeyKinds are key columns of one kind each, which a scan holds
 // unboxed: ints that box and strings.
 var typedKeyKinds = []struct {
@@ -290,18 +347,22 @@ func TestHashJoinEmptyBuild(t *testing.T) {
 }
 
 // TestHashBuildReservedOnce holds a one-builder build with an exact
-// estimate to the operator, its list of builders and one allocation per
-// array — the batch's column headers, the id and score ints, the city
-// offsets and bytes (the first batch's mean string, rounded up, is at
-// least any row's mean here), and the keyed table's heads, links and
-// digests — and its bytes to the arrays reserved for n rows. Without
+// estimate to the operator, its list of builders, its memory's holder
+// and one allocation per array — the batch's column headers, the id and
+// score ints, the city offsets and bytes (the first batch's mean string,
+// rounded up, is at least any row's mean here), and the keyed table's
+// heads and ids and the list of tables — and its bytes to the arrays
+// reserved for n rows. Without
 // the estimate each column array doubles its way up from the first
-// page instead.
+// page instead. Each run starts from empty free lists (two collections
+// empty a sync.Pool), so it measures a build that recycles nothing.
 func TestHashBuildReservedOnce(t *testing.T) {
 	users, _ := joinTables(t)
 	n := users.Count()
 	run := func(mk func() exec.Operator) (allocs float64, bytes uint64) {
 		f := func() {
+			runtime.GC()
+			runtime.GC()
 			if _, err := exec.Count(context.Background(), mk()); err != nil {
 				t.Fatal(err)
 			}
@@ -321,7 +382,11 @@ func TestHashBuildReservedOnce(t *testing.T) {
 	sizedAllocs, sizedBytes := build(n)
 	unsizedAllocs, unsizedBytes := build(0)
 	t.Logf("beyond the scan, %d rows: sized %.0f allocations, %d bytes; unsized %.0f, %d", n, sizedAllocs, sizedBytes, unsizedAllocs, unsizedBytes)
-	budget := 2 + 1 + 4 + 3 // operator and builders, column headers, four column arrays, three keyed-table arrays
+	// operator and builders, column headers, four column arrays, three
+	// keyed-table arrays (heads, ids and the list of tables), the build's
+	// recycled holder, and the free list's per-processor table and its
+	// entry in the runtime's list of pools, both dropped by a collection
+	budget := 2 + 1 + 4 + 3 + 1 + 2
 	if raceEnabled {
 		budget++
 	}

@@ -50,8 +50,9 @@ func workerSpan(ctx context.Context, phase string, i int) *trace.Span {
 //     goroutine before returning, so no goroutine outlives the tree;
 //   - ownership: every batch is copied before it crosses the channel,
 //     so what Next returns no worker touches; it is scratch until the
-//     next Next, which hands it back to a free list the producers copy
-//     into, so batches are recycled rather than allocated per batch.
+//     next Next, which puts it back on the free list of batches the
+//     producers copy into, so batches are recycled rather than allocated
+//     per batch.
 //
 // aux operators are shared dependencies of the workers (e.g. the
 // HashBuild that ProbeJoin workers probe): Open opens them in order,
@@ -63,8 +64,7 @@ type Gather struct {
 	ctx      context.Context
 	cancel   context.CancelFunc
 	ch       chan *table.Batch
-	free     chan *table.Batch // batches the consumer is done with
-	last     *table.Batch      // the batch Next handed out last
+	last     *table.Batch // the batch Next handed out last
 	firstErr error
 	inFlight atomic.Int64
 	peak     atomic.Int64
@@ -99,9 +99,6 @@ func (g *Gather) Open(ctx context.Context) error {
 		return err
 	}
 	g.ch = make(chan *table.Batch, g.Workers())
-	// Every batch in circulation is queued, being filled by a producer or
-	// held by the consumer, so this many free slots never block a send.
-	g.free = make(chan *table.Batch, 2*g.Workers()+1)
 	go func() {
 		// The workers run under g.ctx, so Close's cancel reaches a worker
 		// blocked inside its own Next. close(ch) orders the firstErr
@@ -112,8 +109,8 @@ func (g *Gather) Open(ctx context.Context) error {
 	return nil
 }
 
-// take implements sink: it copies one worker batch into a free batch,
-// or a new one, and sends it across the exchange.
+// take implements sink: it copies one worker batch into a batch off
+// the free list and sends it across the exchange.
 func (g *Gather) take(_ int, b *table.Batch) error {
 	// Poll the caller's context, not just the derived one: the derived
 	// context only observes cancellation that has already propagated,
@@ -122,13 +119,7 @@ func (g *Gather) take(_ int, b *table.Batch) error {
 	if err := g.parent.Err(); err != nil {
 		return err
 	}
-	var batch *table.Batch
-	select {
-	case batch = <-g.free:
-		batch.Reset()
-	default:
-		batch = new(table.Batch)
-	}
+	batch := getBatch()
 	batch.AppendSel(b, nil)
 	n := g.inFlight.Add(int64(batch.Len))
 	for {
@@ -142,6 +133,7 @@ func (g *Gather) take(_ int, b *table.Batch) error {
 		return nil
 	case <-g.ctx.Done():
 		g.inFlight.Add(-int64(batch.Len))
+		putBatch(batch)
 		return g.ctx.Err()
 	}
 }
@@ -153,13 +145,8 @@ func (g *Gather) Next() (*table.Batch, error) {
 	if !g.open {
 		return nil, errOpen(g)
 	}
-	if g.last != nil {
-		select {
-		case g.free <- g.last:
-		default:
-		}
-		g.last = nil
-	}
+	putBatch(g.last)
+	g.last = nil
 	if g.done {
 		return nil, g.firstErr
 	}
@@ -186,11 +173,13 @@ func (g *Gather) Close() error {
 		g.cancel()
 	}
 	if g.ch != nil {
-		for range g.ch {
+		for b := range g.ch {
+			putBatch(b)
 		}
 		g.ch = nil
 	}
-	g.free, g.last = nil, nil
+	putBatch(g.last)
+	g.last = nil
 	return g.closeAll()
 }
 

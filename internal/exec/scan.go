@@ -12,12 +12,13 @@ import (
 // page holds fewer than MaxBatchRows records), polling the context per
 // page. N MorselScans over one source partition the table dynamically;
 // one alone reads it in chain order. Each decodes into its own
-// table.PageBatch, so its batches are scratch until its next Next;
-// positions outside need are ColAbsent (see NewScan).
+// table.PageBatch, taken off the free list at Open and put back at
+// Close, so its batches are scratch until its next Next; positions
+// outside need are ColAbsent (see NewScan).
 type MorselScan struct {
 	src   *table.MorselSource
 	need  []bool
-	batch table.PageBatch
+	batch *table.PageBatch
 	ctx   context.Context // nil while closed
 	stats OpStats
 }
@@ -37,6 +38,7 @@ func (s *MorselScan) Open(ctx context.Context) error {
 	defer s.stats.timed(time.Now())
 	if s.ctx == nil {
 		s.src.Bind(ctx)
+		s.batch = pageBatches.get()
 	}
 	s.ctx = ctx
 	return ctx.Err()
@@ -52,7 +54,7 @@ func (s *MorselScan) Next() (*table.Batch, error) {
 		if err := s.ctx.Err(); err != nil {
 			return nil, err
 		}
-		b, err := s.src.Next(&s.batch, s.need)
+		b, err := s.src.Next(s.batch, s.need)
 		if err != nil || b == nil {
 			return nil, err
 		}
@@ -69,6 +71,9 @@ func (s *MorselScan) Close() error {
 	if s.ctx != nil {
 		s.ctx = nil
 		s.src.Release()
+		scrub(s.batch.Batch())
+		pageBatches.put(s.batch)
+		s.batch = nil
 	}
 	return nil
 }

@@ -16,7 +16,7 @@ type Sort struct {
 	child Operator
 	col   int
 	desc  bool
-	all   table.Batch
+	all   *table.Batch // off the free list at Open, back at Close
 	out   ordered
 	stats OpStats
 	open  bool
@@ -37,7 +37,8 @@ func (s *Sort) Open(ctx context.Context) error {
 	if err := s.child.Open(ctx); err != nil {
 		return err
 	}
-	s.all.Reset()
+	putBatch(s.all)
+	s.all = getBatch()
 	for {
 		b, err := s.child.Next()
 		if err != nil {
@@ -67,7 +68,7 @@ func (s *Sort) Open(ctx context.Context) error {
 			return c < 0
 		})
 	}
-	s.out.all, s.out.perm = &s.all, perm
+	s.out.all, s.out.perm = s.all, perm
 	return nil
 }
 
@@ -87,7 +88,9 @@ func (s *Sort) Next() (*table.Batch, error) {
 // Close implements Operator.
 func (s *Sort) Close() error {
 	s.open = false
-	s.all, s.out = table.Batch{}, ordered{}
+	putBatch(s.all)
+	s.all = nil
+	s.out.release()
 	return s.child.Close()
 }
 

@@ -33,12 +33,13 @@ type Op interface {
 }
 
 // Restrict is the σ-Restriction stage: the filter selects, and the
-// survivors are gathered into the stage's own batch.
+// survivors are gathered into the stage's own batch, taken off the free
+// list at the first and put back when its Stage closes.
 type Restrict struct {
 	Filter Filter
 	Name   string // display label, e.g. "city = chicago"
 	sel    []int32
-	out    table.Batch
+	out    *table.Batch
 }
 
 // Process implements Op.
@@ -54,8 +55,11 @@ func (r *Restrict) Process(b *table.Batch) *table.Batch {
 	if len(sel) == b.Len {
 		return b
 	}
+	if r.out == nil {
+		r.out = getBatch()
+	}
 	r.out.Gather(b, sel)
-	return &r.out
+	return r.out
 }
 
 // OutSchema implements Op.
@@ -220,9 +224,13 @@ func (s *Stage) Next() (*table.Batch, error) {
 	}
 }
 
-// Close implements Operator.
+// Close implements Operator: a Restrict puts its batch back.
 func (s *Stage) Close() error {
 	s.open = false
+	if r, ok := s.op.(*Restrict); ok {
+		putBatch(r.out)
+		r.out = nil
+	}
 	return s.child.Close()
 }
 

@@ -1,5 +1,11 @@
 package plan
 
+import (
+	"slices"
+
+	"xst/internal/table"
+)
+
 // The optimizer applies rewrite rules bottom-up to a fixed point. All
 // rules preserve the result multiset; TestOptimizePreservesResults
 // verifies this on randomized plans.
@@ -130,47 +136,85 @@ func collapseProjects(p *Project) (Node, bool) {
 }
 
 // pruneJoinColumns narrows a join's inputs to the columns the projection
-// (plus the join keys) actually needs — 𝔇-pushdown.
+// (plus the join keys) actually needs — 𝔇-pushdown. Each side keeps its
+// own key and the columns the projection reads from it, found by their
+// names in the join's output, so the right key id keeps no left id. If
+// dropping a left column would rename a right one the projection reads
+// (users.id is id once no left id is left), the left keeps its columns
+// named like the kept right ones, and the rule gives up if that does
+// not help.
 func pruneJoinColumns(p *Project) (Node, bool) {
 	j, ok := p.Child.(*Join)
 	if !ok {
 		return nil, false
 	}
-	lsch, rsch := j.Left.Schema(), j.Right.Schema()
-	need := map[string]bool{j.LeftCol: true, j.RightCol: true}
-	for _, c := range p.Cols {
-		need[c] = true
+	// Only prune when the inner nodes are not already projections
+	// (avoid rewrite loops).
+	_, lp := j.Left.(*Project)
+	_, rp := j.Right.(*Project)
+	if lp || rp {
+		return nil, false
 	}
-	keep := func(all []string) []string {
-		var out []string
-		for _, c := range all {
-			if need[c] {
-				out = append(out, c)
+	lsch, rsch := j.Left.Schema(), j.Right.Schema()
+	need := map[string]bool{"<" + j.LeftCol: true, ">" + j.RightCol: true}
+	for _, c := range p.Cols {
+		need[joinSource(lsch, rsch, c)] = true
+	}
+	keep := func(side string, sch table.Schema) table.Schema {
+		var cols []string
+		for _, c := range sch.Cols {
+			if need[side+c] {
+				cols = append(cols, c)
 			}
 		}
-		return out
+		return table.Schema{Name: sch.Name, Cols: cols}
 	}
-	lKeep := keep(lsch.Cols)
-	rKeep := keep(rsch.Cols)
-	if len(lKeep) == len(lsch.Cols) && len(rKeep) == len(rsch.Cols) {
-		return nil, false
+	l, r := keep("<", lsch), keep(">", rsch)
+	for try := 0; !sameSources(p.Cols, l, r, lsch, rsch); try++ {
+		if try > 0 {
+			return nil, false
+		}
+		for _, c := range r.Cols {
+			need["<"+c] = true
+		}
+		l = keep("<", lsch)
 	}
-	// Only prune when something is actually dropped and the inner nodes
-	// are not already projections (avoid rewrite loops).
-	if _, ok := j.Left.(*Project); ok {
-		return nil, false
-	}
-	if _, ok := j.Right.(*Project); ok {
+	if len(l.Cols) == len(lsch.Cols) && len(r.Cols) == len(rsch.Cols) {
 		return nil, false
 	}
 	return &Project{
 		Child: &Join{
-			Left:    &Project{Child: j.Left, Cols: lKeep},
-			Right:   &Project{Child: j.Right, Cols: rKeep},
+			Left:    &Project{Child: j.Left, Cols: l.Cols},
+			Right:   &Project{Child: j.Right, Cols: r.Cols},
 			LeftCol: j.LeftCol, RightCol: j.RightCol,
 		},
 		Cols: p.Cols,
 	}, true
+}
+
+// joinSource names the input column that output column c of a join of l
+// and r comes from: "<" and its name on the left, ">" and its name on the
+// right, or "" when there is none.
+func joinSource(l, r table.Schema, c string) string {
+	switch i := slices.Index(table.JoinSchema(l, r).Cols, c); {
+	case i < 0:
+		return ""
+	case i < len(l.Cols):
+		return "<" + l.Cols[i]
+	default:
+		return ">" + r.Cols[i-len(l.Cols)]
+	}
+}
+
+// sameSources reports whether each of cols comes from the same input
+// column in a join of l and r as in one of l0 and r0.
+func sameSources(cols []string, l, r, l0, r0 table.Schema) bool {
+	for _, c := range cols {
+		if joinSource(l, r, c) != joinSource(l0, r0, c) {
+			return false
+		}
+	}
+	return true
 }
 
 func simplify(a And) Pred {

@@ -227,6 +227,57 @@ func TestPruneJoinColumns(t *testing.T) {
 	}
 }
 
+// TestPruneJoinColumnsPerSide: each side of a join keeps its own key and
+// the columns the projection reads from it. With orders(id, uid, amount)
+// and users(id, name, city) joined on uid = id, the right key id keeps no
+// orders.id on the left; a projection of users.id, which is named so
+// only while the left has an id, keeps the left's id; and every pruned
+// plan answers the rows and column names of the unpruned one.
+func TestPruneJoinColumnsPerSide(t *testing.T) {
+	pool := store.NewBufferPool(store.NewMemPager(), 128)
+	o, err := table.Create(pool, table.Schema{Name: "orders", Cols: []string{"id", "uid", "amount"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	u, err := table.Create(pool, table.Schema{Name: "users", Cols: []string{"id", "name", "city"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range 20 {
+		u.Insert(table.Row{core.Int(i), core.Str(fmt.Sprint("user-", i)), core.Str(fmt.Sprint("city-", i%3))})
+	}
+	for i := range 60 {
+		o.Insert(table.Row{core.Int(100 + i), core.Int(i % 25), core.Int(i * 7 % 50)})
+	}
+	for _, c := range []struct {
+		cols        []string
+		left, right string // each side's projection
+	}{
+		{[]string{"amount", "city"}, "project[uid,amount]", "project[id,city]"},
+		{[]string{"id", "city"}, "project[id,uid]", "project[id,city]"},
+		{[]string{"users.id", "amount"}, "project[id,uid,amount]", "project[id]"},
+	} {
+		n := &Project{Cols: c.cols, Child: &Join{Left: &Scan{Table: o}, Right: &Scan{Table: u}, LeftCol: "uid", RightCol: "id"}}
+		opt := Optimize(n)
+		j := opt.(*Project).Child.(*Join)
+		if l, r := j.Left.String(), j.Right.String(); !strings.HasPrefix(l, c.left) || !strings.HasPrefix(r, c.right) {
+			t.Errorf("select %v: sides %s and %s, want %s… and %s…", c.cols, l, r, c.left, c.right)
+		}
+		want, wsch, err := Execute(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, gsch, err := Execute(opt)
+		if err != nil {
+			t.Fatalf("select %v: %v", c.cols, err)
+		}
+		if !reflect.DeepEqual(gsch.Cols, wsch.Cols) {
+			t.Errorf("select %v: columns %v, want %v", c.cols, gsch.Cols, wsch.Cols)
+		}
+		sameRows(t, got, want)
+	}
+}
+
 // optimizePlans are the rule-rewrite corpus: pushdown through a join
 // and a projection, and stacked selections.
 func optimizePlans(t *testing.T) []Node {

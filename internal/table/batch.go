@@ -335,6 +335,9 @@ type PageBatch struct {
 	b Batch
 }
 
+// Batch returns the batch Decode fills.
+func (pb *PageBatch) Batch() *Batch { return &pb.b }
+
 // Decode fills the batch with the live rows of p, in slot order, and
 // returns it. need, when non-nil, marks the positions to decode: the
 // encoded bytes of a position it leaves out (or does not reach) are
