@@ -121,22 +121,16 @@ var ErrCatalogFull = errors.New("catalog: catalog page full")
 
 // Database is a durable collection of tables over one pager.
 //
-// The mutex covers the metadata maps and the planner snapshot, not page
-// I/O: readers (Table, Names, PlanCatalog) take the read lock, mutators
-// (CreateTable, Analyze, CreateIndex, VacuumTable) the write lock.
-// Compiled queries hold *table.Table and index-structure pointers
-// directly, so running scans never contend with catalog changes.
+// Its committed state is one immutable version (cur), which a commit
+// replaces under the write lock of mu; readers (Table, Names,
+// PlanCatalog, BeginRead, …) take the read lock only to load it, never
+// across page I/O. Compiled queries hold *table.Table and index-structure
+// pointers directly, so running scans never contend with catalog changes.
 type Database struct {
-	pager  store.Pager
-	pool   *store.BufferPool
-	mu     sync.RWMutex
-	tables map[string]*table.Table
-	parts  map[string]Partition
-	statsC map[string]*stats.TableStats
-	idxs   map[string][]*Index
-	// snap is the current planner catalog, rebuilt eagerly on every
-	// commit and handed out as an immutable snapshot.
-	snap *plan.Catalog
+	pager store.Pager
+	pool  *store.BufferPool
+	mu    sync.RWMutex
+	cur   *version
 
 	// mgr runs every mutation as a wal transaction (txn.go). Databases
 	// built by Create/Open log to a discard log — transactional but not
@@ -156,6 +150,26 @@ type Database struct {
 	sets   map[string]*versionSet
 }
 
+// version is one committed state of the database: every table (the
+// reserved "__" ones included), the partitions, the statistics, the
+// index declarations with their built structures, and the planner
+// snapshot over them, which holds the statistics. Nothing in a version changes once it is
+// published; a commit builds its successor, sharing every map the commit
+// left alone (txn.go). Page 0 holds its catalog set.
+type version struct {
+	tables map[string]*table.Table
+	parts  map[string]Partition
+	idxs   map[string][]*Index
+	plan   *plan.Catalog
+}
+
+// current returns the published version.
+func (db *Database) current() *version {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	return db.cur
+}
+
 // versionSet is one published table version's extended set. view pins
 // the version's pages from the entry's creation until its build ends.
 type versionSet struct {
@@ -170,12 +184,8 @@ func newDatabase(pager store.Pager, pool *store.BufferPool) *Database {
 	return &Database{
 		pager:  pager,
 		pool:   pool,
-		tables: map[string]*table.Table{},
-		parts:  map[string]Partition{},
-		statsC: map[string]*stats.TableStats{},
-		idxs:   map[string][]*Index{},
+		cur:    &version{plan: &plan.Catalog{}},
 		sets:   map[string]*versionSet{},
-		snap:   &plan.Catalog{},
 		mgr:    wal.NewManager(pager, wal.NewNullLog()),
 		autoCk: defaultAutoCheckpoint,
 	}
@@ -187,24 +197,25 @@ func Create(pager store.Pager, frames int) (*Database, error) {
 	if pager.NumPages() != 0 {
 		return nil, fmt.Errorf("catalog: pager not empty (%d pages)", pager.NumPages())
 	}
-	pool := store.NewBufferPool(pager, frames)
-	f, err := pool.AllocatePage()
+	db := newDatabase(pager, store.NewBufferPool(pager, frames))
+	// The first commit allocates page 0 and writes the empty catalog on it.
+	tx := db.Begin()
+	defer tx.Abort()
+	f, err := tx.io.AllocatePage()
 	if err != nil {
 		return nil, err
 	}
 	if f.ID() != catalogPage {
-		f.Unpin()
 		return nil, fmt.Errorf("catalog: catalog page allocated as %d", f.ID())
 	}
-	f.Unpin()
-	db := newDatabase(pager, pool)
-	if err := db.writeCatalog(); err != nil {
+	tx.catDirty = true
+	if err := tx.Commit(context.Background()); err != nil {
 		return nil, err
 	}
 	return db, nil
 }
 
-// Open reattaches to a database previously written by Create + Sync.
+// Open reattaches to a database previously written by Create.
 func Open(pager store.Pager, frames int) (*Database, error) {
 	if pager.NumPages() == 0 {
 		return nil, errors.New("catalog: pager empty; use Create")
@@ -224,6 +235,11 @@ func Open(pager store.Pager, frames int) (*Database, error) {
 	if err != nil {
 		return nil, err
 	}
+	v := &version{
+		tables: map[string]*table.Table{},
+		parts:  map[string]Partition{},
+		idxs:   map[string][]*Index{},
+	}
 	for _, m := range set.Members() {
 		name, first, schema, part, err := decodeEntry(m.Elem)
 		if err != nil {
@@ -233,15 +249,17 @@ func Open(pager store.Pager, frames int) (*Database, error) {
 		if err != nil {
 			return nil, err
 		}
-		db.tables[name] = t
+		v.tables[name] = t
 		if part != nil {
-			db.parts[name] = *part
+			v.parts[name] = *part
 		}
 	}
-	if err := db.loadMeta(); err != nil {
+	st, err := v.loadMeta()
+	if err != nil {
 		return nil, err
 	}
-	db.rebuildSnapLocked()
+	v.plan = planOf(v, st, db.cur.plan, func(string) bool { return true })
+	db.cur = v
 	return db, nil
 }
 
@@ -264,13 +282,11 @@ func (db *Database) CreateTable(schema table.Schema) (*table.Table, error) {
 
 // Table returns a defined table.
 func (db *Database) Table(name string) (*table.Table, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.tableLocked(name)
+	return db.current().table(name)
 }
 
-func (db *Database) tableLocked(name string) (*table.Table, error) {
-	t, ok := db.tables[name]
+func (v *version) table(name string) (*table.Table, error) {
+	t, ok := v.tables[name]
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNoTable, name)
 	}
@@ -280,13 +296,13 @@ func (db *Database) tableLocked(name string) (*table.Table, error) {
 // Names lists the defined tables, sorted. Reserved "__"-prefixed system
 // tables (the statistics/index store) are omitted.
 func (db *Database) Names() []string {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	out := make([]string, 0, len(db.tables))
-	for n := range db.tables {
-		if strings.HasPrefix(n, "__") {
-			continue
-		}
+	return sortedNames(db.current().plan.Tables)
+}
+
+// sortedNames lists a map's keys, sorted.
+func sortedNames[V any](m map[string]V) []string {
+	out := make([]string, 0, len(m))
+	for n := range m {
 		out = append(out, n)
 	}
 	sort.Strings(out)
@@ -310,13 +326,10 @@ func (db *Database) VacuumTable(name string) (*table.Table, error) {
 	return db.Table(name)
 }
 
-// Sync flushes every dirty page and rewrites the catalog.
+// Sync flushes every dirty page. Commits write their pages, page 0
+// included, through to the pager, so only pages changed in place outside
+// a transaction are dirty.
 func (db *Database) Sync() error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if err := db.writeCatalog(); err != nil {
-		return err
-	}
 	return db.pool.FlushAll()
 }
 
@@ -343,9 +356,7 @@ func (db *Database) SetPartition(name string, p Partition) error {
 
 // Partition reports a table's recorded partition, if any.
 func (db *Database) Partition(name string) (Partition, bool) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	p, ok := db.parts[name]
+	p, ok := db.current().parts[name]
 	return p, ok
 }
 
@@ -353,23 +364,34 @@ func (db *Database) Partition(name string) (Partition, bool) {
 // actually stored on page 0. Partitioned tables carry a fourth tuple
 // element ⟨kind, col, site, sites, ⟨bounds…⟩⟩.
 func (db *Database) CatalogSet() *core.Set {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.catalogSetLocked()
+	return db.current().catalogSet()
 }
 
-func (db *Database) catalogSetLocked() *core.Set {
-	return catalogSetOf(db.tables, db.parts)
+func (v *version) catalogSet() *core.Set {
+	b := core.NewBuilder(len(v.tables))
+	for name, t := range v.tables {
+		cols := make([]core.Value, len(t.Schema().Cols))
+		for i, c := range t.Schema().Cols {
+			cols[i] = core.Str(c)
+		}
+		elems := []core.Value{core.Str(name), core.Int(int64(t.FirstPage())), core.Tuple(cols...)}
+		if p, ok := v.parts[name]; ok {
+			elems = append(elems, core.Tuple(core.Str(p.Kind), core.Str(p.Col),
+				core.Int(int64(p.Site)), core.Int(int64(p.Sites)), core.Tuple(p.Bounds...)))
+		}
+		b.AddClassical(core.Tuple(elems...))
+	}
+	return b.Set()
 }
 
-// writeCatalog persists page 0; callers hold the write lock (or have
-// exclusive access during Create/Open).
-func (db *Database) writeCatalog() error {
-	enc := core.Encode(db.catalogSetLocked())
+// writeCatalogPage encodes v's catalog set onto page 0 through io — the
+// page's one writer, run inside the commit that publishes v.
+func writeCatalogPage(io store.PageIO, v *version) error {
+	enc := core.Encode(v.catalogSet())
 	if len(enc)+4 > store.PageSize {
 		return fmt.Errorf("%w: %d bytes", ErrCatalogFull, len(enc))
 	}
-	f, err := db.pool.Page(catalogPage)
+	f, err := io.Page(catalogPage)
 	if err != nil {
 		return err
 	}
@@ -434,12 +456,14 @@ func (db *Database) versionEntry(name string, t *table.Table) (*versionSet, erro
 	if e := db.sets[name]; e != nil && e.t == t {
 		return e, nil
 	}
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	if db.tables[name] != t {
+	// The check and the pin share one read lock, so the view's epoch is
+	// one at which t is the published version.
+	view, v := db.beginRead()
+	if v.tables[name] != t {
+		view.Release()
 		return nil, fmt.Errorf("%w: %q", errSuperseded, name)
 	}
-	e := &versionSet{t: t, view: db.pool.NewView()}
+	e := &versionSet{t: t, view: view}
 	db.sets[name] = e
 	return e, nil
 }
@@ -470,22 +494,8 @@ func (db *Database) Analyze(ctx context.Context) (int, error) {
 
 // Stats reports the persisted statistics for one table, if analyzed.
 func (db *Database) Stats(name string) (*stats.TableStats, bool) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	ts, ok := db.statsC[name]
+	ts, ok := db.current().plan.Stats[name]
 	return ts, ok
-}
-
-// StatsCatalog returns the persisted statistics keyed by table name (a
-// fresh map; the TableStats values are shared and immutable).
-func (db *Database) StatsCatalog() stats.Catalog {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	cat := make(stats.Catalog, len(db.statsC))
-	for name, ts := range db.statsC {
-		cat[name] = ts
-	}
-	return cat
 }
 
 // CreateIndex declares and builds an index on table.col, persists the
@@ -494,42 +504,29 @@ func (db *Database) StatsCatalog() stats.Catalog {
 // atom columns only).
 func (db *Database) CreateIndex(ctx context.Context, tbl, col, kind string) (*Index, error) {
 	tx := db.Begin()
-	// The writer lock (held by the transaction) excludes concurrent
-	// metadata mutation, so the catalog read below needs only a brief
-	// RLock — released before Commit, which takes db.mu itself.
-	ix, err := func() (*Index, error) {
-		db.mu.RLock()
-		defer db.mu.RUnlock()
-		if strings.HasPrefix(tbl, "__") {
-			return nil, fmt.Errorf("%w: %q", ErrNoTable, tbl)
+	defer tx.Abort()
+	t, ok := tx.base.plan.Tables[tbl] // reserved "__" tables take no index
+	if !ok {
+		return nil, fmt.Errorf("%w: %q", ErrNoTable, tbl)
+	}
+	if t.Schema().Col(col) < 0 {
+		return nil, fmt.Errorf("catalog: index column %q not in %s(%s)", col, tbl, t.Schema().Cols)
+	}
+	if kind != IndexHash && kind != IndexBTree {
+		return nil, fmt.Errorf("catalog: unknown index kind %q (want %s or %s)", kind, IndexHash, IndexBTree)
+	}
+	old := tx.base.idxs[tbl]
+	for _, ix := range old {
+		if ix.Col == col && ix.Kind == kind {
+			return nil, fmt.Errorf("catalog: index on %s.%s (%s) already exists", tbl, col, kind)
 		}
-		t, err := db.tableLocked(tbl)
-		if err != nil {
-			return nil, err
-		}
-		if t.Schema().Col(col) < 0 {
-			return nil, fmt.Errorf("catalog: index column %q not in %s(%s)", col, tbl, t.Schema().Cols)
-		}
-		if kind != IndexHash && kind != IndexBTree {
-			return nil, fmt.Errorf("catalog: unknown index kind %q (want %s or %s)", kind, IndexHash, IndexBTree)
-		}
-		for _, ix := range db.idxs[tbl] {
-			if ix.Col == col && ix.Kind == kind {
-				return nil, fmt.Errorf("catalog: index on %s.%s (%s) already exists", tbl, col, kind)
-			}
-		}
-		ix := &Index{Table: tbl, Col: col, Kind: kind}
-		if err := buildIndexOn(ctx, t, ix); err != nil {
-			return nil, err
-		}
-		tx.newIdxs = map[string][]*Index{tbl: append(append([]*Index{}, db.idxs[tbl]...), ix)}
-		tx.metaDirty = true
-		return ix, nil
-	}()
-	if err != nil {
-		tx.Abort()
+	}
+	ix := &Index{Table: tbl, Col: col, Kind: kind}
+	if err := buildIndexOn(ctx, t, ix); err != nil {
 		return nil, err
 	}
+	tx.newIdxs = map[string][]*Index{tbl: append(old[:len(old):len(old)], ix)}
+	tx.metaDirty = true
 	if err := tx.Commit(ctx); err != nil {
 		return nil, err
 	}
@@ -538,67 +535,61 @@ func (db *Database) CreateIndex(ctx context.Context, tbl, col, kind string) (*In
 
 // Indexes reports the declared indexes on a table.
 func (db *Database) Indexes(tbl string) []*Index {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return append([]*Index(nil), db.idxs[tbl]...)
+	return append([]*Index(nil), db.current().idxs[tbl]...)
 }
 
 // PlanCatalog returns the current planner catalog snapshot (tables,
 // statistics and built indexes). The snapshot is immutable — mutations
 // publish a fresh one — so callers may hold it across a whole query.
 func (db *Database) PlanCatalog() *plan.Catalog {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.snap
+	return db.current().plan
 }
 
-// rebuildSnapLocked republishes the planner catalog from the current
-// tables, statistics and index structures. Always a fresh value:
-// snapshots already handed out stay internally consistent. Reserved
-// "__"-prefixed tables stay out of it, as they do out of Names.
-func (db *Database) rebuildSnapLocked() {
-	snap := &plan.Catalog{
-		Tables: make(map[string]*table.Table, len(db.tables)),
-		Stats:  make(stats.Catalog, len(db.statsC)),
+// planOf returns the planner snapshot of v with statistics st, derived
+// from prev, the snapshot of the version v succeeds: prev's index
+// entries carry over for every table moved reports unchanged, and each
+// other index gets an entry over its table's v struct. Reserved "__"-prefixed tables stay
+// out of it, as they do out of Names.
+func planOf(v *version, st stats.Catalog, prev *plan.Catalog, moved func(name string) bool) *plan.Catalog {
+	p := &plan.Catalog{
+		Tables:  make(map[string]*table.Table, len(v.tables)),
+		Stats:   st,
+		Indexes: make([]*plan.TableIndex, 0, len(prev.Indexes)),
 	}
-	for name, t := range db.tables {
+	for name, t := range v.tables {
 		if !strings.HasPrefix(name, "__") {
-			snap.Tables[name] = t
+			p.Tables[name] = t
 		}
 	}
-	for name, ts := range db.statsC {
-		snap.Stats[name] = ts
+	for _, ti := range prev.Indexes {
+		if !moved(ti.Table.Schema().Name) {
+			p.Indexes = append(p.Indexes, ti)
+		}
 	}
-	names := make([]string, 0, len(db.idxs))
-	for name := range db.idxs {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		t, ok := db.tables[name]
-		if !ok {
+	for name, list := range v.idxs {
+		if !moved(name) {
 			continue
 		}
-		for _, ix := range db.idxs[name] {
-			ti := &plan.TableIndex{Table: t, Col: ix.Col, Hash: ix.Hash, BTree: ix.BTree}
+		for _, ix := range list {
+			ti := &plan.TableIndex{Table: v.tables[name], Col: ix.Col, Hash: ix.Hash, BTree: ix.BTree}
 			if ix.Kind == IndexBTree {
 				ti.Kind = plan.BTreeIdx
 			}
-			snap.Indexes = append(snap.Indexes, ti)
+			p.Indexes = append(p.Indexes, ti)
 		}
 	}
-	db.snap = snap
+	return p
 }
 
 var metaSchema = table.Schema{Name: metaTable, Cols: []string{"kind", "tbl", "payload"}}
 
-// loadMeta restores statistics and index declarations from __meta at
-// Open time, rebuilding every index structure. Called before the
-// database is shared, so no locking.
-func (db *Database) loadMeta() error {
-	t, ok := db.tables[metaTable]
+// loadMeta restores index declarations from __meta at Open time,
+// rebuilding every index structure, and returns the statistics.
+func (v *version) loadMeta() (stats.Catalog, error) {
+	st := stats.Catalog{}
+	t, ok := v.tables[metaTable]
 	if !ok {
-		return nil
+		return st, nil
 	}
 	type idxDef struct{ tbl, col, kind string }
 	var defs []idxDef
@@ -617,7 +608,7 @@ func (db *Database) loadMeta() error {
 			if err != nil {
 				return false, fmt.Errorf("catalog: __meta stats for %q: %w", tbl, err)
 			}
-			db.statsC[string(tbl)] = ts
+			st[string(tbl)] = ts
 		case "index":
 			elems, ok := core.TupleElems(r[2])
 			if !ok || len(elems) != 2 {
@@ -635,20 +626,20 @@ func (db *Database) loadMeta() error {
 		return true, nil
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	for _, d := range defs {
-		t, ok := db.tables[d.tbl]
+		t, ok := v.tables[d.tbl]
 		if !ok {
-			return fmt.Errorf("%w: %q (from __meta index)", ErrNoTable, d.tbl)
+			return nil, fmt.Errorf("%w: %q (from __meta index)", ErrNoTable, d.tbl)
 		}
 		ix := &Index{Table: d.tbl, Col: d.col, Kind: d.kind}
 		if err := buildIndexOn(context.Background(), t, ix); err != nil {
-			return err
+			return nil, err
 		}
-		db.idxs[d.tbl] = append(db.idxs[d.tbl], ix)
+		v.idxs[d.tbl] = append(v.idxs[d.tbl], ix)
 	}
-	return nil
+	return st, nil
 }
 
 func decodeCatalog(raw []byte) (*core.Set, error) {

@@ -113,9 +113,15 @@ type ReadTxn struct {
 // Commits publish both under the same lock, so the pair is always
 // mutually consistent. Release the View when the read finishes.
 func (db *Database) BeginRead() ReadTxn {
+	view, v := db.beginRead()
+	return ReadTxn{View: view, Snap: v.plan}
+}
+
+// beginRead pins the current epoch and returns it with its version.
+func (db *Database) beginRead() (*store.View, *version) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	return ReadTxn{View: db.pool.NewView(), Snap: db.snap}
+	return db.pool.NewView(), db.cur
 }
 
 // Load appends rows to a table as one atomic transaction — one log

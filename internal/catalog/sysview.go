@@ -2,8 +2,6 @@ package catalog
 
 import (
 	"context"
-	"sort"
-	"strings"
 	"time"
 
 	"xst/internal/core"
@@ -43,31 +41,25 @@ func (db *Database) SysTables() []*sysview.Table {
 	}
 }
 
-// tableRows is one row per stored table, read in one snapshot: name,
+// tableRows is one row per stored table, read in one version: name,
 // columns, row count, sampled row bytes and the partition spec, whose
 // bounds are the ⟨bounds…⟩ tuple the catalog set stores on page 0.
 // Distinct counts are __sys.stats's.
 func (db *Database) tableRows(ctx context.Context) ([]table.Row, error) {
-	rt := db.BeginRead()
-	defer rt.View.Release()
-	names := make([]string, 0, len(rt.Snap.Tables))
-	for n := range rt.Snap.Tables {
-		if !strings.HasPrefix(n, "__") {
-			names = append(names, n)
-		}
-	}
-	sort.Strings(names)
+	view, v := db.beginRead()
+	defer view.Release()
+	names := sortedNames(v.plan.Tables)
 	out := make([]table.Row, 0, len(names))
 	for _, name := range names {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		t := rt.Snap.Tables[name].At(rt.View)
+		t := v.tables[name].At(view)
 		cols := make([]core.Value, len(t.Schema().Cols))
 		for i, c := range t.Schema().Cols {
 			cols[i] = core.Str(c)
 		}
-		p, _ := db.Partition(name)
+		p := v.parts[name]
 		out = append(out, table.Row{
 			core.Str(name), core.Tuple(cols...),
 			core.Int(int64(t.Count())), core.Int(int64(sampleRowBytes(t))),
@@ -124,13 +116,13 @@ func (db *Database) txnRows(context.Context) ([]table.Row, error) {
 	return out, nil
 }
 
-// indexRows is one row per declared index with its built entry count.
+// indexRows is one row per declared index with its built entry count,
+// read in one version.
 func (db *Database) indexRows(context.Context) ([]table.Row, error) {
-	names := db.Names()
-	sort.Strings(names)
+	v := db.current()
 	var out []table.Row
-	for _, tbl := range names {
-		for _, ix := range db.Indexes(tbl) {
+	for _, tbl := range sortedNames(v.idxs) {
+		for _, ix := range v.idxs[tbl] {
 			entries := 0
 			switch {
 			case ix.Hash != nil:
@@ -147,23 +139,19 @@ func (db *Database) indexRows(context.Context) ([]table.Row, error) {
 	return out, nil
 }
 
-// statRows is one row per analyzed column: table, column, row count,
-// distinct count — the numbers plan costing actually reads.
+// statRows is one row per analyzed column, read in one version: table,
+// column, row count, distinct count — the numbers plan costing actually
+// reads.
 func (db *Database) statRows(context.Context) ([]table.Row, error) {
-	cat := db.StatsCatalog()
-	names := make([]string, 0, len(cat))
-	for n := range cat {
-		names = append(names, n)
-	}
-	sort.Strings(names)
+	v := db.current()
 	var out []table.Row
-	for _, tbl := range names {
-		t, err := db.Table(tbl)
-		if err != nil {
+	for _, tbl := range sortedNames(v.plan.Stats) {
+		t, ok := v.tables[tbl]
+		if !ok {
 			continue
 		}
 		cols := t.Schema().Cols
-		ts := cat[tbl]
+		ts := v.plan.Stats[tbl]
 		for i, c := range ts.Columns {
 			if i >= len(cols) {
 				break

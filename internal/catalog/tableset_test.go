@@ -253,6 +253,85 @@ func TestTableSetReadsItsVersion(t *testing.T) {
 	}
 }
 
+// TestTableSetPinsItsVersionUnderCommits resolves the published version
+// of a table while a writer commits into it: every set built must hold
+// its own version's rows, never a later commit's. A version superseded
+// before its entry was made may fail with errSuperseded.
+func TestTableSetPinsItsVersionUnderCommits(t *testing.T) {
+	db := usersDB(t, 20)
+	ctx := context.Background()
+	var mu sync.Mutex
+	want := map[*table.Table]int{}
+	record := func() {
+		tab, err := db.Table("users")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		mu.Lock()
+		want[tab] = tab.Count()
+		mu.Unlock()
+	}
+	record()
+
+	type built struct {
+		tab  *table.Table
+		card int
+	}
+	const readers, loads = 2, 400
+	got := make([][]built, readers)
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				tab, err := db.Table("users")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				s, err := db.tableSet("users", tab)
+				if errors.Is(err, errSuperseded) {
+					continue
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got[r] = append(got[r], built{tab, core.Card(s)})
+			}
+		}()
+	}
+	// Only this goroutine commits, so the version current after each
+	// Load is that Load's, and its count is the committed row count.
+	for i := 0; i < loads; i++ {
+		if err := db.Load(ctx, "users", userRows(20+i, 1)); err != nil {
+			t.Fatal(err)
+		}
+		record()
+	}
+	close(done)
+	wg.Wait()
+
+	n := 0
+	for _, bs := range got {
+		for _, b := range bs {
+			n++
+			if w, ok := want[b.tab]; !ok || b.card != w {
+				t.Fatalf("a version's set has %d members, want its own %d", b.card, w)
+			}
+		}
+	}
+	t.Logf("%d sets built over %d versions", n, loads+1)
+}
+
 func BenchmarkBindAll(b *testing.B) {
 	db := usersDB(b, 20_000)
 	b.ReportAllocs()

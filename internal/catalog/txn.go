@@ -3,8 +3,6 @@ package catalog
 import (
 	"context"
 	"fmt"
-	"sort"
-	"strings"
 
 	"xst/internal/core"
 	"xst/internal/index"
@@ -27,13 +25,14 @@ import (
 //     to the committed image in the buffer pool, writes collect in the
 //     wal transaction's shadow. Nothing committed is touched while the
 //     statement runs, so an abort is free and readers keep scanning.
-//   - Commit appends the after-images and a commit marker to the log,
-//     fsyncs, then installs the images through store.CommitPages —
+//   - Commit builds the next version once — the version the
+//     transaction began at, overlaid with what it staged — and writes
+//     the __meta rewrite and page 0 off it into the shadow. It then
+//     appends the after-images and a commit marker to the log, fsyncs,
+//     and, under db.mu, installs the images through store.CommitPages —
 //     which advances the MVCC epoch and parks superseded images for
-//     active snapshot views — and finally publishes the new table
-//     structs, index versions, and planner snapshot under db.mu, all
-//     while a snapshot reader observes either the whole commit or none
-//     of it.
+//     active snapshot views — and publishes the version, so a snapshot
+//     reader observes either the whole commit or none of it.
 //
 // Incremental index maintenance rides the same commit: each declared
 // index on a table that received inserts is republished as a successor
@@ -87,8 +86,7 @@ type insertRec struct {
 // tableState is one table touched by a transaction: the writable clone
 // bound to the transaction's shadow, the rows it inserted (for index
 // maintenance at commit), and whether the heap was replaced outright
-// (create/vacuum/meta rewrite), which forces a full index rebuild
-// instead.
+// (create/vacuum/meta rewrite), whose indexes are rebuilt instead.
 type tableState struct {
 	t        *table.Table
 	ins      []insertRec
@@ -103,12 +101,13 @@ type tableState struct {
 // called; Begin holds the writer lock until then.
 type Txn struct {
 	db        *Database
+	base      *version // the version the transaction began at
 	wtx       *wal.Txn
 	io        *txnIO
 	tables    map[string]*tableState
 	parts     map[string]Partition
-	newStats  map[string]*stats.TableStats // full replacement when non-nil
-	newIdxs   map[string][]*Index          // per-table replacement
+	newStats  stats.Catalog       // full replacement when non-nil
+	newIdxs   map[string][]*Index // per-table replacement
 	catDirty  bool
 	metaDirty bool
 	done      bool
@@ -121,7 +120,10 @@ func (db *Database) Begin() *Txn {
 	db.writeMu.Lock()
 	wtx := db.mgr.Begin()
 	return &Txn{
-		db:     db,
+		db: db,
+		// Only a commit, under writeMu, replaces db.cur, so the holder
+		// of writeMu reads it without db.mu.
+		base:   db.cur,
 		wtx:    wtx,
 		io:     &txnIO{tx: wtx, pool: db.pool},
 		tables: map[string]*tableState{},
@@ -134,7 +136,7 @@ func (tx *Txn) state(name string) (*tableState, error) {
 	if st, ok := tx.tables[name]; ok {
 		return st, nil
 	}
-	t, err := tx.db.Table(name)
+	t, err := tx.base.table(name)
 	if err != nil {
 		return nil, err
 	}
@@ -184,13 +186,8 @@ func (tx *Txn) CreateTable(schema table.Schema) (*table.Table, error) {
 	if tx.done {
 		return nil, wal.ErrTxnDone
 	}
-	if _, ok := tx.tables[schema.Name]; ok {
-		return nil, fmt.Errorf("%w: %q", ErrTableExists, schema.Name)
-	}
-	tx.db.mu.RLock()
-	_, exists := tx.db.tables[schema.Name]
-	tx.db.mu.RUnlock()
-	if exists {
+	_, staged := tx.tables[schema.Name]
+	if _, exists := tx.base.tables[schema.Name]; staged || exists {
 		return nil, fmt.Errorf("%w: %q", ErrTableExists, schema.Name)
 	}
 	t, err := table.CreateIn(tx.io, tx.db.pool, schema)
@@ -215,7 +212,7 @@ func (tx *Txn) SetPartition(name string, p Partition) error {
 		t = st.t
 	} else {
 		var err error
-		if t, err = tx.db.Table(name); err != nil {
+		if t, err = tx.base.table(name); err != nil {
 			return err
 		}
 	}
@@ -262,9 +259,9 @@ func (tx *Txn) Vacuum(name string) error {
 	// Record ids move when the heap is rewritten, so every index on the
 	// table is rebuilt over the compacted copy (reading through the
 	// shadow — the copy is not committed yet) and staged for publish.
-	old := tx.db.idxs[name]
-	if staged, ok := tx.newIdxs[name]; ok {
-		old = staged
+	old, staged := tx.newIdxs[name]
+	if !staged {
+		old = tx.base.idxs[name]
 	}
 	if len(old) > 0 {
 		rebuilt := make([]*Index, 0, len(old))
@@ -296,13 +293,12 @@ func (tx *Txn) Abort() {
 	tx.db.writeMu.Unlock()
 }
 
-// Commit makes the transaction durable and visible: catalog page and
-// __meta rewrites join the shadow, the wal logs and fsyncs every
-// after-image, the buffer pool installs them under a new MVCC epoch,
-// and the table structs / index versions / planner snapshot publish
-// atomically with that epoch. On error the transaction is dead (the
-// writer lock is released); the database keeps serving its last
-// committed state.
+// Commit makes the transaction durable and visible: it builds the next
+// version (next), whose __meta rewrite and catalog page join the shadow,
+// the wal logs and fsyncs every after-image, the buffer pool installs
+// them under a new MVCC epoch, and the version publishes atomically with
+// that epoch. On error the transaction is dead (the writer lock is
+// released); the database keeps serving its last committed version.
 func (tx *Txn) Commit(ctx context.Context) error {
 	if tx.done {
 		return wal.ErrTxnDone
@@ -310,35 +306,26 @@ func (tx *Txn) Commit(ctx context.Context) error {
 	tx.done = true
 	db := tx.db
 	defer db.writeMu.Unlock()
-	if tx.metaDirty {
-		if err := tx.stageMeta(); err != nil {
-			tx.wtx.Abort()
-			return err
-		}
+	v, err := tx.next()
+	if err != nil {
+		tx.wtx.Abort()
+		return err
 	}
-	if tx.catDirty {
-		if err := tx.stageCatalogPage(); err != nil {
-			tx.wtx.Abort()
-			return err
-		}
-	}
-
-	tx.extendIndexes()
 	sp := trace.SpanOf(ctx).Start("wal")
 	sp.AddBatches(tx.wtx.Pages())
-	db.mu.Lock()
-	err := tx.wtx.CommitWith(func(pages map[store.PageID][]byte, fresh map[store.PageID]bool) error {
-		_, err := db.pool.CommitPages(pages, fresh)
-		return err
+	err = tx.wtx.CommitWith(func(pages map[store.PageID][]byte, fresh map[store.PageID]bool) error {
+		db.mu.Lock()
+		defer db.mu.Unlock()
+		if _, err := db.pool.CommitPages(pages, fresh); err != nil {
+			return err
+		}
+		db.cur = v
+		return nil
 	})
+	sp.End()
 	if err != nil {
-		db.mu.Unlock()
-		sp.End()
 		return err
 	}
-	tx.publishLocked()
-	db.mu.Unlock()
-	sp.End()
 
 	// Auto-checkpoint: fold the log into the base once it outgrows the
 	// threshold. Still under writeMu, so no transaction is in flight.
@@ -350,122 +337,87 @@ func (tx *Txn) Commit(ctx context.Context) error {
 	return nil
 }
 
-// stageMeta rewrites the hidden __meta table (statistics + index
-// declarations) into a fresh shadow-bound heap — the same rewrite
-// persistMeta does outside transactions, but atomic with the commit.
-func (tx *Txn) stageMeta() error {
-	db := tx.db
-	mt, err := table.CreateIn(tx.io, db.pool, metaSchema)
-	if err != nil {
-		return err
+// next builds the version the commit publishes: the base overlaid with
+// the staged tables, partitions, statistics and index lists, sharing
+// every map the transaction left alone. A __meta rewrite (statistics and
+// index declarations) and page 0 are written off it into the shadow.
+func (tx *Txn) next() (*version, error) {
+	db, base := tx.db, tx.base
+	v := *base
+	st := base.plan.Stats
+	if tx.newStats != nil {
+		st = tx.newStats
 	}
-	statsC := tx.newStats
-	if statsC == nil {
-		statsC = db.StatsCatalog()
+	if tx.extendIndexes() || len(tx.newIdxs) > 0 {
+		v.idxs = overlay(base.idxs, tx.newIdxs)
+		for name, st := range tx.tables {
+			if st.extended != nil {
+				v.idxs[name] = st.extended
+			}
+		}
 	}
-	decls := tx.mergedIdxDecls()
-	if err := fillMeta(mt, statsC, decls); err != nil {
-		return err
+	if tx.metaDirty {
+		mt, err := table.CreateIn(tx.io, db.pool, metaSchema)
+		if err != nil {
+			return nil, err
+		}
+		if err := fillMeta(mt, st, v.idxs); err != nil {
+			return nil, err
+		}
+		tx.tables[metaTable] = &tableState{t: mt, replaced: true}
+		tx.catDirty = true
 	}
-	tx.tables[metaTable] = &tableState{t: mt, replaced: true}
-	tx.catDirty = true
-	return nil
+	if len(tx.tables) > 0 {
+		v.tables = make(map[string]*table.Table, len(base.tables)+len(tx.tables))
+		for name, t := range base.tables {
+			v.tables[name] = t
+		}
+		for name, st := range tx.tables {
+			v.tables[name] = st.t.WithIO(db.pool)
+		}
+	}
+	if len(tx.parts) > 0 {
+		v.parts = overlay(base.parts, tx.parts)
+	}
+	if tx.catDirty {
+		if err := writeCatalogPage(tx.io, &v); err != nil {
+			return nil, err
+		}
+	}
+	if len(tx.tables) > 0 || tx.newStats != nil || len(tx.newIdxs) > 0 {
+		v.plan = planOf(&v, st, base.plan, tx.moved)
+	}
+	return &v, nil
 }
 
-// mergedIdxDecls returns the transaction's view of the per-table index
-// lists: committed, overlaid with staged replacements.
-func (tx *Txn) mergedIdxDecls() map[string][]*Index {
-	db := tx.db
-	db.mu.RLock()
-	out := make(map[string][]*Index, len(db.idxs))
-	for name, list := range db.idxs {
-		out[name] = list
+// moved reports whether the transaction replaced a table's struct or
+// its index list.
+func (tx *Txn) moved(name string) bool {
+	_, t := tx.tables[name]
+	_, i := tx.newIdxs[name]
+	return t || i
+}
+
+// overlay returns a copy of m with over's entries laid on top.
+func overlay[V any](m, over map[string]V) map[string]V {
+	out := make(map[string]V, len(m)+len(over))
+	for k, v := range m {
+		out[k] = v
 	}
-	db.mu.RUnlock()
-	for name, list := range tx.newIdxs {
-		if len(list) == 0 {
-			delete(out, name)
-			continue
-		}
-		out[name] = list
+	for k, v := range over {
+		out[k] = v
 	}
 	return out
 }
 
-// stageCatalogPage writes the merged catalog set onto page 0 through
-// the transaction shadow.
-func (tx *Txn) stageCatalogPage() error {
-	db := tx.db
-	db.mu.RLock()
-	tables := make(map[string]*table.Table, len(db.tables)+len(tx.tables))
-	for name, t := range db.tables {
-		tables[name] = t
-	}
-	parts := make(map[string]Partition, len(db.parts)+len(tx.parts))
-	for name, p := range db.parts {
-		parts[name] = p
-	}
-	db.mu.RUnlock()
-	for name, st := range tx.tables {
-		tables[name] = st.t
-	}
-	for name, p := range tx.parts {
-		parts[name] = p
-	}
-	enc := core.Encode(catalogSetOf(tables, parts))
-	if len(enc)+4 > store.PageSize {
-		return fmt.Errorf("%w: %d bytes", ErrCatalogFull, len(enc))
-	}
-	fr, err := tx.io.Page(catalogPage)
-	if err != nil {
-		return err
-	}
-	data := fr.Data()
-	data[0] = byte(len(enc))
-	data[1] = byte(len(enc) >> 8)
-	copy(data[2:], enc)
-	fr.MarkDirty()
-	fr.Unpin()
-	return nil
-}
-
-// publishLocked installs the transaction's results into the live
-// database maps; db.mu is held, so readers see the new tables, parts,
-// stats, indexes and planner snapshot at once — and, because the MVCC
-// epoch advanced in the same critical section, a BeginRead either
-// pairs the old snapshot with the old epoch or the new with the new.
-func (tx *Txn) publishLocked() {
-	db := tx.db
-	for name, st := range tx.tables {
-		db.tables[name] = st.t.WithIO(db.pool)
-	}
-	for name, p := range tx.parts {
-		db.parts[name] = p
-	}
-	if tx.newStats != nil {
-		db.statsC = tx.newStats
-	}
-	for name, list := range tx.newIdxs {
-		if len(list) == 0 {
-			delete(db.idxs, name)
-			continue
-		}
-		db.idxs[name] = list
-	}
-	for name, st := range tx.tables {
-		if st.extended != nil {
-			db.idxs[name] = st.extended
-		}
-	}
-	db.rebuildSnapLocked()
-}
-
 // extendIndexes derives the successor of each index on a table that
-// took inserts (replaced heaps were rebuilt via newIdxs). Commit calls
-// it before taking db.mu: a hash index's new entries lie beyond every
-// published version's bound, so readers go on while it grows; if the
-// commit then fails they stay invisible.
-func (tx *Txn) extendIndexes() {
+// took inserts (replaced heaps were rebuilt via newIdxs) and reports
+// whether there was one. Commit calls it before taking db.mu: a hash
+// index's new entries lie beyond every published version's bound, so
+// readers go on while it grows; if the commit then fails they stay
+// invisible.
+func (tx *Txn) extendIndexes() bool {
+	grew := false
 	for name, st := range tx.tables {
 		if st.replaced || len(st.ins) == 0 {
 			continue
@@ -473,7 +425,7 @@ func (tx *Txn) extendIndexes() {
 		if _, staged := tx.newIdxs[name]; staged {
 			continue
 		}
-		old := tx.db.idxs[name]
+		old := tx.base.idxs[name]
 		if len(old) == 0 {
 			continue
 		}
@@ -481,7 +433,9 @@ func (tx *Txn) extendIndexes() {
 		for i, ix := range old {
 			st.extended[i] = extendIndex(ix, st.t, st.ins)
 		}
+		grew = true
 	}
+	return grew
 }
 
 // extendIndex derives the incremental successor of one index from the
@@ -523,45 +477,16 @@ func extendIndex(ix *Index, t *table.Table, ins []insertRec) *Index {
 	return out
 }
 
-// catalogSetOf renders a catalog set from explicit table/partition
-// maps (shared by the committed path and the transaction's merge).
-func catalogSetOf(tables map[string]*table.Table, parts map[string]Partition) *core.Set {
-	b := core.NewBuilder(len(tables))
-	for name, t := range tables {
-		cols := make([]core.Value, len(t.Schema().Cols))
-		for i, c := range t.Schema().Cols {
-			cols[i] = core.Str(c)
-		}
-		elems := []core.Value{core.Str(name), core.Int(int64(t.FirstPage())), core.Tuple(cols...)}
-		if p, ok := parts[name]; ok {
-			elems = append(elems, core.Tuple(core.Str(p.Kind), core.Str(p.Col),
-				core.Int(int64(p.Site)), core.Int(int64(p.Sites)), core.Tuple(p.Bounds...)))
-		}
-		b.AddClassical(core.Tuple(elems...))
-	}
-	return b.Set()
-}
-
-// fillMeta writes the statistics and index-declaration rows into a
-// fresh __meta table (shared by persistMeta and stageMeta).
-func fillMeta(t *table.Table, statsC map[string]*stats.TableStats, idxs map[string][]*Index) error {
-	names := make([]string, 0, len(statsC))
-	for name := range statsC {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+// fillMeta writes a version's statistics and index declarations as rows
+// of a fresh __meta table (Txn.next).
+func fillMeta(t *table.Table, statsC stats.Catalog, idxs map[string][]*Index) error {
+	for _, name := range sortedNames(statsC) {
 		row := table.Row{core.Str("stats"), core.Str(name), statsC[name].Value()}
 		if _, err := t.Insert(row); err != nil {
 			return err
 		}
 	}
-	names = names[:0]
-	for name := range idxs {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range sortedNames(idxs) {
 		for _, ix := range idxs[name] {
 			row := table.Row{core.Str("index"), core.Str(name), core.Tuple(core.Str(ix.Col), core.Str(ix.Kind))}
 			if _, err := t.Insert(row); err != nil {
@@ -572,27 +497,13 @@ func fillMeta(t *table.Table, statsC map[string]*stats.TableStats, idxs map[stri
 	return nil
 }
 
-// analyzeTxn is Analyze's transactional engine: collect fresh
-// statistics and rebuilt indexes from the committed tables, stage them
-// with a __meta rewrite, and commit.
+// analyze is Analyze's transactional engine: collect fresh statistics
+// and rebuilt indexes from the base version's tables and stage them
+// with a __meta rewrite.
 func (tx *Txn) analyze(ctx context.Context) (int, error) {
-	db := tx.db
-	db.mu.RLock()
-	tables := make(map[string]*table.Table, len(db.tables))
-	for name, t := range db.tables {
-		tables[name] = t
-	}
-	decls := make(map[string][]*Index, len(db.idxs))
-	for name, list := range db.idxs {
-		decls[name] = list
-	}
-	db.mu.RUnlock()
-
-	fresh := map[string]*stats.TableStats{}
-	for name, t := range tables {
-		if strings.HasPrefix(name, "__") {
-			continue
-		}
+	base := tx.base
+	fresh := stats.Catalog{}
+	for name, t := range base.plan.Tables {
 		if err := ctx.Err(); err != nil {
 			return 0, err
 		}
@@ -603,15 +514,11 @@ func (tx *Txn) analyze(ctx context.Context) (int, error) {
 		fresh[name] = ts
 	}
 	tx.newIdxs = map[string][]*Index{}
-	for name, list := range decls {
-		t, ok := tables[name]
-		if !ok {
-			continue
-		}
+	for name, list := range base.idxs {
 		rebuilt := make([]*Index, 0, len(list))
 		for _, ix := range list {
 			nix := &Index{Table: ix.Table, Col: ix.Col, Kind: ix.Kind}
-			if err := buildIndexOn(ctx, t, nix); err != nil {
+			if err := buildIndexOn(ctx, base.tables[name], nix); err != nil {
 				return 0, err
 			}
 			rebuilt = append(rebuilt, nix)
