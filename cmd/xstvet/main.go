@@ -1,7 +1,7 @@
 // Command xstvet is the repository's invariant checker: a multichecker
-// driver for the eleven internal/lint analyzers (setmutate, ctxloop,
+// driver for the twelve internal/lint analyzers (setmutate, ctxloop,
 // valueeq, lockheld, atomicmix, spanclose, goleak, opclose, connclose,
-// sendguard, txnend) that enforce the algebra's value semantics and the
+// sendguard, txnend, release) that enforce the algebra's value semantics and the
 // server's cancellation, lock and lifecycle discipline. Analysis is
 // interprocedural: function summaries are built across every analyzed
 // package before the analyzers run, so a callee that blocks or takes

@@ -170,11 +170,9 @@ func (db *Database) current() *version {
 	return db.cur
 }
 
-// versionSet is one published table version's extended set. view pins
-// the version's pages from the entry's creation until its build ends.
+// versionSet is one published table version's extended set.
 type versionSet struct {
 	t    *table.Table
-	view *store.View
 	once sync.Once
 	s    *core.Set
 	err  error
@@ -405,38 +403,25 @@ func writeCatalogPage(io store.PageIO, v *version) error {
 }
 
 // BindAll wires the database into an expression-language environment
-// and materialises nothing. Query statements (`from users where …`)
-// resolve their tables, indexes and statistics in the current planner
-// snapshot and stream them through the cost-based planner; an
-// identifier with no session binding that names a table of that
-// snapshot (`users[{<1>}]`, `card(users)`) evaluates to the table as
-// its extended set, built on first use and shared by every environment
-// bound to this database until a commit publishes the next version
-// (tableSet). Both providers re-resolve per statement, so clones of env
-// see every later commit and every table created after the bind.
+// and materialises nothing. Its one reader is BeginRead: each statement
+// pins the planner catalog and its page view together once, runs a
+// query (`from users where …`) at them, and reads an identifier with no
+// session binding that names a table of that catalog (`card(users)`) as
+// the version's extended set (tableSet). Clones of env see every later
+// commit and every table created after the bind.
 func (db *Database) BindAll(env *xlang.Env) error {
-	env.BindPlanCatalog(db.PlanCatalog)
-	env.BindTableResolver(db.tableSet)
+	env.BindReader(db.BeginRead, db.tableSet)
 	db.bindSysViews(env)
 	return nil
 }
 
-// errSuperseded reports a table version that a commit replaced before
-// its set was first built: no view can show its pages any more.
-var errSuperseded = errors.New("catalog: table changed by a commit while the statement ran; retry it")
-
-// tableSet returns the extended set of t, the version of table name that
-// a planner snapshot publishes: table.ToXST of that version, built once
-// and shared by every caller until a later version of the name is
-// resolved, which drops it. The build reads t under a view pinned while
-// t was the published version, so commits landing meanwhile stay
-// invisible; a version superseded before its first build is an error.
-func (db *Database) tableSet(name string, t *table.Table) (*core.Set, error) {
-	e, err := db.versionEntry(name, t)
-	if err != nil {
-		return nil, err
-	}
-	e.once.Do(e.build)
+// tableSet returns the extended set of t, a table version named by the
+// catalog pinned with view: table.ToXST of t read under view, which
+// shows exactly t's rows, built once and shared by every caller until a
+// later version of the name is resolved, which drops it.
+func (db *Database) tableSet(name string, t *table.Table, view *store.View) (*core.Set, error) {
+	e := db.versionEntry(name, t)
+	e.once.Do(func() { e.s, e.err = t.At(view).ToXST() })
 	if e.err != nil {
 		db.setsMu.Lock()
 		if db.sets[name] == e {
@@ -450,28 +435,15 @@ func (db *Database) tableSet(name string, t *table.Table) (*core.Set, error) {
 
 // versionEntry returns name's memo entry for version t, replacing the
 // entry of any other version.
-func (db *Database) versionEntry(name string, t *table.Table) (*versionSet, error) {
+func (db *Database) versionEntry(name string, t *table.Table) *versionSet {
 	db.setsMu.Lock()
 	defer db.setsMu.Unlock()
-	if e := db.sets[name]; e != nil && e.t == t {
-		return e, nil
+	e := db.sets[name]
+	if e == nil || e.t != t {
+		e = &versionSet{t: t}
+		db.sets[name] = e
 	}
-	// The check and the pin share one read lock, so the view's epoch is
-	// one at which t is the published version.
-	view, v := db.beginRead()
-	if v.tables[name] != t {
-		view.Release()
-		return nil, fmt.Errorf("%w: %q", errSuperseded, name)
-	}
-	e := &versionSet{t: t, view: view}
-	db.sets[name] = e
-	return e, nil
-}
-
-func (e *versionSet) build() {
-	e.s, e.err = e.t.At(e.view).ToXST()
-	e.view.Release()
-	e.view = nil
+	return e
 }
 
 // Analyze collects fresh statistics for every user table, rebuilds

@@ -3,10 +3,10 @@ package catalog
 import (
 	"context"
 
-	"xst/internal/plan"
 	"xst/internal/store"
 	"xst/internal/table"
 	"xst/internal/wal"
+	"xst/internal/xlang"
 )
 
 // Durable databases: the same Database, but with the wal.Manager bound
@@ -104,14 +104,12 @@ func (db *Database) NewView() *store.View { return db.pool.NewView() }
 // at the same instant. A query that resolves its tables in Snap and runs
 // under View gets the index path on every table Snap indexes, and never
 // probes an index holding record ids from a commit the View cannot see.
-type ReadTxn struct {
-	View *store.View
-	Snap *plan.Catalog
-}
+// It is the read snapshot xlang pins per statement.
+type ReadTxn = xlang.ReadTxn
 
 // BeginRead atomically pins the current epoch and planner snapshot.
 // Commits publish both under the same lock, so the pair is always
-// mutually consistent. Release the View when the read finishes.
+// mutually consistent. Release it when the read finishes.
 func (db *Database) BeginRead() ReadTxn {
 	view, v := db.beginRead()
 	return ReadTxn{View: view, Snap: v.plan}

@@ -2,7 +2,6 @@ package catalog
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -109,17 +108,14 @@ func TestTableNamesResolveInTheStatementSnapshot(t *testing.T) {
 }
 
 // TestOneStatementOneVersion commits between two mentions of a table in
-// one statement: both read the version the first mention pinned, and
-// the next statement reads the commit.
+// one statement: both read the version the statement pinned, and the
+// next statement reads the commit.
 func TestOneStatementOneVersion(t *testing.T) {
 	db := usersDB(t, 3)
 	env := xlang.NewEnv()
-	if err := db.BindAll(env); err != nil {
-		t.Fatal(err)
-	}
 	commits := 0
-	env.BindTableResolver(func(name string, tab *table.Table) (*core.Set, error) {
-		s, err := db.tableSet(name, tab)
+	env.BindReader(db.BeginRead, func(name string, tab *table.Table, view *store.View) (*core.Set, error) {
+		s, err := db.tableSet(name, tab, view)
 		if commits < 2 {
 			commits++
 			if err := db.Load(context.Background(), "users", userRows(2+commits, 1)); err != nil {
@@ -136,6 +132,54 @@ func TestOneStatementOneVersion(t *testing.T) {
 	}
 	if got := evalString(t, env, "card(users)"); got != "5" {
 		t.Fatalf("next statement = %s, want 5", got)
+	}
+}
+
+// commitAfterPin binds db into env with a reader that commits one more
+// row into users right after it pins each statement's snapshot.
+func commitAfterPin(t *testing.T, db *Database, env *xlang.Env) {
+	if err := db.BindAll(env); err != nil {
+		t.Fatal(err)
+	}
+	next := db.current().tables["users"].Count()
+	env.BindReader(func() ReadTxn {
+		rt := db.BeginRead()
+		if err := db.Load(context.Background(), "users", userRows(next, 1)); err != nil {
+			t.Fatal(err)
+		}
+		next++
+		return rt
+	}, db.tableSet)
+}
+
+// TestCommitAfterPinReadsThePinnedVersion: a commit between a statement's
+// pin and its first table resolution neither fails the statement nor
+// shows in it; the next statement sees it.
+func TestCommitAfterPinReadsThePinnedVersion(t *testing.T) {
+	db := usersDB(t, 4)
+	env := xlang.NewEnv()
+	commitAfterPin(t, db, env)
+	if got := evalString(t, env, "card(users)"); got != "4" {
+		t.Fatalf("card(users) with a commit after the pin = %s, want the pinned 4", got)
+	}
+	if got := evalString(t, env, "card(users)"); got != "5" {
+		t.Fatalf("the next statement's card(users) = %s, want 5", got)
+	}
+}
+
+// TestQueryReadsThePinnedVersion: a `from` statement evaluated as an
+// expression runs under the view it pinned with its catalog, so a commit
+// right after the pin does not show in its rows.
+func TestQueryReadsThePinnedVersion(t *testing.T) {
+	db := usersDB(t, 4)
+	env := xlang.NewEnv()
+	commitAfterPin(t, db, env)
+	v, err := xlang.Eval(env, "from users")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := core.Card(v.(*core.Set)); n != 4 {
+		t.Fatalf("from users with a commit after the pin returned %d rows, want the pinned 4", n)
 	}
 }
 
@@ -183,13 +227,25 @@ func TestConcurrentResolutionBuildsOnce(t *testing.T) {
 	}
 }
 
+// resolve resolves name as a statement does: it pins a snapshot, builds
+// the name's version under the snapshot's view, and releases it.
+func resolve(db *Database, name string) (*table.Table, *core.Set, error) {
+	rt := db.BeginRead()
+	defer rt.Release()
+	tab := rt.Snap.Tables[name]
+	s, err := db.tableSet(name, tab, rt.View)
+	return tab, s, err
+}
+
 // TestTableSetIsToXST checks the memo against its oracle across commits,
 // and pins the superseded-version and allocation contracts.
 func TestTableSetIsToXST(t *testing.T) {
 	db := usersDB(t, 500)
 	ctx := context.Background()
-	old, _ := db.Table("users")
-	oldSet, err := db.tableSet("users", old)
+	old := db.BeginRead()
+	defer old.Release()
+	oldTab := old.Snap.Tables["users"]
+	oldSet, err := db.tableSet("users", oldTab, old.View)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,8 +253,7 @@ func TestTableSetIsToXST(t *testing.T) {
 		if err := db.Load(ctx, "users", userRows(500+round*300, 300)); err != nil {
 			t.Fatal(err)
 		}
-		tab, _ := db.Table("users")
-		got, err := db.tableSet("users", tab)
+		tab, got, err := resolve(db, "users")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -209,21 +264,24 @@ func TestTableSetIsToXST(t *testing.T) {
 		if !core.Equal(got, want) || core.Card(got) != 800+round*300 {
 			t.Fatalf("round %d: tableSet has %d members, ToXST %d", round, core.Card(got), core.Card(want))
 		}
-		if again, _ := db.tableSet("users", tab); again != got {
+		if _, again, _ := resolve(db, "users"); again != got {
 			t.Fatalf("round %d: a second resolution rebuilt the set", round)
 		}
 	}
 	if core.Card(oldSet) != 500 {
 		t.Fatalf("a set handed out before the commits changed: %d members", core.Card(oldSet))
 	}
-	// The first version's entry is gone and its pages moved on.
-	if _, err := db.tableSet("users", old); !errors.Is(err, errSuperseded) {
-		t.Fatalf("resolving a superseded, dropped version: %v, want errSuperseded", err)
+	// The first version's entry is gone, but a statement still pinned at
+	// it rebuilds exactly its rows.
+	if again, err := db.tableSet("users", oldTab, old.View); err != nil || again == oldSet || core.Card(again) != 500 {
+		t.Fatalf("resolving a superseded version under its pinned view: %v, %v", again, err)
 	}
 
-	tab, _ := db.Table("users")
+	rt := db.BeginRead()
+	defer rt.Release()
+	tab := rt.Snap.Tables["users"]
 	if allocs := testing.AllocsPerRun(100, func() {
-		if _, err := db.tableSet("users", tab); err != nil {
+		if _, err := db.tableSet("users", tab, rt.View); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {
@@ -231,32 +289,29 @@ func TestTableSetIsToXST(t *testing.T) {
 	}
 }
 
-// TestTableSetReadsItsVersion builds a version's set while a writer
-// commits into the same table: the set holds exactly the rows published
-// when its entry was made.
+// TestTableSetReadsItsVersion builds a version's set after a writer
+// committed into the same table: built under the view pinned with the
+// version, the set holds exactly that version's rows.
 func TestTableSetReadsItsVersion(t *testing.T) {
 	db := usersDB(t, 1_000)
-	tab, _ := db.Table("users")
-	e, err := db.versionEntry("users", tab)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rt := db.BeginRead()
+	defer rt.Release()
 	if err := db.Load(context.Background(), "users", userRows(1_000, 500)); err != nil {
 		t.Fatal(err)
 	}
-	s, err := db.tableSet("users", tab)
+	s, err := db.tableSet("users", rt.Snap.Tables["users"], rt.View)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.s != s || core.Card(s) != 1_000 {
+	if core.Card(s) != 1_000 {
 		t.Fatalf("version built after a commit has %d members, want its own 1000", core.Card(s))
 	}
 }
 
 // TestTableSetPinsItsVersionUnderCommits resolves the published version
-// of a table while a writer commits into it: every set built must hold
-// its own version's rows, never a later commit's. A version superseded
-// before its entry was made may fail with errSuperseded.
+// of a table, as a statement does, while a writer commits into it: every
+// resolution succeeds, and every set holds its own version's rows, never
+// a later commit's.
 func TestTableSetPinsItsVersionUnderCommits(t *testing.T) {
 	db := usersDB(t, 20)
 	ctx := context.Background()
@@ -292,15 +347,7 @@ func TestTableSetPinsItsVersionUnderCommits(t *testing.T) {
 					return
 				default:
 				}
-				tab, err := db.Table("users")
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				s, err := db.tableSet("users", tab)
-				if errors.Is(err, errSuperseded) {
-					continue
-				}
+				tab, s, err := resolve(db, "users")
 				if err != nil {
 					t.Error(err)
 					return

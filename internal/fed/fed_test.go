@@ -702,7 +702,7 @@ func TestCoordinatorEstimatesSiteRows(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := lf.Coord.env.PlanCatalog().Estimate(xq.Node); got != float64(want) {
+		if got := lf.Coord.cat.Estimate(xq.Node); got != float64(want) {
 			t.Errorf("%s: coordinator estimates %v rows, want the sites' %d", stmt, got, want)
 		}
 	}

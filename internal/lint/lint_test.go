@@ -109,6 +109,10 @@ func TestTxnEnd(t *testing.T) {
 	linttest.RunAs(t, loader(t), lint.TxnEndAnalyzer, "txnend", "catalog")
 }
 
+func TestRelease(t *testing.T) {
+	linttest.Run(t, loader(t), lint.ReleaseAnalyzer, "release")
+}
+
 func TestLockHeldTrace(t *testing.T) {
 	linttest.Run(t, loader(t), lint.LockHeldAnalyzer, "trace")
 }

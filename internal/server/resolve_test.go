@@ -3,6 +3,8 @@ package server
 import (
 	"context"
 	"runtime"
+	"strconv"
+	"sync"
 	"testing"
 
 	"xst/internal/catalog"
@@ -69,6 +71,75 @@ func TestExpressionsSeeForeignCommits(t *testing.T) {
 	// Reserved names stay symbols.
 	eval(a, `__meta = "__meta"`, "true")
 	eval(a, `__sys.queries = "__sys.queries"`, "true")
+}
+
+// TestExpressionsReadCommittedCountsUnderLoad: two sessions evaluate
+// card(users) while a third session `.load`s into users. No statement
+// errors, every answer is a row count some commit published, and a
+// session's answers never decrease. Run under -race in CI.
+func TestExpressionsReadCommittedCountsUnderLoad(t *testing.T) {
+	db := durableDB(t)
+	if _, err := db.CreateTable(table.Schema{Name: "users", Cols: []string{"id", "name"}}); err != nil {
+		t.Fatal(err)
+	}
+	const first, chunk, loads = 3, 2, 60
+	if err := db.Load(context.Background(), "users", usersRows(0, first)); err != nil {
+		t.Fatal(err)
+	}
+	_, addr := startServer(t, Config{DB: db})
+	dial := func() *Client {
+		c, err := Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		return c
+	}
+	loader := dial()
+	readers := []*Client{dial(), dial()}
+	done := make(chan struct{})
+	answers := make([][]int, len(readers))
+	var wg sync.WaitGroup
+	for i, c := range readers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				got, err := c.Eval("card(users)")
+				if err != nil {
+					t.Errorf("session %d: card(users): %v", i, err)
+					return
+				}
+				n, err := strconv.Atoi(got)
+				if err != nil {
+					t.Errorf("session %d: card(users) = %q", i, got)
+					return
+				}
+				answers[i] = append(answers[i], n)
+				select {
+				case <-done:
+					return
+				default:
+				}
+			}
+		}()
+	}
+	for i := 0; i < loads; i++ {
+		loadChunk(t, loader, "users", nil, usersRows(first+i*chunk, chunk))
+	}
+	close(done)
+	wg.Wait()
+	for i, as := range answers {
+		for j, n := range as {
+			if n < first || n > first+loads*chunk || (n-first)%chunk != 0 {
+				t.Fatalf("session %d answered %d, not a committed row count", i, n)
+			}
+			if j > 0 && n < as[j-1] {
+				t.Fatalf("session %d answered %d after %d", i, n, as[j-1])
+			}
+		}
+		t.Logf("session %d: %d answers, last %d", i, len(as), as[len(as)-1])
+	}
 }
 
 // bootRows is the size of TestBootDoesNotMaterialize's table, and

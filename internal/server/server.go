@@ -199,10 +199,6 @@ type Snapshot struct {
 type Server struct {
 	cfg     Config
 	baseEnv *xlang.Env
-	// current provides the database's current planner catalog; a
-	// session's provider returns to it after each query statement, which
-	// pins its own snapshot.
-	current func() *plan.Catalog
 	m       Metrics
 	// reg names every metric for __sys.metrics and the HTTP /metrics
 	// endpoint.
@@ -294,7 +290,6 @@ func New(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("server: %w", err)
 	}
 	if cfg.DB != nil {
-		s.current = cfg.DB.PlanCatalog
 		s.hookWAL()
 	}
 	s.bindSysViews(base)
@@ -751,32 +746,27 @@ func (s *Server) handle(sess *session, req Request) (resp Response, quit bool) {
 		s.m.TracedQueries.Inc()
 	}
 
-	// Snapshot isolation: pin the commit epoch together with the planner
-	// catalog that was current at the same instant, so compile and
-	// execution see one consistent world — an in-flight streaming query
-	// keeps returning its pinned snapshot while writers commit.
-	var rt catalog.ReadTxn
-	if s.cfg.DB != nil && xlang.IsQuery(req.Stmt) {
-		rt = s.cfg.DB.BeginRead()
-		defer rt.View.Release()
-		sess.env.BindPlanCatalog(func() *plan.Catalog { return rt.Snap })
-		defer sess.env.BindPlanCatalog(s.current)
-	}
-
-	// Compile query statements before admission so the cost-chosen
-	// degree of parallelism prices the request: a dop-way query claims
-	// dop worker tokens, so parallel fan-out spends the same bounded
-	// pool as extra concurrent queries would.
+	// Snapshot isolation: a query statement pins its read snapshot — the
+	// commit epoch together with the planner catalog current at the same
+	// instant — and compiles and runs at it, so an in-flight streaming
+	// query keeps returning its snapshot while writers commit. (EvalCtx
+	// pins an expression statement's own.) Compiling before admission
+	// lets the cost-chosen degree of parallelism price the request: a
+	// dop-way query claims dop worker tokens, so parallel fan-out spends
+	// the same bounded pool as extra concurrent queries would.
+	var rt xlang.ReadTxn
 	tokens := 1
 	var q Query
 	if xlang.IsQuery(req.Stmt) {
+		rt = sess.env.Pin()
+		defer rt.Release()
 		lq.setPhase("compile")
 		csp := root.Start("compile")
 		var err error
 		if s.cfg.Compile != nil {
 			q, err = s.cfg.Compile(sess.env, req.Stmt)
 		} else {
-			q, err = xlang.CompileQuery(sess.env, req.Stmt)
+			q, err = xlang.CompileAt(sess.env, rt.Snap, req.Stmt)
 		}
 		csp.End()
 		if err != nil {

@@ -9,37 +9,51 @@ import (
 	"xst/internal/algebra"
 	"xst/internal/core"
 	"xst/internal/plan"
+	"xst/internal/store"
 	"xst/internal/table"
 )
 
 // Env holds variable bindings for evaluation. An identifier resolves in
 // three steps: a variable bound with `name := expr` (or Bind); else a
-// stored table of the statement's planner-catalog snapshot, as its
-// extended set, when a table resolver is bound; else the *symbol* — the
+// stored table of the statement's read snapshot, as its extended set,
+// when a reader with a table resolver is bound; else the *symbol* — the
 // string atom — so `{<a,b>}` means the set holding the pair of symbols
 // a and b, matching the paper's notation. Query statements (`from …`)
 // stream from the table pages instead of evaluating a materialized
-// value: the planner catalog names a database's tables, BindTable the
-// ones that belong to this environment alone.
+// value: the snapshot's planner catalog names a database's tables,
+// BindTable the ones that belong to this environment alone.
 type Env struct {
 	vars   map[string]core.Value
 	tables map[string]*table.Table
 	// virtuals are on-demand computed tables (the `__sys.*` system
 	// views); consulted by query statements after stored tables.
 	virtuals map[string]VirtualTable
-	// planCat provides the planner catalog (tables + statistics +
-	// indexes) for query compilation. A provider rather than a snapshot:
-	// every commit publishes a new catalog, and every session clone
-	// should see it on its next query.
-	planCat func() *plan.Catalog
-	// tableSet materialises a stored table of the planner catalog as its
-	// extended set; shared by clones, like planCat.
-	tableSet TableResolver
+	// read pins one statement's read snapshot, and sets reads a table of
+	// its catalog as a set under its view; clones share both, so every
+	// session sees each later commit on its next statement.
+	read func() ReadTxn
+	sets TableResolver
 }
 
-// TableResolver turns the stored table a catalog snapshot names into
-// its extended set (a database memoises one set per published version).
-type TableResolver func(name string, t *table.Table) (*core.Set, error)
+// ReadTxn is one statement's read snapshot: the planner catalog its
+// table names resolve in (tables, statistics, indexes) and the page view
+// pinned at the same commit, so reads under View see exactly the table
+// versions Snap names. View is nil when the reader pins no pages.
+type ReadTxn struct {
+	View *store.View
+	Snap *plan.Catalog
+}
+
+// Release unpins the snapshot's view.
+func (rt *ReadTxn) Release() {
+	if rt.View != nil {
+		rt.View.Release()
+	}
+}
+
+// TableResolver turns a table of a pinned catalog into its extended set
+// read under the view pinned with it.
+type TableResolver func(name string, t *table.Table, view *store.View) (*core.Set, error)
 
 // NewEnv returns an empty environment.
 func NewEnv() *Env {
@@ -47,6 +61,7 @@ func NewEnv() *Env {
 		vars:     map[string]core.Value{},
 		tables:   map[string]*table.Table{},
 		virtuals: map[string]VirtualTable{},
+		read:     func() ReadTxn { return ReadTxn{} },
 	}
 }
 
@@ -67,29 +82,26 @@ func (e *Env) Clone() *Env {
 	for k, v := range e.virtuals {
 		virtuals[k] = v
 	}
-	return &Env{vars: vars, tables: tables, virtuals: virtuals, planCat: e.planCat, tableSet: e.tableSet}
+	return &Env{vars: vars, tables: tables, virtuals: virtuals, read: e.read, sets: e.sets}
 }
 
-// BindPlanCatalog registers a planner-catalog provider (a database's
-// tables, statistics and declared indexes); queries compiled against
-// this environment resolve table names in it and become cost-based. The
-// provider is shared by clones.
-func (e *Env) BindPlanCatalog(fn func() *plan.Catalog) { e.planCat = fn }
+// BindReader binds the database statements read: read pins one read
+// snapshot per statement, and sets, when non-nil, makes its catalog's
+// tables readable as sets — an identifier with no variable binding that
+// names one evaluates to sets' set for it instead of a symbol.
+func (e *Env) BindReader(read func() ReadTxn, sets TableResolver) { e.read, e.sets = read, sets }
 
-// BindTableResolver makes the planner catalog's tables readable as sets:
-// an identifier with no variable binding that names a table in the
-// statement's catalog snapshot evaluates to fn's set for that table
-// instead of a symbol. The resolver is shared by clones.
-func (e *Env) BindTableResolver(fn TableResolver) { e.tableSet = fn }
-
-// PlanCatalog resolves the current planner catalog; nil when no
-// provider is bound (plans then use the constant cost model).
-func (e *Env) PlanCatalog() *plan.Catalog {
-	if e.planCat == nil {
-		return nil
-	}
-	return e.planCat()
+// BindPlanCatalog binds a provider of planner catalogs (tables,
+// statistics and declared indexes) that pins no pages: queries compile
+// against its catalog and become cost-based, and identifiers stay
+// symbols, as no view shows its tables as sets. It replaces any reader.
+func (e *Env) BindPlanCatalog(fn func() *plan.Catalog) {
+	e.BindReader(func() ReadTxn { return ReadTxn{Snap: fn()} }, nil)
 }
+
+// Pin pins the environment's read snapshot for one statement (the zero
+// ReadTxn when no reader is bound). Release it when the statement ends.
+func (e *Env) Pin() ReadTxn { return e.read() }
 
 // BindTable registers a table of the environment's own for query
 // statements. A table of the same name in the planner catalog wins.
@@ -152,25 +164,37 @@ func Eval(env *Env, src string) (core.Value, error) {
 // between nodes and inside the expensive algebra loops (cross products,
 // closures), so a deadline or cancel aborts a running query promptly
 // with ctx.Err(). This is what makes the query server's per-query
-// deadlines effective.
+// deadlines effective. The statement's read snapshot is released when
+// it returns, on every path.
 func EvalCtx(ctx context.Context, env *Env, src string) (core.Value, error) {
+	st := stmt{env: env}
+	defer st.rt.Release()
 	if IsQuery(src) {
-		return evalQuery(ctx, env, src)
+		return st.query(ctx, src)
 	}
 	n, err := Parse(src)
 	if err != nil {
 		return nil, err
 	}
-	st := stmt{env: env}
 	return st.eval(ctx, n)
 }
 
-// stmt is one statement's evaluation: the environment plus the planner
-// catalog its table names resolve in, pinned at the first identifier
-// that reaches the resolver so every mention reads one version.
+// stmt is one statement's evaluation: the environment plus the read
+// snapshot its table names resolve in, pinned once, so every mention
+// reads one version.
 type stmt struct {
 	env *Env
-	cat *plan.Catalog
+	rt  ReadTxn
+}
+
+// pin returns the statement's read snapshot, pinning it on first use: a
+// query before it compiles, an expression at the first identifier that
+// reaches table resolution.
+func (st *stmt) pin() ReadTxn {
+	if st.rt == (ReadTxn{}) {
+		st.rt = st.env.Pin()
+	}
+	return st.rt
 }
 
 // ident resolves an identifier: variable, then stored table, then symbol.
@@ -178,12 +202,9 @@ func (st *stmt) ident(name string) (core.Value, error) {
 	if v, ok := st.env.vars[name]; ok {
 		return v, nil
 	}
-	if st.env.tableSet != nil {
-		if st.cat == nil {
-			st.cat = st.env.PlanCatalog()
-		}
-		if t, ok := st.cat.Table(name); ok {
-			return st.env.tableSet(name, t)
+	if st.env.sets != nil {
+		if t, ok := st.pin().Snap.Table(name); ok {
+			return st.env.sets(name, t, st.rt.View)
 		}
 	}
 	return core.Str(name), nil

@@ -9,6 +9,7 @@ import (
 	"xst/internal/core"
 	"xst/internal/exec"
 	"xst/internal/plan"
+	"xst/internal/store"
 	"xst/internal/table"
 	"xst/internal/trace"
 )
@@ -113,14 +114,23 @@ func (q *Query) Run(ctx context.Context, emit func(b *table.Batch) error) (plan.
 }
 
 // CompileQuery parses src against the environment's table bindings and
-// returns the optimized query with its cost-chosen degree of
-// parallelism.
+// the catalog of a snapshot it pins for the compile only, and returns
+// the optimized query with its cost-chosen degree of parallelism. Run
+// it under a view (store.WithView) to read one snapshot; EvalCtx and the
+// server compile and run a query under one pinned snapshot instead.
 func CompileQuery(env *Env, src string) (*Query, error) {
+	st := stmt{env: env}
+	defer st.rt.Release()
+	return CompileAt(env, st.pin().Snap, src)
+}
+
+// CompileAt is CompileQuery against cat, the catalog of a snapshot the
+// caller pinned and runs the query under.
+func CompileAt(env *Env, cat *plan.Catalog, src string) (*Query, error) {
 	toks, err := lex(src)
 	if err != nil {
 		return nil, err
 	}
-	cat := env.PlanCatalog()
 	p := &qparser{toks: toks, env: env, cat: cat}
 	n, err := p.parse()
 	if err != nil {
@@ -130,12 +140,16 @@ func CompileQuery(env *Env, src string) (*Query, error) {
 	return &Query{Node: node, dop: plan.ChooseDOP(node), cat: cat}, nil
 }
 
-// evalQuery runs a query statement and renders the result as the
-// extended set of its row tuples.
-func evalQuery(ctx context.Context, env *Env, src string) (core.Value, error) {
-	q, err := CompileQuery(env, src)
+// query runs a query statement under the statement's read snapshot and
+// renders the result as the extended set of its row tuples.
+func (st *stmt) query(ctx context.Context, src string) (core.Value, error) {
+	rt := st.pin()
+	q, err := CompileAt(st.env, rt.Snap, src)
 	if err != nil {
 		return nil, err
+	}
+	if rt.View != nil {
+		ctx = store.WithView(ctx, rt.View)
 	}
 	out := core.NewBuilder(0)
 	if _, err := q.Run(ctx, func(b *table.Batch) error {

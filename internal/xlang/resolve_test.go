@@ -1,6 +1,8 @@
 package xlang
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"xst/internal/core"
@@ -10,54 +12,80 @@ import (
 )
 
 // TestIdentifierResolutionOrder: a variable, else a table of the
-// statement's catalog snapshot as a set, else the symbol; the snapshot
-// is fetched once per statement, and only when an identifier reaches
-// the resolver.
+// statement's read snapshot as a set, else the symbol. The snapshot is
+// pinned once per statement — by a query before it compiles, by an
+// expression only when an identifier reaches the resolver — and
+// released when the statement ends, whether it succeeds, fails or is
+// cancelled.
 func TestIdentifierResolutionOrder(t *testing.T) {
-	tbl, err := table.Create(store.NewBufferPool(store.NewMemPager(), 4), table.Schema{Name: "t", Cols: []string{"x"}})
+	pool := store.NewBufferPool(store.NewMemPager(), 4)
+	tbl, err := table.Create(pool, table.Schema{Name: "t", Cols: []string{"x"}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cat := &plan.Catalog{Tables: map[string]*table.Table{"t": tbl}}
 	tSet := core.S(core.Tuple(core.Int(1)), core.Tuple(core.Int(2)))
-	fetches, resolves := 0, 0
+	pins, resolves := 0, 0
+	var cancel context.CancelFunc = func() {}
+	read := func() ReadTxn { pins++; return ReadTxn{View: pool.NewView(), Snap: cat} }
 	env := NewEnv()
-	env.BindPlanCatalog(func() *plan.Catalog { fetches++; return cat })
-	env.BindTableResolver(func(name string, got *table.Table) (*core.Set, error) {
+	env.BindReader(read, func(name string, got *table.Table, view *store.View) (*core.Set, error) {
 		resolves++
-		if name != "t" || got != tbl {
-			t.Fatalf("resolver asked for %q (%p), want t (%p)", name, got, tbl)
+		if name != "t" || got != tbl || view == nil || view.Pool() != pool {
+			t.Fatalf("resolver asked for %q (%p) under view %v, want t (%p) under a view of its pool", name, got, view, tbl)
 		}
+		cancel()
 		return tSet, nil
 	})
 
 	cases := []struct {
-		src, want         string
-		fetches, resolves int
+		src, want      string
+		cancels        bool
+		pins, resolves int
 	}{
-		{"{1, 2}", "{1, 2}", 0, 0},
-		{"card(t)", "2", 1, 1},
-		{"<t, t, x, y>", `<{<1>, <2>},{<1>, <2>},"x","y">`, 1, 2},
-		{"x", `"x"`, 1, 0},
-		{"t := {9}", "{9}", 0, 0},
-		{"t", "{9}", 0, 0},
+		{src: "{1, 2}", want: "{1, 2}"},
+		{src: "card(t)", want: "2", pins: 1, resolves: 1},
+		{src: "<t, t, x, y>", want: `<{<1>, <2>},{<1>, <2>},"x","y">`, pins: 1, resolves: 2},
+		{src: "x", want: `"x"`, pins: 1},
+		{src: "from t", want: "{}", pins: 1},
+		{src: "card(t) + {1}", want: "error", pins: 1, resolves: 1},
+		{src: "from nosuch", want: "error", pins: 1},
+		{src: "<t, t>", want: "canceled", cancels: true, pins: 1, resolves: 1},
+		{src: "t := {9}", want: "{9}"},
+		{src: "t", want: "{9}"},
 	}
 	for _, c := range cases {
-		fetches, resolves = 0, 0
-		v, err := Eval(env, c.src)
-		if err != nil {
-			t.Fatalf("%s: %v", c.src, err)
+		pins, resolves = 0, 0
+		ctx := context.Background()
+		if c.cancels {
+			ctx, cancel = context.WithCancel(ctx)
 		}
-		if v.String() != c.want || fetches != c.fetches || resolves != c.resolves {
-			t.Fatalf("%s = %s with %d snapshot fetches and %d resolutions, want %s, %d, %d",
-				c.src, v, fetches, resolves, c.want, c.fetches, c.resolves)
+		v, err := EvalCtx(ctx, env, c.src)
+		cancel = func() {}
+		got := "error"
+		switch {
+		case errors.Is(err, context.Canceled):
+			got = "canceled"
+		case err == nil:
+			got = v.String()
+		}
+		if got != c.want || pins != c.pins || resolves != c.resolves {
+			t.Fatalf("%s = %s (%v) with %d pins and %d resolutions, want %s, %d, %d",
+				c.src, got, err, pins, resolves, c.want, c.pins, c.resolves)
+		}
+		if held := pool.ActivePins(); len(held) != 0 {
+			t.Fatalf("%s left %d snapshot epochs pinned", c.src, len(held))
 		}
 	}
 
-	// Without a resolver a table name is a symbol, as before.
+	// Without a resolver a table name is a symbol, and only a query pins.
+	pins = 0
 	bare := NewEnv()
-	bare.BindPlanCatalog(func() *plan.Catalog { return cat })
-	if v, err := Eval(bare, "t"); err != nil || !core.Equal(v, core.Str("t")) {
-		t.Fatalf("t without a resolver = %v, %v", v, err)
+	bare.BindReader(read, nil)
+	if v, err := Eval(bare, "t"); err != nil || !core.Equal(v, core.Str("t")) || pins != 0 {
+		t.Fatalf("t without a resolver = %v, %v after %d pins", v, err, pins)
+	}
+	if _, err := Eval(bare, "from t"); err != nil || pins != 1 || len(pool.ActivePins()) != 0 {
+		t.Fatalf("from t without a resolver: %v after %d pins, %d left pinned", err, pins, len(pool.ActivePins()))
 	}
 }
