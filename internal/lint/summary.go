@@ -636,7 +636,7 @@ func (s *Summaries) releasesObjLocked(info *types.Info, stmt ast.Node, obj types
 			}
 		case *ast.ReturnStmt:
 			for _, r := range x.Results {
-				if exprUsesObject(info, r, obj) {
+				if holdsObj(info, r, obj) {
 					released = true
 					return false
 				}
@@ -657,6 +657,28 @@ func (s *Summaries) releasesObjLocked(info *types.Info, stmt ast.Node, obj types
 		return true
 	})
 	return released
+}
+
+// holdsObj reports e handing obj itself to whoever receives it: obj, or
+// a composite literal, or its address, with obj among its elements.
+// Returning a call on obj, or a field of it, hands over something else.
+func holdsObj(info *types.Info, e ast.Expr, obj types.Object) bool {
+	e = ast.Unparen(e)
+	if u, ok := e.(*ast.UnaryExpr); ok && u.Op == token.AND {
+		e = ast.Unparen(u.X)
+	}
+	if lit, ok := e.(*ast.CompositeLit); ok {
+		for _, el := range lit.Elts {
+			if kv, ok := el.(*ast.KeyValueExpr); ok {
+				el = kv.Value
+			}
+			if holdsObj(info, el, obj) {
+				return true
+			}
+		}
+		return false
+	}
+	return isObj(info, e, obj)
 }
 
 // isObj reports e resolving exactly to obj.

@@ -79,3 +79,25 @@ func goodLookup(e *env) snap {
 	_ = s.view
 	return snap{}
 }
+
+func compileAt(v *view, s string) error { return compile(s) }
+
+// badReturnCall returns a call that reads the snapshot, which hands the
+// caller a result, not the snapshot.
+func badReturnCall(e *env, src string) error {
+	rt := e.Pin() // want `read snapshot rt is not released on every return path`
+	return compileAt(rt.view, src)
+}
+
+// badReturnField returns a field of the view, not the view.
+func badReturnField(p *pool) uint64 {
+	v := p.NewView() // want `read snapshot v is not released on every return path`
+	return v.epoch
+}
+
+// goodReturnedComposite hands the pinned view to the caller inside the
+// snapshot it returns.
+func goodReturnedComposite(p *pool) *snap {
+	v := p.NewView()
+	return &snap{view: v}
+}

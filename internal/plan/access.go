@@ -62,6 +62,7 @@ type Catalog struct {
 	Tables  map[string]*table.Table
 	Stats   stats.Catalog
 	Indexes []*TableIndex
+	plans   templates
 }
 
 // Table resolves a table name in the snapshot.

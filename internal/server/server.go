@@ -146,6 +146,8 @@ type Metrics struct {
 	ParallelQueries metrics.Counter
 	TracedQueries   metrics.Counter
 	SlowQueries     metrics.Counter
+	PlanCacheHits   metrics.Counter // query statements bound into a cached plan
+	PlanCacheMisses metrics.Counter // query statements compiled from scratch
 	ActiveConns     metrics.Gauge
 	InFlight        metrics.Gauge
 	WorkerTokens    metrics.Gauge
@@ -187,6 +189,8 @@ type Snapshot struct {
 	ParallelQueries uint64               `json:"parallel_queries"`
 	TracedQueries   uint64               `json:"traced_queries"`
 	SlowQueries     uint64               `json:"slow_queries"`
+	PlanCacheHits   uint64               `json:"plan_cache_hits"`
+	PlanCacheMisses uint64               `json:"plan_cache_misses"`
 	ActiveConns     int64                `json:"active_conns"`
 	InFlight        int64                `json:"in_flight"`
 	WorkerTokens    int64                `json:"worker_tokens"`
@@ -341,6 +345,8 @@ func (s *Server) registerMetrics() error {
 	counter("xstd_parallel_queries_total", "queries run with parallel workers", &s.m.ParallelQueries)
 	counter("xstd_traced_queries_total", "statements that carried a span tree", &s.m.TracedQueries)
 	counter("xstd_slow_queries_total", "statements over the slow-query threshold", &s.m.SlowQueries)
+	counter("xstd_plan_cache_hits_total", "query statements bound into a cached plan", &s.m.PlanCacheHits)
+	counter("xstd_plan_cache_misses_total", "query statements compiled from scratch", &s.m.PlanCacheMisses)
 	gauge("xstd_active_conns", "connections currently open", &s.m.ActiveConns)
 	gauge("xstd_in_flight", "statements evaluating now", &s.m.InFlight)
 	gauge("xstd_worker_tokens", "worker tokens held by running queries", &s.m.WorkerTokens)
@@ -499,6 +505,8 @@ func (s *Server) MetricsSnapshot() Snapshot {
 		ParallelQueries: s.m.ParallelQueries.Value(),
 		TracedQueries:   s.m.TracedQueries.Value(),
 		SlowQueries:     s.m.SlowQueries.Value(),
+		PlanCacheHits:   s.m.PlanCacheHits.Value(),
+		PlanCacheMisses: s.m.PlanCacheMisses.Value(),
 		ActiveConns:     s.m.ActiveConns.Value(),
 		InFlight:        s.m.InFlight.Value(),
 		WorkerTokens:    s.m.WorkerTokens.Value(),
@@ -772,6 +780,11 @@ func (s *Server) handle(sess *session, req Request) (resp Response, quit bool) {
 		if err != nil {
 			s.m.QueriesErr.Inc()
 			return Response{Error: err.Error()}, false
+		}
+		if xq, ok := q.(*xlang.Query); ok && xq.Cached {
+			s.m.PlanCacheHits.Inc()
+		} else if ok {
+			s.m.PlanCacheMisses.Inc()
 		}
 		if tokens = q.DOP(); tokens > s.cfg.MaxWorkers {
 			tokens = s.cfg.MaxWorkers

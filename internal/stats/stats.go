@@ -153,6 +153,24 @@ func (c ColumnStats) SelectivityRange(lo, hi core.Value) float64 {
 	return clamp01(less)
 }
 
+// Class places v among the column's statistics without allocating: the
+// number of histogram bounds below v, and v's order against Min and Max
+// in bits 32–35. SelectivityEq, SelectivityLess and SelectivityRange
+// read a value only through these comparisons, so two values of one
+// class get the same estimates.
+func (c ColumnStats) Class(v core.Value) uint64 {
+	var below uint64
+	for _, b := range c.bounds {
+		if core.Compare(b, v) < 0 {
+			below++
+		}
+	}
+	if c.Min == nil {
+		return below
+	}
+	return below | uint64(core.Compare(v, c.Min)+1)<<32 | uint64(core.Compare(v, c.Max)+1)<<34
+}
+
 // clamp01 bounds an estimate to [0, 1]; derived combinations (Le as
 // Less+Eq, Gt as 1-Less-Eq) can otherwise drift just outside.
 func clamp01(s float64) float64 {

@@ -2,6 +2,8 @@ package xlang
 
 import (
 	"context"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -88,16 +90,29 @@ func BenchmarkQueryRun(b *testing.B) {
 }
 
 // TestFrontEndAllocs is the front end's per-statement allocation
-// budget: IsQuery reads a statement's first two fields in place, and
-// lex reserves its token list once from the source length, so that a
-// point-lookup statement costs that one list.
+// budget: IsQuery reads a statement's first two fields in place; lex
+// without a buffer reserves its token list once from the source length,
+// so a point-lookup statement costs that one list; lex into the token
+// buffer CompileAt keeps between statements costs nothing; and parsing
+// an expression adds one object per node and per list of members,
+// elements or arguments, none for a token that starts no literal.
 func TestFrontEndAllocs(t *testing.T) {
 	const point = "from users where id = 12345 select id, city, score"
 	if got := testing.AllocsPerRun(100, func() { IsQuery(point) }); got != 0 {
 		t.Errorf("IsQuery: %.0f allocations, want 0", got)
 	}
-	if got := testing.AllocsPerRun(100, func() { lex(point) }); got != 1 {
+	if got := testing.AllocsPerRun(100, func() { lex(nil, point) }); got != 1 {
 		t.Errorf("lex of a point lookup: %.0f allocations, want 1", got)
+	}
+	buf, _ := lex(nil, point)
+	if got := testing.AllocsPerRun(100, func() { buf, _ = lex(buf[:0], point) }); got != 0 {
+		t.Errorf("lex of a point lookup into a reused buffer: %.0f allocations, want 0", got)
+	}
+	// card, its arguments, the image, f, the set, its members, the
+	// tuple, its elements and the literal.
+	const image = "card(f[{<12345>}])"
+	if got := testing.AllocsPerRun(100, func() { Parse(image) }); got != 10 {
+		t.Errorf("Parse(%q): %.0f allocations, want 10 with the token list", image, got)
 	}
 }
 
@@ -115,5 +130,48 @@ func TestIsQueryMatchesFields(t *testing.T) {
 		if got := IsQuery(src); got != want {
 			t.Errorf("IsQuery(%q) = %v, want %v", src, got, want)
 		}
+	}
+}
+
+// TestCompileHitAllocs is the compile-hit budget: a repeat CompileAt of
+// a point lookup at one catalog version, with a different literal each
+// time, binds the literal into the cached plan. It allocates the Query,
+// the boxed literal, the copied IndexAccess leaf and the Project above
+// it, where a compile from scratch made 16 objects and 1 376 B.
+func TestCompileHitAllocs(t *testing.T) {
+	env := indexedEnv(t, 2000)
+	rt := env.Pin()
+	defer rt.Release()
+	srcs := make([]string, 103)
+	for i := range srcs {
+		srcs[i] = "from users where uid = " + strconv.Itoa(1000+i) + " select uid, city"
+	}
+	i := 0
+	compile := func() *Query {
+		q, err := CompileAt(env, rt.Snap, srcs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		i++
+		return q
+	}
+	if compile().Cached || !compile().Cached {
+		t.Fatal("the first compile of a shape must miss and the second hit")
+	}
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.TotalAlloc
+	allocs := testing.AllocsPerRun(100, func() {
+		if !compile().Cached {
+			t.Fatalf("%s missed", srcs[i-1])
+		}
+	})
+	runtime.ReadMemStats(&ms)
+	bytes := float64(ms.TotalAlloc-before) / 101
+	t.Logf("compile hit: %.1f objects and %.0f B per call", allocs, bytes)
+	// The race detector's sync.Pool drops a share of what is put back, so
+	// the token buffer is remade at random there.
+	if !raceEnabled && (allocs > 4 || bytes > 256) {
+		t.Fatalf("compile hit: %.1f objects and %.0f B per call, budget 4 and 256", allocs, bytes)
 	}
 }

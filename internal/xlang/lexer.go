@@ -86,11 +86,14 @@ func errAt(pos int, format string, args ...any) error {
 // list grows by appending.
 const lexReserve = 1024
 
-// lex tokenizes the input. Its token list is reserved once from the
+// lex tokenizes the input onto toks, so a caller that keeps its token
+// buffer lexes without allocating. A nil toks is reserved once from the
 // source length, a token to every three bytes and a few more, which
 // holds a query statement's or a call's tokens.
-func lex(src string) ([]token, error) {
-	toks := make([]token, 0, min(len(src)/3+8, lexReserve))
+func lex(toks []token, src string) ([]token, error) {
+	if toks == nil {
+		toks = make([]token, 0, min(len(src)/3+8, lexReserve))
+	}
 	i := 0
 	emit := func(k tokenKind, text string, pos int) {
 		toks = append(toks, token{kind: k, text: text, pos: pos})

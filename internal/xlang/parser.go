@@ -101,7 +101,7 @@ func (p *parser) expect(k tokenKind) (token, error) {
 
 // Parse parses one statement (assignment or expression).
 func Parse(src string) (node, error) {
-	toks, err := lex(src)
+	toks, err := lex(nil, src)
 	if err != nil {
 		return nil, err
 	}
@@ -212,25 +212,36 @@ func (p *parser) parsePostfix() (node, error) {
 	return l, nil
 }
 
+// litAt reads the literal at toks[i] (a number, a signed number, a
+// string, true or false) and the tokens it spans, 0 when none starts
+// there.
+func litAt(toks []token, i int) (lit litNode, n int) {
+	switch t := toks[i]; t.kind {
+	case tokInt, tokFloat, tokString:
+		n = 1
+	case tokIdent:
+		if t.text == "true" || t.text == "false" {
+			n = 1
+		}
+	case tokMinus:
+		if num := toks[i+1]; num.kind == tokInt || num.kind == tokFloat {
+			return litNode{at: t.pos, val: valueLit{kind: num.kind, text: num.text, neg: true}}, 2
+		}
+	}
+	return litNode{at: toks[i].pos, val: valueLit{kind: toks[i].kind, text: toks[i].text}}, n
+}
+
 func (p *parser) parsePrimary() (node, error) {
 	t := p.cur()
+	if lit, n := litAt(p.toks, p.i); n > 0 {
+		p.i += n
+		return &litNode{at: lit.at, val: lit.val}, nil
+	}
 	switch t.kind {
-	case tokInt, tokFloat, tokString:
-		p.next()
-		return &litNode{at: t.pos, val: valueLit{kind: t.kind, text: t.text}}, nil
 	case tokMinus:
-		p.next()
-		num := p.cur()
-		if num.kind != tokInt && num.kind != tokFloat {
-			return nil, errAt(num.pos, "expected number after '-'")
-		}
-		p.next()
-		return &litNode{at: t.pos, val: valueLit{kind: num.kind, text: num.text, neg: true}}, nil
+		return nil, errAt(p.toks[p.i+1].pos, "expected number after '-'")
 	case tokIdent:
 		p.next()
-		if t.text == "true" || t.text == "false" {
-			return &litNode{at: t.pos, val: valueLit{kind: tokIdent, text: t.text}}, nil
-		}
 		if p.cur().kind == tokLParen {
 			p.next()
 			var args []node

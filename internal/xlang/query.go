@@ -2,8 +2,10 @@ package xlang
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"strings"
+	"sync"
 	"unicode"
 
 	"xst/internal/core"
@@ -77,6 +79,9 @@ type Query struct {
 	// without one); Run reuses it to annotate traced operator spans
 	// with the estimates the plan was chosen on.
 	cat *plan.Catalog
+	// Cached reports that the plan was bound into one cached for the
+	// statement's shape (plan.Catalog.Bind), not compiled.
+	Cached bool
 }
 
 // Schema reports the result schema.
@@ -125,20 +130,65 @@ func CompileQuery(env *Env, src string) (*Query, error) {
 }
 
 // CompileAt is CompileQuery against cat, the catalog of a snapshot the
-// caller pinned and runs the query under.
+// caller pinned and runs the query under. A statement whose tables all
+// resolve in cat binds its literals into a plan cached in cat for its
+// shape and their key (plan.Catalog.Bind) when there is one.
 func CompileAt(env *Env, cat *plan.Catalog, src string) (*Query, error) {
-	toks, err := lex(src)
-	if err != nil {
+	s := compilePool.Get().(*compileScratch)
+	defer compilePool.Put(s)
+	var err error
+	if s.toks, err = lex(s.toks[:0], src); err != nil {
 		return nil, err
 	}
-	p := &qparser{toks: toks, env: env, cat: cat}
+	bound := cat != nil && s.shape()
+	if bound {
+		if n, ok := cat.Bind(s.key, s.vals); ok {
+			return &Query{Node: n, dop: plan.ChooseDOP(n), cat: cat, Cached: true}, nil
+		}
+	}
+	p := &qparser{toks: s.toks, env: env, cat: cat}
 	n, err := p.parse()
 	if err != nil {
 		return nil, err
 	}
 	node := plan.OptimizeCatalog(n, cat)
+	if bound && !p.outside {
+		cat.Remember(s.key, p.where, node, s.vals)
+	}
 	return &Query{Node: node, dop: plan.ChooseDOP(node), cat: cat}, nil
 }
+
+// compileScratch is one compile's reusable buffers.
+type compileScratch struct {
+	toks []token
+	key  []byte
+	vals []core.Value
+}
+
+var compilePool = sync.Pool{New: func() any { return new(compileScratch) }}
+
+// shape writes the statement's shape into key: its tokens, kinds and
+// texts, with each literal after a comparison operator (the literals the
+// parser reads, as Remember checks) kept as its kind alone. It reports
+// whether every such literal converted into vals.
+func (s *compileScratch) shape() bool {
+	s.key, s.vals = s.key[:0], s.vals[:0]
+	ok := true
+	for i := 0; i < len(s.toks); i++ {
+		t := s.toks[i]
+		if lit, n := litAt(s.toks, i); n > 0 && i > 0 && isCmp(s.toks[i-1].kind) {
+			v, err := evalLit(&lit)
+			s.vals, ok = append(s.vals, v), ok && err == nil
+			s.key = append(s.key, 0xff, byte(s.toks[i+n-1].kind), byte(n))
+			i += n - 1
+			continue
+		}
+		s.key = append(binary.AppendUvarint(append(s.key, byte(t.kind)), uint64(len(t.text))), t.text...)
+	}
+	return ok
+}
+
+func isCmp(k tokenKind) bool { return k == tokEq || k == tokLE || k == tokLAngle || k == tokRAngle }
 
 // query runs a query statement under the statement's read snapshot and
 // renders the result as the extended set of its row tuples.
@@ -168,10 +218,12 @@ func (st *stmt) query(ctx context.Context, src string) (core.Value, error) {
 }
 
 type qparser struct {
-	toks []token
-	i    int
-	env  *Env
-	cat  *plan.Catalog
+	toks    []token
+	i       int
+	env     *Env
+	cat     *plan.Catalog
+	where   *plan.Select // the where clause, nil without one
+	outside bool         // a table resolved outside cat
 }
 
 func (p *qparser) cur() token  { return p.toks[p.i] }
@@ -205,6 +257,7 @@ func (p *qparser) ident(what string) (token, error) {
 func (p *qparser) tableNode(t token) (plan.Node, error) {
 	tab, ok := p.cat.Table(t.text)
 	if !ok {
+		p.outside = true
 		tab, ok = p.env.Table(t.text)
 	}
 	if ok {
@@ -303,7 +356,8 @@ func (p *qparser) parse() (plan.Node, error) {
 		if len(preds) == 1 {
 			pred = preds[0]
 		}
-		n = &plan.Select{Child: n, Pred: pred}
+		p.where = &plan.Select{Child: n, Pred: pred}
+		n = p.where
 	}
 
 	if p.eat("group") {
@@ -421,26 +475,15 @@ func (p *qparser) cmpOp() (plan.CmpOp, error) {
 
 // literal parses one comparison constant.
 func (p *qparser) literal() (core.Value, error) {
-	t := p.cur()
-	switch t.kind {
-	case tokInt, tokFloat, tokString:
-		p.next()
-		return evalLit(&litNode{at: t.pos, val: valueLit{kind: t.kind, text: t.text}})
-	case tokMinus:
-		p.next()
-		num := p.cur()
-		if num.kind != tokInt && num.kind != tokFloat {
-			return nil, errAt(num.pos, "expected number after '-'")
-		}
-		p.next()
-		return evalLit(&litNode{at: t.pos, val: valueLit{kind: num.kind, text: num.text, neg: true}})
-	case tokIdent:
-		if t.text == "true" || t.text == "false" {
-			p.next()
-			return core.Bool(t.text == "true"), nil
-		}
+	lit, n := litAt(p.toks, p.i)
+	if n == 0 && lit.val.kind == tokMinus {
+		return nil, errAt(p.toks[p.i+1].pos, "expected number after '-'")
 	}
-	return nil, errAt(t.pos, "expected literal, found %v", t.kind)
+	if n == 0 {
+		return nil, errAt(lit.at, "expected literal, found %v", lit.val.kind)
+	}
+	p.i += n
+	return evalLit(&lit)
 }
 
 // aggSpec parses one aggregate in a group clause; ok is false when the
