@@ -45,52 +45,51 @@ func DeriveTransitiveClosure(r *core.Set) *Derived {
 	if slices.ContainsFunc(rs, notPair) {
 		rs = slices.DeleteFunc(r.CopyMembers(), notPair)
 	}
-	j := &join{sigma: cst.Sigma, omega: cst.Omega, f: rs, g: rs}
-	g := &keyGraph{d: &Derived{derive: j.derive, own: rs, distinct: r.IsClassical()}}
-	g.d.each = g.each
-	return g.d
+	d := &Derived{own: rs, distinct: r.IsClassical()}
+	d.src = &keyGraph{d: d, join: join{sigma: cst.Sigma, omega: cst.Omega, f: rs, g: rs}}
+	return d
 }
 
 // keyGraph is R's join keys interned as dense node ids, with pair p the
-// edge in(p) → out(p), in CSR form, built by the first search.
+// edge in(p) → out(p), in CSR form, filed in the finish's scratch. The
+// join derives a path's product from its first and last pair; its file
+// and each are keyGraph's own.
 type keyGraph struct {
-	d     *Derived
-	off   []int32 // node u's out-edges are pairs[off[u]:off[u+1]]
-	pairs []int32 // pair ids grouped by in-node
-	out   []int32 // pair id → its out-node
-	a, b  []core.Member
+	join
+	d *Derived
 }
 
-// build interns every pair's in- and out-key, named (p, side), in one
-// table: no key is stored.
-func (g *keyGraph) build(ctx context.Context) error {
-	rs, sides := g.d.own, [2]*core.Set{cst.Omega.S1, cst.Sigma.S2}
-	keys := newTable(2*len(rs), func(dst []core.Member, c cand) ([]core.Member, int) {
-		return appendKey(dst, rs[c[0]], sides[c[1]])
-	})
-	ends, steps := make([]int32, 2*len(rs)), 0 // ends[2p] = in(p), ends[2p+1] = out(p)
+// key is the join key of pair c[0] on side c[1]: in(p), then out(p).
+func (g *keyGraph) key(dst []core.Member, c cand) ([]core.Member, int) {
+	return appendKey(dst, g.f[c[0]], [2]*core.Set{g.omega.S1, g.sigma.S2}[c[1]])
+}
+
+// file interns every pair's in- and out-key, named (p, side), in one
+// table, and groups the pairs by in-node: node u's out-edges are
+// pairs[off[u]:off[u+1]].
+func (g *keyGraph) file(ctx context.Context, sc *scratch) error {
+	n := len(g.f)
+	keys, steps := sc.t.reset(g, 2*n), 0
+	ends := sized(sc.ends, 2*n) // ends[p] = in(p), ends[n+p] = out(p)
 	for e := range ends {
 		if err := tick(ctx, &steps); err != nil {
 			return err
 		}
-		ends[e] = keys.add(cand{int32(e / 2), int32(e % 2)})
+		ends[e] = keys.add(cand{int32(e % n), int32(e / n)})
 	}
-	off, pairs, out := make([]int32, len(keys.ids)+1), make([]int32, len(rs)), make([]int32, len(rs))
-	for p := range rs {
-		if err := tick(ctx, &steps); err != nil {
-			return err
-		}
-		off[ends[2*p]]++
-		out[p] = ends[2*p+1]
+	off, pairs := sized(sc.off, len(keys.ids)+1), sized(sc.pairs, n)
+	sc.ends, sc.off, sc.pairs = ends, off, pairs
+	clear(off)
+	for _, u := range ends[:n] {
+		off[u]++
 	}
 	for u := range len(keys.ids) {
 		off[u+1] += off[u]
 	}
-	for p := len(rs) - 1; p >= 0; p-- {
-		off[ends[2*p]]--
-		pairs[off[ends[2*p]]] = int32(p)
+	for p := n - 1; p >= 0; p-- {
+		off[ends[p]]--
+		pairs[off[ends[p]]] = int32(p)
 	}
-	g.off, g.pairs, g.out = off, pairs, out
 	return nil
 }
 
@@ -98,50 +97,46 @@ func (g *keyGraph) build(ctx context.Context) error {
 // named (u, w) for every w that a path of two or more pairs reaches: one
 // breadth-first search from u's successors, yielded only once reached,
 // over one stamp array. An own pair equal to its p/p is yielded once.
-func (g *keyGraph) each(ctx context.Context, yield func(cand)) error {
-	if g.off == nil {
-		if err := g.build(ctx); err != nil {
-			return err
-		}
-	}
-	d, steps := g.d, 0
-	stamp := make([]int32, len(g.off)-1) // node → u+1 once the search from u reached it, −(u+1) while only a seed
-	q := make([]int32, 0, 2*len(stamp))
+func (g *keyGraph) each(ctx context.Context, sc *scratch, yield func(cand)) error {
+	d, off, pairs, out, steps := g.d, sc.off, sc.pairs, sc.ends[len(g.f):], 0
+	stamp := sized(sc.stamp, len(off)-1) // node → u+1 once the search from u reached it, −(u+1) while only a seed
+	sc.stamp = stamp
+	clear(stamp)
 	for u := range stamp {
-		from, s := g.pairs[g.off[u]:g.off[u+1]], int32(u+1)
-		q = q[:0]
+		from, s := pairs[off[u]:off[u+1]], int32(u+1)
+		sc.queue = sc.queue[:0]
 		for _, p := range from {
 			if err := tick(ctx, &steps); err != nil {
 				return err
 			}
 			yield(cand{-1, p})
-			if v := g.out[p]; stamp[v] != -s {
-				stamp[v], q = -s, append(q, p)
+			if v := out[p]; stamp[v] != -s {
+				stamp[v], sc.queue = -s, append(sc.queue, p)
 			}
 		}
-		seeds := len(q)
-		for i := 0; i < len(q); i++ {
+		seeds := len(sc.queue)
+		for i := 0; i < len(sc.queue); i++ {
 			if err := tick(ctx, &steps); err != nil {
 				return err
 			}
-			v := g.out[q[i]]
-			for _, p := range g.pairs[g.off[v]:g.off[v+1]] {
-				if w := g.out[p]; stamp[w] != s {
-					stamp[w], q = s, append(q, p)
+			v := out[sc.queue[i]]
+			for _, p := range pairs[off[v]:off[v+1]] {
+				if w := out[p]; stamp[w] != s {
+					stamp[w], sc.queue = s, append(sc.queue, p)
 				}
 			}
 		}
 		for _, p := range from { // (in(p), out(p)) names p/p: drop it when it is p
-			if v := g.out[p]; stamp[v] == s {
+			if v := out[p]; stamp[v] == s {
 				var n, m int
-				g.a, n = d.runs(g.a[:0], cand{-1, p}, false)
-				if g.b, m = d.derive(g.b[:0], cand{p, p}); n == m && slices.EqualFunc(g.a, g.b, memberEqual) {
+				sc.a, n = d.runs(sc.a[:0], cand{-1, p}, false)
+				if sc.b, m = g.derive(sc.b[:0], cand{p, p}); n == m && slices.EqualFunc(sc.a, sc.b, memberEqual) {
 					stamp[v] = 0
 				}
 			}
 		}
-		for _, p := range q[seeds:] {
-			if stamp[g.out[p]] == s {
+		for _, p := range sc.queue[seeds:] {
+			if stamp[out[p]] == s {
 				yield(cand{from[0], p})
 			}
 		}

@@ -33,22 +33,32 @@ func SigmaDomainCtx(ctx context.Context, r *core.Set, sigma *core.Set) (*core.Se
 // classical and σ renames every scope of R's elements one-to-one.
 func DeriveSigmaDomain(r *core.Set, sigma *core.Set) *Derived {
 	rs := r.Members()
-	return &Derived{
-		distinct: r.IsClassical() && renamesAll(rs, sigma),
-		each: func(ctx context.Context, yield func(cand)) error {
-			steps := 0
-			for i, m := range rs {
-				if err := tick(ctx, &steps); err != nil {
-					return err
-				}
-				if !ReScopesToEmpty(m.Elem, sigma) {
-					yield(cand{int32(i)})
-				}
-			}
-			return nil
-		},
-		derive: func(dst []core.Member, c cand) ([]core.Member, int) { return appendKey(dst, rs[c[0]], sigma) },
+	return &Derived{src: &domain{rs, sigma}, distinct: r.IsClassical() && renamesAll(rs, sigma)}
+}
+
+// domain is a σ-domain's operands: R's members and σ.
+type domain struct {
+	rs    []core.Member
+	sigma *core.Set
+}
+
+func (*domain) file(context.Context, *scratch) error { return nil }
+
+func (dm *domain) each(ctx context.Context, _ *scratch, yield func(cand)) error {
+	steps := 0
+	for i, r := range dm.rs {
+		if err := tick(ctx, &steps); err != nil {
+			return err
+		}
+		if !ReScopesToEmpty(r.Elem, dm.sigma) {
+			yield(cand{int32(i)})
+		}
 	}
+	return nil
+}
+
+func (dm *domain) derive(dst []core.Member, c cand) ([]core.Member, int) {
+	return appendKey(dst, dm.rs[c[0]], dm.sigma)
 }
 
 // renamesAll reports that σ maps scopes one-to-one — each to exactly one

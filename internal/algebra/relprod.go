@@ -40,8 +40,7 @@ func RelativeProductCtx(ctx context.Context, f, g *core.Set, sigma, omega Sigma)
 // DeriveRelativeProduct derives Def 10.1's outputs, each as the (probe
 // member, build member) pair it comes from.
 func DeriveRelativeProduct(f, g *core.Set, sigma, omega Sigma) *Derived {
-	j := newJoin(f.Members(), g.Members(), sigma, omega)
-	return &Derived{derive: j.derive, each: j.each}
+	return &Derived{src: &join{sigma: sigma, omega: omega, f: f.Members(), g: g.Members()}}
 }
 
 // foldMember folds one member's digests into h.
@@ -64,25 +63,28 @@ func memberEqual(a, b core.Member) bool {
 	return core.Equal(a.Elem, b.Elem) && core.Equal(a.Scope, b.Scope)
 }
 
-// join is one relative product's probe and build sides: G's members
-// filed under the digest of their ω1 key. No key is stored: each id a
-// chain walks is confirmed by deriving the build member's key again.
+// join is one relative product's probe and build sides. Its finish
+// files G's members under the digest of their ω1 key; no key is stored:
+// each id a chain walks is confirmed by deriving the build member's key
+// again.
 type join struct {
 	sigma, omega Sigma
 	f, g         []core.Member
-	chains       core.Chains
-	key, probe   []core.Member // scratch: a build key, the probe key
-	hits         []int32
 }
 
-func newJoin(f, g []core.Member, sigma, omega Sigma) *join {
-	j := &join{sigma: sigma, omega: omega, f: f, g: g, chains: core.NewChains(len(g))}
-	for _, y := range g {
+// file files G in sc.join, polling ctx every ctxCheckEvery members.
+func (j *join) file(ctx context.Context, sc *scratch) error {
+	sc.join.Reset(len(j.g))
+	steps := 0
+	for _, y := range j.g {
+		if err := tick(ctx, &steps); err != nil {
+			return err
+		}
 		var n int
-		j.key, n = appendKey(j.key[:0], y, omega.S1)
-		j.chains.Add(keyDigest(j.key, n) & digestMask)
+		sc.key, n = appendKey(sc.key[:0], y, j.omega.S1)
+		sc.join.Add(keyDigest(sc.key, n) & digestMask)
 	}
-	return j
+	return nil
 }
 
 // appendKey appends to dst the canonical members of m's element
@@ -102,11 +104,11 @@ func appendProduct(dst []core.Member, a core.Value, sigma *core.Set, b core.Valu
 
 // match appends to hits every build member y^t that x^s = m matches on
 // the σ2/ω1 key.
-func (j *join) match(hits []int32, m core.Member) []int32 {
+func (j *join) match(sc *scratch, hits []int32, m core.Member) []int32 {
 	var n, k int
-	j.probe, n = appendKey(j.probe[:0], m, j.sigma.S2)
-	for id := j.chains.First(keyDigest(j.probe, n) & digestMask); id >= 0; id = j.chains.Next(id) {
-		if j.key, k = appendKey(j.key[:0], j.g[id], j.omega.S1); k == n && slices.EqualFunc(j.key, j.probe, memberEqual) {
+	sc.probe, n = appendKey(sc.probe[:0], m, j.sigma.S2)
+	for id := sc.join.First(keyDigest(sc.probe, n) & digestMask); id >= 0; id = sc.join.Next(id) {
+		if sc.key, k = appendKey(sc.key[:0], j.g[id], j.omega.S1); k == n && slices.EqualFunc(sc.key, sc.probe, memberEqual) {
 			hits = append(hits, id)
 		}
 	}
@@ -115,14 +117,14 @@ func (j *join) match(hits []int32, m core.Member) []int32 {
 
 // each yields every (probe, build) pair that matches on the key,
 // polling ctx every ctxCheckEvery probes and matches.
-func (j *join) each(ctx context.Context, yield func(cand)) error {
+func (j *join) each(ctx context.Context, sc *scratch, yield func(cand)) error {
 	steps := 0
 	for i, m := range j.f {
 		if err := tick(ctx, &steps); err != nil {
 			return err
 		}
-		j.hits = j.match(j.hits[:0], m)
-		for _, id := range j.hits {
+		sc.hits = j.match(sc, sc.hits[:0], m)
+		for _, id := range sc.hits {
 			if err := tick(ctx, &steps); err != nil {
 				return err
 			}

@@ -1,6 +1,9 @@
 package core
 
-import "math/rand/v2"
+import (
+	"math"
+	"math/rand/v2"
+)
 
 // Chains files int32 ids, handed out in insertion order, under 64-bit
 // digests. First and Next walk the ids filed under digests of the same
@@ -41,6 +44,19 @@ func (c *Chains) Reset(n int) {
 		return
 	}
 	*c = NewChains(n)
+}
+
+// Room is how many ids c has room for before it grows.
+func (c *Chains) Room() int { return cap(c.ids) }
+
+// Poison empties c and points every bucket head at an id it does not
+// hold, so a walk of c before the next Reset panics: it is for tests of
+// code that recycles c.
+func (c *Chains) Poison() {
+	for b := range c.heads {
+		c.heads[b] = math.MaxInt32
+	}
+	c.ids = c.ids[:0]
 }
 
 // reserve makes room for n ids in all, re-threading those filed.

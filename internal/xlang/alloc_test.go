@@ -175,3 +175,29 @@ func TestCompileHitAllocs(t *testing.T) {
 		t.Fatalf("compile hit: %.1f objects and %.0f B per call, budget 4 and 256", allocs, bytes)
 	}
 }
+
+// TestCompileMissAllocs is the compile-miss budget: the first point
+// lookup of its shape at a fresh catalog parses it, optimizes it and
+// remembers the plan. The parser takes the where literals shape already
+// converted for the cache key, where converting them again cost one more
+// boxed literal (21 objects).
+func TestCompileMissAllocs(t *testing.T) {
+	env := indexedEnv(t, 2000)
+	rt := env.Pin()
+	defer rt.Release()
+	cats := make([]*plan.Catalog, 101)
+	for i := range cats {
+		cats[i] = &plan.Catalog{Tables: rt.Snap.Tables, Stats: rt.Snap.Stats, Indexes: rt.Snap.Indexes}
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		q, err := CompileAt(env, cats[i], "from users where uid = 1234 select uid, city")
+		if err != nil || q.Cached {
+			t.Fatalf("compile at a fresh catalog: cached %v (%v)", q != nil && q.Cached, err)
+		}
+		i++
+	})
+	if !raceEnabled && allocs > 20 {
+		t.Fatalf("compile miss: %.1f objects, budget 20", allocs)
+	}
+}

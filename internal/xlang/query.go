@@ -147,6 +147,9 @@ func CompileAt(env *Env, cat *plan.Catalog, src string) (*Query, error) {
 		}
 	}
 	p := &qparser{toks: s.toks, env: env, cat: cat}
+	if cat != nil {
+		p.vals, p.at = s.vals, s.at
+	}
 	n, err := p.parse()
 	if err != nil {
 		return nil, err
@@ -163,6 +166,7 @@ type compileScratch struct {
 	toks []token
 	key  []byte
 	vals []core.Value
+	at   []int // the token each of vals starts at
 }
 
 var compilePool = sync.Pool{New: func() any { return new(compileScratch) }}
@@ -172,13 +176,13 @@ var compilePool = sync.Pool{New: func() any { return new(compileScratch) }}
 // parser reads, as Remember checks) kept as its kind alone. It reports
 // whether every such literal converted into vals.
 func (s *compileScratch) shape() bool {
-	s.key, s.vals = s.key[:0], s.vals[:0]
+	s.key, s.vals, s.at = s.key[:0], s.vals[:0], s.at[:0]
 	ok := true
 	for i := 0; i < len(s.toks); i++ {
 		t := s.toks[i]
 		if lit, n := litAt(s.toks, i); n > 0 && i > 0 && isCmp(s.toks[i-1].kind) {
 			v, err := evalLit(&lit)
-			s.vals, ok = append(s.vals, v), ok && err == nil
+			s.vals, s.at, ok = append(s.vals, v), append(s.at, i), ok && err == nil
 			s.key = append(s.key, 0xff, byte(s.toks[i+n-1].kind), byte(n))
 			i += n - 1
 			continue
@@ -224,6 +228,8 @@ type qparser struct {
 	cat     *plan.Catalog
 	where   *plan.Select // the where clause, nil without one
 	outside bool         // a table resolved outside cat
+	vals    []core.Value // the literals shape converted, from the one at token at[0] on
+	at      []int
 }
 
 func (p *qparser) cur() token  { return p.toks[p.i] }
@@ -473,7 +479,8 @@ func (p *qparser) cmpOp() (plan.CmpOp, error) {
 	}
 }
 
-// literal parses one comparison constant.
+// literal parses one comparison constant, taking the value shape
+// converted from its tokens when there is one.
 func (p *qparser) literal() (core.Value, error) {
 	lit, n := litAt(p.toks, p.i)
 	if n == 0 && lit.val.kind == tokMinus {
@@ -482,7 +489,14 @@ func (p *qparser) literal() (core.Value, error) {
 	if n == 0 {
 		return nil, errAt(lit.at, "expected literal, found %v", lit.val.kind)
 	}
+	at := p.i
 	p.i += n
+	for len(p.at) > 0 && p.at[0] < at {
+		p.vals, p.at = p.vals[1:], p.at[1:]
+	}
+	if len(p.at) > 0 && p.at[0] == at && p.vals[0] != nil {
+		return p.vals[0], nil
+	}
 	return evalLit(&lit)
 }
 
