@@ -14,11 +14,9 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 
 	"xst/internal/core"
-	"xst/internal/index"
 	"xst/internal/plan"
 	"xst/internal/stats"
 	"xst/internal/store"
@@ -32,12 +30,13 @@ const catalogPage = store.PageID(0)
 
 // metaTable is the hidden system table holding collected statistics and
 // index declarations as rows ⟨kind, tbl, payload⟩. It persists through
-// the ordinary catalog entry on page 0 but is excluded from Names and
-// the planner snapshot — "__"-prefixed names are reserved (sessions use
-// them for scratch tables, which never reach the catalog).
+// the ordinary catalog entry on page 0 but is kept out of the planner
+// catalog, and so out of Names — "__"-prefixed names are reserved
+// (sessions use them for scratch tables, which never reach the catalog).
 const metaTable = "__meta"
 
-// Index kinds recorded in __meta entries.
+// The spellings of the index kinds that CreateIndex accepts and __meta
+// stores; plan.IndexKind.String writes them back.
 const (
 	// IndexHash answers point (equality) lookups.
 	IndexHash = "hash"
@@ -45,17 +44,21 @@ const (
 	IndexBTree = "btree"
 )
 
-// Index is one declared index: its definition (persisted) plus the
-// built in-memory structure (rebuilt at Open/Analyze/Vacuum). The
-// structures are immutable once published — rebuilds swap in fresh
-// ones, so plans compiled against an old snapshot stay safe.
-type Index struct {
-	Table string
-	Col   string
-	Kind  string
-	Hash  *index.HashIndex
-	BTree *index.BTree
+// parseKind reads an index kind's spelling.
+func parseKind(kind string) (plan.IndexKind, error) {
+	switch kind {
+	case IndexHash:
+		return plan.HashIdx, nil
+	case IndexBTree:
+		return plan.BTreeIdx, nil
+	}
+	return 0, fmt.Errorf("catalog: unknown index kind %q (want %s or %s)", kind, IndexHash, IndexBTree)
 }
+
+// Index is one declared index over one table version, with its built
+// structure: the planner catalog's own entry, so a version describes
+// its indexes once.
+type Index = plan.TableIndex
 
 // Partition kinds recorded in catalog entries.
 const (
@@ -126,6 +129,8 @@ var ErrCatalogFull = errors.New("catalog: catalog page full")
 // PlanCatalog, BeginRead, …) take the read lock only to load it, never
 // across page I/O. Compiled queries hold *table.Table and index-structure
 // pointers directly, so running scans never contend with catalog changes.
+// A table's extended set hangs on its table version (Table.SetAt), so a
+// commit has nothing to invalidate.
 type Database struct {
 	pager store.Pager
 	pool  *store.BufferPool
@@ -142,25 +147,18 @@ type Database struct {
 	writeMu sync.Mutex
 	// autoCk checkpoints the log once it exceeds this many bytes.
 	autoCk int64
-
-	// sets memoises each table's extended set for the expression
-	// language, one entry per name holding the version it was built
-	// from (setsMu guards the map; each entry builds once).
-	setsMu sync.Mutex
-	sets   map[string]*versionSet
 }
 
-// version is one committed state of the database: every table (the
-// reserved "__" ones included), the partitions, the statistics, the
-// index declarations with their built structures, and the planner
-// snapshot over them, which holds the statistics. Nothing in a version changes once it is
-// published; a commit builds its successor, sharing every map the commit
-// left alone (txn.go). Page 0 holds its catalog set.
+// version is one committed state of the database: the planner catalog
+// (the user tables, their statistics, and their indexes with built
+// structures), the partitions, and the __meta table that persists the
+// statistics and index declarations. Nothing in a version changes once
+// it is published; a commit builds its successor, sharing whatever the
+// commit left alone (txn.go). Page 0 holds its catalog set.
 type version struct {
-	tables map[string]*table.Table
-	parts  map[string]Partition
-	idxs   map[string][]*Index
-	plan   *plan.Catalog
+	plan  *plan.Catalog
+	parts map[string]Partition
+	meta  *table.Table // nil until the first statistics or index
 }
 
 // current returns the published version.
@@ -170,20 +168,11 @@ func (db *Database) current() *version {
 	return db.cur
 }
 
-// versionSet is one published table version's extended set.
-type versionSet struct {
-	t    *table.Table
-	once sync.Once
-	s    *core.Set
-	err  error
-}
-
 func newDatabase(pager store.Pager, pool *store.BufferPool) *Database {
 	return &Database{
 		pager:  pager,
 		pool:   pool,
 		cur:    &version{plan: &plan.Catalog{}},
-		sets:   map[string]*versionSet{},
 		mgr:    wal.NewManager(pager, wal.NewNullLog()),
 		autoCk: defaultAutoCheckpoint,
 	}
@@ -233,11 +222,8 @@ func Open(pager store.Pager, frames int) (*Database, error) {
 	if err != nil {
 		return nil, err
 	}
-	v := &version{
-		tables: map[string]*table.Table{},
-		parts:  map[string]Partition{},
-		idxs:   map[string][]*Index{},
-	}
+	v := &version{parts: map[string]Partition{}}
+	tables := map[string]*table.Table{}
 	for _, m := range set.Members() {
 		name, first, schema, part, err := decodeEntry(m.Elem)
 		if err != nil {
@@ -247,16 +233,18 @@ func Open(pager store.Pager, frames int) (*Database, error) {
 		if err != nil {
 			return nil, err
 		}
-		v.tables[name] = t
+		if name == metaTable {
+			v.meta = t
+		} else {
+			tables[name] = t
+		}
 		if part != nil {
 			v.parts[name] = *part
 		}
 	}
-	st, err := v.loadMeta()
-	if err != nil {
+	if v.plan, err = loadMeta(tables, v.meta); err != nil {
 		return nil, err
 	}
-	v.plan = planOf(v, st, db.cur.plan, func(string) bool { return true })
 	db.cur = v
 	return db, nil
 }
@@ -284,7 +272,7 @@ func (db *Database) Table(name string) (*table.Table, error) {
 }
 
 func (v *version) table(name string) (*table.Table, error) {
-	t, ok := v.tables[name]
+	t, ok := v.plan.Tables[name]
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNoTable, name)
 	}
@@ -366,20 +354,28 @@ func (db *Database) CatalogSet() *core.Set {
 }
 
 func (v *version) catalogSet() *core.Set {
-	b := core.NewBuilder(len(v.tables))
-	for name, t := range v.tables {
-		cols := make([]core.Value, len(t.Schema().Cols))
-		for i, c := range t.Schema().Cols {
-			cols[i] = core.Str(c)
-		}
-		elems := []core.Value{core.Str(name), core.Int(int64(t.FirstPage())), core.Tuple(cols...)}
-		if p, ok := v.parts[name]; ok {
-			elems = append(elems, core.Tuple(core.Str(p.Kind), core.Str(p.Col),
-				core.Int(int64(p.Site)), core.Int(int64(p.Sites)), core.Tuple(p.Bounds...)))
-		}
-		b.AddClassical(core.Tuple(elems...))
+	b := core.NewBuilder(len(v.plan.Tables) + 1)
+	for name, t := range v.plan.Tables {
+		b.AddClassical(v.entry(name, t))
+	}
+	if v.meta != nil {
+		b.AddClassical(v.entry(metaTable, v.meta))
 	}
 	return b.Set()
+}
+
+// entry is one table's member of the catalog set.
+func (v *version) entry(name string, t *table.Table) *core.Set {
+	cols := make([]core.Value, len(t.Schema().Cols))
+	for i, c := range t.Schema().Cols {
+		cols[i] = core.Str(c)
+	}
+	elems := []core.Value{core.Str(name), core.Int(int64(t.FirstPage())), core.Tuple(cols...)}
+	if p, ok := v.parts[name]; ok {
+		elems = append(elems, core.Tuple(core.Str(p.Kind), core.Str(p.Col),
+			core.Int(int64(p.Site)), core.Int(int64(p.Sites)), core.Tuple(p.Bounds...)))
+	}
+	return core.Tuple(elems...)
 }
 
 // writeCatalogPage encodes v's catalog set onto page 0 through io — the
@@ -407,43 +403,22 @@ func writeCatalogPage(io store.PageIO, v *version) error {
 // pins the planner catalog and its page view together once, runs a
 // query (`from users where …`) at them, and reads an identifier with no
 // session binding that names a table of that catalog (`card(users)`) as
-// the version's extended set (tableSet). Clones of env see every later
-// commit and every table created after the bind.
+// that table version's extended set (tableSet). Clones of env see every
+// later commit and every table created after the bind.
 func (db *Database) BindAll(env *xlang.Env) error {
-	env.BindReader(db.BeginRead, db.tableSet)
+	env.BindReader(db.BeginRead, tableSet)
 	db.bindSysViews(env)
 	return nil
 }
 
-// tableSet returns the extended set of t, a table version named by the
-// catalog pinned with view: table.ToXST of t read under view, which
-// shows exactly t's rows, built once and shared by every caller until a
-// later version of the name is resolved, which drops it.
-func (db *Database) tableSet(name string, t *table.Table, view *store.View) (*core.Set, error) {
-	e := db.versionEntry(name, t)
-	e.once.Do(func() { e.s, e.err = t.At(view).ToXST() })
-	if e.err != nil {
-		db.setsMu.Lock()
-		if db.sets[name] == e {
-			delete(db.sets, name)
-		}
-		db.setsMu.Unlock()
-		return nil, fmt.Errorf("catalog: materialising %q: %w", name, e.err)
+// tableSet is the resolver BindAll binds: the extended set of t, a
+// table version named by the catalog pinned with view.
+func tableSet(name string, t *table.Table, view *store.View) (*core.Set, error) {
+	s, err := t.SetAt(view)
+	if err != nil {
+		return nil, fmt.Errorf("catalog: materialising %q: %w", name, err)
 	}
-	return e.s, nil
-}
-
-// versionEntry returns name's memo entry for version t, replacing the
-// entry of any other version.
-func (db *Database) versionEntry(name string, t *table.Table) *versionSet {
-	db.setsMu.Lock()
-	defer db.setsMu.Unlock()
-	e := db.sets[name]
-	if e == nil || e.t != t {
-		e = &versionSet{t: t}
-		db.sets[name] = e
-	}
-	return e
+	return s, nil
 }
 
 // Analyze collects fresh statistics for every user table, rebuilds
@@ -477,27 +452,27 @@ func (db *Database) Stats(name string) (*stats.TableStats, bool) {
 func (db *Database) CreateIndex(ctx context.Context, tbl, col, kind string) (*Index, error) {
 	tx := db.Begin()
 	defer tx.Abort()
-	t, ok := tx.base.plan.Tables[tbl] // reserved "__" tables take no index
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNoTable, tbl)
+	t, err := tx.base.table(tbl)
+	if err != nil {
+		return nil, err
 	}
 	if t.Schema().Col(col) < 0 {
 		return nil, fmt.Errorf("catalog: index column %q not in %s(%s)", col, tbl, t.Schema().Cols)
 	}
-	if kind != IndexHash && kind != IndexBTree {
-		return nil, fmt.Errorf("catalog: unknown index kind %q (want %s or %s)", kind, IndexHash, IndexBTree)
+	k, err := parseKind(kind)
+	if err != nil {
+		return nil, err
 	}
-	old := tx.base.idxs[tbl]
-	for _, ix := range old {
-		if ix.Col == col && ix.Kind == kind {
+	for _, ix := range indexesOn(tx.base.plan, tbl) {
+		if ix.Col == col && ix.Kind == k {
 			return nil, fmt.Errorf("catalog: index on %s.%s (%s) already exists", tbl, col, kind)
 		}
 	}
-	ix := &Index{Table: tbl, Col: col, Kind: kind}
-	if err := buildIndexOn(ctx, t, ix); err != nil {
+	ix, err := buildIndex(ctx, t, t, col, k)
+	if err != nil {
 		return nil, err
 	}
-	tx.newIdxs = map[string][]*Index{tbl: append(old[:len(old):len(old)], ix)}
+	tx.created = ix
 	tx.metaDirty = true
 	if err := tx.Commit(ctx); err != nil {
 		return nil, err
@@ -507,7 +482,29 @@ func (db *Database) CreateIndex(ctx context.Context, tbl, col, kind string) (*In
 
 // Indexes reports the declared indexes on a table.
 func (db *Database) Indexes(tbl string) []*Index {
-	return append([]*Index(nil), db.current().idxs[tbl]...)
+	return indexesOn(db.current().plan, tbl)
+}
+
+// indexesOn lists c's indexes on the table named tbl, in declaration
+// order.
+func indexesOn(c *plan.Catalog, tbl string) []*Index {
+	var out []*Index
+	for _, ix := range c.Indexes {
+		if ix.Table.Schema().Name == tbl {
+			out = append(out, ix)
+		}
+	}
+	return out
+}
+
+// byTable returns the indexes sorted by table name, each table's in
+// declaration order: the order __meta stores them in.
+func byTable(idxs []*Index) []*Index {
+	out := append([]*Index(nil), idxs...)
+	sort.SliceStable(out, func(i, j int) bool {
+		return out[i].Table.Schema().Name < out[j].Table.Schema().Name
+	})
+	return out
 }
 
 // PlanCatalog returns the current planner catalog snapshot (tables,
@@ -517,55 +514,18 @@ func (db *Database) PlanCatalog() *plan.Catalog {
 	return db.current().plan
 }
 
-// planOf returns the planner snapshot of v with statistics st, derived
-// from prev, the snapshot of the version v succeeds: prev's index
-// entries carry over for every table moved reports unchanged, and each
-// other index gets an entry over its table's v struct. Reserved "__"-prefixed tables stay
-// out of it, as they do out of Names.
-func planOf(v *version, st stats.Catalog, prev *plan.Catalog, moved func(name string) bool) *plan.Catalog {
-	p := &plan.Catalog{
-		Tables:  make(map[string]*table.Table, len(v.tables)),
-		Stats:   st,
-		Indexes: make([]*plan.TableIndex, 0, len(prev.Indexes)),
-	}
-	for name, t := range v.tables {
-		if !strings.HasPrefix(name, "__") {
-			p.Tables[name] = t
-		}
-	}
-	for _, ti := range prev.Indexes {
-		if !moved(ti.Table.Schema().Name) {
-			p.Indexes = append(p.Indexes, ti)
-		}
-	}
-	for name, list := range v.idxs {
-		if !moved(name) {
-			continue
-		}
-		for _, ix := range list {
-			ti := &plan.TableIndex{Table: v.tables[name], Col: ix.Col, Hash: ix.Hash, BTree: ix.BTree}
-			if ix.Kind == IndexBTree {
-				ti.Kind = plan.BTreeIdx
-			}
-			p.Indexes = append(p.Indexes, ti)
-		}
-	}
-	return p
-}
-
 var metaSchema = table.Schema{Name: metaTable, Cols: []string{"kind", "tbl", "payload"}}
 
-// loadMeta restores index declarations from __meta at Open time,
-// rebuilding every index structure, and returns the statistics.
-func (v *version) loadMeta() (stats.Catalog, error) {
-	st := stats.Catalog{}
-	t, ok := v.tables[metaTable]
-	if !ok {
-		return st, nil
+// loadMeta returns the planner catalog of tables at Open: the statistics
+// and index declarations meta holds, every index rebuilt.
+func loadMeta(tables map[string]*table.Table, meta *table.Table) (*plan.Catalog, error) {
+	c := &plan.Catalog{Tables: tables, Stats: stats.Catalog{}}
+	if meta == nil {
+		return c, nil
 	}
 	type idxDef struct{ tbl, col, kind string }
 	var defs []idxDef
-	err := t.Scan(func(_ store.RID, r table.Row) (bool, error) {
+	err := meta.Scan(func(_ store.RID, r table.Row) (bool, error) {
 		if len(r) != 3 {
 			return false, fmt.Errorf("catalog: bad __meta row %v", r)
 		}
@@ -580,7 +540,7 @@ func (v *version) loadMeta() (stats.Catalog, error) {
 			if err != nil {
 				return false, fmt.Errorf("catalog: __meta stats for %q: %w", tbl, err)
 			}
-			st[string(tbl)] = ts
+			c.Stats[string(tbl)] = ts
 		case "index":
 			elems, ok := core.TupleElems(r[2])
 			if !ok || len(elems) != 2 {
@@ -601,17 +561,21 @@ func (v *version) loadMeta() (stats.Catalog, error) {
 		return nil, err
 	}
 	for _, d := range defs {
-		t, ok := v.tables[d.tbl]
+		t, ok := tables[d.tbl]
 		if !ok {
 			return nil, fmt.Errorf("%w: %q (from __meta index)", ErrNoTable, d.tbl)
 		}
-		ix := &Index{Table: d.tbl, Col: d.col, Kind: d.kind}
-		if err := buildIndexOn(context.Background(), t, ix); err != nil {
+		kind, err := parseKind(d.kind)
+		if err != nil {
 			return nil, err
 		}
-		v.idxs[d.tbl] = append(v.idxs[d.tbl], ix)
+		ix, err := buildIndex(context.Background(), t, t, d.col, kind)
+		if err != nil {
+			return nil, err
+		}
+		c.Indexes = append(c.Indexes, ix)
 	}
-	return st, nil
+	return c, nil
 }
 
 func decodeCatalog(raw []byte) (*core.Set, error) {

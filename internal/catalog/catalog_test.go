@@ -37,6 +37,9 @@ func TestCreateAndUse(t *testing.T) {
 	if _, err := db.CreateTable(usersSchema()); !errors.Is(err, ErrTableExists) {
 		t.Fatalf("want ErrTableExists, got %v", err)
 	}
+	if _, err := db.CreateTable(table.Schema{Name: metaTable, Cols: []string{"x"}}); err == nil {
+		t.Fatal("created a table under the reserved name __meta")
+	}
 	if names := db.Names(); len(names) != 1 || names[0] != "users" {
 		t.Fatalf("Names = %v", names)
 	}

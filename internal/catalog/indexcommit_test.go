@@ -3,12 +3,15 @@ package catalog
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 
 	"xst/internal/core"
+	"xst/internal/plan"
 	"xst/internal/store"
 	"xst/internal/table"
 	"xst/internal/wal"
+	"xst/internal/xlang"
 )
 
 // syncFails is a log whose Sync fails while fail is set.
@@ -86,5 +89,70 @@ func TestFailedCommitLeavesTheIndexAtItsVersion(t *testing.T) {
 		if err != nil || !core.Equal(r[0], core.Int(int64(k))) {
 			t.Fatalf("key %d's record holds %v (%v)", k, r, err)
 		}
+	}
+}
+
+// A committed row whose key is a set cannot enter a btree. The commit
+// must fail as a rebuild would and publish nothing: publishing the rows
+// beside the old tree would answer index-path queries without them, and
+// every later Analyze, which rebuilds the tree, would fail.
+func TestSetKeyUnderABTreeFailsTheCommit(t *testing.T) {
+	ctx := context.Background()
+	db, err := Create(store.NewMemPager(), 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.CreateTable(table.Schema{Name: "t", Cols: []string{"k", "v"}}); err != nil {
+		t.Fatal(err)
+	}
+	rows := make([]table.Row, 200)
+	for i := range rows {
+		rows[i] = table.Row{core.Int(int64(i)), core.Int(1)}
+	}
+	if err := db.Load(ctx, "t", rows); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.CreateIndex(ctx, "t", "k", IndexBTree); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Analyze(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	more := make([]table.Row, 0, 51)
+	for k := 1000; k < 1050; k++ {
+		more = append(more, table.Row{core.Int(int64(k)), core.Int(2)})
+	}
+	more = append(more, table.Row{core.Tuple(core.Int(7)), core.Int(2)})
+	err = db.Load(ctx, "t", more)
+	if err == nil || !strings.Contains(err.Error(), "btree needs atoms") {
+		t.Fatalf("a commit of a set key under a btree: %v, want the rebuild's error", err)
+	}
+
+	env := xlang.NewEnv()
+	if err := db.BindAll(env); err != nil {
+		t.Fatal(err)
+	}
+	count := func(src string) int {
+		t.Helper()
+		v, err := xlang.Eval(env, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return core.Card(v.(*core.Set))
+	}
+	q, err := xlang.CompileQuery(env, "from t where k >= 1000 select k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := plan.Explain(q.Node); !strings.Contains(got, "indexscan") {
+		t.Fatalf("the range query does not take the btree:\n%s", got)
+	}
+	byIndex, byScan := count("from t where k >= 1000 select k"), count("from t where v = 2 select k")
+	if byIndex != byScan || count("from t where k = 1010 select k") != byScan/50 {
+		t.Fatalf("index path finds %d rows, a scan %d", byIndex, byScan)
+	}
+	if _, err := db.Analyze(ctx); err != nil {
+		t.Fatalf("Analyze after the failed commit: %v", err)
 	}
 }

@@ -130,10 +130,10 @@ func TestCreateIndexValidatesAndPersists(t *testing.T) {
 		t.Fatalf("reopened Indexes = %+v", ixs2)
 	}
 	for _, ix := range ixs2 {
-		if ix.Kind == IndexHash && ix.Hash == nil {
+		if ix.Kind == plan.HashIdx && ix.Hash == nil {
 			t.Fatal("hash structure not rebuilt at Open")
 		}
-		if ix.Kind == IndexBTree && ix.BTree == nil {
+		if ix.Kind == plan.BTreeIdx && ix.BTree == nil {
 			t.Fatal("btree structure not rebuilt at Open")
 		}
 	}

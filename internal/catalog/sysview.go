@@ -54,7 +54,7 @@ func (db *Database) tableRows(ctx context.Context) ([]table.Row, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		t := v.tables[name].At(view)
+		t := v.plan.Tables[name].At(view)
 		cols := make([]core.Value, len(t.Schema().Cols))
 		for i, c := range t.Schema().Cols {
 			cols[i] = core.Str(c)
@@ -119,22 +119,19 @@ func (db *Database) txnRows(context.Context) ([]table.Row, error) {
 // indexRows is one row per declared index with its built entry count,
 // read in one version.
 func (db *Database) indexRows(context.Context) ([]table.Row, error) {
-	v := db.current()
 	var out []table.Row
-	for _, tbl := range sortedNames(v.idxs) {
-		for _, ix := range v.idxs[tbl] {
-			entries := 0
-			switch {
-			case ix.Hash != nil:
-				entries = ix.Hash.Len()
-			case ix.BTree != nil:
-				entries = ix.BTree.Len()
-			}
-			out = append(out, table.Row{
-				core.Str(ix.Table), core.Str(ix.Col), core.Str(ix.Kind),
-				core.Int(int64(entries)),
-			})
+	for _, ix := range byTable(db.current().plan.Indexes) {
+		entries := 0
+		switch {
+		case ix.Hash != nil:
+			entries = ix.Hash.Len()
+		case ix.BTree != nil:
+			entries = ix.BTree.Len()
 		}
+		out = append(out, table.Row{
+			core.Str(ix.Table.Schema().Name), core.Str(ix.Col), core.Str(ix.Kind.String()),
+			core.Int(int64(entries)),
+		})
 	}
 	return out, nil
 }
@@ -146,7 +143,7 @@ func (db *Database) statRows(context.Context) ([]table.Row, error) {
 	v := db.current()
 	var out []table.Row
 	for _, tbl := range sortedNames(v.plan.Stats) {
-		t, ok := v.tables[tbl]
+		t, ok := v.plan.Tables[tbl]
 		if !ok {
 			continue
 		}

@@ -13,8 +13,13 @@ import (
 )
 
 // Table names as sets: BindAll materialises nothing; an identifier that
-// names a table of the statement's snapshot is that version's extended
-// set (tableSet), built on first use and shared.
+// names a table of the statement's snapshot is that table version's
+// extended set (Table.SetAt), built on first use and shared.
+
+// setAt resolves a table as the resolver BindAll binds does.
+func setAt(_ string, tab *table.Table, view *store.View) (*core.Set, error) {
+	return tab.SetAt(view)
+}
 
 func usersDB(t testing.TB, n int) *Database {
 	t.Helper()
@@ -52,27 +57,30 @@ func TestTableNamesResolveInTheStatementSnapshot(t *testing.T) {
 	db := usersDB(t, 3)
 	ctx := context.Background()
 	env := xlang.NewEnv()
+	before := db.Pool().Info()
 	if err := db.BindAll(env); err != nil {
 		t.Fatal(err)
 	}
-	if len(db.sets) != 0 {
-		t.Fatalf("BindAll materialised %d tables", len(db.sets))
+	if after := db.Pool().Info(); after.Hits != before.Hits || after.Misses != before.Misses {
+		t.Fatalf("BindAll read %d pages", after.Hits+after.Misses-before.Hits-before.Misses)
 	}
 	if got := evalString(t, env, "card(users)"); got != "3" {
 		t.Fatalf("card(users) = %s, want 3", got)
 	}
 
-	// A commit after the bind is seen by the next statement, and the
-	// superseded version's set is dropped when the name is resolved.
+	// A commit after the bind is seen by the next statement, which reads
+	// the published version's own set.
 	if err := db.Load(ctx, "users", userRows(3, 1)); err != nil {
 		t.Fatal(err)
 	}
 	if got := evalString(t, env, "card(users)"); got != "4" {
 		t.Fatalf("card(users) after a commit = %s, want 4", got)
 	}
-	cur, _ := db.Table("users")
-	if e := db.sets["users"]; len(db.sets) != 1 || e.t != cur {
-		t.Fatalf("memo holds %d entries, users entry at the published version: %v", len(db.sets), e != nil && e.t == cur)
+	rt := db.BeginRead()
+	own, err := rt.Snap.Tables["users"].SetAt(rt.View)
+	rt.Release()
+	if v, _ := xlang.Eval(env, "users"); err != nil || v != own {
+		t.Fatalf("users does not resolve to the published version's set (%v)", err)
 	}
 
 	// A table created after the bind resolves.
@@ -115,7 +123,7 @@ func TestOneStatementOneVersion(t *testing.T) {
 	env := xlang.NewEnv()
 	commits := 0
 	env.BindReader(db.BeginRead, func(name string, tab *table.Table, view *store.View) (*core.Set, error) {
-		s, err := db.tableSet(name, tab, view)
+		s, err := setAt(name, tab, view)
 		if commits < 2 {
 			commits++
 			if err := db.Load(context.Background(), "users", userRows(2+commits, 1)); err != nil {
@@ -141,7 +149,11 @@ func commitAfterPin(t *testing.T, db *Database, env *xlang.Env) {
 	if err := db.BindAll(env); err != nil {
 		t.Fatal(err)
 	}
-	next := db.current().tables["users"].Count()
+	users, err := db.Table("users")
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := users.Count()
 	env.BindReader(func() ReadTxn {
 		rt := db.BeginRead()
 		if err := db.Load(context.Background(), "users", userRows(next, 1)); err != nil {
@@ -149,7 +161,7 @@ func commitAfterPin(t *testing.T, db *Database, env *xlang.Env) {
 		}
 		next++
 		return rt
-	}, db.tableSet)
+	}, setAt)
 }
 
 // TestCommitAfterPinReadsThePinnedVersion: a commit between a statement's
@@ -227,25 +239,26 @@ func TestConcurrentResolutionBuildsOnce(t *testing.T) {
 	}
 }
 
-// resolve resolves name as a statement does: it pins a snapshot, builds
+// resolve resolves name as a statement does: it pins a snapshot, reads
 // the name's version under the snapshot's view, and releases it.
 func resolve(db *Database, name string) (*table.Table, *core.Set, error) {
 	rt := db.BeginRead()
 	defer rt.Release()
 	tab := rt.Snap.Tables[name]
-	s, err := db.tableSet(name, tab, rt.View)
+	s, err := tab.SetAt(rt.View)
 	return tab, s, err
 }
 
-// TestTableSetIsToXST checks the memo against its oracle across commits,
-// and pins the superseded-version and allocation contracts.
+// TestTableSetIsToXST checks each version's set against its oracle
+// across commits, and pins the superseded-version and allocation
+// contracts.
 func TestTableSetIsToXST(t *testing.T) {
 	db := usersDB(t, 500)
 	ctx := context.Background()
 	old := db.BeginRead()
 	defer old.Release()
 	oldTab := old.Snap.Tables["users"]
-	oldSet, err := db.tableSet("users", oldTab, old.View)
+	oldSet, err := oldTab.SetAt(old.View)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +275,7 @@ func TestTableSetIsToXST(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !core.Equal(got, want) || core.Card(got) != 800+round*300 {
-			t.Fatalf("round %d: tableSet has %d members, ToXST %d", round, core.Card(got), core.Card(want))
+			t.Fatalf("round %d: SetAt has %d members, ToXST %d", round, core.Card(got), core.Card(want))
 		}
 		if _, again, _ := resolve(db, "users"); again != got {
 			t.Fatalf("round %d: a second resolution rebuilt the set", round)
@@ -271,9 +284,9 @@ func TestTableSetIsToXST(t *testing.T) {
 	if core.Card(oldSet) != 500 {
 		t.Fatalf("a set handed out before the commits changed: %d members", core.Card(oldSet))
 	}
-	// The first version's entry is gone, but a statement still pinned at
-	// it rebuilds exactly its rows.
-	if again, err := db.tableSet("users", oldTab, old.View); err != nil || again == oldSet || core.Card(again) != 500 {
+	// A statement still pinned at the first version reads that version's
+	// own set again.
+	if again, err := oldTab.SetAt(old.View); err != nil || again != oldSet {
 		t.Fatalf("resolving a superseded version under its pinned view: %v, %v", again, err)
 	}
 
@@ -281,11 +294,11 @@ func TestTableSetIsToXST(t *testing.T) {
 	defer rt.Release()
 	tab := rt.Snap.Tables["users"]
 	if allocs := testing.AllocsPerRun(100, func() {
-		if _, err := db.tableSet("users", tab, rt.View); err != nil {
+		if _, err := tableSet("users", tab, rt.View); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {
-		t.Fatalf("a memoised resolution allocates %.1f objects, want 0", allocs)
+		t.Fatalf("a warm resolution allocates %.1f objects, want 0", allocs)
 	}
 }
 
@@ -299,7 +312,7 @@ func TestTableSetReadsItsVersion(t *testing.T) {
 	if err := db.Load(context.Background(), "users", userRows(1_000, 500)); err != nil {
 		t.Fatal(err)
 	}
-	s, err := db.tableSet("users", rt.Snap.Tables["users"], rt.View)
+	s, err := rt.Snap.Tables["users"].SetAt(rt.View)
 	if err != nil {
 		t.Fatal(err)
 	}

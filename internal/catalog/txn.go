@@ -3,9 +3,11 @@ package catalog
 import (
 	"context"
 	"fmt"
+	"strings"
 
 	"xst/internal/core"
 	"xst/internal/index"
+	"xst/internal/plan"
 	"xst/internal/stats"
 	"xst/internal/store"
 	"xst/internal/table"
@@ -38,9 +40,10 @@ import (
 // index on a table that received inserts is republished as a successor
 // at a cost proportional to the rows committed — a hash index appends
 // to the entry table its versions share (HashIndex.WithInserts), a
-// btree path-copies (BTree.Inserted). The planner snapshot names the new
-// table structs and the new index versions together, so every session's
-// next point lookup takes the index path, whoever committed.
+// btree path-copies (BTree.Inserted). The successor planner catalog
+// names the new table structs and the new index versions together, so
+// every session's next point lookup takes the index path, whoever
+// committed.
 
 // txnIO adapts a wal.Txn to store.PageIO: reads resolve shadow-first
 // then fall through to a private copy of the committed image in the
@@ -86,12 +89,11 @@ type insertRec struct {
 // tableState is one table touched by a transaction: the writable clone
 // bound to the transaction's shadow, the rows it inserted (for index
 // maintenance at commit), and whether the heap was replaced outright
-// (create/vacuum/meta rewrite), whose indexes are rebuilt instead.
+// (create/vacuum), whose indexes are rebuilt instead.
 type tableState struct {
 	t        *table.Table
 	ins      []insertRec
 	replaced bool
-	extended []*Index // the indexes' successors over ins, set at commit
 }
 
 // Txn is one atomic statement against the database: reads see the
@@ -106,8 +108,9 @@ type Txn struct {
 	io        *txnIO
 	tables    map[string]*tableState
 	parts     map[string]Partition
-	newStats  stats.Catalog       // full replacement when non-nil
-	newIdxs   map[string][]*Index // per-table replacement
+	newStats  stats.Catalog // full replacement when non-nil
+	rebuild   bool          // rebuild every index at commit (Analyze)
+	created   *Index        // the index CreateIndex declares
 	catDirty  bool
 	metaDirty bool
 	done      bool
@@ -186,8 +189,11 @@ func (tx *Txn) CreateTable(schema table.Schema) (*table.Table, error) {
 	if tx.done {
 		return nil, wal.ErrTxnDone
 	}
+	if strings.HasPrefix(schema.Name, "__") {
+		return nil, fmt.Errorf("catalog: table name %q is reserved", schema.Name)
+	}
 	_, staged := tx.tables[schema.Name]
-	if _, exists := tx.base.tables[schema.Name]; staged || exists {
+	if _, exists := tx.base.plan.Tables[schema.Name]; staged || exists {
 		return nil, fmt.Errorf("%w: %q", ErrTableExists, schema.Name)
 	}
 	t, err := table.CreateIn(tx.io, tx.db.pool, schema)
@@ -232,7 +238,8 @@ func (tx *Txn) SetPartition(name string, p Partition) error {
 }
 
 // Vacuum rewrites a table into a fresh compact heap inside the
-// transaction. Its indexes are rebuilt over the copy at commit.
+// transaction. Record ids move, so its indexes are rebuilt over the copy
+// at commit, and __meta is rewritten with them.
 func (tx *Txn) Vacuum(name string) error {
 	if tx.done {
 		return wal.ErrTxnDone
@@ -256,26 +263,7 @@ func (tx *Txn) Vacuum(name string) error {
 	st.ins = nil
 	st.replaced = true
 	tx.catDirty = true
-	// Record ids move when the heap is rewritten, so every index on the
-	// table is rebuilt over the compacted copy (reading through the
-	// shadow — the copy is not committed yet) and staged for publish.
-	old, staged := tx.newIdxs[name]
-	if !staged {
-		old = tx.base.idxs[name]
-	}
-	if len(old) > 0 {
-		rebuilt := make([]*Index, 0, len(old))
-		for _, ix := range old {
-			nw := &Index{Table: ix.Table, Col: ix.Col, Kind: ix.Kind}
-			if err := buildIndexOn(context.Background(), compact, nw); err != nil {
-				return err
-			}
-			rebuilt = append(rebuilt, nw)
-		}
-		if tx.newIdxs == nil {
-			tx.newIdxs = map[string][]*Index{}
-		}
-		tx.newIdxs[name] = rebuilt
+	if len(indexesOn(tx.base.plan, name)) > 0 {
 		tx.metaDirty = true
 	}
 	return nil
@@ -306,7 +294,7 @@ func (tx *Txn) Commit(ctx context.Context) error {
 	tx.done = true
 	db := tx.db
 	defer db.writeMu.Unlock()
-	v, err := tx.next()
+	v, err := tx.next(ctx)
 	if err != nil {
 		tx.wtx.Abort()
 		return err
@@ -337,44 +325,33 @@ func (tx *Txn) Commit(ctx context.Context) error {
 	return nil
 }
 
-// next builds the version the commit publishes: the base overlaid with
-// the staged tables, partitions, statistics and index lists, sharing
-// every map the transaction left alone. A __meta rewrite (statistics and
-// index declarations) and page 0 are written off it into the shadow.
-func (tx *Txn) next() (*version, error) {
+// next builds the version the commit publishes: the base with the
+// successor planner catalog (nextCatalog), the staged partitions, and,
+// when statistics or index declarations changed, a rewritten __meta,
+// which is written, with page 0, into the shadow. It runs before the
+// commit takes db.mu: a hash index's new entries lie beyond every
+// published version's bound, so readers go on while it grows, and if
+// the commit then fails they stay invisible.
+func (tx *Txn) next(ctx context.Context) (*version, error) {
 	db, base := tx.db, tx.base
 	v := *base
-	st := base.plan.Stats
-	if tx.newStats != nil {
-		st = tx.newStats
-	}
-	if tx.extendIndexes() || len(tx.newIdxs) > 0 {
-		v.idxs = overlay(base.idxs, tx.newIdxs)
-		for name, st := range tx.tables {
-			if st.extended != nil {
-				v.idxs[name] = st.extended
-			}
+	if len(tx.tables) > 0 || tx.rebuild || tx.created != nil {
+		p, err := tx.nextCatalog(ctx)
+		if err != nil {
+			return nil, err
 		}
+		v.plan = p
 	}
 	if tx.metaDirty {
 		mt, err := table.CreateIn(tx.io, db.pool, metaSchema)
 		if err != nil {
 			return nil, err
 		}
-		if err := fillMeta(mt, st, v.idxs); err != nil {
+		if err := fillMeta(mt, v.plan); err != nil {
 			return nil, err
 		}
-		tx.tables[metaTable] = &tableState{t: mt, replaced: true}
+		v.meta = mt.WithIO(db.pool)
 		tx.catDirty = true
-	}
-	if len(tx.tables) > 0 {
-		v.tables = make(map[string]*table.Table, len(base.tables)+len(tx.tables))
-		for name, t := range base.tables {
-			v.tables[name] = t
-		}
-		for name, st := range tx.tables {
-			v.tables[name] = st.t.WithIO(db.pool)
-		}
 	}
 	if len(tx.parts) > 0 {
 		v.parts = overlay(base.parts, tx.parts)
@@ -384,18 +361,81 @@ func (tx *Txn) next() (*version, error) {
 			return nil, err
 		}
 	}
-	if len(tx.tables) > 0 || tx.newStats != nil || len(tx.newIdxs) > 0 {
-		v.plan = planOf(&v, st, base.plan, tx.moved)
-	}
 	return &v, nil
 }
 
-// moved reports whether the transaction replaced a table's struct or
-// its index list.
-func (tx *Txn) moved(name string) bool {
-	_, t := tx.tables[name]
-	_, i := tx.newIdxs[name]
-	return t || i
+// nextCatalog builds the successor planner catalog: the base's tables
+// with each one the transaction touched replaced by its committed clone,
+// the staged statistics, and the base's indexes in order, each carried
+// to its table's successor, then the one CreateIndex declared.
+func (tx *Txn) nextCatalog(ctx context.Context) (*plan.Catalog, error) {
+	base := tx.base.plan
+	p := &plan.Catalog{Tables: base.Tables, Stats: base.Stats}
+	if tx.newStats != nil {
+		p.Stats = tx.newStats
+	}
+	if len(tx.tables) > 0 {
+		p.Tables = make(map[string]*table.Table, len(base.Tables)+len(tx.tables))
+		for name, t := range base.Tables {
+			p.Tables[name] = t
+		}
+		for name, st := range tx.tables {
+			p.Tables[name] = st.t.WithIO(tx.db.pool)
+		}
+	}
+	p.Indexes = make([]*Index, 0, len(base.Indexes)+1)
+	for _, ix := range base.Indexes {
+		nix, err := tx.successor(ctx, ix, p.Tables)
+		if err != nil {
+			return nil, err
+		}
+		p.Indexes = append(p.Indexes, nix)
+	}
+	if tx.created != nil {
+		p.Indexes = append(p.Indexes, tx.created)
+	}
+	return p, nil
+}
+
+// successor carries ix to its table's version in tables: rebuilt when
+// Analyze asked or the heap was replaced, extended by the rows the
+// transaction inserted, or, for an untouched table, ix itself.
+func (tx *Txn) successor(ctx context.Context, ix *Index, tables map[string]*table.Table) (*Index, error) {
+	st, touched := tx.tables[ix.Table.Schema().Name]
+	src, t := ix.Table, ix.Table // read from src, published over t
+	if touched {
+		src, t = st.t, tables[ix.Table.Schema().Name]
+	}
+	if tx.rebuild || touched && st.replaced {
+		return buildIndex(ctx, src, t, ix.Col, ix.Kind)
+	}
+	if !touched {
+		return ix, nil
+	}
+	col := src.Schema().Col(ix.Col)
+	out := &Index{Table: t, Col: ix.Col, Kind: ix.Kind, Hash: ix.Hash, BTree: ix.BTree}
+	if len(st.ins) == 0 {
+		return out, nil
+	}
+	if ix.Kind == plan.HashIdx {
+		entries := make([]index.HashEntry, 0, len(st.ins))
+		for _, in := range st.ins {
+			entries = append(entries, index.HashEntry{Key: in.row[col], RID: in.rid})
+		}
+		out.Hash = ix.Hash.WithInserts(entries)
+		return out, nil
+	}
+	entries := make([]index.Entry, 0, len(st.ins))
+	for _, in := range st.ins {
+		if in.row[col].Kind() == core.KindSet {
+			// A set has no order key, so no btree holds it: the rebuild
+			// fails, and with it the commit.
+			return buildIndex(ctx, src, t, ix.Col, ix.Kind)
+		}
+		entries = append(entries, index.Entry{Key: core.OrderKey(in.row[col]), RID: in.rid})
+	}
+	out.BTree = ix.BTree.Inserted(entries)
+	return out, nil
 }
 
 // overlay returns a copy of m with over's entries laid on top.
@@ -410,100 +450,31 @@ func overlay[V any](m, over map[string]V) map[string]V {
 	return out
 }
 
-// extendIndexes derives the successor of each index on a table that
-// took inserts (replaced heaps were rebuilt via newIdxs) and reports
-// whether there was one. Commit calls it before taking db.mu: a hash
-// index's new entries lie beyond every published version's bound, so
-// readers go on while it grows; if the commit then fails they stay
-// invisible.
-func (tx *Txn) extendIndexes() bool {
-	grew := false
-	for name, st := range tx.tables {
-		if st.replaced || len(st.ins) == 0 {
-			continue
-		}
-		if _, staged := tx.newIdxs[name]; staged {
-			continue
-		}
-		old := tx.base.idxs[name]
-		if len(old) == 0 {
-			continue
-		}
-		st.extended = make([]*Index, len(old))
-		for i, ix := range old {
-			st.extended[i] = extendIndex(ix, st.t, st.ins)
-		}
-		grew = true
-	}
-	return grew
-}
-
-// extendIndex derives the incremental successor of one index from the
-// staged inserts. A row whose key cannot be derived (non-atom under a
-// btree) falls back to sharing the old structure — the same rows would
-// have failed a full rebuild, so staying stale is the conservative
-// choice.
-func extendIndex(ix *Index, t *table.Table, ins []insertRec) *Index {
-	col := t.Schema().Col(ix.Col)
-	if col < 0 {
-		return ix
-	}
-	out := &Index{Table: ix.Table, Col: ix.Col, Kind: ix.Kind}
-	switch ix.Kind {
-	case IndexHash:
-		if ix.Hash == nil {
-			return ix
-		}
-		entries := make([]index.HashEntry, 0, len(ins))
-		for _, in := range ins {
-			entries = append(entries, index.HashEntry{Key: in.row[col], RID: in.rid})
-		}
-		out.Hash = ix.Hash.WithInserts(entries)
-	case IndexBTree:
-		if ix.BTree == nil {
-			return ix
-		}
-		entries := make([]index.Entry, 0, len(ins))
-		for _, in := range ins {
-			if in.row[col].Kind() == core.KindSet {
-				return ix
-			}
-			entries = append(entries, index.Entry{Key: core.OrderKey(in.row[col]), RID: in.rid})
-		}
-		out.BTree = ix.BTree.Inserted(entries)
-	default:
-		return ix
-	}
-	return out
-}
-
-// fillMeta writes a version's statistics and index declarations as rows
+// fillMeta writes a catalog's statistics and index declarations as rows
 // of a fresh __meta table (Txn.next).
-func fillMeta(t *table.Table, statsC stats.Catalog, idxs map[string][]*Index) error {
-	for _, name := range sortedNames(statsC) {
-		row := table.Row{core.Str("stats"), core.Str(name), statsC[name].Value()}
+func fillMeta(t *table.Table, c *plan.Catalog) error {
+	for _, name := range sortedNames(c.Stats) {
+		row := table.Row{core.Str("stats"), core.Str(name), c.Stats[name].Value()}
 		if _, err := t.Insert(row); err != nil {
 			return err
 		}
 	}
-	for _, name := range sortedNames(idxs) {
-		for _, ix := range idxs[name] {
-			row := table.Row{core.Str("index"), core.Str(name), core.Tuple(core.Str(ix.Col), core.Str(ix.Kind))}
-			if _, err := t.Insert(row); err != nil {
-				return err
-			}
+	for _, ix := range byTable(c.Indexes) {
+		row := table.Row{core.Str("index"), core.Str(ix.Table.Schema().Name),
+			core.Tuple(core.Str(ix.Col), core.Str(ix.Kind.String()))}
+		if _, err := t.Insert(row); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
 // analyze is Analyze's transactional engine: collect fresh statistics
-// and rebuilt indexes from the base version's tables and stage them
-// with a __meta rewrite.
+// from the base version's tables and stage them with a rebuild of every
+// index and a __meta rewrite.
 func (tx *Txn) analyze(ctx context.Context) (int, error) {
-	base := tx.base
 	fresh := stats.Catalog{}
-	for name, t := range base.plan.Tables {
+	for name, t := range tx.base.plan.Tables {
 		if err := ctx.Err(); err != nil {
 			return 0, err
 		}
@@ -513,44 +484,28 @@ func (tx *Txn) analyze(ctx context.Context) (int, error) {
 		}
 		fresh[name] = ts
 	}
-	tx.newIdxs = map[string][]*Index{}
-	for name, list := range base.idxs {
-		rebuilt := make([]*Index, 0, len(list))
-		for _, ix := range list {
-			nix := &Index{Table: ix.Table, Col: ix.Col, Kind: ix.Kind}
-			if err := buildIndexOn(ctx, base.tables[name], nix); err != nil {
-				return 0, err
-			}
-			rebuilt = append(rebuilt, nix)
-		}
-		tx.newIdxs[name] = rebuilt
-	}
 	tx.newStats = fresh
+	tx.rebuild = true
 	tx.metaDirty = true
 	return len(fresh), nil
 }
 
-// buildIndexOn (re)builds ix's structure from an explicit table.
-func buildIndexOn(ctx context.Context, t *table.Table, ix *Index) error {
-	col := t.Schema().Col(ix.Col)
-	if col < 0 {
-		return fmt.Errorf("catalog: index column %q not in %s(%s)", ix.Col, ix.Table, t.Schema().Cols)
+// buildIndex builds a kind index on column col of src, published over
+// t, the version of src's table that the index answers for.
+func buildIndex(ctx context.Context, src, t *table.Table, col string, kind plan.IndexKind) (*Index, error) {
+	c := src.Schema().Col(col)
+	if c < 0 {
+		return nil, fmt.Errorf("catalog: index column %q not in %s(%s)", col, src.Schema().Name, src.Schema().Cols)
 	}
-	switch ix.Kind {
-	case IndexHash:
-		h, err := index.BuildHash(ctx, t, col)
-		if err != nil {
-			return fmt.Errorf("catalog: building hash index %s.%s: %w", ix.Table, ix.Col, err)
-		}
-		ix.Hash = h
-	case IndexBTree:
-		bt, err := index.BuildBTree(ctx, t, col)
-		if err != nil {
-			return fmt.Errorf("catalog: building btree index %s.%s: %w", ix.Table, ix.Col, err)
-		}
-		ix.BTree = bt
-	default:
-		return fmt.Errorf("catalog: unknown index kind %q", ix.Kind)
+	ix := &Index{Table: t, Col: col, Kind: kind}
+	var err error
+	if kind == plan.HashIdx {
+		ix.Hash, err = index.BuildHash(ctx, src, c)
+	} else {
+		ix.BTree, err = index.BuildBTree(ctx, src, c)
 	}
-	return nil
+	if err != nil {
+		return nil, fmt.Errorf("catalog: building %s index %s.%s: %w", kind, src.Schema().Name, col, err)
+	}
+	return ix, nil
 }

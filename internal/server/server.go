@@ -962,7 +962,7 @@ func (s *Server) handleCreateIndex(args string) (Response, bool) {
 	if err != nil {
 		return Response{Error: err.Error()}, false
 	}
-	return Response{Result: fmt.Sprintf("index created: %s.%s (%s)", ix.Table, ix.Col, ix.Kind)}, false
+	return Response{Result: fmt.Sprintf("index created: %s.%s (%s)", ix.Table.Schema().Name, ix.Col, ix.Kind)}, false
 }
 
 // handleLoad routes wire-encoded rows to one of two destinations. A

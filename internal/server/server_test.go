@@ -381,7 +381,7 @@ func TestAnalyzeAndCreateIndex(t *testing.T) {
 	}
 	defer c.Close()
 
-	if got, err := c.Eval(".createindex events id hash"); err != nil || !strings.Contains(got, "events.id") {
+	if got, err := c.Eval(".createindex events id hash"); err != nil || got != "index created: events.id (hash)" {
 		t.Fatalf(".createindex = %q, %v", got, err)
 	}
 	if _, err := c.Eval(".createindex events id trie"); err == nil {

@@ -122,6 +122,16 @@ type Table struct {
 	schema Schema
 	heap   *store.HeapFile
 	pool   *store.BufferPool
+	// set is this version's extended set, shared by its At clones; every
+	// other constructor, WithIO included, starts a fresh one.
+	set *versionSet
+}
+
+// versionSet memoises one table version's extended set: built once,
+// under mu, and read without it once published.
+type versionSet struct {
+	mu sync.Mutex
+	s  atomic.Pointer[core.Set]
 }
 
 // Create makes an empty table in the pool.
@@ -130,7 +140,7 @@ func Create(pool *store.BufferPool, schema Schema) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Table{schema: schema, heap: h, pool: pool}, nil
+	return &Table{schema: schema, heap: h, pool: pool, set: &versionSet{}}, nil
 }
 
 // Open reattaches to a table whose heap chain starts at first (see
@@ -140,7 +150,7 @@ func Open(pool *store.BufferPool, schema Schema, first store.PageID) (*Table, er
 	if err != nil {
 		return nil, err
 	}
-	return &Table{schema: schema, heap: h, pool: pool}, nil
+	return &Table{schema: schema, heap: h, pool: pool, set: &versionSet{}}, nil
 }
 
 // FirstPage returns the head page of the table's heap chain; persist it
@@ -178,6 +188,7 @@ func (t *Table) At(v *store.View) *Table {
 func (t *Table) WithIO(io store.PageIO) *Table {
 	c := *t
 	c.heap = t.heap.WithIO(io)
+	c.set = &versionSet{}
 	return &c
 }
 
@@ -189,7 +200,7 @@ func CreateIn(io store.PageIO, pool *store.BufferPool, schema Schema) (*Table, e
 	if err != nil {
 		return nil, err
 	}
-	return &Table{schema: schema, heap: h, pool: pool}, nil
+	return &Table{schema: schema, heap: h, pool: pool, set: &versionSet{}}, nil
 }
 
 // Insert appends a row.
@@ -455,6 +466,28 @@ func (t *Table) Vacuum() (*Table, error) {
 		return nil, err
 	}
 	return out, nil
+}
+
+// SetAt returns this table version's extended set, ToXST of the version
+// read under v, a view that shows it. The first caller builds it,
+// concurrent callers wait for that build, and later ones share it
+// without locking or allocating; a failed build is not kept.
+func (t *Table) SetAt(v *store.View) (*core.Set, error) {
+	m := t.set
+	if s := m.s.Load(); s != nil {
+		return s, nil
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if s := m.s.Load(); s != nil {
+		return s, nil
+	}
+	s, err := t.At(v).ToXST()
+	if err != nil {
+		return nil, err
+	}
+	m.s.Store(s)
+	return s, nil
 }
 
 // ToXST materializes the whole table as the extended set of its row
