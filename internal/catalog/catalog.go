@@ -295,23 +295,6 @@ func sortedNames[V any](m map[string]V) []string {
 	return out
 }
 
-// VacuumTable compacts a table (dropping tombstones and half-empty
-// pages) and repoints the catalog at the compacted copy, as one
-// transaction — readers holding a pre-vacuum snapshot keep scanning
-// the old heap, whose pages become garbage only logically (page ids
-// are never reused but never reclaimed — there is no free-space map).
-func (db *Database) VacuumTable(name string) (*table.Table, error) {
-	tx := db.Begin()
-	if err := tx.Vacuum(name); err != nil {
-		tx.Abort()
-		return nil, err
-	}
-	if err := tx.Commit(context.Background()); err != nil {
-		return nil, err
-	}
-	return db.Table(name)
-}
-
 // Sync flushes every dirty page. Commits write their pages, page 0
 // included, through to the pager, so only pages changed in place outside
 // a transaction are dirty.
@@ -421,9 +404,10 @@ func tableSet(name string, t *table.Table, view *store.View) (*core.Set, error) 
 	return s, nil
 }
 
-// Analyze collects fresh statistics for every user table, rebuilds
-// every declared index, persists both to the hidden __meta table, and
-// republishes the planner snapshot — one transaction. It returns the
+// Analyze collects fresh statistics for every user table, persists them
+// to the hidden __meta table, and republishes the planner snapshot — one
+// transaction. It builds no index: record ids never move, so every index
+// already answers for its table's version. It returns the
 // number of tables analyzed. This is the `.analyze` admin command's
 // engine.
 func (db *Database) Analyze(ctx context.Context) (int, error) {
@@ -468,7 +452,7 @@ func (db *Database) CreateIndex(ctx context.Context, tbl, col, kind string) (*In
 			return nil, fmt.Errorf("catalog: index on %s.%s (%s) already exists", tbl, col, kind)
 		}
 	}
-	ix, err := buildIndex(ctx, t, t, col, k)
+	ix, err := buildIndex(ctx, t, col, k)
 	if err != nil {
 		return nil, err
 	}
@@ -517,7 +501,7 @@ func (db *Database) PlanCatalog() *plan.Catalog {
 var metaSchema = table.Schema{Name: metaTable, Cols: []string{"kind", "tbl", "payload"}}
 
 // loadMeta returns the planner catalog of tables at Open: the statistics
-// and index declarations meta holds, every index rebuilt.
+// and index declarations meta holds, every index built.
 func loadMeta(tables map[string]*table.Table, meta *table.Table) (*plan.Catalog, error) {
 	c := &plan.Catalog{Tables: tables, Stats: stats.Catalog{}}
 	if meta == nil {
@@ -569,7 +553,7 @@ func loadMeta(tables map[string]*table.Table, meta *table.Table) (*plan.Catalog,
 		if err != nil {
 			return nil, err
 		}
-		ix, err := buildIndex(context.Background(), t, t, d.col, kind)
+		ix, err := buildIndex(context.Background(), t, d.col, kind)
 		if err != nil {
 			return nil, err
 		}

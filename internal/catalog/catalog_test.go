@@ -210,39 +210,3 @@ func TestBindAll(t *testing.T) {
 		t.Fatalf("card(users) = %v", v)
 	}
 }
-
-func TestVacuumTable(t *testing.T) {
-	pager := store.NewMemPager()
-	db, _ := Create(pager, 64)
-	u, _ := db.CreateTable(usersSchema())
-	var rids []store.RID
-	for i := 0; i < 60; i++ {
-		rid, _ := u.Insert(table.Row{core.Int(i), core.Str("n")})
-		rids = append(rids, rid)
-	}
-	for i := 0; i < 60; i += 3 {
-		u.Delete(rids[i])
-	}
-	compact, err := db.VacuumTable("users")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if compact.Count() != 40 {
-		t.Fatalf("compacted count = %d, want 40", compact.Count())
-	}
-	// The catalog now points at the compacted heap: reopen and check.
-	if err := db.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	db2, err := Open(pager, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	u2, err := db2.Table("users")
-	if err != nil || u2.Count() != 40 {
-		t.Fatalf("reopened vacuumed table: count=%d err=%v", u2.Count(), err)
-	}
-	if _, err := db.VacuumTable("nope"); err == nil {
-		t.Fatal("vacuum of absent table must fail")
-	}
-}

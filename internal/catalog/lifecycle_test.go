@@ -7,6 +7,7 @@ import (
 
 	"xst/internal/core"
 	"xst/internal/plan"
+	"xst/internal/stats"
 	"xst/internal/store"
 	"xst/internal/table"
 	"xst/internal/xlang"
@@ -201,38 +202,73 @@ func TestQueriesUseIndexAfterAnalyze(t *testing.T) {
 	}
 }
 
-func TestVacuumRebuildsIndexes(t *testing.T) {
+// TestAnalyzeKeepsIndexes: Analyze publishes fresh statistics and a
+// fresh __meta and builds no index. Record ids never move, so each index
+// it publishes is the structure its table already had, and a point
+// query still takes it.
+func TestAnalyzeKeepsIndexes(t *testing.T) {
 	db, err := Create(store.NewMemPager(), 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab := seedOrders(t, db, 90)
+	seedOrders(t, db, 90)
 	ctx := context.Background()
 	if _, err := db.CreateIndex(ctx, "orders", "id", IndexHash); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.CreateIndex(ctx, "orders", "amount", IndexBTree); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := db.Analyze(ctx); err != nil {
 		t.Fatal(err)
 	}
-	// Delete a third of the rows, vacuum (RIDs move), then look up a
-	// surviving row through the rebuilt index.
-	if err := tab.Scan(func(rid store.RID, r table.Row) (bool, error) {
-		if int(r[0].(core.Int))%3 == 0 {
-			return true, tab.Delete(rid)
+	more := make([]table.Row, 30)
+	for i := range more {
+		more[i] = table.Row{core.Int(90 + i), core.Str("east"), core.Int((90 + i) * 10)}
+	}
+	if err := db.Load(ctx, "orders", more); err != nil {
+		t.Fatal(err)
+	}
+	before, metaBefore := db.Indexes("orders"), db.current().meta
+
+	if n, err := db.Analyze(ctx); err != nil || n != 1 {
+		t.Fatalf("Analyze = %d, %v", n, err)
+	}
+	after := db.Indexes("orders")
+	if len(after) != len(before) {
+		t.Fatalf("%d indexes after Analyze, want %d", len(after), len(before))
+	}
+	for i := range after {
+		if after[i].Hash != before[i].Hash || after[i].BTree != before[i].BTree {
+			t.Fatalf("Analyze rebuilt the %s index on %s", after[i].Kind, after[i].Col)
+		}
+	}
+	if ts, ok := db.Stats("orders"); !ok || ts.Rows != 120 {
+		t.Fatalf("published statistics %+v, want 120 rows", ts)
+	}
+	meta := db.current().meta
+	if meta == metaBefore {
+		t.Fatal("Analyze did not rewrite __meta")
+	}
+	metaRows := 0
+	if err := meta.Scan(func(_ store.RID, r table.Row) (bool, error) {
+		if core.Equal(r[0], core.Str("stats")) {
+			ts, err := stats.DecodeTableStats(r[2])
+			if err != nil || ts.Rows != 120 {
+				t.Fatalf("__meta statistics %+v (%v), want 120 rows", ts, err)
+			}
+			metaRows++
 		}
 		return true, nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.VacuumTable("orders"); err != nil {
-		t.Fatal(err)
+	if metaRows != 1 {
+		t.Fatalf("__meta holds %d statistics rows, want 1", metaRows)
 	}
-	got, n := compileExplain(t, db, "from orders where id = 7")
+	got, n := compileExplain(t, db, "from orders where id = 100")
 	if !strings.Contains(got, "indexscan") || n != 1 {
-		t.Fatalf("post-vacuum lookup: rows=%d plan:\n%s", n, got)
-	}
-	if _, n := compileExplain(t, db, "from orders where id = 9"); n != 0 {
-		t.Fatalf("deleted row resurfaced: rows=%d", n)
+		t.Fatalf("lookup after Analyze: rows=%d plan:\n%s", n, got)
 	}
 }
 

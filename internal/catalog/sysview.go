@@ -73,8 +73,10 @@ func (db *Database) tableRows(ctx context.Context) ([]table.Row, error) {
 // sampleRowBytes averages the encoded size of the table's first heap
 // page of rows — enough signal for a coordinator's byte-cost model.
 func sampleRowBytes(t *table.Table) int {
-	_, b, ok, err := t.NewBatchCursor(nil).Next()
-	if err != nil || !ok || b.Len == 0 {
+	ids, _ := t.PageIDs() // reads the heap's own list, and cannot fail
+	var pb table.PageBatch
+	b, err := t.ReadPage(ids[0], &pb, nil)
+	if err != nil || b.Len == 0 {
 		return 0
 	}
 	total := 0

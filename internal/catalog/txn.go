@@ -16,8 +16,10 @@ import (
 )
 
 // Transactions: every mutation path — inserts and loads, table
-// creation, vacuum, partition declarations, statistics and index
-// persistence — runs inside a wal transaction and commits atomically.
+// creation, partition declarations, statistics and index persistence —
+// runs inside a wal transaction and commits atomically. Txn.Insert is
+// the one way a transaction adds rows to a published table, so the
+// rows it files are the rows the commit adds to the table's indexes.
 //
 // The shape is single-writer, many-snapshot-readers:
 //
@@ -36,14 +38,15 @@ import (
 //     active snapshot views — and publishes the version, so a snapshot
 //     reader observes either the whole commit or none of it.
 //
-// Incremental index maintenance rides the same commit: each declared
-// index on a table that received inserts is republished as a successor
-// at a cost proportional to the rows committed — a hash index appends
-// to the entry table its versions share (HashIndex.WithInserts), a
-// btree path-copies (BTree.Inserted). The successor planner catalog
-// names the new table structs and the new index versions together, so
-// every session's next point lookup takes the index path, whoever
-// committed.
+// Index maintenance rides the same commit. An index is built once, at
+// CreateIndex or at open; record ids never move, so after that each
+// declared index on a table that received inserts is republished as a
+// successor at a cost proportional to the rows committed — a hash index
+// appends to the entry table its versions share (HashIndex.WithInserts),
+// a btree path-copies (BTree.Inserted) — and an untouched table's index
+// is shared as it is. The successor planner catalog names the new table
+// structs and the new index versions together, so every session's next
+// point lookup takes the index path, whoever committed.
 
 // txnIO adapts a wal.Txn to store.PageIO: reads resolve shadow-first
 // then fall through to a private copy of the committed image in the
@@ -86,14 +89,12 @@ type insertRec struct {
 	row table.Row
 }
 
-// tableState is one table touched by a transaction: the writable clone
-// bound to the transaction's shadow, the rows it inserted (for index
-// maintenance at commit), and whether the heap was replaced outright
-// (create/vacuum), whose indexes are rebuilt instead.
+// tableState is one table touched by a transaction: its clone bound to
+// the transaction's shadow and the rows inserted through it, which the
+// commit files in the table's indexes.
 type tableState struct {
-	t        *table.Table
-	ins      []insertRec
-	replaced bool
+	t   *table.Table
+	ins []insertRec
 }
 
 // Txn is one atomic statement against the database: reads see the
@@ -109,7 +110,6 @@ type Txn struct {
 	tables    map[string]*tableState
 	parts     map[string]Partition
 	newStats  stats.Catalog // full replacement when non-nil
-	rebuild   bool          // rebuild every index at commit (Analyze)
 	created   *Index        // the index CreateIndex declares
 	catDirty  bool
 	metaDirty bool
@@ -133,8 +133,8 @@ func (db *Database) Begin() *Txn {
 	}
 }
 
-// state returns the transaction's writable clone of a table, creating
-// it from the committed table on first touch.
+// state returns the transaction's clone of a table, creating it from
+// the committed table on first touch.
 func (tx *Txn) state(name string) (*tableState, error) {
 	if st, ok := tx.tables[name]; ok {
 		return st, nil
@@ -146,20 +146,6 @@ func (tx *Txn) state(name string) (*tableState, error) {
 	st := &tableState{t: t.WithIO(tx.io)}
 	tx.tables[name] = st
 	return st, nil
-}
-
-// Table returns the transaction's writable view of a table: its pages
-// resolve shadow-first, so the transaction reads its own writes while
-// the committed table stays untouched.
-func (tx *Txn) Table(name string) (*table.Table, error) {
-	if tx.done {
-		return nil, wal.ErrTxnDone
-	}
-	st, err := tx.state(name)
-	if err != nil {
-		return nil, err
-	}
-	return st.t, nil
 }
 
 // Insert appends rows to a table within the transaction, recording
@@ -200,7 +186,7 @@ func (tx *Txn) CreateTable(schema table.Schema) (*table.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	tx.tables[schema.Name] = &tableState{t: t, replaced: true}
+	tx.tables[schema.Name] = &tableState{t: t}
 	tx.catDirty = true
 	return t, nil
 }
@@ -237,38 +223,6 @@ func (tx *Txn) SetPartition(name string, p Partition) error {
 	return nil
 }
 
-// Vacuum rewrites a table into a fresh compact heap inside the
-// transaction. Record ids move, so its indexes are rebuilt over the copy
-// at commit, and __meta is rewritten with them.
-func (tx *Txn) Vacuum(name string) error {
-	if tx.done {
-		return wal.ErrTxnDone
-	}
-	st, err := tx.state(name)
-	if err != nil {
-		return err
-	}
-	compact, err := table.CreateIn(tx.io, tx.db.pool, st.t.Schema())
-	if err != nil {
-		return err
-	}
-	err = st.t.Scan(func(_ store.RID, r table.Row) (bool, error) {
-		_, err := compact.Insert(r)
-		return true, err
-	})
-	if err != nil {
-		return err
-	}
-	st.t = compact
-	st.ins = nil
-	st.replaced = true
-	tx.catDirty = true
-	if len(indexesOn(tx.base.plan, name)) > 0 {
-		tx.metaDirty = true
-	}
-	return nil
-}
-
 // Abort discards the transaction and releases the writer lock. Safe to
 // call after Commit (a no-op), so `defer tx.Abort()` is a valid unwind
 // guard.
@@ -294,7 +248,7 @@ func (tx *Txn) Commit(ctx context.Context) error {
 	tx.done = true
 	db := tx.db
 	defer db.writeMu.Unlock()
-	v, err := tx.next(ctx)
+	v, err := tx.next()
 	if err != nil {
 		tx.wtx.Abort()
 		return err
@@ -332,11 +286,11 @@ func (tx *Txn) Commit(ctx context.Context) error {
 // commit takes db.mu: a hash index's new entries lie beyond every
 // published version's bound, so readers go on while it grows, and if
 // the commit then fails they stay invisible.
-func (tx *Txn) next(ctx context.Context) (*version, error) {
+func (tx *Txn) next() (*version, error) {
 	db, base := tx.db, tx.base
 	v := *base
-	if len(tx.tables) > 0 || tx.rebuild || tx.created != nil {
-		p, err := tx.nextCatalog(ctx)
+	if len(tx.tables) > 0 || tx.newStats != nil || tx.created != nil {
+		p, err := tx.nextCatalog()
 		if err != nil {
 			return nil, err
 		}
@@ -364,11 +318,11 @@ func (tx *Txn) next(ctx context.Context) (*version, error) {
 	return &v, nil
 }
 
-// nextCatalog builds the successor planner catalog: the base's tables
-// with each one the transaction touched replaced by its committed clone,
+// nextCatalog builds the successor planner catalog: the base's tables,
+// each one the transaction touched swapped for its committed clone,
 // the staged statistics, and the base's indexes in order, each carried
 // to its table's successor, then the one CreateIndex declared.
-func (tx *Txn) nextCatalog(ctx context.Context) (*plan.Catalog, error) {
+func (tx *Txn) nextCatalog() (*plan.Catalog, error) {
 	base := tx.base.plan
 	p := &plan.Catalog{Tables: base.Tables, Stats: base.Stats}
 	if tx.newStats != nil {
@@ -385,7 +339,7 @@ func (tx *Txn) nextCatalog(ctx context.Context) (*plan.Catalog, error) {
 	}
 	p.Indexes = make([]*Index, 0, len(base.Indexes)+1)
 	for _, ix := range base.Indexes {
-		nix, err := tx.successor(ctx, ix, p.Tables)
+		nix, err := tx.successor(ix, p.Tables)
 		if err != nil {
 			return nil, err
 		}
@@ -397,26 +351,21 @@ func (tx *Txn) nextCatalog(ctx context.Context) (*plan.Catalog, error) {
 	return p, nil
 }
 
-// successor carries ix to its table's version in tables: rebuilt when
-// Analyze asked or the heap was replaced, extended by the rows the
-// transaction inserted, or, for an untouched table, ix itself.
-func (tx *Txn) successor(ctx context.Context, ix *Index, tables map[string]*table.Table) (*Index, error) {
-	st, touched := tx.tables[ix.Table.Schema().Name]
-	src, t := ix.Table, ix.Table // read from src, published over t
-	if touched {
-		src, t = st.t, tables[ix.Table.Schema().Name]
-	}
-	if tx.rebuild || touched && st.replaced {
-		return buildIndex(ctx, src, t, ix.Col, ix.Kind)
-	}
+// successor carries ix to its table's version in tables: an untouched
+// table's index is ix itself, and a table that took inserts gets ix
+// extended by them. A set among the keys of a btree fails the commit
+// with the error a build gives, since no btree holds a set.
+func (tx *Txn) successor(ix *Index, tables map[string]*table.Table) (*Index, error) {
+	name := ix.Table.Schema().Name
+	st, touched := tx.tables[name]
 	if !touched {
 		return ix, nil
 	}
-	col := src.Schema().Col(ix.Col)
-	out := &Index{Table: t, Col: ix.Col, Kind: ix.Kind, Hash: ix.Hash, BTree: ix.BTree}
+	out := &Index{Table: tables[name], Col: ix.Col, Kind: ix.Kind, Hash: ix.Hash, BTree: ix.BTree}
 	if len(st.ins) == 0 {
 		return out, nil
 	}
+	col := st.t.Schema().Col(ix.Col)
 	if ix.Kind == plan.HashIdx {
 		entries := make([]index.HashEntry, 0, len(st.ins))
 		for _, in := range st.ins {
@@ -428,9 +377,7 @@ func (tx *Txn) successor(ctx context.Context, ix *Index, tables map[string]*tabl
 	entries := make([]index.Entry, 0, len(st.ins))
 	for _, in := range st.ins {
 		if in.row[col].Kind() == core.KindSet {
-			// A set has no order key, so no btree holds it: the rebuild
-			// fails, and with it the commit.
-			return buildIndex(ctx, src, t, ix.Col, ix.Kind)
+			return nil, index.NonAtomKey(ix.Col, in.row[col])
 		}
 		entries = append(entries, index.Entry{Key: core.OrderKey(in.row[col]), RID: in.rid})
 	}
@@ -470,8 +417,7 @@ func fillMeta(t *table.Table, c *plan.Catalog) error {
 }
 
 // analyze is Analyze's transactional engine: collect fresh statistics
-// from the base version's tables and stage them with a rebuild of every
-// index and a __meta rewrite.
+// from the base version's tables and stage them with a __meta rewrite.
 func (tx *Txn) analyze(ctx context.Context) (int, error) {
 	fresh := stats.Catalog{}
 	for name, t := range tx.base.plan.Tables {
@@ -485,27 +431,26 @@ func (tx *Txn) analyze(ctx context.Context) (int, error) {
 		fresh[name] = ts
 	}
 	tx.newStats = fresh
-	tx.rebuild = true
 	tx.metaDirty = true
 	return len(fresh), nil
 }
 
-// buildIndex builds a kind index on column col of src, published over
-// t, the version of src's table that the index answers for.
-func buildIndex(ctx context.Context, src, t *table.Table, col string, kind plan.IndexKind) (*Index, error) {
-	c := src.Schema().Col(col)
+// buildIndex builds a kind index on column col of t: at CreateIndex and
+// at open, the only times an index is built.
+func buildIndex(ctx context.Context, t *table.Table, col string, kind plan.IndexKind) (*Index, error) {
+	c := t.Schema().Col(col)
 	if c < 0 {
-		return nil, fmt.Errorf("catalog: index column %q not in %s(%s)", col, src.Schema().Name, src.Schema().Cols)
+		return nil, fmt.Errorf("catalog: index column %q not in %s(%s)", col, t.Schema().Name, t.Schema().Cols)
 	}
 	ix := &Index{Table: t, Col: col, Kind: kind}
 	var err error
 	if kind == plan.HashIdx {
-		ix.Hash, err = index.BuildHash(ctx, src, c)
+		ix.Hash, err = index.BuildHash(ctx, t, c)
 	} else {
-		ix.BTree, err = index.BuildBTree(ctx, src, c)
+		ix.BTree, err = index.BuildBTree(ctx, t, c)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("catalog: building %s index %s.%s: %w", kind, src.Schema().Name, col, err)
+		return nil, fmt.Errorf("catalog: building %s index %s.%s: %w", kind, t.Schema().Name, col, err)
 	}
 	return ix, nil
 }

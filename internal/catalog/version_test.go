@@ -39,7 +39,6 @@ func commitKinds(t *testing.T, db *Database, after func(kind string)) {
 		}},
 		{"CreateIndex", func() error { _, err := db.CreateIndex(ctx, "orders", "id", IndexHash); return err }},
 		{"Analyze", func() error { _, err := db.Analyze(ctx); return err }},
-		{"VacuumTable", func() error { _, err := db.VacuumTable("orders"); return err }},
 	}
 	for _, s := range steps {
 		if err := s.run(); err != nil {

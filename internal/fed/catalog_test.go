@@ -83,8 +83,10 @@ func TestConnectReadsSiteCatalogs(t *testing.T) {
 // firstPageRowBytes averages the encoded rows of tab's first heap page.
 func firstPageRowBytes(t *testing.T, tab *table.Table) int {
 	t.Helper()
-	_, b, ok, err := tab.NewBatchCursor(nil).Next()
-	if err != nil || !ok || b.Len == 0 {
+	ids, _ := tab.PageIDs()
+	var pb table.PageBatch
+	b, err := tab.ReadPage(ids[0], &pb, nil)
+	if err != nil || b.Len == 0 {
 		t.Fatalf("%s: no first page (%v)", tab.Schema().Name, err)
 	}
 	rows, _ := b.AppendRows(nil, nil)

@@ -16,18 +16,10 @@ const buildPollEvery = 256
 // hash index sized for the table's rows. The returned index answers
 // point lookups only; any value kind is indexable.
 func BuildHash(ctx context.Context, t *table.Table, col int) (*HashIndex, error) {
-	if err := checkCol(t, col); err != nil {
-		return nil, err
-	}
 	idx := NewHashIndex(t.Count())
-	steps := 0
-	err := t.Scan(func(rid store.RID, r table.Row) (bool, error) {
-		steps++
-		if steps%buildPollEvery == 0 && ctx.Err() != nil {
-			return false, ctx.Err()
-		}
-		idx.Insert(r[col], rid)
-		return true, nil
+	err := scanCol(ctx, t, col, func(v core.Value, rid store.RID) error {
+		idx.Insert(v, rid)
+		return nil
 	})
 	if err != nil {
 		return nil, err
@@ -36,26 +28,16 @@ func BuildHash(ctx context.Context, t *table.Table, col int) (*HashIndex, error)
 }
 
 // BuildBTree scans the table once and indexes column col under its
-// order-preserving encoding (core.OrderKey). Only atoms order-encode,
-// so rows whose column holds a non-atom value make the build fail —
-// a btree over such a column would silently miss rows on range scans.
+// order-preserving encoding (core.OrderKey). A set in the column fails
+// the build with NonAtomKey's error.
 func BuildBTree(ctx context.Context, t *table.Table, col int) (*BTree, error) {
-	if err := checkCol(t, col); err != nil {
-		return nil, err
-	}
 	idx := NewBTree()
-	steps := 0
-	err := t.Scan(func(rid store.RID, r table.Row) (bool, error) {
-		steps++
-		if steps%buildPollEvery == 0 && ctx.Err() != nil {
-			return false, ctx.Err()
+	err := scanCol(ctx, t, col, func(v core.Value, rid store.RID) error {
+		if v.Kind() == core.KindSet {
+			return NonAtomKey(t.Schema().Cols[col], v)
 		}
-		if r[col].Kind() == core.KindSet {
-			return false, fmt.Errorf("index: column %q holds non-atom %v; btree needs atoms",
-				t.Schema().Cols[col], r[col])
-		}
-		idx.Insert(core.OrderKey(r[col]), rid)
-		return true, nil
+		idx.Insert(core.OrderKey(v), rid)
+		return nil
 	})
 	if err != nil {
 		return nil, err
@@ -63,9 +45,25 @@ func BuildBTree(ctx context.Context, t *table.Table, col int) (*BTree, error) {
 	return idx, nil
 }
 
-func checkCol(t *table.Table, col int) error {
+// NonAtomKey is the error a btree gives a key v of column col that is a
+// set. Only atoms order-encode, and a btree that skipped the row would
+// silently miss it on range scans.
+func NonAtomKey(col string, v core.Value) error {
+	return fmt.Errorf("index: column %q holds non-atom %v; btree needs atoms", col, v)
+}
+
+// scanCol calls add with column col's value and the rid of every row of
+// t, polling ctx every buildPollEvery rows.
+func scanCol(ctx context.Context, t *table.Table, col int, add func(core.Value, store.RID) error) error {
 	if col < 0 || col >= t.Schema().Arity() {
 		return fmt.Errorf("index: column %d out of range for %s", col, t.Schema().Name)
 	}
-	return nil
+	steps := 0
+	return t.Scan(func(rid store.RID, r table.Row) (bool, error) {
+		steps++
+		if steps%buildPollEvery == 0 && ctx.Err() != nil {
+			return false, ctx.Err()
+		}
+		return true, add(r[col], rid)
+	})
 }

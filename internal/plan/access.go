@@ -42,7 +42,7 @@ func (k IndexKind) String() string {
 
 // TableIndex is one catalog-declared index the planner may choose.
 // Exactly one of Hash/BTree is set, matching Kind. The structures are
-// immutable once published: rebuilds swap in fresh ones.
+// immutable once published; a commit of inserts publishes successors.
 type TableIndex struct {
 	Table *table.Table
 	Col   string

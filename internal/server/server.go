@@ -1026,15 +1026,11 @@ func (s *Server) handleLoad(sess *session, payload string) (Response, bool) {
 func (s *Server) loadShared(sch table.Schema, rows []table.Row) (Response, bool) {
 	db := s.cfg.DB
 	tx := db.Begin()
-	t, err := tx.Table(sch.Name)
+	err := tx.Insert(sch.Name, rows...)
 	if errors.Is(err, catalog.ErrNoTable) {
-		t, err = tx.CreateTable(sch)
-	}
-	if err == nil && t.Schema().Arity() != sch.Arity() {
-		err = fmt.Errorf("wire row arity %d, want %d", sch.Arity(), t.Schema().Arity())
-	}
-	if err == nil {
-		err = tx.Insert(sch.Name, rows...)
+		if _, err = tx.CreateTable(sch); err == nil {
+			err = tx.Insert(sch.Name, rows...)
+		}
 	}
 	if err != nil {
 		tx.Abort()
@@ -1043,7 +1039,7 @@ func (s *Server) loadShared(sch table.Schema, rows []table.Row) (Response, bool)
 	if err := tx.Commit(context.Background()); err != nil {
 		return Response{Error: err.Error()}, false
 	}
-	t, err = db.Table(sch.Name)
+	t, err := db.Table(sch.Name)
 	if err != nil {
 		return Response{Error: err.Error()}, false
 	}

@@ -53,14 +53,12 @@ func Collect(t *table.Table) (*TableStats, error) {
 		cols[i] = make([]core.Value, 0, t.Count())
 	}
 	ts := &TableStats{Columns: make([]ColumnStats, arity)}
-	cur := t.NewBatchCursor(nil)
-	for {
-		_, b, ok, err := cur.Next()
+	ids, _ := t.PageIDs() // reads the heap's own list, and cannot fail
+	var pb table.PageBatch
+	for _, id := range ids {
+		b, err := t.ReadPage(id, &pb, nil)
 		if err != nil {
 			return nil, err
-		}
-		if !ok {
-			break
 		}
 		ts.Rows += b.Len
 		for i := range b.Cols {

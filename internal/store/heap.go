@@ -16,7 +16,7 @@ func (r RID) String() string { return fmt.Sprintf("%d.%d", r.Page, r.Slot) }
 // ErrRecordTooLarge reports a record that cannot fit in an empty page.
 var ErrRecordTooLarge = errors.New("store: record larger than page payload")
 
-// ErrNoRecord reports a Get/Delete of a missing record.
+// ErrNoRecord reports a Get of a missing record.
 var ErrNoRecord = errors.New("store: no such record")
 
 // HeapFile is an append-oriented record collection: a chain of slotted
@@ -26,18 +26,15 @@ var ErrNoRecord = errors.New("store: no such record")
 // (uncommitted writes) or an epoch-pinned snapshot view — see WithIO.
 //
 // The heap keeps the page ids of its chain in order (pages): filled by
-// the walk OpenHeap makes anyway, extended in place when Append grows
-// the chain, and shared by WithIO clones capped at their own length.
-// That is sound because heaps are append-only and a published snapshot
-// table is immutable, so a scan that needs the whole chain up front (a
-// morsel source) reads the list instead of fetching every page just to
-// follow its next pointer.
+// the walk OpenHeap makes, extended in place when Append grows the
+// chain, and shared by WithIO clones capped at their own length. That is
+// sound because a heap only grows at its tail, so every walk — Scan, a
+// cursor, a page-at-a-time read — reads the list, and OpenHeap is the one
+// reader of the on-page next pointer.
 type HeapFile struct {
 	io    PageIO
-	first PageID
-	last  PageID
 	count int
-	pages []PageID
+	pages []PageID // never empty: a heap has at least its first page
 }
 
 // CreateHeap starts a heap file with one empty page.
@@ -50,13 +47,16 @@ func CreateHeap(io PageIO) (*HeapFile, error) {
 	f.MarkDirty()
 	id := f.ID()
 	f.Unpin()
-	return &HeapFile{io: io, first: id, last: id, pages: []PageID{id}}, nil
+	return &HeapFile{io: io, pages: []PageID{id}}, nil
 }
 
-// OpenHeap reattaches to an existing chain headed at first. The record
-// count is recomputed by walking the chain.
+// OpenHeap reattaches to an existing chain headed at first, walking it
+// once to list its pages and count its records.
 func OpenHeap(io PageIO, first PageID) (*HeapFile, error) {
-	h := &HeapFile{io: io, first: first, last: first}
+	if first == InvalidPage {
+		return nil, errors.New("store: heap without a first page")
+	}
+	h := &HeapFile{io: io}
 	id := first
 	for id != InvalidPage {
 		fr, err := io.Page(id)
@@ -66,7 +66,6 @@ func OpenHeap(io PageIO, first PageID) (*HeapFile, error) {
 		p := SlottedPage(fr.Data())
 		p.Each(func(int, []byte) bool { h.count++; return true })
 		next := p.Next()
-		h.last = id
 		h.pages = append(h.pages, id)
 		fr.Unpin()
 		id = next
@@ -75,9 +74,9 @@ func OpenHeap(io PageIO, first PageID) (*HeapFile, error) {
 }
 
 // FirstPage returns the head page id (persist it to reopen the heap).
-func (h *HeapFile) FirstPage() PageID { return h.first }
+func (h *HeapFile) FirstPage() PageID { return h.pages[0] }
 
-// Count returns the number of live records.
+// Count returns the number of records.
 func (h *HeapFile) Count() int { return h.count }
 
 // Pages returns the page ids of the chain in order, without touching a
@@ -90,7 +89,8 @@ func (h *HeapFile) Append(rec []byte) (RID, error) {
 	if len(rec) > PageSize-pageHeaderSize-slotSize {
 		return RID{}, fmt.Errorf("%w: %d bytes", ErrRecordTooLarge, len(rec))
 	}
-	fr, err := h.io.Page(h.last)
+	last := h.pages[len(h.pages)-1]
+	fr, err := h.io.Page(last)
 	if err != nil {
 		return RID{}, err
 	}
@@ -99,7 +99,7 @@ func (h *HeapFile) Append(rec []byte) (RID, error) {
 		fr.MarkDirty()
 		fr.Unpin()
 		h.count++
-		return RID{Page: h.last, Slot: uint16(slot)}, nil
+		return RID{Page: last, Slot: uint16(slot)}, nil
 	}
 	// Grow the chain.
 	nf, err := h.io.AllocatePage()
@@ -119,11 +119,10 @@ func (h *HeapFile) Append(rec []byte) (RID, error) {
 	p.SetNext(nf.ID())
 	fr.MarkDirty()
 	fr.Unpin()
-	h.last = nf.ID()
-	h.pages = append(h.pages, h.last)
+	h.pages = append(h.pages, nf.ID())
 	nf.Unpin()
 	h.count++
-	return RID{Page: h.last, Slot: uint16(slot)}, nil
+	return RID{Page: nf.ID(), Slot: uint16(slot)}, nil
 }
 
 // Get copies the record at rid.
@@ -142,46 +141,24 @@ func (h *HeapFile) Get(rid RID) ([]byte, error) {
 	return out, nil
 }
 
-// Delete tombstones the record at rid.
-func (h *HeapFile) Delete(rid RID) error {
-	fr, err := h.io.Page(rid.Page)
-	if err != nil {
-		return err
-	}
-	defer fr.Unpin()
-	if !SlottedPage(fr.Data()).Delete(int(rid.Slot)) {
-		return fmt.Errorf("%w: %v", ErrNoRecord, rid)
-	}
-	fr.MarkDirty()
-	h.count--
-	return nil
-}
-
-// Scan visits every live record in chain order. The record bytes passed
+// Scan visits every record in page-list order. The record bytes passed
 // to fn alias the pinned page and must not be retained; fn returning
 // false stops the scan.
 func (h *HeapFile) Scan(fn func(rid RID, rec []byte) bool) error {
-	id := h.first
-	for id != InvalidPage {
+	for _, id := range h.pages {
 		fr, err := h.io.Page(id)
 		if err != nil {
 			return err
 		}
-		p := SlottedPage(fr.Data())
 		stop := false
-		p.Each(func(slot int, rec []byte) bool {
-			if !fn(RID{Page: id, Slot: uint16(slot)}, rec) {
-				stop = true
-				return false
-			}
-			return true
+		SlottedPage(fr.Data()).Each(func(slot int, rec []byte) bool {
+			stop = !fn(RID{Page: id, Slot: uint16(slot)}, rec)
+			return !stop
 		})
-		next := p.Next()
 		fr.Unpin()
 		if stop {
 			return nil
 		}
-		id = next
 	}
 	return nil
 }

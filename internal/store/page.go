@@ -8,8 +8,11 @@ import "encoding/binary"
 //	slot directory:    numSlots × (offset u16 | length u16), growing up
 //	record cells:      growing down from the page end
 //
-// A deleted record keeps its slot with offset 0xFFFF so record ids stay
-// stable. The next field chains heap-file pages.
+// Records are only ever added, so a record id stays valid for as long as
+// the page lives. A slot whose offset is 0xFFFF still reads as no record:
+// a page read from disk may hold one. The next field chains heap-file
+// pages; OpenHeap follows it once, and every later walk of the heap
+// reads the heap's page list instead.
 type SlottedPage []byte
 
 const (
@@ -94,20 +97,6 @@ func (p SlottedPage) Get(slot int) ([]byte, bool) {
 		return nil, false
 	}
 	return p[off : off+ln], true
-}
-
-// Delete tombstones a slot. It reports whether a live record was removed.
-// Space is not compacted; ids stay stable.
-func (p SlottedPage) Delete(slot int) bool {
-	if slot < 0 || slot >= p.NumSlots() {
-		return false
-	}
-	off, _ := p.slot(slot)
-	if off == deletedOffset {
-		return false
-	}
-	p.setSlot(slot, deletedOffset, 0)
-	return true
 }
 
 // Each calls fn with every live record in slot order, stopping early on

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"path/filepath"
 	"sync"
@@ -92,14 +93,11 @@ func TestSlottedPageInsertGetDelete(t *testing.T) {
 	if rec, ok := p.Get(s2); !ok || string(rec) != "beta" {
 		t.Fatalf("Get(s2) = %q, %v", rec, ok)
 	}
-	if !p.Delete(s1) {
-		t.Fatal("delete failed")
-	}
+	// No writer deletes a record, but a page read from disk may hold a
+	// tombstoned slot: it reads as no record.
+	p.setSlot(s1, deletedOffset, 0)
 	if _, ok := p.Get(s1); ok {
 		t.Fatal("deleted slot must not read")
-	}
-	if p.Delete(s1) {
-		t.Fatal("double delete must fail")
 	}
 	// s2 unaffected, ids stable.
 	if rec, _ := p.Get(s2); string(rec) != "beta" {
@@ -138,7 +136,7 @@ func TestSlottedPageEach(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		p.Insert([]byte{byte(i)})
 	}
-	p.Delete(2)
+	p.setSlot(2, deletedOffset, 0)
 	var seen []byte
 	p.Each(func(_ int, rec []byte) bool {
 		seen = append(seen, rec[0])
@@ -274,18 +272,26 @@ func TestHeapAppendGetDelete(t *testing.T) {
 	if h.Count() != 2 {
 		t.Fatal("Count wrong")
 	}
-	if err := h.Delete(rid1); err != nil {
+	tombstone(t, h, rid1)
+	if _, err := h.Get(rid1); !errors.Is(err, ErrNoRecord) {
+		t.Fatalf("Get of a tombstoned record: %v, want ErrNoRecord", err)
+	}
+	if got, _ := h.Get(rid2); string(got) != "two" {
+		t.Fatal("Get rid2 wrong after its neighbour's tombstone")
+	}
+}
+
+// tombstone marks rid's slot deleted in place, as a page read from disk
+// may hold it; no heap operation writes one.
+func tombstone(t *testing.T, h *HeapFile, rid RID) {
+	t.Helper()
+	fr, err := h.IO().Page(rid.Page)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.Get(rid1); err == nil {
-		t.Fatal("deleted record must not read")
-	}
-	if err := h.Delete(rid1); err == nil {
-		t.Fatal("double delete must fail")
-	}
-	if h.Count() != 1 {
-		t.Fatal("Count after delete wrong")
-	}
+	SlottedPage(fr.Data()).setSlot(int(rid.Slot), deletedOffset, 0)
+	fr.MarkDirty()
+	fr.Unpin()
 }
 
 func TestHeapGrowsAcrossPages(t *testing.T) {
@@ -337,41 +343,6 @@ func TestHeapScanOrderAndEarlyStop(t *testing.T) {
 	}
 }
 
-// pageCursorAll drains a page cursor, returning the pages visited and
-// the live records on them.
-func pageCursorAll(t *testing.T, h *HeapFile) (pages, records int) {
-	t.Helper()
-	pc := h.NewPageCursor()
-	for {
-		ok, err := pc.Next(func(_ PageID, p SlottedPage) error {
-			pages++
-			p.Each(func(int, []byte) bool { records++; return true })
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			return pages, records
-		}
-	}
-}
-
-func TestHeapPageCursor(t *testing.T) {
-	h, _ := newTestHeap(t, 8)
-	rec := bytes.Repeat([]byte("p"), 900)
-	for i := 0; i < 20; i++ {
-		h.Append(rec)
-	}
-	calls, total := pageCursorAll(t, h)
-	if total != 20 {
-		t.Fatalf("page scan saw %d records", total)
-	}
-	if calls >= 20 {
-		t.Fatal("page scan must batch records per page")
-	}
-}
-
 func TestHeapRecordTooLarge(t *testing.T) {
 	h, _ := newTestHeap(t, 4)
 	if _, err := h.Append(make([]byte, PageSize)); err == nil {
@@ -389,7 +360,7 @@ func TestOpenHeapRecount(t *testing.T) {
 			rid = r
 		}
 	}
-	h.Delete(rid)
+	tombstone(t, h, rid)
 
 	h2, err := OpenHeap(bp, h.FirstPage())
 	if err != nil {
@@ -413,7 +384,15 @@ func TestNoPinLeaksAfterOperations(t *testing.T) {
 		h.Append(bytes.Repeat([]byte{1}, 200))
 	}
 	h.Scan(func(RID, []byte) bool { return true })
-	pageCursorAll(t, h)
+	for cur := h.NewCursor(); ; {
+		_, _, ok, err := cur.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+	}
 	if n := bp.PinnedCount(); n != 0 {
 		t.Fatalf("%d frames still pinned", n)
 	}

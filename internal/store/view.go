@@ -42,7 +42,7 @@ var ErrReadOnlyView = errors.New("store: write through a read-only view")
 // pageVersion is a superseded page image: valid for views whose epoch
 // is below super (and above any earlier version's super).
 type pageVersion struct {
-	super uint64 // epoch of the commit that replaced this image
+	super uint64 // epoch of the commit that superseded this image
 	data  []byte
 }
 
@@ -236,11 +236,21 @@ func (v *View) Page(id PageID) (Frame, error) {
 // AllocatePage implements PageIO: views are read-only.
 func (v *View) AllocatePage() (Frame, error) { return Frame{}, ErrReadOnlyView }
 
+// absentPage is the image an older view reads for a page allocated
+// after its epoch: an empty slotted page, shared and never written.
+var absentPage = func() []byte {
+	buf := make([]byte, PageSize)
+	InitPage(buf)
+	return buf
+}()
+
 // CommitPages atomically installs a committed transaction's page
-// after-images and advances the commit epoch. Existing pages whose
-// current image may still be read by an active view first have that
-// image parked in the version list; fresh reports pages allocated by
-// the transaction itself, which no older view can reach. Every image
+// after-images and advances the commit epoch. While a view is active,
+// every page gets its image before the commit parked in the version
+// list: the current image of an existing page, and, for a page fresh
+// reports as allocated by the transaction itself, absentPage — a newer
+// table version's page list names such a page, and a view older than
+// the page must read it as holding no records. Every image
 // is also written through to the pager, so the base store is current
 // as of the last commit (the write-ahead log protects the fsync gap).
 // The pool takes ownership of the image slices. It returns the new
@@ -250,14 +260,16 @@ func (bp *BufferPool) CommitPages(pages map[PageID][]byte, fresh map[PageID]bool
 	defer bp.mu.Unlock()
 	next := bp.epoch + 1
 	for id, img := range pages {
-		if len(bp.active) > 0 && !fresh[id] {
-			var old []byte
-			if i, ok := bp.resident[id]; ok {
-				old = bp.slots[i].data // superseded below; immutable from here on
-			} else {
-				old = make([]byte, PageSize)
-				if err := bp.pager.ReadPage(id, old); err != nil {
-					return 0, err
+		if len(bp.active) > 0 {
+			old := absentPage
+			if !fresh[id] {
+				if i, ok := bp.resident[id]; ok {
+					old = bp.slots[i].data // superseded below; immutable from here on
+				} else {
+					old = make([]byte, PageSize)
+					if err := bp.pager.ReadPage(id, old); err != nil {
+						return 0, err
+					}
 				}
 			}
 			bp.versions[id] = append(bp.versions[id], pageVersion{super: next, data: old})

@@ -1,6 +1,8 @@
 package table
 
 import (
+	"context"
+	"encoding/binary"
 	"fmt"
 	"strings"
 	"testing"
@@ -8,6 +10,14 @@ import (
 	"xst/internal/core"
 	"xst/internal/store"
 )
+
+// tombstone writes offset 0xFFFF and length 0 into a slot's entry of the
+// slot directory (it follows the 10-byte page header, 4 bytes a slot):
+// a deleted slot, as a page read from disk may hold it; no writer makes
+// one.
+func tombstone(p store.SlottedPage, slot int) {
+	binary.LittleEndian.PutUint32(p[10+4*slot:], 0xFFFF)
+}
 
 // kernelPage builds one slotted page holding rows, then tombstones the
 // slots in dead.
@@ -22,9 +32,10 @@ func kernelPage(t *testing.T, rows []Row, dead ...int) store.SlottedPage {
 		}
 	}
 	for _, slot := range dead {
-		if !p.Delete(slot) {
+		if _, ok := p.Get(slot); !ok {
 			t.Fatalf("slot %d: nothing to delete", slot)
 		}
+		tombstone(p, slot)
 	}
 	return p
 }
@@ -269,27 +280,23 @@ func intTable(t testing.TB, n, frames int) *Table {
 	return tbl
 }
 
-// TestScanAllocationsArePerPage pins the kernel's point: a warmed batch
-// cursor allocates nothing, neither per row nor per page — ints are
-// decoded unboxed, so reading the id column, whose values would box,
-// costs the same as leaving it out, and a page pin is a value handle on
-// a pool frame header.
+// TestScanAllocationsArePerPage pins the kernel's point: ReadPage into
+// a warmed PageBatch, over the table's page list, allocates nothing,
+// neither per row nor per page — ints are decoded unboxed, so reading
+// the id column, whose values would box, costs the same as leaving it
+// out, and a page pin is a value handle on a pool frame header.
 func TestScanAllocationsArePerPage(t *testing.T) {
 	const n = 10_000
 	tbl := intTable(t, n, 256)
 	ids, _ := tbl.PageIDs()
 	scan := func(need []bool) func() {
-		cur := tbl.NewBatchCursor(need)
+		var pb PageBatch
 		return func() {
-			cur.Reset()
 			rows := 0
-			for {
-				_, batch, ok, err := cur.Next()
+			for _, id := range ids {
+				batch, err := tbl.ReadPage(id, &pb, need)
 				if err != nil {
 					t.Fatal(err)
-				}
-				if !ok {
-					break
 				}
 				rows += batch.Len
 			}
@@ -307,7 +314,7 @@ func TestScanAllocationsArePerPage(t *testing.T) {
 }
 
 // TestPageListCostsNoPageFetch: PageIDs and NewMorselSource read the
-// heap's own list, and the list is the chain a cursor walks.
+// heap's own list.
 func TestPageListCostsNoPageFetch(t *testing.T) {
 	tbl := intTable(t, 3000, 4) // the pool holds a fraction of the table
 	before := tbl.Pool().Stats()
@@ -322,15 +329,131 @@ func TestPageListCostsNoPageFetch(t *testing.T) {
 	if src.Pages() != len(ids) {
 		t.Fatalf("morsel source deals %d pages, PageIDs lists %d", src.Pages(), len(ids))
 	}
-	var walked []store.PageID
-	if err := tbl.ScanBatches(func(id store.PageID, _ []Row) (bool, error) {
-		walked = append(walked, id)
-		return true, nil
-	}); err != nil {
+}
+
+// TestEveryWalkReadsThePageList: every walk of a heap reads its page
+// list, and the list is the chain the on-page next pointers link. Over
+// a table of several pages interleaved with another table's, fresh and
+// reopened (OpenHeap builds the list by following the pointers), Pages,
+// HeapFile.Scan, HeapCursor, ScanBatches and a morsel source all yield
+// the chain's pages in chain order and its records in slot order.
+func TestEveryWalkReadsThePageList(t *testing.T) {
+	const n = 3000
+	pool := store.NewBufferPool(store.NewMemPager(), 16)
+	fresh, err := Create(pool, Schema{Name: "ints", Cols: []string{"id", "small"}})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if fmt.Sprint(walked) != fmt.Sprint(ids) {
-		t.Fatalf("PageIDs = %v, the chain is %v", ids, walked)
+	other, err := Create(pool, Schema{Name: "other", Cols: []string{"s"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if _, err := fresh.Insert(Row{core.Int(i), core.Int(i % 7)}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := other.Insert(Row{core.Str(strings.Repeat("x", 40))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reopened, err := Open(pool, fresh.Schema(), fresh.FirstPage())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, tbl := range map[string]*Table{"fresh": fresh, "reopened": reopened} {
+		// The oracle follows the next pointers from the first page.
+		var chain []store.PageID
+		var rids []store.RID
+		perPage := map[store.PageID]int{}
+		for id := tbl.FirstPage(); id != store.InvalidPage; {
+			fr, err := pool.Page(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := store.SlottedPage(fr.Data())
+			chain = append(chain, id)
+			p.Each(func(slot int, _ []byte) bool {
+				rids = append(rids, store.RID{Page: id, Slot: uint16(slot)})
+				perPage[id]++
+				return true
+			})
+			id = p.Next()
+			fr.Unpin()
+		}
+		if len(chain) < 3 || len(rids) != n {
+			t.Fatalf("%s: %d pages, %d records; want ≥ 3 pages and %d records", name, len(chain), len(rids), n)
+		}
+		same := func(walk string, got any, want any) {
+			t.Helper()
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("%s: %s yields %v,\nthe chain %v", name, walk, got, want)
+			}
+		}
+		same("Pages", tbl.heap.Pages(), chain)
+
+		var scanned []store.RID
+		if err := tbl.heap.Scan(func(rid store.RID, _ []byte) bool {
+			scanned = append(scanned, rid)
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		same("HeapFile.Scan", scanned, rids)
+
+		var pulled []store.RID
+		for cur := tbl.heap.NewCursor(); ; {
+			rid, _, ok, err := cur.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+			pulled = append(pulled, rid)
+		}
+		same("HeapCursor", pulled, rids)
+
+		var batched []store.PageID
+		var batchRows []int
+		if err := tbl.ScanBatches(func(id store.PageID, rows []Row) (bool, error) {
+			batched = append(batched, id)
+			batchRows = append(batchRows, len(rows))
+			return true, nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		same("ScanBatches", batched, chain)
+
+		// A morsel is one page's rows; ids run 0..n-1 in insertion order,
+		// so morsel i holds the rows of the chain's page i.
+		var dealt []int
+		next := 0
+		src := tbl.NewMorselSource()
+		src.Bind(context.Background())
+		var pb PageBatch
+		for {
+			b, err := src.Next(&pb, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b == nil {
+				break
+			}
+			for i := 0; i < b.Len; i++ {
+				if got := b.Cols[0].Value(i); !core.Equal(got, core.Int(next)) {
+					t.Fatalf("%s: morsel row holds id %v, want %d", name, got, next)
+				}
+				next++
+			}
+			dealt = append(dealt, b.Len)
+		}
+		src.Release()
+		want := make([]int, len(chain))
+		for i, id := range chain {
+			want[i] = perPage[id]
+		}
+		same("ScanBatches' page sizes", batchRows, want)
+		same("MorselSource's page sizes", dealt, want)
 	}
 }
 

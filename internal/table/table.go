@@ -233,9 +233,6 @@ func (t *Table) Get(rid store.RID) (Row, error) {
 	return DecodeRow(rec)
 }
 
-// Delete removes one row by rid.
-func (t *Table) Delete(rid store.RID) error { return t.heap.Delete(rid) }
-
 // Scan visits rows one at a time (the record-processing access path).
 func (t *Table) Scan(fn func(rid store.RID, r Row) (bool, error)) error {
 	var outer error
@@ -259,13 +256,13 @@ func (t *Table) Scan(fn func(rid store.RID, r Row) (bool, error)) error {
 }
 
 // ScanBatches visits rows page-at-a-time (the set-processing access
-// path): fn receives all rows of one page together, decoded into a
-// fresh PageBatch, so fn may retain them.
+// path) in page-list order: fn receives all rows of one page together,
+// boxed out of one PageBatch, so fn may retain them.
 func (t *Table) ScanBatches(fn func(page store.PageID, rows []Row) (bool, error)) error {
-	cur := t.NewBatchCursor(nil)
-	for {
-		id, b, ok, err := cur.Next()
-		if err != nil || !ok {
+	var pb PageBatch
+	for _, id := range t.heap.Pages() {
+		b, err := t.ReadPage(id, &pb, nil)
+		if err != nil {
 			return err
 		}
 		rows, _ := b.AppendRows(nil, nil)
@@ -273,6 +270,7 @@ func (t *Table) ScanBatches(fn func(page store.PageID, rows []Row) (bool, error)
 			return err
 		}
 	}
+	return nil
 }
 
 // PageIDs returns the ids of the table's heap pages in chain order, for
@@ -413,60 +411,6 @@ func (c *Cursor) Next() (store.RID, Row, bool, error) {
 
 // Reset repositions the cursor at the beginning.
 func (c *Cursor) Reset() { c.hc.Reset() }
-
-// BatchCursor pulls one decoded page per Next — the set-processing
-// access path in pull form, backing the streaming operator tree
-// (internal/exec): the consumer paces the scan, one page pin per batch.
-// The cursor owns one PageBatch, so the batch of a Next is scratch
-// until the following Next (see PageBatch).
-type BatchCursor struct {
-	pc    *store.PageCursor
-	batch PageBatch
-	need  []bool
-}
-
-// NewBatchCursor returns a batch cursor positioned before the first
-// page, decoding the positions need marks (nil: all; see Decode).
-func (t *Table) NewBatchCursor(need []bool) *BatchCursor {
-	return &BatchCursor{pc: t.heap.NewPageCursor(), need: need}
-}
-
-// Next returns the rows of the next heap page; ok is false at end of
-// table. An empty page yields an empty batch.
-func (c *BatchCursor) Next() (store.PageID, *Batch, bool, error) {
-	var out *Batch
-	var id store.PageID
-	ok, err := c.pc.Next(func(page store.PageID, p store.SlottedPage) (err error) {
-		id = page
-		out, err = c.batch.Decode(p, c.need)
-		return err
-	})
-	if err != nil || !ok {
-		return 0, nil, false, err
-	}
-	return id, out, true, nil
-}
-
-// Reset repositions the cursor at the beginning.
-func (c *BatchCursor) Reset() { c.pc.Reset() }
-
-// Vacuum rewrites the table into a fresh heap without tombstoned slots
-// or partially-filled interior pages, returning the compacted table.
-// Record ids change; indexes must be rebuilt.
-func (t *Table) Vacuum() (*Table, error) {
-	out, err := Create(t.pool, t.schema)
-	if err != nil {
-		return nil, err
-	}
-	err = t.Scan(func(_ store.RID, r Row) (bool, error) {
-		_, err := out.Insert(r)
-		return true, err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
 
 // SetAt returns this table version's extended set, ToXST of the version
 // read under v, a view that shows it. The first caller builds it,
