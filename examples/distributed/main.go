@@ -33,12 +33,13 @@ func main() {
 	}
 	// Users hash on id and orders hash on uid: the join below is
 	// co-partitioned, so every strategy, co-located included, applies.
+	ctx := context.Background()
 	populate := func(dbs []*catalog.Database) error {
-		if err := fed.CreateSharded(dbs, table.Schema{Name: "users", Cols: []string{"id", "city", "score"}},
+		if err := fed.CreateSharded(ctx, dbs, table.Schema{Name: "users", Cols: []string{"id", "city", "score"}},
 			&catalog.Partition{Kind: catalog.PartHash, Col: "id"}, users); err != nil {
 			return err
 		}
-		return fed.CreateSharded(dbs, table.Schema{Name: "orders", Cols: []string{"oid", "uid", "amount"}},
+		return fed.CreateSharded(ctx, dbs, table.Schema{Name: "orders", Cols: []string{"oid", "uid", "amount"}},
 			&catalog.Partition{Kind: catalog.PartHash, Col: "uid"}, orders)
 	}
 
@@ -47,7 +48,6 @@ func main() {
 	fmt.Printf("%d sites, %d users + %d orders hash-partitioned\n", sites, nUsers, nOrders)
 	fmt.Printf("%s, by strategy:\n", stmt)
 	fmt.Printf("  %-10s  %10s  %6s\n", "strategy", "wire bytes", "rows")
-	ctx := context.Background()
 	for _, force := range []string{"shipall", "broadcast", "semijoin", "colocated"} {
 		lf, err := fed.BootLocal(ctx, sites, fed.Config{ForceStrategy: force}, populate)
 		if err != nil {

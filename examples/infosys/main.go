@@ -62,21 +62,12 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	people, err := db.CreateTable(imported.Schema())
-	if err != nil {
-		panic(err)
-	}
-	copyRows(imported, people)
-
+	people := load(db, imported)
 	importedTasks, err := tableio.ImportCSV(staging, "tasks", strings.NewReader(tasksCSV))
 	if err != nil {
 		panic(err)
 	}
-	tasks, err := db.CreateTable(importedTasks.Schema())
-	if err != nil {
-		panic(err)
-	}
-	copyRows(importedTasks, tasks)
+	tasks := load(db, importedTasks)
 	if err := db.Sync(); err != nil {
 		panic(err)
 	}
@@ -176,12 +167,27 @@ func main() {
 	fmt.Print(out.String())
 }
 
-func copyRows(src, dst *table.Table) {
+// load defines src's table in db and commits its rows there in one
+// transaction, returning the published version.
+func load(db *catalog.Database, src *table.Table) *table.Table {
+	var rows []table.Row
 	err := src.Scan(func(_ store.RID, r table.Row) (bool, error) {
-		_, err := dst.Insert(r)
-		return true, err
+		rows = append(rows, r)
+		return true, nil
 	})
 	if err != nil {
 		panic(err)
 	}
+	name := src.Schema().Name
+	if _, err := db.CreateTable(src.Schema()); err != nil {
+		panic(err)
+	}
+	if err := db.Load(context.Background(), name, rows); err != nil {
+		panic(err)
+	}
+	t, err := db.Table(name)
+	if err != nil {
+		panic(err)
+	}
+	return t
 }

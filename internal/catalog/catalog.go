@@ -253,10 +253,10 @@ func Open(pager store.Pager, frames int) (*Database, error) {
 func (db *Database) Pool() *store.BufferPool { return db.pool }
 
 // CreateTable defines a new table and persists the catalog, as one
-// transaction.
+// transaction. It returns the published, empty version; Load fills it.
 func (db *Database) CreateTable(schema table.Schema) (*table.Table, error) {
 	tx := db.Begin()
-	if _, err := tx.CreateTable(schema); err != nil {
+	if err := tx.CreateTable(schema); err != nil {
 		tx.Abort()
 		return nil, err
 	}
@@ -295,9 +295,8 @@ func sortedNames[V any](m map[string]V) []string {
 	return out
 }
 
-// Sync flushes every dirty page. Commits write their pages, page 0
-// included, through to the pager, so only pages changed in place outside
-// a transaction are dirty.
+// Sync flushes every dirty page. It finds none: no page of a database
+// changes outside a commit, which writes its pages through to the pager.
 func (db *Database) Sync() error {
 	return db.pool.FlushAll()
 }
@@ -309,18 +308,6 @@ func (db *Database) Close() error {
 		return err
 	}
 	return db.pager.Close()
-}
-
-// SetPartition records how a table is sharded across a federation and
-// persists the catalog, as one transaction. The column must exist in
-// the table's schema.
-func (db *Database) SetPartition(name string, p Partition) error {
-	tx := db.Begin()
-	if err := tx.SetPartition(name, p); err != nil {
-		tx.Abort()
-		return err
-	}
-	return tx.Commit(context.Background())
 }
 
 // Partition reports a table's recorded partition, if any.

@@ -1,6 +1,7 @@
 package catalog
 
 import (
+	"context"
 	"errors"
 	"path/filepath"
 	"testing"
@@ -24,12 +25,15 @@ func TestCreateAndUse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := u.Insert(table.Row{core.Int(1), core.Str("ada")}); err != nil {
-		t.Fatal(err)
-	}
 	got, err := db.Table("users")
 	if err != nil || got != u {
 		t.Fatal("Table lookup failed")
+	}
+	if err := db.Load(context.Background(), "users", []table.Row{{core.Int(1), core.Str("ada")}}); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := db.Table("users"); got.Count() != 1 || u.Count() != 0 {
+		t.Fatalf("after a load: published %d rows, created version %d, want 1 and 0", got.Count(), u.Count())
 	}
 	if _, err := db.Table("nope"); !errors.Is(err, ErrNoTable) {
 		t.Fatalf("want ErrNoTable, got %v", err)
@@ -66,21 +70,23 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	u, err := db.CreateTable(usersSchema())
-	if err != nil {
+	if _, err := db.CreateTable(usersSchema()); err != nil {
 		t.Fatal(err)
 	}
-	o, err := db.CreateTable(table.Schema{Name: "orders", Cols: []string{"oid", "uid"}})
-	if err != nil {
+	if _, err := db.CreateTable(table.Schema{Name: "orders", Cols: []string{"oid", "uid"}}); err != nil {
 		t.Fatal(err)
 	}
+	var users, orders []table.Row
 	for i := 0; i < 500; i++ {
-		if _, err := u.Insert(table.Row{core.Int(i), core.Str("user")}); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := o.Insert(table.Row{core.Int(i), core.Int(i % 37)}); err != nil {
-			t.Fatal(err)
-		}
+		users = append(users, table.Row{core.Int(i), core.Str("user")})
+		orders = append(orders, table.Row{core.Int(i), core.Int(i % 37)})
+	}
+	ctx := context.Background()
+	if err := db.Load(ctx, "users", users); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Load(ctx, "orders", orders); err != nil {
+		t.Fatal(err)
 	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
@@ -114,12 +120,12 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 	if u2.Schema().Col("name") != 1 {
 		t.Fatalf("schema after reopen = %v", u2.Schema())
 	}
-	// Appends keep working after reopen.
-	if _, err := u2.Insert(table.Row{core.Int(500), core.Str("late")}); err != nil {
+	// Loads keep working after reopen.
+	if err := db2.Load(ctx, "users", []table.Row{{core.Int(500), core.Str("late")}}); err != nil {
 		t.Fatal(err)
 	}
-	if u2.Count() != 501 {
-		t.Fatal("append after reopen failed")
+	if u3, _ := db2.Table("users"); u3.Count() != 501 {
+		t.Fatal("load after reopen failed")
 	}
 }
 
@@ -172,8 +178,10 @@ func TestMemPersistenceRoundTrip(t *testing.T) {
 	// Sync + Open over the same MemPager simulates restart without files.
 	pager := store.NewMemPager()
 	db, _ := Create(pager, 32)
-	u, _ := db.CreateTable(usersSchema())
-	u.Insert(table.Row{core.Int(7), core.Str("x")})
+	db.CreateTable(usersSchema())
+	if err := db.Load(context.Background(), "users", []table.Row{{core.Int(7), core.Str("x")}}); err != nil {
+		t.Fatal(err)
+	}
 	if err := db.Sync(); err != nil {
 		t.Fatal(err)
 	}
@@ -189,9 +197,12 @@ func TestMemPersistenceRoundTrip(t *testing.T) {
 
 func TestBindAll(t *testing.T) {
 	db, _ := Create(store.NewMemPager(), 32)
-	u, _ := db.CreateTable(usersSchema())
-	u.Insert(table.Row{core.Int(1), core.Str("ada")})
-	u.Insert(table.Row{core.Int(2), core.Str("bob")})
+	db.CreateTable(usersSchema())
+	err := db.Load(context.Background(), "users", []table.Row{
+		{core.Int(1), core.Str("ada")}, {core.Int(2), core.Str("bob")}})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	env := xlang.NewEnv()
 	if err := db.BindAll(env); err != nil {

@@ -13,24 +13,24 @@ import (
 	"xst/internal/xlang"
 )
 
-// seedOrders creates an orders table ⟨id, region, amount⟩ with n rows,
-// ids 0..n-1 and two regions split evenly.
-func seedOrders(t *testing.T, db *Database, n int) *table.Table {
+// seedOrders creates an orders table ⟨id, region, amount⟩ and loads n
+// rows in one commit, ids 0..n-1 and two regions split evenly.
+func seedOrders(t *testing.T, db *Database, n int) {
 	t.Helper()
-	tab, err := db.CreateTable(table.Schema{Name: "orders", Cols: []string{"id", "region", "amount"}})
-	if err != nil {
+	if _, err := db.CreateTable(table.Schema{Name: "orders", Cols: []string{"id", "region", "amount"}}); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < n; i++ {
+	rows := make([]table.Row, n)
+	for i := range rows {
 		region := "east"
 		if i%2 == 1 {
 			region = "west"
 		}
-		if _, err := tab.Insert(table.Row{core.Int(i), core.Str(region), core.Int(i * 10)}); err != nil {
-			t.Fatal(err)
-		}
+		rows[i] = table.Row{core.Int(i), core.Str(region), core.Int(i * 10)}
 	}
-	return tab
+	if err := db.Load(context.Background(), "orders", rows); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestAnalyzePersistsStats(t *testing.T) {

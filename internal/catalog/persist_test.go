@@ -112,7 +112,7 @@ func TestPersistedBytesAreUnchanged(t *testing.T) {
 	step("index+analyze", db)
 
 	// 3. A partition, and more rows.
-	if err := db.SetPartition("orders", Partition{Kind: PartHash, Col: "id", Site: 0, Sites: 2}); err != nil {
+	if err := setPartition(db, "orders", Partition{Kind: PartHash, Col: "id", Site: 0, Sites: 2}); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"users", "orders"} {

@@ -89,11 +89,11 @@ type insertRec struct {
 	row table.Row
 }
 
-// tableState is one table touched by a transaction: its clone bound to
-// the transaction's shadow and the rows inserted through it, which the
-// commit files in the table's indexes.
+// tableState is one table touched by a transaction: the appender that
+// builds its successor through the transaction's shadow and the rows
+// inserted through it, which the commit files in the table's indexes.
 type tableState struct {
-	t   *table.Table
+	a   *table.Appender
 	ins []insertRec
 }
 
@@ -133,8 +133,8 @@ func (db *Database) Begin() *Txn {
 	}
 }
 
-// state returns the transaction's clone of a table, creating it from
-// the committed table on first touch.
+// state returns the transaction's appender of a table, extending the
+// committed table on first touch.
 func (tx *Txn) state(name string) (*tableState, error) {
 	if st, ok := tx.tables[name]; ok {
 		return st, nil
@@ -143,7 +143,7 @@ func (tx *Txn) state(name string) (*tableState, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := &tableState{t: t.WithIO(tx.io)}
+	st := &tableState{a: t.Extend(tx.io)}
 	tx.tables[name] = st
 	return st, nil
 }
@@ -159,7 +159,7 @@ func (tx *Txn) Insert(name string, rows ...table.Row) error {
 		return err
 	}
 	for _, r := range rows {
-		rid, err := st.t.Insert(r)
+		rid, err := st.a.Insert(r)
 		if err != nil {
 			return err
 		}
@@ -168,45 +168,42 @@ func (tx *Txn) Insert(name string, rows ...table.Row) error {
 	return nil
 }
 
-// CreateTable defines a new table within the transaction. The returned
-// table is shadow-bound; read the committed clone from the database
-// after Commit.
-func (tx *Txn) CreateTable(schema table.Schema) (*table.Table, error) {
+// CreateTable defines a new, empty table within the transaction; Insert
+// fills it, and the commit publishes it.
+func (tx *Txn) CreateTable(schema table.Schema) error {
 	if tx.done {
-		return nil, wal.ErrTxnDone
+		return wal.ErrTxnDone
 	}
 	if strings.HasPrefix(schema.Name, "__") {
-		return nil, fmt.Errorf("catalog: table name %q is reserved", schema.Name)
+		return fmt.Errorf("catalog: table name %q is reserved", schema.Name)
 	}
 	_, staged := tx.tables[schema.Name]
 	if _, exists := tx.base.plan.Tables[schema.Name]; staged || exists {
-		return nil, fmt.Errorf("%w: %q", ErrTableExists, schema.Name)
+		return fmt.Errorf("%w: %q", ErrTableExists, schema.Name)
 	}
-	t, err := table.CreateIn(tx.io, tx.db.pool, schema)
+	a, err := table.CreateIn(tx.io, tx.db.pool, schema)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	tx.tables[schema.Name] = &tableState{t: t}
+	tx.tables[schema.Name] = &tableState{a: a}
 	tx.catDirty = true
-	return t, nil
+	return nil
 }
 
 // SetPartition stages a partition declaration for a table. It reads
 // the table only to validate the column — deliberately not through
-// tx.state, so commit does not republish a fresh table struct for a
-// metadata-only change (callers holding the current struct keep it).
+// tx.state, so commit does not republish a table version for a
+// metadata-only change.
 func (tx *Txn) SetPartition(name string, p Partition) error {
 	if tx.done {
 		return wal.ErrTxnDone
 	}
-	var t *table.Table
+	t, err := tx.base.table(name)
 	if st, ok := tx.tables[name]; ok {
-		t = st.t
-	} else {
-		var err error
-		if t, err = tx.base.table(name); err != nil {
-			return err
-		}
+		t, err = st.a.Table(), nil
+	}
+	if err != nil {
+		return err
 	}
 	if err := p.valid(); err != nil {
 		return err
@@ -304,7 +301,7 @@ func (tx *Txn) next() (*version, error) {
 		if err := fillMeta(mt, v.plan); err != nil {
 			return nil, err
 		}
-		v.meta = mt.WithIO(db.pool)
+		v.meta = mt.Table().WithIO(db.pool)
 		tx.catDirty = true
 	}
 	if len(tx.parts) > 0 {
@@ -334,7 +331,7 @@ func (tx *Txn) nextCatalog() (*plan.Catalog, error) {
 			p.Tables[name] = t
 		}
 		for name, st := range tx.tables {
-			p.Tables[name] = st.t.WithIO(tx.db.pool)
+			p.Tables[name] = st.a.Table().WithIO(tx.db.pool)
 		}
 	}
 	p.Indexes = make([]*Index, 0, len(base.Indexes)+1)
@@ -365,7 +362,7 @@ func (tx *Txn) successor(ix *Index, tables map[string]*table.Table) (*Index, err
 	if len(st.ins) == 0 {
 		return out, nil
 	}
-	col := st.t.Schema().Col(ix.Col)
+	col := ix.Table.Schema().Col(ix.Col)
 	if ix.Kind == plan.HashIdx {
 		entries := make([]index.HashEntry, 0, len(st.ins))
 		for _, in := range st.ins {
@@ -399,21 +396,16 @@ func overlay[V any](m, over map[string]V) map[string]V {
 
 // fillMeta writes a catalog's statistics and index declarations as rows
 // of a fresh __meta table (Txn.next).
-func fillMeta(t *table.Table, c *plan.Catalog) error {
+func fillMeta(t *table.Appender, c *plan.Catalog) error {
+	var rows []table.Row
 	for _, name := range sortedNames(c.Stats) {
-		row := table.Row{core.Str("stats"), core.Str(name), c.Stats[name].Value()}
-		if _, err := t.Insert(row); err != nil {
-			return err
-		}
+		rows = append(rows, table.Row{core.Str("stats"), core.Str(name), c.Stats[name].Value()})
 	}
 	for _, ix := range byTable(c.Indexes) {
-		row := table.Row{core.Str("index"), core.Str(ix.Table.Schema().Name),
-			core.Tuple(core.Str(ix.Col), core.Str(ix.Kind.String()))}
-		if _, err := t.Insert(row); err != nil {
-			return err
-		}
+		rows = append(rows, table.Row{core.Str("index"), core.Str(ix.Table.Schema().Name),
+			core.Tuple(core.Str(ix.Col), core.Str(ix.Kind.String()))})
 	}
-	return nil
+	return t.InsertAll(rows)
 }
 
 // analyze is Analyze's transactional engine: collect fresh statistics

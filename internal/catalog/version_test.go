@@ -35,7 +35,7 @@ func commitKinds(t *testing.T, db *Database, after func(kind string)) {
 		{"CreateTable", func() error { _, err := db.CreateTable(schema); return err }},
 		{"Load", func() error { return db.Load(ctx, "orders", rows) }},
 		{"SetPartition", func() error {
-			return db.SetPartition("orders", Partition{Kind: PartHash, Col: "id", Site: 1, Sites: 2})
+			return setPartition(db, "orders", Partition{Kind: PartHash, Col: "id", Site: 1, Sites: 2})
 		}},
 		{"CreateIndex", func() error { _, err := db.CreateIndex(ctx, "orders", "id", IndexHash); return err }},
 		{"Analyze", func() error { _, err := db.Analyze(ctx); return err }},
@@ -46,6 +46,17 @@ func commitKinds(t *testing.T, db *Database, after func(kind string)) {
 		}
 		after(s.kind)
 	}
+}
+
+// setPartition commits one partition declaration as a transaction of
+// its own.
+func setPartition(db *Database, name string, p Partition) error {
+	tx := db.Begin()
+	if err := tx.SetPartition(name, p); err != nil {
+		tx.Abort()
+		return err
+	}
+	return tx.Commit(context.Background())
 }
 
 func TestSyncWritesNothingCommitted(t *testing.T) {
@@ -201,7 +212,7 @@ func TestSysViewsReadOneVersion(t *testing.T) {
 		var steps []func() error
 		for site := 0; site < 3; site++ {
 			steps = append(steps, func() error {
-				return db.SetPartition(name, Partition{Kind: PartHash, Col: "a", Site: site, Sites: 3})
+				return setPartition(db, name, Partition{Kind: PartHash, Col: "a", Site: site, Sites: 3})
 			})
 		}
 		steps = append(steps,

@@ -95,7 +95,7 @@ func TestGroupAggSumFloatPromotion(t *testing.T) {
 			}
 		}
 	}
-	rows, err := groupAgg(tbl, 0, exec.Agg{Kind: exec.AggSum, Col: 1})
+	rows, err := groupAgg(tbl.Table(), 0, exec.Agg{Kind: exec.AggSum, Col: 1})
 	check("absorb", rows, err)
 	sum := exec.Agg{Kind: exec.AggSum, Col: 1}
 	first, second := exec.NewAggState(0, 0, sum), exec.NewAggState(0, 0, sum)
@@ -116,7 +116,7 @@ func TestGroupAggSumNonNumeric(t *testing.T) {
 	pool := newPool()
 	tbl, _ := table.Create(pool, table.Schema{Name: "m", Cols: []string{"k", "v"}})
 	tbl.Insert(table.Row{core.Str("a"), core.Str("nope")})
-	if _, err := groupAgg(tbl, 0, exec.Agg{Kind: exec.AggSum, Col: 1}); err == nil {
+	if _, err := groupAgg(tbl.Table(), 0, exec.Agg{Kind: exec.AggSum, Col: 1}); err == nil {
 		t.Fatal("sum over strings must fail")
 	}
 }
@@ -204,7 +204,7 @@ func TestAggSumExactOverInts(t *testing.T) {
 				if _, err := tbl.Insert(r); err != nil {
 					t.Fatal(err)
 				}
-				workers[i] = exec.NewScan(tbl, nil)
+				workers[i] = exec.NewScan(tbl.Table(), nil)
 			}
 			got, err = exec.Collect(context.Background(), exec.NewParallelGroupAgg(workers, nil, 0, 0, 0, sum))
 			checkSum(t, "parallel", got, err, tc.want)
@@ -244,7 +244,7 @@ func TestGroupAggKeyPathsAgree(t *testing.T) {
 	for name, mask := range map[string]uint64{"full digest": ^uint64(0), "one chain": 0} {
 		t.Run(name, func(t *testing.T) {
 			defer exec.SetDigestMask(mask)()
-			got, err := groupAgg(tbl, 0,
+			got, err := groupAgg(tbl.Table(), 0,
 				exec.Agg{Kind: exec.AggCount}, exec.Agg{Kind: exec.AggSum, Col: 1},
 				exec.Agg{Kind: exec.AggMin, Col: 1}, exec.Agg{Kind: exec.AggMax, Col: 1})
 			if err != nil {

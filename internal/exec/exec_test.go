@@ -29,7 +29,7 @@ func makeUsers(t testing.TB, pool *store.BufferPool, n int) *table.Table {
 			t.Fatal(err)
 		}
 	}
-	return tbl
+	return tbl.Table()
 }
 
 func makeOrders(t testing.TB, pool *store.BufferPool, n, users int) *table.Table {
@@ -43,7 +43,7 @@ func makeOrders(t testing.TB, pool *store.BufferPool, n, users int) *table.Table
 			t.Fatal(err)
 		}
 	}
-	return tbl
+	return tbl.Table()
 }
 
 // fingerprint renders rows order-independently for multiset comparison.
@@ -165,8 +165,8 @@ func TestHashJoinMatchesRelativeProduct(t *testing.T) {
 		l.Insert(table.Row{core.Int(i % 4), core.Str("a" + string(rune('0'+i)))})
 		r.Insert(table.Row{core.Int(i % 3), core.Str("b" + string(rune('0'+i)))})
 	}
-	lx, _ := l.ToXST()
-	rx, _ := r.ToXST()
+	lx, _ := l.Table().ToXST()
+	rx, _ := r.Table().ToXST()
 	spec := algebra.RelProdSpec{
 		Sigma: algebra.NewSigma(
 			algebra.ScopeSet([2]int{1, 1}, [2]int{2, 2}),
@@ -180,9 +180,9 @@ func TestHashJoinMatchesRelativeProduct(t *testing.T) {
 	sym := spec.Apply(lx, rx)
 
 	for _, buildLeft := range []bool{false, true} {
-		var j exec.Operator = exec.NewHashJoin(exec.NewScan(l, nil), exec.NewScan(r, nil), 0, 0, 0)
+		var j exec.Operator = exec.NewHashJoin(exec.NewScan(l.Table(), nil), exec.NewScan(r.Table(), nil), 0, 0, 0)
 		if buildLeft {
-			j = swappedJoin(exec.NewScan(l, nil), exec.NewScan(r, nil), 0, 0)
+			j = swappedJoin(exec.NewScan(l.Table(), nil), exec.NewScan(r.Table(), nil), 0, 0)
 		}
 		rows, err := exec.Collect(context.Background(), j)
 		if err != nil {

@@ -130,10 +130,10 @@ func TestIndexScanEmptyTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, bt := buildIndexes(t, tbl)
+	h, bt := buildIndexes(t, tbl.Table())
 	for _, op := range []exec.Operator{
-		exec.NewHashIndexScan(tbl, h, core.Int(1), label("empty.x=1"), nil),
-		exec.NewBTreeIndexScan(tbl, bt, nil, nil, false, false, label("empty.x all"), nil),
+		exec.NewHashIndexScan(tbl.Table(), h, core.Int(1), label("empty.x=1"), nil),
+		exec.NewBTreeIndexScan(tbl.Table(), bt, nil, nil, false, false, label("empty.x all"), nil),
 	} {
 		rows, err := exec.Collect(context.Background(), op)
 		if err != nil || len(rows) != 0 {
@@ -194,16 +194,16 @@ func TestBTreeBuildRejectsNonAtoms(t *testing.T) {
 	if _, err := tbl.Insert(table.Row{core.Tuple(core.Int(1), core.Int(2))}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := index.BuildBTree(context.Background(), tbl, 0); err == nil {
+	if _, err := index.BuildBTree(context.Background(), tbl.Table(), 0); err == nil {
 		t.Fatal("want non-atom build error")
 	}
 	// The hash path indexes any value kind.
-	h, err := index.BuildHash(context.Background(), tbl, 0)
+	h, err := index.BuildHash(context.Background(), tbl.Table(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rows, err := exec.Collect(context.Background(),
-		exec.NewHashIndexScan(tbl, h, core.Tuple(core.Int(1), core.Int(2)), label("sets.v=⟨1,2⟩"), nil))
+		exec.NewHashIndexScan(tbl.Table(), h, core.Tuple(core.Int(1), core.Int(2)), label("sets.v=⟨1,2⟩"), nil))
 	if err != nil || len(rows) != 1 {
 		t.Fatalf("set-valued point lookup: rows=%d err=%v", len(rows), err)
 	}

@@ -238,7 +238,7 @@ func storedRows(t *testing.T, rows []table.Row) *table.Table {
 	if err := tbl.InsertAll(rows); err != nil {
 		t.Fatal(err)
 	}
-	return tbl
+	return tbl.Table()
 }
 
 // morselScans is n scan workers sharing tbl's pages.

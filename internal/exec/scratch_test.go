@@ -240,7 +240,7 @@ func TestWarmScanAllocatesPerPageNotPerRow(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ids, _ := tbl.PageIDs()
+	ids, _ := tbl.Table().PageIDs()
 	ctx := context.Background()
 	small3 := func(b *table.Batch, sel []int32) []int32 {
 		k := 0
@@ -254,7 +254,7 @@ func TestWarmScanAllocatesPerPageNotPerRow(t *testing.T) {
 	count := func(need []bool) func() {
 		return func() {
 			op := exec.NewStage(&exec.Restrict{Filter: small3, Name: "small != 3"},
-				exec.NewMorselScan(tbl.NewMorselSource(), need))
+				exec.NewMorselScan(tbl.Table().NewMorselSource(), need))
 			if _, err := exec.Count(ctx, op); err != nil {
 				t.Fatal(err)
 			}

@@ -117,7 +117,7 @@ func nestedTable(t testing.TB) *table.Table {
 			t.Fatal(err)
 		}
 	}
-	return tbl
+	return tbl.Table()
 }
 
 func TestNestedSetsRoundTripThroughStorage(t *testing.T) {

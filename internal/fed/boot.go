@@ -110,32 +110,20 @@ func (lf *LocalFed) Shutdown(ctx context.Context) {
 // rows: by the partition rule when part is non-nil (its Site/Sites
 // fields are filled per database), round-robin otherwise. This is the
 // placement invariant the federation relies on — every row on exactly
-// one site.
-func CreateSharded(dbs []*catalog.Database, sch table.Schema, part *catalog.Partition, rows []table.Row) error {
+// one site. Each site's table, partition and rows are one commit.
+func CreateSharded(ctx context.Context, dbs []*catalog.Database, sch table.Schema, part *catalog.Partition, rows []table.Row) error {
 	n := len(dbs)
-	tabs := make([]*table.Table, n)
 	col := -1
 	if part != nil {
 		if col = sch.Col(part.Col); col < 0 {
 			return fmt.Errorf("fed: partition column %q not in %q", part.Col, sch.Name)
 		}
 	}
-	for i, db := range dbs {
-		t, err := db.CreateTable(sch)
-		if err != nil {
+	shards := make([][]table.Row, n)
+	for i, r := range rows {
+		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if part != nil {
-			p := *part
-			p.Site = i
-			p.Sites = n
-			if err := db.SetPartition(sch.Name, p); err != nil {
-				return err
-			}
-		}
-		tabs[i] = t
-	}
-	for i, r := range rows {
 		site := i % n
 		if part != nil {
 			switch part.Kind {
@@ -145,7 +133,24 @@ func CreateSharded(dbs []*catalog.Database, sch table.Schema, part *catalog.Part
 				site = RangeSite(r[col], part.Bounds)
 			}
 		}
-		if _, err := tabs[site].Insert(r); err != nil {
+		shards[site] = append(shards[site], r)
+	}
+	for i, db := range dbs {
+		tx := db.Begin()
+		err := tx.CreateTable(sch)
+		if err == nil && part != nil {
+			p := *part
+			p.Site, p.Sites = i, n
+			err = tx.SetPartition(sch.Name, p)
+		}
+		if err == nil {
+			err = tx.Insert(sch.Name, shards[i]...)
+		}
+		if err == nil {
+			err = tx.Commit(ctx)
+		}
+		if err != nil {
+			tx.Abort()
 			return err
 		}
 	}

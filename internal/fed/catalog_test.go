@@ -141,13 +141,17 @@ func TestConnectRejectsIncoherentSites(t *testing.T) {
 					if s.sch == nil {
 						continue
 					}
-					if _, err := dbs[i].CreateTable(*s.sch); err != nil {
+					tx := dbs[i].Begin()
+					err := tx.CreateTable(*s.sch)
+					if err == nil && s.part != nil {
+						err = tx.SetPartition(s.sch.Name, *s.part)
+					}
+					if err != nil {
+						tx.Abort()
 						return err
 					}
-					if s.part != nil {
-						if err := dbs[i].SetPartition(s.sch.Name, *s.part); err != nil {
-							return err
-						}
+					if err := tx.Commit(context.Background()); err != nil {
+						return err
 					}
 				}
 				return nil

@@ -51,7 +51,7 @@ func TestSiteKillMidQuery(t *testing.T) {
 	blobsSchema := table.Schema{Name: "blobs", Cols: []string{"id", "payload"}}
 	lf, err := BootLocal(context.Background(), 3, Config{Retries: -1},
 		func(dbs []*catalog.Database) error {
-			return CreateSharded(dbs, blobsSchema,
+			return CreateSharded(context.Background(), dbs, blobsSchema,
 				&catalog.Partition{Kind: catalog.PartHash, Col: "id"}, blobs)
 		})
 	if err != nil {

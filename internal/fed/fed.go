@@ -402,7 +402,7 @@ func (c *Coordinator) buildStubEnv(sc stats.Catalog) error {
 		if err != nil {
 			return fmt.Errorf("fed: stub table %q: %w", name, err)
 		}
-		cat.Tables[name] = t
+		cat.Tables[name] = t.Table()
 	}
 	c.env = xlang.NewEnv()
 	c.env.BindPlanCatalog(func() *plan.Catalog { return cat })

@@ -67,19 +67,19 @@ func orderBounds(n, nOrders int) []core.Value {
 
 func populateData(d testData, n int) func(dbs []*catalog.Database) error {
 	return func(dbs []*catalog.Database) error {
-		if err := CreateSharded(dbs, usersSchema,
+		if err := CreateSharded(context.Background(), dbs, usersSchema,
 			&catalog.Partition{Kind: catalog.PartHash, Col: "id"}, d.users); err != nil {
 			return err
 		}
-		if err := CreateSharded(dbs, ordersSchema,
+		if err := CreateSharded(context.Background(), dbs, ordersSchema,
 			&catalog.Partition{Kind: catalog.PartRange, Col: "oid", Bounds: orderBounds(n, len(d.orders))}, d.orders); err != nil {
 			return err
 		}
-		if err := CreateSharded(dbs, profilesSchema,
+		if err := CreateSharded(context.Background(), dbs, profilesSchema,
 			&catalog.Partition{Kind: catalog.PartHash, Col: "pid"}, d.profiles); err != nil {
 			return err
 		}
-		return CreateSharded(dbs, tagsSchema, nil, d.tags)
+		return CreateSharded(context.Background(), dbs, tagsSchema, nil, d.tags)
 	}
 }
 
@@ -126,12 +126,10 @@ func mirrorEnv(t *testing.T, d testData) *xlang.Env {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, r := range spec.rows {
-			if _, err := tab.Insert(r); err != nil {
-				t.Fatal(err)
-			}
+		if err := tab.InsertAll(spec.rows); err != nil {
+			t.Fatal(err)
 		}
-		env.BindTable(spec.sch.Name, tab)
+		env.BindTable(spec.sch.Name, tab.Table())
 	}
 	return env
 }
@@ -621,7 +619,12 @@ func TestPartitionPersistence(t *testing.T) {
 		Kind: catalog.PartRange, Col: "id", Site: 1, Sites: 3,
 		Bounds: []core.Value{core.Int(10), core.Int(20)},
 	}
-	if err := db.SetPartition("users", want); err != nil {
+	tx := db.Begin()
+	if err := tx.SetPartition("users", want); err != nil {
+		tx.Abort()
+		t.Fatal(err)
+	}
+	if err := tx.Commit(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Close(); err != nil {

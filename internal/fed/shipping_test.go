@@ -28,10 +28,10 @@ func shipData(users, orders int, part *catalog.Partition) func(dbs []*catalog.Da
 		o[i] = table.Row{core.Int(i), core.Int(r.Intn(users)), core.Int(r.Intn(1000))}
 	}
 	return func(dbs []*catalog.Database) error {
-		if err := CreateSharded(dbs, usersSchema, &catalog.Partition{Kind: catalog.PartHash, Col: "id"}, u); err != nil {
+		if err := CreateSharded(context.Background(), dbs, usersSchema, &catalog.Partition{Kind: catalog.PartHash, Col: "id"}, u); err != nil {
 			return err
 		}
-		return CreateSharded(dbs, ordersSchema, part, o)
+		return CreateSharded(context.Background(), dbs, ordersSchema, part, o)
 	}
 }
 

@@ -46,7 +46,7 @@ func TestIndexScanConfirmsCollidingKeys(t *testing.T) {
 				rows = append(rows, r)
 			}
 			for _, p := range probes {
-				got, err := exec.Collect(context.Background(), exec.NewHashIndexScan(tbl, idx, p, label("t.k"), nil))
+				got, err := exec.Collect(context.Background(), exec.NewHashIndexScan(tbl.Table(), idx, p, label("t.k"), nil))
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -41,7 +41,7 @@ func testTables3(t testing.TB, users, orders, items int) (*table.Table, *table.T
 	for i := 0; i < items; i++ {
 		it.Insert(table.Row{core.Int(i), core.Int(r.Intn(orders)), core.Int(r.Intn(50))})
 	}
-	return u, o, it
+	return u.Table(), o.Table(), it.Table()
 }
 
 // fullCatalog collects statistics and builds hash + btree indexes on
@@ -206,17 +206,17 @@ func TestNarrowRangeTakesBTreeEverywhere(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	sc, err := stats.CollectAll(tab)
+	sc, err := stats.CollectAll(tab.Table())
 	if err != nil {
 		t.Fatal(err)
 	}
-	bt, err := index.BuildBTree(context.Background(), tab, 0)
+	bt, err := index.BuildBTree(context.Background(), tab.Table(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cat := &Catalog{Stats: sc, Indexes: []*TableIndex{{Table: tab, Col: "id", Kind: BTreeIdx, BTree: bt}}}
+	cat := &Catalog{Stats: sc, Indexes: []*TableIndex{{Table: tab.Table(), Col: "id", Kind: BTreeIdx, BTree: bt}}}
 	plan := func(lo, hi int, loOp, hiOp CmpOp) string {
-		return Explain(OptimizeCatalog(&Select{Child: &Scan{Table: tab}, Pred: And{
+		return Explain(OptimizeCatalog(&Select{Child: &Scan{Table: tab.Table()}, Pred: And{
 			Cmp{Col: "id", Op: loOp, Val: core.Int(lo)},
 			Cmp{Col: "id", Op: hiOp, Val: core.Int(hi)},
 		}}, cat))

@@ -19,26 +19,26 @@ import (
 func analyticTables(t testing.TB, orders, users int) (o, u *table.Table) {
 	t.Helper()
 	pool := store.NewBufferPool(store.NewMemPager(), 1024)
-	o, err := table.Create(pool, table.Schema{Name: "orders", Cols: []string{"id", "uid", "amount"}})
+	oa, err := table.Create(pool, table.Schema{Name: "orders", Cols: []string{"id", "uid", "amount"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	u, err = table.Create(pool, table.Schema{Name: "users", Cols: []string{"uid2", "city"}})
+	ua, err := table.Create(pool, table.Schema{Name: "users", Cols: []string{"uid2", "city"}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < users; i++ {
-		if _, err := u.Insert(table.Row{core.Int(int64(i)), core.Str(fmt.Sprintf("city-%02d", i%40))}); err != nil {
+		if _, err := ua.Insert(table.Row{core.Int(int64(i)), core.Str(fmt.Sprintf("city-%02d", i%40))}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < orders; i++ {
 		row := table.Row{core.Int(int64(i)), core.Int(int64(i*7919) % int64(users)), core.Int(int64(i*31) % 1000)}
-		if _, err := o.Insert(row); err != nil {
+		if _, err := oa.Insert(row); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return o, u
+	return oa.Table(), ua.Table()
 }
 
 // analyticShapes are the four statement shapes of the analytic

@@ -277,12 +277,12 @@ func TestBuildSideFollowsPlanner(t *testing.T) {
 		}
 		orders.Insert(table.Row{core.Int(i), core.Int(r.Intn(nUsers)), core.Int(amount)})
 	}
-	sc, err := stats.CollectAll(users, orders)
+	sc, err := stats.CollectAll(users.Table(), orders.Table())
 	if err != nil {
 		t.Fatal(err)
 	}
 	q := &Project{Cols: []string{"amount", "city"}, Child: &Select{
-		Child: &Join{Left: &Scan{Table: orders}, Right: &Scan{Table: users}, LeftCol: "uid", RightCol: "id"},
+		Child: &Join{Left: &Scan{Table: orders.Table()}, Right: &Scan{Table: users.Table()}, LeftCol: "uid", RightCol: "id"},
 		Pred:  Cmp{Col: "amount", Op: Lt, Val: core.Int(below)},
 	}}
 	n := OptimizeCatalog(q, &Catalog{Stats: sc})
@@ -357,15 +357,15 @@ func TestGroupSizedThroughJoins(t *testing.T) {
 	for i := 0; i < nOrders; i++ {
 		orders.Insert(table.Row{core.Int(i), core.Int(r.Intn(nUsers)), core.Int(r.Intn(1000))})
 	}
-	sc, err := stats.CollectAll(users, orders)
+	sc, err := stats.CollectAll(users.Table(), orders.Table())
 	if err != nil {
 		t.Fatal(err)
 	}
 	cat := &Catalog{Stats: sc}
 	aggs := []AggSpec{{Kind: exec.AggCount}, {Kind: exec.AggSum, Col: "amount"}}
 	for _, j := range []*Join{
-		{Left: &Scan{Table: orders}, Right: &Scan{Table: users}, LeftCol: "uid", RightCol: "id"},
-		{Left: &Scan{Table: users}, Right: &Scan{Table: orders}, LeftCol: "id", RightCol: "uid"}, // swapped under a Rename
+		{Left: &Scan{Table: orders.Table()}, Right: &Scan{Table: users.Table()}, LeftCol: "uid", RightCol: "id"},
+		{Left: &Scan{Table: users.Table()}, Right: &Scan{Table: orders.Table()}, LeftCol: "id", RightCol: "uid"}, // swapped under a Rename
 	} {
 		q := &GroupBy{Child: j, Key: "city", Aggs: aggs}
 		n := OptimizeCatalog(q, cat)
@@ -407,7 +407,7 @@ func TestJoinBuildSized(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		return tb
+		return tb.Table()
 	}
 	users := mk("users", []string{"id", "city"}, 4000, func(i int) table.Row {
 		return table.Row{core.Int(i), core.Str("city-" + string(rune('a'+i%8)))}

@@ -136,7 +136,7 @@ func BenchmarkParallelScaling(b *testing.B) {
 		return &GroupBy{
 			Child: &Select{
 				Child: &Join{
-					Left: &Scan{Table: orders}, Right: &Scan{Table: users},
+					Left: &Scan{Table: orders.Table()}, Right: &Scan{Table: users.Table()},
 					LeftCol: "ouid", RightCol: "uid",
 				},
 				Pred: Cmp{Col: "amount", Op: Lt, Val: core.Int(800)},
@@ -190,7 +190,7 @@ func indexVsScan(tb testing.TB, n int) (*table.Table, *Catalog) {
 			tb.Fatal(err)
 		}
 	}
-	sc, err := stats.CollectAll(ev)
+	sc, err := stats.CollectAll(ev.Table())
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -199,19 +199,19 @@ func indexVsScan(tb testing.TB, n int) (*table.Table, *Catalog) {
 		col  string
 		kind IndexKind
 	}{{"eid", HashIdx}, {"grp", HashIdx}, {"val", BTreeIdx}} {
-		ti := &TableIndex{Table: ev, Col: ix.col, Kind: ix.kind}
-		ci := ev.Schema().Col(ix.col)
+		ti := &TableIndex{Table: ev.Table(), Col: ix.col, Kind: ix.kind}
+		ci := ev.Table().Schema().Col(ix.col)
 		if ix.kind == HashIdx {
-			ti.Hash, err = index.BuildHash(context.Background(), ev, ci)
+			ti.Hash, err = index.BuildHash(context.Background(), ev.Table(), ci)
 		} else {
-			ti.BTree, err = index.BuildBTree(context.Background(), ev, ci)
+			ti.BTree, err = index.BuildBTree(context.Background(), ev.Table(), ci)
 		}
 		if err != nil {
 			tb.Fatal(err)
 		}
 		cat.Indexes = append(cat.Indexes, ti)
 	}
-	return ev, cat
+	return ev.Table(), cat
 }
 
 var indexVsScanCases = []struct {

@@ -33,7 +33,7 @@ func testTables(t testing.TB, users, orders int) (*table.Table, *table.Table) {
 	for i := 0; i < orders; i++ {
 		o.Insert(table.Row{core.Int(i), core.Int(r.Intn(users)), core.Int(r.Intn(1000))})
 	}
-	return u, o
+	return u.Table(), o.Table()
 }
 
 func fingerprint(rows []table.Row) []string {
@@ -257,7 +257,7 @@ func TestPruneJoinColumnsPerSide(t *testing.T) {
 		{[]string{"id", "city"}, "project[id,uid]", "project[id,city]"},
 		{[]string{"users.id", "amount"}, "project[id,uid,amount]", "project[id]"},
 	} {
-		n := &Project{Cols: c.cols, Child: &Join{Left: &Scan{Table: o}, Right: &Scan{Table: u}, LeftCol: "uid", RightCol: "id"}}
+		n := &Project{Cols: c.cols, Child: &Join{Left: &Scan{Table: o.Table()}, Right: &Scan{Table: u.Table()}, LeftCol: "uid", RightCol: "id"}}
 		opt := Optimize(n)
 		j := opt.(*Project).Child.(*Join)
 		if l, r := j.Left.String(), j.Right.String(); !strings.HasPrefix(l, c.left) || !strings.HasPrefix(r, c.right) {

@@ -112,7 +112,7 @@ func crossKindTable(t testing.TB, n int) *table.Table {
 			t.Fatal(err)
 		}
 	}
-	return tbl
+	return tbl.Table()
 }
 
 var negZero = math.Copysign(0, -1)

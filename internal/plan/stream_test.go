@@ -210,7 +210,7 @@ func BenchmarkStreamVsMaterialize(b *testing.B) {
 		return &Project{
 			Child: &Select{
 				Child: &Join{
-					Left: &Scan{Table: orders}, Right: &Scan{Table: users},
+					Left: &Scan{Table: orders.Table()}, Right: &Scan{Table: users.Table()},
 					LeftCol: "ouid", RightCol: "uid",
 				},
 				Pred: Cmp{Col: "score", Op: Gt, Val: core.Int(50)},

@@ -23,7 +23,7 @@ func makeUsers(t testing.TB, n int) *table.Table {
 			t.Fatal(err)
 		}
 	}
-	return tbl
+	return tbl.Table()
 }
 
 // makeOrders creates an orders table: (uid int, amount int).
@@ -40,7 +40,7 @@ func makeOrders(t testing.TB, n, users int) *table.Table {
 			t.Fatal(err)
 		}
 	}
-	return tbl
+	return tbl.Table()
 }
 
 func TestTableScan(t *testing.T) {
@@ -315,7 +315,7 @@ func TestMergeJoinDuplicateRuns(t *testing.T) {
 		r.Insert(table.Row{core.Int(1), core.Int(10 + i)})
 	}
 	l.Insert(table.Row{core.Int(2), core.Int(99)})
-	mj := &MergeJoin{Left: NewTableScan(l), Right: NewTableScan(r), LeftCol: 0, RightCol: 0}
+	mj := &MergeJoin{Left: NewTableScan(l.Table()), Right: NewTableScan(r.Table()), LeftCol: 0, RightCol: 0}
 	rows, err := Collect(mj)
 	if err != nil {
 		t.Fatal(err)
@@ -323,7 +323,7 @@ func TestMergeJoinDuplicateRuns(t *testing.T) {
 	if len(rows) != 9 {
 		t.Fatalf("run join produced %d rows, want 9", len(rows))
 	}
-	if _, _, err := (&MergeJoin{Left: NewTableScan(l), Right: NewTableScan(r)}).Next(); err == nil {
+	if _, _, err := (&MergeJoin{Left: NewTableScan(l.Table()), Right: NewTableScan(r.Table())}).Next(); err == nil {
 		t.Fatal("Next before Open must fail")
 	}
 }

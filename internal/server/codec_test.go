@@ -339,15 +339,11 @@ func pointDB(t testing.TB) *catalog.Database {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb, err := db.CreateTable(table.Schema{Name: "users", Cols: []string{"id", "name", "city"}})
-	if err != nil {
-		t.Fatal(err)
+	rows := make([]table.Row, 2000)
+	for i := range rows {
+		rows[i] = table.Row{core.Int(i), core.Str("user-" + string(rune('a'+i%26))), core.Str("city")}
 	}
-	for i := 0; i < 2000; i++ {
-		if _, err := tb.Insert(table.Row{core.Int(i), core.Str("user-" + string(rune('a'+i%26))), core.Str("city")}); err != nil {
-			t.Fatal(err)
-		}
-	}
+	loadTable(t, db, table.Schema{Name: "users", Cols: []string{"id", "name", "city"}}, rows)
 	if _, err := db.CreateIndex(context.Background(), "users", "id", catalog.IndexHash); err != nil {
 		t.Fatal(err)
 	}

@@ -90,15 +90,11 @@ func peopleDB(tb testing.TB) *catalog.Database {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	t, err := db.CreateTable(table.Schema{Name: "people", Cols: []string{"id", "name"}})
-	if err != nil {
-		tb.Fatal(err)
+	rows := make([]table.Row, 64)
+	for i := range rows {
+		rows[i] = table.Row{core.Int(int64(i)), core.Str(fmt.Sprintf("p%02d", i))}
 	}
-	for i := 0; i < 64; i++ {
-		if _, err := t.Insert(table.Row{core.Int(int64(i)), core.Str(fmt.Sprintf("p%02d", i))}); err != nil {
-			tb.Fatal(err)
-		}
-	}
+	loadTable(tb, db, table.Schema{Name: "people", Cols: []string{"id", "name"}}, rows)
 	return db
 }
 

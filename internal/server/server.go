@@ -241,10 +241,10 @@ type session struct {
 	conn net.Conn
 	env  *xlang.Env
 
-	// scratch holds session-private tables created by `.load`, over a
-	// lazily created in-memory pool. Only the session's own request
-	// loop touches them (requests on one connection are serial).
-	scratch map[string]*table.Table
+	// scratch holds the appenders of session-private tables created by
+	// `.load`, over a lazily created in-memory pool. Only the session's
+	// own request loop touches them (requests on one connection are serial).
+	scratch map[string]*table.Appender
 	pool    *store.BufferPool
 
 	// line holds the open batch line while lineRows > 0, then the final
@@ -981,9 +981,12 @@ func (s *Server) handleLoad(sess *session, payload string) (Response, bool) {
 	if shared && s.cfg.DB == nil {
 		return Response{Error: "(no database attached)"}, false
 	}
-	t := sess.scratch[lr.Table]
+	var t *table.Table
+	a := sess.scratch[lr.Table]
 	if shared {
 		t, _ = s.cfg.DB.Table(lr.Table)
+	} else if a != nil {
+		t = a.Table()
 	}
 	cols := lr.Cols
 	if t != nil {
@@ -998,21 +1001,21 @@ func (s *Server) handleLoad(sess *session, payload string) (Response, bool) {
 	if shared {
 		return s.loadShared(table.Schema{Name: lr.Table, Cols: cols}, rows)
 	}
-	if t == nil {
+	if a == nil {
 		if sess.pool == nil {
 			sess.pool = store.NewBufferPool(store.NewMemPager(), 256)
-			sess.scratch = map[string]*table.Table{}
+			sess.scratch = map[string]*table.Appender{}
 		}
-		if t, err = table.Create(sess.pool, table.Schema{Name: lr.Table, Cols: cols}); err != nil {
+		if a, err = table.Create(sess.pool, table.Schema{Name: lr.Table, Cols: cols}); err != nil {
 			return Response{Error: err.Error()}, false
 		}
-		sess.scratch[lr.Table] = t
-		sess.env.BindTable(lr.Table, t)
+		sess.scratch[lr.Table] = a
+		sess.env.BindTable(lr.Table, a.Table())
 	}
-	if err := t.InsertAll(rows); err != nil {
+	if err := a.InsertAll(rows); err != nil {
 		return Response{Error: err.Error()}, false
 	}
-	return Response{Result: fmt.Sprintf("%s: %d rows", lr.Table, t.Count())}, false
+	return Response{Result: fmt.Sprintf("%s: %d rows", lr.Table, a.Table().Count())}, false
 }
 
 // loadShared loads one chunk of rows into a shared catalog table as a
@@ -1028,7 +1031,7 @@ func (s *Server) loadShared(sch table.Schema, rows []table.Row) (Response, bool)
 	tx := db.Begin()
 	err := tx.Insert(sch.Name, rows...)
 	if errors.Is(err, catalog.ErrNoTable) {
-		if _, err = tx.CreateTable(sch); err == nil {
+		if err = tx.CreateTable(sch); err == nil {
 			err = tx.Insert(sch.Name, rows...)
 		}
 	}

@@ -53,16 +53,23 @@ func testDB(t *testing.T) *catalog.Database {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb, err := db.CreateTable(table.Schema{Name: "cities", Cols: []string{"id", "name"}})
-	if err != nil {
+	var rows []table.Row
+	for i, name := range []string{"ann-arbor", "chicago", "detroit"} {
+		rows = append(rows, table.Row{core.Int(int64(i + 1)), core.Str(name)})
+	}
+	loadTable(t, db, table.Schema{Name: "cities", Cols: []string{"id", "name"}}, rows)
+	return db
+}
+
+// loadTable creates a table in db and commits rows into it in one load.
+func loadTable(t testing.TB, db *catalog.Database, sch table.Schema, rows []table.Row) {
+	t.Helper()
+	if _, err := db.CreateTable(sch); err != nil {
 		t.Fatal(err)
 	}
-	for i, name := range []string{"ann-arbor", "chicago", "detroit"} {
-		if _, err := tb.Insert(table.Row{core.Int(int64(i + 1)), core.Str(name)}); err != nil {
-			t.Fatal(err)
-		}
+	if err := db.Load(context.Background(), sch.Name, rows); err != nil {
+		t.Fatal(err)
 	}
-	return db
 }
 
 // bigPairsStmt builds `name := {<1,1>, <2,2>, …}` with n pairs — raw
@@ -361,19 +368,15 @@ func TestAnalyzeAndCreateIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb, err := db.CreateTable(table.Schema{Name: "events", Cols: []string{"id", "kind"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 200; i++ {
+	rows := make([]table.Row, 200)
+	for i := range rows {
 		kind := "view"
 		if i%2 == 1 {
 			kind = "click"
 		}
-		if _, err := tb.Insert(table.Row{core.Int(int64(i)), core.Str(kind)}); err != nil {
-			t.Fatal(err)
-		}
+		rows[i] = table.Row{core.Int(int64(i)), core.Str(kind)}
 	}
+	loadTable(t, db, table.Schema{Name: "events", Cols: []string{"id", "kind"}}, rows)
 	_, addr := startServer(t, Config{DB: db})
 	c, err := Dial(addr)
 	if err != nil {

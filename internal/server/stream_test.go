@@ -22,15 +22,11 @@ func streamDB(t *testing.T, rows int) *catalog.Database {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb, err := db.CreateTable(table.Schema{Name: "nums", Cols: []string{"n", "mod"}})
-	if err != nil {
-		t.Fatal(err)
+	nums := make([]table.Row, rows)
+	for i := range nums {
+		nums[i] = table.Row{core.Int(i), core.Int(i % 7)}
 	}
-	for i := 0; i < rows; i++ {
-		if _, err := tb.Insert(table.Row{core.Int(i), core.Int(i % 7)}); err != nil {
-			t.Fatal(err)
-		}
-	}
+	loadTable(t, db, table.Schema{Name: "nums", Cols: []string{"n", "mod"}}, nums)
 	return db
 }
 
@@ -118,15 +114,11 @@ func TestWideResultLines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb, err := db.CreateTable(table.Schema{Name: "w", Cols: []string{"k", "s"}})
-	if err != nil {
-		t.Fatal(err)
+	wide := make([]table.Row, 300)
+	for i := range wide {
+		wide[i] = table.Row{core.Int(0), core.Str(fmt.Sprintf("%03d", i) + strings.Repeat("s", 697))}
 	}
-	for i := 0; i < 300; i++ {
-		if _, err := tb.Insert(table.Row{core.Int(0), core.Str(fmt.Sprintf("%03d", i) + strings.Repeat("s", 697))}); err != nil {
-			t.Fatal(err)
-		}
-	}
+	loadTable(t, db, table.Schema{Name: "w", Cols: []string{"k", "s"}}, wide)
 	_, addr := startServer(t, Config{DB: db})
 	c, err := Dial(addr)
 	if err != nil {

@@ -85,7 +85,7 @@ func randTable(t testing.TB, r *rand.Rand, rows int) (*table.Table, []colKind) {
 			t.Fatal(err)
 		}
 	}
-	return tbl, kinds
+	return tbl.Table(), kinds
 }
 
 func sameValue(a, b core.Value) bool {
@@ -171,11 +171,11 @@ func TestDistinctFollowsCompare(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got, err := Collect(tbl)
+	got, err := Collect(tbl.Table())
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := refCollect(tbl)
+	ref, err := refCollect(tbl.Table())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func BenchmarkCollect(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Collect(tbl); err != nil {
+		if _, err := Collect(tbl.Table()); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -22,7 +22,7 @@ func statTable(t *testing.T, n int) *table.Table {
 			core.Str("label-" + string(rune('a'+i%3))),
 		})
 	}
-	return tbl
+	return tbl.Table()
 }
 
 func TestCollectBasics(t *testing.T) {
@@ -90,7 +90,7 @@ func TestSelectivityLess(t *testing.T) {
 func TestEmptyTableStats(t *testing.T) {
 	pool := store.NewBufferPool(store.NewMemPager(), 8)
 	tbl, _ := table.Create(pool, table.Schema{Name: "e", Cols: []string{"x"}})
-	ts, err := Collect(tbl)
+	ts, err := Collect(tbl.Table())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestStatsCodecRoundTrip(t *testing.T) {
 	// Empty tables survive the short column form.
 	pool := store.NewBufferPool(store.NewMemPager(), 8)
 	tbl, _ := table.Create(pool, table.Schema{Name: "e", Cols: []string{"x", "y"}})
-	ets, err := Collect(tbl)
+	ets, err := Collect(tbl.Table())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,10 +19,10 @@ import (
 // slice in a version list while any View that could still read it is
 // active. A View therefore resolves a page to a concrete []byte under
 // the pool mutex once, and that slice is never mutated afterwards.
-// (The writers that still mutate frames in place — tests, and
-// internal/workload's table builders — bypass the pool's versions and
-// get no snapshot guarantee; a catalog.Database writes every page, its
-// catalog page included, through a transaction's commit.)
+// (The writers that still mutate frames in place — the table.Appender
+// of an unpublished table, in tests and internal/workload — bypass the
+// pool's versions and get no snapshot guarantee; a catalog.Database
+// writes every page, its catalog page included, through a commit.)
 
 // PageIO is a source of page frames: the buffer pool (latest images),
 // a wal transaction shadow (uncommitted writes), or an epoch-pinned

@@ -277,7 +277,7 @@ func intTable(t testing.TB, n, frames int) *Table {
 			t.Fatal(err)
 		}
 	}
-	return tbl
+	return tbl.Table()
 }
 
 // TestScanAllocationsArePerPage pins the kernel's point: ReadPage into
@@ -356,11 +356,11 @@ func TestEveryWalkReadsThePageList(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	reopened, err := Open(pool, fresh.Schema(), fresh.FirstPage())
+	reopened, err := Open(pool, fresh.Table().Schema(), fresh.Table().FirstPage())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, tbl := range map[string]*Table{"fresh": fresh, "reopened": reopened} {
+	for name, tbl := range map[string]*Table{"fresh": fresh.Table(), "reopened": reopened} {
 		// The oracle follows the next pointers from the first page.
 		var chain []store.PageID
 		var rids []store.RID

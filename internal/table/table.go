@@ -1,7 +1,8 @@
 // Package table provides the stored-relation substrate shared by the two
 // query engines: a Schema names tuple positions, a Row is a flat tuple of
-// atom values, and a Table persists rows into a heap file through the
-// buffer pool. Both the record-at-a-time engine (internal/relational)
+// atom values, a Table is one read-only version of a heap file of rows in
+// the buffer pool, and an Appender, its one writer, builds a version.
+// Both the record-at-a-time engine (internal/relational)
 // and the set-at-a-time executor (internal/exec) read the same tables
 // through the same codec, so their performance difference is purely the
 // processing discipline — exactly the comparison the paper's set-
@@ -117,7 +118,8 @@ func DecodeRow(buf []byte) (Row, error) {
 	return out, nil
 }
 
-// Table is a schema-tagged heap of rows.
+// Table is one version of a schema-tagged heap of rows. It only reads,
+// so a published version never changes; rows enter through an Appender.
 type Table struct {
 	schema Schema
 	heap   *store.HeapFile
@@ -134,13 +136,55 @@ type versionSet struct {
 	s  atomic.Pointer[core.Set]
 }
 
-// Create makes an empty table in the pool.
-func Create(pool *store.BufferPool, schema Schema) (*Table, error) {
-	h, err := store.CreateHeap(pool)
+// Appender is the one writer of a table version. A loader gets one from
+// Create or CreateIn, for a table no catalog has published; a catalog
+// transaction gets one from Extend, appending through its shadow.
+type Appender struct {
+	t Table
+}
+
+// Create makes an empty table in the pool and returns its appender.
+func Create(pool *store.BufferPool, schema Schema) (*Appender, error) {
+	return CreateIn(pool, pool, schema)
+}
+
+// CreateIn is Create with the pages written through io (e.g. a wal
+// transaction shadow); pool is kept for statistics and for publishing.
+func CreateIn(io store.PageIO, pool *store.BufferPool, schema Schema) (*Appender, error) {
+	h, err := store.CreateHeap(io)
 	if err != nil {
 		return nil, err
 	}
-	return &Table{schema: schema, heap: h, pool: pool, set: &versionSet{}}, nil
+	return &Appender{t: Table{schema: schema, heap: h, pool: pool, set: &versionSet{}}}, nil
+}
+
+// Extend returns an appender of a successor of t written through io, a
+// transaction's shadow, so t stays as it is. Only catalog.Txn calls it.
+func (t *Table) Extend(io store.PageIO) *Appender { return &Appender{t: *t.WithIO(io)} }
+
+// Table returns the version the appender builds; rows appended later
+// show through it.
+func (a *Appender) Table() *Table { return &a.t }
+
+// Insert appends a row.
+func (a *Appender) Insert(r Row) (store.RID, error) {
+	if len(r) != a.t.schema.Arity() {
+		return store.RID{}, fmt.Errorf("%w: got %d, want %d", ErrSchema, len(r), a.t.schema.Arity())
+	}
+	// The page copies the record, so it is encoded on the stack unless
+	// it outgrows the buffer.
+	var buf [256]byte
+	return a.t.heap.Append(EncodeRow(buf[:0], r))
+}
+
+// InsertAll appends many rows.
+func (a *Appender) InsertAll(rows []Row) error {
+	for _, r := range rows {
+		if _, err := a.Insert(r); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Open reattaches to a table whose heap chain starts at first (see
@@ -182,46 +226,13 @@ func (t *Table) At(v *store.View) *Table {
 	return &c
 }
 
-// WithIO returns a clone of the table whose pages read and write
-// through io — a wal transaction shadow while a statement runs, or the
-// buffer pool again when the committed clone is published.
+// WithIO returns a clone of the table whose pages read through io: the
+// buffer pool again when a transaction's version publishes at commit.
 func (t *Table) WithIO(io store.PageIO) *Table {
 	c := *t
 	c.heap = t.heap.WithIO(io)
 	c.set = &versionSet{}
 	return &c
-}
-
-// CreateIn makes an empty table whose pages are written through io
-// (e.g. a wal transaction shadow). pool is retained for statistics and
-// for rebinding the published table after commit.
-func CreateIn(io store.PageIO, pool *store.BufferPool, schema Schema) (*Table, error) {
-	h, err := store.CreateHeap(io)
-	if err != nil {
-		return nil, err
-	}
-	return &Table{schema: schema, heap: h, pool: pool, set: &versionSet{}}, nil
-}
-
-// Insert appends a row.
-func (t *Table) Insert(r Row) (store.RID, error) {
-	if len(r) != t.schema.Arity() {
-		return store.RID{}, fmt.Errorf("%w: got %d, want %d", ErrSchema, len(r), t.schema.Arity())
-	}
-	// The page copies the record, so it is encoded on the stack unless
-	// it outgrows the buffer.
-	var buf [256]byte
-	return t.heap.Append(EncodeRow(buf[:0], r))
-}
-
-// InsertAll appends many rows.
-func (t *Table) InsertAll(rows []Row) error {
-	for _, r := range rows {
-		if _, err := t.Insert(r); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Get fetches one row by rid.

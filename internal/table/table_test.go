@@ -8,7 +8,7 @@ import (
 	"xst/internal/store"
 )
 
-func testTable(t *testing.T) *Table {
+func testTable(t *testing.T) *Appender {
 	t.Helper()
 	pool := store.NewBufferPool(store.NewMemPager(), 16)
 	tbl, err := Create(pool, Schema{Name: "t", Cols: []string{"id", "name", "score"}})
@@ -70,8 +70,9 @@ func TestRowCodecCorrupt(t *testing.T) {
 }
 
 func TestInsertGetDelete(t *testing.T) {
-	tbl := testTable(t)
-	rid, err := tbl.Insert(row(1, "ada", 9.5))
+	a := testTable(t)
+	tbl := a.Table()
+	rid, err := a.Insert(row(1, "ada", 9.5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +83,7 @@ func TestInsertGetDelete(t *testing.T) {
 	if !core.Equal(got[1], core.Str("ada")) {
 		t.Fatal("Get wrong")
 	}
-	if _, err := tbl.Insert(Row{core.Int(1)}); err == nil {
+	if _, err := a.Insert(Row{core.Int(1)}); err == nil {
 		t.Fatal("arity mismatch must fail")
 	}
 	// No writer deletes a row, but a page read from disk may hold a
@@ -103,10 +104,11 @@ func TestInsertGetDelete(t *testing.T) {
 }
 
 func TestScanAndBatches(t *testing.T) {
-	tbl := testTable(t)
+	a := testTable(t)
+	tbl := a.Table()
 	const n = 200
 	for i := 0; i < n; i++ {
-		if _, err := tbl.Insert(row(i, "user", float64(i))); err != nil {
+		if _, err := a.Insert(row(i, "user", float64(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -144,9 +146,10 @@ func TestScanAndBatches(t *testing.T) {
 }
 
 func TestToXST(t *testing.T) {
-	tbl := testTable(t)
-	tbl.Insert(row(1, "a", 1))
-	tbl.Insert(row(2, "b", 2))
+	a := testTable(t)
+	tbl := a.Table()
+	a.Insert(row(1, "a", 1))
+	a.Insert(row(2, "b", 2))
 	s, err := tbl.ToXST()
 	if err != nil {
 		t.Fatal(err)
@@ -162,13 +165,14 @@ func TestToXST(t *testing.T) {
 
 func TestOpenAndFirstPage(t *testing.T) {
 	pool := store.NewBufferPool(store.NewMemPager(), 16)
-	tbl, err := Create(pool, Schema{Name: "t", Cols: []string{"a"}})
+	a, err := Create(pool, Schema{Name: "t", Cols: []string{"a"}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 40; i++ {
-		tbl.Insert(Row{core.Int(i)})
+		a.Insert(Row{core.Int(i)})
 	}
+	tbl := a.Table()
 	re, err := Open(pool, tbl.Schema(), tbl.FirstPage())
 	if err != nil {
 		t.Fatal(err)
@@ -188,15 +192,16 @@ func TestOpenAndFirstPage(t *testing.T) {
 }
 
 func TestInsertAllAndClone(t *testing.T) {
-	tbl := testTable(t)
+	a := testTable(t)
+	tbl := a.Table()
 	rows := []Row{row(1, "a", 1), row(2, "b", 2)}
-	if err := tbl.InsertAll(rows); err != nil {
+	if err := a.InsertAll(rows); err != nil {
 		t.Fatal(err)
 	}
 	if tbl.Count() != 2 {
 		t.Fatal("InsertAll count")
 	}
-	if err := tbl.InsertAll([]Row{{core.Int(1)}}); err == nil {
+	if err := a.InsertAll([]Row{{core.Int(1)}}); err == nil {
 		t.Fatal("InsertAll arity mismatch must fail")
 	}
 	r := rows[0]
@@ -208,9 +213,10 @@ func TestInsertAllAndClone(t *testing.T) {
 }
 
 func TestCursorPull(t *testing.T) {
-	tbl := testTable(t)
+	a := testTable(t)
+	tbl := a.Table()
 	for i := 0; i < 120; i++ {
-		tbl.Insert(row(i, "u", 0))
+		a.Insert(row(i, "u", 0))
 	}
 	cur := tbl.NewCursor()
 	n := 0
@@ -239,9 +245,10 @@ func TestCursorPull(t *testing.T) {
 }
 
 func TestPageIDsAndReadPage(t *testing.T) {
-	tbl := testTable(t)
+	a := testTable(t)
+	tbl := a.Table()
 	for i := 0; i < 300; i++ {
-		tbl.Insert(row(i, "user-with-some-padding", float64(i)))
+		a.Insert(row(i, "user-with-some-padding", float64(i)))
 	}
 	ids, err := tbl.PageIDs()
 	if err != nil {
@@ -268,8 +275,9 @@ func TestPageIDsAndReadPage(t *testing.T) {
 }
 
 func TestScanErrorPropagation(t *testing.T) {
-	tbl := testTable(t)
-	tbl.Insert(row(1, "x", 1))
+	a := testTable(t)
+	tbl := a.Table()
+	a.Insert(row(1, "x", 1))
 	wantErr := core.ErrCorrupt // any sentinel to thread through
 	err := tbl.Scan(func(_ store.RID, _ Row) (bool, error) {
 		return false, wantErr
@@ -302,19 +310,19 @@ func BenchmarkEncodeDecode(b *testing.B) {
 // Inserting an int+string row into a page with room allocates nothing:
 // the record is encoded on the stack and the page copies it.
 func TestInsertIntoRoomyPageAllocatesNothing(t *testing.T) {
-	tbl, err := Create(store.NewBufferPool(store.NewMemPager(), 8), Schema{Name: "t", Cols: []string{"id", "name"}})
+	a, err := Create(store.NewBufferPool(store.NewMemPager(), 8), Schema{Name: "t", Cols: []string{"id", "name"}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	row := Row{core.Int(123456), core.Str("someone")}
 	if got := testing.AllocsPerRun(50, func() {
-		if _, err := tbl.Insert(row); err != nil {
+		if _, err := a.Insert(row); err != nil {
 			t.Fatal(err)
 		}
 	}); got != 0 {
 		t.Errorf("Insert into a page with room: %.1f allocations, want 0", got)
 	}
-	if tbl.Count() != 51 {
-		t.Fatalf("%d rows, want 51", tbl.Count())
+	if n := a.Table().Count(); n != 51 {
+		t.Fatalf("%d rows, want 51", n)
 	}
 }

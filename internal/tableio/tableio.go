@@ -70,7 +70,7 @@ func ImportCSV(pool *store.BufferPool, name string, r io.Reader) (*table.Table, 
 	for line := 2; ; line++ {
 		rec, err := cr.Read()
 		if err == io.EOF {
-			return t, nil
+			return t.Table(), nil
 		}
 		if err != nil {
 			return nil, fmt.Errorf("tableio: line %d: %w", line, err)
@@ -155,7 +155,7 @@ func ImportJSON(pool *store.BufferPool, schema table.Schema, r io.Reader) (*tabl
 	for line := 1; ; line++ {
 		var obj map[string]any
 		if err := dec.Decode(&obj); err == io.EOF {
-			return t, nil
+			return t.Table(), nil
 		} else if err != nil {
 			return nil, fmt.Errorf("tableio: object %d: %w", line, err)
 		}

@@ -33,7 +33,7 @@ func sampleTable(t *testing.T) *table.Table {
 			t.Fatal(err)
 		}
 	}
-	return tbl
+	return tbl.Table()
 }
 
 func rowsEqual(t *testing.T, a, b *table.Table) {

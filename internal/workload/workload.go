@@ -93,7 +93,7 @@ func Build(spec Spec, frames int) (*Dataset, error) {
 			return nil, err
 		}
 	}
-	return &Dataset{Pool: pool, Users: users, Orders: orders}, nil
+	return &Dataset{Pool: pool, Users: users.Table(), Orders: orders.Table()}, nil
 }
 
 // SelectivityValue returns a city value whose selectivity is roughly

@@ -33,8 +33,8 @@ func queryEnv(t testing.TB, users, orders int) *Env {
 		o.Insert(table.Row{core.Int(i), core.Int(i % users), core.Int(i)})
 	}
 	env := NewEnv()
-	env.BindTable("users", u)
-	env.BindTable("orders", o)
+	env.BindTable("users", u.Table())
+	env.BindTable("orders", o.Table())
 	return env
 }
 
@@ -218,7 +218,7 @@ func TestQueryGroupSumExact(t *testing.T) {
 				}
 			}
 			env := NewEnv()
-			env.BindTable("m", tbl)
+			env.BindTable("m", tbl.Table())
 			q, err := CompileQuery(env, "from m group by k sum(v)")
 			if err != nil {
 				t.Fatal(err)
@@ -318,7 +318,7 @@ func TestEnvCloneCopiesTables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clone.BindTable("extra", extra)
+	clone.BindTable("extra", extra.Table())
 	if _, ok := env.Table("extra"); ok {
 		t.Fatal("BindTable on clone leaked into original")
 	}
@@ -335,10 +335,11 @@ func TestQueryResolvesTablesInCatalogFirst(t *testing.T) {
 	env := queryEnv(t, 5, 5)
 	stale, _ := env.Table("users")
 	pool := store.NewBufferPool(store.NewMemPager(), 8)
-	current, err := table.Create(pool, stale.Schema())
+	fresh, err := table.Create(pool, stale.Schema())
 	if err != nil {
 		t.Fatal(err)
 	}
+	current := fresh.Table()
 	env.BindPlanCatalog(func() *plan.Catalog {
 		return &plan.Catalog{Tables: map[string]*table.Table{"users": current}}
 	})

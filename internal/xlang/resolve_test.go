@@ -19,10 +19,11 @@ import (
 // cancelled.
 func TestIdentifierResolutionOrder(t *testing.T) {
 	pool := store.NewBufferPool(store.NewMemPager(), 4)
-	tbl, err := table.Create(pool, table.Schema{Name: "t", Cols: []string{"x"}})
+	a, err := table.Create(pool, table.Schema{Name: "t", Cols: []string{"x"}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	tbl := a.Table()
 	cat := &plan.Catalog{Tables: map[string]*table.Table{"t": tbl}}
 	tSet := core.S(core.Tuple(core.Int(1)), core.Tuple(core.Int(2)))
 	pins, resolves := 0, 0

@@ -32,7 +32,7 @@ func analyticCatalog(t *testing.T) *plan.Catalog {
 				t.Fatal(err)
 			}
 		}
-		return tb
+		return tb.Table()
 	}
 	users := mk("users", []string{"id", "city", "score"}, 400, func(i int) table.Row {
 		return table.Row{core.Int(i), core.Str(fmt.Sprintf("city-%03d", r.Intn(50))), core.Int(r.Intn(100))}
