@@ -154,11 +154,14 @@ type Database struct {
 // structures), the partitions, and the __meta table that persists the
 // statistics and index declarations. Nothing in a version changes once
 // it is published; a commit builds its successor, sharing whatever the
-// commit left alone (txn.go). Page 0 holds its catalog set.
+// commit left alone (txn.go). Page 0 holds its catalog set. Each table
+// version bounds its own heap reads, so the version is a whole snapshot:
+// a reader holding it needs nothing else pinned.
 type version struct {
 	plan  *plan.Catalog
 	parts map[string]Partition
 	meta  *table.Table // nil until the first statistics or index
+	epoch uint64       // commits since the database was opened
 }
 
 // current returns the published version.
@@ -370,8 +373,8 @@ func writeCatalogPage(io store.PageIO, v *version) error {
 
 // BindAll wires the database into an expression-language environment
 // and materialises nothing. Its one reader is BeginRead: each statement
-// pins the planner catalog and its page view together once, runs a
-// query (`from users where …`) at them, and reads an identifier with no
+// takes the current version's planner catalog once, runs a query
+// (`from users where …`) at it, and reads an identifier with no
 // session binding that names a table of that catalog (`card(users)`) as
 // that table version's extended set (tableSet). Clones of env see every
 // later commit and every table created after the bind.
@@ -382,9 +385,9 @@ func (db *Database) BindAll(env *xlang.Env) error {
 }
 
 // tableSet is the resolver BindAll binds: the extended set of t, a
-// table version named by the catalog pinned with view.
-func tableSet(name string, t *table.Table, view *store.View) (*core.Set, error) {
-	s, err := t.SetAt(view)
+// table version named by the statement's catalog.
+func tableSet(name string, t *table.Table) (*core.Set, error) {
+	s, err := t.SetAt()
 	if err != nil {
 		return nil, fmt.Errorf("catalog: materialising %q: %w", name, err)
 	}

@@ -93,33 +93,23 @@ func (db *Database) Checkpoint() error {
 	return db.mgr.Checkpoint()
 }
 
-// NewView pins a snapshot view of the database at the current commit
-// epoch. Release it when done. Scans run under store.WithView(ctx,v)
-// then return exactly the rows committed before the pin, regardless of
-// concurrent commits.
-func (db *Database) NewView() *store.View { return db.pool.NewView() }
+// NewView is kept for benchsurface_test.go: a snapshot is a catalog
+// version (BeginRead), so it returns nil, a view that pins nothing.
+func (db *Database) NewView() *store.View { return nil }
 
-// ReadTxn is one snapshot of the database: the pinned commit epoch and
-// the planner catalog — tables, indexes, statistics — that was current
-// at the same instant. A query that resolves its tables in Snap and runs
-// under View gets the index path on every table Snap indexes, and never
-// probes an index holding record ids from a commit the View cannot see.
-// It is the read snapshot xlang pins per statement.
+// ReadTxn is one snapshot of the database: the planner catalog —
+// tables, indexes, statistics — of the current version and the commit
+// that published it. Every table version reads exactly its own rows, and
+// every index version holds exactly their record ids, so a query that
+// resolves its tables in Snap gets the index path on every table Snap
+// indexes and reads one commit throughout. It is the read snapshot
+// xlang takes per statement.
 type ReadTxn = xlang.ReadTxn
 
-// BeginRead atomically pins the current epoch and planner snapshot.
-// Commits publish both under the same lock, so the pair is always
-// mutually consistent. Release it when the read finishes.
+// BeginRead returns the current version as a read snapshot.
 func (db *Database) BeginRead() ReadTxn {
-	view, v := db.beginRead()
-	return ReadTxn{View: view, Snap: v.plan}
-}
-
-// beginRead pins the current epoch and returns it with its version.
-func (db *Database) beginRead() (*store.View, *version) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.pool.NewView(), db.cur
+	v := db.current()
+	return ReadTxn{Snap: v.plan, Epoch: v.epoch}
 }
 
 // Load appends rows to a table as one atomic transaction — one log

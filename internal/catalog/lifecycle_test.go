@@ -304,7 +304,6 @@ func TestSnapshotNamesTables(t *testing.T) {
 	}
 
 	old := db.BeginRead()
-	defer old.View.Release()
 	if err := db.Load(ctx, "orders", []table.Row{{core.Int(1000), core.Str("east"), core.Int(1)}}); err != nil {
 		t.Fatal(err)
 	}

@@ -13,10 +13,11 @@ import (
 	"xst/internal/xtest"
 )
 
-// Snapshot isolation, differentially: a view pinned before a commit
-// must keep answering the exact pre-commit row set — compared against a
-// materialized oracle — no matter how many transactions land after the
-// pin, while an unpinned read sees the latest world.
+// Snapshot isolation, differentially: a table version taken before a
+// commit must keep answering the exact pre-commit row set — compared
+// against a materialized oracle — no matter how many transactions land
+// after it, while the newest version sees the latest world. A version
+// reads the pool's current pages and stops at its own tail.
 
 func mvccRows(batch, n int) []table.Row {
 	rows := make([]table.Row, n)
@@ -54,9 +55,8 @@ func TestSnapshotIsolation(t *testing.T) {
 
 	// Pin, record the oracle, then commit ten more batches.
 	rt := db.BeginRead()
-	defer rt.View.Release()
 	pinned, _ := db.Table("ev")
-	oracle := scanAll(t, pinned.At(rt.View))
+	oracle := scanAll(t, pinned)
 	if len(oracle) != 40 {
 		t.Fatalf("oracle has %d rows, want 40", len(oracle))
 	}
@@ -66,33 +66,32 @@ func TestSnapshotIsolation(t *testing.T) {
 		}
 	}
 
-	// The pinned view still answers exactly the oracle; the committed
+	// The pinned version still answers exactly the oracle; the committed
 	// world has moved on.
 	cur, _ := db.Table("ev")
-	if got := scanAll(t, cur.At(rt.View)); fmt.Sprint(got) != fmt.Sprint(oracle) {
-		t.Fatalf("pinned view diverged from oracle:\n got %d rows\nwant %d rows", len(got), len(oracle))
+	if got := scanAll(t, rt.Snap.Tables["ev"]); fmt.Sprint(got) != fmt.Sprint(oracle) {
+		t.Fatalf("pinned version diverged from oracle:\n got %d rows\nwant %d rows", len(got), len(oracle))
 	}
 	if got := scanAll(t, cur); len(got) != 11*40 {
 		t.Fatalf("latest read sees %d rows, want %d", len(got), 11*40)
 	}
 
-	// A view pinned now sees all eleven batches even while later
+	// A version pinned now sees all eleven batches even while later
 	// commits land.
 	rt2 := db.BeginRead()
-	defer rt2.View.Release()
 	if err := db.Load(ctx, "ev", mvccRows(11, 40)); err != nil {
 		t.Fatal(err)
 	}
-	if got := scanAll(t, cur.At(rt2.View)); len(got) != 11*40 {
-		t.Fatalf("second view sees %d rows, want %d", len(got), 11*40)
+	if got := scanAll(t, rt2.Snap.Tables["ev"]); len(got) != 11*40 {
+		t.Fatalf("second version sees %d rows, want %d", len(got), 11*40)
 	}
 }
 
-// A table version newer than a view names pages committed after the
-// view's epoch. The view reads each of them as a page with no records,
-// so every walk of the newer version under the older view answers the
-// view's rows.
-func TestOlderViewReadsLaterPagesAsEmpty(t *testing.T) {
+// TestPinnedVersionReadsItsRowsAcrossLaterPages: a version pinned on a
+// table's first page reads its own 40 rows through every walk while the
+// newest version spans several pages, the pinned page filled up by later
+// commits among them.
+func TestPinnedVersionReadsItsRowsAcrossLaterPages(t *testing.T) {
 	db, err := Create(store.NewMemPager(), 64)
 	if err != nil {
 		t.Fatal(err)
@@ -104,8 +103,7 @@ func TestOlderViewReadsLaterPagesAsEmpty(t *testing.T) {
 	if err := db.Load(ctx, "ev", mvccRows(0, 40)); err != nil {
 		t.Fatal(err)
 	}
-	rt := db.BeginRead()
-	defer rt.View.Release()
+	old := db.BeginRead().Snap.Tables["ev"]
 	for b := 1; b <= 5; b++ {
 		if err := db.Load(ctx, "ev", mvccRows(b, 400)); err != nil {
 			t.Fatal(err)
@@ -115,16 +113,15 @@ func TestOlderViewReadsLaterPagesAsEmpty(t *testing.T) {
 	if ids, _ := cur.PageIDs(); len(ids) < 3 {
 		t.Fatalf("the table spans %d pages, want several", len(ids))
 	}
-	old := cur.At(rt.View)
 	if got := len(scanAll(t, old)); got != 40 {
-		t.Fatalf("Scan under the older view: %d rows, want 40", got)
+		t.Fatalf("Scan of the pinned version: %d rows, want 40", got)
 	}
 	batched := 0
 	if err := old.ScanBatches(func(_ store.PageID, rows []table.Row) (bool, error) {
 		batched += len(rows)
 		return true, nil
 	}); err != nil || batched != 40 {
-		t.Fatalf("ScanBatches under the older view: %d rows (%v), want 40", batched, err)
+		t.Fatalf("ScanBatches of the pinned version: %d rows (%v), want 40", batched, err)
 	}
 	pulled := 0
 	for c := old.NewCursor(); ; pulled++ {
@@ -137,7 +134,7 @@ func TestOlderViewReadsLaterPagesAsEmpty(t *testing.T) {
 		}
 	}
 	if pulled != 40 {
-		t.Fatalf("a cursor under the older view: %d rows, want 40", pulled)
+		t.Fatalf("a cursor over the pinned version: %d rows, want 40", pulled)
 	}
 }
 
@@ -235,11 +232,11 @@ func TestSnapshotReadersThroughPoisonedScans(t *testing.T) {
 	ctx := context.Background()
 	const batch, nBatches, readers = 400, 30, 4
 
-	// check streams op under the read's view and verifies that batch b
-	// is there in full for every b below the snapshot's batch count.
-	check := func(rt ReadTxn, want int, op exec.Operator) error {
+	// check streams op and verifies that batch b is there in full for
+	// every b below the snapshot's batch count.
+	check := func(want int, op exec.Operator) error {
 		seen := make([]int, want/batch)
-		err := exec.Stream(store.WithView(ctx, rt.View), op, func(rows []table.Row) error {
+		err := exec.Stream(ctx, op, func(rows []table.Row) error {
 			for _, r := range rows {
 				b, ok := r[0].(core.Int)
 				if !ok || int(b) >= len(seen) {
@@ -267,24 +264,21 @@ func TestSnapshotReadersThroughPoisonedScans(t *testing.T) {
 			defer wg.Done()
 			<-start
 			for k := 0; k < 8; k++ {
-				rt := db.BeginRead()
-				tab, ok := rt.Snap.Table("ev")
+				tab, ok := db.BeginRead().Snap.Table("ev")
 				if !ok {
-					rt.View.Release()
 					errs <- fmt.Errorf("reader %d: snapshot has no table ev", r)
 					return
 				}
 				want := tab.Count()
-				err := check(rt, want, poisoned(exec.NewScan(tab, nil)))
+				err := check(want, poisoned(exec.NewScan(tab, nil)))
 				if err == nil {
 					src := tab.NewMorselSource()
-					err = check(rt, want, exec.NewGather([]exec.Operator{
+					err = check(want, exec.NewGather([]exec.Operator{
 						poisoned(exec.NewMorselScan(src, nil)),
 						poisoned(exec.NewMorselScan(src, nil)),
 						poisoned(exec.NewMorselScan(src, nil)),
 					}))
 				}
-				rt.View.Release()
 				if err != nil {
 					errs <- fmt.Errorf("reader %d: %w", r, err)
 					return

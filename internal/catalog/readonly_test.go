@@ -40,7 +40,6 @@ func TestPublishedTableIsReadOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	rt := db.BeginRead()
-	defer rt.Release()
 	if rt.Snap.Tables["orders"] != before {
 		t.Fatal("the snapshot names another version than Table")
 	}
@@ -58,7 +57,7 @@ func TestPublishedTableIsReadOnly(t *testing.T) {
 	if n := before.Count(); n != 50 {
 		t.Fatalf("the version before the load counts %d rows, want 50", n)
 	}
-	s, err := before.SetAt(rt.View)
+	s, err := before.SetAt()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,11 +85,11 @@ func TestReadersSeeTheirVersionUnderLoads(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// check reads one version under a view that shows it.
-	check := func(tab *table.Table, view *store.View) error {
+	// check reads one version.
+	check := func(tab *table.Table) error {
 		n := tab.Count()
 		seen := 0
-		err := tab.At(view).Scan(func(_ store.RID, r table.Row) (bool, error) {
+		err := tab.Scan(func(_ store.RID, r table.Row) (bool, error) {
 			want := table.Row{core.Int(int64(seen / batch)), core.Int(int64(seen % batch))}
 			if !core.Equal(r.Tuple(), want.Tuple()) {
 				return false, fmt.Errorf("row %d is %v, want %v", seen, r, want)
@@ -129,14 +128,11 @@ func TestReadersSeeTheirVersionUnderLoads(t *testing.T) {
 				if !fromTable {
 					tab = rt.Snap.Tables["ev"]
 				} else if rt.Snap.Tables["ev"] != tab {
-					// A commit landed between the two reads; this view
-					// shows a later version.
-					rt.Release()
+					// A commit landed between the two reads; this
+					// snapshot names a later version.
 					continue
 				}
-				err := check(tab, rt.View)
-				rt.Release()
-				if err != nil {
+				if err := check(tab); err != nil {
 					errs <- err
 					return
 				}

@@ -2,7 +2,6 @@ package catalog
 
 import (
 	"context"
-	"time"
 
 	"xst/internal/core"
 	"xst/internal/sysview"
@@ -18,17 +17,15 @@ import (
 // when the server started.
 
 // SysTables returns the database-derived system views: the stored
-// tables (__sys.tables), WAL/MVCC health (__sys.wal), pinned snapshot
-// epochs (__sys.txns), declared indexes (__sys.indexes), per-column
-// statistics (__sys.stats) and the buffer pool (__sys.bufferpool).
+// tables (__sys.tables), WAL health (__sys.wal), declared indexes
+// (__sys.indexes), per-column statistics (__sys.stats) and the buffer
+// pool (__sys.bufferpool).
 func (db *Database) SysTables() []*sysview.Table {
 	return []*sysview.Table{
 		sysview.Standard(sysview.Tables,
 			"stored tables: columns, rows, sampled row bytes, partition spec", db.tableRows),
 		sysview.Standard(sysview.Wal,
-			"write-ahead-log and MVCC version-chain health", db.walRows),
-		sysview.Standard(sysview.Txns,
-			"pinned MVCC snapshot epochs and their ages", db.txnRows),
+			"write-ahead-log health", db.walRows),
 		sysview.Standard(sysview.Indexes,
 			"declared indexes visible to the planner", db.indexRows),
 		sysview.Standard(sysview.Stats,
@@ -46,15 +43,14 @@ func (db *Database) SysTables() []*sysview.Table {
 // bounds are the ⟨bounds…⟩ tuple the catalog set stores on page 0.
 // Distinct counts are __sys.stats's.
 func (db *Database) tableRows(ctx context.Context) ([]table.Row, error) {
-	view, v := db.beginRead()
-	defer view.Release()
+	v := db.current()
 	names := sortedNames(v.plan.Tables)
 	out := make([]table.Row, 0, len(names))
 	for _, name := range names {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		t := v.plan.Tables[name].At(view)
+		t := v.plan.Tables[name]
 		cols := make([]core.Value, len(t.Schema().Cols))
 		for i, c := range t.Schema().Cols {
 			cols[i] = core.Str(c)
@@ -88,34 +84,15 @@ func sampleRowBytes(t *table.Table) int {
 	return total / b.Len
 }
 
-// walRows is one row of durability health: commit epoch, log bytes
-// since checkpoint, retained superseded images, pinned snapshots with
-// the oldest pin's age, and the lifetime checkpoint count.
+// walRows is one row of durability health: the current version's
+// commit epoch, log bytes since checkpoint, and the lifetime checkpoint
+// count.
 func (db *Database) walRows(context.Context) ([]table.Row, error) {
-	pool := db.Pool()
 	return []table.Row{{
-		core.Int(int64(pool.Epoch())),
+		core.Int(int64(db.current().epoch)),
 		core.Int(db.WAL().LoggedBytes()),
-		core.Int(int64(pool.SupersededImages())),
-		core.Int(int64(len(pool.ActivePins()))),
-		core.Int(pool.OldestPinnedAge().Microseconds()),
 		core.Int(db.WAL().Checkpoints()),
 	}}, nil
-}
-
-// txnRows is one row per pinned snapshot epoch, oldest first.
-func (db *Database) txnRows(context.Context) ([]table.Row, error) {
-	pins := db.Pool().ActivePins()
-	now := time.Now()
-	out := make([]table.Row, 0, len(pins))
-	for _, p := range pins {
-		out = append(out, table.Row{
-			core.Int(int64(p.Epoch)),
-			core.Int(int64(p.Refs)),
-			core.Int(now.Sub(p.Since).Microseconds()),
-		})
-	}
-	return out, nil
 }
 
 // indexRows is one row per declared index with its built entry count,

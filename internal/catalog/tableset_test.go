@@ -17,8 +17,8 @@ import (
 // extended set (Table.SetAt), built on first use and shared.
 
 // setAt resolves a table as the resolver BindAll binds does.
-func setAt(_ string, tab *table.Table, view *store.View) (*core.Set, error) {
-	return tab.SetAt(view)
+func setAt(_ string, tab *table.Table) (*core.Set, error) {
+	return tab.SetAt()
 }
 
 func usersDB(t testing.TB, n int) *Database {
@@ -77,8 +77,7 @@ func TestTableNamesResolveInTheStatementSnapshot(t *testing.T) {
 		t.Fatalf("card(users) after a commit = %s, want 4", got)
 	}
 	rt := db.BeginRead()
-	own, err := rt.Snap.Tables["users"].SetAt(rt.View)
-	rt.Release()
+	own, err := rt.Snap.Tables["users"].SetAt()
 	if v, _ := xlang.Eval(env, "users"); err != nil || v != own {
 		t.Fatalf("users does not resolve to the published version's set (%v)", err)
 	}
@@ -122,8 +121,8 @@ func TestOneStatementOneVersion(t *testing.T) {
 	db := usersDB(t, 3)
 	env := xlang.NewEnv()
 	commits := 0
-	env.BindReader(db.BeginRead, func(name string, tab *table.Table, view *store.View) (*core.Set, error) {
-		s, err := setAt(name, tab, view)
+	env.BindReader(db.BeginRead, func(name string, tab *table.Table) (*core.Set, error) {
+		s, err := setAt(name, tab)
 		if commits < 2 {
 			commits++
 			if err := db.Load(context.Background(), "users", userRows(2+commits, 1)); err != nil {
@@ -180,8 +179,8 @@ func TestCommitAfterPinReadsThePinnedVersion(t *testing.T) {
 }
 
 // TestQueryReadsThePinnedVersion: a `from` statement evaluated as an
-// expression runs under the view it pinned with its catalog, so a commit
-// right after the pin does not show in its rows.
+// expression runs on the table versions its pinned catalog names, so a
+// commit right after the pin does not show in its rows.
 func TestQueryReadsThePinnedVersion(t *testing.T) {
 	db := usersDB(t, 4)
 	env := xlang.NewEnv()
@@ -239,13 +238,12 @@ func TestConcurrentResolutionBuildsOnce(t *testing.T) {
 	}
 }
 
-// resolve resolves name as a statement does: it pins a snapshot, reads
-// the name's version under the snapshot's view, and releases it.
+// resolve resolves name as a statement does: it takes a snapshot and
+// reads the name's version in it.
 func resolve(db *Database, name string) (*table.Table, *core.Set, error) {
 	rt := db.BeginRead()
-	defer rt.Release()
 	tab := rt.Snap.Tables[name]
-	s, err := tab.SetAt(rt.View)
+	s, err := tab.SetAt()
 	return tab, s, err
 }
 
@@ -256,9 +254,8 @@ func TestTableSetIsToXST(t *testing.T) {
 	db := usersDB(t, 500)
 	ctx := context.Background()
 	old := db.BeginRead()
-	defer old.Release()
 	oldTab := old.Snap.Tables["users"]
-	oldSet, err := oldTab.SetAt(old.View)
+	oldSet, err := oldTab.SetAt()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,15 +283,14 @@ func TestTableSetIsToXST(t *testing.T) {
 	}
 	// A statement still pinned at the first version reads that version's
 	// own set again.
-	if again, err := oldTab.SetAt(old.View); err != nil || again != oldSet {
-		t.Fatalf("resolving a superseded version under its pinned view: %v, %v", again, err)
+	if again, err := oldTab.SetAt(); err != nil || again != oldSet {
+		t.Fatalf("resolving a superseded version: %v, %v", again, err)
 	}
 
 	rt := db.BeginRead()
-	defer rt.Release()
 	tab := rt.Snap.Tables["users"]
 	if allocs := testing.AllocsPerRun(100, func() {
-		if _, err := tableSet("users", tab, rt.View); err != nil {
+		if _, err := tableSet("users", tab); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {
@@ -303,16 +299,15 @@ func TestTableSetIsToXST(t *testing.T) {
 }
 
 // TestTableSetReadsItsVersion builds a version's set after a writer
-// committed into the same table: built under the view pinned with the
-// version, the set holds exactly that version's rows.
+// committed into the same table: the set holds exactly that version's
+// rows.
 func TestTableSetReadsItsVersion(t *testing.T) {
 	db := usersDB(t, 1_000)
 	rt := db.BeginRead()
-	defer rt.Release()
 	if err := db.Load(context.Background(), "users", userRows(1_000, 500)); err != nil {
 		t.Fatal(err)
 	}
-	s, err := rt.Snap.Tables["users"].SetAt(rt.View)
+	s, err := rt.Snap.Tables["users"].SetAt()
 	if err != nil {
 		t.Fatal(err)
 	}

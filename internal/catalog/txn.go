@@ -33,10 +33,10 @@ import (
 //     transaction began at, overlaid with what it staged — and writes
 //     the __meta rewrite and page 0 off it into the shadow. It then
 //     appends the after-images and a commit marker to the log, fsyncs,
-//     and, under db.mu, installs the images through store.CommitPages —
-//     which advances the MVCC epoch and parks superseded images for
-//     active snapshot views — and publishes the version, so a snapshot
-//     reader observes either the whole commit or none of it.
+//     and, under db.mu, installs the images through store.CommitPages
+//     and publishes the version, so a snapshot reader observes either
+//     the whole commit or none of it. A reader of an older version reads
+//     the new images too, up to each of its tables' heap tails.
 //
 // Index maintenance rides the same commit. An index is built once, at
 // CreateIndex or at open; record ids never move, so after that each
@@ -99,7 +99,7 @@ type tableState struct {
 
 // Txn is one atomic statement against the database: reads see the
 // committed state plus the transaction's own writes; Commit publishes
-// everything (pages, catalog, indexes, planner snapshot) in one epoch,
+// everything (pages, catalog, indexes, planner snapshot) in one commit,
 // and Abort discards it all. Exactly one of Commit/Abort must be
 // called; Begin holds the writer lock until then.
 type Txn struct {
@@ -235,8 +235,7 @@ func (tx *Txn) Abort() {
 // Commit makes the transaction durable and visible: it builds the next
 // version (next), whose __meta rewrite and catalog page join the shadow,
 // the wal logs and fsyncs every after-image, the buffer pool installs
-// them under a new MVCC epoch, and the version publishes atomically with
-// that epoch. On error the transaction is dead (the writer lock is
+// them, and the version publishes atomically with them. On error the transaction is dead (the writer lock is
 // released); the database keeps serving its last committed version.
 func (tx *Txn) Commit(ctx context.Context) error {
 	if tx.done {
@@ -252,10 +251,10 @@ func (tx *Txn) Commit(ctx context.Context) error {
 	}
 	sp := trace.SpanOf(ctx).Start("wal")
 	sp.AddBatches(tx.wtx.Pages())
-	err = tx.wtx.CommitWith(func(pages map[store.PageID][]byte, fresh map[store.PageID]bool) error {
+	err = tx.wtx.CommitWith(func(pages map[store.PageID][]byte) error {
 		db.mu.Lock()
 		defer db.mu.Unlock()
-		if _, err := db.pool.CommitPages(pages, fresh); err != nil {
+		if err := db.pool.CommitPages(pages); err != nil {
 			return err
 		}
 		db.cur = v
@@ -286,6 +285,7 @@ func (tx *Txn) Commit(ctx context.Context) error {
 func (tx *Txn) next() (*version, error) {
 	db, base := tx.db, tx.base
 	v := *base
+	v.epoch++
 	if len(tx.tables) > 0 || tx.newStats != nil || tx.created != nil {
 		p, err := tx.nextCatalog()
 		if err != nil {

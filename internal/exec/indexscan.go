@@ -34,7 +34,6 @@ type IndexScan struct {
 	need           []bool
 
 	ctx   context.Context
-	src   *table.Table // tab, possibly pinned to the Open ctx's view
 	rids  []store.RID
 	pos   int
 	out   table.Batch
@@ -63,10 +62,6 @@ func (s *IndexScan) Open(ctx context.Context) error {
 	s.stats = OpStats{}
 	defer s.stats.timed(time.Now())
 	s.ctx = ctx
-	s.src = s.tab
-	if v := store.ViewFrom(ctx); v != nil {
-		s.src = s.tab.At(v)
-	}
 	s.rids = s.rids[:0]
 	s.pos = 0
 	s.open = true
@@ -130,7 +125,7 @@ func (s *IndexScan) Next() (*table.Batch, error) {
 		return nil, err
 	}
 	n := min(len(s.rids)-s.pos, MaxBatchRows)
-	if err := s.src.Fetch(s.rids[s.pos:s.pos+n], &s.out, s.need); err != nil {
+	if err := s.tab.Fetch(s.rids[s.pos:s.pos+n], &s.out, s.need); err != nil {
 		return nil, err
 	}
 	s.pos += n
@@ -142,7 +137,6 @@ func (s *IndexScan) Next() (*table.Batch, error) {
 // Close implements Operator.
 func (s *IndexScan) Close() error {
 	s.open = false
-	s.src = nil
 	s.rids = nil
 	s.out = table.Batch{}
 	return nil

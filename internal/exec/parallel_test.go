@@ -84,9 +84,10 @@ func TestTreeRunsTwice(t *testing.T) {
 	}
 }
 
-// TestTreeRunsUnderEachView runs one tree under a snapshot, a later one
-// and the first again: each run binds its scans to its own view, so it
-// counts the rows committed when that view was taken.
+// TestTreeRunsUnderEachView runs the trees of a snapshot, a later one
+// and the first again, each twice: a tree reads its table version, so it
+// counts the rows committed when its snapshot was taken, though both
+// versions end on the same page.
 func TestTreeRunsUnderEachView(t *testing.T) {
 	db, err := catalog.Create(store.NewMemPager(), 64)
 	if err != nil {
@@ -96,7 +97,7 @@ func TestTreeRunsUnderEachView(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	load := func(b, n int) catalog.ReadTxn {
+	load := func(b, n int) *table.Table {
 		rows := make([]table.Row, n)
 		for i := range rows {
 			rows[i] = table.Row{core.Int(int64(b)), core.Int(int64(i))}
@@ -104,28 +105,32 @@ func TestTreeRunsUnderEachView(t *testing.T) {
 		if err := db.Load(ctx, "ev", rows); err != nil {
 			t.Fatal(err)
 		}
-		return db.BeginRead()
+		tab, ok := db.BeginRead().Snap.Table("ev")
+		if !ok {
+			t.Fatal("snapshot has no table ev")
+		}
+		return tab
 	}
 	// Both loads fit one page, so the table's page list is the same in
-	// both snapshots and only the page's image differs.
+	// both snapshots and only the page's slot count differs.
 	first, second := load(0, 20), load(1, 30)
-	defer first.View.Release()
-	defer second.View.Release()
-	tab, ok := first.Snap.Table("ev")
-	if !ok {
-		t.Fatal("snapshot has no table ev")
+	trees := func(tab *table.Table) []exec.Operator {
+		return []exec.Operator{exec.NewScan(tab, nil), exec.NewGather(morselScans(tab, 2))}
 	}
-	for _, op := range []exec.Operator{exec.NewScan(tab, nil), exec.NewGather(morselScans(tab, 2))} {
-		for _, run := range []struct {
-			rt   catalog.ReadTxn
-			want int
-		}{{first, 20}, {second, 50}, {first, 20}} {
-			n, err := exec.Count(store.WithView(ctx, run.rt.View), op)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if n != run.want {
-				t.Fatalf("%s under epoch %d: %d rows, want %d", op, run.rt.View.Epoch(), n, run.want)
+	firstOps, secondOps := trees(first), trees(second)
+	for _, run := range []struct {
+		ops  []exec.Operator
+		want int
+	}{{firstOps, 20}, {secondOps, 50}, {firstOps, 20}} {
+		for _, op := range run.ops {
+			for i := 0; i < 2; i++ {
+				n, err := exec.Count(ctx, op)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n != run.want {
+					t.Fatalf("%s: %d rows, want %d", op, n, run.want)
+				}
 			}
 		}
 	}

@@ -29,15 +29,14 @@ func NewMorselScan(src *table.MorselSource, need []bool) *MorselScan {
 	return &MorselScan{src: src, need: need}
 }
 
-// Open implements Operator: it binds the worker to the source's run, so
-// the workers of one run scan one snapshot, the context's view
-// (store.WithView). The operator that owns the workers closes them
-// together, so no run is rewound before every worker is done with it.
+// Open implements Operator: it binds the worker to the source's run.
+// The operator that owns the workers closes them together, so no run is
+// rewound before every worker is done with it.
 func (s *MorselScan) Open(ctx context.Context) error {
 	s.stats = OpStats{}
 	defer s.stats.timed(time.Now())
 	if s.ctx == nil {
-		s.src.Bind(ctx)
+		s.src.Bind()
 		s.batch = pageBatches.get()
 	}
 	s.ctx = ctx

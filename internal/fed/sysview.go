@@ -23,7 +23,7 @@ import (
 // exposes each with schema {site} ∪ StandardCols[name].
 var fedViews = []string{
 	sysview.Queries, sysview.Metrics, sysview.Slow,
-	sysview.Txns, sysview.Wal, sysview.Indexes, sysview.Stats, sysview.Pool,
+	sysview.Wal, sysview.Indexes, sysview.Stats, sysview.Pool,
 	sysview.Tables,
 }
 

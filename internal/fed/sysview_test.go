@@ -36,8 +36,8 @@ func TestFedSysUnion(t *testing.T) {
 	}
 	seen := map[int]bool{}
 	for _, r := range rows {
-		if len(r) != 7 {
-			t.Fatalf("federated __sys.wal arity %d, want 7 (site + 6)", len(r))
+		if len(r) != 4 {
+			t.Fatalf("federated __sys.wal arity %d, want 4 (site + 3)", len(r))
 		}
 		seen[siteOf(t, r)] = true
 	}

@@ -158,27 +158,6 @@ var SpanCloseAnalyzer = lifecycle{
 	discard: "result of %s discarded; the span is never ended",
 }.analyzer()
 
-// ReleaseAnalyzer enforces the read-snapshot lifecycle: a snapshot a
-// function pins — an xlang.ReadTxn from Env.Pin or Database.BeginRead, a
-// store.View from NewView — is Released on every path out of it, or
-// escapes to an owner (returned, stored, captured). A pin never released
-// keeps its epoch's superseded page images alive for the life of the
-// process, which no test sees and every long-running server pays for.
-// `defer rt.Release()` right after the pin covers every path.
-var ReleaseAnalyzer = lifecycle{
-	name:  "release",
-	doc:   "flags pinned read snapshots (Pin, BeginRead, NewView) not released on every return path",
-	kind:  "read snapshot",
-	isRes: withMethods("Release"),
-	maker: func(call *ast.CallExpr) bool {
-		_, name := calleeName(call)
-		return name == "Pin" || name == "BeginRead" || name == "NewView"
-	},
-	enders: []string{"Release"},
-	owned:  true,
-	leak:   "read snapshot %[1]s is not released on every return path; defer %[1]s.Release() after pinning it",
-}.analyzer()
-
 func (l lifecycle) analyzer() *Analyzer {
 	return &Analyzer{Name: l.name, Doc: l.doc, Run: l.run}
 }

@@ -2,7 +2,7 @@
 // dependency-free re-implementation of the golang.org/x/tools/go/analysis
 // API shape (Analyzer, Pass, Diagnostic, suggested fixes), a lightweight
 // intraprocedural CFG (cfg.go) with a summary-based interprocedural
-// layer (summary.go), and the twelve analyzers that enforce the
+// layer (summary.go), and the eleven analyzers that enforce the
 // algebra's invariants:
 //
 //	setmutate — canonical slices handed out by (*core.Set).Members and
@@ -27,7 +27,7 @@
 //	sendguard — no bare channel send in a worker goroutine without a
 //	            ctx-done select arm.
 //
-// and five rows of one lifecycle engine (lifecycle.go), which checks
+// and four rows of one lifecycle engine (lifecycle.go), which checks
 // that a value made in a function is released on every path out of it:
 //
 //	spanclose — trace spans (trace.NewRoot/NewRootTrace, Span.Start) are
@@ -38,8 +38,6 @@
 //	            abandoned by retry loops, and error-path teardown of
 //	            receiver-held conns is symmetric.
 //	txnend    — locally-begun transactions are committed or aborted.
-//	release   — pinned read snapshots (Env.Pin, BeginRead, NewView) are
-//	            released.
 //
 // Analyzers that have fired on the tree outside their fixtures (the
 // fixes carry regression tests): ctxloop in PR 2 (algebra/closure.go's
@@ -48,7 +46,7 @@
 // waived); opclose in PR 7 (plan's compile unwinds, plan/close_test.go);
 // connclose, lockheld and goleak in PR 7 (fed's Remote.Next, gatherCache
 // and BootLocal, fed/lifecycle_test.go). setmutate, atomicmix,
-// spanclose, sendguard, txnend and release have not.
+// spanclose, sendguard and txnend have not.
 //
 // The theory needs these mechanically: Childs' compatibility results
 // assume set objects behave like values — canonical, immutable,
@@ -135,7 +133,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // Report records a violation with optional suggested fixes.
 func (p *Pass) Report(d Diagnostic) { p.diagnostics = append(p.diagnostics, d) }
 
-// All returns the twelve invariant analyzers in report order.
+// All returns the eleven invariant analyzers in report order.
 func All() []*Analyzer {
 	return []*Analyzer{
 		SetMutateAnalyzer,
@@ -149,7 +147,6 @@ func All() []*Analyzer {
 		ConnCloseAnalyzer,
 		SendGuardAnalyzer,
 		TxnEndAnalyzer,
-		ReleaseAnalyzer,
 	}
 }
 

@@ -102,7 +102,7 @@ func (r *Registry) RegisterGauge(name, help string, g *Gauge) error {
 
 // RegisterGaugeFunc adds a computed gauge: fn is evaluated at every
 // snapshot or exposition, so values derived from live state (goroutine
-// count, oldest-pinned-snapshot age, WAL bytes since checkpoint) are
+// count, heap bytes, WAL bytes since checkpoint) are
 // current at scrape time with no update loop. fn must be safe for
 // concurrent use and should not block.
 func (r *Registry) RegisterGaugeFunc(name, help string, fn func() int64) error {

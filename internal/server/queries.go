@@ -90,7 +90,7 @@ func (q *liveQuery) setPhase(p string) {
 }
 
 // setExec records the admission outcome: worker tokens (DOP) and the
-// pinned snapshot epoch the statement reads at.
+// commit epoch of the snapshot the statement reads at.
 func (q *liveQuery) setExec(dop int, epoch uint64) {
 	if q == nil {
 		return

@@ -163,12 +163,8 @@ type Metrics struct {
 	TxnAbort    metrics.Counter
 	WALFsync    metrics.Histogram
 
-	// MVCC/WAL health: how long checkpoint folds take, and how many
-	// superseded page images each version-chain prune reclaims. The
-	// prune histogram records image counts on the microsecond tick, so
-	// its log2 buckets count images, not time.
+	// WAL health: how long checkpoint folds take.
 	CheckpointDur metrics.Histogram
-	PruneBatch    metrics.Histogram
 }
 
 // Snapshot is a point-in-time view of the server's metrics, for
@@ -365,9 +361,6 @@ func (s *Server) registerMetrics() error {
 	if err == nil {
 		err = s.reg.RegisterHistogram("xstd_checkpoint_seconds", "log-fold (checkpoint) duration", &s.m.CheckpointDur)
 	}
-	if err == nil {
-		err = s.reg.RegisterHistogram("xstd_mvcc_prune_images", "superseded images reclaimed per version-chain prune (bucket bounds count images)", &s.m.PruneBatch)
-	}
 	gaugeFn := func(name, help string, fn func() int64) {
 		if err == nil {
 			err = s.reg.RegisterGaugeFunc(name, help, fn)
@@ -388,21 +381,7 @@ func (s *Server) registerMetrics() error {
 	if s.cfg.DB != nil {
 		pool := s.cfg.DB.Pool()
 		mgr := s.cfg.DB.WAL()
-		// MVCC/WAL health: long-pinned snapshots hold superseded images
-		// alive and an unchecked log grows recovery time — these gauges
-		// make both visible before they hurt.
-		gaugeFn("xstd_mvcc_snapshot_oldest_seconds", "age of the oldest pinned MVCC snapshot", func() int64 {
-			return int64(pool.OldestPinnedAge().Seconds())
-		})
-		gaugeFn("xstd_mvcc_pinned_snapshots", "MVCC views currently pinned", func() int64 {
-			return int64(pool.ActiveViews())
-		})
-		gaugeFn("xstd_mvcc_superseded_pages", "superseded page images retained for active views", func() int64 {
-			return int64(pool.SupersededImages())
-		})
-		gaugeFn("xstd_mvcc_images_reclaimed_total", "lifetime superseded images dropped by pruning", func() int64 {
-			return int64(pool.ReclaimedImages())
-		})
+		// WAL health: an unchecked log grows recovery time.
 		gaugeFn("xstd_wal_bytes_since_checkpoint", "log bytes appended since the last checkpoint", func() int64 {
 			return mgr.LoggedBytes()
 		})
@@ -418,8 +397,7 @@ func (s *Server) registerMetrics() error {
 }
 
 // hookWAL feeds the database's transaction-manager events into the
-// server's metric counters, and the buffer pool's prune events into the
-// reclaim histogram.
+// server's metric counters.
 func (s *Server) hookWAL() {
 	s.cfg.DB.WAL().SetHooks(wal.Hooks{
 		Append: func(bytes int) {
@@ -434,11 +412,6 @@ func (s *Server) hookWAL() {
 			s.m.Checkpoints.Inc()
 			s.m.CheckpointDur.Record(d)
 		},
-	})
-	s.cfg.DB.Pool().SetPruneHook(func(images int) {
-		// Image counts ride the histogram's microsecond tick — see the
-		// PruneBatch field comment.
-		s.m.PruneBatch.Record(time.Duration(images) * time.Microsecond)
 	})
 }
 
@@ -754,10 +727,11 @@ func (s *Server) handle(sess *session, req Request) (resp Response, quit bool) {
 		s.m.TracedQueries.Inc()
 	}
 
-	// Snapshot isolation: a query statement pins its read snapshot — the
-	// commit epoch together with the planner catalog current at the same
-	// instant — and compiles and runs at it, so an in-flight streaming
-	// query keeps returning its snapshot while writers commit. (EvalCtx
+	// Snapshot isolation: a query statement takes its read snapshot — the
+	// planner catalog of the current version, whose table versions read
+	// exactly their own rows — and compiles and runs at it, so an
+	// in-flight streaming query keeps returning its snapshot while
+	// writers commit. (EvalCtx
 	// pins an expression statement's own.) Compiling before admission
 	// lets the cost-chosen degree of parallelism price the request: a
 	// dop-way query claims dop worker tokens, so parallel fan-out spends
@@ -767,7 +741,6 @@ func (s *Server) handle(sess *session, req Request) (resp Response, quit bool) {
 	var q Query
 	if xlang.IsQuery(req.Stmt) {
 		rt = sess.env.Pin()
-		defer rt.Release()
 		lq.setPhase("compile")
 		csp := root.Start("compile")
 		var err error
@@ -819,16 +792,12 @@ func (s *Server) handle(sess *session, req Request) (resp Response, quit bool) {
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
 	ctx = trace.WithSpan(ctx, root)
-	var epoch uint64
-	if rt.View != nil {
-		ctx = store.WithView(ctx, rt.View)
-		epoch = rt.View.Epoch()
-	}
 	// Attribution: the root span (and so the slow-query log) records the
-	// pinned snapshot epoch and worker-token count the statement ran at.
-	root.SetEpoch(epoch)
+	// commit of the snapshot and the worker-token count the statement ran
+	// at.
+	root.SetEpoch(rt.Epoch)
 	root.SetDOP(tokens)
-	lq.setExec(tokens, epoch)
+	lq.setExec(tokens, rt.Epoch)
 	lq.setPhase("exec")
 
 	s.m.InFlight.Inc()

@@ -141,18 +141,14 @@ func TestSysMetricsAgree(t *testing.T) {
 	}
 	// Spot-check live values: the connection serving the view counted
 	// itself, and the process gauges see a running runtime.
-	for _, series := range []string{"xstd_conns_total", "xstd_go_goroutines", "xstd_heap_bytes", "xstd_mvcc_pinned_snapshots"} {
+	for _, series := range []string{"xstd_conns_total", "xstd_go_goroutines", "xstd_heap_bytes"} {
 		r := findRow(rows, series)
 		if r == "" {
 			t.Fatalf("%s missing from __sys.metrics", series)
 		}
-		if series != "xstd_mvcc_pinned_snapshots" && fieldsOf(r)[2] == "0" {
+		if fieldsOf(r)[2] == "0" {
 			t.Fatalf("%s reads zero: %s", series, r)
 		}
-	}
-	// The view's own statement read under a pinned snapshot.
-	if r := findRow(rows, "xstd_mvcc_pinned_snapshots"); fieldsOf(r)[2] == "0" {
-		t.Fatalf("pinned-snapshots gauge reads zero during a query: %s", r)
 	}
 }
 
@@ -235,9 +231,8 @@ func TestTablesWithoutDatabase(t *testing.T) {
 }
 
 // TestSysStorageViews: the database-derived views answer live state —
-// one __sys.wal health row, the view query's own pinned snapshot in
-// __sys.txns, declared indexes with entry counts, analyze output in
-// __sys.stats.
+// one __sys.wal health row, declared indexes with entry counts, analyze
+// output in __sys.stats.
 func TestSysStorageViews(t *testing.T) {
 	_, addr := startServer(t, Config{DB: testDB(t)})
 	c, err := Dial(addr)
@@ -257,15 +252,8 @@ func TestSysStorageViews(t *testing.T) {
 	if len(rows) != 1 {
 		t.Fatalf("__sys.wal returned %d rows, want 1", len(rows))
 	}
-	if f := fieldsOf(rows[0]); len(f) != 6 {
-		t.Fatalf("__sys.wal row has %d fields, want 6: %s", len(f), rows[0])
-	}
-
-	// The __sys.txns statement reads under its own pinned snapshot, so
-	// the view can never be empty while it runs.
-	rows = queryRows(t, c, "from __sys.txns")
-	if len(rows) == 0 {
-		t.Fatal("__sys.txns empty during its own query")
+	if f := fieldsOf(rows[0]); len(f) != 3 {
+		t.Fatalf("__sys.wal row has %d fields, want 3: %s", len(f), rows[0])
 	}
 
 	rows = queryRows(t, c, "from __sys.indexes")
@@ -293,16 +281,13 @@ func gaugeVal(t *testing.T, srv *Server, name string) int64 {
 	return 0
 }
 
-// TestMVCCWALGauges: the MVCC/WAL health telemetry moves with the
-// machinery it watches — pinning a snapshot and committing writes
-// raises the pinned/superseded gauges, releasing the pin prunes (prune
-// histogram + reclaimed counter), checkpointing records a duration and
-// zeroes the bytes-since-checkpoint gauge.
+// TestMVCCWALGauges: the WAL health telemetry moves with the machinery
+// it watches — committing writes raises the bytes-since-checkpoint
+// gauge, checkpointing records a duration and zeroes it.
 func TestMVCCWALGauges(t *testing.T) {
 	db := testDB(t)
 	srv, _ := startServer(t, Config{DB: db})
 
-	rt := db.BeginRead()
 	rows := make([]table.Row, 60)
 	for i := range rows {
 		rows[i] = table.Row{core.Int(int64(100 + i)), core.Str(fmt.Sprintf("town%02d", i))}
@@ -311,32 +296,8 @@ func TestMVCCWALGauges(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if got := gaugeVal(t, srv, "xstd_mvcc_pinned_snapshots"); got < 1 {
-		t.Fatalf("pinned snapshots = %d with a view held", got)
-	}
-	superseded := gaugeVal(t, srv, "xstd_mvcc_superseded_pages")
-	if superseded < 1 {
-		t.Fatal("no superseded pages after committing over a pinned snapshot")
-	}
-	if db.Pool().OldestPinnedAge() <= 0 {
-		t.Fatal("oldest pinned age not advancing")
-	}
 	if got := gaugeVal(t, srv, "xstd_wal_bytes_since_checkpoint"); got <= 0 {
 		t.Fatalf("wal bytes since checkpoint = %d after a load", got)
-	}
-
-	rt.View.Release()
-	if got := gaugeVal(t, srv, "xstd_mvcc_superseded_pages"); got != 0 {
-		t.Fatalf("superseded pages = %d after releasing the only pin", got)
-	}
-	if got := gaugeVal(t, srv, "xstd_mvcc_images_reclaimed_total"); got < superseded {
-		t.Fatalf("reclaimed %d images, want ≥ %d", got, superseded)
-	}
-	if srv.Metrics().PruneBatch.Count() == 0 {
-		t.Fatal("prune histogram recorded nothing")
-	}
-	if got := gaugeVal(t, srv, "xstd_mvcc_pinned_snapshots"); got != 0 {
-		t.Fatalf("pinned snapshots = %d after release", got)
 	}
 
 	if err := db.Checkpoint(); err != nil {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Stats counts buffer-pool activity. The set-vs-record experiments read
@@ -52,9 +51,9 @@ type slot struct {
 // BufferPool caches pages over a pager with LRU replacement. Its frame
 // headers are one slice sized at construction and reused on eviction;
 // the LRU is intrusive, threaded through them. Page buffers are made
-// lazily, the first time each slot is used. It also carries the MVCC
-// state (see view.go): the commit epoch, refcounts of epochs pinned by
-// active Views, and superseded page images retained for them.
+// lazily, the first time each slot is used. It holds one image per page,
+// the latest: a commit swaps the image (CommitPages), and an older
+// version of a heap reads the same image up to its own tail (HeapFile).
 type BufferPool struct {
 	mu       sync.Mutex
 	pager    Pager
@@ -65,17 +64,18 @@ type BufferPool struct {
 	lruLen   int
 	free     int32 // free slots, linked through next
 	stats    Stats
+}
 
-	epoch    uint64                   // last committed epoch
-	active   map[uint64]int           // epoch → pinned-view count
-	versions map[PageID][]pageVersion // superseded images, ascending super
-
-	// MVCC health telemetry (view.go): when each active epoch was first
-	// pinned, how many superseded images pruning has dropped over the
-	// pool's lifetime, and an optional per-prune observation hook.
-	pinnedAt  map[uint64]time.Time
-	reclaimed uint64
-	onPrune   func(images int)
+// PageIO is a source of page frames: the buffer pool (committed images)
+// or a wal transaction shadow (uncommitted writes). Heap files read and
+// write through it, which is what lets one heap implementation serve
+// both. Every source hands out the same value handle, so a fetch
+// allocates nothing.
+type PageIO interface {
+	// Page returns a handle on an existing page.
+	Page(id PageID) (Frame, error)
+	// AllocatePage creates a fresh page.
+	AllocatePage() (Frame, error)
 }
 
 // NewBufferPool builds a pool with the given frame capacity (≥ 1).
@@ -90,9 +90,6 @@ func NewBufferPool(p Pager, frames int) *BufferPool {
 		lruHead:  noSlot,
 		lruTail:  noSlot,
 		free:     noSlot,
-		active:   map[uint64]int{},
-		versions: map[PageID][]pageVersion{},
-		pinnedAt: map[uint64]time.Time{},
 	}
 	for i := frames - 1; i >= 0; i-- {
 		bp.freeLocked(int32(i))
@@ -108,13 +105,12 @@ func NewBufferPool(p Pager, frames int) *BufferPool {
 // MarkDirty after mutating Data; methods take a pointer so that
 // MarkDirty can record the install in the handle itself.
 type Frame struct {
-	id       PageID
-	slot     int32
-	gen      uint32
-	readOnly bool
-	data     []byte
-	bp       *BufferPool // pool whose slot the handle pins; nil if none
-	shadow   Shadow      // install target of the first MarkDirty
+	id     PageID
+	slot   int32
+	gen    uint32
+	data   []byte
+	bp     *BufferPool // pool whose slot the handle pins; nil if none
+	shadow Shadow      // install target of the first MarkDirty
 }
 
 // Shadow receives a transaction's page writes (wal.Txn implements it).
@@ -146,11 +142,9 @@ func (f *Frame) Data() []byte {
 
 // MarkDirty records that the page must be written back before eviction
 // (a pool frame) or installs the image into its transaction (a shadow
-// frame). It panics on a snapshot view's read-only frame.
+// frame).
 func (f *Frame) MarkDirty() {
 	switch {
-	case f.readOnly:
-		panic("store: MarkDirty through a read-only view")
 	case f.bp != nil:
 		bp := f.bp
 		bp.mu.Lock()
@@ -290,9 +284,8 @@ func (bp *BufferPool) installLocked(i int32, id PageID) Frame {
 // free one, its buffer made on first use, or else the least recently
 // used unpinned one, written back first if dirty. Reuse is sound
 // because a victim has no pins, so nobody may still read its Data (a
-// stale handle sees the generation move and reads nil), and because the
-// only other holders of page bytes are the version lists, which own
-// slices a commit has already swapped out of their slots.
+// stale handle sees the generation move and reads nil); an image a
+// commit swapped out of its slot is no slot's buffer again.
 func (bp *BufferPool) claimLocked() (int32, error) {
 	if i := bp.free; i != noSlot {
 		s := &bp.slots[i]
@@ -355,6 +348,29 @@ func (bp *BufferPool) lruRemoveLocked(i int32) {
 	}
 	s.prev, s.next = noSlot, noSlot
 	bp.lruLen--
+}
+
+// CommitPages installs a committed transaction's page after-images: it
+// swaps each resident frame's image for the new one rather than writing
+// into it, so a reader that resolved the old image keeps an unchanging
+// slice, and writes every image through to the pager, so the base store
+// is current as of the last commit (the write-ahead log protects the
+// fsync gap). The pool takes ownership of the image slices.
+func (bp *BufferPool) CommitPages(pages map[PageID][]byte) error {
+	bp.mu.Lock()
+	defer bp.mu.Unlock()
+	for id, img := range pages {
+		if err := bp.pager.WritePage(id, img); err != nil {
+			return err
+		}
+		bp.stats.Writes++
+		if i, ok := bp.resident[id]; ok {
+			s := &bp.slots[i]
+			s.data = img
+			s.dirty = false // base just got this image
+		}
+	}
+	return nil
 }
 
 // FlushAll writes every dirty frame back to the pager. Pinned frames are

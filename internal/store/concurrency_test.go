@@ -211,27 +211,115 @@ func BenchmarkBufferPoolParallelGet(b *testing.B) {
 	})
 }
 
-// TestViewsReadTheirEpochUnderCommits: readers hold Views over a
-// 4-frame pool and sweep its pages while a writer commits new images of
-// the same pages, so pins, evictions, version parking and pruning all
-// interleave. Every page a view reads is the image of the view's epoch,
-// the view held open across all the commits included.
-func TestViewsReadTheirEpochUnderCommits(t *testing.T) {
-	pager := NewMemPager()
-	ids := fillPages(t, pager, 12)
-	pool := NewBufferPool(pager, 4)
-	// Commit e rewrites the pages with (i+e)%3 != 0, each with stamp(i, e).
-	stamp := func(i int, e uint64) byte { return byte(i*31 + int(e)*7 + 1) }
-	image := func(i int, epoch uint64) byte {
-		for e := epoch; e > 0; e-- {
-			if (i+int(e))%3 != 0 {
-				return stamp(i, e)
-			}
-		}
-		return byte(uint32(ids[i]) * 131) // fillPages' image
+// shadowIO is a transaction's page source in miniature: reads resolve
+// to its own images first, then to a private copy of the pool's; writes
+// and fresh pages stay in pages until the caller commits them.
+type shadowIO struct {
+	pool  *BufferPool
+	pages map[PageID][]byte
+}
+
+func newShadow(pool *BufferPool) *shadowIO {
+	return &shadowIO{pool: pool, pages: map[PageID][]byte{}}
+}
+
+func (s *shadowIO) Page(id PageID) (Frame, error) {
+	if img, ok := s.pages[id]; ok {
+		return ShadowFrame(id, img, nil), nil
 	}
+	fr, err := s.pool.Page(id)
+	if err != nil {
+		return Frame{}, err
+	}
+	buf := append([]byte(nil), fr.Data()...)
+	fr.Unpin()
+	return ShadowFrame(id, buf, s), nil
+}
+
+func (s *shadowIO) AllocatePage() (Frame, error) {
+	id, err := s.pool.pager.Allocate()
+	if err != nil {
+		return Frame{}, err
+	}
+	s.pages[id] = make([]byte, PageSize)
+	return ShadowFrame(id, s.pages[id], nil), nil
+}
+
+func (s *shadowIO) Install(id PageID, buf []byte) { s.pages[id] = buf }
+
+// commitAppend appends recs to a successor of h through a shadow,
+// commits the shadow's images to the pool and returns the successor.
+func commitAppend(h *HeapFile, recs ...[]byte) (*HeapFile, error) {
+	pool := h.IO().(*BufferPool)
+	sh := newShadow(pool)
+	next := h.WithIO(sh)
+	for _, rec := range recs {
+		if _, err := next.Append(rec); err != nil {
+			return nil, err
+		}
+	}
+	if err := pool.CommitPages(sh.pages); err != nil {
+		return nil, err
+	}
+	return next.WithIO(pool), nil
+}
+
+// record is the i-th record the version tests append: its number,
+// padded so that a page holds a few dozen.
+func record(i int) []byte {
+	rec := make([]byte, 100)
+	copy(rec, fmt.Sprintf("%06d", i))
+	return rec
+}
+
+// readsPrefix checks that h holds exactly records 0 … Count()-1, in
+// order, through Scan and a cursor.
+func readsPrefix(h *HeapFile) error {
+	n := 0
+	err := h.Scan(func(_ RID, rec []byte) bool {
+		if !bytes.Equal(rec, record(n)) {
+			return false
+		}
+		n++
+		return true
+	})
+	if err != nil || n != h.Count() {
+		return fmt.Errorf("Scan of a %d-record version read %d in order (%v)", h.Count(), n, err)
+	}
+	c, n := h.NewCursor(), 0
+	for {
+		_, rec, ok, err := c.Next()
+		if err != nil || !ok {
+			if err != nil || n != h.Count() {
+				return fmt.Errorf("cursor over a %d-record version read %d (%v)", h.Count(), n, err)
+			}
+			return nil
+		}
+		if !bytes.Equal(rec, record(n)) {
+			return fmt.Errorf("cursor record %d reads %q", n, rec[:6])
+		}
+		n++
+	}
+}
+
+// TestHeapVersionsReadTheirPrefixUnderCommits: three readers scan heap
+// versions over a 4-frame pool while a writer commits appends to the
+// same pages, so pins, evictions and image swaps interleave. Every
+// version reads exactly its own records off the current images,
+// including the first, held across all the commits.
+func TestHeapVersionsReadTheirPrefixUnderCommits(t *testing.T) {
+	pool := NewBufferPool(NewMemPager(), 4)
+	first, err := CreateHeap(pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	held, err := commitAppend(first, record(0), record(1), record(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cur atomic.Pointer[HeapFile]
+	cur.Store(held)
 	const commits = 200
-	held := pool.NewView() // open across every commit: each one parks images
 	var wg sync.WaitGroup
 	var done atomic.Bool
 	errc := make(chan error, 5)
@@ -239,73 +327,49 @@ func TestViewsReadTheirEpochUnderCommits(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		defer done.Store(true)
-		for e := uint64(1); e <= commits; e++ {
-			pages := map[PageID][]byte{}
-			for i, id := range ids {
-				if (i+int(e))%3 != 0 {
-					pages[id] = bytes.Repeat([]byte{stamp(i, e)}, PageSize)
-				}
+		h := held
+		for c := 0; c < commits; c++ {
+			recs := make([][]byte, 1+c%7)
+			for i := range recs {
+				recs[i] = record(h.Count() + i)
 			}
-			if got, err := pool.CommitPages(pages, nil); err != nil || got != e {
-				errc <- fmt.Errorf("commit %d: epoch %d, %v", e, got, err)
+			if h, err = commitAppend(h, recs...); err != nil {
+				errc <- err
 				return
 			}
+			cur.Store(h)
 		}
 	}()
-	for r := 0; r < 4; r++ {
+	for r := 0; r < 3; r++ { // with the writer, at most four pins at once
 		wg.Add(1)
-		go func(r int) {
+		go func() {
 			defer wg.Done()
 			for n := 0; n < 20 || !done.Load(); n++ {
-				v := pool.NewView()
+				h := cur.Load()
 				for sweep := 0; sweep < 2; sweep++ { // the writer moves on meanwhile
-					for k := range ids {
-						i := (k + r*5) % len(ids)
-						f, err := v.Page(ids[i])
-						if err != nil {
-							errc <- err
-							v.Release()
-							return
-						}
-						data, want := f.Data(), image(i, v.Epoch())
-						got := data[0]
-						same := got == want && data[PageSize/2] == want && data[PageSize-1] == want
-						f.Unpin()
-						if !same {
-							errc <- fmt.Errorf("page %d at epoch %d: read %#x, want %#x", i, v.Epoch(), got, want)
-							v.Release()
-							return
-						}
+					if err := readsPrefix(h); err != nil {
+						errc <- err
+						return
 					}
 				}
-				v.Release()
 			}
-		}(r)
+		}()
 	}
 	wg.Wait()
 	close(errc)
 	for err := range errc {
 		t.Fatal(err)
 	}
-	for i, id := range ids {
-		f, err := held.Page(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := image(i, 0); f.Data()[0] != want || f.Data()[PageSize-1] != want {
-			t.Fatalf("page %d under the view held from epoch 0: %#x, want %#x", i, f.Data()[0], want)
-		}
-		f.Unpin()
+	if err := readsPrefix(held); err != nil || held.Count() != 3 {
+		t.Fatalf("the version held across every commit: %d records, %v", held.Count(), err)
 	}
-	held.Release()
-	if n, a := pool.PinnedCount(), pool.ActiveViews(); n != 0 || a != 0 {
-		t.Fatalf("%d frames pinned, %d views active after every reader released", n, a)
+	if last := cur.Load(); len(last.Pages()) < 10 {
+		t.Fatalf("the heap grew to %d pages only; the test no longer spans pages", len(last.Pages()))
+	}
+	if n := pool.PinnedCount(); n != 0 {
+		t.Fatalf("%d frames pinned after every reader finished", n)
 	}
 	if st := pool.Stats(); st.Evictions == 0 {
 		t.Fatal("pool never evicted — the test no longer stresses replacement")
-	}
-	if pool.ReclaimedImages() == 0 || pool.SupersededImages() != 0 {
-		t.Fatalf("%d superseded images reclaimed, %d still parked with no view active",
-			pool.ReclaimedImages(), pool.SupersededImages())
 	}
 }

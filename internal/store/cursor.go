@@ -24,7 +24,7 @@ func (c *HeapCursor) Next() (RID, []byte, bool, error) {
 			return RID{}, nil, false, err
 		}
 		p := SlottedPage(fr.Data())
-		for n := p.NumSlots(); c.slot < n; {
+		for n := c.heap.Slots(id, p); c.slot < n; {
 			slot := c.slot
 			c.slot++
 			if rec, ok := p.Get(slot); ok {

@@ -88,6 +88,50 @@ func TestHeapPageListFollowsTheChain(t *testing.T) {
 	}
 }
 
+// TestOlderVersionStopsAtItsTail: a heap version pinned on a last page
+// that later commits keep filling, then grow past, reads exactly its own
+// records off the current images: Scan and a cursor stop at its tail,
+// Get of a later record on its last page or on a later page is
+// ErrNoRecord, and it counts none of a later page's slots.
+func TestOlderVersionStopsAtItsTail(t *testing.T) {
+	pool := NewBufferPool(NewMemPager(), 8)
+	h, err := CreateHeap(pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h, err = commitAppend(h, record(0), record(1), record(2)); err != nil {
+		t.Fatal(err)
+	}
+	pinned := h
+	var later []RID
+	for i := 3; len(h.Pages()) < 3; i++ {
+		if h, err = commitAppend(h, record(i)); err != nil {
+			t.Fatal(err)
+		}
+		later = append(later, RID{Page: h.Pages()[len(h.Pages())-1], Slot: uint16(h.tail - 1)})
+	}
+	if later[0].Page != pinned.Pages()[0] || later[len(later)-1].Page == pinned.Pages()[0] {
+		t.Fatalf("later records %v do not both share the pinned last page and pass it", later)
+	}
+	if err := readsPrefix(pinned); err != nil || pinned.Count() != 3 {
+		t.Fatalf("pinned version: %d records, %v", pinned.Count(), err)
+	}
+	if err := readsPrefix(h); err != nil {
+		t.Fatalf("newest version: %v", err)
+	}
+	for _, rid := range later {
+		if _, err := pinned.Get(rid); !errors.Is(err, ErrNoRecord) {
+			t.Fatalf("pinned Get(%v) of a later record = %v, want ErrNoRecord", rid, err)
+		}
+		if _, err := h.Get(rid); err != nil {
+			t.Fatalf("newest Get(%v) = %v", rid, err)
+		}
+	}
+	if n := pinned.Slots(h.Pages()[1], nil); n != 0 {
+		t.Fatalf("pinned version holds %d slots of a later page", n)
+	}
+}
+
 // writeLog is a MemPager that records the order of page writes.
 type writeLog struct {
 	*MemPager
@@ -168,29 +212,21 @@ func TestEvictionRecyclesTheVictimsBuffer(t *testing.T) {
 	}
 }
 
-// TestMissAtCapacityAllocatesNoPage: a page read through a View — a
-// hit, a miss at capacity, a superseded image — allocates nothing. The
-// victim's buffer and frame header are reused, the LRU is threaded
-// through the headers, and the handle is a value.
+// TestMissAtCapacityAllocatesNoPage: a page read — a hit or a miss at
+// capacity — allocates nothing. The victim's buffer and frame header
+// are reused, the LRU is threaded through the headers, and the handle
+// is a value.
 func TestMissAtCapacityAllocatesNoPage(t *testing.T) {
 	pager := NewMemPager()
 	ids := fillPages(t, pager, 170)
 	pool := NewBufferPool(pager, 64)
-	v := pool.NewView()
-	defer v.Release()
-	// ids[0] gets a new image after the view was taken: the view reads
-	// the superseded one from the version list.
-	img := bytes.Repeat([]byte{0xEE}, PageSize)
-	if _, err := pool.CommitPages(map[PageID][]byte{ids[0]: img}, nil); err != nil {
-		t.Fatal(err)
-	}
 	read := func(id PageID) {
-		f, err := v.Page(id)
+		f, err := pool.Page(id)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if want := byte(uint32(id) * 131); f.Data()[0] != want || f.Data()[PageSize-1] != want {
-			t.Fatalf("page %d: read %#x, want the view's image %#x", id, f.Data()[0], want)
+			t.Fatalf("page %d: read %#x, want %#x", id, f.Data()[0], want)
 		}
 		f.Unpin()
 	}
@@ -217,14 +253,6 @@ func TestMissAtCapacityAllocatesNoPage(t *testing.T) {
 	st := pool.Stats()
 	if st.Misses-before.Misses != 501 || st.Hits != before.Hits || st.Evictions-before.Evictions != 501 || st.Recycled != st.Evictions {
 		t.Fatalf("stats %+v then %+v, want 501 misses, each evicting and recycling", before, st)
-	}
-
-	before = pool.Stats()
-	if n := testing.AllocsPerRun(100, func() { read(ids[0]) }); n != 0 {
-		t.Fatalf("a superseded-version read allocates %v times", n)
-	}
-	if st := pool.Stats(); st != before {
-		t.Fatalf("a superseded-version read touched the pool: %+v then %+v", before, st)
 	}
 	if n := pool.PinnedCount(); n != 0 {
 		t.Fatalf("%d frames still pinned", n)
@@ -318,13 +346,11 @@ func TestFailedMissReturnsTheSlot(t *testing.T) {
 	if _, err := pool.Page(ids[4]); !errors.Is(err, errReadFault) {
 		t.Fatalf("Page of the faulty page = %v", err)
 	}
-	// Again through a view: this miss takes the returned slot, so it
-	// evicts nothing, and fails the same way.
-	v := pool.NewView()
-	if _, err := v.Page(ids[4]); !errors.Is(err, errReadFault) {
-		t.Fatalf("View.Page of the faulty page = %v", err)
+	// Again: this miss takes the returned slot, so it evicts nothing,
+	// and fails the same way.
+	if _, err := pool.Page(ids[4]); !errors.Is(err, errReadFault) {
+		t.Fatalf("second Page of the faulty page = %v", err)
 	}
-	v.Release()
 	info := pool.Info()
 	if info.Pinned != 0 || pool.PinnedCount() != 0 || info.Frames != 3 || info.Evictions != 1 {
 		t.Fatalf("after the failed miss: %+v, want 3 resident pages, none pinned, one eviction", info)

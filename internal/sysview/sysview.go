@@ -10,7 +10,7 @@
 // own execution. Tables satisfy the xlang.VirtualTable interface
 // structurally (Schema/EstRows/NewOp) and enter plans as plan.Source
 // leaves; providers are registered by the layers that own the state
-// (catalog: tables/wal/txns/indexes/stats/bufferpool, server:
+// (catalog: tables/wal/indexes/stats/bufferpool, server:
 // queries/metrics/slow, federation coordinator: sites). The server's
 // admin read commands (.stats .metrics .slow .tables .schema) are sugar
 // for queries of these views, so there is one introspection path.
@@ -30,7 +30,6 @@ const (
 	Queries = "__sys.queries"
 	Metrics = "__sys.metrics"
 	Slow    = "__sys.slow"
-	Txns    = "__sys.txns"
 	Wal     = "__sys.wal"
 	Sites   = "__sys.sites"
 	Indexes = "__sys.indexes"
@@ -49,10 +48,8 @@ var StandardCols = map[string][]string{
 	Metrics: {"name", "kind", "value"},
 	// The slow-query ring: over-threshold statements with attribution.
 	Slow: {"stmt", "dur_us", "rows", "dop", "epoch"},
-	// One row per pinned MVCC snapshot epoch.
-	Txns: {"epoch", "refs", "age_us"},
-	// One row of WAL/MVCC health for this database.
-	Wal: {"epoch", "wal_bytes", "superseded_pages", "pinned_snapshots", "oldest_pin_us", "checkpoints"},
+	// One row of WAL health for this database.
+	Wal: {"epoch", "wal_bytes", "checkpoints"},
 	// Federation coordinator only: one row per remote site.
 	Sites: {"site", "addr", "up", "fragments", "retries", "failures", "bytes", "latency_us"},
 	// Declared indexes visible to the planner.

@@ -338,23 +338,24 @@ type PageBatch struct {
 // Batch returns the batch Decode fills.
 func (pb *PageBatch) Batch() *Batch { return &pb.b }
 
-// Decode fills the batch with the live rows of p, in slot order, and
-// returns it. need, when non-nil, marks the positions to decode: the
+// Decode fills the batch with the live rows of p's first slots slots,
+// in slot order, and returns it: a table version holds a prefix of its
+// last page (store.HeapFile.Slots). need, when non-nil, marks the positions to decode: the
 // encoded bytes of a position it leaves out (or does not reach) are
 // skipped and that column is ColAbsent, so a column no operator reads
 // costs no value. A row is a function from positions to values; an
 // unread column is a position where it is left undefined. The records
 // of a page are rows of one table and share one arity; a page whose
 // records do not is corrupt.
-func (pb *PageBatch) Decode(p store.SlottedPage, need []bool) (*Batch, error) {
+func (pb *PageBatch) Decode(p store.SlottedPage, slots int, need []bool) (*Batch, error) {
 	b := &pb.b
 	b.Reset()
-	for slot, n := 0, p.NumSlots(); slot < n; slot++ {
+	for slot := 0; slot < slots; slot++ {
 		rec, ok := p.Get(slot)
 		if !ok {
 			continue
 		}
-		if err := b.appendRecord(rec, need, n); err != nil {
+		if err := b.appendRecord(rec, need, slots); err != nil {
 			return nil, err
 		}
 	}

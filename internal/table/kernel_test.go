@@ -1,7 +1,6 @@
 package table
 
 import (
-	"context"
 	"encoding/binary"
 	"fmt"
 	"strings"
@@ -118,7 +117,7 @@ func TestPageBatchMatchesDecodeRow(t *testing.T) {
 		p := kernelPage(t, pg.rows, pg.dead...)
 		want := oracleRows(t, p)
 		for _, need := range masks {
-			batch, err := b.Decode(p, need)
+			batch, err := b.Decode(p, p.NumSlots(), need)
 			if err != nil {
 				t.Fatalf("%s, need %v: %v", pg.name, need, err)
 			}
@@ -152,7 +151,7 @@ func TestPageBatchKindsAreChosenPerPage(t *testing.T) {
 		{core.Int(1), core.Str("a"), core.Float(1), core.Int(1)},
 		{core.Int(2), core.Str("b"), core.Float(2), core.Str("x")},
 	})
-	b, err := new(PageBatch).Decode(p, nil)
+	b, err := new(PageBatch).Decode(p, p.NumSlots(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +167,7 @@ func TestPageBatchKindsAreChosenPerPage(t *testing.T) {
 // must not write into its neighbour's window.
 func TestPageBatchRowsDoNotOverlap(t *testing.T) {
 	p := kernelPage(t, []Row{{core.Int(1)}, {core.Int(2)}})
-	b, err := new(PageBatch).Decode(p, nil)
+	b, err := new(PageBatch).Decode(p, p.NumSlots(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,25 +185,25 @@ func TestPageBatchCorrupt(t *testing.T) {
 	p.Insert([]byte{2, 0x02, 0x04}) // arity 2, one int, then nothing
 	var b PageBatch
 	for _, need := range [][]bool{nil, {false, false}} {
-		if _, err := b.Decode(p, need); err == nil {
+		if _, err := b.Decode(p, p.NumSlots(), need); err == nil {
 			t.Fatalf("need %v: truncated record decoded", need)
 		}
 	}
 	store.InitPage(buf)
 	p.Insert(append(EncodeRow(nil, Row{core.Int(1)}), 0xff)) // trailing byte
-	if _, err := b.Decode(p, nil); err == nil {
+	if _, err := b.Decode(p, p.NumSlots(), nil); err == nil {
 		t.Fatal("record with trailing bytes decoded")
 	}
 	store.InitPage(buf) // the records of one page are rows of one table
 	p.Insert(EncodeRow(nil, Row{core.Int(1)}))
 	p.Insert(EncodeRow(nil, Row{core.Int(1), core.Str("b")}))
-	if _, err := b.Decode(p, nil); err != core.ErrCorrupt {
+	if _, err := b.Decode(p, p.NumSlots(), nil); err != core.ErrCorrupt {
 		t.Fatalf("ragged arities decoded, err %v", err)
 	}
 	store.InitPage(buf) // a record that claims three values and holds two
 	p.Insert(EncodeRow(nil, Row{core.Int(1), core.Str("b")}))
 	p.Insert(append([]byte{3}, EncodeRow(nil, Row{core.Int(2), core.Str("c")})[1:]...))
-	if _, err := b.Decode(p, nil); err != core.ErrCorrupt {
+	if _, err := b.Decode(p, p.NumSlots(), nil); err != core.ErrCorrupt {
 		t.Fatalf("a record short of its arity decoded, err %v", err)
 	}
 }
@@ -237,7 +236,7 @@ func FuzzPageBatch(f *testing.F) {
 				want = append(want, r)
 			}
 		}
-		b, err := new(PageBatch).Decode(p, nil)
+		b, err := new(PageBatch).Decode(p, p.NumSlots(), nil)
 		if corrupt {
 			if err != core.ErrCorrupt {
 				t.Fatalf("kernel err %v, want core.ErrCorrupt", err)
@@ -429,7 +428,7 @@ func TestEveryWalkReadsThePageList(t *testing.T) {
 		var dealt []int
 		next := 0
 		src := tbl.NewMorselSource()
-		src.Bind(context.Background())
+		src.Bind()
 		var pb PageBatch
 		for {
 			b, err := src.Next(&pb, nil)

@@ -10,7 +10,6 @@
 package table
 
 import (
-	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -120,12 +119,14 @@ func DecodeRow(buf []byte) (Row, error) {
 
 // Table is one version of a schema-tagged heap of rows. It only reads,
 // so a published version never changes; rows enter through an Appender.
+// A version is a prefix of its heap (store.HeapFile), so it reads its
+// own rows off the pool's current pages, whatever commits after it.
 type Table struct {
 	schema Schema
 	heap   *store.HeapFile
 	pool   *store.BufferPool
-	// set is this version's extended set, shared by its At clones; every
-	// other constructor, WithIO included, starts a fresh one.
+	// set is this version's extended set; every constructor, WithIO
+	// included, starts a fresh one.
 	set *versionSet
 }
 
@@ -210,21 +211,9 @@ func (t *Table) Count() int { return t.heap.Count() }
 // Pool exposes the buffer pool for statistics collection.
 func (t *Table) Pool() *store.BufferPool { return t.pool }
 
-// At returns a read-only clone of the table pinned to a snapshot view:
-// every page it touches resolves to the image as of the view's commit
-// epoch, so a scan over the clone returns exactly the rows committed
-// when the view was taken, no matter what writers commit meanwhile.
-func (t *Table) At(v *store.View) *Table {
-	if v.Pool() != t.pool {
-		// The view snapshots a different buffer pool (e.g. a session
-		// scratch table queried under a shared-database view) — its
-		// epoch says nothing about this table's pages.
-		return t
-	}
-	c := *t
-	c.heap = t.heap.WithIO(v)
-	return &c
-}
+// At is kept for benchsurface_test.go: a table version is its own
+// snapshot, so it returns t.
+func (t *Table) At(*store.View) *Table { return t }
 
 // WithIO returns a clone of the table whose pages read through io: the
 // buffer pool again when a transaction's version publishes at commit.
@@ -289,16 +278,17 @@ func (t *Table) ScanBatches(fn func(page store.PageID, rows []Row) (bool, error)
 // fetches no page.
 func (t *Table) PageIDs() ([]store.PageID, error) { return t.heap.Pages(), nil }
 
-// ReadPage decodes every live row of one heap page into b, resolved
-// through the table's page source (so snapshot clones read their
-// epoch's image). The batch is b's scratch; need is Decode's.
+// ReadPage decodes every live row of one heap page that this version
+// holds into b (up to its tail on the last page). The batch is b's
+// scratch; need is Decode's.
 func (t *Table) ReadPage(id store.PageID, b *PageBatch, need []bool) (*Batch, error) {
 	fr, err := t.heap.IO().Page(id)
 	if err != nil {
 		return nil, err
 	}
 	defer fr.Unpin()
-	return b.Decode(store.SlottedPage(fr.Data()), need)
+	p := store.SlottedPage(fr.Data())
+	return b.Decode(p, t.heap.Slots(id, p), need)
 }
 
 // Fetch makes b the rows at rids, in order, decoded by the page kernel
@@ -312,11 +302,9 @@ func (t *Table) Fetch(rids []store.RID, b *Batch, need []bool) error {
 		if err != nil {
 			return err
 		}
-		rec, ok := store.SlottedPage(fr.Data()).Get(int(rid.Slot))
-		if ok {
+		rec, err := t.heap.Record(rid, store.SlottedPage(fr.Data()))
+		if err == nil {
 			err = b.appendRecord(rec, need, len(rids))
-		} else {
-			err = fmt.Errorf("%w: %v", store.ErrNoRecord, rid)
 		}
 		fr.Unpin()
 		if err != nil {
@@ -330,21 +318,18 @@ func (t *Table) Fetch(rids []store.RID, b *Batch, need []bool) error {
 // goroutine-safe dispenser that scan workers pull from, so page-level
 // work self-balances across workers (a fast worker simply claims more
 // morsels). A source serves one run at a time. The first worker to Bind
-// starts a run: it pins the table to the run's snapshot view and
-// rewinds to the first page of the bound table's page list; the other
-// workers join that run, and a run ends when every worker that bound
-// has released. So one tree can run again, under the same view or
-// another.
+// starts a run, rewound to the first page of the table's page list; the
+// other workers join that run, and a run ends when every worker that
+// bound has released. So one tree can run again.
 type MorselSource struct {
-	base  *Table
-	table *Table // base under the current run's view
+	table *Table
 	mu    sync.Mutex
 	bound int32        // workers in the current run
 	next  atomic.Int32 // the run's next unclaimed page
 }
 
 // NewMorselSource returns a dispenser over the table's heap chain. It
-// fetches no page: the plan is lowered before the query holds a view.
+// fetches no page.
 func (t *Table) NewMorselSource() *MorselSource {
 	m := new(MorselSource)
 	m.Init(t)
@@ -353,24 +338,17 @@ func (t *Table) NewMorselSource() *MorselSource {
 
 // Init makes m a dispenser over t's heap chain, for a source held by
 // value; it must not be in use.
-func (m *MorselSource) Init(t *Table) { m.base, m.table = t, t }
+func (m *MorselSource) Init(t *Table) { m.table = t }
 
-// Table returns the table the morsels belong to, as lowered.
-func (m *MorselSource) Table() *Table { return m.base }
+// Table returns the table the morsels belong to.
+func (m *MorselSource) Table() *Table { return m.table }
 
 // Bind joins one worker to the current run, starting a run when none is
-// bound: the run reads the source's table under the context's snapshot
-// view. The table and the view come from one snapshot
-// (catalog.BeginRead), so the bound table's own page list is the view's
-// chain. The lock publishes the run to every worker.
-func (m *MorselSource) Bind(ctx context.Context) {
+// bound. The lock publishes the rewind to every worker.
+func (m *MorselSource) Bind() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.bound == 0 {
-		m.table = m.base
-		if v := store.ViewFrom(ctx); v != nil {
-			m.table = m.base.At(v)
-		}
 		m.next.Store(0)
 	}
 	m.bound++
@@ -423,11 +401,11 @@ func (c *Cursor) Next() (store.RID, Row, bool, error) {
 // Reset repositions the cursor at the beginning.
 func (c *Cursor) Reset() { c.hc.Reset() }
 
-// SetAt returns this table version's extended set, ToXST of the version
-// read under v, a view that shows it. The first caller builds it,
-// concurrent callers wait for that build, and later ones share it
-// without locking or allocating; a failed build is not kept.
-func (t *Table) SetAt(v *store.View) (*core.Set, error) {
+// SetAt returns this table version's extended set, its ToXST. The first
+// caller builds it, concurrent callers wait for that build, and later
+// ones share it without locking or allocating; a failed build is not
+// kept.
+func (t *Table) SetAt() (*core.Set, error) {
 	m := t.set
 	if s := m.s.Load(); s != nil {
 		return s, nil
@@ -437,7 +415,7 @@ func (t *Table) SetAt(v *store.View) (*core.Set, error) {
 	if s := m.s.Load(); s != nil {
 		return s, nil
 	}
-	s, err := t.At(v).ToXST()
+	s, err := t.ToXST()
 	if err != nil {
 		return nil, err
 	}

@@ -50,7 +50,7 @@ type Span struct {
 	held     int64
 	bytes    int64
 	estRows  int64
-	epoch    int64 // pinned MVCC snapshot epoch (0 = unset)
+	epoch    int64 // commit epoch of the snapshot read (0 = unset)
 	dop      int   // degree of parallelism (0 = unset)
 	note     string
 
@@ -199,8 +199,8 @@ func (s *Span) SetEstRows(n int64) {
 	s.estRows = n
 }
 
-// SetEpoch records the MVCC snapshot epoch the traced work read at, so
-// slow entries are attributable to stale-snapshot reads.
+// SetEpoch records the commit epoch of the snapshot the traced work read
+// at, so slow entries are attributable to stale-snapshot reads.
 func (s *Span) SetEpoch(epoch uint64) {
 	if s == nil {
 		return

@@ -8,8 +8,8 @@ import (
 
 // This file grows the manager from a standalone redo log into the
 // durability engine the catalog drives: commit with a caller-supplied
-// apply step (so the buffer pool can install images and advance its
-// MVCC epoch atomically), checkpointing (sync the base, truncate the
+// apply step (so the buffer pool can install images as the catalog
+// publishes its version), checkpointing (sync the base, truncate the
 // log), a discard log for running with durability off, relaxed-sync
 // mode, and observation hooks for the server's metrics registry.
 
@@ -137,11 +137,11 @@ func (m *Manager) Checkpoints() int64 {
 
 // CommitWith logs every dirty page plus the commit marker, syncs the
 // log, then hands the after-images to apply — the hook through which
-// the buffer pool installs them and advances its MVCC epoch. The
+// the buffer pool installs them. The
 // transaction gives up ownership of the image buffers; apply must
 // write them through to the base pager (see store.CommitPages). A nil
 // apply writes directly to the base, which is plain Commit.
-func (t *Txn) CommitWith(apply func(pages map[store.PageID][]byte, fresh map[store.PageID]bool) error) error {
+func (t *Txn) CommitWith(apply func(pages map[store.PageID][]byte) error) error {
 	if t.done {
 		return ErrTxnDone
 	}
@@ -178,7 +178,7 @@ func (t *Txn) CommitWith(apply func(pages map[store.PageID][]byte, fresh map[sto
 	pages := t.shadow
 	t.shadow = nil
 	if apply == nil {
-		apply = func(pages map[store.PageID][]byte, _ map[store.PageID]bool) error {
+		apply = func(pages map[store.PageID][]byte) error {
 			for id, img := range pages {
 				if err := m.base.WritePage(id, img); err != nil {
 					return err
@@ -187,11 +187,7 @@ func (t *Txn) CommitWith(apply func(pages map[store.PageID][]byte, fresh map[sto
 			return nil
 		}
 	}
-	fresh := make(map[store.PageID]bool, len(t.allocs))
-	for _, id := range t.allocs {
-		fresh[id] = true
-	}
-	if err := apply(pages, fresh); err != nil {
+	if err := apply(pages); err != nil {
 		return err
 	}
 	m.mu.Lock()

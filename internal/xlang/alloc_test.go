@@ -141,7 +141,6 @@ func TestIsQueryMatchesFields(t *testing.T) {
 func TestCompileHitAllocs(t *testing.T) {
 	env := indexedEnv(t, 2000)
 	rt := env.Pin()
-	defer rt.Release()
 	srcs := make([]string, 103)
 	for i := range srcs {
 		srcs[i] = "from users where uid = " + strconv.Itoa(1000+i) + " select uid, city"
@@ -184,7 +183,6 @@ func TestCompileHitAllocs(t *testing.T) {
 func TestCompileMissAllocs(t *testing.T) {
 	env := indexedEnv(t, 2000)
 	rt := env.Pin()
-	defer rt.Release()
 	cats := make([]*plan.Catalog, 101)
 	for i := range cats {
 		cats[i] = &plan.Catalog{Tables: rt.Snap.Tables, Stats: rt.Snap.Stats, Indexes: rt.Snap.Indexes}

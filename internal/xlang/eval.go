@@ -29,31 +29,25 @@ type Env struct {
 	// views); consulted by query statements after stored tables.
 	virtuals map[string]VirtualTable
 	// read pins one statement's read snapshot, and sets reads a table of
-	// its catalog as a set under its view; clones share both, so every
-	// session sees each later commit on its next statement.
+	// its catalog as a set; clones share both, so every session sees each
+	// later commit on its next statement.
 	read func() ReadTxn
 	sets TableResolver
 }
 
 // ReadTxn is one statement's read snapshot: the planner catalog its
-// table names resolve in (tables, statistics, indexes) and the page view
-// pinned at the same commit, so reads under View see exactly the table
-// versions Snap names. View is nil when the reader pins no pages.
+// table names resolve in (tables, statistics, indexes) and the commit
+// that published it. Each table version Snap names reads exactly its
+// own rows, so a snapshot holds nothing and is never released.
 type ReadTxn struct {
+	Snap  *plan.Catalog
+	Epoch uint64
+	// View is kept for benchsurface_test.go; it is always nil.
 	View *store.View
-	Snap *plan.Catalog
 }
 
-// Release unpins the snapshot's view.
-func (rt *ReadTxn) Release() {
-	if rt.View != nil {
-		rt.View.Release()
-	}
-}
-
-// TableResolver turns a table of a pinned catalog into its extended set
-// read under the view pinned with it.
-type TableResolver func(name string, t *table.Table, view *store.View) (*core.Set, error)
+// TableResolver turns a table of a pinned catalog into its extended set.
+type TableResolver func(name string, t *table.Table) (*core.Set, error)
 
 // NewEnv returns an empty environment.
 func NewEnv() *Env {
@@ -92,15 +86,15 @@ func (e *Env) Clone() *Env {
 func (e *Env) BindReader(read func() ReadTxn, sets TableResolver) { e.read, e.sets = read, sets }
 
 // BindPlanCatalog binds a provider of planner catalogs (tables,
-// statistics and declared indexes) that pins no pages: queries compile
-// against its catalog and become cost-based, and identifiers stay
-// symbols, as no view shows its tables as sets. It replaces any reader.
+// statistics and declared indexes): queries compile against its catalog
+// and become cost-based, and identifiers stay symbols, as no resolver
+// reads its tables as sets. It replaces any reader.
 func (e *Env) BindPlanCatalog(fn func() *plan.Catalog) {
 	e.BindReader(func() ReadTxn { return ReadTxn{Snap: fn()} }, nil)
 }
 
-// Pin pins the environment's read snapshot for one statement (the zero
-// ReadTxn when no reader is bound). Release it when the statement ends.
+// Pin takes the environment's read snapshot for one statement (the zero
+// ReadTxn when no reader is bound).
 func (e *Env) Pin() ReadTxn { return e.read() }
 
 // BindTable registers a table of the environment's own for query
@@ -164,11 +158,9 @@ func Eval(env *Env, src string) (core.Value, error) {
 // between nodes and inside the expensive algebra loops (cross products,
 // closures), so a deadline or cancel aborts a running query promptly
 // with ctx.Err(). This is what makes the query server's per-query
-// deadlines effective. The statement's read snapshot is released when
-// it returns, on every path.
+// deadlines effective.
 func EvalCtx(ctx context.Context, env *Env, src string) (core.Value, error) {
 	st := stmt{env: env}
-	defer st.rt.Release()
 	if IsQuery(src) {
 		return st.query(ctx, src)
 	}
@@ -204,7 +196,7 @@ func (st *stmt) ident(name string) (core.Value, error) {
 	}
 	if st.env.sets != nil {
 		if t, ok := st.pin().Snap.Table(name); ok {
-			return st.env.sets(name, t, st.rt.View)
+			return st.env.sets(name, t)
 		}
 	}
 	return core.Str(name), nil

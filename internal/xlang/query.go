@@ -11,7 +11,6 @@ import (
 	"xst/internal/core"
 	"xst/internal/exec"
 	"xst/internal/plan"
-	"xst/internal/store"
 	"xst/internal/table"
 	"xst/internal/trace"
 )
@@ -119,18 +118,14 @@ func (q *Query) Run(ctx context.Context, emit func(b *table.Batch) error) (plan.
 }
 
 // CompileQuery parses src against the environment's table bindings and
-// the catalog of a snapshot it pins for the compile only, and returns
-// the optimized query with its cost-chosen degree of parallelism. Run
-// it under a view (store.WithView) to read one snapshot; EvalCtx and the
-// server compile and run a query under one pinned snapshot instead.
+// the catalog of its current read snapshot, and returns the optimized
+// query with its cost-chosen degree of parallelism.
 func CompileQuery(env *Env, src string) (*Query, error) {
-	st := stmt{env: env}
-	defer st.rt.Release()
-	return CompileAt(env, st.pin().Snap, src)
+	return CompileAt(env, env.Pin().Snap, src)
 }
 
 // CompileAt is CompileQuery against cat, the catalog of a snapshot the
-// caller pinned and runs the query under. A statement whose tables all
+// caller took and runs the query at. A statement whose tables all
 // resolve in cat binds its literals into a plan cached in cat for its
 // shape and their key (plan.Catalog.Bind) when there is one.
 func CompileAt(env *Env, cat *plan.Catalog, src string) (*Query, error) {
@@ -197,13 +192,9 @@ func isCmp(k tokenKind) bool { return k == tokEq || k == tokLE || k == tokLAngle
 // query runs a query statement under the statement's read snapshot and
 // renders the result as the extended set of its row tuples.
 func (st *stmt) query(ctx context.Context, src string) (core.Value, error) {
-	rt := st.pin()
-	q, err := CompileAt(st.env, rt.Snap, src)
+	q, err := CompileAt(st.env, st.pin().Snap, src)
 	if err != nil {
 		return nil, err
-	}
-	if rt.View != nil {
-		ctx = store.WithView(ctx, rt.View)
 	}
 	out := core.NewBuilder(0)
 	if _, err := q.Run(ctx, func(b *table.Batch) error {

@@ -14,9 +14,8 @@ import (
 // TestIdentifierResolutionOrder: a variable, else a table of the
 // statement's read snapshot as a set, else the symbol. The snapshot is
 // pinned once per statement — by a query before it compiles, by an
-// expression only when an identifier reaches the resolver — and
-// released when the statement ends, whether it succeeds, fails or is
-// cancelled.
+// expression only when an identifier reaches the resolver — whether the
+// statement succeeds, fails or is cancelled.
 func TestIdentifierResolutionOrder(t *testing.T) {
 	pool := store.NewBufferPool(store.NewMemPager(), 4)
 	a, err := table.Create(pool, table.Schema{Name: "t", Cols: []string{"x"}})
@@ -28,12 +27,12 @@ func TestIdentifierResolutionOrder(t *testing.T) {
 	tSet := core.S(core.Tuple(core.Int(1)), core.Tuple(core.Int(2)))
 	pins, resolves := 0, 0
 	var cancel context.CancelFunc = func() {}
-	read := func() ReadTxn { pins++; return ReadTxn{View: pool.NewView(), Snap: cat} }
+	read := func() ReadTxn { pins++; return ReadTxn{Snap: cat} }
 	env := NewEnv()
-	env.BindReader(read, func(name string, got *table.Table, view *store.View) (*core.Set, error) {
+	env.BindReader(read, func(name string, got *table.Table) (*core.Set, error) {
 		resolves++
-		if name != "t" || got != tbl || view == nil || view.Pool() != pool {
-			t.Fatalf("resolver asked for %q (%p) under view %v, want t (%p) under a view of its pool", name, got, view, tbl)
+		if name != "t" || got != tbl {
+			t.Fatalf("resolver asked for %q (%p), want t (%p)", name, got, tbl)
 		}
 		cancel()
 		return tSet, nil
@@ -74,9 +73,6 @@ func TestIdentifierResolutionOrder(t *testing.T) {
 			t.Fatalf("%s = %s (%v) with %d pins and %d resolutions, want %s, %d, %d",
 				c.src, got, err, pins, resolves, c.want, c.pins, c.resolves)
 		}
-		if held := pool.ActivePins(); len(held) != 0 {
-			t.Fatalf("%s left %d snapshot epochs pinned", c.src, len(held))
-		}
 	}
 
 	// Without a resolver a table name is a symbol, and only a query pins.
@@ -86,7 +82,7 @@ func TestIdentifierResolutionOrder(t *testing.T) {
 	if v, err := Eval(bare, "t"); err != nil || !core.Equal(v, core.Str("t")) || pins != 0 {
 		t.Fatalf("t without a resolver = %v, %v after %d pins", v, err, pins)
 	}
-	if _, err := Eval(bare, "from t"); err != nil || pins != 1 || len(pool.ActivePins()) != 0 {
-		t.Fatalf("from t without a resolver: %v after %d pins, %d left pinned", err, pins, len(pool.ActivePins()))
+	if _, err := Eval(bare, "from t"); err != nil || pins != 1 {
+		t.Fatalf("from t without a resolver: %v after %d pins", err, pins)
 	}
 }
