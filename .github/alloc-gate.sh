@@ -11,11 +11,10 @@
 # bytes per operation grow with the rows a run has inserted.
 #
 # mixed_rw's object count per operation swings from run to run in short
-# runs: on a 2-vCPU host, 3-seed medians read 157.1–160.0 at 3 s and 157.6–160.2
-# at 4 s, while a tree with operator-memory recycling off read as low as
-# 166.9 and 167.9, inside the 5 % bound. At 5 s they read 158.8–160.1
-# against 171.4–173.6, so mixed_rw runs 5 s and its gate was recorded
-# at that length.
+# runs, so mixed_rw runs 5 s and its gate was recorded at that length.
+# On a 2-vCPU host, two 3-seed sets at 5 s read medians of 108.58 and
+# 108.59 (gate 108.58), and a tree whose plan cache always misses read
+# 114.02 and 114.05, just past the 5 % bound (114.01).
 #
 #   bash .github/alloc-gate.sh                # every workload in BENCHMARK.json
 #   bash .github/alloc-gate.sh analytic ...   # only these

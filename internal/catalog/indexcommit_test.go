@@ -156,3 +156,35 @@ func TestSetKeyUnderABTreeFailsTheCommit(t *testing.T) {
 		t.Fatalf("Analyze after the failed commit: %v", err)
 	}
 }
+
+// A transaction keeps, per inserted row, only the keys of the indexes on
+// its table, so a load into a table with no index keeps nothing beside
+// the pages it writes. A 10 000-row Load of three int columns allocates
+// 0.47 MB; when every row and its rid were kept for the commit, 1.94 MB.
+func TestUnindexedLoadKeepsNoRows(t *testing.T) {
+	rows := make([]table.Row, 10000)
+	for i := range rows {
+		rows[i] = table.Row{core.Int(int64(i)), core.Int(int64(i % 7)), core.Int(int64(3 * i))}
+	}
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			db, err := Create(store.NewMemPager(), 64)
+			if err == nil {
+				_, err = db.CreateTable(table.Schema{Name: "t", Cols: []string{"a", "b", "c"}})
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			if err := db.Load(context.Background(), "t", rows); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	t.Logf("a %d-row load: %d B in %d objects", len(rows), res.AllocedBytesPerOp(), res.AllocsPerOp())
+	if got := res.AllocedBytesPerOp(); got > 1_000_000 {
+		t.Errorf("a %d-row load into an unindexed table allocates %d B, budget 1 000 000", len(rows), got)
+	}
+}

@@ -3,6 +3,7 @@ package catalog
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 
 	"xst/internal/core"
@@ -17,9 +18,9 @@ import (
 
 // Transactions: every mutation path — inserts and loads, table
 // creation, partition declarations, statistics and index persistence —
-// runs inside a wal transaction and commits atomically. Txn.Insert is
-// the one way a transaction adds rows to a published table, so the
-// rows it files are the rows the commit adds to the table's indexes.
+// runs inside a wal transaction and commits atomically. Txn.InsertEncoded
+// is the one way a transaction adds rows to a published table, so the
+// keys it files are the keys the commit adds to the table's indexes.
 //
 // The shape is single-writer, many-snapshot-readers:
 //
@@ -83,18 +84,13 @@ func (io *txnIO) AllocatePage() (store.Frame, error) {
 	return store.ShadowFrame(id, img, nil), nil
 }
 
-// insertRec is one staged row for incremental index maintenance.
-type insertRec struct {
-	rid store.RID
-	row table.Row
-}
-
 // tableState is one table touched by a transaction: the appender that
-// builds its successor through the transaction's shadow and the rows
-// inserted through it, which the commit files in the table's indexes.
+// builds its successor through the transaction's shadow and, per index
+// ixs[i] of the base version on the table, the keys[i] it takes at commit.
 type tableState struct {
-	a   *table.Appender
-	ins []insertRec
+	a    *table.Appender
+	ixs  []*Index
+	keys [][]index.HashEntry
 }
 
 // Txn is one atomic statement against the database: reads see the
@@ -143,14 +139,27 @@ func (tx *Txn) state(name string) (*tableState, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := &tableState{a: t.Extend(tx.io)}
+	st := &tableState{a: t.Extend(tx.io), ixs: indexesOn(tx.base.plan, name)}
+	st.keys = make([][]index.HashEntry, len(st.ixs))
 	tx.tables[name] = st
 	return st, nil
 }
 
-// Insert appends rows to a table within the transaction, recording
-// them for incremental index maintenance at commit.
+// Insert appends each row's record through InsertEncoded, called first
+// with none so that no rows still touch the table (or find it missing).
 func (tx *Txn) Insert(name string, rows ...table.Row) error {
+	err := tx.InsertEncoded(name)
+	var buf [256]byte // the page copies a record, so it is encoded on the stack
+	for i := 0; err == nil && i < len(rows); i++ {
+		err = tx.InsertEncoded(name, table.EncodeRow(buf[:0], rows[i]))
+	}
+	return err
+}
+
+// InsertEncoded appends records in canonical form, as table.EncodeRow
+// or Batch.AppendRecord writes them, to a table within the transaction,
+// and keeps each one's key of every index on the table for the commit.
+func (tx *Txn) InsertEncoded(name string, recs ...[]byte) error {
 	if tx.done {
 		return wal.ErrTxnDone
 	}
@@ -158,12 +167,21 @@ func (tx *Txn) Insert(name string, rows ...table.Row) error {
 	if err != nil {
 		return err
 	}
-	for _, r := range rows {
-		rid, err := st.a.Insert(r)
+	for i := range st.keys {
+		st.keys[i] = slices.Grow(st.keys[i], len(recs))
+	}
+	for _, rec := range recs {
+		rid, err := st.a.Append(rec)
 		if err != nil {
 			return err
 		}
-		st.ins = append(st.ins, insertRec{rid: rid, row: r})
+		for i, ix := range st.ixs {
+			v, err := table.Column(rec, ix.Table.Schema().Col(ix.Col))
+			if err != nil {
+				return err
+			}
+			st.keys[i] = append(st.keys[i], index.HashEntry{Key: v, RID: rid})
+		}
 	}
 	return nil
 }
@@ -350,8 +368,8 @@ func (tx *Txn) nextCatalog() (*plan.Catalog, error) {
 
 // successor carries ix to its table's version in tables: an untouched
 // table's index is ix itself, and a table that took inserts gets ix
-// extended by them. A set among the keys of a btree fails the commit
-// with the error a build gives, since no btree holds a set.
+// extended by their keys. A set among the keys of a btree fails the
+// commit with the error a build gives, since no btree holds a set.
 func (tx *Txn) successor(ix *Index, tables map[string]*table.Table) (*Index, error) {
 	name := ix.Table.Schema().Name
 	st, touched := tx.tables[name]
@@ -359,24 +377,20 @@ func (tx *Txn) successor(ix *Index, tables map[string]*table.Table) (*Index, err
 		return ix, nil
 	}
 	out := &Index{Table: tables[name], Col: ix.Col, Kind: ix.Kind, Hash: ix.Hash, BTree: ix.BTree}
-	if len(st.ins) == 0 {
+	keys := st.keys[slices.Index(st.ixs, ix)] // st.ixs holds every index of the base on the table
+	if len(keys) == 0 {
 		return out, nil
 	}
-	col := ix.Table.Schema().Col(ix.Col)
 	if ix.Kind == plan.HashIdx {
-		entries := make([]index.HashEntry, 0, len(st.ins))
-		for _, in := range st.ins {
-			entries = append(entries, index.HashEntry{Key: in.row[col], RID: in.rid})
-		}
-		out.Hash = ix.Hash.WithInserts(entries)
+		out.Hash = ix.Hash.WithInserts(keys)
 		return out, nil
 	}
-	entries := make([]index.Entry, 0, len(st.ins))
-	for _, in := range st.ins {
-		if in.row[col].Kind() == core.KindSet {
-			return nil, index.NonAtomKey(ix.Col, in.row[col])
+	entries := make([]index.Entry, 0, len(keys))
+	for _, e := range keys {
+		if e.Key.Kind() == core.KindSet {
+			return nil, index.NonAtomKey(ix.Col, e.Key)
 		}
-		entries = append(entries, index.Entry{Key: core.OrderKey(in.row[col]), RID: in.rid})
+		entries = append(entries, index.Entry{Key: core.OrderKey(e.Key), RID: e.RID})
 	}
 	out.BTree = ix.BTree.Inserted(entries)
 	return out, nil

@@ -3,8 +3,10 @@ package server
 import (
 	"bytes"
 	"encoding/base64"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -156,9 +158,9 @@ func (sess *session) closeLine() []byte {
 	return append(sess.line[:len(sess.line)-1], lineTail...)
 }
 
-// DecodeWireRows decodes the rows of a wire-mode batch line or a .load
-// chunk, each of arity columns, through two buffers the call reuses:
-// table.DecodeRow copies what a row keeps.
+// DecodeWireRows decodes the rows of a wire-mode batch line, each of
+// arity columns, through two buffers the call reuses: table.DecodeRow
+// copies what a row keeps. (A .load chunk's rows stay bytes.)
 func DecodeWireRows(b64s []string, arity int) ([]table.Row, error) {
 	rows := make([]table.Row, 0, len(b64s))
 	var src, raw []byte
@@ -178,6 +180,34 @@ func DecodeWireRows(b64s []string, arity int) ([]table.Row, error) {
 		rows = append(rows, r)
 	}
 	return rows, nil
+}
+
+// wireRecords holds the buffers a session's next .load chunk reuses:
+// the payload, one row decoded from base64, and a record per row.
+type wireRecords struct {
+	payload, raw []byte
+	b            table.Batch
+	recs         [][]byte
+}
+
+// check lays each base64 row out canonically (Batch.AppendRecord),
+// failing where DecodeWireRows fails on the same rows, with its error.
+func (w *wireRecords) check(rows [][]byte, arity int) ([][]byte, error) {
+	w.recs = append(w.recs, make([][]byte, max(0, len(rows)-len(w.recs)))...)
+	recs := w.recs[:len(rows)]
+	for i, b64 := range rows {
+		var err error
+		if w.raw, err = base64.StdEncoding.AppendDecode(w.raw[:0], b64); err != nil {
+			return nil, fmt.Errorf("bad wire row: %v", err)
+		}
+		if recs[i], err = w.b.AppendRecord(recs[i][:0], w.raw, arity); errors.Is(err, table.ErrSchema) {
+			n, _ := binary.Uvarint(w.raw)
+			return nil, fmt.Errorf("wire row arity %d, want %d", n, arity)
+		} else if err != nil {
+			return nil, fmt.Errorf("bad wire row: %v", err)
+		}
+	}
+	return recs, nil
 }
 
 // appendRow appends the tuple notation of row i of b, written from the
@@ -237,6 +267,7 @@ type scanner struct {
 	text  []byte
 	ends  []int // string j is text[ends[j]:ends[j+1]]
 	batch []string
+	rows  [][]byte
 	seen  uint // bit k: keys[k] was read
 	// Per key: its first string, and its number, boolean or list length.
 	first [8]int
@@ -261,7 +292,7 @@ func (l *scanner) eat(c byte) bool {
 // object reads the whole line as one object. kinds[k] is the kind of
 // keys[k]'s value: s(tring), l(ist of strings), b(oolean) or n(umber).
 func (l *scanner) object(line []byte, keys []string, kinds string) bool {
-	*l = scanner{s: line, text: l.text[:0], ends: append(l.ends[:0], 0), batch: l.batch}
+	*l = scanner{s: line, text: l.text[:0], ends: append(l.ends[:0], 0), batch: l.batch, rows: l.rows}
 	if !l.eat('{') {
 		return false
 	}
@@ -383,13 +414,14 @@ func (l *scanner) list(all string, k int, buf *[]string) []string {
 	return out
 }
 
-// The keys of the two line types and the kinds of their values.
+// The keys of the two line types and a .load payload, and their kinds.
 var (
 	requestKeys  = []string{"id", "stmt", "timeout_ms", "wire", "trace_id"}
 	responseKeys = []string{"id", "result", "error", "batch", "more", "rows", "schema", "elapsed_us"}
+	loadKeys     = []string{"table", "cols", "rows"}
 )
 
-const requestKinds, responseKinds = "nsnbs", "nsslbnln"
+const requestKinds, responseKinds, loadKinds = "nsnbs", "nsslbnln", "sll"
 
 // request decodes one request line as ParseRequest documents.
 func (l *scanner) request(line []byte) Request {
@@ -423,4 +455,32 @@ func (l *scanner) response(line []byte) (Response, error) {
 	all := string(l.text)
 	return Response{ID: l.val[0], Result: l.field(all, 1), Error: l.field(all, 2), Batch: l.list(all, 3, &l.batch),
 		More: l.val[4] == 1, Rows: int(l.val[5]), Schema: l.list(all, 6, new([]string)), ElapsedUS: int64(l.val[7])}, nil
+}
+
+// load decodes a .load payload as json.Unmarshal into a zero LoadRequest
+// does, except that Rows stays empty: the rows come back as bytes,
+// windows of the scanner's buffers until its next use.
+func (l *scanner) load(payload []byte) (lr LoadRequest, rows [][]byte, err error) {
+	l.rows = l.rows[:0]
+	if !l.object(payload, loadKeys, loadKinds) {
+		err = json.Unmarshal(payload, &lr)
+		for _, r := range lr.Rows {
+			l.rows = append(l.rows, []byte(r))
+		}
+		return LoadRequest{Table: lr.Table, Cols: lr.Cols}, l.rows, err
+	}
+	str := func(j int) []byte { return l.text[l.ends[j]:l.ends[j+1]] }
+	if l.seen&1 != 0 {
+		lr.Table = string(str(l.first[0]))
+	}
+	if l.seen&2 != 0 {
+		lr.Cols = make([]string, 0, l.val[1])
+		for j := l.first[1]; j < l.first[1]+int(l.val[1]); j++ {
+			lr.Cols = append(lr.Cols, string(str(j)))
+		}
+	}
+	for j := l.first[2]; l.seen&4 != 0 && j < l.first[2]+int(l.val[2]); j++ {
+		l.rows = append(l.rows, str(j))
+	}
+	return lr, l.rows, nil
 }

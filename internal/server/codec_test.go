@@ -332,6 +332,40 @@ func FuzzResponse(f *testing.F) {
 	})
 }
 
+// FuzzLoadPayload: for any .load payload, the scanner's load answers as
+// json.Unmarshal into a zero LoadRequest does, or both fail, with the
+// rows as the bytes of that Rows.
+func FuzzLoadPayload(f *testing.F) {
+	for _, s := range []string{
+		`{"table":"events","rows":["AgICBAFh","AgIEBAFi"]}`, `{"table":"t","cols":["a","b"],"rows":[]}`,
+		`{"rows":["a\/b"],"table":"x"}`, `{"table":"é","rows":["AQ=="]}`, `{"table":"t","cols":null}`,
+		`{"table":"t","table":"u"}`, `{"Table":"t"}`, `{"table":"t","rows":[1]}`, `{"table":"t"} x`,
+		`{"table":"t","rows":["a",]}`, `{}`, ``, `null`, `{"table":"\u0041","extra":0}`,
+	} {
+		f.Add(s)
+	}
+	var l scanner
+	f.Fuzz(func(t *testing.T, payload string) {
+		got, rows, err := l.load([]byte(payload))
+		var want LoadRequest
+		werr := json.Unmarshal([]byte(payload), &want)
+		if (err == nil) != (werr == nil) {
+			t.Fatalf("load(%q): err %v, encoding/json err %v", payload, err, werr)
+		}
+		if err != nil {
+			return
+		}
+		if got.Table != want.Table || !reflect.DeepEqual(got.Cols, want.Cols) || got.Rows != nil || len(rows) != len(want.Rows) {
+			t.Fatalf("load(%q) = %+v with %d rows, encoding/json %+v", payload, got, len(rows), want)
+		}
+		for i, r := range rows {
+			if string(r) != want.Rows[i] {
+				t.Fatalf("load(%q) row %d = %q, encoding/json %q", payload, i, r, want.Rows[i])
+			}
+		}
+	})
+}
+
 // pointDB serves an indexed users table for point lookups.
 func pointDB(t testing.TB) *catalog.Database {
 	t.Helper()

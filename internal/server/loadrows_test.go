@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/base64"
 	"encoding/json"
 	"fmt"
@@ -13,7 +14,7 @@ import (
 	"xst/internal/table"
 )
 
-// A .load chunk's rows decode through buffers the chunk reuses, so every
+// A wire-mode batch's rows decode through buffers the call reuses, so every
 // decoded row must still hold its own values after the later rows have
 // overwritten those buffers — rows longer and shorter than the one
 // before, strings included.
@@ -81,28 +82,27 @@ func TestDecodeLoadRowsKeepsEveryRow(t *testing.T) {
 	}
 }
 
-// A .load chunk with one bad row fails whole: the error comes back, and
-// neither the table the chunk would have created nor any of its rows is
-// there afterwards — for a scratch and a shared table alike. A good
-// chunk then creates the table with its own rows only.
+// A .load chunk with one bad row fails whole: the error comes back with
+// the text DecodeWireRows gives the same rows, and neither the table the
+// chunk would have created nor any of its rows is there afterwards — for
+// a scratch and a shared table alike, absent or already loaded. Bad
+// base64, a varint past 64 bits, another arity, bytes after the last
+// value and a set under a btree key each fail this way.
 func TestLoadBadChunkLeavesNoRows(t *testing.T) {
 	db, err := catalog.Create(store.NewMemPager(), 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, addr := startServer(t, Config{DB: db})
+	srv, addr := startServer(t, Config{DB: db})
 	c, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	enc := func(vs ...int64) string {
-		r := make(table.Row, len(vs))
-		for i, v := range vs {
-			r[i] = core.Int(v)
-		}
-		return base64.StdEncoding.EncodeToString(table.EncodeRow(nil, r))
+	enc := func(vs ...core.Value) string {
+		return base64.StdEncoding.EncodeToString(table.EncodeRow(nil, vs))
 	}
+	raw := func(b ...byte) string { return base64.StdEncoding.EncodeToString(b) }
 	load := func(name string, rows ...string) (string, error) {
 		payload, err := json.Marshal(LoadRequest{Table: name, Cols: []string{"a", "b"}, Rows: rows})
 		if err != nil {
@@ -110,20 +110,62 @@ func TestLoadBadChunkLeavesNoRows(t *testing.T) {
 		}
 		return c.Eval(".load " + string(payload))
 	}
-	for _, name := range []string{"__x", "x"} {
-		if _, err := load(name, enc(1, 2), enc(3), enc(4, 5)); err == nil || !strings.Contains(err.Error(), "arity") {
-			t.Fatalf("%s: bad chunk answered %v, want the arity error", name, err)
-		}
+	count := func(name string) int {
 		var got []string
 		if _, err := c.Query("from "+name, func(rows []string) error {
 			got = append(got, rows...)
 			return nil
-		}); err == nil && len(got) > 0 {
-			t.Fatalf("%s holds %v after the failed chunk", name, got)
+		}); err != nil {
+			return 0 // no such table
 		}
-		if res, err := load(name, enc(4, 5)); err != nil || res != name+": 1 rows" {
+		return len(got)
+	}
+	good, good2 := enc(core.Int(1), core.Int(2)), enc(core.Int(4), core.Int(5))
+	bad := []struct{ row, want string }{
+		{"!!!!", "bad wire row: illegal base64 data at input byte 0"},
+		{raw(2, 2, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 2, 2), "bad wire row: core: corrupt value encoding"},
+		{enc(core.Int(3)), "wire row arity 1, want 2"},
+		{raw(append(table.EncodeRow(nil, table.Row{core.Int(1), core.Int(2)}), 0)...), "bad wire row: core: corrupt value encoding"},
+	}
+	failAll := func(name string, rows int) {
+		t.Helper()
+		for _, b := range bad {
+			if _, err := DecodeWireRows([]string{good, b.row}, 2); err == nil || err.Error() != b.want {
+				t.Fatalf("DecodeWireRows of %q: %v, want %q", b.row, err, b.want)
+			}
+			before := srv.m.TxnCommit.Value()
+			if _, err := load(name, good, b.row, good2); err == nil || err.Error() != b.want {
+				t.Fatalf("%s: chunk with %q answered %v, want %q", name, b.row, err, b.want)
+			}
+			if n := count(name); n != rows || srv.m.TxnCommit.Value() != before {
+				t.Fatalf("%s holds %d rows after a failed chunk, want %d (%d commits)", name, n, rows, srv.m.TxnCommit.Value()-before)
+			}
+		}
+	}
+	for _, name := range []string{"__x", "x"} {
+		failAll(name, 0)
+		if _, err := db.Table(name); err == nil {
+			t.Fatalf("%s: failed chunks created the table", name)
+		}
+		if res, err := load(name, good2); err != nil || res != name+": 1 rows" {
 			t.Fatalf("%s: good chunk = %q, %v", name, res, err)
 		}
+		failAll(name, 1)
+	}
+
+	if _, err := load("bt", good); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.CreateIndex(context.Background(), "bt", "a", catalog.IndexBTree); err != nil {
+		t.Fatal(err)
+	}
+	const want = `index: column "a" holds non-atom <7,8>; btree needs atoms`
+	before := srv.m.TxnCommit.Value()
+	if _, err := load("bt", good2, enc(core.Tuple(core.Int(7), core.Int(8)), core.Int(9))); err == nil || err.Error() != want {
+		t.Fatalf("a set under a btree key answered %v, want %q", err, want)
+	}
+	if n := count("bt"); n != 1 || srv.m.TxnCommit.Value() != before {
+		t.Fatalf("bt holds %d rows after a failed chunk, want 1", n)
 	}
 }
 

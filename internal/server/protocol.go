@@ -60,8 +60,8 @@
 // Non-ASCII text, the Trace field and any line outside the subset go
 // through encoding/json, so the format is unchanged byte for byte. The
 // server, Client and the federation coordinator, which talks to its
-// sites through Client's Send and Recv, are those ends; wire-mode rows
-// decode through DecodeWireRows at each of them.
+// sites through Client's Send and Recv, are those ends. A .load chunk's
+// rows stay bytes; fragment rows decode through DecodeWireRows.
 package server
 
 import "xst/internal/trace"

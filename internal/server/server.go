@@ -16,7 +16,6 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -248,6 +247,7 @@ type session struct {
 	line, row, enc []byte
 	lineRows       int
 	in             scanner
+	load           wireRecords // in reads the .load payload it holds
 	// sink is sess.emit, cached so a query allocates no closure, over the
 	// running query's id, wire mode, live entry and row count.
 	sink func(*table.Batch) error
@@ -939,11 +939,12 @@ func (s *Server) handleCreateIndex(args string) (Response, bool) {
 // created in-memory pool that dies with the session. Any other name is
 // a shared catalog table loaded through one transaction per chunk —
 // one WAL fsync for the whole batch — created durably on the first
-// chunk if absent. The whole chunk decodes at the table's arity before
+// chunk if absent. The whole chunk is checked at the table's arity before
 // anything is created or written, so a bad chunk leaves nothing behind.
 func (s *Server) handleLoad(sess *session, payload string) (Response, bool) {
-	var lr LoadRequest
-	if err := json.Unmarshal([]byte(payload), &lr); err != nil {
+	sess.load.payload = append(sess.load.payload[:0], payload...)
+	lr, rows, err := sess.in.load(sess.load.payload)
+	if err != nil {
 		return Response{Error: fmt.Sprintf("bad .load payload: %v", err)}, false
 	}
 	shared := !strings.HasPrefix(lr.Table, "__")
@@ -963,12 +964,12 @@ func (s *Server) handleLoad(sess *session, payload string) (Response, bool) {
 	} else if len(cols) == 0 {
 		return Response{Error: ".load needs cols on first chunk"}, false
 	}
-	rows, err := DecodeWireRows(lr.Rows, len(cols))
+	recs, err := sess.load.check(rows, len(cols))
 	if err != nil {
 		return Response{Error: err.Error()}, false
 	}
 	if shared {
-		return s.loadShared(table.Schema{Name: lr.Table, Cols: cols}, rows)
+		return s.loadShared(table.Schema{Name: lr.Table, Cols: cols}, recs)
 	}
 	if a == nil {
 		if sess.pool == nil {
@@ -981,13 +982,15 @@ func (s *Server) handleLoad(sess *session, payload string) (Response, bool) {
 		sess.scratch[lr.Table] = a
 		sess.env.BindTable(lr.Table, a.Table())
 	}
-	if err := a.InsertAll(rows); err != nil {
-		return Response{Error: err.Error()}, false
+	for _, rec := range recs {
+		if _, err := a.Append(rec); err != nil {
+			return Response{Error: err.Error()}, false
+		}
 	}
 	return Response{Result: fmt.Sprintf("%s: %d rows", lr.Table, a.Table().Count())}, false
 }
 
-// loadShared loads one chunk of rows into a shared catalog table as a
+// loadShared loads one chunk of records into a shared catalog table as a
 // single transaction: the rows, the table's creation when it is absent,
 // the catalog page, and the index maintenance all commit under one log
 // fsync. The existence check runs inside the transaction, under the
@@ -995,13 +998,13 @@ func (s *Server) handleLoad(sess *session, payload string) (Response, bool) {
 // rows. The commit publishes the table with its indexes in the planner
 // snapshot, where every session's next query — this one's included —
 // resolves it.
-func (s *Server) loadShared(sch table.Schema, rows []table.Row) (Response, bool) {
+func (s *Server) loadShared(sch table.Schema, recs [][]byte) (Response, bool) {
 	db := s.cfg.DB
 	tx := db.Begin()
-	err := tx.Insert(sch.Name, rows...)
+	err := tx.InsertEncoded(sch.Name, recs...)
 	if errors.Is(err, catalog.ErrNoTable) {
 		if err = tx.CreateTable(sch); err == nil {
-			err = tx.Insert(sch.Name, rows...)
+			err = tx.InsertEncoded(sch.Name, recs...)
 		}
 	}
 	if err != nil {

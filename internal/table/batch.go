@@ -3,6 +3,7 @@ package table
 import (
 	"cmp"
 	"encoding/binary"
+	"fmt"
 
 	"xst/internal/core"
 	"xst/internal/store"
@@ -303,6 +304,25 @@ func (b *Batch) EncodeRow(dst []byte, i int) []byte {
 		}
 	}
 	return dst
+}
+
+// AppendRecord appends rec to dst as EncodeRow(dst, DecodeRow(rec))
+// does, so a non-canonical record (an overlong varint, a -0.0, an
+// unsorted set) is stored canonically. It fails, handing dst back, where
+// DecodeRow fails, then at another arity (ErrSchema). The page kernel
+// reads rec into b, so no int or string is boxed.
+func (b *Batch) AppendRecord(dst, rec []byte, arity int) ([]byte, error) {
+	if n, _ := binary.Uvarint(rec); n != uint64(arity) {
+		if _, err := DecodeRow(rec); err != nil {
+			return dst, err
+		}
+		return dst, fmt.Errorf("%w: got %d, want %d", ErrSchema, n, arity)
+	}
+	b.Reset()
+	if err := b.appendRecord(rec, nil, 1); err != nil {
+		return dst, err
+	}
+	return b.EncodeRow(dst, 0), nil
 }
 
 // BatchOf returns a fresh batch holding rows in boxed columns of the

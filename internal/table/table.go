@@ -117,6 +117,23 @@ func DecodeRow(buf []byte) (Row, error) {
 	return out, nil
 }
 
+// Column decodes position col of an encoded row alone.
+func Column(rec []byte, col int) (core.Value, error) {
+	_, off := binary.Uvarint(rec)
+	for ; off > 0 && col > 0; col-- {
+		used, err := core.Skip(rec[off:])
+		if err != nil {
+			return nil, err
+		}
+		off += used
+	}
+	if off <= 0 {
+		return nil, core.ErrCorrupt
+	}
+	v, _, err := core.Decode(rec[off:])
+	return v, err
+}
+
 // Table is one version of a schema-tagged heap of rows. It only reads,
 // so a published version never changes; rows enter through an Appender.
 // A version is a prefix of its heap (store.HeapFile), so it reads its
@@ -167,15 +184,21 @@ func (t *Table) Extend(io store.PageIO) *Appender { return &Appender{t: *t.WithI
 // show through it.
 func (a *Appender) Table() *Table { return &a.t }
 
-// Insert appends a row.
+// Insert appends a row: its record, through Append.
 func (a *Appender) Insert(r Row) (store.RID, error) {
-	if len(r) != a.t.schema.Arity() {
-		return store.RID{}, fmt.Errorf("%w: got %d, want %d", ErrSchema, len(r), a.t.schema.Arity())
-	}
 	// The page copies the record, so it is encoded on the stack unless
 	// it outgrows the buffer.
 	var buf [256]byte
-	return a.t.heap.Append(EncodeRow(buf[:0], r))
+	return a.Append(EncodeRow(buf[:0], r))
+}
+
+// Append appends one canonical record, as EncodeRow or AppendRecord
+// writes it; a record of another arity than the schema's is ErrSchema.
+func (a *Appender) Append(rec []byte) (store.RID, error) {
+	if n, _ := binary.Uvarint(rec); n != uint64(a.t.schema.Arity()) {
+		return store.RID{}, fmt.Errorf("%w: got %d, want %d", ErrSchema, n, a.t.schema.Arity())
+	}
+	return a.t.heap.Append(rec)
 }
 
 // InsertAll appends many rows.
